@@ -403,10 +403,11 @@ fn hwprof() {
                     b.name,
                     k.name
                 );
-                // The first-invocation waveform is present and structurally
-                // a VCD: header, at least one signal, value dump.
+                // The first-invocation waveform is present and renders to a
+                // structurally valid VCD: header, at least one signal, value
+                // dump.
                 if k.hw_invocations > 0 {
-                    let vcd = p.vcd.as_deref().unwrap_or("");
+                    let vcd = p.vcd().unwrap_or_default();
                     for marker in ["$timescale", "$var wire", "$enddefinitions", "$dumpvars", "#0"] {
                         assert!(
                             vcd.contains(marker),

@@ -32,7 +32,8 @@
 use crate::decompile::{function_end_after, region_machine_extent, region_pc_range};
 use crate::diag::{Diagnostic, FlowStage};
 use crate::flow::{FlowError, FlowOptions};
-use crate::stage::StagedFlow;
+use crate::partition::Partition;
+use crate::stage::{EstimatedProgram, StagedFlow};
 use binpart_hwsim::{AccelBuildError, HwProfile, HwRecorder, KernelAccel, KernelSet};
 use binpart_mips::hybrid::{
     AccelOutcome, Accelerator, HybridConfig, HybridMachine, RegionSpec,
@@ -173,14 +174,15 @@ impl CosimReport {
 const HW_SPAN_CAP: u64 = 8;
 
 /// The instrumented [`Accelerator`]: dispatches through the same
-/// [`KernelSet`] as the uninstrumented path, but drives one
-/// [`HwRecorder`] per mapped kernel and merges accelerator invocations
+/// [`KernelSet`] as the uninstrumented path, but drives the
+/// [`HwRecorder`] of each mapped kernel and merges accelerator invocations
 /// into the software span timeline. Execution semantics are identical —
 /// the differential suite asserts the instrumented flow stays
 /// bit-identical to the uninstrumented one.
 struct InstrumentedAccel<'a, 'f, T: Telemetry> {
-    set: &'a mut KernelSet<'f>,
-    recorders: Vec<Option<HwRecorder>>,
+    set: &'a KernelSet<'f>,
+    /// Per region; a kernel without a recorder runs uninstrumented.
+    recorders: &'a [Option<HwRecorder>],
     names: &'a [String],
     span_budget: Vec<u64>,
     tel: &'a T,
@@ -200,56 +202,48 @@ impl<T: Telemetry> Accelerator for InstrumentedAccel<'_, '_, T> {
         } else {
             None
         };
-        let rec = self.recorders[region]
-            .as_ref()
-            .expect("every mapped kernel has a recorder");
-        let outcome = match accel.execute_with(regs, mem, rec) {
-            Ok(inv) => AccelOutcome::Executed(inv),
-            Err(_) => AccelOutcome::Faulted,
+        let result = match self.recorders.get(region).and_then(Option::as_ref) {
+            Some(rec) => accel.execute_with(regs, mem, rec),
+            None => accel.execute(regs, mem),
         };
         drop(span);
-        outcome
+        match result {
+            Ok(inv) => AccelOutcome::Executed(inv),
+            Err(_) => AccelOutcome::Faulted,
+        }
     }
 }
 
-impl<T: Telemetry> StagedFlow<'_, T> {
-    /// The verification/measurement stage: co-simulates the partition the
-    /// `evaluate` stage selects under `options`, executing each kernel's
-    /// scheduled FSMD against shared memory and differencing it per
-    /// invocation against the software oracle. Uncached (each call runs
-    /// the hybrid machine afresh); the expensive inputs — profile, CDFG,
-    /// candidates, synthesis — come from the cached stage artifacts.
-    ///
-    /// Under an instrumented flow this emits a `cosimulate` span
-    /// (inclusive of the nested stage spans), hybrid-machine counters
-    /// (trap entries, store-differential events), and a `diagnostic`
-    /// event for every degradation record first observed here
-    /// (accelerator packaging rejections, store divergences).
-    ///
-    /// # Errors
-    ///
-    /// Propagates stage-1/-2 failures and software-simulation errors from
-    /// the hybrid run.
-    pub fn cosimulate(&self, options: &FlowOptions) -> Result<CosimReport, FlowError> {
-        let _span = SpanGuard::enter(self.telemetry(), "cosimulate", || {
-            format!("superblocks={}", options.sim.superblocks)
-        });
-        let est = self.estimate(options.decompile, options.sim)?;
-        let staged = self.evaluate(options)?;
-        let reference = self.profile(options.sim)?;
-        let mut diagnostics = est.program.diagnostics.clone();
-        diagnostics.extend(staged.partition.diagnostics.iter().cloned());
-        // Everything up to here was already emitted by the `evaluate`
-        // stage; only records added below are new to this stage.
-        let upstream_diagnostics = diagnostics.len();
+/// The selected kernels packaged for the hybrid machine: region `r` is
+/// `specs[r]`, dispatched to `set.kernels[r]` (`None` when no accelerator
+/// could be built) and reported as partition kernel `spec_kernel[r]`.
+struct Packaged<'f> {
+    specs: Vec<RegionSpec>,
+    set: KernelSet<'f>,
+    spec_kernel: Vec<usize>,
+    /// Per partition kernel: whether its accelerator was built.
+    mapped: Vec<bool>,
+}
 
-        // Package each selected kernel as a region + accelerator.
-        let mut specs: Vec<RegionSpec> = Vec::new();
-        let mut set = KernelSet::default();
-        let mut spec_kernel: Vec<usize> = Vec::new(); // region -> kernel index
-        let mut region_names: Vec<String> = Vec::new();
-        let mut mapped = vec![false; staged.partition.kernels.len()];
-        for (ki, k) in staged.partition.kernels.iter().enumerate() {
+impl<T: Telemetry> StagedFlow<'_, T> {
+    /// Packages each kernel of `partition` as a hybrid-machine region and
+    /// an FSMD accelerator (the `accel_compile` span), recording packaging
+    /// rejections on `diagnostics`.
+    fn package<'e>(
+        &self,
+        options: &FlowOptions,
+        est: &'e EstimatedProgram,
+        partition: &Partition,
+        diagnostics: &mut Vec<Diagnostic>,
+    ) -> Packaged<'e> {
+        let _span = SpanGuard::enter(self.telemetry(), "accel_compile", String::new);
+        let mut p = Packaged {
+            specs: Vec::new(),
+            set: KernelSet::default(),
+            spec_kernel: Vec::new(),
+            mapped: vec![false; partition.kernels.len()],
+        };
+        for (ki, k) in partition.kernels.iter().enumerate() {
             let f = &est.program.functions[k.func_index];
             let Some((lo, hi)) = region_pc_range(f, &k.blocks) else {
                 continue;
@@ -291,17 +285,57 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                     None
                 }
             };
-            mapped[ki] = accel.is_some();
-            specs.push(RegionSpec {
+            p.mapped[ki] = accel.is_some();
+            p.specs.push(RegionSpec {
                 name: k.name.clone(),
                 lo,
                 hi,
                 entry_pc,
             });
-            set.kernels.push(accel);
-            spec_kernel.push(ki);
-            region_names.push(k.name.clone());
+            p.set.kernels.push(accel);
+            p.spec_kernel.push(ki);
         }
+        p
+    }
+
+    /// The verification/measurement stage: co-simulates the partition the
+    /// `evaluate` stage selects under `options`, executing each kernel's
+    /// scheduled FSMD against shared memory and differencing it per
+    /// invocation against the software oracle. Uncached (each call runs
+    /// the hybrid machine afresh); the expensive inputs — profile, CDFG,
+    /// candidates, synthesis — come from the cached stage artifacts.
+    ///
+    /// Under an instrumented flow this emits a `cosimulate` span
+    /// (inclusive of the nested stage spans) split by the `accel_compile`,
+    /// `hybrid_run` and `hwprofile_build` sub-spans, hybrid-machine counters
+    /// (trap entries, store-differential events), and a `diagnostic`
+    /// event for every degradation record first observed here
+    /// (accelerator packaging rejections, store divergences).
+    ///
+    /// # Errors
+    ///
+    /// Propagates stage-1/-2 failures and software-simulation errors from
+    /// the hybrid run.
+    pub fn cosimulate(&self, options: &FlowOptions) -> Result<CosimReport, FlowError> {
+        let _span = SpanGuard::enter(self.telemetry(), "cosimulate", || {
+            format!("superblocks={}", options.sim.superblocks)
+        });
+        let est = self.estimate(options.decompile, options.sim)?;
+        let staged = self.evaluate(options)?;
+        let reference = self.profile(options.sim)?;
+        let mut diagnostics = est.program.diagnostics.clone();
+        diagnostics.extend(staged.partition.diagnostics.iter().cloned());
+        // Everything up to here was already emitted by the `evaluate`
+        // stage; only records added below are new to this stage.
+        let upstream_diagnostics = diagnostics.len();
+
+        let Packaged {
+            specs,
+            mut set,
+            spec_kernel,
+            mapped,
+        } = self.package(options, &est, &staged.partition, &mut diagnostics);
+        let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
 
         // Run the hybrid machine.
         let mut hm = HybridMachine::new(
@@ -315,37 +349,37 @@ impl<T: Telemetry> StagedFlow<'_, T> {
         // exact uninstrumented path (the throughput snapshot measures it);
         // an instrumented flow swaps in the recording accelerator, whose
         // execution semantics are identical.
-        let mut hw_profiles: Vec<Option<HwProfile>> = Vec::new();
-        let hx = if T::ENABLED {
-            let recorders: Vec<Option<HwRecorder>> = set
-                .kernels
+        let recorders: Vec<Option<HwRecorder>> = if T::ENABLED {
+            set.kernels
                 .iter()
                 .map(|k| k.as_ref().map(|a| HwRecorder::new(a.fsmd().block_count())))
-                .collect();
-            let span_budget = vec![HW_SPAN_CAP; set.kernels.len()];
-            let mut ia = InstrumentedAccel {
-                set: &mut set,
-                recorders,
-                names: &region_names,
-                span_budget,
-                tel: self.telemetry(),
-            };
-            let hx = hm
-                .run(&mut ia)
-                .map_err(|e| FlowError::Cosim(CosimError::Hybrid(e)))?;
-            let recorders = ia.recorders;
-            hw_profiles = recorders
-                .iter()
-                .zip(set.kernels.iter())
-                .map(|(rec, accel)| match (rec, accel) {
-                    (Some(rec), Some(accel)) => Some(rec.profile(accel.fsmd())),
-                    _ => None,
-                })
-                .collect();
-            hx
+                .collect()
         } else {
-            hm.run(&mut set)
-                .map_err(|e| FlowError::Cosim(CosimError::Hybrid(e)))?
+            Vec::new()
+        };
+        let hx = {
+            let _span = SpanGuard::enter(self.telemetry(), "hybrid_run", String::new);
+            if T::ENABLED {
+                hm.run(&mut InstrumentedAccel {
+                    set: &set,
+                    recorders: &recorders,
+                    names: &names,
+                    span_budget: vec![HW_SPAN_CAP; set.kernels.len()],
+                    tel: self.telemetry(),
+                })
+            } else {
+                hm.run(&mut set)
+            }
+        }
+        .map_err(|e| FlowError::Cosim(CosimError::Hybrid(e)))?;
+        // The VCD stays unrendered: `HwProfile::vcd` renders it on demand.
+        let hw_profiles: Vec<Option<HwProfile>> = {
+            let _span = SpanGuard::enter(self.telemetry(), "hwprofile_build", String::new);
+            recorders
+                .into_iter()
+                .zip(&set.kernels)
+                .map(|(rec, accel)| Some(rec?.into_profile(accel.as_ref()?.fsmd())))
+                .collect()
         };
 
         // Assemble per-kernel results (kernels without a region spec are
@@ -531,9 +565,19 @@ mod tests {
         binpart_telemetry::validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
         // Span "X" events are emitted in enter order; a single-threaded
         // cosimulate enters cosimulate → profile → decompile → estimate
-        // → evaluate (the estimate span opens after its inputs build).
-        let order: Vec<usize> = ["cosimulate", "profile", "decompile", "estimate", "evaluate"]
-            .iter()
+        // → evaluate (the estimate span opens after its inputs build),
+        // then its own sub-spans.
+        let order: Vec<usize> = [
+            "cosimulate",
+            "profile",
+            "decompile",
+            "estimate",
+            "evaluate",
+            "accel_compile",
+            "hybrid_run",
+            "hwprofile_build",
+        ]
+        .iter()
             .map(|n| {
                 json.find(&format!("\"name\":\"{n}\""))
                     .unwrap_or_else(|| panic!("span {n} missing from trace\n{json}"))
@@ -574,7 +618,7 @@ mod tests {
             assert_eq!(p.committed, k.hw_invocations);
             assert!(p.states_executed > 0 && p.states_executed <= p.states_total);
             assert_eq!(p.analytic.total().max(1), k.hw_cycles_estimated, "{}", k.name);
-            assert!(p.vcd.is_some(), "first invocation captures a wave");
+            assert!(p.vcd().is_some(), "first invocation captures a wave");
         }
         assert!(executed > 0, "no kernel executed");
         // The uninstrumented flow runs the identical hardware and attaches
@@ -587,6 +631,39 @@ mod tests {
             assert_eq!(a.hw_cycles_measured, b.hw_cycles_measured);
             assert_eq!(a.hw_invocations, b.hw_invocations);
             assert_eq!(a.store_mismatches, b.store_mismatches);
+        }
+    }
+
+    /// A mapped kernel without a recorder falls back to the uninstrumented
+    /// accelerator: the same hybrid run, no panic.
+    #[test]
+    fn instrumented_accel_without_recorders_runs_uninstrumented() {
+        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
+        let staged = StagedFlow::new(&binary);
+        let options = FlowOptions::default();
+        let plain = staged.cosimulate(&options).unwrap();
+        let est = staged.estimate(options.decompile, options.sim).unwrap();
+        let eval = staged.evaluate(&options).unwrap();
+        let p = staged.package(&options, &est, &eval.partition, &mut Vec::new());
+        let names: Vec<String> = p.specs.iter().map(|s| s.name.clone()).collect();
+        let mut hm =
+            HybridMachine::new(&binary, options.sim, p.specs, HybridConfig::default()).unwrap();
+        let hx = hm
+            .run(&mut InstrumentedAccel {
+                set: &p.set,
+                recorders: &[],
+                names: &names,
+                span_budget: vec![HW_SPAN_CAP; p.set.kernels.len()],
+                tel: staged.telemetry(),
+            })
+            .unwrap();
+        assert_eq!(hx.exit.regs, plain.hybrid_exit.regs);
+        assert_eq!(hx.exit.cycles, plain.hybrid_exit.cycles);
+        assert!(hx.kernels.iter().any(|s| s.hw_invocations > 0), "no kernel executed");
+        for (ri, s) in hx.kernels.iter().enumerate() {
+            let k = &plain.kernels[p.spec_kernel[ri]];
+            assert_eq!(s.hw_invocations, k.hw_invocations, "{}", k.name);
+            assert_eq!(s.hw_cycles, k.hw_cycles_measured, "{}", k.name);
         }
     }
 

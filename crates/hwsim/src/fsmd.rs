@@ -817,7 +817,7 @@ mod tests {
         rec.invocation_begin();
         let run = fsmd.execute_tel(&mut vals, &mut bus, 1 << 28, &rec).unwrap();
         rec.invocation_commit();
-        let profile = rec.profile(&fsmd);
+        let profile = rec.into_profile(&fsmd);
         // Conservation by construction: per-category and per-state sums
         // both equal the measured cycle count, exactly.
         assert_eq!(profile.attributed.total(), run.cycles);
@@ -836,7 +836,7 @@ mod tests {
         assert_eq!(profile.bus_reads, n);
         assert_eq!(profile.bus_writes, 0);
         assert!(!profile.last_bus.is_empty());
-        assert!(profile.vcd.is_some(), "first invocation captures a wave");
+        assert!(profile.vcd().is_some(), "first invocation captures a wave");
     }
 
     #[test]
@@ -873,9 +873,16 @@ mod tests {
         assert_eq!(plain_vals, vals);
     }
 
-    #[test]
-    fn golden_vcd_for_the_sum_kernel() {
-        let (f, region, header) = sum_kernel(4);
+    /// Runs one recorded invocation of `(f, region, header)` against `mem`
+    /// and checks the rendered VCD against `golden`, the contents of
+    /// `src/{name}` (`BINPART_PIN_GOLDEN=1` re-pins that file). Returns the
+    /// VCD.
+    fn check_golden_vcd(
+        (f, region, header): (Function, Vec<BlockId>, BlockId),
+        mem: &Memory,
+        name: &str,
+        golden: &str,
+    ) -> String {
         let fsmd = Fsmd::compile(
             &f,
             &region,
@@ -885,32 +892,80 @@ mod tests {
             true,
         )
         .unwrap();
-        let mut mem = Memory::new();
-        for i in 0..4u32 {
-            mem.write_u32(i * 4, 10 + i);
-        }
-        let mut bus = OverlayBus::new(&mem);
+        let mut bus = OverlayBus::new(mem);
         let mut vals = vec![0u32; f.vreg_count() as usize];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
         rec.invocation_begin();
         fsmd.execute_tel(&mut vals, &mut bus, 1 << 20, &rec).unwrap();
         rec.invocation_commit();
-        let vcd = rec.profile(&fsmd).vcd.expect("wave captured");
+        let profile = rec.into_profile(&fsmd);
+        let vcd = profile.vcd().expect("wave captured");
+        // Rendered on demand: every call, and every clone, gives the same
+        // bytes.
+        assert_eq!(profile.vcd().as_ref(), Some(&vcd));
+        assert_eq!(profile.clone().vcd().as_ref(), Some(&vcd));
         if std::env::var_os("BINPART_PIN_GOLDEN").is_some() {
-            std::fs::write(
-                concat!(env!("CARGO_MANIFEST_DIR"), "/src/golden_sum_kernel.vcd"),
-                &vcd,
-            )
-            .unwrap();
+            std::fs::write(format!("{}/src/{name}", env!("CARGO_MANIFEST_DIR")), &vcd).unwrap();
         }
-        let golden = include_str!("golden_sum_kernel.vcd");
         assert_eq!(
             vcd, golden,
-            "VCD output drifted from the pinned golden; if the change is \
-             intended, regenerate with BINPART_PIN_GOLDEN=1 cargo test -p \
+            "VCD output drifted from the pinned golden {name}; if the change \
+             is intended, regenerate with BINPART_PIN_GOLDEN=1 cargo test -p \
              binpart-hwsim golden_vcd"
         );
+        vcd
+    }
+
+    #[test]
+    fn golden_vcd_for_the_sum_kernel() {
+        let mut mem = Memory::new();
+        for i in 0..4u32 {
+            mem.write_u32(i * 4, 10 + i);
+        }
+        check_golden_vcd(
+            sum_kernel(4),
+            &mem,
+            "golden_sum_kernel.vcd",
+            include_str!("golden_sum_kernel.vcd"),
+        );
+    }
+
+    /// Byte and halfword traffic: every store raises the `bus_wr` strobe,
+    /// and the last one is cleared by the trailing clear after the final
+    /// event.
+    #[test]
+    fn golden_vcd_for_narrow_stores() {
+        let mut f = Function::new("narrow");
+        let e = f.entry;
+        let x = f.new_vreg();
+        let y = f.new_vreg();
+        let z = f.new_vreg();
+        for op in [
+            Op::Load { dst: x, addr: Operand::Const(0x200), width: MemWidth::W, signed: false },
+            Op::Store { src: Operand::Reg(x), addr: Operand::Const(0x100), width: MemWidth::B },
+            Op::Bin { op: BinOp::Add, dst: y, lhs: Operand::Reg(x), rhs: Operand::Const(1) },
+            Op::Store { src: Operand::Reg(y), addr: Operand::Const(0x102), width: MemWidth::H },
+            Op::Load { dst: z, addr: Operand::Const(0x203), width: MemWidth::B, signed: true },
+            Op::Store { src: Operand::Reg(z), addr: Operand::Const(0x105), width: MemWidth::B },
+        ] {
+            f.block_mut(e).push(op);
+        }
+        f.block_mut(e).term = Terminator::Return { value: None };
+        ssa::construct(&mut f);
+        let region: Vec<BlockId> = f.block_ids().collect();
+        let entry = f.entry;
+        let mut mem = Memory::new();
+        mem.write_u32(0x200, 0x80ff_12fe);
+        let vcd = check_golden_vcd(
+            (f, region, entry),
+            &mem,
+            "golden_narrow_stores.vcd",
+            include_str!("golden_narrow_stores.vcd"),
+        );
+        // `%` is bus_wr's identifier code.
+        assert_eq!(vcd.matches("\n1%\n").count(), 3, "one strobe per store");
+        assert!(vcd.ends_with("\n0%\n"), "trailing strobe clear");
     }
 
     #[test]

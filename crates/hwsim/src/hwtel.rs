@@ -25,22 +25,28 @@
 //! 3. [`bus_read`](HwTelemetry::bus_read) /
 //!    [`bus_write`](HwTelemetry::bus_write) /
 //!    [`reg_write`](HwTelemetry::reg_write) — the transaction log, the
-//!    post-mortem ring, and (first invocation only) the VCD wave.
+//!    post-mortem ring, and (first invocation only) the raw wave capture.
+//!    Once the capture has closed, `reg_write` returns without touching
+//!    the recording.
 //! 4. [`invocation_commit`](HwTelemetry::invocation_commit) or
 //!    [`invocation_abort`](HwTelemetry::invocation_abort) — keep or roll
 //!    back the counters. The last-bus ring and final FSM state
 //!    deliberately survive an abort: they are the post-mortem payload.
 //!
-//! [`HwRecorder::profile`] folds the recording into a [`HwProfile`] — the
-//! per-kernel report `StagedFlow::cosimulate` attaches to its
+//! [`HwRecorder::into_profile`] folds the recording into a [`HwProfile`] —
+//! the per-kernel report `StagedFlow::cosimulate` attaches to its
 //! `CosimReport`, including the analytic attribution
 //! ([`crate::Fsmd::analytic_attribution`]) that decomposes
 //! measured-vs-estimate error by feature.
 //!
 //! # VCD export
 //!
-//! The first invocation of each kernel is captured as a Value Change Dump
-//! ([`HwProfile::vcd`]), viewable in GTKWave. Signals, under module
+//! The first invocation of each kernel is captured as raw wave events (at
+//! most 4096), and the [`HwProfile`] keeps them raw. [`HwProfile::vcd`]
+//! renders them as a Value Change Dump, viewable in GTKWave, only when
+//! called — `tables hwprof` and `hybrid_run --vcd-out` do — so a
+//! co-simulation that reads only the counters never pays for the text.
+//! Every call renders the same bytes. Signals, under module
 //! `fsmd`: `state[31:0]` (current FSM block id), `bus_addr[31:0]` /
 //! `bus_data[31:0]` (last transaction), `bus_rd` / `bus_wr` (one-tick
 //! strobes), and `v<N>[31:0]` for every SSA register the kernel wrote.
@@ -49,7 +55,8 @@
 //! increase for strobes to be visible).
 
 use crate::fsmd::Fsmd;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 
 /// Where one attributed hardware cycle went.
@@ -263,11 +270,18 @@ pub struct HwProfile {
     pub last_bus: Vec<BusTxn>,
     /// The last FSM state entered (post-mortem).
     pub final_state: Option<u32>,
-    /// VCD waveform of the first invocation, when captured.
-    pub vcd: Option<String>,
+    /// The first invocation's wave, kept raw for [`HwProfile::vcd`].
+    wave: Wave,
 }
 
 impl HwProfile {
+    /// The first invocation's waveform as a Value Change Dump, rendered
+    /// from the captured wave on every call (`None` when no invocation
+    /// was captured). See the [module docs](self) for the signals.
+    pub fn vcd(&self) -> Option<String> {
+        (!self.wave.events.is_empty()).then(|| render_vcd(&self.wave.events, self.wave.truncated))
+    }
+
     /// Executed-state fraction, 0..=1 (1.0 for an empty kernel).
     pub fn state_coverage(&self) -> f64 {
         if self.states_total == 0 {
@@ -317,6 +331,14 @@ impl WaveEvent {
     }
 }
 
+/// A captured first-invocation wave.
+#[derive(Debug, Clone, Default)]
+struct Wave {
+    events: Vec<WaveEvent>,
+    /// The capture hit [`WAVE_EVENT_CAP`] and stopped early.
+    truncated: bool,
+}
+
 #[derive(Debug, Default)]
 struct Snapshot {
     state_cycles: Vec<u64>,
@@ -341,11 +363,9 @@ struct RecInner {
     committed: u64,
     aborted: u64,
     snap: Snapshot,
-    last_bus: Vec<BusTxn>,
+    last_bus: VecDeque<BusTxn>,
     final_state: Option<u32>,
-    wave: Vec<WaveEvent>,
-    wave_live: bool,
-    wave_truncated: bool,
+    wave: Wave,
 }
 
 /// The recording [`HwTelemetry`] sink: one per kernel, single-threaded
@@ -354,6 +374,9 @@ struct RecInner {
 #[derive(Debug)]
 pub struct HwRecorder {
     inner: RefCell<RecInner>,
+    /// Whether the wave capture is open. Kept outside the `RefCell` so the
+    /// per-op [`HwTelemetry::reg_write`] hook can return without borrowing.
+    wave_live: Cell<bool>,
 }
 
 impl HwRecorder {
@@ -372,53 +395,49 @@ impl HwRecorder {
                 committed: 0,
                 aborted: 0,
                 snap: Snapshot::default(),
-                last_bus: Vec::with_capacity(LAST_BUS_CAP),
+                last_bus: VecDeque::with_capacity(LAST_BUS_CAP),
                 final_state: None,
-                wave: Vec::new(),
-                wave_live: false,
-                wave_truncated: false,
+                wave: Wave::default(),
             }),
+            wave_live: Cell::new(false),
         }
     }
 
     fn push_bus(inner: &mut RecInner, txn: BusTxn) {
         if inner.last_bus.len() == LAST_BUS_CAP {
-            inner.last_bus.remove(0);
+            inner.last_bus.pop_front();
         }
-        inner.last_bus.push(txn);
+        inner.last_bus.push_back(txn);
         post_mortem_push(txn);
     }
 
-    fn push_wave(inner: &mut RecInner, ev: WaveEvent) {
-        if !inner.wave_live {
+    fn push_wave(&self, inner: &mut RecInner, ev: WaveEvent) {
+        if !self.wave_live.get() {
             return;
         }
-        if inner.wave.len() >= WAVE_EVENT_CAP {
-            inner.wave_truncated = true;
-            inner.wave_live = false;
+        if inner.wave.events.len() >= WAVE_EVENT_CAP {
+            inner.wave.truncated = true;
+            self.wave_live.set(false);
             return;
         }
-        inner.wave.push(ev);
+        inner.wave.events.push(ev);
     }
 
     /// Folds the recording into a [`HwProfile`], taking the analytic
-    /// attribution and state count from the kernel's compiled FSMD.
-    pub fn profile(&self, fsmd: &Fsmd<'_>) -> HwProfile {
-        let inner = self.inner.borrow();
-        let state_cycles: Vec<(u32, u64)> = inner
-            .state_cycles
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(b, &c)| (b as u32, c))
-            .collect();
-        let block_execs: Vec<(u32, u64)> = inner
-            .block_execs
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(b, &c)| (b as u32, c))
-            .collect();
+    /// attribution and state count from the kernel's compiled FSMD. The
+    /// captured wave moves into the profile unrendered.
+    pub fn into_profile(self, fsmd: &Fsmd<'_>) -> HwProfile {
+        let inner = self.inner.into_inner();
+        let nonzero = |counts: &[u64]| -> Vec<(u32, u64)> {
+            counts
+                .iter()
+                .enumerate()
+                .filter(|&(_, &c)| c > 0)
+                .map(|(b, &c)| (b as u32, c))
+                .collect()
+        };
+        let state_cycles = nonzero(&inner.state_cycles);
+        let block_execs = nonzero(&inner.block_execs);
         HwProfile {
             invocations: inner.invocations,
             committed: inner.committed,
@@ -440,13 +459,9 @@ impl HwRecorder {
             bus_read_words: inner.bus_read_words,
             bus_write_words: inner.bus_write_words,
             bram_transfer_words: 0,
-            last_bus: inner.last_bus.clone(),
+            last_bus: inner.last_bus.into(),
             final_state: inner.final_state,
-            vcd: if inner.wave.is_empty() {
-                None
-            } else {
-                Some(render_vcd(&inner.wave, inner.wave_truncated))
-            },
+            wave: inner.wave,
         }
     }
 }
@@ -466,7 +481,7 @@ impl HwTelemetry for HwRecorder {
         inner.snap.bus_writes = inner.bus_writes;
         inner.snap.bus_read_words = inner.bus_read_words;
         inner.snap.bus_write_words = inner.bus_write_words;
-        inner.wave_live = inner.invocations == 0;
+        self.wave_live.set(inner.invocations == 0);
         inner.invocations += 1;
     }
 
@@ -476,7 +491,7 @@ impl HwTelemetry for HwRecorder {
             *e += 1;
         }
         inner.final_state = Some(block);
-        Self::push_wave(&mut inner, WaveEvent::State { cycle, block });
+        self.push_wave(&mut inner, WaveEvent::State { cycle, block });
         post_mortem_state(block);
     }
 
@@ -489,8 +504,9 @@ impl HwTelemetry for HwRecorder {
     }
 
     fn reg_write(&self, cycle: u64, vreg: u32, value: u32) {
-        let mut inner = self.inner.borrow_mut();
-        Self::push_wave(&mut inner, WaveEvent::Reg { cycle, vreg, value });
+        if self.wave_live.get() {
+            self.push_wave(&mut self.inner.borrow_mut(), WaveEvent::Reg { cycle, vreg, value });
+        }
     }
 
     fn bus_read(&self, cycle: u64, addr: u32, bytes: u8, value: u32) {
@@ -501,7 +517,7 @@ impl HwTelemetry for HwRecorder {
             &mut inner,
             BusTxn { write: false, addr, bytes, value, cycle },
         );
-        Self::push_wave(&mut inner, WaveEvent::Read { cycle, addr, value });
+        self.push_wave(&mut inner, WaveEvent::Read { cycle, addr, value });
     }
 
     fn bus_write(&self, cycle: u64, addr: u32, bytes: u8, value: u32) {
@@ -512,13 +528,12 @@ impl HwTelemetry for HwRecorder {
             &mut inner,
             BusTxn { write: true, addr, bytes, value, cycle },
         );
-        Self::push_wave(&mut inner, WaveEvent::Write { cycle, addr, value });
+        self.push_wave(&mut inner, WaveEvent::Write { cycle, addr, value });
     }
 
     fn invocation_commit(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.committed += 1;
-        inner.wave_live = false;
+        self.inner.borrow_mut().committed += 1;
+        self.wave_live.set(false);
     }
 
     fn invocation_abort(&self) {
@@ -532,7 +547,7 @@ impl HwTelemetry for HwRecorder {
         inner.bus_read_words = inner.snap.bus_read_words;
         inner.bus_write_words = inner.snap.bus_write_words;
         inner.aborted += 1;
-        inner.wave_live = false;
+        self.wave_live.set(false);
     }
 }
 
@@ -551,6 +566,61 @@ fn vcd_id(mut idx: usize) -> String {
     id
 }
 
+// Signal slots of a rendered VCD: the fixed signals in declaration order,
+// then one slot per written vreg from `SIG_VREGS` on.
+const SIG_STATE: usize = 0;
+const SIG_ADDR: usize = 1;
+const SIG_DATA: usize = 2;
+const SIG_RD: usize = 3;
+const SIG_WR: usize = 4;
+const SIG_VREGS: usize = 5;
+
+/// The 1-bit strobes dump as `0`/`1`; every other signal is a 32-bit vector.
+fn is_strobe(sig: usize) -> bool {
+    sig == SIG_RD || sig == SIG_WR
+}
+
+/// Emits value changes: skips a value equal to the signal's last one and
+/// opens each timestamp once.
+struct VcdWriter {
+    out: String,
+    ids: Vec<String>,
+    /// Last emitted value per signal slot (`None` until its first change,
+    /// so the first emission is never skipped).
+    last: Vec<Option<u32>>,
+    open_ts: Option<u64>,
+}
+
+impl VcdWriter {
+    fn emit(&mut self, ts: u64, sig: usize, val: u32) {
+        if self.last[sig] == Some(val) {
+            return;
+        }
+        if self.open_ts != Some(ts) {
+            let _ = writeln!(self.out, "#{ts}");
+            self.open_ts = Some(ts);
+        }
+        let id = &self.ids[sig];
+        let _ = if is_strobe(sig) {
+            writeln!(self.out, "{val}{id}")
+        } else {
+            writeln!(self.out, "b{val:b} {id}")
+        };
+        self.last[sig] = Some(val);
+    }
+
+    fn bus(&mut self, ts: u64, strobe: usize, addr: u32, value: u32) {
+        self.emit(ts, SIG_ADDR, addr);
+        self.emit(ts, SIG_DATA, value);
+        self.emit(ts, strobe, 1);
+    }
+
+    fn clear_strobes(&mut self, ts: u64) {
+        self.emit(ts, SIG_RD, 0);
+        self.emit(ts, SIG_WR, 0);
+    }
+}
+
 /// Renders a recorded first-invocation wave as a Value Change Dump.
 fn render_vcd(events: &[WaveEvent], truncated: bool) -> String {
     // Fixed signals, then one vector per distinct written vreg.
@@ -563,110 +633,85 @@ fn render_vcd(events: &[WaveEvent], truncated: bool) -> String {
         .collect();
     vregs.sort_unstable();
     vregs.dedup();
-    let id_state = vcd_id(0);
-    let id_addr = vcd_id(1);
-    let id_data = vcd_id(2);
-    let id_rd = vcd_id(3);
-    let id_wr = vcd_id(4);
-    let id_of = |v: u32| vcd_id(5 + vregs.binary_search(&v).unwrap_or(0));
+    let ids: Vec<String> = (0..SIG_VREGS + vregs.len()).map(vcd_id).collect();
 
-    let mut out = String::new();
+    let mut out = String::with_capacity(48 * ids.len() + 24 * events.len());
     out.push_str("$comment binpart-hwsim FSMD first-invocation waveform $end\n");
     if truncated {
         let _ = writeln!(out, "$comment wave truncated at {WAVE_EVENT_CAP} events $end");
     }
     out.push_str("$timescale 1ns $end\n$scope module fsmd $end\n");
-    let _ = writeln!(out, "$var wire 32 {id_state} state [31:0] $end");
-    let _ = writeln!(out, "$var wire 32 {id_addr} bus_addr [31:0] $end");
-    let _ = writeln!(out, "$var wire 32 {id_data} bus_data [31:0] $end");
-    let _ = writeln!(out, "$var wire 1 {id_rd} bus_rd $end");
-    let _ = writeln!(out, "$var wire 1 {id_wr} bus_wr $end");
-    for &v in &vregs {
-        let _ = writeln!(out, "$var wire 32 {} v{v} [31:0] $end", id_of(v));
+    let fixed = [
+        ("32", "state [31:0]"),
+        ("32", "bus_addr [31:0]"),
+        ("32", "bus_data [31:0]"),
+        ("1", "bus_rd"),
+        ("1", "bus_wr"),
+    ];
+    for (id, (width, name)) in ids.iter().zip(fixed) {
+        let _ = writeln!(out, "$var wire {width} {id} {name} $end");
+    }
+    for (id, v) in ids[SIG_VREGS..].iter().zip(&vregs) {
+        let _ = writeln!(out, "$var wire 32 {id} v{v} [31:0] $end");
     }
     out.push_str("$upscope $end\n$enddefinitions $end\n$dumpvars\n");
-    let _ = writeln!(out, "bx {id_state}");
-    let _ = writeln!(out, "bx {id_addr}");
-    let _ = writeln!(out, "bx {id_data}");
-    let _ = writeln!(out, "0{id_rd}");
-    let _ = writeln!(out, "0{id_wr}");
-    for &v in &vregs {
-        let _ = writeln!(out, "bx {}", id_of(v));
+    for (sig, id) in ids.iter().enumerate() {
+        let _ = if is_strobe(sig) {
+            writeln!(out, "0{id}")
+        } else {
+            writeln!(out, "bx {id}")
+        };
     }
     out.push_str("$end\n");
 
     // Timeline: timestamps are measured cycles, nudged forward so every
     // event gets a strictly later tick than the previous one (several
     // datapath events share a control step; strobes need distinct ticks).
+    let last = vec![None; ids.len()];
+    let mut w = VcdWriter { out, ids, last, open_ts: None };
     let mut t: u64 = 0;
-    let mut open_ts: Option<u64> = None;
     let mut pending_clear: Option<u64> = None;
-    let mut last: std::collections::HashMap<String, String> = std::collections::HashMap::new();
-    let mut first = true;
-    let emit = |out: &mut String,
-                    last: &mut std::collections::HashMap<String, String>,
-                    ts: u64,
-                    open: &mut Option<u64>,
-                    id: &str,
-                    val: String| {
-        if last.get(id) == Some(&val) {
-            return;
-        }
-        if *open != Some(ts) {
-            let _ = writeln!(out, "#{ts}");
-            *open = Some(ts);
-        }
-        let _ = writeln!(out, "{val}{id}");
-        last.insert(id.to_string(), val);
-    };
-    for ev in events {
-        t = if first { ev.cycle() } else { ev.cycle().max(t + 1) };
-        first = false;
+    for (i, ev) in events.iter().enumerate() {
+        t = if i == 0 { ev.cycle() } else { ev.cycle().max(t + 1) };
         if let Some(ct) = pending_clear.take() {
-            let ct = ct.min(t); // never in the future of the current tick
-            emit(&mut out, &mut last, ct, &mut open_ts, &id_rd, "0".into());
-            emit(&mut out, &mut last, ct, &mut open_ts, &id_wr, "0".into());
+            w.clear_strobes(ct.min(t)); // never in the future of the current tick
         }
         match *ev {
-            WaveEvent::State { block, .. } => {
-                emit(&mut out, &mut last, t, &mut open_ts, &id_state, format!("b{block:b} "));
-            }
+            WaveEvent::State { block, .. } => w.emit(t, SIG_STATE, block),
             WaveEvent::Reg { vreg, value, .. } => {
-                emit(&mut out, &mut last, t, &mut open_ts, &id_of(vreg), format!("b{value:b} "));
+                let slot = vregs.binary_search(&vreg).unwrap_or(0);
+                w.emit(t, SIG_VREGS + slot, value);
             }
             WaveEvent::Read { addr, value, .. } => {
-                emit(&mut out, &mut last, t, &mut open_ts, &id_addr, format!("b{addr:b} "));
-                emit(&mut out, &mut last, t, &mut open_ts, &id_data, format!("b{value:b} "));
-                emit(&mut out, &mut last, t, &mut open_ts, &id_rd, "1".into());
+                w.bus(t, SIG_RD, addr, value);
                 pending_clear = Some(t + 1);
             }
             WaveEvent::Write { addr, value, .. } => {
-                emit(&mut out, &mut last, t, &mut open_ts, &id_addr, format!("b{addr:b} "));
-                emit(&mut out, &mut last, t, &mut open_ts, &id_data, format!("b{value:b} "));
-                emit(&mut out, &mut last, t, &mut open_ts, &id_wr, "1".into());
+                w.bus(t, SIG_WR, addr, value);
                 pending_clear = Some(t + 1);
             }
         }
     }
     if let Some(ct) = pending_clear {
-        emit(&mut out, &mut last, ct.max(t + 1), &mut open_ts, &id_rd, "0".into());
-        emit(&mut out, &mut last, ct.max(t + 1), &mut open_ts, &id_wr, "0".into());
+        w.clear_strobes(ct.max(t + 1));
     }
-    out
+    w.out
 }
 
 // ------------------------------------------------- hardware post-mortem --
 
 const PM_RING_CAP: usize = 8;
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct PmState {
     state: Option<u32>,
-    ring: Vec<BusTxn>,
+    ring: VecDeque<BusTxn>,
 }
 
 thread_local! {
-    static HW_PM: RefCell<PmState> = RefCell::new(PmState::default());
+    static HW_PM: RefCell<PmState> = const {
+        RefCell::new(PmState { state: None, ring: VecDeque::new() })
+    };
 }
 
 fn post_mortem_state(block: u32) {
@@ -677,16 +722,20 @@ fn post_mortem_push(txn: BusTxn) {
     HW_PM.with(|pm| {
         let mut pm = pm.borrow_mut();
         if pm.ring.len() == PM_RING_CAP {
-            pm.ring.remove(0);
+            pm.ring.pop_front();
         }
-        pm.ring.push(txn);
+        pm.ring.push_back(txn);
     });
 }
 
 /// Clears this thread's hardware post-mortem (call before each isolated
 /// pipeline run, e.g. per torture mutant).
 pub fn clear_post_mortem() {
-    HW_PM.with(|pm| *pm.borrow_mut() = PmState::default());
+    HW_PM.with(|pm| {
+        let mut pm = pm.borrow_mut();
+        pm.state = None;
+        pm.ring.clear();
+    });
 }
 
 /// The hardware post-mortem for this thread, if any instrumented FSMD
@@ -767,6 +816,24 @@ mod tests {
     }
 
     #[test]
+    fn bus_rings_keep_the_most_recent_transactions_oldest_first() {
+        clear_post_mortem();
+        let rec = HwRecorder::new(1);
+        rec.invocation_begin();
+        rec.state_enter(0, 0);
+        for i in 0..40u32 {
+            rec.bus_read(u64::from(i), 4 * i, 4, i);
+        }
+        rec.invocation_commit();
+        let kept: Vec<u32> = rec.inner.borrow().last_bus.iter().map(|t| t.value).collect();
+        assert_eq!(kept, (40 - LAST_BUS_CAP as u32..40).collect::<Vec<_>>());
+        let pm = post_mortem_context().unwrap();
+        assert!(pm.starts_with("fsm state B0 | bus [R@0x00000080"), "{pm}");
+        assert_eq!(pm.matches("R@").count(), PM_RING_CAP, "{pm}");
+        clear_post_mortem();
+    }
+
+    #[test]
     fn vcd_ids_are_printable_and_unique() {
         let ids: Vec<String> = (0..200).map(vcd_id).collect();
         for id in &ids {
@@ -776,6 +843,20 @@ mod tests {
         dedup.sort();
         dedup.dedup();
         assert_eq!(dedup.len(), ids.len());
+    }
+
+    /// Asserts every `#<ts>` line is strictly later than the one before.
+    fn assert_timestamps_increase(vcd: &str) {
+        let mut prev: Option<u64> = None;
+        for line in vcd.lines() {
+            if let Some(ts) = line.strip_prefix('#') {
+                let ts: u64 = ts.parse().unwrap();
+                if let Some(p) = prev {
+                    assert!(ts > p, "timestamps must strictly increase: {vcd}");
+                }
+                prev = Some(ts);
+            }
+        }
     }
 
     #[test]
@@ -788,21 +869,30 @@ mod tests {
             WaveEvent::Write { cycle: 5, addr: 0x18, value: 9 },
         ];
         let vcd = render_vcd(&events, false);
-        let mut prev: Option<u64> = None;
-        for line in vcd.lines() {
-            if let Some(ts) = line.strip_prefix('#') {
-                let ts: u64 = ts.parse().unwrap();
-                if let Some(p) = prev {
-                    assert!(ts > p, "timestamps must strictly increase: {vcd}");
-                }
-                prev = Some(ts);
-            }
-        }
+        assert_timestamps_increase(&vcd);
         assert!(vcd.contains("$enddefinitions"));
         assert!(vcd.matches("$var wire").count() >= 5);
         // The read strobe rises and falls again.
         let rd_id = vcd_id(3);
         assert!(vcd.contains(&format!("1{rd_id}")));
         assert!(vcd.contains(&format!("0{rd_id}")));
+    }
+
+    #[test]
+    fn wave_capture_truncates_at_the_event_cap() {
+        let rec = HwRecorder::new(2);
+        rec.invocation_begin();
+        for i in 0..3000u64 {
+            rec.state_enter(2 * i, (i % 2) as u32);
+            rec.reg_write(2 * i, 7, i as u32);
+        }
+        rec.invocation_commit();
+        let inner = rec.inner.into_inner();
+        assert_eq!(inner.block_execs.iter().sum::<u64>(), 3000, "counters see every event");
+        assert!(inner.wave.truncated);
+        assert_eq!(inner.wave.events.len(), WAVE_EVENT_CAP);
+        let vcd = render_vcd(&inner.wave.events, inner.wave.truncated);
+        assert!(vcd.contains("$comment wave truncated at 4096 events $end"));
+        assert_timestamps_increase(&vcd);
     }
 }

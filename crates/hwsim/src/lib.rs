@@ -29,8 +29,9 @@
 //! The [`hwtel`] module adds the hardware observability layer: a
 //! monomorphized [`HwTelemetry`] trait (the [`NullHwTelemetry`] default
 //! compiles every probe away; [`HwRecorder`] records per-state occupancy,
-//! per-category cycle attribution, a bus transaction log, and a VCD wave
-//! of the first invocation) surfaced per kernel as [`HwProfile`]. See the
+//! per-category cycle attribution, a bus transaction log, and the raw wave
+//! of the first invocation) surfaced per kernel as [`HwProfile`], which
+//! renders that wave as VCD on demand. See the
 //! module docs for the begin → state/charge/bus → commit-or-abort
 //! lifecycle.
 

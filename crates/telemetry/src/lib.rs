@@ -33,16 +33,21 @@
 //! **Spans** (wall-clock intervals, nested per thread; names are the
 //! stable identifiers the Chrome exporter and golden tests key on):
 //!
-//! | span          | scope                                                |
-//! |---------------|------------------------------------------------------|
-//! | `profile`     | one software reference run of a `StagedFlow` stage   |
-//! | `decompile`   | CDFG recovery + decompiler optimizations             |
-//! | `estimate`    | candidate harvesting + estimate-artifact build       |
-//! | `evaluate`    | partitioning + synthesis estimation for one config   |
-//! | `cosimulate`  | accelerator packaging + hybrid trap-and-swap cosim   |
-//! | `sweep`       | one whole `binpart_explore` grid sweep               |
-//! | `hw_invoke`   | one FSMD accelerator invocation (instrumented cosim; |
-//! |               | capped per kernel to bound trace size)               |
+//! | span              | scope                                                |
+//! |-------------------|------------------------------------------------------|
+//! | `profile`         | one software reference run of a `StagedFlow` stage   |
+//! | `decompile`       | CDFG recovery + decompiler optimizations             |
+//! | `estimate`        | candidate harvesting + estimate-artifact build       |
+//! | `evaluate`        | partitioning + synthesis estimation for one config   |
+//! | `cosimulate`      | accelerator packaging + hybrid trap-and-swap cosim   |
+//! | `accel_compile`   | inside `cosimulate`: packaging the selected kernels  |
+//! |                   | as regions + FSMD accelerators                       |
+//! | `hybrid_run`      | inside `cosimulate`: the hybrid machine run          |
+//! | `hw_invoke`       | one FSMD accelerator invocation (instrumented cosim; |
+//! |                   | capped per kernel to bound trace size)               |
+//! | `hwprofile_build` | inside `cosimulate`: folding the hardware recorders  |
+//! |                   | into `HwProfile`s (their VCDs stay unrendered)       |
+//! | `sweep`           | one whole `binpart_explore` grid sweep               |
 //!
 //! **Counters** ([`Counter`]; monotonic totals, each delta also recorded
 //! as a timestamped point for Chrome counter tracks):
@@ -688,12 +693,12 @@ impl TelemetryReport {
         out.push_str(")\n");
         if !self.spans.is_empty() {
             out.push_str(&format!(
-                "  {:<12} {:>8} {:>12} {:>12}\n",
+                "  {:<16} {:>8} {:>12} {:>12}\n",
                 "span", "count", "total s", "max s"
             ));
             for s in &self.spans {
                 out.push_str(&format!(
-                    "  {:<12} {:>8} {:>12.6} {:>12.6}\n",
+                    "  {:<16} {:>8} {:>12.6} {:>12.6}\n",
                     s.name, s.count, s.total_s, s.max_s
                 ));
             }

@@ -133,11 +133,11 @@ fn main() {
         );
     }
     if let Some(path) = vcd_out {
-        // First executed kernel's first-invocation waveform.
+        // First executed kernel's first-invocation waveform, rendered now.
         match report
             .kernels
             .iter()
-            .find_map(|k| k.hw_profile.as_ref().and_then(|p| p.vcd.clone().map(|v| (k.name.clone(), v))))
+            .find_map(|k| k.hw_profile.as_ref()?.vcd().map(|v| (&k.name, v)))
         {
             Some((kernel, vcd)) => {
                 std::fs::write(&path, &vcd).expect("vcd file writes");
