@@ -1,7 +1,8 @@
 //! A2: synthesis quality with and without the decompiler optimizations
 //! (measured here as flow runtime; quality numbers come from `tables a2`).
 
-use binpart_core::flow::{Flow, FlowOptions};
+use binpart_core::flow::FlowOptions;
+use binpart_core::stage::StagedFlow;
 use binpart_core::DecompileOptions;
 use binpart_minicc::OptLevel;
 use binpart_workloads::suite;
@@ -23,8 +24,8 @@ fn bench(c: &mut Criterion) {
                     },
                     ..Default::default()
                 };
-                Flow::new(options)
-                    .run(std::hint::black_box(&binary))
+                StagedFlow::new(std::hint::black_box(&binary))
+                    .run(&options)
                     .unwrap()
                     .hybrid
                     .app_speedup

@@ -2,7 +2,8 @@
 //! per benchmark — the cost that motivates the paper's fast greedy
 //! partitioner for dynamic-synthesis scenarios.
 
-use binpart_core::flow::{Flow, FlowOptions};
+use binpart_core::flow::FlowOptions;
+use binpart_core::stage::StagedFlow;
 use binpart_minicc::OptLevel;
 use binpart_workloads::suite;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -14,8 +15,8 @@ fn bench(c: &mut Criterion) {
         let binary = b.compile(OptLevel::O1).unwrap();
         group.bench_function(b.name, |bench| {
             bench.iter(|| {
-                Flow::new(FlowOptions::default())
-                    .run(std::hint::black_box(&binary))
+                StagedFlow::new(std::hint::black_box(&binary))
+                    .run(&FlowOptions::default())
                     .unwrap()
                     .hybrid
                     .app_speedup

@@ -1,6 +1,7 @@
 //! Design-space sweep wall clock: the staged engine (`binpart-explore`
 //! over `StagedFlow`, shared artifacts + per-kernel synthesis memo) vs the
-//! naive per-point `Flow::run` loop on the identical grid.
+//! naive sweep — a fresh `StagedFlow` per point, nothing shared — on the
+//! identical grid.
 //!
 //! The grid is the acceptance grid of the staged-flow work: 5 processor
 //! clocks × 5 FPGA area budgets × 4 compiler levels on `autcor00` — 100

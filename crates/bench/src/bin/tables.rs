@@ -94,8 +94,8 @@ struct SimReport {
     /// Staged design-space sweep throughput (points/second, single-core,
     /// 5 clocks × 5 budgets × 4 levels on autcor00).
     sweep_points_per_sec: f64,
-    /// Wall-clock ratio of the naive per-point `Flow::run` loop to the
-    /// staged sweep over the same grid (single-core).
+    /// Wall-clock ratio of the naive sweep (a fresh `StagedFlow` per
+    /// point) to the staged sweep over the same grid (single-core).
     sweep_speedup_vs_naive: f64,
     /// Hybrid co-simulation throughput over the matrix: software-equivalent
     /// cycles co-simulated per second (SW oracle + FSMD + per-invocation
@@ -465,9 +465,10 @@ fn trend() {
 }
 
 /// Measures the staged design-space sweep (5 clocks × 5 budgets × 4 opt
-/// levels on autcor00, fresh caches per pass) against the naive per-point
-/// `Flow::run` loop over the identical grid. Pinned to one thread so the
-/// staging win — not the host's core count — is what the snapshot tracks.
+/// levels on autcor00, fresh caches per pass) against the naive sweep — a
+/// fresh `StagedFlow` per point — over the identical grid. Pinned to one
+/// thread so the staging win — not the host's core count — is what the
+/// snapshot tracks.
 fn sweep_report() -> (f64, f64) {
     use binpart_explore::Sweep;
     let b = binpart_workloads::suite()

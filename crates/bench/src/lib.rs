@@ -9,23 +9,20 @@
 //! Two throughput layers keep table regeneration fast:
 //!
 //! * **Memoization** ([`CompiledSuite`]): every `(benchmark, OptLevel)`
-//!   binary is compiled once, its software profile simulated (lazily) once,
-//!   and its CDFG recovered once per distinct [`DecompileOptions`],
-//!   process-wide, no matter how many experiments (E1/E2/E3/E4/A1/A2/A3)
-//!   ask for it. Experiments that re-run the flow with different
-//!   partitioner/platform options enter at
-//!   [`binpart_core::flow::Flow::run_with_program`] via [`run_cell`] — the
-//!   platform clock and flow options do not affect the software run or the
-//!   recovered CDFG.
+//!   binary is compiled once, process-wide, and gets one [`StagedFlow`]
+//!   that every experiment (E1/E2/E3/E4/A1/A2/A3) runs it through
+//!   ([`run_cell`]). The flow's stage caches are the harness's only cache:
+//!   each cell is profiled once per simulator configuration, decompiled
+//!   once per [`DecompileOptions`], and synthesizes each kernel once, no
+//!   matter how many experiments, clocks or budgets ask for it.
 //! * **Parallelism**: suite-shaped loops fan out with
 //!   [`binpart_par::par_map`] (work-stealing scoped threads; set
 //!   `BINPART_THREADS=1` to force sequential runs).
 
-use binpart_core::flow::{Flow, FlowOptions};
+use binpart_core::flow::{FlowError, FlowOptions};
+use binpart_core::stage::{StagedFlow, StagedReport};
 use binpart_core::{DecompileError, DecompileOptions, LiftError};
-use binpart_core::decompile::DecompiledProgram;
 use binpart_minicc::OptLevel;
-use binpart_mips::sim::{Exit, Machine, SimConfig};
 use binpart_mips::Binary;
 use binpart_par::par_map;
 use binpart_platform::{geomean, Platform};
@@ -34,65 +31,28 @@ use binpart_workloads::{suite, Benchmark};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// One benchmark compiled at one optimization level, with its software
-/// profile: everything downstream experiments need, computed exactly once.
+/// One benchmark compiled at one optimization level, with the flow every
+/// experiment runs it through.
 #[derive(Debug)]
 pub struct CompiledBench {
     /// The source benchmark.
     pub bench: Benchmark,
-    /// The compiled binary.
-    pub binary: Binary,
-    /// Lazily simulated software run (experiments that only decompile —
-    /// e.g. E4 — never pay for simulation).
-    exit: OnceLock<Exit>,
-}
-
-impl CompiledBench {
-    /// Software run: block counts + branch bias + cycles, simulated once
-    /// on first use. The cheap
-    /// [`EdgeProfiler`](binpart_mips::sim::EdgeProfiler) reconstructs
-    /// exact per-instruction counts *and* branch taken counts — everything
-    /// the partitioning experiments consume (including the measured
-    /// loop-entry estimates) — without paying for per-op full-profile
-    /// bookkeeping on the profiling pass.
-    ///
-    /// The run uses [`FlowOptions::aggressive_sim`]'s simulator
-    /// configuration (aggressive superinstruction fusion): fusion is
-    /// observationally exact at every level (bit-identical `Exit` +
-    /// `Profile`, asserted by `tests/differential.rs`), so every
-    /// experiment's numbers are unchanged — the profiling pass is just
-    /// faster.
-    pub fn exit(&self) -> &Exit {
-        self.exit.get_or_init(|| {
-            let mut machine =
-                Machine::with_config(&self.binary, FlowOptions::aggressive_sim().sim)
-                    .expect("suite decodes");
-            let mut prof = binpart_mips::sim::EdgeProfiler::new();
-            machine.run_with(&mut prof).expect("suite runs")
-        })
-    }
-}
-
-/// Do two simulator configurations produce the same `Exit` (profile +
-/// cycles)? Fusion never affects observable state, so it is ignored; the
-/// cycle model, step budget, and stack placement all do.
-pub fn profile_equivalent(a: SimConfig, b: SimConfig) -> bool {
-    a.cycles == b.cycles && a.max_steps == b.max_steps && a.stack_top == b.stack_top
+    /// The compiled binary. Leaked once per cell: the memo that owns the
+    /// cell lives for the whole process anyway.
+    pub binary: &'static Binary,
+    /// The cell's staged flow; its stage caches hold every profile, CDFG
+    /// and synthesis result the experiments share.
+    pub flow: StagedFlow<'static>,
 }
 
 type SuiteKey = (&'static str, OptLevel);
 type SuiteMap = Mutex<HashMap<SuiteKey, Arc<OnceLock<Arc<CompiledBench>>>>>;
-/// Decompile cache key: benchmark, level, and the full option set (so a
-/// future `DecompileOptions` field cannot silently alias cache entries).
-type ProgKey = (&'static str, OptLevel, DecompileOptions);
-type ProgResult = Result<Arc<DecompiledProgram>, DecompileError>;
-type ProgMap = Mutex<HashMap<ProgKey, Arc<OnceLock<ProgResult>>>>;
 
-/// Process-wide memoization of compiled + profiled suite binaries.
+/// Process-wide memoization of compiled suite binaries and their flows.
 ///
 /// The map holds one [`OnceLock`] per key so two threads asking for
-/// *different* entries never serialize on each other's compile/simulate
-/// work — the outer mutex is held only for the map lookup.
+/// *different* entries never serialize on each other's compile work — the
+/// outer mutex is held only for the map lookup.
 pub struct CompiledSuite;
 
 impl CompiledSuite {
@@ -101,8 +61,8 @@ impl CompiledSuite {
         MAP.get_or_init(|| Mutex::new(HashMap::new()))
     }
 
-    /// The compiled binary and software profile for `(bench, level)`,
-    /// building them on first use.
+    /// The compiled binary and flow for `(bench, level)`, compiling on
+    /// first use.
     pub fn get(bench: &Benchmark, level: OptLevel) -> Arc<CompiledBench> {
         let cell = {
             let mut map = Self::map().lock().expect("suite cache poisoned");
@@ -111,40 +71,13 @@ impl CompiledSuite {
                 .clone()
         };
         cell.get_or_init(|| {
-            let binary = bench.compile(level).expect("suite compiles");
+            let binary: &'static Binary =
+                Box::leak(Box::new(bench.compile(level).expect("suite compiles")));
             Arc::new(CompiledBench {
                 bench: bench.clone(),
                 binary,
-                exit: OnceLock::new(),
+                flow: StagedFlow::new(binary),
             })
-        })
-        .clone()
-    }
-
-    fn prog_map() -> &'static ProgMap {
-        static MAP: OnceLock<ProgMap> = OnceLock::new();
-        MAP.get_or_init(|| Mutex::new(HashMap::new()))
-    }
-
-    /// The (pre-profile) decompiled program for `(bench, level, opts)`,
-    /// recovering the CDFG on first use. Callers clone the `Arc`'d program
-    /// into [`Flow::run_with_program`]; recovery failures (the paper's
-    /// jump-table cases) are cached as errors.
-    pub fn decompiled(
-        bench: &Benchmark,
-        level: OptLevel,
-        opts: DecompileOptions,
-    ) -> ProgResult {
-        let key = (bench.name, level, opts);
-        let cell = {
-            let mut map = Self::prog_map().lock().expect("program cache poisoned");
-            map.entry(key)
-                .or_insert_with(|| Arc::new(OnceLock::new()))
-                .clone()
-        };
-        cell.get_or_init(|| {
-            let compiled = Self::get(bench, level);
-            binpart_core::decompile(&compiled.binary, opts).map(Arc::new)
         })
         .clone()
     }
@@ -295,34 +228,23 @@ pub fn assert_snapshot_columns(keys: &[&str]) -> bool {
     }
 }
 
-/// Runs the flow tail for one memoized cell: cached binary + cached profile
-/// + cached (cloned) decompiled program.
+/// Evaluates one memoized cell through its flow.
+///
+/// The software profile is taken with [`FlowOptions::aggressive_sim`]'s
+/// superinstruction fusion. Fusion is observationally exact (bit-identical
+/// `Exit` + `Profile`, asserted by `tests/differential.rs`), so every
+/// experiment's numbers are unchanged — the profiling pass is just faster.
 ///
 /// # Errors
 ///
-/// Returns the cached [`DecompileError`] when CDFG recovery failed.
+/// Returns the cell's cached [`FlowError`] when CDFG recovery failed.
 pub fn run_cell(
     bench: &Benchmark,
     level: OptLevel,
-    options: FlowOptions,
-) -> Result<binpart_core::flow::FlowReport, DecompileError> {
-    let compiled = CompiledSuite::get(bench, level);
-    let program = CompiledSuite::decompiled(bench, level, options.decompile)?;
-    // The memoized profile is valid for any profile-equivalent simulator
-    // configuration (fusion is observationally exact and thus ignored); a
-    // caller-supplied cycle model or step budget gets a fresh (uncached)
-    // software run instead of silently wrong numbers.
-    if !profile_equivalent(options.sim, SimConfig::default()) {
-        let sim = options.sim;
-        let flow = Flow::new(options);
-        let mut machine =
-            Machine::with_config(&compiled.binary, sim).expect("suite decodes");
-        let mut prof = binpart_mips::sim::EdgeProfiler::new();
-        let exit = machine.run_with(&mut prof).expect("suite runs");
-        return Ok(flow.run_with_program(&compiled.binary, &exit, (*program).clone()));
-    }
-    let flow = Flow::new(options);
-    Ok(flow.run_with_program(&compiled.binary, compiled.exit(), (*program).clone()))
+    mut options: FlowOptions,
+) -> Result<StagedReport, FlowError> {
+    options.sim.fusion = FlowOptions::aggressive_sim().sim.fusion;
+    CompiledSuite::get(bench, level).flow.evaluate(&options)
 }
 
 /// Aggregate result of co-simulating the full (benchmark, OptLevel)
@@ -368,7 +290,7 @@ pub fn run_cosim_matrix(passes: usize) -> CosimMatrixSummary {
         for b in &suite {
             for level in OptLevel::ALL {
                 let compiled = CompiledSuite::get(b, level);
-                let staged = binpart_core::stage::StagedFlow::new(&compiled.binary);
+                let staged = StagedFlow::new(compiled.binary);
                 let report = staged.cosimulate(&options).expect("suite cosimulates");
                 cells += 1;
                 cycles += report.sw_cycles;
@@ -458,8 +380,7 @@ pub fn telemetry_pass() -> (Recorder, TelemetryColumns) {
     for b in &suite() {
         for level in OptLevel::ALL {
             let compiled = CompiledSuite::get(b, level);
-            let staged =
-                binpart_core::stage::StagedFlow::with_telemetry(&compiled.binary, &rec);
+            let staged = StagedFlow::with_telemetry(compiled.binary, &rec);
             let report = staged.cosimulate(&options).expect("suite cosimulates");
             // The instrumented flow attaches an FSMD profile to every
             // hardware-executed kernel; aggregate the attribution split
@@ -683,7 +604,7 @@ pub fn run_one(
                 coverage: report.partition.coverage(),
             }),
         },
-        Err(DecompileError::Lift(LiftError::IndirectJump { .. })) => E1Row {
+        Err(FlowError::Decompile(DecompileError::Lift(LiftError::IndirectJump { .. }))) => E1Row {
             name: b.name.to_string(),
             suite: b.suite.label(),
             result: None,
@@ -791,13 +712,14 @@ pub struct E4Totals {
     pub narrowed: usize,
 }
 
-/// Runs E4 (decompile-only — profiles are not needed, but the memoized
-/// binaries are reused).
+/// Runs E4 (decompile-only — the cells' flows run only their decompile
+/// stage, so no profile is simulated here).
 pub fn run_e4() -> E4Totals {
     let per_bench = par_map(&suite(), |b| {
+        let decompiled = |level, opts| CompiledSuite::get(b, level).flow.decompile(opts);
         let mut t = E4Totals::default();
         // structure + widths from the -O1 binary
-        match CompiledSuite::decompiled(b, OptLevel::O1, DecompileOptions::default()) {
+        match decompiled(OptLevel::O1, DecompileOptions::default()) {
             Ok(prog) => {
                 t.recovered += 1;
                 t.loops += prog.stats.structure.loops();
@@ -808,7 +730,7 @@ pub fn run_e4() -> E4Totals {
             Err(_) => t.failed += 1,
         }
         // stack ops from -O0
-        if let Ok(prog) = CompiledSuite::decompiled(b, OptLevel::O0, DecompileOptions::default()) {
+        if let Ok(prog) = decompiled(OptLevel::O0, DecompileOptions::default()) {
             t.stack_slots += prog.stats.passes.stack_slots_promoted;
         }
         // strength promotion from -O2, rerolling from -O3 (with recovery so
@@ -817,10 +739,10 @@ pub fn run_e4() -> E4Totals {
             recover_jump_tables: true,
             ..Default::default()
         };
-        if let Ok(prog) = CompiledSuite::decompiled(b, OptLevel::O2, opts) {
+        if let Ok(prog) = decompiled(OptLevel::O2, opts) {
             t.muls_promoted += prog.stats.passes.muls_promoted;
         }
-        if let Ok(prog) = CompiledSuite::decompiled(b, OptLevel::O3, opts) {
+        if let Ok(prog) = decompiled(OptLevel::O3, opts) {
             t.rerolled += prog.stats.passes.loops_rerolled;
         }
         t
@@ -940,19 +862,30 @@ mod tests {
         let again = CompiledSuite::get(&b, OptLevel::O1);
         // Same Arc, not a rebuild.
         assert!(Arc::ptr_eq(&first, &again));
-        assert!(first.exit().profile.total_instrs > 0);
+        // One cache per cell: a second clock reuses the cell's estimate
+        // artifact and is served from its synthesis memo.
+        let dopts = DecompileOptions {
+            recover_jump_tables: true,
+            ..Default::default()
+        };
+        let sim = FlowOptions::aggressive_sim().sim;
+        run_one(&b, OptLevel::O1, 200e6, true);
+        let est = first.flow.estimate(dopts, sim).unwrap();
+        let hits = est.cache.hits();
+        run_one(&b, OptLevel::O1, 100e6, true);
+        let est_again = first.flow.estimate(dopts, sim).unwrap();
+        assert!(Arc::ptr_eq(&est, &est_again));
+        assert!(est_again.cache.hits() > hits, "second clock must hit the synthesis memo");
     }
 
     #[test]
     fn memoized_flow_matches_direct_flow() {
         let b = suite().into_iter().find(|b| b.name == "aifirf01").unwrap();
-        let direct = {
-            let binary = b.compile(OptLevel::O1).unwrap();
-            Flow::new(FlowOptions::default()).run(&binary).unwrap()
-        };
+        let binary = b.compile(OptLevel::O1).unwrap();
+        let direct = StagedFlow::new(&binary).evaluate(&FlowOptions::default()).unwrap();
         let row = run_one(&b, OptLevel::O1, 200e6, false);
         let n = row.result.expect("recovers");
-        assert!((n.app_speedup - direct.hybrid.app_speedup).abs() < 1e-12);
+        assert_eq!(n.app_speedup.to_bits(), direct.hybrid.app_speedup.to_bits());
         assert_eq!(n.area_gates, direct.hybrid.total_area_gates);
     }
 

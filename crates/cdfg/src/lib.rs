@@ -5,7 +5,7 @@
 //! functions of basic blocks ([`ir::Function`]), and the analyses the
 //! decompiler and behavioral synthesizer need:
 //!
-//! * predecessor/successor and ordering utilities ([`cfg`]),
+//! * predecessor/successor and ordering utilities ([`cfg`](mod@cfg)),
 //! * dominator trees and dominance frontiers ([`dom`]),
 //! * natural-loop detection and the loop forest ([`loops`]),
 //! * pruned-SSA construction and verification ([`ssa`]),

@@ -1,20 +1,41 @@
-//! The end-to-end flow: run the binary for a profile, decompile it,
-//! partition it, synthesize the kernels, and evaluate the hybrid platform.
+//! The end-to-end flow's vocabulary: its options ([`FlowOptions`]), its
+//! result ([`FlowReport`]), and its error rollup ([`FlowError`]).
 //!
-//! [`Flow::run`] executes the whole pipeline for one option set. Sweeping
-//! many option points over the same binary? Use the staged flow
-//! ([`crate::stage::StagedFlow`]) — the same pipeline split into cached
-//! stages (profile / decompile / estimate / evaluate) with bit-identical
-//! results, so only the stages whose inputs changed re-run.
+//! The pipeline itself — run the binary for a profile, decompile it,
+//! partition it, synthesize the kernels, and evaluate the hybrid platform
+//! — has one driver, [`StagedFlow`](crate::stage::StagedFlow). Its stages
+//! are cached, so a sweep over many option points re-runs only the stages
+//! whose inputs changed; a one-shot caller builds a flow and runs it once.
+//!
+//! # Example
+//!
+//! ```
+//! use binpart_core::flow::FlowOptions;
+//! use binpart_core::stage::StagedFlow;
+//! use binpart_minicc::{compile, OptLevel};
+//!
+//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
+//! let binary = compile(
+//!     "int a[64];
+//!      int main(void) { int i; int s = 0;
+//!        for (i = 0; i < 64; i++) a[i] = i * 3;
+//!        for (i = 0; i < 64; i++) s += a[i];
+//!        return s; }",
+//!     OptLevel::O1,
+//! )?;
+//! let report = StagedFlow::new(&binary).run(&FlowOptions::default())?;
+//! assert!(report.hybrid.app_speedup >= 1.0);
+//! # Ok(())
+//! # }
+//! ```
 
 use crate::cosim::CosimError;
-use crate::decompile::{self, DecompiledProgram};
+use crate::decompile::DecompiledProgram;
 use crate::diag::Diagnostic;
 use crate::lift::{DecompileError, DecompileOptions};
-use crate::partition::{partition_90_10, Partition, PartitionOptions};
-use binpart_mips::sim::{Exit, Machine, SimConfig, SimError};
-use binpart_mips::Binary;
-use binpart_platform::{HardwareKernel, HybridReport, Platform};
+use crate::partition::{Partition, PartitionOptions};
+use binpart_mips::sim::{SimConfig, SimError};
+use binpart_platform::{HybridReport, Platform};
 use binpart_synth::{ResourceBudget, SynthError, TechLibrary};
 use std::fmt;
 
@@ -167,144 +188,10 @@ impl FlowReport {
     }
 }
 
-/// The decompilation-based partitioning flow.
-///
-/// # Example
-///
-/// ```
-/// use binpart_core::flow::{Flow, FlowOptions};
-/// use binpart_minicc::{compile, OptLevel};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let binary = compile(
-///     "int a[64];
-///      int main(void) { int i; int s = 0;
-///        for (i = 0; i < 64; i++) a[i] = i * 3;
-///        for (i = 0; i < 64; i++) s += a[i];
-///        return s; }",
-///     OptLevel::O1,
-/// )?;
-/// let flow = Flow::new(FlowOptions::default());
-/// let report = flow.run(&binary)?;
-/// assert!(report.hybrid.app_speedup >= 1.0);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct Flow {
-    /// Options.
-    pub options: FlowOptions,
-}
-
-impl Flow {
-    /// Creates a flow with the given options.
-    pub fn new(options: FlowOptions) -> Flow {
-        Flow { options }
-    }
-
-    /// Runs the complete flow on `binary`.
-    ///
-    /// The profiling pass uses the pay-as-you-go
-    /// [`EdgeProfiler`](binpart_mips::sim::EdgeProfiler): the 90-10
-    /// partitioner consumes per-instruction execution counts (block
-    /// weights) plus branch-bias (taken) counts, which feed the measured
-    /// loop-entry estimates
-    /// ([`harvest_candidates`](crate::partition::harvest_candidates)) —
-    /// both reconstructed *exactly* at a fraction of the full profiler's
-    /// overhead. Callers that also need call edges or load/store totals
-    /// can collect a full profile themselves and enter through
-    /// [`Flow::run_with_exit`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] if the software run or CDFG recovery fails.
-    pub fn run(&self, binary: &Binary) -> Result<FlowReport, FlowError> {
-        // 1. Software run: cycles + block counts + branch bias.
-        let mut machine = Machine::with_config(binary, self.options.sim)?;
-        let mut prof = binpart_mips::sim::EdgeProfiler::new();
-        let exit = machine.run_with(&mut prof)?;
-        self.run_with_exit(binary, &exit)
-    }
-
-    /// Runs the flow on `binary` reusing an already-collected software
-    /// [`Exit`] (profile + cycles), skipping the simulation step entirely.
-    ///
-    /// The exit must come from a run of the same binary under the same
-    /// [`SimConfig`] cycle model; the memoized experiment harness uses this
-    /// to profile each `(benchmark, OptLevel)` binary exactly once across
-    /// every experiment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FlowError`] if CDFG recovery fails.
-    pub fn run_with_exit(&self, binary: &Binary, exit: &Exit) -> Result<FlowReport, FlowError> {
-        let program = decompile::decompile(binary, self.options.decompile)?;
-        Ok(self.run_with_program(binary, exit, program))
-    }
-
-    /// Runs the partition/synthesis/evaluation tail of the flow on an
-    /// already-decompiled (pre-profile) `program`, attaching `exit`'s
-    /// profile. The memoized harness caches decompiled programs per
-    /// `(binary, DecompileOptions)` and clones them into this entry point,
-    /// so repeated experiments skip both simulation and CDFG recovery.
-    pub fn run_with_program(
-        &self,
-        binary: &Binary,
-        exit: &Exit,
-        mut program: DecompiledProgram,
-    ) -> FlowReport {
-        let sw_cycles = exit.cycles;
-
-        // 2. Attach the profile to the recovered program.
-        decompile::attach_profile(&mut program, &exit.profile);
-
-        // 3. Partition.
-        let mut popts = self.options.partition.clone();
-        popts.cpu_clock_hz = self.options.platform.cpu.clock_hz;
-        let partition = partition_90_10(
-            &program,
-            binary,
-            &exit.profile,
-            &self.options.sim.cycles,
-            sw_cycles,
-            &popts,
-            &self.options.budget,
-            &self.options.library,
-        );
-
-        // 4. Evaluate on the platform.
-        let kernels: Vec<HardwareKernel> = partition
-            .kernels
-            .iter()
-            .map(|k| HardwareKernel {
-                name: k.name.clone(),
-                invocations: k.invocations,
-                hw_cycles: k.synth.timing.hw_cycles,
-                clock_hz: k.synth.timing.clock_mhz * 1e6,
-                sw_cycles_replaced: k.sw_cycles,
-                area_gates: k.synth.area.gate_equivalents,
-                bram_transfer_words: if k.mem_in_bram { k.bram_bytes / 4 } else { 0 },
-            })
-            .collect();
-        let hybrid = self.options.platform.hybrid(sw_cycles, &kernels);
-        let stats = program.stats;
-        let mut diagnostics = program.diagnostics.clone();
-        diagnostics.extend(partition.diagnostics.iter().cloned());
-        FlowReport {
-            sw_cycles,
-            sw_exit_value: exit.reg(binpart_mips::Reg::V0),
-            hybrid,
-            stats,
-            partition,
-            program,
-            diagnostics,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stage::StagedFlow;
     use binpart_minicc::{compile, OptLevel};
 
     fn kernel_program() -> &'static str {
@@ -323,33 +210,9 @@ mod tests {
     }
 
     #[test]
-    fn memoized_entry_points_match_run() {
-        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let flow = Flow::new(FlowOptions::default());
-        let direct = flow.run(&binary).unwrap();
-        let mut m = Machine::with_config(&binary, flow.options.sim).unwrap();
-        let exit = m.run().unwrap();
-        let via_exit = flow.run_with_exit(&binary, &exit).unwrap();
-        assert_eq!(direct.sw_cycles, via_exit.sw_cycles);
-        assert_eq!(
-            direct.hybrid.app_speedup.to_bits(),
-            via_exit.hybrid.app_speedup.to_bits()
-        );
-        let program = decompile::decompile(&binary, flow.options.decompile).unwrap();
-        let via_program = flow.run_with_program(&binary, &exit, program);
-        assert_eq!(
-            direct.hybrid.app_speedup.to_bits(),
-            via_program.hybrid.app_speedup.to_bits()
-        );
-        assert_eq!(direct.hybrid.total_area_gates, via_program.hybrid.total_area_gates);
-        assert_eq!(direct.sw_exit_value, via_program.sw_exit_value);
-    }
-
-    #[test]
     fn flow_accelerates_fir_like_kernel() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let flow = Flow::new(FlowOptions::default());
-        let report = flow.run(&binary).unwrap();
+        let report = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
         assert!(
             report.hybrid.app_speedup > 1.5,
             "speedup {} (partition: {:?})",
@@ -365,7 +228,7 @@ mod tests {
     #[test]
     fn best_kernel_speedup_bounds_app_speedup() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let report = Flow::new(FlowOptions::default()).run(&binary).unwrap();
+        let report = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
         let best = report
             .hybrid
             .kernels
@@ -382,7 +245,7 @@ mod tests {
     #[test]
     fn energy_savings_positive_for_hot_kernels() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let report = Flow::new(FlowOptions::default()).run(&binary).unwrap();
+        let report = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
         assert!(
             report.hybrid.energy_savings > 0.2,
             "savings {}",
@@ -395,7 +258,7 @@ mod tests {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
         let mut options = FlowOptions::default();
         options.partition.area_budget_gates = 10;
-        let report = Flow::new(options).run(&binary).unwrap();
+        let report = StagedFlow::new(&binary).run(&options).unwrap();
         assert!(report.partition.kernels.is_empty());
         assert!((report.hybrid.app_speedup - 1.0).abs() < 1e-9);
     }
@@ -415,7 +278,7 @@ mod tests {
             }
             return acc; }";
         let binary = compile(src, OptLevel::O2).unwrap();
-        let err = Flow::new(FlowOptions::default()).run(&binary).unwrap_err();
+        let err = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap_err();
         assert!(matches!(
             err,
             FlowError::Decompile(DecompileError::Lift(
@@ -452,9 +315,9 @@ mod tests {
         let binary = compile(src, OptLevel::O2).unwrap();
         let mut options = FlowOptions::default();
         // Without fallback: whole-flow failure.
-        assert!(Flow::new(options.clone()).run(&binary).is_err());
+        assert!(StagedFlow::new(&binary).run(&options).is_err());
         options.decompile.software_fallback = true;
-        let report = Flow::new(options).run(&binary).unwrap();
+        let report = StagedFlow::new(&binary).run(&options).unwrap();
         let diag = report
             .diagnostics
             .iter()
@@ -478,8 +341,8 @@ mod tests {
     fn flow_works_across_opt_levels() {
         for level in OptLevel::ALL {
             let binary = compile(kernel_program(), level).unwrap();
-            let report = Flow::new(FlowOptions::default())
-                .run(&binary)
+            let report = StagedFlow::new(&binary)
+                .run(&FlowOptions::default())
                 .unwrap_or_else(|e| panic!("flow failed at {level}: {e}"));
             assert!(
                 report.hybrid.app_speedup > 1.0,
@@ -497,7 +360,7 @@ mod tests {
                 platform: Platform::mips_virtex2(hz),
                 ..Default::default()
             };
-            Flow::new(o).run(&binary).unwrap().hybrid
+            StagedFlow::new(&binary).run(&o).unwrap().hybrid
         };
         let r40 = run_at(40e6);
         let r200 = run_at(200e6);

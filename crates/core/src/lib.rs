@@ -17,7 +17,9 @@
 //!    model (`binpart-synth`), and
 //! 5. reports hybrid speedup and energy savings (`binpart-platform`).
 //!
-//! See [`flow::Flow`] for the one-call entry point.
+//! [`stage::StagedFlow`] drives the whole pipeline, with each stage's
+//! artifact cached; a one-shot run is
+//! `StagedFlow::new(&binary).run(&options)`.
 //!
 //! # Failure policy
 //!
@@ -69,7 +71,7 @@ pub use binpart_hwsim::{BusTxn, HwAttr, HwAttribution, HwProfile};
 pub use cosim::{CosimError, CosimReport, KernelCosim};
 pub use decompile::{attach_profile, decompile, DecompileStats, DecompiledProgram};
 pub use diag::{Diagnostic, FlowStage};
-pub use flow::{Flow, FlowError, FlowOptions, FlowReport};
+pub use flow::{FlowError, FlowOptions, FlowReport};
 pub use lift::{DecompileError, DecompileOptions, LiftError, SkippedFunction};
 pub use opts::PassStats;
 pub use partition::{

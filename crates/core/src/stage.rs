@@ -1,15 +1,16 @@
-//! The staged, memoized decompilation flow.
+//! The partitioning flow's one driver: staged and memoized.
 //!
-//! [`Flow::run`](crate::flow::Flow::run) is a monolith: profile →
-//! decompile → partition → synthesize → evaluate, end to end, for one
-//! option set. A design-space sweep (platform clock × FPGA area budget ×
-//! compiler level × simulator configuration) re-enters that pipeline at
-//! hundreds of points whose *inputs mostly repeat*: the software profile
-//! does not depend on the platform, the recovered CDFG does not depend on
-//! the area budget, and a kernel's synthesis result depends on neither.
+//! The pipeline is profile → decompile → partition → synthesize →
+//! evaluate. A design-space sweep (platform clock × FPGA area budget ×
+//! compiler level × simulator configuration) enters it at hundreds of
+//! points whose *inputs mostly repeat*: the software profile does not
+//! depend on the platform, the recovered CDFG does not depend on the area
+//! budget, and a kernel's synthesis result depends on neither. A one-shot
+//! caller is the one-point case of the same flow
+//! (`StagedFlow::new(&binary).run(&options)`).
 //!
-//! [`StagedFlow`] splits the pipeline into four explicit stages with
-//! cached artifacts:
+//! [`StagedFlow`] splits the pipeline into explicit stages with cached
+//! artifacts:
 //!
 //! | stage | input → output | invalidated by |
 //! |---|---|---|
@@ -26,10 +27,9 @@
 //! evaluates points at selection-loop speed. The `binpart-explore` crate
 //! builds its grid sweeps on exactly this structure.
 //!
-//! Every stage is observationally identical to the monolithic flow:
-//! [`evaluate`](StagedFlow::evaluate) returns bit-identical
-//! [`HybridReport`]s and kernel selections to [`Flow::run`] with the same
-//! options (asserted across the benchmark × opt-level matrix by
+//! Caching never changes a result: a flow whose caches are warm from
+//! other option points evaluates bit-identically to a fresh flow
+//! (asserted across the benchmark × opt-level matrix by
 //! `tests/staged_differential.rs`).
 //!
 //! Artifacts are built at most once per key even under concurrency: each
@@ -85,10 +85,6 @@ use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-// Referenced by the module docs.
-#[allow(unused_imports)]
-use crate::flow::Flow;
-
 /// The product of the [`estimate`](StagedFlow::estimate) stage: a profiled
 /// CDFG, its harvested hardware candidates, and a shared per-kernel
 /// synthesis memo. Everything the `evaluate` stage reads.
@@ -110,7 +106,7 @@ pub struct EstimatedProgram {
 }
 
 /// A [`FlowReport`] without the owned program copy — what a sweep point
-/// needs. Identical numbers to the monolithic flow.
+/// needs. Identical numbers to [`StagedFlow::run`].
 #[derive(Debug, Clone)]
 pub struct StagedReport {
     /// Profiled all-software cycles.
@@ -139,8 +135,8 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, FlowError>>>;
 /// flow ([`with_telemetry`](StagedFlow::with_telemetry)) emits a span
 /// per stage execution, `OnceLock`-slot hit/miss counters per stage
 /// call, [`EstimateCache`] memo deltas per evaluation, superblock
-/// engine counters from the profile run, and every [`Diagnostic`]
-/// as a structured event.
+/// engine counters from the profile run, and every
+/// [`Diagnostic`](crate::diag::Diagnostic) as a structured event.
 pub struct StagedFlow<'b, T: Telemetry = NullTelemetry> {
     binary: &'b Binary,
     telemetry: T,
@@ -227,9 +223,11 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     }
 
     /// Stage 1 — software run: cycles + block counts + branch bias under
-    /// `sim`. Simulated once per distinct [`SimConfig`]; uses the
-    /// pay-as-you-go [`EdgeProfiler`] exactly like [`Flow::run`] (the
-    /// taken counts feed the partitioner's measured loop-entry estimates).
+    /// `sim`. Simulated once per distinct [`SimConfig`] with the
+    /// pay-as-you-go [`EdgeProfiler`]: it reconstructs exact
+    /// per-instruction counts and branch taken counts (the latter feed the
+    /// partitioner's measured loop-entry estimates) without the full
+    /// profiler's per-op bookkeeping.
     ///
     /// # Errors
     ///
@@ -336,8 +334,6 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     /// comes from the stage-3 artifact, including memoized per-kernel
     /// synthesis.
     ///
-    /// Bit-identical to [`Flow::run`] with the same options.
-    ///
     /// # Errors
     ///
     /// Propagates stage-1/-2 failures.
@@ -371,9 +367,10 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         report
     }
 
-    /// Monolithic-compatible entry: like [`Flow::run`], but cached. The
-    /// returned [`FlowReport`] clones the profiled program out of the
-    /// artifact; sweeps should prefer [`StagedFlow::evaluate`].
+    /// The whole flow for one option set: [`evaluate`](StagedFlow::evaluate)
+    /// plus a clone of the profiled program, returned as a [`FlowReport`].
+    /// The entry point for one-shot callers; sweeps should prefer
+    /// `evaluate`, which skips the program copy.
     ///
     /// # Errors
     ///
@@ -415,9 +412,8 @@ pub(crate) fn emit_diagnostics<T: Telemetry>(tel: &T, diagnostics: &[crate::diag
     }
 }
 
-/// Partition + evaluate one option point against a stage-3 artifact —
-/// the same arithmetic as [`Flow::run_with_program`], with synthesis
-/// served from the artifact's memo.
+/// Partition + evaluate one option point against a stage-3 artifact, with
+/// synthesis served from the artifact's memo.
 fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
     let mut popts: PartitionOptions = options.partition.clone();
     popts.cpu_clock_hz = options.platform.cpu.clock_hz;
@@ -428,7 +424,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
         &popts,
         &options.budget,
         &options.library,
-        Some(&est.cache),
+        &est.cache,
     );
     let kernels: Vec<HardwareKernel> = partition
         .kernels
@@ -459,9 +455,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flow::Flow;
     use binpart_minicc::{compile, OptLevel};
-    use binpart_platform::Platform;
 
     fn kernel_program() -> &'static str {
         "int a[256]; int coef[16];
@@ -476,38 +470,6 @@ mod tests {
            }
            return out;
          }"
-    }
-
-    #[test]
-    fn staged_matches_monolithic_bit_for_bit() {
-        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let staged = StagedFlow::new(&binary);
-        for clock in [40e6, 200e6, 400e6] {
-            for budget in [10u64, 40_000, 250_000] {
-                let mut options = FlowOptions {
-                    platform: Platform::mips_virtex2(clock),
-                    ..Default::default()
-                };
-                options.partition.area_budget_gates = budget;
-                let mono = Flow::new(options.clone()).run(&binary).unwrap();
-                let st = staged.evaluate(&options).unwrap();
-                assert_eq!(
-                    mono.hybrid.app_speedup.to_bits(),
-                    st.hybrid.app_speedup.to_bits()
-                );
-                assert_eq!(
-                    mono.hybrid.energy_savings.to_bits(),
-                    st.hybrid.energy_savings.to_bits()
-                );
-                assert_eq!(mono.hybrid.total_area_gates, st.hybrid.total_area_gates);
-                assert_eq!(mono.sw_cycles, st.sw_cycles);
-                assert_eq!(mono.sw_exit_value, st.sw_exit_value);
-                assert_eq!(mono.partition.log, st.partition.log);
-                let names =
-                    |p: &Partition| p.kernels.iter().map(|k| k.name.clone()).collect::<Vec<_>>();
-                assert_eq!(names(&mono.partition), names(&st.partition));
-            }
-        }
     }
 
     #[test]
@@ -530,21 +492,6 @@ mod tests {
             misses_after_first,
             "no new synthesis for a budget-only change"
         );
-    }
-
-    #[test]
-    fn run_returns_flow_report_with_program() {
-        let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let staged = StagedFlow::new(&binary);
-        let options = FlowOptions::default();
-        let direct = Flow::new(options.clone()).run(&binary).unwrap();
-        let cached = staged.run(&options).unwrap();
-        assert_eq!(
-            direct.hybrid.app_speedup.to_bits(),
-            cached.hybrid.app_speedup.to_bits()
-        );
-        assert_eq!(direct.program.functions.len(), cached.program.functions.len());
-        assert_eq!(direct.vhdl(), cached.vhdl());
     }
 
     #[test]

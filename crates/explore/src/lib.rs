@@ -20,10 +20,10 @@
 //! [`binpart_par::par_map`] (`BINPART_THREADS=1` forces sequential), and
 //! results are deterministic and ordered regardless of thread count.
 //!
-//! [`Sweep::run_naive`] evaluates the same grid through the monolithic
-//! [`Flow::run`] per point — the baseline the staged engine is measured
-//! against (`sweep_speedup_vs_naive` in `BENCH_sim.json`); both paths
-//! produce bit-identical points.
+//! [`Sweep::run_naive`] evaluates the same grid on a fresh [`StagedFlow`]
+//! per point, so nothing is shared — the baseline the staged engine is
+//! measured against (`sweep_speedup_vs_naive` in `BENCH_sim.json`); both
+//! paths produce bit-identical points.
 //!
 //! # Example
 //!
@@ -49,8 +49,10 @@
 //! # }
 //! ```
 
-use binpart_core::flow::{Flow, FlowOptions};
-use binpart_core::stage::StagedFlow;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use binpart_core::flow::FlowOptions;
+use binpart_core::stage::{StagedFlow, StagedReport};
 use binpart_mips::sim::{FusionConfig, SimConfig};
 use binpart_mips::Binary;
 use binpart_minicc::OptLevel;
@@ -58,10 +60,6 @@ use binpart_par::par_map;
 use binpart_platform::ProcessorSpec;
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::sync::Arc;
-
-// Referenced by the crate docs.
-#[allow(unused_imports)]
-use binpart_core::flow::Flow as _FlowDoc;
 
 /// How a user-defined axis writes one of its values into [`FlowOptions`].
 pub type AxisApply = Arc<dyn Fn(&mut FlowOptions, f64) + Send + Sync>;
@@ -146,9 +144,9 @@ impl Sweep {
     }
 
     /// Simulator superinstruction-fusion axis. Fusion is observationally
-    /// exact, so this axis never changes results; the staged engine
-    /// shares one artifact across all fusion points (profiling once),
-    /// while [`Sweep::run_naive`] re-simulates per point — so only the
+    /// exact, so this axis never changes results; [`Sweep::run`] shares
+    /// one estimate artifact across all fusion points, while
+    /// [`Sweep::run_naive`] profiles afresh at every point — so only the
     /// naive path measures each configuration's profiling cost.
     #[must_use]
     pub fn fusions(mut self, fusions: impl IntoIterator<Item = FusionConfig>) -> Sweep {
@@ -269,10 +267,10 @@ impl Sweep {
         self.run_impl(telemetry, compile, false)
     }
 
-    /// Runs the same grid through the monolithic [`Flow::run`] per point —
-    /// every point re-simulates, re-decompiles, and re-synthesizes from
-    /// scratch. Same parallel fan-out, bit-identical points; exists as the
-    /// baseline the staged engine is benchmarked against.
+    /// Runs the same grid with a fresh [`StagedFlow`] per point — every
+    /// point re-profiles, re-decompiles, and re-synthesizes from scratch.
+    /// Same parallel fan-out, bit-identical points; exists as the
+    /// baseline the shared-flow engine is benchmarked against.
     pub fn run_naive(
         &self,
         compile: impl FnMut(OptLevel) -> Result<Binary, String>,
@@ -290,51 +288,31 @@ impl Sweep {
         let _span = SpanGuard::enter(telemetry, "sweep", || {
             format!("{} points, {} levels{}", configs.len(), self.opt_levels.len(), if naive { ", naive" } else { "" })
         });
-        // One binary per level (compiled once, up front).
-        let mut binaries: Vec<(OptLevel, Result<Binary, String>)> = Vec::new();
-        for &level in &self.opt_levels {
-            binaries.push((level, compile(level)));
-        }
-        let staged: Vec<Option<StagedFlow<'_, &T>>> = binaries
+        // One binary per level (compiled once, up front), each with the
+        // flow its points share.
+        let binaries: Vec<Result<Binary, String>> =
+            self.opt_levels.iter().map(|&level| compile(level)).collect();
+        let flows: Vec<(OptLevel, Result<StagedFlow<'_, &T>, &String>)> = self
+            .opt_levels
             .iter()
-            .map(|(_, b)| b.as_ref().ok().map(|bin| StagedFlow::with_telemetry(bin, telemetry)))
+            .zip(&binaries)
+            .map(|(&level, b)| {
+                (level, b.as_ref().map(|bin| StagedFlow::with_telemetry(bin, telemetry)))
+            })
             .collect();
-        let level_index =
-            |level: OptLevel| binaries.iter().position(|(l, _)| *l == level).expect("own level");
         let points = par_map(&configs, |config| {
-            let li = level_index(config.level);
             let options = self.options_for(config);
-            let outcome = match (&binaries[li].1, &staged[li]) {
-                (Err(e), _) => Err(format!("compile failed: {e}")),
-                (Ok(binary), Some(flow)) => {
+            let outcome = match flows.iter().find(|(level, _)| *level == config.level) {
+                None => Err(format!("no binary for level {}", config.level)),
+                Some((_, Err(e))) => Err(format!("compile failed: {e}")),
+                Some((_, Ok(flow))) => {
                     let evaluated = if naive {
-                        Flow::new(options).run(binary).map(|r| PointReport {
-                            sw_cycles: r.sw_cycles,
-                            sw_exit_value: r.sw_exit_value,
-                            speedup: r.hybrid.app_speedup,
-                            energy_savings: r.hybrid.energy_savings,
-                            area_gates: r.hybrid.total_area_gates,
-                            kernels: r.partition.kernels.len(),
-                            coverage: r.partition.coverage(),
-                            sw_time_s: r.hybrid.sw_time_s,
-                            hybrid_time_s: r.hybrid.hybrid_time_s,
-                        })
+                        StagedFlow::new(flow.binary()).evaluate(&options)
                     } else {
-                        flow.evaluate(&options).map(|r| PointReport {
-                            sw_cycles: r.sw_cycles,
-                            sw_exit_value: r.sw_exit_value,
-                            speedup: r.hybrid.app_speedup,
-                            energy_savings: r.hybrid.energy_savings,
-                            area_gates: r.hybrid.total_area_gates,
-                            kernels: r.partition.kernels.len(),
-                            coverage: r.partition.coverage(),
-                            sw_time_s: r.hybrid.sw_time_s,
-                            hybrid_time_s: r.hybrid.hybrid_time_s,
-                        })
+                        flow.evaluate(&options)
                     };
-                    evaluated.map_err(|e| e.to_string())
+                    evaluated.map(|r| point_report(&r)).map_err(|e| e.to_string())
                 }
-                (Ok(_), None) => unreachable!("staged flow exists for compiled binaries"),
             };
             telemetry.counter_add(
                 if outcome.is_ok() { Counter::SweepPointsOk } else { Counter::SweepPointsFailed },
@@ -350,6 +328,21 @@ impl Sweep {
             telemetry.event("sweep_done", &format!("{}/{} points ok", ok, points.len()));
         }
         SweepResult { points }
+    }
+}
+
+/// The sweep's view of one evaluated point.
+fn point_report(r: &StagedReport) -> PointReport {
+    PointReport {
+        sw_cycles: r.sw_cycles,
+        sw_exit_value: r.sw_exit_value,
+        speedup: r.hybrid.app_speedup,
+        energy_savings: r.hybrid.energy_savings,
+        area_gates: r.hybrid.total_area_gates,
+        kernels: r.partition.kernels.len(),
+        coverage: r.partition.coverage(),
+        sw_time_s: r.hybrid.sw_time_s,
+        hybrid_time_s: r.hybrid.hybrid_time_s,
     }
 }
 
@@ -446,11 +439,8 @@ impl SweepResult {
     pub fn best_speedup(&self) -> Option<&SweepPoint> {
         self.points
             .iter()
-            .filter(|p| p.outcome.is_ok())
-            .max_by(|a, b| {
-                let sa = a.outcome.as_ref().unwrap().speedup;
-                let sb = b.outcome.as_ref().unwrap().speedup;
-                sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-            })
+            .filter_map(|p| p.outcome.as_ref().ok().map(|r| (p, r.speedup)))
+            .max_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
+            .map(|(p, _)| p)
     }
 }

@@ -5,7 +5,8 @@
 //!
 //! Run with: `cargo run --release --example opt_levels`
 
-use binpart::core::flow::{Flow, FlowOptions};
+use binpart::core::flow::FlowOptions;
+use binpart::core::stage::StagedFlow;
 use binpart::minicc::OptLevel;
 use binpart::workloads::opt_level_subset;
 
@@ -16,7 +17,7 @@ fn main() {
             let binary = b.compile(level).expect("compiles");
             let mut options = FlowOptions::default();
             options.decompile.recover_jump_tables = true;
-            let r = Flow::new(options).run(&binary).expect("flow");
+            let r = StagedFlow::new(&binary).run(&options).expect("flow");
             println!(
                 "  {}: sw {:>8.3} ms -> hybrid {:>7.3} ms, speedup {:>5.2}x, energy {:>3.0}%",
                 level.flag(),

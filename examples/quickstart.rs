@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use binpart::core::flow::{Flow, FlowOptions};
+use binpart::core::flow::FlowOptions;
+use binpart::core::stage::StagedFlow;
 use binpart::minicc::{compile, OptLevel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +29,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         binary.text.len(),
         binary.data.len()
     );
-    let report = Flow::new(FlowOptions::default()).run(&binary)?;
+    let report = StagedFlow::new(&binary).run(&FlowOptions::default())?;
     println!("software cycles:   {}", report.sw_cycles);
     println!("exit value:        {}", report.sw_exit_value);
     println!("app speedup:       {:.2}x", report.hybrid.app_speedup);

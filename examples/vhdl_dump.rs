@@ -4,14 +4,17 @@
 //!
 //! Run with: `cargo run --release --example vhdl_dump`
 
-use binpart::core::flow::{Flow, FlowOptions};
+use binpart::core::flow::FlowOptions;
+use binpart::core::stage::StagedFlow;
 use binpart::minicc::OptLevel;
 use binpart::workloads::suite;
 
 fn main() {
     let b = suite().into_iter().find(|b| b.name == "crc").unwrap();
     let binary = b.compile(OptLevel::O1).expect("compiles");
-    let report = Flow::new(FlowOptions::default()).run(&binary).expect("flow");
+    let report = StagedFlow::new(&binary)
+        .run(&FlowOptions::default())
+        .expect("flow");
     for k in &report.partition.kernels {
         println!(
             "-- kernel {} : II={}, depth={}, clock {:.0} MHz, {} gates",

@@ -12,8 +12,8 @@
 //! * [`cdfg`] — the control/data-flow-graph IR with SSA, dominators, loops,
 //!   and structural analysis;
 //! * [`core`] — the paper's contribution: the decompiler (CDFG recovery +
-//!   the five decompiler optimizations) and the 90-10 partitioner, wrapped
-//!   in the one-call [`core::flow::Flow`];
+//!   the five decompiler optimizations) and the 90-10 partitioner, driven
+//!   by the staged, memoized [`core::stage::StagedFlow`];
 //! * [`synth`] — behavioral synthesis to VHDL with a Virtex-II area/clock
 //!   model, with per-kernel estimate caching;
 //! * [`hwsim`] — cycle-accurate FSMD co-simulation: executes the
@@ -32,7 +32,8 @@
 //! # Quickstart
 //!
 //! ```
-//! use binpart::core::flow::{Flow, FlowOptions};
+//! use binpart::core::flow::FlowOptions;
+//! use binpart::core::stage::StagedFlow;
 //! use binpart::minicc::{compile, OptLevel};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -44,7 +45,7 @@
 //!        return s; }",
 //!     OptLevel::O1,
 //! )?;
-//! let report = Flow::new(FlowOptions::default()).run(&binary)?;
+//! let report = StagedFlow::new(&binary).run(&FlowOptions::default())?;
 //! println!("speedup: {:.2}x", report.hybrid.app_speedup);
 //! # Ok(())
 //! # }

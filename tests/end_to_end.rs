@@ -2,7 +2,8 @@
 //! decompiler → partitioner → synthesis → platform pipeline, exercised the
 //! way a downstream user would.
 
-use binpart::core::flow::{Flow, FlowOptions};
+use binpart::core::flow::FlowOptions;
+use binpart::core::stage::StagedFlow;
 use binpart::core::{decompile, DecompileOptions};
 use binpart::minicc::OptLevel;
 use binpart::mips::sim::Machine;
@@ -39,8 +40,8 @@ fn binary_serialization_round_trips_through_flow() {
     let binary = b.compile(OptLevel::O1).unwrap();
     let bytes = binary.to_bytes();
     let reloaded = Binary::from_bytes(&bytes).unwrap();
-    let r1 = Flow::new(FlowOptions::default()).run(&binary).unwrap();
-    let r2 = Flow::new(FlowOptions::default()).run(&reloaded).unwrap();
+    let r1 = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
+    let r2 = StagedFlow::new(&reloaded).run(&FlowOptions::default()).unwrap();
     assert_eq!(r1.sw_cycles, r2.sw_cycles);
     assert!((r1.hybrid.app_speedup - r2.hybrid.app_speedup).abs() < 1e-12);
 }
@@ -54,7 +55,7 @@ fn every_recovered_benchmark_accelerates() {
             continue;
         }
         let binary = b.compile(OptLevel::O1).unwrap();
-        let r = Flow::new(FlowOptions::default()).run(&binary).unwrap();
+        let r = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
         assert!(
             r.hybrid.app_speedup > 1.0,
             "{}: speedup {}",
@@ -98,7 +99,7 @@ fn platform_sweep_ordering_holds_for_a_hot_benchmark() {
             platform: Platform::mips_virtex2(hz),
             ..Default::default()
         };
-        Flow::new(o).run(&binary).unwrap().hybrid
+        StagedFlow::new(&binary).run(&o).unwrap().hybrid
     };
     let (r40, r200, r400) = (run(40e6), run(200e6), run(400e6));
     assert!(r40.app_speedup > r200.app_speedup && r200.app_speedup > r400.app_speedup);
@@ -126,7 +127,7 @@ fn flow_works_on_stripped_hand_written_binary() {
     a.nop();
     let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
     assert!(binary.symbols.is_empty());
-    let r = Flow::new(FlowOptions::default()).run(&binary).unwrap();
+    let r = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
     assert!(r.hybrid.app_speedup > 1.0, "{}", r.hybrid.app_speedup);
     assert!(r.partition.kernels.len() == 1);
 }
