@@ -1,7 +1,7 @@
-//! Raw simulator throughput (retired instructions per second): the fast
-//! engine — with superinstruction fusion off, default, and aggressive —
+//! Raw simulator throughput (retired instructions per second): each
+//! `Engine` — unfused, fused, and the superblock engine the flow ships —
 //! vs the retained seed engine (`binpart_mips::reference`), plus the cost
-//! of each [`Profiler`] mode.
+//! of each [`Profiler`] mode on the shipped engine.
 //!
 //! The workload is the full `(benchmark, OptLevel)` matrix — the exact set
 //! of binaries the experiment harness simulates — plus per-level slices so
@@ -15,24 +15,17 @@
 //! (pin `BINPART_THREADS=1` for single-core numbers).
 //!
 //! `cargo bench -p binpart-bench --bench sim_throughput -- --smoke` runs
-//! the CI perf smoke instead: one pass over the matrix per engine
-//! configuration, asserting that fusion does not lose throughput and that
-//! `BENCH_sim.json` (if present) carries no null fields.
+//! the CI perf smoke instead: one pass over the matrix per engine,
+//! asserting that fusion and the trace cache each do not lose throughput
+//! and that `BENCH_sim.json` (if present) carries no null fields.
 
 use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
-use binpart_mips::sim::{BlockCountProfiler, FusionConfig, Machine, SimConfig};
+use binpart_mips::sim::{BlockCountProfiler, Engine, Machine, SimConfig};
 use binpart_mips::Binary;
 use binpart_par::par_map;
 use binpart_workloads::suite;
 use criterion::{criterion_group, Criterion, Throughput};
-
-fn sim_config(fusion: FusionConfig) -> SimConfig {
-    SimConfig {
-        fusion,
-        ..SimConfig::default()
-    }
-}
 
 fn binaries(level: OptLevel) -> (Vec<Binary>, u64) {
     let bins: Vec<Binary> = par_map(&suite(), |b| b.compile(level).expect("suite compiles"));
@@ -48,9 +41,9 @@ fn binaries(level: OptLevel) -> (Vec<Binary>, u64) {
     (bins, total)
 }
 
-fn run_fast(bins: &[Binary], fusion: FusionConfig) -> u64 {
+fn run_engine(bins: &[Binary], engine: Engine) -> u64 {
     par_map(bins, |b| {
-        Machine::with_config(std::hint::black_box(b), sim_config(fusion))
+        Machine::with_engine(std::hint::black_box(b), SimConfig::default(), engine)
             .unwrap()
             .run_unprofiled()
             .unwrap()
@@ -60,28 +53,10 @@ fn run_fast(bins: &[Binary], fusion: FusionConfig) -> u64 {
     .sum()
 }
 
-/// The superblock translation backend over aggressive fusion (the shipping
-/// fast configuration; see `SimConfig::superblocks`).
-fn run_superblock(bins: &[Binary]) -> u64 {
-    let config = SimConfig {
-        fusion: FusionConfig::Aggressive,
-        superblocks: true,
-        ..SimConfig::default()
-    };
+/// The full profiler on the engine `Machine::new` runs.
+fn run_profiled(bins: &[Binary]) -> u64 {
     par_map(bins, |b| {
-        Machine::with_config(std::hint::black_box(b), config)
-            .unwrap()
-            .run_unprofiled()
-            .unwrap()
-            .instrs
-    })
-    .into_iter()
-    .sum()
-}
-
-fn run_fast_profiled(bins: &[Binary], fusion: FusionConfig) -> u64 {
-    par_map(bins, |b| {
-        Machine::with_config(std::hint::black_box(b), sim_config(fusion))
+        Machine::new(std::hint::black_box(b))
             .unwrap()
             .run()
             .unwrap()
@@ -91,10 +66,11 @@ fn run_fast_profiled(bins: &[Binary], fusion: FusionConfig) -> u64 {
     .sum()
 }
 
-fn run_fast_blockcount(bins: &[Binary], fusion: FusionConfig) -> u64 {
+/// The block-count profiler on the engine `Machine::new` runs.
+fn run_blockcount(bins: &[Binary]) -> u64 {
     par_map(bins, |b| {
         let mut prof = BlockCountProfiler::new();
-        Machine::with_config(std::hint::black_box(b), sim_config(fusion))
+        Machine::new(std::hint::black_box(b))
             .unwrap()
             .run_with(&mut prof)
             .unwrap()
@@ -135,40 +111,40 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(matrix_total));
     group.bench_function("matrix_unfused_unprofiled", |b| {
-        b.iter(|| run_fast(&all_bins, FusionConfig::Off))
+        b.iter(|| run_engine(&all_bins, Engine::Unfused))
     });
     group.bench_function("matrix_fused_unprofiled", |b| {
-        b.iter(|| run_fast(&all_bins, FusionConfig::Default))
-    });
-    group.bench_function("matrix_fused_aggressive_unprofiled", |b| {
-        b.iter(|| run_fast(&all_bins, FusionConfig::Aggressive))
+        b.iter(|| run_engine(&all_bins, Engine::Fused))
     });
     group.bench_function("matrix_superblock_unprofiled", |b| {
-        b.iter(|| run_superblock(&all_bins))
+        b.iter(|| run_engine(&all_bins, Engine::Superblock))
     });
-    group.bench_function("matrix_fused_profiled_full", |b| {
-        b.iter(|| run_fast_profiled(&all_bins, FusionConfig::Default))
+    group.bench_function("matrix_superblock_profiled_full", |b| {
+        b.iter(|| run_profiled(&all_bins))
     });
-    group.bench_function("matrix_fused_profiled_blockcount", |b| {
-        b.iter(|| run_fast_blockcount(&all_bins, FusionConfig::Default))
+    group.bench_function("matrix_superblock_profiled_blockcount", |b| {
+        b.iter(|| run_blockcount(&all_bins))
     });
     group.bench_function("matrix_reference_seed", |b| {
         b.iter(|| run_reference(&all_bins))
     });
     group.finish();
 
-    // Per-level slices: unfused vs aggressive-fused vs seed, so the
-    // dispatch-bound (-O1+) and memory-bound (-O0) regimes stay visible.
+    // Per-level slices: every engine vs seed, so the dispatch-bound
+    // (-O1+) and memory-bound (-O0) regimes stay visible.
     let mut group = c.benchmark_group("sim_throughput_by_level");
     group.sample_size(10);
     for (level, bins, total) in &per_level {
         group.throughput(Throughput::Elements(*total));
-        group.bench_function(format!("{}_unfused", level.flag()), |b| {
-            b.iter(|| run_fast(bins, FusionConfig::Off))
-        });
-        group.bench_function(format!("{}_fused", level.flag()), |b| {
-            b.iter(|| run_fast(bins, FusionConfig::Aggressive))
-        });
+        for (name, engine) in [
+            ("unfused", Engine::Unfused),
+            ("fused", Engine::Fused),
+            ("superblock", Engine::Superblock),
+        ] {
+            group.bench_function(format!("{}_{name}", level.flag()), |b| {
+                b.iter(|| run_engine(bins, engine))
+            });
+        }
         group.bench_function(format!("{}_reference", level.flag()), |b| {
             b.iter(|| run_reference(bins))
         });
@@ -176,8 +152,8 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// CI perf smoke: a single timed pass per configuration over the full
-/// matrix (best of three), asserting the fusion layer never loses
+/// CI perf smoke: a single timed pass per engine over the full matrix
+/// (best of three), asserting neither fusion nor the trace cache loses
 /// throughput and the tracked perf snapshot has no holes.
 fn smoke() {
     let (bins, total): (Vec<Binary>, u64) = {
@@ -195,24 +171,22 @@ fn smoke() {
         assert_eq!(retired, total, "engines must retire the matrix exactly");
         total as f64 / best_s
     };
-    let unfused = best_ips(&|| run_fast(&bins, FusionConfig::Off));
-    let fused = best_ips(&|| run_fast(&bins, FusionConfig::Default));
-    let aggressive = best_ips(&|| run_fast(&bins, FusionConfig::Aggressive));
-    let superblock = best_ips(&|| run_superblock(&bins));
+    let unfused = best_ips(&|| run_engine(&bins, Engine::Unfused));
+    let fused = best_ips(&|| run_engine(&bins, Engine::Fused));
+    let superblock = best_ips(&|| run_engine(&bins, Engine::Superblock));
     println!(
-        "smoke: unfused {:.0} M/s | fused {:.0} M/s | aggressive {:.0} M/s | superblock {:.0} M/s",
+        "smoke: unfused {:.0} M/s | fused {:.0} M/s | superblock {:.0} M/s",
         unfused / 1e6,
         fused / 1e6,
-        aggressive / 1e6,
         superblock / 1e6
     );
     assert!(
-        fused.max(aggressive) >= unfused,
-        "fusion lost throughput: unfused {unfused:.0}/s, fused {fused:.0}/s, aggressive {aggressive:.0}/s"
+        fused >= unfused,
+        "fusion lost throughput: unfused {unfused:.0}/s, fused {fused:.0}/s"
     );
     assert!(
-        superblock >= fused.max(aggressive),
-        "superblock engine lost throughput: superblock {superblock:.0}/s vs fused {fused:.0}/s / aggressive {aggressive:.0}/s"
+        superblock >= fused,
+        "superblock engine lost throughput: superblock {superblock:.0}/s vs fused {fused:.0}/s"
     );
     // NullTelemetry overhead gate: the telemetry layer is compiled into the
     // flow this build, so superblock throughput must stay within noise of

@@ -69,21 +69,21 @@ fn main() {
 }
 
 struct SimReport {
-    /// The engine as the flow runs it: default fusion, unprofiled.
+    /// The engine `Machine::new` runs — `Engine::Superblock`, the flow's
+    /// only engine — unprofiled. It is both the `fast` and the
+    /// `superblock` snapshot column.
     fast_ips: f64,
-    /// Fusion off — the PR 1 engine, kept for cross-PR comparability.
+    /// `Engine::Unfused` — the PR 1 engine, kept for cross-PR
+    /// comparability.
     unfused_ips: f64,
-    /// Aggressive fusion, unprofiled — the headline dispatch number.
+    /// `Engine::Fused`, unprofiled — the headline dispatch number.
     fused_ips: f64,
-    /// Aggressive fusion + the superblock trace-cache translation backend
-    /// (`SimConfig::superblocks`) — the fastest shipping configuration.
-    superblock_ips: f64,
     /// Fraction of dynamic instructions retired inside installed
     /// superblocks during the measurement pass (trace-cache coverage).
     trace_cache_hit_rate: f64,
     seed_ips: f64,
     /// Relative cost of the pay-as-you-go block-count profiler vs an
-    /// unprofiled run (default fusion), in percent.
+    /// unprofiled run (both on the engine `Machine::new` runs), in percent.
     blockcount_overhead_pct: f64,
     /// Same for the full profiler (counts + taken + calls + loads/stores).
     full_overhead_pct: f64,
@@ -114,12 +114,12 @@ struct SimReport {
 }
 
 /// Measures raw simulator throughput over the full (benchmark, OptLevel)
-/// matrix: the fast engine (fusion off / default / aggressive, and per
-/// profiler mode) vs the retained seed engine. Single-threaded on purpose —
+/// matrix: every `Engine` (and, on the default one, each profiler mode)
+/// vs the retained seed engine. Single-threaded on purpose —
 /// the instrs/sec trajectory must be comparable across PRs regardless of
 /// the host's core count.
 fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
-    use binpart_mips::sim::{BlockCountProfiler, FusionConfig, SimConfig};
+    use binpart_mips::sim::{BlockCountProfiler, Engine, SimConfig};
     let suite = binpart_workloads::suite();
     let mut bins = Vec::new();
     for level in OptLevel::ALL {
@@ -127,19 +127,15 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
             bins.push(b.compile(level).expect("suite compiles"));
         }
     }
-    let config = |fusion: FusionConfig| SimConfig {
-        fusion,
-        ..SimConfig::default()
-    };
     // Best of five passes per configuration (shared `best_of` primitive —
     // the same one the CI smoke uses): the numbers feed a tracked JSON
     // snapshot, and the profiler-overhead columns are small differences of
     // large numbers, so shave scheduler noise hard.
     let best = |run: &dyn Fn() -> u64| best_of(5, run);
-    let run_unprofiled = |fusion: FusionConfig| -> u64 {
+    let run_unprofiled = |engine: Engine| -> u64 {
         bins.iter()
             .map(|bin| {
-                Machine::with_config(bin, config(fusion))
+                Machine::with_engine(bin, SimConfig::default(), engine)
                     .expect("decodes")
                     .run_unprofiled()
                     .expect("runs")
@@ -147,27 +143,17 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
             })
             .sum()
     };
-    let (fast_s, total) = best(&|| run_unprofiled(FusionConfig::Default));
-    let (unfused_s, _) = best(&|| run_unprofiled(FusionConfig::Off));
-    let (fused_s, _) = best(&|| run_unprofiled(FusionConfig::Aggressive));
-    // Superblocks over aggressive fusion, plus trace-cache coverage: what
-    // fraction of the matrix's dynamic instructions retired inside an
-    // installed trace (fresh machines per pass, so recording cost counts).
+    // The engine `Machine::new` runs (the superblock engine), plus
+    // trace-cache coverage: what fraction of the matrix's dynamic
+    // instructions retired inside an installed trace (fresh machines per
+    // pass, so recording cost counts).
     let sb_instrs = std::cell::Cell::new(0u64);
-    let (superblock_s, _) = best(&|| {
+    let (fast_s, total) = best(&|| {
         let mut inside = 0u64;
         let n = bins
             .iter()
             .map(|bin| {
-                let mut m = Machine::with_config(
-                    bin,
-                    SimConfig {
-                        fusion: FusionConfig::Aggressive,
-                        superblocks: true,
-                        ..SimConfig::default()
-                    },
-                )
-                .expect("decodes");
+                let mut m = Machine::new(bin).expect("decodes");
                 let instrs = m.run_unprofiled().expect("runs").instrs;
                 inside += m.trace_cache_stats().superblock_instrs;
                 instrs
@@ -176,6 +162,8 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
         sb_instrs.set(inside);
         n
     });
+    let (unfused_s, _) = best(&|| run_unprofiled(Engine::Unfused));
+    let (fused_s, _) = best(&|| run_unprofiled(Engine::Fused));
     let (blockcount_s, _) = best(&|| {
         bins.iter()
             .map(|bin| {
@@ -234,7 +222,6 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
         fast_ips: ips(fast_s),
         unfused_ips: ips(unfused_s),
         fused_ips: ips(fused_s),
-        superblock_ips: ips(superblock_s),
         trace_cache_hit_rate: sb_instrs.get() as f64 / total as f64,
         seed_ips: ips(seed_s),
         blockcount_overhead_pct: 100.0 * (blockcount_s - fast_s) / fast_s,
@@ -536,11 +523,11 @@ fn write_bench_json(r: &SimReport) {
         r.fast_ips,
         r.unfused_ips,
         r.fused_ips,
-        r.superblock_ips,
+        r.fast_ips,
         r.seed_ips,
         r.fast_ips / r.seed_ips,
         r.fused_ips / r.unfused_ips,
-        r.superblock_ips / r.fused_ips,
+        r.fast_ips / r.fused_ips,
         r.trace_cache_hit_rate,
         r.blockcount_overhead_pct,
         r.full_overhead_pct,
@@ -565,13 +552,12 @@ fn write_bench_json(r: &SimReport) {
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "wrote {path}: fast {:.0} M instrs/s (unfused {:.0}, fused {:.0}, superblock {:.0} = {:.2}x @ {:.0}% trace coverage), seed {:.0} M instrs/s ({:.1}x); blockcount profiling {:+.1}%, full {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
+            "wrote {path}: fast (superblock) {:.0} M instrs/s = {:.2}x fused @ {:.0}% trace coverage (unfused {:.0}, fused {:.0}), seed {:.0} M instrs/s ({:.1}x); blockcount profiling {:+.1}%, full {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
             r.fast_ips / 1e6,
+            r.fast_ips / r.fused_ips,
+            r.trace_cache_hit_rate * 100.0,
             r.unfused_ips / 1e6,
             r.fused_ips / 1e6,
-            r.superblock_ips / 1e6,
-            r.superblock_ips / r.fused_ips,
-            r.trace_cache_hit_rate * 100.0,
             r.seed_ips / 1e6,
             r.fast_ips / r.seed_ips,
             r.blockcount_overhead_pct,

@@ -230,20 +230,14 @@ pub fn assert_snapshot_columns(keys: &[&str]) -> bool {
 
 /// Evaluates one memoized cell through its flow.
 ///
-/// The software profile is taken with [`FlowOptions::aggressive_sim`]'s
-/// superinstruction fusion. Fusion is observationally exact (bit-identical
-/// `Exit` + `Profile`, asserted by `tests/differential.rs`), so every
-/// experiment's numbers are unchanged — the profiling pass is just faster.
-///
 /// # Errors
 ///
 /// Returns the cell's cached [`FlowError`] when CDFG recovery failed.
 pub fn run_cell(
     bench: &Benchmark,
     level: OptLevel,
-    mut options: FlowOptions,
+    options: FlowOptions,
 ) -> Result<StagedReport, FlowError> {
-    options.sim.fusion = FlowOptions::aggressive_sim().sim.fusion;
     CompiledSuite::get(bench, level).flow.evaluate(&options)
 }
 
@@ -360,8 +354,8 @@ pub struct TelemetryColumns {
 }
 
 /// One fully instrumented pass over the workload the snapshot tracks: the
-/// complete (benchmark, OptLevel) co-simulation matrix with the superblock
-/// engine on (so the trace-cache counters populate) followed by the
+/// complete (benchmark, OptLevel) co-simulation matrix (on the default
+/// superblock engine, so the trace-cache counters populate) followed by the
 /// standard 100-point staged sweep (5 clocks × 5 budgets × 4 levels on
 /// autcor00), all recorded on a single [`Recorder`].
 ///
@@ -369,9 +363,8 @@ pub struct TelemetryColumns {
 /// summary table from it) and the derived [`TelemetryColumns`].
 pub fn telemetry_pass() -> (Recorder, TelemetryColumns) {
     let rec = Recorder::new();
-    let mut options = FlowOptions::aggressive_sim();
+    let mut options = FlowOptions::default();
     options.decompile.recover_jump_tables = true;
-    options.sim.superblocks = true;
     let mut hw_measured = 0u64;
     let mut hw_stall = 0u64;
     let mut hw_fill = 0u64;
@@ -868,7 +861,7 @@ mod tests {
             recover_jump_tables: true,
             ..Default::default()
         };
-        let sim = FlowOptions::aggressive_sim().sim;
+        let sim = FlowOptions::default().sim;
         run_one(&b, OptLevel::O1, 200e6, true);
         let est = first.flow.estimate(dopts, sim).unwrap();
         let hits = est.cache.hits();

@@ -317,9 +317,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
     /// Propagates stage-1/-2 failures and software-simulation errors from
     /// the hybrid run.
     pub fn cosimulate(&self, options: &FlowOptions) -> Result<CosimReport, FlowError> {
-        let _span = SpanGuard::enter(self.telemetry(), "cosimulate", || {
-            format!("superblocks={}", options.sim.superblocks)
-        });
+        let _span = SpanGuard::enter(self.telemetry(), "cosimulate", String::new);
         let est = self.estimate(options.decompile, options.sim)?;
         let staged = self.evaluate(options)?;
         let reference = self.profile(options.sim)?;

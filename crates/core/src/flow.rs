@@ -52,7 +52,9 @@ pub struct FlowOptions {
     pub budget: ResourceBudget,
     /// Technology library.
     pub library: TechLibrary,
-    /// Simulator configuration (step limit, cycle model).
+    /// Simulator configuration (cycle model, step limit, stack). The
+    /// profile always runs on the default superblock engine, which is
+    /// exact, so no engine choice appears here.
     pub sim: SimConfig,
 }
 
@@ -66,23 +68,6 @@ impl Default for FlowOptions {
             library: TechLibrary::virtex2(),
             sim: SimConfig::default(),
         }
-    }
-}
-
-impl FlowOptions {
-    /// The default option set with the simulator's **aggressive**
-    /// superinstruction fusion enabled for the profiling pass.
-    ///
-    /// Fusion is observationally exact at every level (bit-identical
-    /// `Exit` and `Profile`; see `binpart_mips::sim`), so this preset
-    /// changes *nothing* about the flow's results — it only makes the
-    /// software-profiling stage faster (measured ~1.2-1.4x on the suite
-    /// matrix, see `BENCH_sim.json`'s `fusion_speedup`). The experiment
-    /// harness profiles with this preset.
-    pub fn aggressive_sim() -> FlowOptions {
-        let mut options = FlowOptions::default();
-        options.sim.fusion = binpart_mips::sim::FusionConfig::Aggressive;
-        options
     }
 }
 

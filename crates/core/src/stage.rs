@@ -2,7 +2,7 @@
 //!
 //! The pipeline is profile → decompile → partition → synthesize →
 //! evaluate. A design-space sweep (platform clock × FPGA area budget ×
-//! compiler level × simulator configuration) enters it at hundreds of
+//! compiler level × partitioner knobs) enters it at hundreds of
 //! points whose *inputs mostly repeat*: the software profile does not
 //! depend on the platform, the recovered CDFG does not depend on the area
 //! budget, and a kernel's synthesis result depends on neither. A one-shot
@@ -14,7 +14,7 @@
 //!
 //! | stage | input → output | invalidated by |
 //! |---|---|---|
-//! | [`profile`](StagedFlow::profile) | binary → [`Exit`] (cycles + block counts + branch bias) | [`SimConfig`] (cycle model, step budget, stack, fusion) |
+//! | [`profile`](StagedFlow::profile) | binary → [`Exit`] (cycles + block counts + branch bias) | [`SimConfig`] (cycle model, step budget, stack) |
 //! | [`decompile`](StagedFlow::decompile) | binary → [`DecompiledProgram`] (pre-profile CDFG) | [`DecompileOptions`] |
 //! | [`estimate`](StagedFlow::estimate) | profile + CDFG → [`EstimatedProgram`] (profiled CDFG + candidate loops + synthesis memo) | `DecompileOptions` or `SimConfig` |
 //! | [`evaluate`](StagedFlow::evaluate) | artifact + platform/budget/options → [`StagedReport`] | nothing cached — cheap selection + arithmetic |
@@ -223,11 +223,12 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     }
 
     /// Stage 1 — software run: cycles + block counts + branch bias under
-    /// `sim`. Simulated once per distinct [`SimConfig`] with the
-    /// pay-as-you-go [`EdgeProfiler`]: it reconstructs exact
-    /// per-instruction counts and branch taken counts (the latter feed the
-    /// partitioner's measured loop-entry estimates) without the full
-    /// profiler's per-op bookkeeping.
+    /// `sim`. Simulated once per distinct [`SimConfig`] on the default
+    /// (superblock) engine with the pay-as-you-go [`EdgeProfiler`]: it
+    /// reconstructs exact per-instruction counts and branch taken counts
+    /// (the latter feed the partitioner's measured loop-entry estimates)
+    /// without the full profiler's per-op bookkeeping. Under an
+    /// instrumented flow the run's trace-cache counters are reported too.
     ///
     /// # Errors
     ///
@@ -236,12 +237,12 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     pub fn profile(&self, sim: SimConfig) -> Result<Arc<Exit>, FlowError> {
         let (result, ran) = get_stage(&self.profiles, &sim, || {
             let _span = SpanGuard::enter(&self.telemetry, "profile", || {
-                format!("superblocks={} max_steps={}", sim.superblocks, sim.max_steps)
+                format!("max_steps={}", sim.max_steps)
             });
             let mut machine = Machine::with_config(self.binary, sim)?;
             let mut prof = EdgeProfiler::new();
             let exit = machine.run_with(&mut prof)?;
-            if T::ENABLED && sim.superblocks {
+            if T::ENABLED {
                 let st = machine.trace_cache_stats();
                 self.telemetry.counter_add(Counter::TraceHeatPromotions, st.heat_promotions);
                 self.telemetry.counter_add(Counter::TraceInstalls, st.installs);
@@ -287,11 +288,6 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     /// synthesis memo. Built once per (decompile options, sim config) pair
     /// from the stage-1/-2 artifacts.
     ///
-    /// The cache key normalizes [`SimConfig::fusion`] away: fusion is
-    /// observationally exact (bit-identical `Exit` + `Profile`), so sweep
-    /// points that differ only in fusion share one artifact instead of
-    /// re-profiling, re-cloning, and re-synthesizing per configuration.
-    ///
     /// # Errors
     ///
     /// Propagates stage-1/-2 failures.
@@ -300,11 +296,7 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         decompile_options: DecompileOptions,
         sim: SimConfig,
     ) -> Result<Arc<EstimatedProgram>, FlowError> {
-        let normalized = SimConfig {
-            fusion: binpart_mips::sim::FusionConfig::default(),
-            ..sim
-        };
-        let (result, ran) = get_stage(&self.estimated, &(decompile_options, normalized), || {
+        let (result, ran) = get_stage(&self.estimated, &(decompile_options, sim), || {
             let exit = self.profile(sim)?;
             let base = self.decompile(decompile_options)?;
             let _span = SpanGuard::enter(&self.telemetry, "estimate", String::new);

@@ -3,15 +3,17 @@
 //! The paper's evaluation sweeps one axis at a time (processor clock in
 //! E2, compiler level in E3). This crate generalizes that into a grid
 //! **sweep engine**: build a [`Sweep`] over platform clock × FPGA area
-//! budget × compiler [`OptLevel`] × simulator [`FusionConfig`] (plus any
-//! user-defined [`axis`](Sweep::axis) over [`FlowOptions`]), evaluate
+//! budget × compiler [`OptLevel`] (plus any user-defined
+//! [`axis`](Sweep::axis) over [`FlowOptions`]), evaluate
 //! every point, and extract the [Pareto frontier](SweepResult::pareto) of
 //! speedup vs area vs energy.
 //!
 //! # Why it is fast
 //!
 //! Each compiled binary gets one [`StagedFlow`], so all points of the grid
-//! share the staged artifacts (software profile per [`SimConfig`], CDFG
+//! share the staged artifacts (software profile per
+//! [`SimConfig`](binpart_mips::sim::SimConfig), profiled once on the
+//! simulator's superblock engine; CDFG
 //! per decompile option set, candidate loops + memoized per-kernel
 //! synthesis per artifact — see `binpart_core::stage` for the exact
 //! invalidation table). A clock × budget sweep therefore simulates,
@@ -53,7 +55,6 @@
 
 use binpart_core::flow::FlowOptions;
 use binpart_core::stage::{StagedFlow, StagedReport};
-use binpart_mips::sim::{FusionConfig, SimConfig};
 use binpart_mips::Binary;
 use binpart_minicc::OptLevel;
 use binpart_par::par_map;
@@ -91,7 +92,6 @@ pub struct Sweep {
     clocks_hz: Vec<f64>,
     area_budgets: Vec<u64>,
     opt_levels: Vec<OptLevel>,
-    fusions: Vec<FusionConfig>,
     axes: Vec<Axis>,
 }
 
@@ -113,7 +113,6 @@ impl Sweep {
             clocks_hz: vec![base.platform.cpu.clock_hz],
             area_budgets: vec![base.partition.area_budget_gates],
             opt_levels: vec![OptLevel::O1],
-            fusions: vec![base.sim.fusion],
             axes: Vec::new(),
             base,
         }
@@ -140,18 +139,6 @@ impl Sweep {
     pub fn opt_levels(mut self, levels: impl IntoIterator<Item = OptLevel>) -> Sweep {
         self.opt_levels = levels.into_iter().collect();
         assert!(!self.opt_levels.is_empty(), "empty level axis");
-        self
-    }
-
-    /// Simulator superinstruction-fusion axis. Fusion is observationally
-    /// exact, so this axis never changes results; [`Sweep::run`] shares
-    /// one estimate artifact across all fusion points, while
-    /// [`Sweep::run_naive`] profiles afresh at every point — so only the
-    /// naive path measures each configuration's profiling cost.
-    #[must_use]
-    pub fn fusions(mut self, fusions: impl IntoIterator<Item = FusionConfig>) -> Sweep {
-        self.fusions = fusions.into_iter().collect();
-        assert!(!self.fusions.is_empty(), "empty fusion axis");
         self
     }
 
@@ -188,7 +175,7 @@ impl Sweep {
     }
 
     /// The full cross product of the axes, in deterministic row-major
-    /// order: level (slowest) × clock × budget × fusion × custom axes.
+    /// order: level (slowest) × clock × budget × custom axes.
     pub fn configs(&self) -> Vec<PointConfig> {
         let mut custom: Vec<Vec<f64>> = vec![Vec::new()];
         for axis in &self.axes {
@@ -206,16 +193,13 @@ impl Sweep {
         for &level in &self.opt_levels {
             for &clock_hz in &self.clocks_hz {
                 for &area_budget_gates in &self.area_budgets {
-                    for &fusion in &self.fusions {
-                        for axis_values in &custom {
-                            configs.push(PointConfig {
-                                level,
-                                clock_hz,
-                                area_budget_gates,
-                                fusion,
-                                axis_values: axis_values.clone(),
-                            });
-                        }
+                    for axis_values in &custom {
+                        configs.push(PointConfig {
+                            level,
+                            clock_hz,
+                            area_budget_gates,
+                            axis_values: axis_values.clone(),
+                        });
                     }
                 }
             }
@@ -236,10 +220,6 @@ impl Sweep {
             options.platform.cpu = ProcessorSpec::mips(config.clock_hz);
         }
         options.partition.area_budget_gates = config.area_budget_gates;
-        options.sim = SimConfig {
-            fusion: config.fusion,
-            ..self.base.sim
-        };
         for (axis, &value) in self.axes.iter().zip(&config.axis_values) {
             (axis.apply)(&mut options, value);
         }
@@ -355,8 +335,6 @@ pub struct PointConfig {
     pub clock_hz: f64,
     /// FPGA area budget (gate equivalents).
     pub area_budget_gates: u64,
-    /// Simulator fusion configuration.
-    pub fusion: FusionConfig,
     /// Values of the user-defined axes, in axis order.
     pub axis_values: Vec<f64>,
 }

@@ -1,9 +1,11 @@
 //! Sweep-engine correctness: grid shape, staged-vs-naive bit identity,
-//! Pareto frontier invariants, custom axes.
+//! the shared profile against the unfused engine, Pareto frontier
+//! invariants, custom axes.
 
+use binpart_core::stage::StagedFlow;
 use binpart_explore::{Sweep, SweepResult};
 use binpart_minicc::OptLevel;
-use binpart_mips::sim::FusionConfig;
+use binpart_mips::sim::{EdgeProfiler, Engine, Machine, SimConfig};
 
 fn bench_compile(name: &str) -> impl FnMut(OptLevel) -> Result<binpart_mips::Binary, String> {
     let b = binpart_workloads::suite()
@@ -76,18 +78,29 @@ fn staged_sweep_is_bit_identical_to_naive_loop() {
 }
 
 #[test]
-fn fusion_axis_never_changes_results() {
-    let sweep = Sweep::with_base(base_with_recovery())
-        .clocks([200e6])
-        .fusions([FusionConfig::Off, FusionConfig::Default, FusionConfig::Aggressive]);
-    let result = sweep.run(bench_compile("crc"));
-    assert_eq!(result.points.len(), 3);
-    let first = result.points[0].outcome.as_ref().unwrap();
-    for p in &result.points[1..] {
-        let r = p.outcome.as_ref().unwrap();
-        assert_eq!(r.speedup.to_bits(), first.speedup.to_bits());
-        assert_eq!(r.sw_cycles, first.sw_cycles);
-        assert_eq!(r.sw_exit_value, first.sw_exit_value);
+fn flow_profile_matches_unfused_engine_on_whole_suite() {
+    // Every sweep point profiles on the default (superblock) engine. The
+    // flow's profile stage must equal a plain unfused run field for field
+    // on every (benchmark, level) cell, so sharing one profile across
+    // points never depends on which engine produced it.
+    let sim = SimConfig::default();
+    for b in binpart_workloads::suite() {
+        for level in OptLevel::ALL {
+            let tag = format!("{} {level}", b.name);
+            let binary = b.compile(level).expect("suite compiles");
+            let flow = StagedFlow::new(&binary)
+                .profile(sim)
+                .unwrap_or_else(|e| panic!("{tag}: flow profile failed: {e}"));
+            let unfused = Machine::with_engine(&binary, sim, Engine::Unfused)
+                .expect("decodes")
+                .run_with(&mut EdgeProfiler::new())
+                .unwrap_or_else(|e| panic!("{tag}: unfused run failed: {e}"));
+            assert_eq!(flow.reason, unfused.reason, "{tag}: exit reason");
+            assert_eq!(flow.regs, unfused.regs, "{tag}: registers");
+            assert_eq!(flow.cycles, unfused.cycles, "{tag}: cycles");
+            assert_eq!(flow.instrs, unfused.instrs, "{tag}: instrs");
+            assert_eq!(flow.profile, unfused.profile, "{tag}: profile");
+        }
     }
 }
 

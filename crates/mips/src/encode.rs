@@ -112,9 +112,9 @@ pub fn encode(instr: Instr) -> u32 {
 pub fn decode(word: u32) -> Result<Instr, DecodeError> {
     use Instr::*;
     let op = word >> 26;
-    let rs = Reg::from_number(((word >> 21) & 0x1f) as u8).expect("5-bit field");
-    let rt = Reg::from_number(((word >> 16) & 0x1f) as u8).expect("5-bit field");
-    let rd = Reg::from_number(((word >> 11) & 0x1f) as u8).expect("5-bit field");
+    let rs = Reg::ALL[((word >> 21) & 0x1f) as usize];
+    let rt = Reg::ALL[((word >> 16) & 0x1f) as usize];
+    let rd = Reg::ALL[((word >> 11) & 0x1f) as usize];
     let shamt = ((word >> 6) & 0x1f) as u8;
     let funct = word & 0x3f;
     let imm_i = word as u16 as i16;

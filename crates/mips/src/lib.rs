@@ -37,6 +37,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod asm;
 pub mod binary;
 pub mod hybrid;

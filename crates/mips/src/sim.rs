@@ -52,10 +52,10 @@
 //!   selected from the suite's measured dynamic-pair histogram (see
 //!   `examples/fusion_histogram.rs`):
 //!
-//!   | [`FusionConfig`] | patterns | guards |
-//!   |---|---|---|
-//!   | `Default` | `addiu+addiu` (chained/independent), `mult/multu+mflo`, `lui+ori` / `lui+addiu` (`li` idioms), `slt/sltu/slti/sltiu+beq/bne` vs `$zero` (fused control op) | compare dest non-zero, one branch operand `$zero` |
-//!   | `Aggressive` (adds) | `addiu+slt/sltu+beq/bne` loop back edge (width-3 control), `mult+mflo+addu` MAC, `sll+addu+lw/sw` array indexing, `addu+lw/lbu/sw`, `addiu+lw/sw`, `sw+lw` / `lw+sw` / `lw+lw` spill pairs, `lw+addiu/addu`, and the generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`, `srl+addiu`, `ori+addiu` | memory base chained to the address producer where the encoding needs it |
+//!   | patterns | guards |
+//!   |---|---|
+//!   | `addiu+addiu` (chained/independent), `mult/multu+mflo`, `lui+ori` / `lui+addiu` (`li` idioms), `slt/sltu/slti/sltiu+beq/bne` vs `$zero` (fused control op) | compare dest non-zero, one branch operand `$zero` |
+//!   | `addiu+slt/sltu+beq/bne` loop back edge (width-3 control), `mult+mflo+addu` MAC, `sll+addu+lw/sw` array indexing, `addu+lw/lbu/sw`, `addiu+lw/sw`, `sw+lw` / `lw+sw` / `lw+lw` spill pairs, `lw+addiu/addu`, and the generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`, `srl+addiu`, `ori+addiu` | memory base chained to the address producer where the encoding needs it |
 //!
 //!   Fusion never starts at a control op (except the fused
 //!   compare-and-branch forms, which dispatch through the control
@@ -69,8 +69,7 @@
 //! * **Superblock trace cache with threaded-code translation.** On top of
 //!   block dispatch, the engine records hot paths *across* taken branches
 //!   and replays them as straight-line threaded code
-//!   ([`crate::superblock`], gated by [`SimConfig::superblocks`]). The
-//!   lifecycle:
+//!   ([`crate::superblock`]). The lifecycle:
 //!
 //!   1. **Record.** A per-target heat counter marks a backward-branch /
 //!      call-return target hot after a handful of visits (NET-style
@@ -127,22 +126,32 @@
 //!   [`Profile`] into the returned [`Exit`] instead of cloning its count
 //!   vectors; the machine is left with a fresh zeroed profile.
 //!
+//! # Engines
+//!
+//! A [`Machine`] runs one of three [`Engine`]s, all observationally exact:
+//! [`Engine::Superblock`] (fused stream plus the trace cache) is what
+//! [`Machine::new`] runs and so what the partitioning flow profiles with;
+//! [`Engine::Fused`] is block dispatch over the fused stream without
+//! traces; [`Engine::Unfused`] is block dispatch over the plain stream,
+//! kept as the oracle the fusion and trace tests compare against and as
+//! the `fusion_speedup` baseline. Engine choice is not part of
+//! [`SimConfig`], so it never keys a cache.
+//!
 //! Measured on the 20-benchmark workload suite across all four compiler
 //! optimization levels (the matrix the experiment harness simulates), the
 //! unfused engine retires ~3-8x more instructions per second than the
-//! seed engine (host-dependent), aggressive fusion adds a further
-//! ~1.3-1.45x on every slice — including the dispatch-bound `-O1`+ levels
-//! the ROADMAP targeted — and the superblock engine adds another ~1.6x on
-//! top of aggressive fusion at ~98% trace coverage, with the exact
-//! numbers tracked per PR in `BENCH_sim.json`. See
-//! `crates/bench/benches/sim_throughput.rs`.
+//! seed engine (host-dependent), fusion adds a further ~1.3-1.6x on every
+//! slice — including the dispatch-bound `-O1`+ levels — and the
+//! superblock engine adds another ~1.4-2x on top of fusion at ~98% trace
+//! coverage, with the exact numbers tracked per PR in `BENCH_sim.json`.
+//! See `crates/bench/benches/sim_throughput.rs`.
 //!
 //! The differential test suite (`tests/differential.rs` at the workspace
-//! root) asserts that this engine and the retained reference engine produce
-//! bit-identical [`Exit`] state and [`Profile`] counts over the whole
-//! benchmark suite at every optimization level × every fusion level ×
-//! {interpreter, superblock}, and that [`BlockCountProfiler`] and
-//! [`EdgeProfiler`] counts are exact under both engines.
+//! root) asserts that every engine and the retained reference engine
+//! produce bit-identical [`Exit`] state and [`Profile`] counts over the
+//! whole benchmark suite at every optimization level, and that
+//! [`BlockCountProfiler`] and [`EdgeProfiler`] counts are exact under
+//! every engine.
 
 use crate::superblock;
 use crate::{Binary, CycleModel, DecodeError, Instr, Reg, HALT_PC};
@@ -808,7 +817,9 @@ impl Profiler for EdgeProfiler {
     }
 }
 
-/// Configuration for a [`Machine`].
+/// Configuration for a [`Machine`]: everything that can change a run's
+/// result. The engine that executes it is chosen separately
+/// ([`Machine::with_engine`]), since every [`Engine`] is exact.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// Cycle cost table.
@@ -817,17 +828,6 @@ pub struct SimConfig {
     pub max_steps: u64,
     /// Initial stack pointer.
     pub stack_top: u32,
-    /// Superinstruction fusion level (observationally exact at every
-    /// level; see [`FusionConfig`]).
-    pub fusion: FusionConfig,
-    /// Enable the trace-based superblock engine (see
-    /// [`crate::superblock`]): hot dispatch-round chains are recorded,
-    /// specialized into straight-line threaded code, and replayed from a
-    /// trace cache. Observationally exact — `Exit`, [`Profile`], watch
-    /// semantics, and fault accounting are bit-identical to the plain
-    /// dispatch loop — so this is purely a throughput knob, off by
-    /// default.
-    pub superblocks: bool,
 }
 
 impl Default for SimConfig {
@@ -836,8 +836,36 @@ impl Default for SimConfig {
             cycles: CycleModel::default(),
             max_steps: 500_000_000,
             stack_top: crate::DEFAULT_STACK_TOP,
-            fusion: FusionConfig::default(),
-            superblocks: false,
+        }
+    }
+}
+
+/// The execution engine a [`Machine`] runs (see the [module docs](self)).
+///
+/// Every engine is observationally exact: `Exit`, [`Profile`], watch
+/// semantics, fault pcs and partial profiles are bit-identical across
+/// engines and to [`crate::reference`], so the choice only moves
+/// throughput.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum Engine {
+    /// Block dispatch over the plain lowered micro-ops — the oracle for
+    /// fusion and traces, and the `fusion_speedup` baseline.
+    Unfused,
+    /// Block dispatch over the superinstruction-fused stream.
+    Fused,
+    /// The fused stream plus the superblock trace cache
+    /// ([`crate::superblock`]): hot dispatch-round chains are recorded,
+    /// specialized into straight-line threaded code, and replayed.
+    #[default]
+    Superblock,
+}
+
+impl Engine {
+    /// The dispatch stream this engine runs over `ops`.
+    fn stream(self, ops: &[Op], entries: &[bool]) -> Vec<Op> {
+        match self {
+            Engine::Unfused => ops.to_vec(),
+            Engine::Fused | Engine::Superblock => fuse(ops, entries),
         }
     }
 }
@@ -1055,6 +1083,12 @@ pub(crate) enum OpCode {
 fn lower(instr: Instr, pc: u32, cyc: u32) -> Op {
     use Instr::*;
     let n = |r: Reg| r.number();
+    // Absolute control target; only the branch and jump arms read it, and
+    // for them it is always `Some`.
+    let target = instr
+        .branch_target(pc)
+        .or(instr.jump_target(pc))
+        .unwrap_or_default();
     let mut op = Op {
         code: OpCode::Sll,
         a: 0,
@@ -1145,35 +1179,35 @@ fn lower(instr: Instr, pc: u32, cyc: u32) -> Op {
         }
         Beq { rs, rt, .. } => {
             (op.code, op.b, op.c) = (OpCode::Beq, n(rs), n(rt));
-            op.imm = instr.branch_target(pc).expect("branch has target");
+            op.imm = target;
         }
         Bne { rs, rt, .. } => {
             (op.code, op.b, op.c) = (OpCode::Bne, n(rs), n(rt));
-            op.imm = instr.branch_target(pc).expect("branch has target");
+            op.imm = target;
         }
         Blez { rs, .. } => {
             (op.code, op.b) = (OpCode::Blez, n(rs));
-            op.imm = instr.branch_target(pc).expect("branch has target");
+            op.imm = target;
         }
         Bgtz { rs, .. } => {
             (op.code, op.b) = (OpCode::Bgtz, n(rs));
-            op.imm = instr.branch_target(pc).expect("branch has target");
+            op.imm = target;
         }
         Bltz { rs, .. } => {
             (op.code, op.b) = (OpCode::Bltz, n(rs));
-            op.imm = instr.branch_target(pc).expect("branch has target");
+            op.imm = target;
         }
         Bgez { rs, .. } => {
             (op.code, op.b) = (OpCode::Bgez, n(rs));
-            op.imm = instr.branch_target(pc).expect("branch has target");
+            op.imm = target;
         }
         J { .. } => {
             op.code = OpCode::J;
-            op.imm = instr.jump_target(pc).expect("jump has target");
+            op.imm = target;
         }
         Jal { .. } => {
             op.code = OpCode::Jal;
-            op.imm = instr.jump_target(pc).expect("jump has target");
+            op.imm = target;
         }
         Jr { rs } => (op.code, op.b) = (OpCode::Jr, n(rs)),
         Jalr { rd, rs } => (op.code, op.a, op.b) = (OpCode::Jalr, n(rd), n(rs)),
@@ -1203,33 +1237,6 @@ pub(crate) fn is_control(code: OpCode) -> bool {
             | OpCode::FAddiuCmpBeqz
             | OpCode::FAddiuCmpBnez
     )
-}
-
-/// How much peephole fusion [`fuse`] applies to the micro-op stream.
-///
-/// Every level is observationally exact: fused ops execute their
-/// constituents' semantics in original order against the real register
-/// file, so architectural state, cycle totals, and [`Profile`] counts are
-/// bit-identical to the unfused (and reference) engine at every level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum FusionConfig {
-    /// No fusion: the dispatch stream is the plain lowered micro-ops.
-    Off,
-    /// The hot pairs from the suite's dynamic-op histogram: `addiu+addiu`
-    /// (chained and independent), `mult/multu+mflo`, the `lui+ori` /
-    /// `lui+addiu` `li` idioms, and compare-and-branch
-    /// (`slt/sltu/slti/sltiu` + `beq/bne` against `$zero`).
-    #[default]
-    Default,
-    /// Everything in [`FusionConfig::Default`] plus the width-3
-    /// `addiu+slt/sltu+beq/bne` loop back edge, the `mult+mflo+addu` MAC
-    /// chain, the array-index triples `sll+addu+lw/sw`, the pointer-form
-    /// pairs `addu+lw/lbu/sw` and `addiu+lw/sw`, the `-O0` stack-traffic
-    /// pairs `sw+lw`, `lw+sw`, `lw+lw`, `lw+addiu`, `lw+addu`, and the
-    /// generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`,
-    /// `srl+addiu`, `ori+addiu` (the full table lives in the
-    /// [module docs](self)).
-    Aggressive,
 }
 
 /// Marks every text index that may be entered by a control transfer: static
@@ -1275,19 +1282,15 @@ fn entry_points(ops: &[Op], text_base: u32, entry: u32) -> Vec<bool> {
 ///
 /// Matching is greedy left-to-right (longest pattern first), never starts
 /// at a control op, and never consumes a statically known entry point.
-pub(crate) fn fuse(ops: &[Op], entries: &[bool], config: FusionConfig) -> Vec<Op> {
+pub(crate) fn fuse(ops: &[Op], entries: &[bool]) -> Vec<Op> {
     let mut fops = ops.to_vec();
-    if config == FusionConfig::Off {
-        return fops;
-    }
-    let aggressive = config == FusionConfig::Aggressive;
     let mut i = 0;
     while i + 1 < ops.len() {
         if is_control(ops[i].code) {
             i += 1;
             continue;
         }
-        match fuse_at(ops, entries, i, aggressive) {
+        match fuse_at(ops, entries, i) {
             Some(f) => {
                 let w = f.width as usize;
                 fops[i] = f;
@@ -1302,14 +1305,14 @@ pub(crate) fn fuse(ops: &[Op], entries: &[bool], config: FusionConfig) -> Vec<Op
 /// Attempts to fuse the pattern starting at `i`. Fused ops re-read the
 /// register file between constituent writes, so chained, independent, and
 /// `$zero`-destination forms are all handled by one generic encoding.
-fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<Op> {
+fn fuse_at(ops: &[Op], entries: &[bool], i: usize) -> Option<Op> {
     let a = ops[i];
     let b = ops[i + 1];
     if entries[i + 1] {
         return None;
     }
     // Triples first (longest match wins).
-    if aggressive && i + 2 < ops.len() && !entries[i + 2] {
+    if i + 2 < ops.len() && !entries[i + 2] {
         let c = ops[i + 2];
         // addiu; slt/sltu; beq/bne rd, $zero — the counted-loop back edge
         // as one fused *control* op (executes in the dispatch epilogue).
@@ -1477,7 +1480,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             })
         }
         // addiu rd, rs, i ; lw/sw rt, off(base) — pointer-bump memory ops.
-        (OpCode::Addiu, OpCode::Lw) if aggressive => Some(Op {
+        (OpCode::Addiu, OpCode::Lw) => Some(Op {
             code: OpCode::FAddiuLw,
             a: b.a,
             b: a.b,
@@ -1489,7 +1492,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Addiu, OpCode::Sw) if aggressive => Some(Op {
+        (OpCode::Addiu, OpCode::Sw) => Some(Op {
             code: OpCode::FAddiuSw,
             a: 0,
             b: a.b,
@@ -1504,7 +1507,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
         // The -O0 stack-traffic pairs: spill/reload chains and
         // reload-feeds-ALU. All generic (sequential semantics); loads and
         // stores report faults at their own slot.
-        (OpCode::Sw, OpCode::Lw) if aggressive => Some(Op {
+        (OpCode::Sw, OpCode::Lw) => Some(Op {
             code: OpCode::FSwLw,
             a: b.a,
             b: a.b,
@@ -1516,7 +1519,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Sw) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Sw) => Some(Op {
             code: OpCode::FLwSw,
             a: a.a,
             b: a.b,
@@ -1528,7 +1531,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Lw) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Lw) => Some(Op {
             code: OpCode::FLwLw,
             a: a.a,
             b: a.b,
@@ -1540,7 +1543,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Addiu) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Addiu) => Some(Op {
             code: OpCode::FLwAddiu,
             a: a.a,
             b: a.b,
@@ -1552,7 +1555,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: b.imm,
         }),
-        (OpCode::Lw, OpCode::Addu) if aggressive => Some(Op {
+        (OpCode::Lw, OpCode::Addu) => Some(Op {
             code: OpCode::FLwAddu,
             a: a.a,
             b: a.b,
@@ -1564,7 +1567,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: a.imm,
             imm2: 0,
         }),
-        (OpCode::Addu, OpCode::Sw) if aggressive => Some(Op {
+        (OpCode::Addu, OpCode::Sw) => Some(Op {
             code: OpCode::FAdduSw,
             a: b.b,
             b: a.b,
@@ -1577,7 +1580,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm2: 0,
         }),
         // addu rd, rs, rt ; lw/lbu rt2, off(rd) — register-indexed loads.
-        (OpCode::Addu, OpCode::Lw | OpCode::Lbu) if aggressive && b.b == a.a => Some(Op {
+        (OpCode::Addu, OpCode::Lw | OpCode::Lbu) if b.b == a.a => Some(Op {
             code: if b.code == OpCode::Lw {
                 OpCode::FAdduLw
             } else {
@@ -1595,7 +1598,7 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
         }),
         // Generic hot ALU pairs: op1(a, b, imm) ; op2(d, e, imm2). Each
         // arm is straight-line code — no inner sub-kind dispatch.
-        (OpCode::Addu, OpCode::Addiu) if aggressive => Some(Op {
+        (OpCode::Addu, OpCode::Addiu) => Some(Op {
             code: OpCode::FAdduAddiu,
             a: a.a,
             b: a.b,
@@ -1607,10 +1610,10 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize, aggressive: bool) -> Option<O
             imm: 0,
             imm2: b.imm,
         }),
-        (OpCode::Sll, OpCode::Addiu) if aggressive => Some(pair2(OpCode::FSllAddiu, a, b)),
-        (OpCode::Addiu, OpCode::Srl) if aggressive => Some(pair2(OpCode::FAddiuSrl, a, b)),
-        (OpCode::Srl, OpCode::Addiu) if aggressive => Some(pair2(OpCode::FSrlAddiu, a, b)),
-        (OpCode::Ori, OpCode::Addiu) if aggressive => Some(pair2(OpCode::FOriAddiu, a, b)),
+        (OpCode::Sll, OpCode::Addiu) => Some(pair2(OpCode::FSllAddiu, a, b)),
+        (OpCode::Addiu, OpCode::Srl) => Some(pair2(OpCode::FAddiuSrl, a, b)),
+        (OpCode::Srl, OpCode::Addiu) => Some(pair2(OpCode::FSrlAddiu, a, b)),
+        (OpCode::Ori, OpCode::Addiu) => Some(pair2(OpCode::FOriAddiu, a, b)),
         _ => None,
     }
 }
@@ -2406,16 +2409,17 @@ pub struct Machine {
     /// Data/stack memory (text is pre-decoded, not stored here).
     pub mem: Memory,
     config: SimConfig,
+    engine: Engine,
     profile: Profile,
     cycles: u64,
     instrs: u64,
-    /// Superblock trace cache ([`SimConfig::superblocks`]); `None` keeps
-    /// the dispatch loop's codegen identical to the pre-superblock engine.
+    /// Superblock trace cache ([`Engine::Superblock`]); `None` keeps the
+    /// dispatch loop's codegen identical to the pre-superblock engine.
     sb: Option<Box<superblock::TraceCache>>,
 }
 
 impl Machine {
-    /// Loads `binary` into a fresh machine.
+    /// Loads `binary` into a fresh machine on the default [`Engine`].
     ///
     /// `$sp` is set to the configured stack top, `$ra` to [`HALT_PC`], and
     /// `$gp` to the data base. Initialized data is copied into memory (so
@@ -2435,6 +2439,20 @@ impl Machine {
     ///
     /// Same as [`Machine::new`].
     pub fn with_config(binary: &Binary, config: SimConfig) -> Result<Machine, SimError> {
+        Machine::with_engine(binary, config, Engine::default())
+    }
+
+    /// Like [`Machine::with_config`] on an explicit [`Engine`] (the
+    /// default is [`Engine::Superblock`]).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Machine::new`].
+    pub fn with_engine(
+        binary: &Binary,
+        config: SimConfig,
+        engine: Engine,
+    ) -> Result<Machine, SimError> {
         let text = binary.decode_text()?;
         let ops: Vec<Op> = text
             .iter()
@@ -2445,7 +2463,7 @@ impl Machine {
             })
             .collect();
         let entries = entry_points(&ops, binary.text_base, binary.entry);
-        let fops = fuse(&ops, &entries, config.fusion);
+        let fops = engine.stream(&ops, &entries);
         let plans = build_plans(&fops, &ops);
         let mut mem = Memory::new();
         mem.write_slice(binary.data_base, &binary.data);
@@ -2454,8 +2472,7 @@ impl Machine {
         regs[Reg::Ra.number() as usize] = HALT_PC;
         regs[Reg::Gp.number() as usize] = binary.data_base;
         let profile = Profile::new(binary.text_base, text.len());
-        let sb = config
-            .superblocks
+        let sb = (engine == Engine::Superblock)
             .then(|| Box::new(superblock::TraceCache::new(ops.len())));
         Ok(Machine {
             regs,
@@ -2470,6 +2487,7 @@ impl Machine {
             text_base: binary.text_base,
             mem,
             config,
+            engine,
             profile,
             cycles: 0,
             instrs: 0,
@@ -2496,7 +2514,7 @@ impl Machine {
         for (e, &b) in entries.iter_mut().zip(&boundary) {
             *e |= b;
         }
-        self.fops = fuse(&self.ops, &entries, self.config.fusion);
+        self.fops = self.engine.stream(&self.ops, &entries);
         self.plans = build_plans_bounded(&self.fops, &self.ops, &boundary);
         // Superblock traces are chains of dispatch rounds, so they bake in
         // the old round shapes: drop them all. Re-recorded traces are built
@@ -2507,14 +2525,14 @@ impl Machine {
         }
     }
 
-    /// Aggregate superblock trace-cache statistics. All zeros when
-    /// [`SimConfig::superblocks`] is off (or nothing got hot yet).
+    /// Aggregate superblock trace-cache statistics. All zeros unless the
+    /// machine runs [`Engine::Superblock`] (or while nothing got hot yet).
     pub fn trace_cache_stats(&self) -> superblock::TraceCacheStats {
         self.sb.as_ref().map(|sb| sb.stats()).unwrap_or_default()
     }
 
     /// Summaries of every installed superblock, in install order (empty
-    /// when [`SimConfig::superblocks`] is off). See
+    /// unless the machine runs [`Engine::Superblock`]). See
     /// `examples/fusion_histogram.rs --superblocks`.
     pub fn trace_summaries(&self) -> Vec<superblock::TraceSummary> {
         self.sb.as_ref().map(|sb| sb.summaries()).unwrap_or_default()
@@ -3273,7 +3291,7 @@ mod tests {
 
     // ----------------------- Fusion unit tests ---------------------------
 
-    /// Runs `build` under every fusion level and asserts bit-identical
+    /// Runs `build` on every fused engine and asserts bit-identical
     /// `Exit` state and `Profile` against the unfused engine; returns the
     /// unfused exit for further assertions.
     fn assert_fusion_exact(build: impl Fn(&mut Asm)) -> Exit {
@@ -3281,24 +3299,20 @@ mod tests {
         build(&mut a);
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
-        let run = |fusion: FusionConfig| {
-            let config = SimConfig {
-                fusion,
-                ..SimConfig::default()
-            };
-            Machine::with_config(&binary, config)
+        let run = |engine: Engine| {
+            Machine::with_engine(&binary, SimConfig::default(), engine)
                 .expect("loads")
                 .run()
                 .expect("runs")
         };
-        let off = run(FusionConfig::Off);
-        for fusion in [FusionConfig::Default, FusionConfig::Aggressive] {
-            let fused = run(fusion);
-            assert_eq!(fused.reason, off.reason, "{fusion:?}: exit reason");
-            assert_eq!(fused.regs, off.regs, "{fusion:?}: registers");
-            assert_eq!(fused.cycles, off.cycles, "{fusion:?}: cycles");
-            assert_eq!(fused.instrs, off.instrs, "{fusion:?}: instrs");
-            assert_eq!(fused.profile, off.profile, "{fusion:?}: profile");
+        let off = run(Engine::Unfused);
+        for engine in [Engine::Fused, Engine::Superblock] {
+            let fused = run(engine);
+            assert_eq!(fused.reason, off.reason, "{engine:?}: exit reason");
+            assert_eq!(fused.regs, off.regs, "{engine:?}: registers");
+            assert_eq!(fused.cycles, off.cycles, "{engine:?}: cycles");
+            assert_eq!(fused.instrs, off.instrs, "{engine:?}: instrs");
+            assert_eq!(fused.profile, off.profile, "{engine:?}: profile");
         }
         off
     }
@@ -3483,17 +3497,19 @@ mod tests {
         a.jr(Reg::Ra);
         a.nop();
         let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-        for fusion in [FusionConfig::Off, FusionConfig::Default, FusionConfig::Aggressive] {
+        for engine in [Engine::Unfused, Engine::Fused, Engine::Superblock] {
             let config = SimConfig {
                 max_steps: 1,
-                fusion,
                 ..SimConfig::default()
             };
-            let mut m = Machine::with_config(&binary, config).unwrap();
+            let mut m = Machine::with_engine(&binary, config, engine).unwrap();
             let err = m.run().unwrap_err();
-            assert!(matches!(err, SimError::MaxStepsExceeded { limit: 1 }), "{fusion:?}");
-            assert_eq!(m.reg(Reg::T0), 1, "{fusion:?}: first constituent retired");
-            assert_eq!(m.reg(Reg::T1), 0, "{fusion:?}: second must not run");
+            assert!(
+                matches!(err, SimError::MaxStepsExceeded { limit: 1 }),
+                "{engine:?}"
+            );
+            assert_eq!(m.reg(Reg::T0), 1, "{engine:?}: first constituent retired");
+            assert_eq!(m.reg(Reg::T1), 0, "{engine:?}: second must not run");
         }
     }
 
@@ -3510,20 +3526,16 @@ mod tests {
             a.jr(Reg::Ra);
             a.nop();
         };
-        let run = |fusion: FusionConfig| {
+        let run = |engine: Engine| {
             let mut a = Asm::new();
             build(&mut a);
             let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-            let config = SimConfig {
-                fusion,
-                ..SimConfig::default()
-            };
-            let mut m = Machine::with_config(&binary, config).unwrap();
+            let mut m = Machine::with_engine(&binary, SimConfig::default(), engine).unwrap();
             let err = m.run().unwrap_err();
             (err, m.profile().clone(), m.pc())
         };
-        let (err_off, prof_off, pc_off) = run(FusionConfig::Off);
-        let (err_agg, prof_agg, pc_agg) = run(FusionConfig::Aggressive);
+        let (err_off, prof_off, pc_off) = run(Engine::Unfused);
+        let (err_agg, prof_agg, pc_agg) = run(Engine::Fused);
         assert_eq!(err_off, err_agg);
         assert!(matches!(err_agg, SimError::Unaligned { addr: 2, .. }));
         assert_eq!(prof_off, prof_agg, "partial profiles");
@@ -3627,42 +3639,29 @@ mod tests {
 
     // --------------------- Superblock engine tests ------------------------
 
-    /// Runs `build` at every fusion level with and without superblocks and
-    /// asserts bit-identical `Exit` state and `Profile` everywhere; returns
-    /// the superblock-on aggressive-fusion exit for further assertions.
+    /// Runs `build` on the superblock engine and asserts bit-identical
+    /// `Exit` state and `Profile` against both block-dispatch engines;
+    /// returns the superblock exit and trace stats for further assertions.
     fn assert_superblock_exact(build: impl Fn(&mut Asm)) -> (Exit, superblock::TraceCacheStats) {
         let mut a = Asm::new();
         build(&mut a);
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
-        let run = |fusion: FusionConfig, superblocks: bool| {
-            let config = SimConfig {
-                fusion,
-                superblocks,
-                ..SimConfig::default()
-            };
-            let mut m = Machine::with_config(&binary, config).expect("loads");
+        let run = |engine: Engine| {
+            let mut m = Machine::with_engine(&binary, SimConfig::default(), engine).expect("loads");
             let exit = m.run().expect("runs");
             (exit, m.trace_cache_stats())
         };
-        let (base, _) = run(FusionConfig::Off, false);
-        let mut keep = None;
-        for fusion in [
-            FusionConfig::Off,
-            FusionConfig::Default,
-            FusionConfig::Aggressive,
-        ] {
-            let (sb, stats) = run(fusion, true);
-            assert_eq!(sb.reason, base.reason, "{fusion:?}+sb: exit reason");
-            assert_eq!(sb.regs, base.regs, "{fusion:?}+sb: registers");
-            assert_eq!(sb.cycles, base.cycles, "{fusion:?}+sb: cycles");
-            assert_eq!(sb.instrs, base.instrs, "{fusion:?}+sb: instrs");
-            assert_eq!(sb.profile, base.profile, "{fusion:?}+sb: profile");
-            if fusion == FusionConfig::Aggressive {
-                keep = Some((sb, stats));
-            }
+        let (sb, stats) = run(Engine::Superblock);
+        for engine in [Engine::Unfused, Engine::Fused] {
+            let (base, _) = run(engine);
+            assert_eq!(sb.reason, base.reason, "vs {engine:?}: exit reason");
+            assert_eq!(sb.regs, base.regs, "vs {engine:?}: registers");
+            assert_eq!(sb.cycles, base.cycles, "vs {engine:?}: cycles");
+            assert_eq!(sb.instrs, base.instrs, "vs {engine:?}: instrs");
+            assert_eq!(sb.profile, base.profile, "vs {engine:?}: profile");
         }
-        keep.expect("aggressive ran")
+        (sb, stats)
     }
 
     /// A loop long enough to cross the recorder's heat threshold.
@@ -3741,19 +3740,21 @@ mod tests {
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
         for max_steps in [1u64, 2, 3, 7, 150, 151, 152, 153, 1000, 2003, 2004] {
-            let run = |superblocks: bool| {
+            let run = |engine: Engine| {
                 let config = SimConfig {
                     max_steps,
-                    fusion: FusionConfig::Aggressive,
-                    superblocks,
                     ..SimConfig::default()
                 };
-                let mut m = Machine::with_config(&binary, config).expect("loads");
+                let mut m = Machine::with_engine(&binary, config, engine).expect("loads");
                 let err = m.run().expect_err("budget exceeds");
                 assert!(matches!(err, SimError::MaxStepsExceeded { .. }), "{err:?}");
                 (m.pc(), *m.regs(), m.cycles(), m.instrs(), m.profile().clone())
             };
-            assert_eq!(run(false), run(true), "max_steps = {max_steps}");
+            assert_eq!(
+                run(Engine::Fused),
+                run(Engine::Superblock),
+                "max_steps = {max_steps}"
+            );
         }
     }
 
@@ -3781,13 +3782,8 @@ mod tests {
         a.nop();
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
-        let run = |superblocks: bool| {
-            let config = SimConfig {
-                fusion: FusionConfig::Aggressive,
-                superblocks,
-                ..SimConfig::default()
-            };
-            let mut m = Machine::with_config(&binary, config).expect("loads");
+        let run = |engine: Engine| {
+            let mut m = Machine::with_engine(&binary, SimConfig::default(), engine).expect("loads");
             let err = m.run().expect_err("misaligned lw faults");
             let fault_pc = match err {
                 SimError::Unaligned { pc, addr, .. } => {
@@ -3796,7 +3792,7 @@ mod tests {
                 }
                 other => panic!("expected Unaligned, got {other:?}"),
             };
-            if superblocks {
+            if engine == Engine::Superblock {
                 let stats = m.trace_cache_stats();
                 assert!(stats.traces >= 1, "loop should be installed pre-fault");
                 assert!(stats.superblock_instrs > 0);
@@ -3810,7 +3806,7 @@ mod tests {
                 m.profile().clone(),
             )
         };
-        assert_eq!(run(false), run(true));
+        assert_eq!(run(Engine::Fused), run(Engine::Superblock));
     }
 
     #[test]
@@ -3824,18 +3820,14 @@ mod tests {
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
         let watched = crate::DEFAULT_TEXT_BASE + 3 * 4; // the addiu
-        let run = |superblocks: bool| {
-            let config = SimConfig {
-                fusion: FusionConfig::Aggressive,
-                superblocks,
-                ..SimConfig::default()
-            };
-            let mut m = Machine::with_config(&binary, config).expect("loads");
+        let run = |engine: Engine| {
+            let config = SimConfig::default();
+            let mut m = Machine::with_engine(&binary, config, engine).expect("loads");
             // Heat the loop first so a trace spanning the pc is installed…
             m.run().expect("first run");
             let stats_before = m.trace_cache_stats();
             // …then carve a boundary at the watched pc and re-run.
-            let mut m2 = Machine::with_config(&binary, config).expect("loads");
+            let mut m2 = Machine::with_engine(&binary, config, engine).expect("loads");
             m2.set_dispatch_boundaries(&[watched]);
             let mut traps = 0u32;
             let mut prof = FullProfiler::default();
@@ -3854,8 +3846,8 @@ mod tests {
             assert_eq!(traps, 10);
             (exit.regs, exit.cycles, exit.instrs, exit.profile.clone(), stats_before.traces)
         };
-        let (regs_i, cyc_i, ins_i, prof_i, _) = run(false);
-        let (regs_s, cyc_s, ins_s, prof_s, traces) = run(true);
+        let (regs_i, cyc_i, ins_i, prof_i, _) = run(Engine::Fused);
+        let (regs_s, cyc_s, ins_s, prof_s, traces) = run(Engine::Superblock);
         assert_eq!(regs_s, regs_i);
         assert_eq!(cyc_s, cyc_i);
         assert_eq!(ins_s, ins_i);
@@ -3869,11 +3861,7 @@ mod tests {
         hot_sum_loop(&mut a, 300);
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
-        let config = SimConfig {
-            superblocks: true,
-            ..SimConfig::default()
-        };
-        let mut m = Machine::with_config(&binary, config).expect("loads");
+        let mut m = Machine::new(&binary).expect("loads");
         m.run().expect("runs");
         let before = m.trace_cache_stats();
         assert!(before.traces >= 1);
@@ -3891,12 +3879,7 @@ mod tests {
         hot_sum_loop(&mut a, 400);
         let text = a.finish().expect("assembles");
         let binary = BinaryBuilder::new().text(text).build();
-        let config = SimConfig {
-            fusion: FusionConfig::Aggressive,
-            superblocks: true,
-            ..SimConfig::default()
-        };
-        let mut m = Machine::with_config(&binary, config).expect("loads");
+        let mut m = Machine::new(&binary).expect("loads");
         m.run().expect("runs");
         let summaries = m.trace_summaries();
         assert!(!summaries.is_empty());

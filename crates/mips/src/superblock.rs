@@ -17,8 +17,8 @@
 //!    empirical branch bias (the same signal
 //!    [`crate::sim::EdgeProfiler`] measures) rather than a static guess.
 //! 2. **Specialize.** At install time each recorded round becomes a
-//!    [`Seg`]: its text slots are re-fused aggressively *ignoring
-//!    entry-point marks* (sound inside a superblock — control only ever
+//!    [`Seg`]: its text slots are re-fused *ignoring entry-point
+//!    marks* (sound inside a superblock — control only ever
 //!    enters at the head segment; every other entry to those addresses
 //!    dispatches through the interpreter's own streams), the fused ops are
 //!    copied into one dense code buffer, and cycle charges / retired-slot
@@ -47,8 +47,8 @@
 //! [NET]: https://doi.org/10.1109/MICRO.1997.645815 "Next Executing Tail"
 
 use crate::sim::{
-    exec_op, fuse, is_control, resolve_control, FusionConfig, Memory, Op, OpCode, Outcome,
-    PcWatch, Profiler, SimError,
+    exec_op, fuse, is_control, resolve_control, Memory, Op, OpCode, Outcome, PcWatch, Profiler,
+    SimError,
 };
 
 /// Trace-map sentinel: no superblock starts at this index.
@@ -545,15 +545,15 @@ fn build_seg(r: &RoundRec, ops: &[Op], text_base: u32, code: &mut Vec<Op>) -> Op
     let slot_idx = start + slots;
     let extent = ops.get(start..start + slots)?;
     let sop = *ops.get(slot_idx)?;
-    // Re-fuse the whole round (body + control constituents) aggressively
-    // and with no entry-point marks: inside a superblock, control only
+    // Re-fuse the whole round (body + control constituents) with no
+    // entry-point marks: inside a superblock, control only
     // enters at the segment start, so pairs the global stream had to
     // refuse are fair game here. The split between body and control may
     // move (e.g. a `slt` absorbed into a fused compare-and-branch), but
     // the covered slots — and therefore every profiler range and cycle
     // charge — are identical.
     let none = vec![false; extent.len()];
-    let fused = fuse(extent, &none, FusionConfig::Aggressive);
+    let fused = fuse(extent, &none);
     let mut dense: Vec<Op> = Vec::with_capacity(extent.len());
     let mut k = 0usize;
     while k < extent.len() {
@@ -661,6 +661,7 @@ fn run_trace_body<P: Profiler>(
 /// exists purely to cut per-round overhead.
 #[allow(clippy::too_many_arguments)]
 fn exec_spec_trace<P: Profiler, W: PcWatch, const N: usize, const LOOPED: bool>(
+    segs: [Seg; N],
     t: &mut Trace,
     uops: &[Op],
     max_steps: u64,
@@ -675,7 +676,6 @@ fn exec_spec_trace<P: Profiler, W: PcWatch, const N: usize, const LOOPED: bool>(
     instrs: &mut u64,
     cycles: &mut u64,
 ) -> TraceExit {
-    let segs: [Seg; N] = t.segs[..N].try_into().expect("loop-trace arity");
     // Hoist the per-segment slices out of the replay loop: their bounds
     // checks and pointer math would otherwise re-run every round.
     let bodies: [&[Op]; N] = std::array::from_fn(|i| {
@@ -805,17 +805,19 @@ fn exec_trace<P: Profiler, W: PcWatch>(
     t.entries += 1;
     macro_rules! spec {
         ($n:literal, $looped:literal) => {
-            return exec_spec_trace::<P, W, $n, $looped>(
-                t, uops, max_steps, regs, hi, lo, mem, prof, watch, pc, next_pc, instrs, cycles,
-            )
+            if let Ok(segs) = <[Seg; $n]>::try_from(t.segs.as_slice()) {
+                return exec_spec_trace::<P, W, $n, $looped>(
+                    segs, t, uops, max_steps, regs, hi, lo, mem, prof, watch, pc, next_pc, instrs,
+                    cycles,
+                );
+            }
         };
     }
     // Only the two dominant shapes earn a specialization: wider arities
     // and linear traces measured as no gain for 2x the compile time.
-    match (t.looped, t.segs.len()) {
-        (true, 1) => spec!(1, true),
-        (true, 2) => spec!(2, true),
-        _ => {}
+    if t.looped {
+        spec!(1, true);
+        spec!(2, true);
     }
     let mut si = 0usize;
     let mut first = true;

@@ -61,12 +61,6 @@ pub struct TortureConfig {
     /// Wall-clock watchdog per mutant; exceeding it is reported as a hang
     /// violation even though the run eventually finished.
     pub watchdog: Duration,
-    /// Superblock trace-cache engine: `None` randomizes the knob per
-    /// mutant (the default — half the campaign runs hostile input through
-    /// the trace recorder/specializer), `Some(v)` forces it. Forcing does
-    /// not change which mutants a seed generates, so a violation found
-    /// under `Some(true)` reproduces the same binary with the knob pinned.
-    pub superblocks: Option<bool>,
     /// Print one line per mutant instead of only the summary.
     pub verbose: bool,
 }
@@ -78,7 +72,6 @@ impl Default for TortureConfig {
             count: 250,
             max_steps: 2_000_000,
             watchdog: Duration::from_secs(60),
-            superblocks: None,
             verbose: false,
         }
     }
@@ -326,10 +319,10 @@ fn random_options(rng: &mut StdRng, cfg: &TortureConfig) -> FlowOptions {
     };
     options.decompile.recover_jump_tables = rng.gen();
     options.decompile.software_fallback = rng.gen();
-    // Always draw, even when forced: entropy consumption (and thus the
-    // mutant stream for a given seed) is identical across modes.
-    let random_sb: bool = rng.gen();
-    options.sim.superblocks = cfg.superblocks.unwrap_or(random_sb);
+    // This draw once picked the simulator engine, which is no longer an
+    // option. It is kept and discarded so every seed still yields the
+    // same mutant stream as before.
+    let _: bool = rng.gen();
     options
 }
 
@@ -622,18 +615,17 @@ mod tests {
         assert!(s.typed_errors() > 0, "no typed errors: {s:?}");
     }
 
-    /// The superblock engine takes the same torture: every family with
-    /// the trace cache forced on, zero violations. Hostile mutants stress
-    /// the recorder (irreducible/self-loop shapes), mid-trace faults
-    /// (bitflip/truncate), and cache invalidation (hybrid trap
-    /// boundaries) — none may panic or diverge from the oracle.
+    /// A second seed through the superblock engine every mutant runs on:
+    /// hostile mutants stress the trace recorder (irreducible/self-loop
+    /// shapes), mid-trace faults (bitflip/truncate), and cache
+    /// invalidation (hybrid trap boundaries) — none may panic or diverge
+    /// from the oracle.
     #[test]
     fn superblock_mini_campaign_is_panic_free() {
         let cfg = TortureConfig {
             seed: 0x7e57_0002,
             count: 36,
             max_steps: 500_000,
-            superblocks: Some(true),
             ..TortureConfig::default()
         };
         let s = run_campaign(&cfg);

@@ -2,19 +2,20 @@
 //! flow. See the crate docs and `crates/bench/src/bin/README.md`.
 //!
 //! ```text
-//! torture [--smoke] [--seed N] [--count N] [--max-steps N] [--superblocks] [--verbose]
+//! torture [--smoke] [--seed N] [--count N] [--max-steps N] [--verbose]
 //! ```
 //!
-//! `--smoke` is the CI preset: fixed seed, 250 mutants with the superblock
-//! knob randomized per mutant, default budgets — then a second, smaller
-//! campaign with the superblock trace-cache engine forced on for every
-//! mutant. Exit code 1 when any contract violation (panic, hang,
-//! differential mismatch) is observed in either campaign; the report names
-//! the mutant seed so a failure reproduces with
-//! `--seed <mutant seed> --count 1` (add `--superblocks` if it came from
-//! the forced campaign).
+//! `--smoke` is the CI preset: fixed seed, 250 mutants, default budgets —
+//! then a second, 100-mutant campaign on another fixed seed, so it adds
+//! mutants the first never generates. Exit code 1 when any contract
+//! violation (panic, hang, differential mismatch) is observed in either
+//! campaign; the report names the mutant seed so a failure reproduces with
+//! `--seed <mutant seed> --count 1`.
 
 use binpart_torture::{run_campaign, TortureConfig, TortureSummary};
+
+/// Seed of the `--smoke` preset's second campaign.
+const SMOKE_SECOND_SEED: u64 = 0x5EC0_2D05;
 
 fn main() {
     let mut cfg = TortureConfig {
@@ -46,12 +47,10 @@ fn main() {
             "--seed" => cfg.seed = num("--seed"),
             "--count" => cfg.count = num("--count") as usize,
             "--max-steps" => cfg.max_steps = num("--max-steps"),
-            "--superblocks" => cfg.superblocks = Some(true),
             "--verbose" | "-v" => cfg.verbose = true,
             "--help" | "-h" => {
                 println!(
-                    "usage: torture [--smoke] [--seed N] [--count N] [--max-steps N] \
-                     [--superblocks] [--verbose]"
+                    "usage: torture [--smoke] [--seed N] [--count N] [--max-steps N] [--verbose]"
                 );
                 return;
             }
@@ -63,26 +62,18 @@ fn main() {
     }
 
     let mut campaigns: Vec<TortureConfig> = vec![cfg.clone()];
-    if smoke && cfg.superblocks.is_none() {
-        // The CI preset also pins the superblock trace-cache engine on,
-        // so every mutation family runs through the recorder/specializer
-        // even when the randomized campaign's coin flips were unlucky.
+    if smoke {
         campaigns.push(TortureConfig {
+            seed: SMOKE_SECOND_SEED,
             count: 100,
-            superblocks: Some(true),
             ..cfg
         });
     }
 
     let mut violations = 0usize;
     for cfg in &campaigns {
-        let engine = match cfg.superblocks {
-            None => "randomized superblocks",
-            Some(true) => "superblocks forced on",
-            Some(false) => "superblocks off",
-        };
         println!(
-            "torture: {} mutants, seed {:#x}, {} step budget, {engine}",
+            "torture: {} mutants, seed {:#x}, {} step budget",
             cfg.count, cfg.seed, cfg.max_steps
         );
         let t0 = std::time::Instant::now();

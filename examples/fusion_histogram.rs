@@ -1,14 +1,14 @@
 //! Dynamic adjacent-pair histogram over the benchmark suite: which
 //! instruction pairs dominate execution at each optimization level, i.e.
 //! where superinstruction fusion candidates live. This is the measurement
-//! behind the `FusionConfig` pattern table in `binpart_mips::sim`.
+//! behind the fusion pattern table in `binpart_mips::sim`.
 //!
 //! Run with: `cargo run --release --example fusion_histogram [-O0|-O1|-O2|-O3]
 //! [--superblocks] [--trace-out FILE]`
 //!
 //! `--superblocks` switches to the trace-cache view: every benchmark runs
-//! under the superblock engine and the hottest recorded traces are
-//! printed — entry pc, shape (segments / text slots / dense dispatches
+//! on the superblock engine (the simulator's default, which the flow
+//! profiles with) and the hottest recorded traces are printed — entry pc, shape (segments / text slots / dense dispatches
 //! per pass), pass and side-exit counts, and the empirical hold rate (the
 //! branch bias the trace was recorded on). This is the measurement behind
 //! the superblock engine's heat threshold and segment caps.
@@ -18,7 +18,7 @@
 //! counter tracks. Load it in `chrome://tracing` or Perfetto.
 
 use binpart::minicc::OptLevel;
-use binpart::mips::sim::{FusionConfig, Machine, SimConfig};
+use binpart::mips::sim::Machine;
 use binpart::mips::Instr;
 use binpart::telemetry::{Counter, Recorder, SpanGuard, Telemetry};
 use binpart::workloads::suite;
@@ -78,21 +78,14 @@ fn mnemonic(i: Instr) -> &'static str {
     }
 }
 
-/// `--superblocks` mode: run the suite under the trace-cache engine and
-/// print the hottest recorded traces per benchmark.
+/// `--superblocks` mode: run the suite on the default (superblock) engine
+/// and print the hottest recorded traces per benchmark.
 fn superblock_report(level: OptLevel, rec: &Recorder) -> Result<(), Box<dyn std::error::Error>> {
     println!("recorded superblocks at {} (hottest traces per benchmark):", level.flag());
     for b in suite() {
         let _span = SpanGuard::enter(rec, "benchmark", || b.name.to_string());
         let binary = b.compile(level)?;
-        let mut m = Machine::with_config(
-            &binary,
-            SimConfig {
-                fusion: FusionConfig::Aggressive,
-                superblocks: true,
-                ..SimConfig::default()
-            },
-        )?;
+        let mut m = Machine::new(&binary)?;
         let exit = m.run_unprofiled()?;
         let stats = m.trace_cache_stats();
         rec.counter_add(Counter::TraceHeatPromotions, stats.heat_promotions);

@@ -1,33 +1,28 @@
-//! Differential verification of the fast simulation engine against the
+//! Differential verification of the fast simulation engines against the
 //! retained seed engine (`binpart::mips::reference`): over the entire
-//! workload suite at every optimization level — and at every
-//! superinstruction fusion level — both engines must produce bit-identical
-//! architectural results (`Exit`) and identical `Profile` counts. This is
-//! the license for every fast-path trick in `binpart::mips::sim` (micro-op
-//! lowering, block dispatch, fused control/delay-slot epilogues,
-//! superinstruction fusion, the memory TLB) and for the pay-as-you-go
+//! workload suite at every optimization level, every `Engine` must produce
+//! bit-identical architectural results (`Exit`) and identical `Profile`
+//! counts. This is the license for every fast-path trick in
+//! `binpart::mips::sim` (micro-op lowering, block dispatch, fused
+//! control/delay-slot epilogues, superinstruction fusion, the superblock
+//! trace cache, the memory TLB) and for the pay-as-you-go
 //! `BlockCountProfiler`.
 
 use binpart::minicc::OptLevel;
 use binpart::mips::reference::ReferenceMachine;
-use binpart::mips::sim::{BlockCountProfiler, FusionConfig, Machine, SimConfig, SimError};
+use binpart::mips::sim::{BlockCountProfiler, Engine, Machine, SimConfig, SimError};
 use binpart::workloads::suite;
 
-const FUSION_LEVELS: [FusionConfig; 3] = [
-    FusionConfig::Off,
-    FusionConfig::Default,
-    FusionConfig::Aggressive,
-];
+const ENGINES: [Engine; 3] = [Engine::Unfused, Engine::Fused, Engine::Superblock];
 
-fn config(fusion: FusionConfig) -> SimConfig {
-    SimConfig {
-        fusion,
-        ..SimConfig::default()
-    }
+fn machine(binary: &binpart::mips::Binary, engine: Engine) -> Machine {
+    Machine::with_engine(binary, SimConfig::default(), engine).unwrap()
 }
 
 #[test]
 fn fast_engine_matches_reference_on_whole_suite_at_every_fusion_level() {
+    // The two block-dispatch engines: plain and fused streams (the
+    // superblock engine has its own test below).
     for b in suite() {
         for level in OptLevel::ALL {
             let binary = b.compile(level).unwrap();
@@ -35,10 +30,9 @@ fn fast_engine_matches_reference_on_whole_suite_at_every_fusion_level() {
                 .unwrap()
                 .run()
                 .unwrap_or_else(|e| panic!("{} {level}: reference failed: {e}", b.name));
-            for fusion in FUSION_LEVELS {
-                let tag = format!("{} {level} fusion={fusion:?}", b.name);
-                let fast = Machine::with_config(&binary, config(fusion))
-                    .unwrap()
+            for engine in [Engine::Unfused, Engine::Fused] {
+                let tag = format!("{} {level} {engine:?}", b.name);
+                let fast = machine(&binary, engine)
                     .run()
                     .unwrap_or_else(|e| panic!("{tag}: fast engine failed: {e}"));
                 assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
@@ -55,10 +49,10 @@ fn fast_engine_matches_reference_on_whole_suite_at_every_fusion_level() {
 
 #[test]
 fn superblock_engine_matches_reference_on_whole_suite() {
-    // The trace-cache/threaded-code backend must be observationally
-    // invisible: with superblocks on, every benchmark at every level and
-    // fusion config still produces bit-identical Exit and Profile. This is
-    // the license for specialized straight-line trace execution (skipped
+    // The trace-cache/threaded-code backend — the engine `Machine::new`
+    // runs — must be observationally invisible: every benchmark at every
+    // level still produces bit-identical Exit and Profile. This is the
+    // license for specialized straight-line trace execution (skipped
     // loop-top checks, fused epilogues, trace chaining).
     let mut traces_installed = 0u64;
     for b in suite() {
@@ -68,27 +62,17 @@ fn superblock_engine_matches_reference_on_whole_suite() {
                 .unwrap()
                 .run()
                 .unwrap_or_else(|e| panic!("{} {level}: reference failed: {e}", b.name));
-            for fusion in FUSION_LEVELS {
-                let tag = format!("{} {level} fusion={fusion:?} superblocks", b.name);
-                let mut m = Machine::with_config(
-                    &binary,
-                    SimConfig {
-                        fusion,
-                        superblocks: true,
-                        ..SimConfig::default()
-                    },
-                )
-                .unwrap();
-                let fast = m
-                    .run()
-                    .unwrap_or_else(|e| panic!("{tag}: superblock engine failed: {e}"));
-                assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
-                assert_eq!(fast.regs, reference.regs, "{tag}: register file");
-                assert_eq!(fast.cycles, reference.cycles, "{tag}: cycles");
-                assert_eq!(fast.instrs, reference.instrs, "{tag}: instrs");
-                assert_eq!(fast.profile, reference.profile, "{tag}: profile");
-                traces_installed += m.trace_cache_stats().traces as u64;
-            }
+            let tag = format!("{} {level} superblock", b.name);
+            let mut m = machine(&binary, Engine::Superblock);
+            let fast = m
+                .run()
+                .unwrap_or_else(|e| panic!("{tag}: superblock engine failed: {e}"));
+            assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
+            assert_eq!(fast.regs, reference.regs, "{tag}: register file");
+            assert_eq!(fast.cycles, reference.cycles, "{tag}: cycles");
+            assert_eq!(fast.instrs, reference.instrs, "{tag}: instrs");
+            assert_eq!(fast.profile, reference.profile, "{tag}: profile");
+            traces_installed += m.trace_cache_stats().traces as u64;
         }
     }
     // Not vacuous: hot paths across the matrix actually got traced.
@@ -101,29 +85,17 @@ fn superblock_engine_matches_reference_on_whole_suite() {
 #[test]
 fn block_count_profiler_is_observationally_exact_on_whole_suite() {
     // The cheap profiler must reconstruct *exact* per-instruction counts
-    // (and totals) from block boundary deltas alone, at every fusion
-    // level and under the superblock engine — it only forgoes
+    // (and totals) from block boundary deltas alone, under every engine —
+    // it only forgoes
     // taken/call/load/store attribution.
     for b in suite() {
         for level in OptLevel::ALL {
             let binary = b.compile(level).unwrap();
             let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap();
-            for (fusion, superblocks) in [
-                (FusionConfig::Off, false),
-                (FusionConfig::Aggressive, false),
-                (FusionConfig::Aggressive, true),
-            ] {
-                let tag = format!("{} {level} fusion={fusion:?} sb={superblocks}", b.name);
+            for engine in ENGINES {
+                let tag = format!("{} {level} {engine:?}", b.name);
                 let mut prof = BlockCountProfiler::new();
-                let fast = Machine::with_config(
-                    &binary,
-                    SimConfig {
-                        fusion,
-                        superblocks,
-                        ..SimConfig::default()
-                    },
-                )
-                    .unwrap()
+                let fast = machine(&binary, engine)
                     .run_with(&mut prof)
                     .unwrap_or_else(|e| panic!("{tag}: blockcount run failed: {e}"));
                 assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
@@ -151,7 +123,7 @@ fn block_count_profiler_is_observationally_exact_on_whole_suite() {
 fn edge_profiler_is_observationally_exact_on_whole_suite() {
     // The edge profiler adds exact branch-bias (taken) counts on top of
     // the block-count scheme — counts *and* taken must match the full
-    // reference profile bit-for-bit at every fusion level; only call
+    // reference profile bit-for-bit under every engine; only call
     // edges and load/store totals are forgone. This licenses feeding its
     // branch bias into the partitioner's measured loop-entry estimates.
     use binpart::mips::sim::EdgeProfiler;
@@ -159,22 +131,10 @@ fn edge_profiler_is_observationally_exact_on_whole_suite() {
         for level in OptLevel::ALL {
             let binary = b.compile(level).unwrap();
             let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap();
-            for (fusion, superblocks) in [
-                (FusionConfig::Off, false),
-                (FusionConfig::Aggressive, false),
-                (FusionConfig::Aggressive, true),
-            ] {
-                let tag = format!("{} {level} fusion={fusion:?} sb={superblocks}", b.name);
+            for engine in ENGINES {
+                let tag = format!("{} {level} {engine:?}", b.name);
                 let mut prof = EdgeProfiler::new();
-                let fast = Machine::with_config(
-                    &binary,
-                    SimConfig {
-                        fusion,
-                        superblocks,
-                        ..SimConfig::default()
-                    },
-                )
-                    .unwrap()
+                let fast = machine(&binary, engine)
                     .run_with(&mut prof)
                     .unwrap_or_else(|e| panic!("{tag}: edge run failed: {e}"));
                 assert_eq!(fast.regs, reference.regs, "{tag}: register file");
@@ -214,28 +174,26 @@ fn engines_agree_on_step_limit_boundary() {
     // trace must bail to the dispatcher rather than overrun the budget).
     let b = suite().into_iter().find(|b| b.name == "crc").unwrap();
     let binary = b.compile(OptLevel::O1).unwrap();
-    for fusion in FUSION_LEVELS {
-        for superblocks in [false, true] {
-            for max_steps in [1, 2, 3, 7, 100, 101, 102, 103, 1000, 12345] {
-                let config = SimConfig {
-                    max_steps,
-                    fusion,
-                    superblocks,
-                    ..SimConfig::default()
-                };
-                let tag = format!("at {max_steps} fusion={fusion:?} sb={superblocks}");
-                let fast = Machine::with_config(&binary, config).unwrap().run();
-                let reference = ReferenceMachine::with_config(&binary, config).unwrap().run();
-                match (&fast, &reference) {
-                    (
-                        Err(SimError::MaxStepsExceeded { limit: a }),
-                        Err(SimError::MaxStepsExceeded { limit: b }),
-                    ) => {
-                        assert_eq!(a, b, "{tag}")
-                    }
-                    (Ok(x), Ok(y)) => assert_eq!(x.regs, y.regs, "{tag}"),
-                    _ => panic!("divergent outcome {tag}: {fast:?} vs {reference:?}"),
+    for engine in ENGINES {
+        for max_steps in [1, 2, 3, 7, 100, 101, 102, 103, 1000, 12345] {
+            let config = SimConfig {
+                max_steps,
+                ..SimConfig::default()
+            };
+            let tag = format!("at {max_steps} {engine:?}");
+            let fast = Machine::with_engine(&binary, config, engine).unwrap().run();
+            let reference = ReferenceMachine::with_config(&binary, config)
+                .unwrap()
+                .run();
+            match (&fast, &reference) {
+                (
+                    Err(SimError::MaxStepsExceeded { limit: a }),
+                    Err(SimError::MaxStepsExceeded { limit: b }),
+                ) => {
+                    assert_eq!(a, b, "{tag}")
                 }
+                (Ok(x), Ok(y)) => assert_eq!(x.regs, y.regs, "{tag}"),
+                _ => panic!("divergent outcome {tag}: {fast:?} vs {reference:?}"),
             }
         }
     }
@@ -255,12 +213,9 @@ fn engines_agree_on_alignment_faults() {
     a.nop();
     let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
     let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap_err();
-    for fusion in FUSION_LEVELS {
-        let fast = Machine::with_config(&binary, config(fusion))
-            .unwrap()
-            .run()
-            .unwrap_err();
-        assert_eq!(fast, reference, "fusion={fusion:?}");
+    for engine in ENGINES {
+        let fast = machine(&binary, engine).run().unwrap_err();
+        assert_eq!(fast, reference, "{engine:?}");
         assert!(matches!(fast, SimError::Unaligned { addr: 6, .. }));
     }
 }
@@ -281,10 +236,10 @@ fn fused_memory_idioms_fault_with_exact_pc() {
     a.nop();
     let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
     let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap_err();
-    for fusion in FUSION_LEVELS {
-        let mut machine = Machine::with_config(&binary, config(fusion)).unwrap();
+    for engine in ENGINES {
+        let mut machine = machine(&binary, engine);
         let fast = machine.run().unwrap_err();
-        assert_eq!(fast, reference, "fusion={fusion:?}");
+        assert_eq!(fast, reference, "{engine:?}");
         assert!(matches!(fast, SimError::Unaligned { addr: 6, .. }));
         // Partial profiles agree too (the faulting op is counted).
         let r2 = {
@@ -292,7 +247,7 @@ fn fused_memory_idioms_fault_with_exact_pc() {
             let _ = m.run();
             m.profile().clone()
         };
-        assert_eq!(machine.profile(), &r2, "fusion={fusion:?}: partial profile");
+        assert_eq!(machine.profile(), &r2, "{engine:?}: partial profile");
     }
 }
 
@@ -324,28 +279,14 @@ fn superblock_faults_mid_trace_with_exact_pc_and_profile() {
         m.profile().clone()
     };
     assert!(matches!(reference, SimError::Unaligned { addr: 2, .. }));
-    for fusion in FUSION_LEVELS {
-        let mut machine = Machine::with_config(
-            &binary,
-            SimConfig {
-                fusion,
-                superblocks: true,
-                ..SimConfig::default()
-            },
-        )
-        .unwrap();
-        let fast = machine.run().unwrap_err();
-        assert_eq!(fast, reference, "fusion={fusion:?}");
-        assert_eq!(
-            machine.profile(),
-            &ref_profile,
-            "fusion={fusion:?}: partial profile"
-        );
-        // The loop really was running as a superblock when it faulted.
-        let stats = machine.trace_cache_stats();
-        assert!(
-            stats.traces > 0 && stats.superblock_instrs > 0,
-            "fusion={fusion:?}: loop never got traced ({stats:?})"
-        );
-    }
+    let mut machine = machine(&binary, Engine::Superblock);
+    let fast = machine.run().unwrap_err();
+    assert_eq!(fast, reference);
+    assert_eq!(machine.profile(), &ref_profile, "partial profile");
+    // The loop really was running as a superblock when it faulted.
+    let stats = machine.trace_cache_stats();
+    assert!(
+        stats.traces > 0 && stats.superblock_instrs > 0,
+        "loop never got traced ({stats:?})"
+    );
 }

@@ -69,9 +69,6 @@ fn telemetry_instrumented_flow_is_bit_identical_suite_wide() {
             let binary = b.compile(level).unwrap();
             let mut options = FlowOptions::default();
             options.decompile.recover_jump_tables = true;
-            // Superblocks on: the trace-cache counter harvest is the one
-            // telemetry path that touches simulator state accessors.
-            options.sim.superblocks = true;
             let plain = StagedFlow::new(&binary);
             let instrumented = StagedFlow::with_telemetry(&binary, &recorder);
             let tag = format!("{} {level}", b.name);
