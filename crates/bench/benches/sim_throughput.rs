@@ -1,27 +1,27 @@
-//! Raw simulator throughput (retired instructions per second): each
-//! `Engine` — unfused, fused, and the superblock engine the flow ships —
-//! vs the retained seed engine (`binpart_mips::reference`), plus the cost
-//! of each [`Profiler`] mode on the shipped engine.
+//! Raw simulator throughput (retired instructions per second): the
+//! engine `Machine::new` builds, unprofiled and profiled, vs the retained
+//! seed engine (`binpart_mips::reference`).
 //!
 //! The workload is the full `(benchmark, OptLevel)` matrix — the exact set
 //! of binaries the experiment harness simulates — plus per-level slices so
 //! the two regimes are visible: at `-O1`+ (register-resident) the gap is
-//! dispatch-bound (which is precisely what fusion attacks), at `-O0`
-//! (memory-resident locals) the seed's four hash-lookups-per-word memory
-//! dominates and the gap is an order of magnitude.
+//! dispatch-bound, at `-O0` (memory-resident locals) the seed's four
+//! hash-lookups-per-word memory dominates and the gap is an order of
+//! magnitude.
 //!
 //! Suite-shaped inner loops fan out through `binpart_par::par_map`, so
 //! multi-core machines exercise the work-stealing path while benchmarking
 //! (pin `BINPART_THREADS=1` for single-core numbers).
 //!
 //! `cargo bench -p binpart-bench --bench sim_throughput -- --smoke` runs
-//! the CI perf smoke instead: one pass over the matrix per engine,
-//! asserting that fusion and the trace cache each do not lose throughput
-//! and that `BENCH_sim.json` (if present) carries no null fields.
+//! the CI perf smoke instead: a best-of-three pass over the matrix,
+//! asserting that throughput holds at least half the tracked
+//! `sim_instrs_per_sec_fast` snapshot and that `BENCH_sim.json` (if
+//! present) carries no null fields.
 
 use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
-use binpart_mips::sim::{BlockCountProfiler, Engine, Machine, SimConfig};
+use binpart_mips::sim::Machine;
 use binpart_mips::Binary;
 use binpart_par::par_map;
 use binpart_workloads::suite;
@@ -41,9 +41,9 @@ fn binaries(level: OptLevel) -> (Vec<Binary>, u64) {
     (bins, total)
 }
 
-fn run_engine(bins: &[Binary], engine: Engine) -> u64 {
+fn run_unprofiled(bins: &[Binary]) -> u64 {
     par_map(bins, |b| {
-        Machine::with_engine(std::hint::black_box(b), SimConfig::default(), engine)
+        Machine::new(std::hint::black_box(b))
             .unwrap()
             .run_unprofiled()
             .unwrap()
@@ -53,26 +53,12 @@ fn run_engine(bins: &[Binary], engine: Engine) -> u64 {
     .sum()
 }
 
-/// The full profiler on the engine `Machine::new` runs.
+/// The profile the flow collects.
 fn run_profiled(bins: &[Binary]) -> u64 {
     par_map(bins, |b| {
         Machine::new(std::hint::black_box(b))
             .unwrap()
             .run()
-            .unwrap()
-            .instrs
-    })
-    .into_iter()
-    .sum()
-}
-
-/// The block-count profiler on the engine `Machine::new` runs.
-fn run_blockcount(bins: &[Binary]) -> u64 {
-    par_map(bins, |b| {
-        let mut prof = BlockCountProfiler::new();
-        Machine::new(std::hint::black_box(b))
-            .unwrap()
-            .run_with(&mut prof)
             .unwrap()
             .instrs
     })
@@ -110,41 +96,24 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim_throughput");
     group.sample_size(10);
     group.throughput(Throughput::Elements(matrix_total));
-    group.bench_function("matrix_unfused_unprofiled", |b| {
-        b.iter(|| run_engine(&all_bins, Engine::Unfused))
+    group.bench_function("matrix_unprofiled", |b| {
+        b.iter(|| run_unprofiled(&all_bins))
     });
-    group.bench_function("matrix_fused_unprofiled", |b| {
-        b.iter(|| run_engine(&all_bins, Engine::Fused))
-    });
-    group.bench_function("matrix_superblock_unprofiled", |b| {
-        b.iter(|| run_engine(&all_bins, Engine::Superblock))
-    });
-    group.bench_function("matrix_superblock_profiled_full", |b| {
-        b.iter(|| run_profiled(&all_bins))
-    });
-    group.bench_function("matrix_superblock_profiled_blockcount", |b| {
-        b.iter(|| run_blockcount(&all_bins))
-    });
+    group.bench_function("matrix_profiled", |b| b.iter(|| run_profiled(&all_bins)));
     group.bench_function("matrix_reference_seed", |b| {
         b.iter(|| run_reference(&all_bins))
     });
     group.finish();
 
-    // Per-level slices: every engine vs seed, so the dispatch-bound
-    // (-O1+) and memory-bound (-O0) regimes stay visible.
+    // Per-level slices vs seed, so the dispatch-bound (-O1+) and
+    // memory-bound (-O0) regimes stay visible.
     let mut group = c.benchmark_group("sim_throughput_by_level");
     group.sample_size(10);
     for (level, bins, total) in &per_level {
         group.throughput(Throughput::Elements(*total));
-        for (name, engine) in [
-            ("unfused", Engine::Unfused),
-            ("fused", Engine::Fused),
-            ("superblock", Engine::Superblock),
-        ] {
-            group.bench_function(format!("{}_{name}", level.flag()), |b| {
-                b.iter(|| run_engine(bins, engine))
-            });
-        }
+        group.bench_function(format!("{}_unprofiled", level.flag()), |b| {
+            b.iter(|| run_unprofiled(bins))
+        });
         group.bench_function(format!("{}_reference", level.flag()), |b| {
             b.iter(|| run_reference(bins))
         });
@@ -152,9 +121,9 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// CI perf smoke: a single timed pass per engine over the full matrix
-/// (best of three), asserting neither fusion nor the trace cache loses
-/// throughput and the tracked perf snapshot has no holes.
+/// CI perf smoke: a timed pass over the full matrix (best of three),
+/// asserting throughput against the tracked snapshot and that the
+/// snapshot has no holes.
 fn smoke() {
     let (bins, total): (Vec<Binary>, u64) = {
         let mut all = Vec::new();
@@ -166,61 +135,38 @@ fn smoke() {
         }
         (all, n)
     };
-    let best_ips = |f: &dyn Fn() -> u64| -> f64 {
-        let (best_s, retired) = binpart_bench::best_of(3, f);
-        assert_eq!(retired, total, "engines must retire the matrix exactly");
-        total as f64 / best_s
-    };
-    let unfused = best_ips(&|| run_engine(&bins, Engine::Unfused));
-    let fused = best_ips(&|| run_engine(&bins, Engine::Fused));
-    let superblock = best_ips(&|| run_engine(&bins, Engine::Superblock));
-    println!(
-        "smoke: unfused {:.0} M/s | fused {:.0} M/s | superblock {:.0} M/s",
-        unfused / 1e6,
-        fused / 1e6,
-        superblock / 1e6
-    );
-    assert!(
-        fused >= unfused,
-        "fusion lost throughput: unfused {unfused:.0}/s, fused {fused:.0}/s"
-    );
-    assert!(
-        superblock >= fused,
-        "superblock engine lost throughput: superblock {superblock:.0}/s vs fused {fused:.0}/s"
-    );
+    let (best_s, retired) = binpart_bench::best_of(3, &|| run_unprofiled(&bins));
+    assert_eq!(retired, total, "the engine must retire the matrix exactly");
+    let fast = total as f64 / best_s;
+    println!("smoke: {:.0} M instrs/s", fast / 1e6);
     // NullTelemetry overhead gate: the telemetry layer is compiled into the
-    // flow this build, so superblock throughput must stay within noise of
-    // the tracked pre-telemetry snapshot column. 0.5x is far below any
-    // plausible scheduler jitter on a shared box but catches a
-    // monomorphization failure (accidental dynamic dispatch or detail
-    // strings built when disabled) outright.
-    match binpart_bench::read_snapshot_value("sim_instrs_per_sec_superblock") {
+    // flow this build, so throughput must stay within noise of the tracked
+    // snapshot column. 0.5x is far below any plausible scheduler jitter on
+    // a shared box but catches a monomorphization failure (accidental
+    // dynamic dispatch or detail strings built when disabled) outright.
+    match binpart_bench::read_snapshot_value("sim_instrs_per_sec_fast") {
         Some(prior) if prior > 0.0 => {
             assert!(
-                superblock >= 0.5 * prior,
-                "superblock throughput regressed with telemetry compiled in: \
-                 {superblock:.0}/s vs snapshot {prior:.0}/s (>2x loss)"
+                fast >= 0.5 * prior,
+                "throughput regressed with telemetry compiled in: \
+                 {fast:.0}/s vs snapshot {prior:.0}/s (>2x loss)"
             );
             println!(
-                "smoke: superblock {:.0} M/s vs snapshot {:.0} M/s ({:.2}x) — NullTelemetry overhead gate PASS",
-                superblock / 1e6,
+                "smoke: {:.0} M/s vs snapshot {:.0} M/s ({:.2}x) — NullTelemetry overhead gate PASS",
+                fast / 1e6,
                 prior / 1e6,
-                superblock / prior
+                fast / prior
             );
         }
         _ => println!(
-            "smoke: no sim_instrs_per_sec_superblock baseline in BENCH_sim.json, skipping telemetry overhead gate"
+            "smoke: no sim_instrs_per_sec_fast baseline in BENCH_sim.json, skipping telemetry overhead gate"
         ),
     }
     binpart_bench::assert_snapshot_columns(&[
         "sim_instrs_per_sec_fast",
-        "sim_instrs_per_sec_fused",
-        "sim_instrs_per_sec_unfused",
         "sim_instrs_per_sec_seed",
-        "sim_instrs_per_sec_superblock",
-        "superblock_speedup",
         "trace_cache_hit_rate",
-        "blockcount_profile_overhead_pct",
+        "edge_profile_overhead_pct",
         "decompile_funcs_per_sec",
         "sweep_points_per_sec",
         "sweep_speedup_vs_naive",

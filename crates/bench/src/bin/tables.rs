@@ -1,6 +1,7 @@
 //! Regenerates every table/figure of the DATE'05 evaluation.
 //!
 //! Usage: `tables [e1|e2|e3|e4|a1|a2|a3|sim|telemetry|hwprof|trend|all]`
+//! (no argument means `all`; anything else prints this usage and exits 2).
 //!
 //! `all` additionally writes `BENCH_sim.json` (simulator instructions/sec
 //! for the fast and seed engines, plus the wall-clock of the whole table
@@ -13,7 +14,8 @@
 //! standard 100-point sweep on a single recorder), renders the telemetry
 //! summary table, writes + validates the Chrome-trace export
 //! (`BENCH_trace.json`, loadable in `chrome://tracing` / Perfetto) and a
-//! collapsed-stack flamegraph (`BENCH_flame.txt`), and asserts the
+//! collapsed-stack flamegraph of one benchmark's exact per-instruction
+//! counts (`BENCH_flame.txt`), and asserts the
 //! telemetry columns of `BENCH_sim.json` are present and non-null.
 //!
 //! `hwprof` runs the instrumented co-simulation on two benchmarks and
@@ -30,6 +32,8 @@ use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
 use binpart_mips::sim::Machine;
 use std::time::Instant;
+
+const USAGE: &str = "usage: tables [e1|e2|e3|e4|a1|a2|a3|sim|telemetry|hwprof|trend|all]";
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -48,7 +52,7 @@ fn main() {
         "telemetry" => telemetry(),
         "hwprof" => hwprof(),
         "trend" => trend(),
-        _ => {
+        "all" => {
             let t0 = Instant::now();
             e1();
             e2();
@@ -65,28 +69,23 @@ fn main() {
             let report = sim_report(Some(suite_wall));
             write_bench_json(&report);
         }
+        other => {
+            eprintln!("tables: unknown subcommand `{other}`\n{USAGE}");
+            std::process::exit(2);
+        }
     }
 }
 
 struct SimReport {
-    /// The engine `Machine::new` runs — `Engine::Superblock`, the flow's
-    /// only engine — unprofiled. It is both the `fast` and the
-    /// `superblock` snapshot column.
+    /// `Machine::run_unprofiled` on fresh machines.
     fast_ips: f64,
-    /// `Engine::Unfused` — the PR 1 engine, kept for cross-PR
-    /// comparability.
-    unfused_ips: f64,
-    /// `Engine::Fused`, unprofiled — the headline dispatch number.
-    fused_ips: f64,
     /// Fraction of dynamic instructions retired inside installed
     /// superblocks during the measurement pass (trace-cache coverage).
     trace_cache_hit_rate: f64,
     seed_ips: f64,
-    /// Relative cost of the pay-as-you-go block-count profiler vs an
-    /// unprofiled run (both on the engine `Machine::new` runs), in percent.
-    blockcount_overhead_pct: f64,
-    /// Same for the full profiler (counts + taken + calls + loads/stores).
-    full_overhead_pct: f64,
+    /// Relative cost of `Machine::run` (the profile the flow collects) vs
+    /// `Machine::run_unprofiled`, in percent.
+    edge_overhead_pct: f64,
     total_instrs: u64,
     /// Decompile-stage throughput over the matrix (functions/second,
     /// jump-table recovery on so every binary completes).
@@ -114,12 +113,11 @@ struct SimReport {
 }
 
 /// Measures raw simulator throughput over the full (benchmark, OptLevel)
-/// matrix: every `Engine` (and, on the default one, each profiler mode)
-/// vs the retained seed engine. Single-threaded on purpose —
+/// matrix, unprofiled and profiled, vs the retained seed engine.
+/// Single-threaded on purpose —
 /// the instrs/sec trajectory must be comparable across PRs regardless of
 /// the host's core count.
 fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
-    use binpart_mips::sim::{BlockCountProfiler, Engine, SimConfig};
     let suite = binpart_workloads::suite();
     let mut bins = Vec::new();
     for level in OptLevel::ALL {
@@ -129,22 +127,10 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
     }
     // Best of five passes per configuration (shared `best_of` primitive —
     // the same one the CI smoke uses): the numbers feed a tracked JSON
-    // snapshot, and the profiler-overhead columns are small differences of
+    // snapshot, and the profiler-overhead column is a small difference of
     // large numbers, so shave scheduler noise hard.
     let best = |run: &dyn Fn() -> u64| best_of(5, run);
-    let run_unprofiled = |engine: Engine| -> u64 {
-        bins.iter()
-            .map(|bin| {
-                Machine::with_engine(bin, SimConfig::default(), engine)
-                    .expect("decodes")
-                    .run_unprofiled()
-                    .expect("runs")
-                    .instrs
-            })
-            .sum()
-    };
-    // The engine `Machine::new` runs (the superblock engine), plus
-    // trace-cache coverage: what fraction of the matrix's dynamic
+    // Unprofiled throughput, plus trace-cache coverage: what fraction of the matrix's dynamic
     // instructions retired inside an installed trace (fresh machines per
     // pass, so recording cost counts).
     let sb_instrs = std::cell::Cell::new(0u64);
@@ -162,21 +148,7 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
         sb_instrs.set(inside);
         n
     });
-    let (unfused_s, _) = best(&|| run_unprofiled(Engine::Unfused));
-    let (fused_s, _) = best(&|| run_unprofiled(Engine::Fused));
-    let (blockcount_s, _) = best(&|| {
-        bins.iter()
-            .map(|bin| {
-                let mut prof = BlockCountProfiler::new();
-                Machine::new(bin)
-                    .expect("decodes")
-                    .run_with(&mut prof)
-                    .expect("runs")
-                    .instrs
-            })
-            .sum()
-    });
-    let (full_s, _) = best(&|| {
+    let (profiled_s, _) = best(&|| {
         bins.iter()
             .map(|bin| Machine::new(bin).expect("decodes").run().expect("runs").instrs)
             .sum()
@@ -220,12 +192,9 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
     let ips = |s: f64| total as f64 / s;
     SimReport {
         fast_ips: ips(fast_s),
-        unfused_ips: ips(unfused_s),
-        fused_ips: ips(fused_s),
         trace_cache_hit_rate: sb_instrs.get() as f64 / total as f64,
         seed_ips: ips(seed_s),
-        blockcount_overhead_pct: 100.0 * (blockcount_s - fast_s) / fast_s,
-        full_overhead_pct: 100.0 * (full_s - fast_s) / fast_s,
+        edge_overhead_pct: 100.0 * (profiled_s - fast_s) / fast_s,
         total_instrs: total,
         decompile_funcs_per_sec: funcs as f64 / decompile_s,
         sweep_points_per_sec,
@@ -242,8 +211,7 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
 /// validated Chrome-trace + flamegraph artifacts, and the snapshot-column
 /// assertion the CI smoke step relies on.
 fn telemetry() {
-    use binpart_mips::sim::{SamplingProfiler, SimConfig};
-    use binpart_telemetry::{collapse_pc_samples, validate_json, FuncExtent};
+    use binpart_telemetry::{collapse_pc_counts, validate_json, FuncExtent};
 
     let (rec, cols) = binpart_bench::telemetry_pass();
     print!("{}", rec.report().render());
@@ -259,9 +227,9 @@ fn telemetry() {
         Err(e) => eprintln!("error: could not write {trace_path}: {e}"),
     }
 
-    // Self-profile one representative benchmark with the sampling profiler
-    // and collapse the per-pc histogram through the recovered function
-    // extents into flamegraph text. minicc binaries carry no symbol
+    // Profile one representative benchmark and collapse its exact
+    // per-instruction counts through the recovered function extents into
+    // flamegraph text. minicc binaries carry no symbol
     // table, so the extents come from the decompiler's own function
     // discovery: each lifted entry address owns the text up to the next
     // entry (entries are function starts, so the gaps are exact).
@@ -270,11 +238,17 @@ fn telemetry() {
         .find(|b| b.name == "tblook01")
         .expect("suite has tblook01");
     let bin = b.compile(OptLevel::O1).expect("compiles");
-    let mut sampler = SamplingProfiler::new(64);
-    Machine::with_config(&bin, SimConfig::default())
+    let profile = Machine::new(&bin)
         .expect("decodes")
-        .run_with(&mut sampler)
-        .expect("runs");
+        .run()
+        .expect("runs")
+        .profile;
+    let counts: Vec<(u32, u64)> = profile
+        .counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (bin.text_base + 4 * i as u32, c))
+        .collect();
     let lifted = binpart_core::lift::lift_program(
         &bin,
         binpart_core::DecompileOptions {
@@ -299,13 +273,13 @@ fn telemetry() {
             hi: funcs.get(i + 1).map_or(bin.text_end(), |&(next, _)| next),
         })
         .collect();
-    let flame = collapse_pc_samples(b.name, &sampler.samples(), &extents);
+    let flame = collapse_pc_counts(b.name, &counts, &extents);
     let flame_path = "BENCH_flame.txt";
     match std::fs::write(flame_path, &flame) {
         Ok(()) => println!(
-            "wrote {flame_path}: {} frames from {} samples (collapsed-stack format)",
+            "wrote {flame_path}: {} frames from {} executed instructions (collapsed-stack format)",
             flame.lines().count(),
-            sampler.total_samples()
+            profile.total_instrs
         ),
         Err(e) => eprintln!("error: could not write {flame_path}: {e}"),
     }
@@ -519,18 +493,12 @@ fn write_bench_json(r: &SimReport) {
         })
         .map_or("null".to_string(), |s: f64| format!("{s:.6}"));
     let json = format!(
-        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_unfused\": {:.0},\n  \"sim_instrs_per_sec_fused\": {:.0},\n  \"sim_instrs_per_sec_superblock\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"fusion_speedup\": {:.3},\n  \"superblock_speedup\": {:.3},\n  \"trace_cache_hit_rate\": {:.3},\n  \"blockcount_profile_overhead_pct\": {:.1},\n  \"full_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
-        r.fast_ips,
-        r.unfused_ips,
-        r.fused_ips,
+        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"trace_cache_hit_rate\": {:.3},\n  \"edge_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
         r.fast_ips,
         r.seed_ips,
         r.fast_ips / r.seed_ips,
-        r.fused_ips / r.unfused_ips,
-        r.fast_ips / r.fused_ips,
         r.trace_cache_hit_rate,
-        r.blockcount_overhead_pct,
-        r.full_overhead_pct,
+        r.edge_overhead_pct,
         r.total_instrs,
         r.decompile_funcs_per_sec,
         r.sweep_points_per_sec,
@@ -552,16 +520,12 @@ fn write_bench_json(r: &SimReport) {
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "wrote {path}: fast (superblock) {:.0} M instrs/s = {:.2}x fused @ {:.0}% trace coverage (unfused {:.0}, fused {:.0}), seed {:.0} M instrs/s ({:.1}x); blockcount profiling {:+.1}%, full {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
+            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
             r.fast_ips / 1e6,
-            r.fast_ips / r.fused_ips,
             r.trace_cache_hit_rate * 100.0,
-            r.unfused_ips / 1e6,
-            r.fused_ips / 1e6,
             r.seed_ips / 1e6,
             r.fast_ips / r.seed_ips,
-            r.blockcount_overhead_pct,
-            r.full_overhead_pct,
+            r.edge_overhead_pct,
             r.decompile_funcs_per_sec,
             r.sweep_points_per_sec,
             r.sweep_speedup_vs_naive,

@@ -54,3 +54,18 @@ fn without_time_column(text: &str) -> String {
 fn a1_gains_match_golden() {
     assert_eq!(without_time_column(&tables("a1")), golden("a1"));
 }
+
+/// A mistyped subcommand must fail without doing any work: falling
+/// through to `all` would rewrite `BENCH_sim.json` and append to
+/// `BENCH_history.jsonl`.
+#[test]
+fn unknown_subcommand_exits_nonzero_with_usage() {
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .arg("e5")
+        .output()
+        .expect("tables runs");
+    assert_eq!(out.status.code(), Some(2), "tables e5 must exit 2");
+    assert!(out.stdout.is_empty(), "tables e5 printed a table");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("usage: tables"), "{stderr}");
+}

@@ -35,9 +35,7 @@ use crate::flow::{FlowError, FlowOptions};
 use crate::partition::Partition;
 use crate::stage::{EstimatedProgram, StagedFlow};
 use binpart_hwsim::{AccelBuildError, HwProfile, HwRecorder, KernelAccel, KernelSet};
-use binpart_mips::hybrid::{
-    AccelOutcome, Accelerator, HybridConfig, HybridMachine, RegionSpec,
-};
+use binpart_mips::hybrid::{AccelOutcome, Accelerator, HybridMachine, RegionSpec};
 use binpart_mips::sim::{Exit, Memory, SimError};
 use binpart_platform::{HardwareKernel, HybridReport};
 use binpart_telemetry::{Counter, SpanGuard, Telemetry};
@@ -336,13 +334,8 @@ impl<T: Telemetry> StagedFlow<'_, T> {
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
 
         // Run the hybrid machine.
-        let mut hm = HybridMachine::new(
-            self.binary(),
-            options.sim,
-            specs,
-            HybridConfig::default(),
-        )
-        .map_err(|e| FlowError::Cosim(CosimError::Hybrid(e)))?;
+        let mut hm = HybridMachine::new(self.binary(), options.sim, specs)
+            .map_err(|e| FlowError::Cosim(CosimError::Hybrid(e)))?;
         // Differential gating: the default `NullTelemetry` flow takes the
         // exact uninstrumented path (the throughput snapshot measures it);
         // an instrumented flow swaps in the recording accelerator, whose
@@ -644,8 +637,7 @@ mod tests {
         let eval = staged.evaluate(&options).unwrap();
         let p = staged.package(&options, &est, &eval.partition, &mut Vec::new());
         let names: Vec<String> = p.specs.iter().map(|s| s.name.clone()).collect();
-        let mut hm =
-            HybridMachine::new(&binary, options.sim, p.specs, HybridConfig::default()).unwrap();
+        let mut hm = HybridMachine::new(&binary, options.sim, p.specs).unwrap();
         let hx = hm
             .run(&mut InstrumentedAccel {
                 set: &p.set,

@@ -241,10 +241,8 @@ pub fn harvest_candidates(
 /// execution counts of unconditional jumps to it, scanned over the loop's
 /// full *machine* extent ([`crate::decompile::region_machine_extent`] —
 /// provenance alone misses trailing `j header; nop` latches and the
-/// unrolled sections of rerolled loops). `None` when the profile carries
-/// no taken data (e.g. a [`binpart_mips::sim::BlockCountProfiler`] run) or
-/// no back-edge instruction is found — callers fall back to latch block
-/// counts.
+/// unrolled sections of rerolled loops). `None` when no back-edge
+/// instruction is found — callers fall back to latch block counts.
 fn measured_back_edges(
     f: &Function,
     blocks: &[BlockId],
@@ -253,9 +251,6 @@ fn measured_back_edges(
     profile: &Profile,
     fn_end: u32,
 ) -> Option<u64> {
-    if !profile.has_taken_data() {
-        return None;
-    }
     let (lo, hi) = region_pc_range(f, blocks)?;
     let hi = crate::decompile::region_machine_extent(binary, lo, hi, fn_end);
     let header_pc = f.block(header).start_pc?;

@@ -77,7 +77,7 @@ use crate::lift::DecompileOptions;
 use crate::partition::{
     harvest_candidates, partition_with_candidates, CandidateSet, Partition, PartitionOptions,
 };
-use binpart_mips::sim::{EdgeProfiler, Exit, Machine, SimConfig};
+use binpart_mips::sim::{Exit, Machine, SimConfig};
 use binpart_mips::Binary;
 use binpart_platform::{HardwareKernel, HybridReport};
 use binpart_synth::EstimateCache;
@@ -222,13 +222,11 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         self.binary
     }
 
-    /// Stage 1 — software run: cycles + block counts + branch bias under
-    /// `sim`. Simulated once per distinct [`SimConfig`] on the default
-    /// (superblock) engine with the pay-as-you-go [`EdgeProfiler`]: it
-    /// reconstructs exact per-instruction counts and branch taken counts
-    /// (the latter feed the partitioner's measured loop-entry estimates)
-    /// without the full profiler's per-op bookkeeping. Under an
-    /// instrumented flow the run's trace-cache counters are reported too.
+    /// Stage 1 — software run: cycles + per-instruction counts + branch
+    /// bias under `sim`, simulated once per distinct [`SimConfig`] by
+    /// [`Machine::run`]. The taken counts feed the partitioner's measured
+    /// loop-entry estimates. Under an instrumented flow the run's
+    /// trace-cache counters are reported too.
     ///
     /// # Errors
     ///
@@ -240,8 +238,7 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
                 format!("max_steps={}", sim.max_steps)
             });
             let mut machine = Machine::with_config(self.binary, sim)?;
-            let mut prof = EdgeProfiler::new();
-            let exit = machine.run_with(&mut prof)?;
+            let exit = machine.run()?;
             if T::ENABLED {
                 let st = machine.trace_cache_stats();
                 self.telemetry.counter_add(Counter::TraceHeatPromotions, st.heat_promotions);

@@ -1,11 +1,12 @@
 //! Sweep-engine correctness: grid shape, staged-vs-naive bit identity,
-//! the shared profile against the unfused engine, Pareto frontier
+//! the shared profile against the reference engine, Pareto frontier
 //! invariants, custom axes.
 
 use binpart_core::stage::StagedFlow;
 use binpart_explore::{Sweep, SweepResult};
 use binpart_minicc::OptLevel;
-use binpart_mips::sim::{EdgeProfiler, Engine, Machine, SimConfig};
+use binpart_mips::reference::ReferenceMachine;
+use binpart_mips::sim::SimConfig;
 
 fn bench_compile(name: &str) -> impl FnMut(OptLevel) -> Result<binpart_mips::Binary, String> {
     let b = binpart_workloads::suite()
@@ -78,11 +79,11 @@ fn staged_sweep_is_bit_identical_to_naive_loop() {
 }
 
 #[test]
-fn flow_profile_matches_unfused_engine_on_whole_suite() {
-    // Every sweep point profiles on the default (superblock) engine. The
-    // flow's profile stage must equal a plain unfused run field for field
-    // on every (benchmark, level) cell, so sharing one profile across
-    // points never depends on which engine produced it.
+fn flow_profile_matches_reference_engine_on_whole_suite() {
+    // Every sweep point shares the flow's one profile. The profile stage
+    // must equal the reference engine's run field for field on every
+    // (benchmark, level) cell, so sharing it across points never depends
+    // on how the fast engine produced it.
     let sim = SimConfig::default();
     for b in binpart_workloads::suite() {
         for level in OptLevel::ALL {
@@ -91,15 +92,15 @@ fn flow_profile_matches_unfused_engine_on_whole_suite() {
             let flow = StagedFlow::new(&binary)
                 .profile(sim)
                 .unwrap_or_else(|e| panic!("{tag}: flow profile failed: {e}"));
-            let unfused = Machine::with_engine(&binary, sim, Engine::Unfused)
+            let reference = ReferenceMachine::with_config(&binary, sim)
                 .expect("decodes")
-                .run_with(&mut EdgeProfiler::new())
-                .unwrap_or_else(|e| panic!("{tag}: unfused run failed: {e}"));
-            assert_eq!(flow.reason, unfused.reason, "{tag}: exit reason");
-            assert_eq!(flow.regs, unfused.regs, "{tag}: registers");
-            assert_eq!(flow.cycles, unfused.cycles, "{tag}: cycles");
-            assert_eq!(flow.instrs, unfused.instrs, "{tag}: instrs");
-            assert_eq!(flow.profile, unfused.profile, "{tag}: profile");
+                .run()
+                .unwrap_or_else(|e| panic!("{tag}: reference run failed: {e}"));
+            assert_eq!(flow.reason, reference.reason, "{tag}: exit reason");
+            assert_eq!(flow.regs, reference.regs, "{tag}: registers");
+            assert_eq!(flow.cycles, reference.cycles, "{tag}: cycles");
+            assert_eq!(flow.instrs, reference.instrs, "{tag}: instrs");
+            assert_eq!(flow.profile, reference.profile, "{tag}: profile");
         }
     }
 }

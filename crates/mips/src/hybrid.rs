@@ -4,8 +4,8 @@
 //!
 //! [`HybridMachine`] wraps the fast [`Machine`] with *trap points* at the
 //! entry pcs of the partitioned regions (realized with
-//! [`Machine::set_dispatch_boundaries`] + [`Machine::run_until`], so the
-//! block-dispatch engine keeps its speed between regions). When control
+//! [`Machine::set_dispatch_boundaries`] plus a bounded run that stops at
+//! watched pcs, so the engine keeps its speed between regions). When control
 //! reaches a region entry:
 //!
 //! 1. the registered [`Accelerator`] is invoked against a read-only view of
@@ -23,7 +23,8 @@
 //!    widths, and values, in the same order). Any divergence is counted in
 //!    [`KernelStats::store_mismatches`] — this is the architectural
 //!    verification of the hardware model, stricter than comparing end
-//!    states.
+//!    states. Stack stores are left out of the comparison (the
+//!    decompiler legitimately removes spills the oracle still performs).
 //!
 //! Accounting: per kernel, the measured hardware cycles (accelerator clock
 //! domain), the measured software cycles the region would have consumed
@@ -31,7 +32,9 @@
 //! one pays the platform's CPU↔FPGA invocation overhead). The caller turns
 //! these into hybrid time/energy with `binpart_platform`.
 
-use crate::sim::{Exit, Machine, Memory, Profile, Profiler, RunStop, SimConfig, SimError};
+use crate::sim::{
+    Exit, Machine, Memory, NullProfiler, Profile, Profiler, RunStop, SimConfig, SimError,
+};
 use crate::Binary;
 use std::fmt;
 
@@ -103,14 +106,14 @@ pub trait Accelerator {
     fn invoke(&mut self, region: usize, regs: &[u32; 32], mem: &Memory) -> AccelOutcome;
 }
 
-/// Software store log: a [`Profiler`] that records every store's address,
+/// Software store log: a profiler that records every store's address,
 /// width, and value — the software half of the per-invocation HW/SW store
 /// differential. All other hooks are empty, so the shadow (oracle) run of
 /// a region costs little more than an unprofiled run.
 #[derive(Debug, Clone, Default)]
-pub struct StoreLog {
+struct StoreLog {
     /// Stores in execution order.
-    pub stores: Vec<HwStore>,
+    stores: Vec<HwStore>,
 }
 
 impl Profiler for StoreLog {
@@ -120,12 +123,6 @@ impl Profiler for StoreLog {
     #[inline(always)]
     fn on_taken(&mut self, _idx: usize) {}
     #[inline(always)]
-    fn on_call(&mut self, _target: u32) {}
-    #[inline(always)]
-    fn on_load(&mut self) {}
-    #[inline(always)]
-    fn on_store(&mut self) {}
-    #[inline(always)]
     fn on_store_at(&mut self, addr: u32, bytes: u8, value: u32) {
         self.stores.push(HwStore { addr, bytes, value });
     }
@@ -134,25 +131,21 @@ impl Profiler for StoreLog {
     }
 }
 
-/// Hybrid-machine tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// Addresses at or above this are treated as stack traffic and excluded
-    /// from the HW/SW store differential: the decompiler legitimately
-    /// removes stack spill/reload operations (`stack_op_removal`), so the
-    /// software oracle performs stack stores the hardware never sees.
-    pub stack_floor: u32,
-    /// Collect and compare store logs (disable for pure timing runs).
-    pub verify_stores: bool,
-}
+/// Addresses at or above this are stack traffic and are excluded from the
+/// HW/SW store differential: the decompiler legitimately removes stack
+/// spill/reload operations (`stack_op_removal`), so the software oracle
+/// performs stack stores the hardware never sees.
+const STACK_FLOOR: u32 = 0x7000_0000;
 
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            stack_floor: 0x7000_0000,
-            verify_stores: true,
-        }
-    }
+/// Do two stores agree on address, width, and the significant bytes of
+/// their values?
+fn same_store(h: &HwStore, s: &HwStore) -> bool {
+    let mask = if h.bytes >= 4 {
+        u32::MAX
+    } else {
+        (1u32 << (8 * h.bytes)) - 1
+    };
+    h.addr == s.addr && h.bytes == s.bytes && (h.value & mask) == (s.value & mask)
 }
 
 /// Measured per-kernel co-simulation statistics.
@@ -262,7 +255,6 @@ impl HybridExit {
 pub struct HybridMachine {
     machine: Machine,
     regions: Vec<RegionSpec>,
-    config: HybridConfig,
 }
 
 impl HybridMachine {
@@ -279,7 +271,6 @@ impl HybridMachine {
         binary: &Binary,
         sim: SimConfig,
         regions: Vec<RegionSpec>,
-        config: HybridConfig,
     ) -> Result<HybridMachine, SimError> {
         let regions: Vec<RegionSpec> = regions
             .into_iter()
@@ -296,11 +287,7 @@ impl HybridMachine {
             pcs.push(r.hi.wrapping_add(4));
         }
         machine.set_dispatch_boundaries(&pcs);
-        Ok(HybridMachine {
-            machine,
-            regions,
-            config,
-        })
+        Ok(HybridMachine { machine, regions })
     }
 
     /// The regions this machine traps on.
@@ -323,7 +310,7 @@ impl HybridMachine {
                 ..KernelStats::default()
             })
             .collect();
-        let mut null = crate::sim::NullProfiler;
+        let mut null = NullProfiler;
         let exit = loop {
             // Software between regions, at full block-dispatch speed.
             let regions = &self.regions;
@@ -355,11 +342,7 @@ impl HybridMachine {
             let cycles_before = self.machine.cycles();
             let region = self.regions[ri].clone();
             let mut log = StoreLog::default();
-            let shadow = if self.config.verify_stores {
-                self.machine.run_until(&mut log, |pc| !region.contains(pc))?
-            } else {
-                self.machine.run_until(&mut null, |pc| !region.contains(pc))?
-            };
+            let shadow = self.machine.run_until(&mut log, |pc| !region.contains(pc))?;
             let replaced = self.machine.cycles() - cycles_before;
 
             // 3. Per-invocation differential + accounting.
@@ -369,54 +352,29 @@ impl HybridMachine {
                     k.hw_invocations += 1;
                     k.hw_cycles += hw.hw_cycles;
                     k.sw_cycles_replaced += replaced;
-                    if self.config.verify_stores {
-                        let floor = self.config.stack_floor;
-                        let data = |s: &&HwStore| s.addr < floor;
-                        let hw_stores: Vec<&HwStore> =
-                            hw.stores.iter().filter(data).collect();
-                        let sw_stores: Vec<&HwStore> =
-                            log.stores.iter().filter(data).collect();
-                        k.stores_checked += sw_stores.len() as u64;
-                        let matches = hw_stores.len() == sw_stores.len()
-                            && hw_stores.iter().zip(&sw_stores).all(|(h, s)| {
-                                let mask = if h.bytes >= 4 {
-                                    u32::MAX
-                                } else {
-                                    (1u32 << (8 * h.bytes)) - 1
-                                };
-                                h.addr == s.addr
-                                    && h.bytes == s.bytes
-                                    && (h.value & mask) == (s.value & mask)
+                    let data = |s: &&HwStore| s.addr < STACK_FLOOR;
+                    let hw_stores: Vec<&HwStore> = hw.stores.iter().filter(data).collect();
+                    let sw_stores: Vec<&HwStore> = log.stores.iter().filter(data).collect();
+                    k.stores_checked += sw_stores.len() as u64;
+                    // First position where the sequences differ (None when
+                    // one is a prefix of the other — then only the lengths
+                    // can disagree).
+                    let first = hw_stores
+                        .iter()
+                        .zip(&sw_stores)
+                        .position(|(h, s)| !same_store(h, s));
+                    if first.is_some() || hw_stores.len() != sw_stores.len() {
+                        k.store_mismatches += 1;
+                        if k.divergences.len() < MAX_DIVERGENCE_RECORDS {
+                            // No pairwise mismatch → point at the extra (or
+                            // missing) store past the common prefix.
+                            let at = first.unwrap_or(hw_stores.len().min(sw_stores.len()));
+                            k.divergences.push(StoreDivergence {
+                                invocation: k.invocations,
+                                index: first,
+                                hw: hw_stores.get(at).map(|s| **s),
+                                sw: sw_stores.get(at).map(|s| **s),
                             });
-                        if !matches {
-                            k.store_mismatches += 1;
-                            if k.divergences.len() < MAX_DIVERGENCE_RECORDS {
-                                // First position where the sequences differ
-                                // (None when one is a prefix of the other —
-                                // then only the lengths disagree).
-                                let first =
-                                    hw_stores.iter().zip(&sw_stores).position(|(h, s)| {
-                                        let mask = if h.bytes >= 4 {
-                                            u32::MAX
-                                        } else {
-                                            (1u32 << (8 * h.bytes)) - 1
-                                        };
-                                        h.addr != s.addr
-                                            || h.bytes != s.bytes
-                                            || (h.value & mask) != (s.value & mask)
-                                    });
-                                // No pairwise mismatch → one sequence is a
-                                // prefix of the other; point at the extra
-                                // (or missing) store past the prefix.
-                                let at =
-                                    first.unwrap_or(hw_stores.len().min(sw_stores.len()));
-                                k.divergences.push(StoreDivergence {
-                                    invocation: k.invocations,
-                                    index: first,
-                                    hw: hw_stores.get(at).map(|s| **s),
-                                    sw: sw_stores.get(at).map(|s| **s),
-                                });
-                            }
                         }
                     }
                 }
@@ -436,7 +394,6 @@ impl HybridMachine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::NullProfiler;
     use crate::{Asm, BinaryBuilder, Reg};
 
     /// A counted loop: v0 = sum 0..n with the loop body at a known label.
@@ -505,9 +462,7 @@ mod tests {
             hi: end,
             entry_pc: head,
         }];
-        let mut hm =
-            HybridMachine::new(&binary, SimConfig::default(), regions, HybridConfig::default())
-                .unwrap();
+        let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions).unwrap();
         let mut accel = CountingAccel {
             calls: 0,
             outcome_cycles: 13,
@@ -562,9 +517,7 @@ mod tests {
             hi: end,
             entry_pc: head,
         }];
-        let mut hm =
-            HybridMachine::new(&binary, SimConfig::default(), regions, HybridConfig::default())
-                .unwrap();
+        let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions).unwrap();
         let hx = hm.run(&mut Decliner).unwrap();
         assert_eq!(hx.exit.regs, pure.regs);
         assert_eq!(hx.kernels[0].declined, 1);
@@ -646,9 +599,7 @@ mod tests {
             hi: end_pc,
             entry_pc: head_pc,
         }];
-        let mut hm =
-            HybridMachine::new(&binary, SimConfig::default(), regions, HybridConfig::default())
-                .unwrap();
+        let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions).unwrap();
         let mut accel = CorruptingAccel {
             stores: oracle_stores,
             victim: 2,
@@ -681,9 +632,7 @@ mod tests {
             hi: end,
             entry_pc: end.wrapping_add(64), // outside [lo, hi]
         }];
-        let mut hm =
-            HybridMachine::new(&binary, SimConfig::default(), regions, HybridConfig::default())
-                .unwrap();
+        let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions).unwrap();
         assert!(hm.regions().is_empty(), "malformed region filtered");
         struct NeverCalled;
         impl Accelerator for NeverCalled {

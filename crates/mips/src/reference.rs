@@ -1,5 +1,5 @@
-//! The original (seed) simulator engine, retained verbatim as a
-//! differential oracle and throughput baseline for [`crate::sim`].
+//! The original (seed) simulator engine, retained as the differential
+//! oracle and throughput baseline for [`crate::sim`].
 //!
 //! [`ReferenceMachine`] keeps the naive design the fast path replaced: a
 //! byte-granular `HashMap`-paged memory (four separate hash lookups per
@@ -166,6 +166,11 @@ impl ReferenceMachine {
         }
     }
 
+    /// Current program counter.
+    pub fn pc(&self) -> u32 {
+        self.pc
+    }
+
     fn fetch(&self, pc: u32) -> Result<Instr, SimError> {
         let off = pc.wrapping_sub(self.text_base);
         if !off.is_multiple_of(4) {
@@ -310,51 +315,43 @@ impl ReferenceMachine {
             Lb { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 let v = self.mem.read_u8(a) as i8 as i32 as u32;
-                self.profile.loads += 1;
                 self.write(rt, v);
             }
             Lbu { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 let v = self.mem.read_u8(a) as u32;
-                self.profile.loads += 1;
                 self.write(rt, v);
             }
             Lh { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 self.aligned(a, 2)?;
                 let v = self.mem.read_u16(a) as i16 as i32 as u32;
-                self.profile.loads += 1;
                 self.write(rt, v);
             }
             Lhu { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 self.aligned(a, 2)?;
                 let v = self.mem.read_u16(a) as u32;
-                self.profile.loads += 1;
                 self.write(rt, v);
             }
             Lw { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 self.aligned(a, 4)?;
                 let v = self.mem.read_u32(a);
-                self.profile.loads += 1;
                 self.write(rt, v);
             }
             Sb { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
-                self.profile.stores += 1;
                 self.mem.write_u8(a, r(self, rt) as u8);
             }
             Sh { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 self.aligned(a, 2)?;
-                self.profile.stores += 1;
                 self.mem.write_u16(a, r(self, rt) as u16);
             }
             Sw { rt, base, offset } => {
                 let a = r(self, base).wrapping_add(offset as i32 as u32);
                 self.aligned(a, 4)?;
-                self.profile.stores += 1;
                 self.mem.write_u32(a, r(self, rt));
             }
             Beq { rs, rt, .. } => branch_taken = r(self, rs) == r(self, rt),
@@ -367,18 +364,12 @@ impl ReferenceMachine {
             Jal { .. } => {
                 taken_target = instr.jump_target(pc);
                 self.write(Reg::Ra, pc.wrapping_add(8));
-                if let Some(t) = taken_target {
-                    *self.profile.calls.entry(t).or_insert(0) += 1;
-                }
             }
             Jr { rs } => taken_target = Some(r(self, rs)),
             Jalr { rd, rs } => {
                 taken_target = Some(r(self, rs));
                 let link = pc.wrapping_add(8);
                 self.write(rd, link);
-                if let Some(t) = taken_target {
-                    *self.profile.calls.entry(t).or_insert(0) += 1;
-                }
             }
             Break { code } => {
                 // `break` has no delay slot; stop immediately.

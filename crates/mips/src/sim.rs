@@ -2,14 +2,14 @@
 //!
 //! The machine executes decoded text with architecturally correct branch
 //! delay slots, counts cycles via a [`CycleModel`], and accumulates a
-//! [`Profile`] (per-instruction execution counts, per-branch taken counts,
-//! call counts) that later drives the 90-10 partitioner.
+//! [`Profile`] (per-instruction execution counts and per-branch taken
+//! counts) that later drives the 90-10 partitioner.
 //!
 //! # Fast-path architecture
 //!
 //! Every number in the DATE'05 reproduction funnels through this simulator,
 //! so its hot path is engineered rather than naive (the naive engine is
-//! retained verbatim in [`crate::reference`] as a differential oracle and
+//! retained in [`crate::reference`] as the differential oracle and
 //! throughput baseline):
 //!
 //! * **Word-oriented paged memory with a software TLB.** [`Memory`] keeps
@@ -48,7 +48,7 @@
 //!   constituents' semantics in original order against the real register
 //!   file, so chained, aliased, and `$zero`-destination forms — and
 //!   therefore architectural state, cycle totals, and [`Profile`]
-//!   counts — are bit-identical to the unfused engine. The pattern table,
+//!   counts — are bit-identical to per-op execution. The pattern table,
 //!   selected from the suite's measured dynamic-pair histogram (see
 //!   `examples/fusion_histogram.rs`):
 //!
@@ -109,49 +109,33 @@
 //!
 //!   The whole engine is observationally invisible: `Exit`, `Profile`,
 //!   fault pcs, and partial profiles are bit-identical to the
-//!   block-dispatch interpreter (asserted suite-wide by
+//!   reference engine (asserted suite-wide by
 //!   `tests/differential.rs` and torture-tested on hostile binaries).
-//! * **Profiling as a trait.** The execute body is monomorphized over a
-//!   [`Profiler`], so profiling costs exactly what the chosen profiler
-//!   observes. [`Machine::run`] collects the full [`Profile`] (counts,
-//!   taken edges, calls, loads/stores); [`Machine::run_unprofiled`]
-//!   compiles every hook out via [`NullProfiler`]; and
-//!   [`Machine::run_with`] accepts any profiler — notably
-//!   [`BlockCountProfiler`], which records only block boundary deltas
-//!   (two array writes per dispatch round) yet reconstructs *exact*
-//!   per-instruction execution counts, which is everything the 90-10
-//!   partitioner consumes. Total cycles/instructions are architectural
+//! * **One profile, collected through a monomorphized hook trait.** The
+//!   execute body is generic over a crate-private `Profiler`, so each run
+//!   pays exactly for what it observes. [`Machine::run`] collects the
+//!   [`Profile`] the partitioner reads — exact per-instruction execution
+//!   counts plus per-branch taken counts — from two boundary deltas per
+//!   dispatch round and one counter bump per taken branch; a prefix sum
+//!   at exit turns the deltas into counts. [`Machine::run_unprofiled`]
+//!   compiles every hook out. Total cycles/instructions are architectural
 //!   and always kept.
-//! * **No exit-time clone.** Finishing a run moves the accumulated
-//!   [`Profile`] into the returned [`Exit`] instead of cloning its count
-//!   vectors; the machine is left with a fresh zeroed profile.
 //!
-//! # Engines
-//!
-//! A [`Machine`] runs one of three [`Engine`]s, all observationally exact:
-//! [`Engine::Superblock`] (fused stream plus the trace cache) is what
-//! [`Machine::new`] runs and so what the partitioning flow profiles with;
-//! [`Engine::Fused`] is block dispatch over the fused stream without
-//! traces; [`Engine::Unfused`] is block dispatch over the plain stream,
-//! kept as the oracle the fusion and trace tests compare against and as
-//! the `fusion_speedup` baseline. Engine choice is not part of
-//! [`SimConfig`], so it never keys a cache.
+//! [`Machine::new`] always builds the fused stream and the trace cache:
+//! there is one engine. Cold code dispatches over the fused stream; hot
+//! paths replay as superblocks.
 //!
 //! Measured on the 20-benchmark workload suite across all four compiler
 //! optimization levels (the matrix the experiment harness simulates), the
-//! unfused engine retires ~3-8x more instructions per second than the
-//! seed engine (host-dependent), fusion adds a further ~1.3-1.6x on every
-//! slice — including the dispatch-bound `-O1`+ levels — and the
-//! superblock engine adds another ~1.4-2x on top of fusion at ~98% trace
-//! coverage, with the exact numbers tracked per PR in `BENCH_sim.json`.
-//! See `crates/bench/benches/sim_throughput.rs`.
+//! engine retires ~7x more instructions per second than the seed engine
+//! (host-dependent) at ~98% trace coverage, with the exact numbers tracked
+//! per PR in `BENCH_sim.json`. See `crates/bench/benches/sim_throughput.rs`.
 //!
 //! The differential test suite (`tests/differential.rs` at the workspace
-//! root) asserts that every engine and the retained reference engine
-//! produce bit-identical [`Exit`] state and [`Profile`] counts over the
-//! whole benchmark suite at every optimization level, and that
-//! [`BlockCountProfiler`] and [`EdgeProfiler`] counts are exact under
-//! every engine.
+//! root) asserts that the engine and the retained reference engine produce
+//! bit-identical [`Exit`] state and [`Profile`] over the whole benchmark
+//! suite at every optimization level, including fault pcs and partial
+//! profiles.
 
 use crate::superblock;
 use crate::{Binary, CycleModel, DecodeError, Instr, Reg, HALT_PC};
@@ -407,7 +391,8 @@ pub enum ExitReason {
     Break(u32),
 }
 
-/// Execution profile collected while running.
+/// Execution profile collected while running: what the 90-10 partitioner
+/// reads to rank loops.
 ///
 /// Counts are indexed by instruction position in the text section; helper
 /// methods translate from absolute addresses.
@@ -418,16 +403,10 @@ pub struct Profile {
     pub counts: Vec<u64>,
     /// For branch instructions, how many executions were taken.
     pub taken: Vec<u64>,
-    /// Dynamic call counts per callee entry address.
-    pub calls: HashMap<u32, u64>,
     /// Total dynamic instructions.
     pub total_instrs: u64,
     /// Total cycles under the configured [`CycleModel`].
     pub total_cycles: u64,
-    /// Dynamic load count.
-    pub loads: u64,
-    /// Dynamic store count.
-    pub stores: u64,
 }
 
 impl Profile {
@@ -436,11 +415,8 @@ impl Profile {
             text_base,
             counts: vec![0; text_len],
             taken: vec![0; text_len],
-            calls: HashMap::new(),
             total_instrs: 0,
             total_cycles: 0,
-            loads: 0,
-            stores: 0,
         }
     }
 
@@ -463,17 +439,6 @@ impl Profile {
         self.index(pc).map_or(0, |i| self.taken[i])
     }
 
-    /// Does this profile carry branch-bias data? `false` for profiles from
-    /// collectors that do not observe taken edges (e.g.
-    /// [`BlockCountProfiler`]) — consumers of taken counts (the
-    /// partitioner's measured loop-entry estimates) fall back to
-    /// block-count approximations then. A completed run of any real
-    /// program takes at least one branch, so all-zero `taken` reliably
-    /// means "not collected".
-    pub fn has_taken_data(&self) -> bool {
-        self.taken.iter().any(|&t| t > 0)
-    }
-
     /// Dynamic cycles attributed to the half-open pc range `[start, end)`,
     /// under a flat per-instruction model (used for region weighting).
     pub fn count_in_range(&self, start: u32, end: u32) -> u64 {
@@ -488,7 +453,7 @@ impl Profile {
 }
 
 impl Default for Profile {
-    /// An empty profile; [`Profiler::begin`] sizes it to the text section.
+    /// An empty profile (no text).
     fn default() -> Profile {
         Profile::new(0, 0)
     }
@@ -501,17 +466,13 @@ impl Default for Profile {
 /// instruction is covered by exactly one [`Profiler::on_block`] range (a
 /// straight-line run, a control op + delay slot epilogue, or a single
 /// slow-path op), so per-instruction execution counts are recoverable
-/// exactly from the ranges alone — that is what [`BlockCountProfiler`]
-/// does with two array writes per range instead of one per instruction.
+/// exactly from the ranges alone — that is what [`EdgeProfiler`] does with
+/// two array writes per range instead of one per instruction.
 ///
-/// Implementations:
-/// * [`NullProfiler`] — every hook empty; compiles to the unprofiled
-///   engine ([`Machine::run_unprofiled`]).
-/// * [`FullProfiler`] (= [`Profile`]) — per-instruction counts, branch
-///   taken counts, call edges, load/store totals ([`Machine::run`]).
-/// * [`BlockCountProfiler`] — exact per-instruction counts from boundary
-///   deltas only; the partitioner-shaped pay-as-you-go mode.
-pub trait Profiler {
+/// Implementations: [`NullProfiler`] ([`Machine::run_unprofiled`]),
+/// [`EdgeProfiler`] ([`Machine::run`]) and the hybrid machine's
+/// [`StoreLog`](crate::hybrid::StoreLog).
+pub(crate) trait Profiler {
     /// Called at the start of each run with the text geometry; sizes
     /// internal storage without discarding accumulated data.
     fn begin(&mut self, text_base: u32, text_len: usize);
@@ -521,17 +482,9 @@ pub trait Profiler {
     fn on_block(&mut self, idx: usize, n: usize, cyc: u64);
     /// The conditional branch at `idx` was taken.
     fn on_taken(&mut self, idx: usize);
-    /// A call (`jal`/`jalr`) to `target` retired.
-    fn on_call(&mut self, target: u32);
-    /// A load retired.
-    fn on_load(&mut self);
-    /// A store retired.
-    fn on_store(&mut self);
     /// A store of `value` (low `bytes` bytes significant) to `addr`
-    /// retired. Defaulted to a no-op so existing profilers pay nothing;
-    /// the hybrid co-simulation's store-log oracle
-    /// ([`crate::hybrid::StoreLog`]) overrides it to record the software
-    /// side of the HW/SW differential.
+    /// retired. Defaulted to a no-op; the hybrid co-simulation's store log
+    /// overrides it to record the software side of the HW/SW differential.
     #[inline(always)]
     fn on_store_at(&mut self, addr: u32, bytes: u8, value: u32) {
         let _ = (addr, bytes, value);
@@ -544,7 +497,7 @@ pub trait Profiler {
 /// The zero-cost profiler: every hook is empty, so the monomorphized run
 /// loop carries no counter updates at all.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct NullProfiler;
+pub(crate) struct NullProfiler;
 
 impl Profiler for NullProfiler {
     #[inline(always)]
@@ -553,222 +506,31 @@ impl Profiler for NullProfiler {
     fn on_block(&mut self, _idx: usize, _n: usize, _cyc: u64) {}
     #[inline(always)]
     fn on_taken(&mut self, _idx: usize) {}
-    #[inline(always)]
-    fn on_call(&mut self, _target: u32) {}
-    #[inline(always)]
-    fn on_load(&mut self) {}
-    #[inline(always)]
-    fn on_store(&mut self) {}
     fn take_profile(&mut self, text_base: u32, _text_len: usize) -> Profile {
         Profile::new(text_base, 0)
     }
 }
 
-/// The full profiler is [`Profile`] itself accumulating in place:
-/// per-instruction counts, branch taken counts, call edges, and load/store
-/// totals — everything the differential suite compares bit-for-bit against
-/// the reference engine.
-pub type FullProfiler = Profile;
-
-impl Profiler for Profile {
-    fn begin(&mut self, text_base: u32, text_len: usize) {
-        self.text_base = text_base;
-        if self.counts.len() < text_len {
-            self.counts.resize(text_len, 0);
-            self.taken.resize(text_len, 0);
-        }
-    }
-    #[inline(always)]
-    fn on_block(&mut self, idx: usize, n: usize, cyc: u64) {
-        for c in &mut self.counts[idx..idx + n] {
-            *c += 1;
-        }
-        self.total_instrs += n as u64;
-        self.total_cycles += cyc;
-    }
-    #[inline(always)]
-    fn on_taken(&mut self, idx: usize) {
-        self.taken[idx] += 1;
-    }
-    #[inline(always)]
-    fn on_call(&mut self, target: u32) {
-        *self.calls.entry(target).or_insert(0) += 1;
-    }
-    #[inline(always)]
-    fn on_load(&mut self) {
-        self.loads += 1;
-    }
-    #[inline(always)]
-    fn on_store(&mut self) {
-        self.stores += 1;
-    }
-    fn take_profile(&mut self, text_base: u32, text_len: usize) -> Profile {
-        std::mem::replace(self, Profile::new(text_base, text_len))
-    }
-}
-
-/// Basic-block execution counts only — the pay-as-you-go profiler.
+/// Block execution counts plus branch bias — the profiler behind
+/// [`Machine::run`].
 ///
-/// Records each retired range `[idx, idx + n)` as two boundary deltas
+/// Each retired range `[idx, idx + n)` is recorded as two boundary deltas
 /// (`diff[idx] += 1`, `diff[idx + n] -= 1`); a prefix sum at
 /// [`Profiler::take_profile`] reconstructs *exact* per-instruction
 /// execution counts, because every retired instruction is covered by
-/// exactly one reported range. This is all the 90-10 partitioner consumes
-/// (block weights via `Profile::count_at`), at a fraction of the full
-/// profiler's per-instruction cost. Branch taken counts, call edges, and
-/// load/store totals are not collected and read as zero.
+/// exactly one reported range. A per-branch taken counter (one array write
+/// per retired taken branch) adds the branch bias the partitioner's
+/// loop-bound estimates consume (dynamic back-edge counts → loop entries →
+/// CPU↔FPGA invocation counts; see
+/// `binpart_core::partition::harvest_candidates`).
 #[derive(Debug, Clone, Default)]
-pub struct BlockCountProfiler {
-    /// Boundary deltas; entry `i` is the count change at text index `i`.
-    diff: Vec<i64>,
-    total_instrs: u64,
-    total_cycles: u64,
-}
-
-impl BlockCountProfiler {
-    /// Creates an empty profiler (sized on first use).
-    pub fn new() -> BlockCountProfiler {
-        BlockCountProfiler::default()
-    }
-}
-
-impl Profiler for BlockCountProfiler {
-    fn begin(&mut self, _text_base: u32, text_len: usize) {
-        if self.diff.len() < text_len + 1 {
-            self.diff.resize(text_len + 1, 0);
-        }
-    }
-    #[inline(always)]
-    fn on_block(&mut self, idx: usize, n: usize, cyc: u64) {
-        self.diff[idx] += 1;
-        self.diff[idx + n] -= 1;
-        self.total_instrs += n as u64;
-        self.total_cycles += cyc;
-    }
-    #[inline(always)]
-    fn on_taken(&mut self, _idx: usize) {}
-    #[inline(always)]
-    fn on_call(&mut self, _target: u32) {}
-    #[inline(always)]
-    fn on_load(&mut self) {}
-    #[inline(always)]
-    fn on_store(&mut self) {}
-    fn take_profile(&mut self, text_base: u32, text_len: usize) -> Profile {
-        let mut p = Profile::new(text_base, text_len);
-        let mut acc = 0i64;
-        for (i, slot) in p.counts.iter_mut().enumerate() {
-            acc += self.diff.get(i).copied().unwrap_or(0);
-            *slot = acc as u64;
-        }
-        p.total_instrs = self.total_instrs;
-        p.total_cycles = self.total_cycles;
-        self.diff.clear();
-        self.total_instrs = 0;
-        self.total_cycles = 0;
-        p
-    }
-}
-
-/// Sampled per-pc histogram — the self-profiling hook for flamegraphs.
-///
-/// Instead of exact counts, every `period`-th dispatch round attributes
-/// one sample to its starting pc: one compare-and-decrement per round on
-/// the hot path, independent of block length. The decimated histogram is
-/// statistically proportional to where retired rounds *start*, which is
-/// what a flamegraph wants; feed [`samples`](SamplingProfiler::samples)
-/// through `binpart_telemetry::collapse_pc_samples` keyed by recovered
-/// function extents to get collapsed-stack text. Under the superblock
-/// engine a whole trace pass reports as one block, so samples concentrate
-/// on trace heads — the attribution the trace-cost work needs.
-#[derive(Debug, Clone)]
-pub struct SamplingProfiler {
-    period: u32,
-    countdown: u32,
-    text_base: u32,
-    counts: Vec<u64>,
-}
-
-impl SamplingProfiler {
-    /// Samples one dispatch round in every `period` (clamped to ≥ 1).
-    pub fn new(period: u32) -> SamplingProfiler {
-        let period = period.max(1);
-        SamplingProfiler { period, countdown: period, text_base: 0, counts: Vec::new() }
-    }
-
-    /// The sampled histogram as `(pc, samples)` pairs, zero entries
-    /// elided, in ascending pc order.
-    pub fn samples(&self) -> Vec<(u32, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (self.text_base.wrapping_add((i * 4) as u32), c))
-            .collect()
-    }
-
-    /// Total samples taken so far.
-    pub fn total_samples(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
-impl Profiler for SamplingProfiler {
-    fn begin(&mut self, text_base: u32, text_len: usize) {
-        self.text_base = text_base;
-        if self.counts.len() < text_len {
-            self.counts.resize(text_len, 0);
-        }
-    }
-    #[inline(always)]
-    fn on_block(&mut self, idx: usize, _n: usize, _cyc: u64) {
-        self.countdown -= 1;
-        if self.countdown == 0 {
-            self.countdown = self.period;
-            self.counts[idx] += 1;
-        }
-    }
-    #[inline(always)]
-    fn on_taken(&mut self, _idx: usize) {}
-    #[inline(always)]
-    fn on_call(&mut self, _target: u32) {}
-    #[inline(always)]
-    fn on_load(&mut self) {}
-    #[inline(always)]
-    fn on_store(&mut self) {}
-    fn take_profile(&mut self, text_base: u32, text_len: usize) -> Profile {
-        // Samples are not exact counts; the extracted Profile carries
-        // only the geometry so callers read the histogram via `samples`.
-        Profile::new(text_base, text_len)
-    }
-}
-
-/// Block execution counts **plus branch bias** — the edge profiler.
-///
-/// Extends [`BlockCountProfiler`]'s boundary-delta scheme (exact
-/// per-instruction counts from two array writes per dispatch round) with a
-/// per-branch taken counter (one array write per *retired branch*, which
-/// is at most one per dispatch round). The resulting [`Profile`] carries
-/// exact `counts` *and* exact `taken` — the branch-bias data the
-/// partitioner's loop-bound estimates consume (dynamic back-edge counts →
-/// loop entries → CPU↔FPGA invocation counts; see
-/// `binpart_core::partition::harvest_candidates`) — at a fraction of the
-/// full profiler's cost. Call edges and load/store totals are still not
-/// collected and read as zero.
-#[derive(Debug, Clone, Default)]
-pub struct EdgeProfiler {
+pub(crate) struct EdgeProfiler {
     /// Boundary deltas; entry `i` is the count change at text index `i`.
     diff: Vec<i64>,
     /// Taken count per static branch (text index).
     taken: Vec<u64>,
     total_instrs: u64,
     total_cycles: u64,
-}
-
-impl EdgeProfiler {
-    /// Creates an empty profiler (sized on first use).
-    pub fn new() -> EdgeProfiler {
-        EdgeProfiler::default()
-    }
 }
 
 impl Profiler for EdgeProfiler {
@@ -791,12 +553,6 @@ impl Profiler for EdgeProfiler {
     fn on_taken(&mut self, idx: usize) {
         self.taken[idx] += 1;
     }
-    #[inline(always)]
-    fn on_call(&mut self, _target: u32) {}
-    #[inline(always)]
-    fn on_load(&mut self) {}
-    #[inline(always)]
-    fn on_store(&mut self) {}
     fn take_profile(&mut self, text_base: u32, text_len: usize) -> Profile {
         let mut p = Profile::new(text_base, text_len);
         let mut acc = 0i64;
@@ -818,8 +574,7 @@ impl Profiler for EdgeProfiler {
 }
 
 /// Configuration for a [`Machine`]: everything that can change a run's
-/// result. The engine that executes it is chosen separately
-/// ([`Machine::with_engine`]), since every [`Engine`] is exact.
+/// result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SimConfig {
     /// Cycle cost table.
@@ -836,36 +591,6 @@ impl Default for SimConfig {
             cycles: CycleModel::default(),
             max_steps: 500_000_000,
             stack_top: crate::DEFAULT_STACK_TOP,
-        }
-    }
-}
-
-/// The execution engine a [`Machine`] runs (see the [module docs](self)).
-///
-/// Every engine is observationally exact: `Exit`, [`Profile`], watch
-/// semantics, fault pcs and partial profiles are bit-identical across
-/// engines and to [`crate::reference`], so the choice only moves
-/// throughput.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Engine {
-    /// Block dispatch over the plain lowered micro-ops — the oracle for
-    /// fusion and traces, and the `fusion_speedup` baseline.
-    Unfused,
-    /// Block dispatch over the superinstruction-fused stream.
-    Fused,
-    /// The fused stream plus the superblock trace cache
-    /// ([`crate::superblock`]): hot dispatch-round chains are recorded,
-    /// specialized into straight-line threaded code, and replayed.
-    #[default]
-    Superblock,
-}
-
-impl Engine {
-    /// The dispatch stream this engine runs over `ops`.
-    fn stream(self, ops: &[Op], entries: &[bool]) -> Vec<Op> {
-        match self {
-            Engine::Unfused => ops.to_vec(),
-            Engine::Fused | Engine::Superblock => fuse(ops, entries),
         }
     }
 }
@@ -897,7 +622,7 @@ impl<F: Fn(u32) -> bool> PcWatch for F {
 
 /// Where a bounded run ([`Machine::run_until`]) stopped.
 #[derive(Debug)]
-pub enum RunStop {
+pub(crate) enum RunStop {
     /// The program finished normally (halt or `break`).
     Exited(Box<Exit>),
     /// Control reached a watched pc in the sequential state, *before*
@@ -910,7 +635,7 @@ pub enum RunStop {
 }
 
 /// Final machine state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Exit {
     /// Why execution stopped.
     pub reason: ExitReason,
@@ -1755,7 +1480,7 @@ fn addiu_cmp_value(regs: &mut [u32; 32], op: Op) -> u32 {
 
 /// Resolves a dispatch-round-terminating control op: evaluates the
 /// condition (executing any fused compare constituents' register writes),
-/// performs link writes and their `on_call` hooks, and returns the taken
+/// performs link writes, and returns the taken
 /// target — `None` for a not-taken conditional. Shared by the fused
 /// epilogue of the dispatch loop and the superblock trace executor so the
 /// two cannot diverge. Must run *before* the delay slot (the slot must see
@@ -1763,12 +1488,7 @@ fn addiu_cmp_value(regs: &mut [u32; 32], op: Op) -> u32 {
 ///
 /// `cop` must be a fusable control op: any control except `Break`.
 #[inline(always)]
-pub(crate) fn resolve_control<P: Profiler>(
-    cop: Op,
-    ctl_pc: u32,
-    regs: &mut [u32; 32],
-    prof: &mut P,
-) -> Option<u32> {
+pub(crate) fn resolve_control(cop: Op, ctl_pc: u32, regs: &mut [u32; 32]) -> Option<u32> {
     match cop.code {
         OpCode::Beq => (reg_read(regs, cop.b) == reg_read(regs, cop.c)).then_some(cop.imm),
         OpCode::Bne => (reg_read(regs, cop.b) != reg_read(regs, cop.c)).then_some(cop.imm),
@@ -1797,14 +1517,12 @@ pub(crate) fn resolve_control<P: Profiler>(
         OpCode::J => Some(cop.imm),
         OpCode::Jal => {
             reg_write(regs, 31, ctl_pc.wrapping_add(8));
-            prof.on_call(cop.imm);
             Some(cop.imm)
         }
         OpCode::Jr => Some(reg_read(regs, cop.b)),
         OpCode::Jalr => {
             let t = reg_read(regs, cop.b);
             reg_write(regs, cop.a, ctl_pc.wrapping_add(8));
-            prof.on_call(t);
             Some(t)
         }
         _ => unreachable!("fusable excludes non-control and break"),
@@ -1812,9 +1530,9 @@ pub(crate) fn resolve_control<P: Profiler>(
 }
 
 /// Executes one micro-op (plain or fused) against the given architectural
-/// state. Shared by [`Machine::step`] and the [`Machine::run`] loop so the
-/// two cannot diverge; `#[inline(always)]` keeps the run loop a single
-/// flat frame. Fused arms execute their constituents' semantics in
+/// state. Shared by the [`Machine::run`] loop and the superblock trace
+/// executor so the two cannot diverge; `#[inline(always)]` keeps the run
+/// loop a single flat frame. Fused arms execute their constituents' semantics in
 /// original order against the real register file (re-reading registers
 /// between writes), so chained, aliased, and `$zero`-destination forms
 /// behave exactly like the unfused sequence; a faulting memory constituent
@@ -1980,14 +1698,12 @@ pub(crate) fn exec_op<P: Profiler>(
         OpCode::Lb => {
             let a = reg_read(regs, op.b).wrapping_add(op.imm);
             let v = mem.read_u8(a) as i8 as i32 as u32;
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
         OpCode::Lbu => {
             let a = reg_read(regs, op.b).wrapping_add(op.imm);
             let v = mem.read_u8(a) as u32;
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -1997,7 +1713,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc });
             }
             let v = mem.read_u16(a) as i16 as i32 as u32;
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2007,7 +1722,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc });
             }
             let v = mem.read_u16(a) as u32;
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2017,14 +1731,12 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc });
             }
             let v = mem.read_u32(a);
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
         OpCode::Sb => {
             let a = reg_read(regs, op.b).wrapping_add(op.imm);
             let v = reg_read(regs, op.c);
-            prof.on_store();
             prof.on_store_at(a, 1, v);
             mem.write_u8(a, v as u8);
             false
@@ -2035,7 +1747,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc });
             }
             let v = reg_read(regs, op.c);
-            prof.on_store();
             prof.on_store_at(a, 2, v);
             mem.write_u16(a, v as u16);
             false
@@ -2046,7 +1757,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc });
             }
             let v = reg_read(regs, op.c);
-            prof.on_store();
             prof.on_store_at(a, 4, v);
             mem.write_u32(a, v);
             false
@@ -2087,7 +1797,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(4) });
             }
             let v = mem.read_u32(a);
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2098,7 +1807,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(4) });
             }
             let v = reg_read(regs, op.e);
-            prof.on_store();
             prof.on_store_at(a, 4, v);
             mem.write_u32(a, v);
             false
@@ -2111,7 +1819,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(8) });
             }
             let v = mem.read_u32(a);
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2123,7 +1830,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(8) });
             }
             let v = reg_read(regs, op.a);
-            prof.on_store();
             prof.on_store_at(a, 4, v);
             mem.write_u32(a, v);
             false
@@ -2147,7 +1853,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(4) });
             }
             let v = mem.read_u32(a);
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2155,7 +1860,6 @@ pub(crate) fn exec_op<P: Profiler>(
             reg_write(regs, op.d, reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)));
             let a = reg_read(regs, op.d).wrapping_add(op.imm);
             let v = mem.read_u8(a) as u32;
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2165,7 +1869,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: s, pc });
             }
             let sv = reg_read(regs, op.c);
-            prof.on_store();
             prof.on_store_at(s, 4, sv);
             mem.write_u32(s, sv);
             let l = reg_read(regs, op.d).wrapping_add(op.imm2);
@@ -2173,7 +1876,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: l, pc: pc.wrapping_add(4) });
             }
             let v = mem.read_u32(l);
-            prof.on_load();
             reg_write(regs, op.a, v);
             false
         }
@@ -2183,14 +1885,12 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: l, pc });
             }
             let v = mem.read_u32(l);
-            prof.on_load();
             reg_write(regs, op.a, v);
             let s = reg_read(regs, op.c).wrapping_add(op.imm2);
             if s & 3 != 0 {
                 return Err(SimError::Unaligned { addr: s, pc: pc.wrapping_add(4) });
             }
             let sv = reg_read(regs, op.e);
-            prof.on_store();
             prof.on_store_at(s, 4, sv);
             mem.write_u32(s, sv);
             false
@@ -2201,14 +1901,12 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: l1, pc });
             }
             let v1 = mem.read_u32(l1);
-            prof.on_load();
             reg_write(regs, op.a, v1);
             let l2 = reg_read(regs, op.c).wrapping_add(op.imm2);
             if l2 & 3 != 0 {
                 return Err(SimError::Unaligned { addr: l2, pc: pc.wrapping_add(4) });
             }
             let v2 = mem.read_u32(l2);
-            prof.on_load();
             reg_write(regs, op.d, v2);
             false
         }
@@ -2218,7 +1916,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: l, pc });
             }
             let v = mem.read_u32(l);
-            prof.on_load();
             reg_write(regs, op.a, v);
             reg_write(regs, op.d, reg_read(regs, op.e).wrapping_add(op.imm2));
             false
@@ -2229,7 +1926,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: l, pc });
             }
             let v = mem.read_u32(l);
-            prof.on_load();
             reg_write(regs, op.a, v);
             reg_write(regs, op.d, reg_read(regs, op.e).wrapping_add(reg_read(regs, op.c)));
             false
@@ -2241,7 +1937,6 @@ pub(crate) fn exec_op<P: Profiler>(
                 return Err(SimError::Unaligned { addr: s, pc: pc.wrapping_add(4) });
             }
             let v = reg_read(regs, op.e);
-            prof.on_store();
             prof.on_store_at(s, 4, v);
             mem.write_u32(s, v);
             false
@@ -2288,14 +1983,12 @@ pub(crate) fn exec_op<P: Profiler>(
         OpCode::J => return Ok(Outcome::Jump(op.imm)),
         OpCode::Jal => {
             reg_write(regs, 31, pc.wrapping_add(8));
-            prof.on_call(op.imm);
             return Ok(Outcome::Jump(op.imm));
         }
         OpCode::Jr => return Ok(Outcome::Jump(reg_read(regs, op.b))),
         OpCode::Jalr => {
             let target = reg_read(regs, op.b);
             reg_write(regs, op.a, pc.wrapping_add(8));
-            prof.on_call(target);
             return Ok(Outcome::Jump(target));
         }
         OpCode::Break => return Ok(Outcome::Brk(op.imm)),
@@ -2390,8 +2083,7 @@ pub struct Machine {
     pc: u32,
     next_pc: u32,
     /// Pre-decoded micro-ops, parallel to the text section (always
-    /// unfused: single-stepping, delay slots, and budget boundaries
-    /// dispatch from here).
+    /// unfused: delay slots and budget boundaries dispatch from here).
     ops: Vec<Op>,
     /// Fused dispatch stream, parallel to the text section: slot `i` holds
     /// the superinstruction starting at `i` (consumed slots keep their
@@ -2409,17 +2101,16 @@ pub struct Machine {
     /// Data/stack memory (text is pre-decoded, not stored here).
     pub mem: Memory,
     config: SimConfig,
-    engine: Engine,
+    /// The partial profile of the last run that faulted (empty otherwise).
     profile: Profile,
     cycles: u64,
     instrs: u64,
-    /// Superblock trace cache ([`Engine::Superblock`]); `None` keeps the
-    /// dispatch loop's codegen identical to the pre-superblock engine.
-    sb: Option<Box<superblock::TraceCache>>,
+    /// Superblock trace cache ([`crate::superblock`]).
+    sb: Box<superblock::TraceCache>,
 }
 
 impl Machine {
-    /// Loads `binary` into a fresh machine on the default [`Engine`].
+    /// Loads `binary` into a fresh machine.
     ///
     /// `$sp` is set to the configured stack top, `$ra` to [`HALT_PC`], and
     /// `$gp` to the data base. Initialized data is copied into memory (so
@@ -2439,20 +2130,6 @@ impl Machine {
     ///
     /// Same as [`Machine::new`].
     pub fn with_config(binary: &Binary, config: SimConfig) -> Result<Machine, SimError> {
-        Machine::with_engine(binary, config, Engine::default())
-    }
-
-    /// Like [`Machine::with_config`] on an explicit [`Engine`] (the
-    /// default is [`Engine::Superblock`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::new`].
-    pub fn with_engine(
-        binary: &Binary,
-        config: SimConfig,
-        engine: Engine,
-    ) -> Result<Machine, SimError> {
         let text = binary.decode_text()?;
         let ops: Vec<Op> = text
             .iter()
@@ -2463,7 +2140,7 @@ impl Machine {
             })
             .collect();
         let entries = entry_points(&ops, binary.text_base, binary.entry);
-        let fops = engine.stream(&ops, &entries);
+        let fops = fuse(&ops, &entries);
         let plans = build_plans(&fops, &ops);
         let mut mem = Memory::new();
         mem.write_slice(binary.data_base, &binary.data);
@@ -2471,9 +2148,7 @@ impl Machine {
         regs[Reg::Sp.number() as usize] = config.stack_top;
         regs[Reg::Ra.number() as usize] = HALT_PC;
         regs[Reg::Gp.number() as usize] = binary.data_base;
-        let profile = Profile::new(binary.text_base, text.len());
-        let sb = (engine == Engine::Superblock)
-            .then(|| Box::new(superblock::TraceCache::new(ops.len())));
+        let sb = Box::new(superblock::TraceCache::new(ops.len()));
         Ok(Machine {
             regs,
             hi: 0,
@@ -2487,8 +2162,7 @@ impl Machine {
             text_base: binary.text_base,
             mem,
             config,
-            engine,
-            profile,
+            profile: Profile::new(binary.text_base, 0),
             cycles: 0,
             instrs: 0,
             sb,
@@ -2496,8 +2170,8 @@ impl Machine {
     }
 
     /// Forces a dispatch round to begin at each of the given pcs (in
-    /// addition to every natural run start), so [`Machine::run_until`]'s
-    /// watch reliably observes them: superinstruction fusion is redone
+    /// addition to every natural run start), so a bounded run's watch
+    /// reliably observes them: superinstruction fusion is redone
     /// refusing to consume the marked indices, and straight-line runs are
     /// truncated there ([`build_plans_bounded`]). Out-of-text or unaligned
     /// pcs are ignored. Architectural behaviour is unchanged — only the
@@ -2514,28 +2188,25 @@ impl Machine {
         for (e, &b) in entries.iter_mut().zip(&boundary) {
             *e |= b;
         }
-        self.fops = self.engine.stream(&self.ops, &entries);
+        self.fops = fuse(&self.ops, &entries);
         self.plans = build_plans_bounded(&self.fops, &self.ops, &boundary);
         // Superblock traces are chains of dispatch rounds, so they bake in
         // the old round shapes: drop them all. Re-recorded traces are built
         // from the new bounded plans, which makes every boundary (e.g. a
         // hybrid machine's trap pcs) a mandatory segment start.
-        if let Some(sb) = &mut self.sb {
-            sb.invalidate();
-        }
+        self.sb.invalidate();
     }
 
-    /// Aggregate superblock trace-cache statistics. All zeros unless the
-    /// machine runs [`Engine::Superblock`] (or while nothing got hot yet).
+    /// Aggregate superblock trace-cache statistics (all zeros while
+    /// nothing got hot yet).
     pub fn trace_cache_stats(&self) -> superblock::TraceCacheStats {
-        self.sb.as_ref().map(|sb| sb.stats()).unwrap_or_default()
+        self.sb.stats()
     }
 
-    /// Summaries of every installed superblock, in install order (empty
-    /// unless the machine runs [`Engine::Superblock`]). See
+    /// Summaries of every installed superblock, in install order. See
     /// `examples/fusion_histogram.rs --superblocks`.
     pub fn trace_summaries(&self) -> Vec<superblock::TraceSummary> {
-        self.sb.as_ref().map(|sb| sb.summaries()).unwrap_or_default()
+        self.sb.summaries()
     }
 
     /// Current register value.
@@ -2570,36 +2241,43 @@ impl Machine {
         self.instrs
     }
 
-    /// Runs until halt, `break`, or an error, collecting the full profile.
+    /// Runs until halt, `break`, or an error, collecting the [`Profile`]:
+    /// exact per-instruction execution counts and per-branch taken counts.
     ///
-    /// The accumulated [`Profile`] is *moved* into the returned [`Exit`];
-    /// [`Machine::profile`] afterwards observes an empty profile.
+    /// ```
+    /// use binpart_mips::{Asm, Reg, BinaryBuilder, DEFAULT_TEXT_BASE};
+    /// use binpart_mips::sim::Machine;
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let mut a = Asm::new();
+    /// let top = a.new_label();
+    /// a.li(Reg::T0, 3);
+    /// a.bind(top);
+    /// a.addiu(Reg::T0, Reg::T0, -1);
+    /// a.bgtz(Reg::T0, top); // back edge, taken twice
+    /// a.nop();
+    /// a.jr(Reg::Ra);
+    /// a.nop();
+    /// let binary = BinaryBuilder::new().text(a.finish()?).build();
+    /// let exit = Machine::new(&binary)?.run()?;
+    /// assert_eq!(exit.profile.count_at(DEFAULT_TEXT_BASE + 4), 3);
+    /// assert_eq!(exit.profile.taken_at(DEFAULT_TEXT_BASE + 8), 2);
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
-    /// Any [`SimError`]; the machine state (including the partially
-    /// accumulated profile) is left at the faulting point.
+    /// Any [`SimError`]; the machine state is left at the faulting point
+    /// and the partial profile (the faulting instruction counted) in
+    /// [`Machine::profile`].
     pub fn run(&mut self) -> Result<Exit, SimError> {
-        let mut prof = std::mem::replace(&mut self.profile, Profile::new(self.text_base, 0));
-        match self.run_loop(&mut prof, &NoWatch).map(|c| match c {
-            RunControl::Done(reason) => reason,
-            RunControl::Watched(_) => unreachable!("NoWatch never hits"),
-        }) {
-            Ok(reason) => {
-                self.profile = Profile::new(self.text_base, self.ops.len());
-                Ok(self.exit_with(reason, prof))
-            }
-            Err(e) => {
-                self.profile = prof;
-                Err(e)
-            }
-        }
+        self.run_with(&mut EdgeProfiler::default())
     }
 
     /// Like [`Machine::run`], but with every profile-counter update
-    /// compiled out (a [`NullProfiler`] run) — for runs that only need
-    /// architectural results (checksums, total cycles/instructions). The
-    /// returned [`Exit`] carries an empty [`Profile`].
+    /// compiled out — for runs that only need architectural results
+    /// (checksums, total cycles/instructions). The returned [`Exit`]
+    /// carries an empty [`Profile`].
     ///
     /// # Errors
     ///
@@ -2608,39 +2286,24 @@ impl Machine {
         self.run_with(&mut NullProfiler)
     }
 
-    /// Runs with a caller-supplied [`Profiler`], monomorphizing the
-    /// dispatch loop over its hooks — profiling cost is exactly what the
-    /// profiler asks for. The returned [`Exit`] carries
-    /// [`Profiler::take_profile`]'s result; on an error the profiler keeps
-    /// its partial data.
-    ///
-    /// ```
-    /// use binpart_mips::{Asm, Reg, BinaryBuilder};
-    /// use binpart_mips::sim::{BlockCountProfiler, Machine};
-    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// let mut a = Asm::new();
-    /// a.li(Reg::V0, 7);
-    /// a.jr(Reg::Ra);
-    /// a.nop();
-    /// let binary = BinaryBuilder::new().text(a.finish()?).build();
-    /// let mut prof = BlockCountProfiler::new();
-    /// let exit = Machine::new(&binary)?.run_with(&mut prof)?;
-    /// assert_eq!(exit.profile.count_at(binpart_mips::DEFAULT_TEXT_BASE), 1);
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_with<P: Profiler>(&mut self, prof: &mut P) -> Result<Exit, SimError> {
+    /// Runs with `prof`, monomorphizing the dispatch loop over its hooks.
+    /// The returned [`Exit`] carries [`Profiler::take_profile`]'s result;
+    /// on an error that result is left in [`Machine::profile`] instead.
+    pub(crate) fn run_with<P: Profiler>(&mut self, prof: &mut P) -> Result<Exit, SimError> {
         prof.begin(self.text_base, self.ops.len());
-        let reason = match self.run_loop(prof, &NoWatch)? {
-            RunControl::Done(reason) => reason,
-            RunControl::Watched(_) => unreachable!("NoWatch never hits"),
-        };
+        let stop = self.run_loop(prof, &NoWatch);
         let profile = prof.take_profile(self.text_base, self.ops.len());
-        Ok(self.exit_with(reason, profile))
+        match stop {
+            Ok(RunControl::Done(reason)) => {
+                self.profile = Profile::new(self.text_base, 0);
+                Ok(self.exit_with(reason, profile))
+            }
+            Ok(RunControl::Watched(_)) => unreachable!("NoWatch never hits"),
+            Err(e) => {
+                self.profile = profile;
+                Err(e)
+            }
+        }
     }
 
     /// Runs until the program finishes **or control reaches a pc for which
@@ -2654,13 +2317,8 @@ impl Machine {
     /// On a trap the machine (registers, memory, counters, and the
     /// partially accumulated data in `prof`) is left exactly at the watched
     /// pc; calling `run_until` again resumes from there. On normal exit the
-    /// profiler's data is taken into the returned [`Exit`], as in
-    /// [`Machine::run_with`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Machine::run`].
-    pub fn run_until<P: Profiler>(
+    /// profiler's data is taken into the returned [`Exit`].
+    pub(crate) fn run_until<P: Profiler>(
         &mut self,
         prof: &mut P,
         watch: impl Fn(u32) -> bool,
@@ -2685,22 +2343,7 @@ impl Machine {
         }
     }
 
-    /// Dispatches to the monomorphized loop: the `SB` const generic keeps
-    /// the superblock hooks out of the non-superblock engine's codegen
-    /// entirely (it stays bit-for-bit the pre-superblock dispatch loop).
     fn run_loop<P: Profiler, W: PcWatch>(
-        &mut self,
-        prof: &mut P,
-        watch: &W,
-    ) -> Result<RunControl, SimError> {
-        if self.sb.is_some() {
-            self.run_loop_impl::<P, W, true>(prof, watch)
-        } else {
-            self.run_loop_impl::<P, W, false>(prof, watch)
-        }
-    }
-
-    fn run_loop_impl<P: Profiler, W: PcWatch, const SB: bool>(
         &mut self,
         prof: &mut P,
         watch: &W,
@@ -2727,7 +2370,7 @@ impl Machine {
             let fops = &self.fops[..];
             let plans = &self.plans[..];
             let mem = &mut self.mem;
-            let mut sb = if SB { self.sb.as_deref_mut() } else { None };
+            let sb = &mut *self.sb;
             loop {
                 if pc == HALT_PC {
                     break Stop::Halt;
@@ -2756,47 +2399,39 @@ impl Machine {
                 // caps the run length so MaxSteps still fires at exactly
                 // the right instruction.
                 if next_pc == pc.wrapping_add(4) {
-                    // Superblock engine: replay an installed trace from
-                    // here, or feed the recorder/heat counters. Compiled
-                    // out entirely when SB is false.
-                    if SB {
-                        if let Some(sb) = sb.as_deref_mut() {
-                            let tid = sb.lookup(idx);
-                            if tid != superblock::NO_TRACE {
-                                // Entering a trace closes any recording in
-                                // flight (a trace head is as good a tail
-                                // as any).
-                                sb.finalize_recording(ops, text_base);
-                                match sb.run(
-                                    tid,
-                                    ops,
-                                    text_base,
-                                    max_steps,
-                                    &mut regs,
-                                    &mut hi,
-                                    &mut lo,
-                                    mem,
-                                    prof,
-                                    watch,
-                                    &mut pc,
-                                    &mut next_pc,
-                                    &mut instrs,
-                                    &mut cycles,
-                                ) {
-                                    superblock::TraceExit::Seq => continue,
-                                    // Budget too tight for the head
-                                    // segment: the interpreter below
-                                    // retires the exact partial round.
-                                    superblock::TraceExit::Interp => {}
-                                    superblock::TraceExit::Watched(p) => {
-                                        break Stop::Watched(p)
-                                    }
-                                    superblock::TraceExit::Err(e) => break Stop::Err(e),
-                                }
-                            } else {
-                                sb.round_start(idx, ops, text_base);
-                            }
+                    // Replay an installed trace from here, or feed the
+                    // recorder/heat counters.
+                    let tid = sb.lookup(idx);
+                    if tid != superblock::NO_TRACE {
+                        // Entering a trace closes any recording in flight
+                        // (a trace head is as good a tail as any).
+                        sb.finalize_recording(ops, text_base);
+                        match sb.run(
+                            tid,
+                            ops,
+                            text_base,
+                            max_steps,
+                            &mut regs,
+                            &mut hi,
+                            &mut lo,
+                            mem,
+                            prof,
+                            watch,
+                            &mut pc,
+                            &mut next_pc,
+                            &mut instrs,
+                            &mut cycles,
+                        ) {
+                            superblock::TraceExit::Seq => continue,
+                            // Budget too tight for the head segment: the
+                            // interpreter below retires the exact partial
+                            // round.
+                            superblock::TraceExit::Interp => {}
+                            superblock::TraceExit::Watched(p) => break Stop::Watched(p),
+                            superblock::TraceExit::Err(e) => break Stop::Err(e),
                         }
+                    } else {
+                        sb.round_start(idx, ops, text_base);
                     }
                     let plan = plans[idx];
                     let len = u64::from(plan & PLAN_LEN);
@@ -2850,7 +2485,7 @@ impl Machine {
                         // Resolve the transfer before the slot runs (the
                         // slot must see link writes, and the target must
                         // use pre-slot register values) — seed order.
-                        let target = resolve_control(cop, ctl_pc, &mut regs, prof);
+                        let target = resolve_control(cop, ctl_pc, &mut regs);
                         let slot_idx = cidx + cw;
                         let sop = ops[slot_idx];
                         instrs += cw as u64 + 1;
@@ -2890,29 +2525,25 @@ impl Machine {
                         }
                         pc = after_slot;
                         next_pc = after_slot.wrapping_add(4);
-                        if SB {
-                            // A full fused round just retired — exactly the
-                            // unit a superblock segment replays. (This is
-                            // the only recording site: partial rounds and
-                            // slow-path ops end any active recording at
-                            // the next round_start's continuity check.)
-                            if let Some(sb) = sb.as_deref_mut() {
-                                let cond = !matches!(
-                                    cop.code,
-                                    OpCode::J | OpCode::Jal | OpCode::Jr | OpCode::Jalr
-                                );
-                                sb.record_round(
-                                    idx,
-                                    len as u32,
-                                    cw as u32,
-                                    cond,
-                                    target.is_some(),
-                                    after_slot,
-                                    ops,
-                                    text_base,
-                                );
-                            }
-                        }
+                        // A full fused round just retired — exactly the
+                        // unit a superblock segment replays. (This is the
+                        // only recording site: partial rounds and
+                        // slow-path ops end any active recording at the
+                        // next round_start's continuity check.)
+                        let cond = !matches!(
+                            cop.code,
+                            OpCode::J | OpCode::Jal | OpCode::Jr | OpCode::Jalr
+                        );
+                        sb.record_round(
+                            idx,
+                            len as u32,
+                            cw as u32,
+                            cond,
+                            target.is_some(),
+                            after_slot,
+                            ops,
+                            text_base,
+                        );
                         continue;
                     }
                     if take > 0 {
@@ -2956,52 +2587,8 @@ impl Machine {
         }
     }
 
-    /// Executes a single instruction (the one at `pc`).
-    ///
-    /// Returns `Ok(Some(code))` when a `break` executes.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SimError`].
-    pub fn step(&mut self) -> Result<Option<u32>, SimError> {
-        let pc = self.pc;
-        let off = pc.wrapping_sub(self.text_base);
-        let idx = (off >> 2) as usize;
-        if off & 3 != 0 || idx >= self.ops.len() {
-            return Err(SimError::PcOutOfText { pc });
-        }
-        let op = self.ops[idx];
-        self.instrs += 1;
-        self.cycles += u64::from(op.cyc);
-        self.profile.on_block(idx, 1, u64::from(op.cyc));
-        let outcome = exec_op::<Profile>(
-            op,
-            pc,
-            idx,
-            &mut self.regs,
-            &mut self.hi,
-            &mut self.lo,
-            &mut self.mem,
-            &mut self.profile,
-        )?;
-        match outcome {
-            Outcome::Next => {
-                let t = self.next_pc.wrapping_add(4);
-                self.pc = self.next_pc;
-                self.next_pc = t;
-                Ok(None)
-            }
-            Outcome::Jump(t) => {
-                self.pc = self.next_pc;
-                self.next_pc = t;
-                Ok(None)
-            }
-            Outcome::Brk(code) => Ok(Some(code)),
-        }
-    }
-
-    /// Profile accumulated so far (moved out — and thus observed freshly
-    /// zeroed — after a completed [`Machine::run`]).
+    /// The partial profile of the last run that faulted; empty after a
+    /// run that completed (its profile moved into the [`Exit`]).
     pub fn profile(&self) -> &Profile {
         &self.profile
     }
@@ -3010,7 +2597,40 @@ impl Machine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::ReferenceMachine;
     use crate::{Asm, BinaryBuilder};
+
+    /// Where a run stopped: pc, registers, cycles, instrs, and the profile
+    /// (the partial one after a fault).
+    type Stopped = (u32, [u32; 32], u64, u64, Profile);
+
+    fn stopped(m: &Machine) -> Stopped {
+        (m.pc(), *m.regs(), m.cycles(), m.instrs(), m.profile().clone())
+    }
+
+    fn reference_stopped(m: &ReferenceMachine) -> Stopped {
+        let p = m.profile();
+        (m.pc(), Reg::ALL.map(|r| m.reg(r)), p.total_cycles, p.total_instrs, p.clone())
+    }
+
+    fn assemble(build: impl FnOnce(&mut Asm)) -> Binary {
+        let mut a = Asm::new();
+        build(&mut a);
+        BinaryBuilder::new().text(a.finish().expect("assembles")).build()
+    }
+
+    /// Runs `binary` under `config` on [`Machine`] and on the reference
+    /// engine, asserts the same error and the same stopping state, and
+    /// returns the error and the machine.
+    fn assert_fault_exact(binary: &Binary, config: SimConfig) -> (SimError, Machine) {
+        let mut m = Machine::with_config(binary, config).expect("loads");
+        let err = m.run().expect_err("faults");
+        let mut r = ReferenceMachine::with_config(binary, config).expect("loads");
+        let ref_err = r.run().expect_err("reference faults");
+        assert_eq!(err, ref_err, "error");
+        assert_eq!(stopped(&m), reference_stopped(&r), "stopping state");
+        (err, m)
+    }
 
     fn run_asm(build: impl FnOnce(&mut Asm)) -> Exit {
         let mut a = Asm::new();
@@ -3260,61 +2880,27 @@ mod tests {
         let mut m = Machine::new(&binary).unwrap();
         let exit = m.run().unwrap();
         assert_eq!(exit.profile.total_instrs, 3);
-        // No clone: the machine's own profile is drained (reset to zeroed
-        // counts of the right length) after the run.
-        assert!(m.profile().counts.iter().all(|&c| c == 0));
-        assert_eq!(m.profile().counts.len(), 3);
+        assert_eq!(exit.profile.counts, vec![1, 1, 1]);
+        // A completed run leaves no partial profile behind.
+        assert!(m.profile().counts.is_empty());
         assert_eq!(m.profile().total_instrs, 0);
-    }
-
-    #[test]
-    fn step_still_works_after_a_completed_run() {
-        // Regression: the profile move-out at exit must leave a full-length
-        // profile behind, or post-run single-stepping would index out of
-        // bounds (the seed engine allowed this sequence).
-        let mut a = Asm::new();
-        a.li(Reg::V0, 1);
-        a.jr(Reg::Ra);
-        a.nop();
-        let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-        let mut m = Machine::new(&binary).unwrap();
-        m.run().unwrap();
-        // pc is at HALT_PC; stepping errors cleanly (out of text) rather
-        // than panicking, and profiling state is coherent.
-        assert!(matches!(m.step(), Err(SimError::PcOutOfText { .. })));
-        let mut m2 = Machine::new(&binary).unwrap();
-        m2.run().unwrap();
-        // A second full run from a fresh pc also works on the same machine.
-        m2.set_reg(Reg::V0, 0);
-        assert_eq!(m2.profile().count_at(crate::DEFAULT_TEXT_BASE), 0);
     }
 
     // ----------------------- Fusion unit tests ---------------------------
 
-    /// Runs `build` on every fused engine and asserts bit-identical
-    /// `Exit` state and `Profile` against the unfused engine; returns the
-    /// unfused exit for further assertions.
+    /// Runs `build` and asserts bit-identical `Exit` state and `Profile`
+    /// against the reference engine; returns the exit for further
+    /// assertions.
     fn assert_fusion_exact(build: impl Fn(&mut Asm)) -> Exit {
-        let mut a = Asm::new();
-        build(&mut a);
-        let text = a.finish().expect("assembles");
-        let binary = BinaryBuilder::new().text(text).build();
-        let run = |engine: Engine| {
-            Machine::with_engine(&binary, SimConfig::default(), engine)
-                .expect("loads")
-                .run()
-                .expect("runs")
-        };
-        let off = run(Engine::Unfused);
-        for engine in [Engine::Fused, Engine::Superblock] {
-            let fused = run(engine);
-            assert_eq!(fused.reason, off.reason, "{engine:?}: exit reason");
-            assert_eq!(fused.regs, off.regs, "{engine:?}: registers");
-            assert_eq!(fused.cycles, off.cycles, "{engine:?}: cycles");
-            assert_eq!(fused.instrs, off.instrs, "{engine:?}: instrs");
-            assert_eq!(fused.profile, off.profile, "{engine:?}: profile");
-        }
-        off
+        let binary = assemble(build);
+        let fast = Machine::new(&binary).expect("loads").run().expect("runs");
+        let reference = ReferenceMachine::new(&binary).expect("loads").run().expect("runs");
+        assert_eq!(fast.reason, reference.reason, "exit reason");
+        assert_eq!(fast.regs, reference.regs, "registers");
+        assert_eq!(fast.cycles, reference.cycles, "cycles");
+        assert_eq!(fast.instrs, reference.instrs, "instrs");
+        assert_eq!(fast.profile, reference.profile, "profile");
+        fast
     }
 
     #[test]
@@ -3372,7 +2958,7 @@ mod tests {
     fn fusion_compare_and_branch_loops() {
         // slt+bne back edge (and the addiu+slt+bne triple) drive a counted
         // loop; taken counts and the compare destination must match the
-        // unfused engine exactly.
+        // reference engine exactly.
         let exit = assert_fusion_exact(|a| {
             let top = a.new_label();
             a.li(Reg::T0, 0); // i
@@ -3490,56 +3076,38 @@ mod tests {
     #[test]
     fn fusion_step_budget_splits_superinstruction() {
         // A budget that expires between two constituents must retire only
-        // the first one, exactly like the unfused engine.
-        let mut a = Asm::new();
-        a.addiu(Reg::T0, Reg::Zero, 1);
-        a.addiu(Reg::T1, Reg::Zero, 2); // fused pair with the first
-        a.jr(Reg::Ra);
-        a.nop();
-        let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-        for engine in [Engine::Unfused, Engine::Fused, Engine::Superblock] {
-            let config = SimConfig {
-                max_steps: 1,
-                ..SimConfig::default()
-            };
-            let mut m = Machine::with_engine(&binary, config, engine).unwrap();
-            let err = m.run().unwrap_err();
-            assert!(
-                matches!(err, SimError::MaxStepsExceeded { limit: 1 }),
-                "{engine:?}"
-            );
-            assert_eq!(m.reg(Reg::T0), 1, "{engine:?}: first constituent retired");
-            assert_eq!(m.reg(Reg::T1), 0, "{engine:?}: second must not run");
-        }
+        // the first one, exactly like the reference engine.
+        let binary = assemble(|a| {
+            a.addiu(Reg::T0, Reg::Zero, 1);
+            a.addiu(Reg::T1, Reg::Zero, 2); // fused pair with the first
+            a.jr(Reg::Ra);
+            a.nop();
+        });
+        let config = SimConfig {
+            max_steps: 1,
+            ..SimConfig::default()
+        };
+        let (err, m) = assert_fault_exact(&binary, config);
+        assert!(matches!(err, SimError::MaxStepsExceeded { limit: 1 }));
+        assert_eq!(m.reg(Reg::T0), 1, "first constituent retired");
+        assert_eq!(m.reg(Reg::T1), 0, "second must not run");
     }
 
     #[test]
     fn fusion_partial_fault_inside_pair_counts_exactly() {
         // sw;lw pair where the *store* (first constituent) faults: the
         // load must not execute and the partial profile must match the
-        // unfused engine (fault pc at the sw).
-        let build = |a: &mut Asm| {
+        // reference engine (fault pc at the sw).
+        let binary = assemble(|a| {
             a.li(Reg::T0, 2); // unaligned word address
             a.li(Reg::T1, 9);
             a.sw(Reg::T1, 0, Reg::T0); // faults
             a.lw(Reg::V0, 0, Reg::Sp); // must not run
             a.jr(Reg::Ra);
             a.nop();
-        };
-        let run = |engine: Engine| {
-            let mut a = Asm::new();
-            build(&mut a);
-            let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-            let mut m = Machine::with_engine(&binary, SimConfig::default(), engine).unwrap();
-            let err = m.run().unwrap_err();
-            (err, m.profile().clone(), m.pc())
-        };
-        let (err_off, prof_off, pc_off) = run(Engine::Unfused);
-        let (err_agg, prof_agg, pc_agg) = run(Engine::Fused);
-        assert_eq!(err_off, err_agg);
-        assert!(matches!(err_agg, SimError::Unaligned { addr: 2, .. }));
-        assert_eq!(prof_off, prof_agg, "partial profiles");
-        assert_eq!(pc_off, pc_agg, "fault pc");
+        });
+        let (err, _) = assert_fault_exact(&binary, SimConfig::default());
+        assert!(matches!(err, SimError::Unaligned { addr: 2, .. }));
     }
 
     #[test]
@@ -3639,29 +3207,14 @@ mod tests {
 
     // --------------------- Superblock engine tests ------------------------
 
-    /// Runs `build` on the superblock engine and asserts bit-identical
-    /// `Exit` state and `Profile` against both block-dispatch engines;
-    /// returns the superblock exit and trace stats for further assertions.
+    /// Runs `build` through [`assert_fusion_exact`]; returns the exit and
+    /// the trace stats for further assertions.
     fn assert_superblock_exact(build: impl Fn(&mut Asm)) -> (Exit, superblock::TraceCacheStats) {
-        let mut a = Asm::new();
-        build(&mut a);
-        let text = a.finish().expect("assembles");
-        let binary = BinaryBuilder::new().text(text).build();
-        let run = |engine: Engine| {
-            let mut m = Machine::with_engine(&binary, SimConfig::default(), engine).expect("loads");
-            let exit = m.run().expect("runs");
-            (exit, m.trace_cache_stats())
-        };
-        let (sb, stats) = run(Engine::Superblock);
-        for engine in [Engine::Unfused, Engine::Fused] {
-            let (base, _) = run(engine);
-            assert_eq!(sb.reason, base.reason, "vs {engine:?}: exit reason");
-            assert_eq!(sb.regs, base.regs, "vs {engine:?}: registers");
-            assert_eq!(sb.cycles, base.cycles, "vs {engine:?}: cycles");
-            assert_eq!(sb.instrs, base.instrs, "vs {engine:?}: instrs");
-            assert_eq!(sb.profile, base.profile, "vs {engine:?}: profile");
-        }
-        (sb, stats)
+        let binary = assemble(&build);
+        let exit = assert_fusion_exact(build);
+        let mut m = Machine::new(&binary).expect("loads");
+        m.run().expect("runs");
+        (exit, m.trace_cache_stats())
     }
 
     /// A loop long enough to cross the recorder's heat threshold.
@@ -3734,27 +3287,15 @@ mod tests {
     #[test]
     fn superblock_max_steps_boundaries_exact() {
         // Stopping inside / at the edge of a superblock must retire the
-        // exact same partial round the interpreter would.
-        let mut a = Asm::new();
-        hot_sum_loop(&mut a, 1000);
-        let text = a.finish().expect("assembles");
-        let binary = BinaryBuilder::new().text(text).build();
+        // exact same partial round the reference engine does.
+        let binary = assemble(|a| hot_sum_loop(a, 1000));
         for max_steps in [1u64, 2, 3, 7, 150, 151, 152, 153, 1000, 2003, 2004] {
-            let run = |engine: Engine| {
-                let config = SimConfig {
-                    max_steps,
-                    ..SimConfig::default()
-                };
-                let mut m = Machine::with_engine(&binary, config, engine).expect("loads");
-                let err = m.run().expect_err("budget exceeds");
-                assert!(matches!(err, SimError::MaxStepsExceeded { .. }), "{err:?}");
-                (m.pc(), *m.regs(), m.cycles(), m.instrs(), m.profile().clone())
+            let config = SimConfig {
+                max_steps,
+                ..SimConfig::default()
             };
-            assert_eq!(
-                run(Engine::Fused),
-                run(Engine::Superblock),
-                "max_steps = {max_steps}"
-            );
+            let (err, _) = assert_fault_exact(&binary, config);
+            assert!(matches!(err, SimError::MaxStepsExceeded { .. }), "{err:?}");
         }
     }
 
@@ -3764,95 +3305,67 @@ mod tests {
         // to misaligned for the last few iterations: by then the loop is
         // long since installed as a superblock, so the fault happens
         // mid-trace and must report the same pc, counters, and partial
-        // profile as the interpreter.
-        let mut a = Asm::new();
-        let top = a.new_label();
-        a.li(Reg::T0, 200);
-        a.li(Reg::V0, 0);
-        a.bind(top);
-        a.slti(Reg::T2, Reg::T0, 6);
-        a.sll(Reg::T2, Reg::T2, 1); // bias = 2 once T0 < 6
-        a.addu(Reg::T3, Reg::Sp, Reg::T2);
-        a.lw(Reg::T4, 0, Reg::T3);
-        a.addu(Reg::V0, Reg::V0, Reg::T4);
-        a.addiu(Reg::T0, Reg::T0, -1);
-        a.bgtz(Reg::T0, top);
-        a.nop();
-        a.jr(Reg::Ra);
-        a.nop();
-        let text = a.finish().expect("assembles");
-        let binary = BinaryBuilder::new().text(text).build();
-        let run = |engine: Engine| {
-            let mut m = Machine::with_engine(&binary, SimConfig::default(), engine).expect("loads");
-            let err = m.run().expect_err("misaligned lw faults");
-            let fault_pc = match err {
-                SimError::Unaligned { pc, addr, .. } => {
-                    assert_eq!(addr & 3, 2);
-                    pc
-                }
-                other => panic!("expected Unaligned, got {other:?}"),
-            };
-            if engine == Engine::Superblock {
-                let stats = m.trace_cache_stats();
-                assert!(stats.traces >= 1, "loop should be installed pre-fault");
-                assert!(stats.superblock_instrs > 0);
-            }
-            (
-                fault_pc,
-                m.pc(),
-                m.cycles(),
-                m.instrs(),
-                *m.regs(),
-                m.profile().clone(),
-            )
-        };
-        assert_eq!(run(Engine::Fused), run(Engine::Superblock));
+        // profile as the reference engine.
+        let binary = assemble(|a| {
+            let top = a.new_label();
+            a.li(Reg::T0, 200);
+            a.li(Reg::V0, 0);
+            a.bind(top);
+            a.slti(Reg::T2, Reg::T0, 6);
+            a.sll(Reg::T2, Reg::T2, 1); // bias = 2 once T0 < 6
+            a.addu(Reg::T3, Reg::Sp, Reg::T2);
+            a.lw(Reg::T4, 0, Reg::T3);
+            a.addu(Reg::V0, Reg::V0, Reg::T4);
+            a.addiu(Reg::T0, Reg::T0, -1);
+            a.bgtz(Reg::T0, top);
+            a.nop();
+            a.jr(Reg::Ra);
+            a.nop();
+        });
+        let (err, m) = assert_fault_exact(&binary, SimConfig::default());
+        assert!(
+            matches!(err, SimError::Unaligned { addr, .. } if addr & 3 == 2),
+            "expected a misaligned lw, got {err:?}"
+        );
+        let stats = m.trace_cache_stats();
+        assert!(stats.traces >= 1, "loop should be installed pre-fault");
+        assert!(stats.superblock_instrs > 0);
     }
 
     #[test]
     fn superblock_watch_and_boundaries_exact() {
         // run_until with a dispatch boundary inside the hot loop: the
-        // superblock engine must trap at the watched pc exactly as the
-        // interpreter does, resuming bit-for-bit, and the boundary change
-        // must invalidate previously recorded traces.
-        let mut a = Asm::new();
-        hot_sum_loop(&mut a, 300);
-        let text = a.finish().expect("assembles");
-        let binary = BinaryBuilder::new().text(text).build();
+        // engine must trap at the watched pc and resume bit-for-bit, so the
+        // trapping run ends exactly where the reference engine does.
+        let binary = assemble(|a| hot_sum_loop(a, 300));
         let watched = crate::DEFAULT_TEXT_BASE + 3 * 4; // the addiu
-        let run = |engine: Engine| {
-            let config = SimConfig::default();
-            let mut m = Machine::with_engine(&binary, config, engine).expect("loads");
-            // Heat the loop first so a trace spanning the pc is installed…
-            m.run().expect("first run");
-            let stats_before = m.trace_cache_stats();
-            // …then carve a boundary at the watched pc and re-run.
-            let mut m2 = Machine::with_engine(&binary, config, engine).expect("loads");
-            m2.set_dispatch_boundaries(&[watched]);
-            let mut traps = 0u32;
-            let mut prof = FullProfiler::default();
-            let exit = loop {
-                match m2
-                    .run_until(&mut prof, |pc| pc == watched && traps < 10)
-                    .expect("runs")
-                {
-                    RunStop::Trapped { pc } => {
-                        assert_eq!(pc, watched);
-                        traps += 1;
-                    }
-                    RunStop::Exited(exit) => break exit,
+        // Heat the loop first so a trace spanning the pc is installed…
+        let mut m = Machine::new(&binary).expect("loads");
+        m.run().expect("first run");
+        assert!(m.trace_cache_stats().traces >= 1, "unwatched run should install a trace");
+        // …then carve a boundary at the watched pc and re-run.
+        let mut m2 = Machine::new(&binary).expect("loads");
+        m2.set_dispatch_boundaries(&[watched]);
+        let mut traps = 0u32;
+        let mut prof = EdgeProfiler::default();
+        let exit = loop {
+            match m2
+                .run_until(&mut prof, |pc| pc == watched && traps < 10)
+                .expect("runs")
+            {
+                RunStop::Trapped { pc } => {
+                    assert_eq!(pc, watched);
+                    traps += 1;
                 }
-            };
-            assert_eq!(traps, 10);
-            (exit.regs, exit.cycles, exit.instrs, exit.profile.clone(), stats_before.traces)
+                RunStop::Exited(exit) => break exit,
+            }
         };
-        let (regs_i, cyc_i, ins_i, prof_i, _) = run(Engine::Fused);
-        let (regs_s, cyc_s, ins_s, prof_s, traces) = run(Engine::Superblock);
-        assert_eq!(regs_s, regs_i);
-        assert_eq!(cyc_s, cyc_i);
-        assert_eq!(ins_s, ins_i);
-        assert_eq!(prof_s, prof_i);
-        assert!(traces >= 1, "unwatched run should have installed a trace");
+        assert_eq!(traps, 10);
+        let reference = ReferenceMachine::new(&binary).expect("loads").run().expect("runs");
+        assert_eq!(exit.regs, reference.regs);
+        assert_eq!(exit.cycles, reference.cycles);
+        assert_eq!(exit.instrs, reference.instrs);
+        assert_eq!(exit.profile, reference.profile);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //!    [NET]-style recorder that captures the *actually executed* rounds —
 //!    start index, run length, control op, observed branch direction, and
 //!    observed continuation — so trace selection follows the program's
-//!    empirical branch bias (the same signal
-//!    [`crate::sim::EdgeProfiler`] measures) rather than a static guess.
+//!    empirical branch bias (the same signal the taken counts of
+//!    [`crate::sim::Profile`] measure) rather than a static guess.
 //! 2. **Specialize.** At install time each recorded round becomes a
 //!    [`Seg`]: its text slots are re-fused *ignoring entry-point
 //!    marks* (sound inside a superblock — control only ever
@@ -29,14 +29,13 @@
 //!    clears the whole cache: recorded rounds never span a dispatch
 //!    boundary (the plans are rebuilt bounded first), so re-recorded
 //!    traces automatically treat every boundary — e.g. a hybrid machine's
-//!    trap pcs — as mandatory segment starts, preserving
-//!    [`crate::sim::Machine::run_until`] semantics bit-for-bit.
+//!    trap pcs — as mandatory segment starts, preserving the hybrid
+//!    machine's bounded-run watch semantics bit-for-bit.
 //!
 //! Replay is observationally exact, not approximately so: each segment
-//! emits the same [`crate::sim::Profiler`] hook sequence as the
-//! interpreter round it replaces (body `on_block`, epilogue `on_block`,
-//! `on_taken` for taken conditionals, `on_call` for links, per-constituent
-//! load/store hooks), checks the watch predicate at every segment start
+//! emits the same profiler hook sequence as the interpreter round it
+//! replaces (body `on_block`, epilogue `on_block`, `on_taken` for taken
+//! conditionals, per-constituent store hooks), checks the watch predicate at every segment start
 //! (the only sequential states inside a trace), bails out to the
 //! interpreter *before* any segment the step budget cannot cover whole,
 //! and reproduces the interpreter's partial-round accounting exactly on a
@@ -741,7 +740,7 @@ fn exec_spec_trace<P: Profiler, W: PcWatch, const N: usize, const LOOPED: bool>(
                 // continuation — no resolution, no possible side exit.
                 (s.pred, true)
             } else {
-                let target = resolve_control(s.cop, ctl_pc, regs, prof);
+                let target = resolve_control(s.cop, ctl_pc, regs);
                 (target.unwrap_or_else(|| slot_pc.wrapping_add(4)), target.is_some())
             };
             *instrs += cw as u64 + 1;
@@ -881,7 +880,7 @@ fn exec_trace<P: Profiler, W: PcWatch>(
         let (after, taken) = if s.uncond {
             (s.pred, true)
         } else {
-            let target = resolve_control(s.cop, ctl_pc, regs, prof);
+            let target = resolve_control(s.cop, ctl_pc, regs);
             (target.unwrap_or_else(|| slot_pc.wrapping_add(4)), target.is_some())
         };
         *instrs += cw as u64 + 1;

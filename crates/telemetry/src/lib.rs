@@ -80,9 +80,9 @@
 //! * [`Recorder::chrome_trace`] — `chrome://tracing` / Perfetto JSON
 //!   (complete-span `"X"` events plus `"C"` counter tracks). Unbalanced
 //!   span enter/exit is a typed [`TelemetryError`], never a panic.
-//! * [`collapse_pc_samples`] — collapsed-stack flamegraph text from a
-//!   sampled per-pc histogram keyed by recovered function extents
-//!   (pairs with `binpart_mips::sim::SamplingProfiler`).
+//! * [`collapse_pc_counts`] — collapsed-stack flamegraph text from a
+//!   per-pc execution-count histogram (e.g. the exact counts of a
+//!   `binpart_mips::sim::Profile`) keyed by recovered function extents.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -897,7 +897,7 @@ fn pos_digit(b: &[u8], pos: usize) -> bool {
 }
 
 /// A recovered function's address extent `[lo, hi)`, for attributing
-/// sampled pcs to frames in [`collapse_pc_samples`].
+/// pcs to frames in [`collapse_pc_counts`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuncExtent {
     /// Frame name (function symbol).
@@ -908,15 +908,15 @@ pub struct FuncExtent {
     pub hi: u32,
 }
 
-/// Collapse a sampled per-pc histogram into flamegraph collapsed-stack
+/// Collapse a per-pc count histogram into flamegraph collapsed-stack
 /// text (`root;frame count` lines, hottest first), keyed by recovered
-/// function extents. Samples outside every extent fold into a `?`
+/// function extents. Counts outside every extent fold into a `?`
 /// frame. The output feeds any stock flamegraph renderer.
-pub fn collapse_pc_samples(root: &str, samples: &[(u32, u64)], extents: &[FuncExtent]) -> String {
+pub fn collapse_pc_counts(root: &str, counts: &[(u32, u64)], extents: &[FuncExtent]) -> String {
     let mut sorted: Vec<&FuncExtent> = extents.iter().filter(|e| e.hi > e.lo).collect();
     sorted.sort_by_key(|e| e.lo);
     let mut per_frame: HashMap<&str, u64> = HashMap::new();
-    for &(pc, count) in samples {
+    for &(pc, count) in counts {
         if count == 0 {
             continue;
         }
@@ -1079,8 +1079,8 @@ mod tests {
             FuncExtent { name: "main".to_string(), lo: 0x400000, hi: 0x400040 },
             FuncExtent { name: "kernel".to_string(), lo: 0x400040, hi: 0x4000c0 },
         ];
-        let samples = vec![(0x400000, 3), (0x400044, 90), (0x4000b8, 10), (0x500000, 2), (0x400010, 0)];
-        let text = collapse_pc_samples("autcor00", &samples, &extents);
+        let counts = vec![(0x400000, 3), (0x400044, 90), (0x4000b8, 10), (0x500000, 2), (0x400010, 0)];
+        let text = collapse_pc_counts("autcor00", &counts, &extents);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines[0], "autcor00;kernel 100", "{text}");
         assert!(lines.contains(&"autcor00;main 3"), "{text}");

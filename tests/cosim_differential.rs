@@ -92,7 +92,7 @@ fn hybrid_exit_is_bit_identical_with_superblocks_enabled() {
     // trace cache, so the co-simulated run must stay bit-identical and the
     // hardware store oracle must still see zero divergences. Two levels
     // over the full suite keep the runtime bounded; the pure-software
-    // differential already covers every engine at all four levels.
+    // differential already covers all four levels.
     let mut total_hw_invocations = 0u64;
     for b in suite() {
         for level in [OptLevel::O1, OptLevel::O3] {

@@ -1,77 +1,44 @@
-//! Differential verification of the fast simulation engines against the
-//! retained seed engine (`binpart::mips::reference`): over the entire
-//! workload suite at every optimization level, every `Engine` must produce
-//! bit-identical architectural results (`Exit`) and identical `Profile`
-//! counts. This is the license for every fast-path trick in
-//! `binpart::mips::sim` (micro-op lowering, block dispatch, fused
-//! control/delay-slot epilogues, superinstruction fusion, the superblock
-//! trace cache, the memory TLB) and for the pay-as-you-go
-//! `BlockCountProfiler`.
+//! Differential verification of the fast simulator against the retained
+//! seed engine (`binpart::mips::reference`): over the entire workload
+//! suite at every optimization level, `Machine::run` must produce a
+//! bit-identical `Exit` — architectural state and `Profile` counts alike.
+//! This is the license for every fast-path trick in `binpart::mips::sim`
+//! (micro-op lowering, block dispatch, fused control/delay-slot epilogues,
+//! superinstruction fusion, the superblock trace cache, the memory TLB,
+//! profile reconstruction from block boundary deltas).
 
 use binpart::minicc::OptLevel;
 use binpart::mips::reference::ReferenceMachine;
-use binpart::mips::sim::{BlockCountProfiler, Engine, Machine, SimConfig, SimError};
+use binpart::mips::sim::{Machine, SimConfig, SimError};
 use binpart::workloads::suite;
-
-const ENGINES: [Engine; 3] = [Engine::Unfused, Engine::Fused, Engine::Superblock];
-
-fn machine(binary: &binpart::mips::Binary, engine: Engine) -> Machine {
-    Machine::with_engine(binary, SimConfig::default(), engine).unwrap()
-}
-
-#[test]
-fn fast_engine_matches_reference_on_whole_suite_at_every_fusion_level() {
-    // The two block-dispatch engines: plain and fused streams (the
-    // superblock engine has its own test below).
-    for b in suite() {
-        for level in OptLevel::ALL {
-            let binary = b.compile(level).unwrap();
-            let reference = ReferenceMachine::new(&binary)
-                .unwrap()
-                .run()
-                .unwrap_or_else(|e| panic!("{} {level}: reference failed: {e}", b.name));
-            for engine in [Engine::Unfused, Engine::Fused] {
-                let tag = format!("{} {level} {engine:?}", b.name);
-                let fast = machine(&binary, engine)
-                    .run()
-                    .unwrap_or_else(|e| panic!("{tag}: fast engine failed: {e}"));
-                assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
-                assert_eq!(fast.regs, reference.regs, "{tag}: register file");
-                assert_eq!(fast.cycles, reference.cycles, "{tag}: cycles");
-                assert_eq!(fast.instrs, reference.instrs, "{tag}: instrs");
-                // Full profile equality: per-instruction counts, branch
-                // taken counts, call counts, loads/stores, totals.
-                assert_eq!(fast.profile, reference.profile, "{tag}: profile");
-            }
-        }
-    }
-}
 
 #[test]
 fn superblock_engine_matches_reference_on_whole_suite() {
-    // The trace-cache/threaded-code backend — the engine `Machine::new`
-    // runs — must be observationally invisible: every benchmark at every
-    // level still produces bit-identical Exit and Profile. This is the
-    // license for specialized straight-line trace execution (skipped
-    // loop-top checks, fused epilogues, trace chaining).
+    // Every benchmark at every level produces a bit-identical Exit: exit
+    // reason, registers, cycles, instrs, and the profile (per-instruction
+    // counts, branch taken counts, totals) reconstructed from block
+    // boundary deltas. This is the license for specialized straight-line
+    // trace execution (skipped loop-top checks, fused epilogues, trace
+    // chaining) and for feeding the profile's branch bias into the
+    // partitioner's measured loop-entry estimates.
     let mut traces_installed = 0u64;
     for b in suite() {
         for level in OptLevel::ALL {
+            let tag = format!("{} {level}", b.name);
             let binary = b.compile(level).unwrap();
             let reference = ReferenceMachine::new(&binary)
                 .unwrap()
                 .run()
-                .unwrap_or_else(|e| panic!("{} {level}: reference failed: {e}", b.name));
-            let tag = format!("{} {level} superblock", b.name);
-            let mut m = machine(&binary, Engine::Superblock);
+                .unwrap_or_else(|e| panic!("{tag}: reference failed: {e}"));
+            let mut m = Machine::new(&binary).unwrap();
             let fast = m
                 .run()
-                .unwrap_or_else(|e| panic!("{tag}: superblock engine failed: {e}"));
-            assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
-            assert_eq!(fast.regs, reference.regs, "{tag}: register file");
-            assert_eq!(fast.cycles, reference.cycles, "{tag}: cycles");
-            assert_eq!(fast.instrs, reference.instrs, "{tag}: instrs");
-            assert_eq!(fast.profile, reference.profile, "{tag}: profile");
+                .unwrap_or_else(|e| panic!("{tag}: fast engine failed: {e}"));
+            assert_eq!(fast, reference, "{tag}");
+            assert!(
+                fast.profile.taken.iter().any(|&t| t > 0),
+                "{tag}: branch bias collected"
+            );
             traces_installed += m.trace_cache_stats().traces as u64;
         }
     }
@@ -82,26 +49,67 @@ fn superblock_engine_matches_reference_on_whole_suite() {
     );
 }
 
+/// Dispatch boundaries forced at every `stride`-th text slot (none for
+/// `stride == 0`). Fusion refuses to consume a boundary slot, so this
+/// dials superinstruction fusion from full (no extra boundaries) down to
+/// none (a boundary at every slot, one op per dispatch round).
+fn boundary_pcs(binary: &binpart::mips::Binary, stride: usize) -> Vec<u32> {
+    if stride == 0 {
+        return Vec::new();
+    }
+    (0..binary.text.len())
+        .step_by(stride)
+        .map(|i| binary.text_base + 4 * i as u32)
+        .collect()
+}
+
 #[test]
-fn block_count_profiler_is_observationally_exact_on_whole_suite() {
-    // The cheap profiler must reconstruct *exact* per-instruction counts
-    // (and totals) from block boundary deltas alone, under every engine —
-    // it only forgoes
-    // taken/call/load/store attribution.
+fn fast_engine_matches_reference_on_whole_suite_at_every_fusion_level() {
+    // Full fusion, fusion broken at every other slot, and no fusion at
+    // all: the fused stream and its unfused fallbacks must agree with the
+    // reference bit-for-bit (Exit and Profile) whatever the fusion level.
+    const LEVELS: [(&str, usize); 3] = [("full", 0), ("partial", 2), ("none", 1)];
     for b in suite() {
         for level in OptLevel::ALL {
             let binary = b.compile(level).unwrap();
-            let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap();
-            for engine in ENGINES {
-                let tag = format!("{} {level} {engine:?}", b.name);
-                let mut prof = BlockCountProfiler::new();
-                let fast = machine(&binary, engine)
-                    .run_with(&mut prof)
-                    .unwrap_or_else(|e| panic!("{tag}: blockcount run failed: {e}"));
+            let reference = ReferenceMachine::new(&binary)
+                .unwrap()
+                .run()
+                .unwrap_or_else(|e| panic!("{} {level}: reference failed: {e}", b.name));
+            for (fusion, stride) in LEVELS {
+                let tag = format!("{} {level} fusion={fusion}", b.name);
+                let mut m = Machine::new(&binary).unwrap();
+                m.set_dispatch_boundaries(&boundary_pcs(&binary, stride));
+                let fast = m
+                    .run()
+                    .unwrap_or_else(|e| panic!("{tag}: fast engine failed: {e}"));
                 assert_eq!(fast.reason, reference.reason, "{tag}: exit reason");
                 assert_eq!(fast.regs, reference.regs, "{tag}: register file");
                 assert_eq!(fast.cycles, reference.cycles, "{tag}: cycles");
                 assert_eq!(fast.instrs, reference.instrs, "{tag}: instrs");
+                assert_eq!(fast.profile, reference.profile, "{tag}: profile");
+            }
+        }
+    }
+}
+
+#[test]
+fn block_count_profiler_is_observationally_exact_on_whole_suite() {
+    // `Machine::run` reconstructs per-instruction counts from block
+    // boundary deltas alone. The reconstruction must be exact (counts and
+    // totals) under the natural block shapes and under blocks cut at
+    // every third slot, and self-consistent (counts sum to the total).
+    for b in suite() {
+        for level in OptLevel::ALL {
+            let binary = b.compile(level).unwrap();
+            let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap();
+            for stride in [0, 3] {
+                let tag = format!("{} {level} stride={stride}", b.name);
+                let mut m = Machine::new(&binary).unwrap();
+                m.set_dispatch_boundaries(&boundary_pcs(&binary, stride));
+                let fast = m
+                    .run()
+                    .unwrap_or_else(|e| panic!("{tag}: blockcount run failed: {e}"));
                 assert_eq!(
                     fast.profile.counts, reference.profile.counts,
                     "{tag}: per-instruction counts"
@@ -114,6 +122,11 @@ fn block_count_profiler_is_observationally_exact_on_whole_suite() {
                     fast.profile.total_cycles, reference.profile.total_cycles,
                     "{tag}: total cycles"
                 );
+                assert_eq!(
+                    fast.profile.counts.iter().sum::<u64>(),
+                    fast.profile.total_instrs,
+                    "{tag}: counts sum to total"
+                );
             }
         }
     }
@@ -121,33 +134,38 @@ fn block_count_profiler_is_observationally_exact_on_whole_suite() {
 
 #[test]
 fn edge_profiler_is_observationally_exact_on_whole_suite() {
-    // The edge profiler adds exact branch-bias (taken) counts on top of
-    // the block-count scheme — counts *and* taken must match the full
-    // reference profile bit-for-bit under every engine; only call
-    // edges and load/store totals are forgone. This licenses feeding its
-    // branch bias into the partitioner's measured loop-entry estimates.
-    use binpart::mips::sim::EdgeProfiler;
+    // Branch-bias (taken) counts must match the reference bit-for-bit at
+    // every branch, never exceed the branch's execution count, and be
+    // collected at all. This licenses feeding the branch bias into the
+    // partitioner's measured loop-entry estimates.
     for b in suite() {
         for level in OptLevel::ALL {
+            let tag = format!("{} {level}", b.name);
             let binary = b.compile(level).unwrap();
             let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap();
-            for engine in ENGINES {
-                let tag = format!("{} {level} {engine:?}", b.name);
-                let mut prof = EdgeProfiler::new();
-                let fast = machine(&binary, engine)
-                    .run_with(&mut prof)
-                    .unwrap_or_else(|e| panic!("{tag}: edge run failed: {e}"));
-                assert_eq!(fast.regs, reference.regs, "{tag}: register file");
-                assert_eq!(
-                    fast.profile.counts, reference.profile.counts,
-                    "{tag}: per-instruction counts"
-                );
-                assert_eq!(
-                    fast.profile.taken, reference.profile.taken,
-                    "{tag}: branch taken counts"
-                );
-                assert!(fast.profile.has_taken_data(), "{tag}: bias collected");
+            let fast = Machine::new(&binary)
+                .unwrap()
+                .run()
+                .unwrap_or_else(|e| panic!("{tag}: edge run failed: {e}"));
+            assert_eq!(
+                fast.profile.taken, reference.profile.taken,
+                "{tag}: branch taken counts"
+            );
+            for (i, (&t, &c)) in fast
+                .profile
+                .taken
+                .iter()
+                .zip(&fast.profile.counts)
+                .enumerate()
+            {
+                assert!(t <= c, "{tag}: slot {i} taken {t} > executed {c}");
+                let pc = binary.text_base + 4 * i as u32;
+                assert_eq!(fast.profile.taken_at(pc), t, "{tag}: taken_at {pc:#x}");
             }
+            assert!(
+                fast.profile.taken.iter().any(|&t| t > 0),
+                "{tag}: bias collected"
+            );
         }
     }
 }
@@ -174,27 +192,25 @@ fn engines_agree_on_step_limit_boundary() {
     // trace must bail to the dispatcher rather than overrun the budget).
     let b = suite().into_iter().find(|b| b.name == "crc").unwrap();
     let binary = b.compile(OptLevel::O1).unwrap();
-    for engine in ENGINES {
-        for max_steps in [1, 2, 3, 7, 100, 101, 102, 103, 1000, 12345] {
-            let config = SimConfig {
-                max_steps,
-                ..SimConfig::default()
-            };
-            let tag = format!("at {max_steps} {engine:?}");
-            let fast = Machine::with_engine(&binary, config, engine).unwrap().run();
-            let reference = ReferenceMachine::with_config(&binary, config)
-                .unwrap()
-                .run();
-            match (&fast, &reference) {
-                (
-                    Err(SimError::MaxStepsExceeded { limit: a }),
-                    Err(SimError::MaxStepsExceeded { limit: b }),
-                ) => {
-                    assert_eq!(a, b, "{tag}")
-                }
-                (Ok(x), Ok(y)) => assert_eq!(x.regs, y.regs, "{tag}"),
-                _ => panic!("divergent outcome {tag}: {fast:?} vs {reference:?}"),
+    for max_steps in [1, 2, 3, 7, 100, 101, 102, 103, 1000, 12345] {
+        let config = SimConfig {
+            max_steps,
+            ..SimConfig::default()
+        };
+        let tag = format!("at {max_steps}");
+        let fast = Machine::with_config(&binary, config).unwrap().run();
+        let reference = ReferenceMachine::with_config(&binary, config)
+            .unwrap()
+            .run();
+        match (&fast, &reference) {
+            (
+                Err(SimError::MaxStepsExceeded { limit: a }),
+                Err(SimError::MaxStepsExceeded { limit: b }),
+            ) => {
+                assert_eq!(a, b, "{tag}")
             }
+            (Ok(x), Ok(y)) => assert_eq!(x.regs, y.regs, "{tag}"),
+            _ => panic!("divergent outcome {tag}: {fast:?} vs {reference:?}"),
         }
     }
 }
@@ -213,11 +229,9 @@ fn engines_agree_on_alignment_faults() {
     a.nop();
     let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
     let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap_err();
-    for engine in ENGINES {
-        let fast = machine(&binary, engine).run().unwrap_err();
-        assert_eq!(fast, reference, "{engine:?}");
-        assert!(matches!(fast, SimError::Unaligned { addr: 6, .. }));
-    }
+    let fast = Machine::new(&binary).unwrap().run().unwrap_err();
+    assert_eq!(fast, reference);
+    assert!(matches!(fast, SimError::Unaligned { addr: 6, .. }));
 }
 
 #[test]
@@ -225,7 +239,7 @@ fn fused_memory_idioms_fault_with_exact_pc() {
     use binpart::mips::{Asm, BinaryBuilder, Reg};
     // sll/addu/lw triple whose load lands on an unaligned address: the
     // fault pc must point at the *lw* (last constituent), not the fused
-    // op's first slot, in every engine.
+    // op's first slot.
     let mut a = Asm::new();
     a.li(Reg::T1, 1); // index 1
     a.li(Reg::T2, 2); // "base" 2 → addr = (1 << 2) + 2 = 6, unaligned
@@ -235,20 +249,14 @@ fn fused_memory_idioms_fault_with_exact_pc() {
     a.jr(Reg::Ra);
     a.nop();
     let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-    let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap_err();
-    for engine in ENGINES {
-        let mut machine = machine(&binary, engine);
-        let fast = machine.run().unwrap_err();
-        assert_eq!(fast, reference, "{engine:?}");
-        assert!(matches!(fast, SimError::Unaligned { addr: 6, .. }));
-        // Partial profiles agree too (the faulting op is counted).
-        let r2 = {
-            let mut m = ReferenceMachine::new(&binary).unwrap();
-            let _ = m.run();
-            m.profile().clone()
-        };
-        assert_eq!(machine.profile(), &r2, "{engine:?}: partial profile");
-    }
+    let mut reference = ReferenceMachine::new(&binary).unwrap();
+    let ref_err = reference.run().unwrap_err();
+    let mut machine = Machine::new(&binary).unwrap();
+    let fast = machine.run().unwrap_err();
+    assert_eq!(fast, ref_err);
+    assert!(matches!(fast, SimError::Unaligned { addr: 6, .. }));
+    // Partial profiles agree too (the faulting op is counted).
+    assert_eq!(machine.profile(), reference.profile(), "partial profile");
 }
 
 #[test]
@@ -272,17 +280,13 @@ fn superblock_faults_mid_trace_with_exact_pc_and_profile() {
     a.jr(Reg::Ra);
     a.nop();
     let binary = BinaryBuilder::new().text(a.finish().unwrap()).build();
-    let reference = ReferenceMachine::new(&binary).unwrap().run().unwrap_err();
-    let ref_profile = {
-        let mut m = ReferenceMachine::new(&binary).unwrap();
-        let _ = m.run();
-        m.profile().clone()
-    };
-    assert!(matches!(reference, SimError::Unaligned { addr: 2, .. }));
-    let mut machine = machine(&binary, Engine::Superblock);
+    let mut reference = ReferenceMachine::new(&binary).unwrap();
+    let ref_err = reference.run().unwrap_err();
+    assert!(matches!(ref_err, SimError::Unaligned { addr: 2, .. }));
+    let mut machine = Machine::new(&binary).unwrap();
     let fast = machine.run().unwrap_err();
-    assert_eq!(fast, reference);
-    assert_eq!(machine.profile(), &ref_profile, "partial profile");
+    assert_eq!(fast, ref_err);
+    assert_eq!(machine.profile(), reference.profile(), "partial profile");
     // The loop really was running as a superblock when it faulted.
     let stats = machine.trace_cache_stats();
     assert!(
