@@ -11,7 +11,8 @@
 //! `cargo bench -p binpart-bench --bench sweep_explore -- --smoke` runs
 //! the CI perf smoke instead: best-of-3 single-core passes per engine,
 //! asserting the staged sweep is never slower than the naive loop and
-//! that `BENCH_sim.json` (if present) carries the sweep columns.
+//! that `BENCH_sim.json` (if present) carries the sweep columns, the warm
+//! `evaluate_us_per_point` included.
 
 use binpart_core::flow::FlowOptions;
 use binpart_explore::Sweep;
@@ -76,6 +77,7 @@ fn smoke() {
         "decompile_funcs_per_sec",
         "sweep_points_per_sec",
         "sweep_speedup_vs_naive",
+        "evaluate_us_per_point",
     ]);
     println!("smoke: PASS");
 }

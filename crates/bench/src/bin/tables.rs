@@ -91,8 +91,11 @@ struct SimReport {
     /// jump-table recovery on so every binary completes).
     decompile_funcs_per_sec: f64,
     /// Staged design-space sweep throughput (points/second, single-core,
-    /// 5 clocks × 5 budgets × 4 levels on autcor00).
+    /// 5 clocks × 5 budgets × 4 levels on autcor00), cold stages included.
     sweep_points_per_sec: f64,
+    /// Warm `StagedFlow::evaluate` cost per point of that grid, in µs
+    /// (stages and synthesis memo built first; median of five passes).
+    evaluate_us_per_point: f64,
     /// Wall-clock ratio of the naive sweep (a fresh `StagedFlow` per
     /// point) to the staged sweep over the same grid (single-core).
     sweep_speedup_vs_naive: f64,
@@ -179,6 +182,7 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
             .sum()
     });
     let (sweep_points_per_sec, sweep_speedup_vs_naive) = sweep_report();
+    let evaluate_us_per_point = evaluate_report();
     let cosim = binpart_bench::run_cosim_matrix(3);
     assert_eq!(
         cosim.store_mismatches, 0,
@@ -198,6 +202,7 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
         total_instrs: total,
         decompile_funcs_per_sec: funcs as f64 / decompile_s,
         sweep_points_per_sec,
+        evaluate_us_per_point,
         sweep_speedup_vs_naive,
         cosim_cycles_per_sec: cosim.cosim_cycles_per_sec,
         estimate_error_pct_mean: cosim.estimate_error_pct_mean,
@@ -431,17 +436,7 @@ fn trend() {
 /// thread so the staging win — not the host's core count — is what the
 /// snapshot tracks.
 fn sweep_report() -> (f64, f64) {
-    use binpart_explore::Sweep;
-    let b = binpart_workloads::suite()
-        .into_iter()
-        .find(|b| b.name == "autcor00")
-        .expect("suite has autcor00");
-    let mut base = binpart_core::flow::FlowOptions::default();
-    base.decompile.recover_jump_tables = true;
-    let sweep = Sweep::with_base(base)
-        .clocks([40e6, 100e6, 200e6, 300e6, 400e6])
-        .area_budgets([5_000, 15_000, 40_000, 100_000, 250_000])
-        .opt_levels(OptLevel::ALL);
+    let (sweep, b) = snapshot_sweep();
     let points = sweep.len() as u64;
     let prev_threads = std::env::var("BINPART_THREADS").ok();
     std::env::set_var("BINPART_THREADS", "1");
@@ -457,6 +452,70 @@ fn sweep_report() -> (f64, f64) {
     assert_eq!(staged_n, points);
     assert_eq!(naive_n, points);
     (points as f64 / staged_s, naive_s / staged_s)
+}
+
+/// The snapshot's sweep grid: 5 clocks × 5 budgets × 4 opt levels on
+/// autcor00 (100 points), jump-table recovery on.
+fn snapshot_sweep() -> (binpart_explore::Sweep, binpart_workloads::Benchmark) {
+    let b = binpart_workloads::suite()
+        .into_iter()
+        .find(|b| b.name == "autcor00")
+        .expect("suite has autcor00");
+    let mut base = binpart_core::flow::FlowOptions::default();
+    base.decompile.recover_jump_tables = true;
+    let sweep = binpart_explore::Sweep::with_base(base)
+        .clocks([40e6, 100e6, 200e6, 300e6, 400e6])
+        .area_budgets([5_000, 15_000, 40_000, 100_000, 250_000])
+        .opt_levels(OptLevel::ALL);
+    (sweep, b)
+}
+
+/// Warm evaluation cost: one `StagedFlow` per level with its stages built
+/// and one untimed pass to fill the synthesis memo, then the snapshot
+/// grid replayed through `StagedFlow::evaluate` five times. Returns the
+/// median pass time per point, in µs — `evaluate` alone, no profile,
+/// decompile, estimate or sweep machinery.
+fn evaluate_report() -> f64 {
+    use binpart_core::stage::StagedFlow;
+    let (sweep, b) = snapshot_sweep();
+    let binaries: Vec<(OptLevel, binpart_mips::Binary)> = OptLevel::ALL
+        .into_iter()
+        .map(|level| (level, b.compile(level).expect("autcor00 compiles")))
+        .collect();
+    let flows: Vec<(OptLevel, StagedFlow<'_>)> = binaries
+        .iter()
+        .map(|(level, bin)| (*level, StagedFlow::new(bin)))
+        .collect();
+    let points: Vec<(&StagedFlow<'_>, binpart_core::flow::FlowOptions)> = sweep
+        .configs()
+        .iter()
+        .map(|c| {
+            let (_, flow) = flows
+                .iter()
+                .find(|(level, _)| *level == c.level)
+                .expect("one flow per level");
+            (flow, sweep.options_for(c))
+        })
+        .collect();
+    let pass = || {
+        for (flow, options) in &points {
+            std::hint::black_box(flow.evaluate(options).expect("autcor00 evaluates"));
+        }
+    };
+    for (_, flow) in &flows {
+        let o = &points[0].1;
+        flow.estimate(o.decompile, o.sim).expect("stages build");
+    }
+    pass();
+    let mut secs: Vec<f64> = (0..5)
+        .map(|_| {
+            let t0 = Instant::now();
+            pass();
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    1e6 * secs[secs.len() / 2] / points.len() as f64
 }
 
 fn write_bench_json(r: &SimReport) {
@@ -493,7 +552,7 @@ fn write_bench_json(r: &SimReport) {
         })
         .map_or("null".to_string(), |s: f64| format!("{s:.6}"));
     let json = format!(
-        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"trace_cache_hit_rate\": {:.3},\n  \"edge_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
+        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"trace_cache_hit_rate\": {:.3},\n  \"edge_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"evaluate_us_per_point\": {:.3},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
         r.fast_ips,
         r.seed_ips,
         r.fast_ips / r.seed_ips,
@@ -502,6 +561,7 @@ fn write_bench_json(r: &SimReport) {
         r.total_instrs,
         r.decompile_funcs_per_sec,
         r.sweep_points_per_sec,
+        r.evaluate_us_per_point,
         r.sweep_speedup_vs_naive,
         r.cosim_cycles_per_sec,
         r.estimate_error_pct_mean,
@@ -520,7 +580,7 @@ fn write_bench_json(r: &SimReport) {
     );
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive); cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
+            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive), warm evaluate {:.2} us/pt; cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
             r.fast_ips / 1e6,
             r.trace_cache_hit_rate * 100.0,
             r.seed_ips / 1e6,
@@ -529,6 +589,7 @@ fn write_bench_json(r: &SimReport) {
             r.decompile_funcs_per_sec,
             r.sweep_points_per_sec,
             r.sweep_speedup_vs_naive,
+            r.evaluate_us_per_point,
             r.cosim_cycles_per_sec / 1e6,
             r.estimate_error_pct_mean,
             r.estimate_error_pct_max,

@@ -202,7 +202,7 @@ mod tests {
             report.hybrid.app_speedup > 1.5,
             "speedup {} (partition: {:?})",
             report.hybrid.app_speedup,
-            report.partition.log
+            report.partition.log()
         );
         assert!(!report.partition.kernels.is_empty());
         assert!(report.partition.coverage() > 0.5);
@@ -317,7 +317,7 @@ mod tests {
         assert!(
             !report.partition.kernels.is_empty(),
             "remaining kernels must still be selected: {:?}",
-            report.partition.log
+            report.partition.log()
         );
         assert!(report.vhdl().contains("entity"));
     }

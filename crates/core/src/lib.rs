@@ -75,7 +75,7 @@ pub use flow::{FlowError, FlowOptions, FlowReport};
 pub use lift::{DecompileError, DecompileOptions, LiftError, SkippedFunction};
 pub use opts::PassStats;
 pub use partition::{
-    harvest_candidates, partition_with_candidates, Candidate, CandidateSet, Partition,
+    harvest_candidates, partition_with_candidates, Candidate, CandidateSet, Decision, Partition,
     PartitionOptions, SelectedKernel,
 };
 pub use stage::{EstimatedProgram, StagedFlow, StagedReport};

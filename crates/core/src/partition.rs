@@ -21,7 +21,11 @@ use binpart_cdfg::ir::Function;
 use binpart_cdfg::loops::LoopForest;
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, CycleModel};
-use binpart_synth::{EstimateCache, ResourceBudget, SynthesisInput, SynthesisResult, TechLibrary};
+use binpart_synth::{
+    EstimateCache, KernelKey, ResourceBudget, SynthesisInput, SynthesisResult, TechLibrary,
+};
+use std::fmt;
+use std::sync::Arc;
 
 /// Partitioner tuning knobs.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,13 +81,73 @@ pub struct SelectedKernel {
     pub bram_bytes: u64,
     /// Memory summary from alias analysis.
     pub regions: RegionSummary,
-    /// Synthesis result (timing, area, VHDL).
-    pub synth: SynthesisResult,
+    /// Synthesis result (timing, area, VHDL), shared with the synthesis
+    /// memo that produced it.
+    pub synth: Arc<SynthesisResult>,
     /// Which partitioning step selected it (1, 2, or 3).
     pub step: u8,
 }
 
+/// What the partitioner decided about one candidate at one step.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Outcome {
+    /// Step 1 selected it.
+    Selected {
+        /// Profiled software cycles it covers.
+        sw_cycles: u64,
+        /// Its synthesized area (gate equivalents).
+        gates: u64,
+    },
+    /// Step 1 passed over it (area budget, suitability or synthesis).
+    Skipped,
+    /// Step 2 moved a selected kernel's arrays to block RAM.
+    MovedToBram {
+        /// Bytes of array data moved.
+        bytes: u64,
+    },
+    /// Step 2 pulled it in because it shares arrays with a selected
+    /// kernel.
+    Joined,
+    /// Step 3 added it.
+    Added,
+    /// Step 3 rejected it (area budget, suitability or synthesis).
+    Rejected,
+}
+
+impl fmt::Display for Outcome {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Outcome::Selected { sw_cycles, gates } => {
+                write!(f, "selected ({sw_cycles} cycles, {gates} gates)")
+            }
+            Outcome::Skipped => f.write_str("skipped (area/synth)"),
+            Outcome::MovedToBram { bytes } => write!(f, "memory ({bytes} bytes) moved to BRAM"),
+            Outcome::Joined => f.write_str("joins (shares arrays)"),
+            Outcome::Added => f.write_str("added"),
+            Outcome::Rejected => f.write_str("rejected (area)"),
+        }
+    }
+}
+
+/// One record of the partitioner's decision log: which step decided what
+/// about which candidate. [`Partition::log`] renders the records as text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Decision {
+    /// Partitioning step (1, 2 or 3).
+    pub step: u8,
+    /// Index into [`CandidateSet::candidates`].
+    pub candidate: usize,
+    /// What was decided.
+    pub outcome: Outcome,
+}
+
 /// The partitioning result.
+///
+/// Built once per evaluated design point, so building it is kept cheap:
+/// each kernel's [`SelectedKernel::synth`] is the synthesis memo's own
+/// shared result (an `Arc`, never a copy of the VHDL), and the decision
+/// log is kept as [`Decision`] records that [`Partition::log`] renders to
+/// text only when asked.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Selected kernels.
@@ -92,15 +156,35 @@ pub struct Partition {
     pub total_area_gates: u64,
     /// Total profiled cycles of the program.
     pub total_sw_cycles: u64,
-    /// Human-readable decision log.
-    pub log: Vec<String>,
+    /// The decision log as compact records, in decision order; see
+    /// [`Partition::log`] for the text.
+    pub decisions: Vec<Decision>,
     /// Candidates rejected back to software by a *synthesis failure*
     /// (stage [`FlowStage::Synth`]). Area and suitability rejections are
-    /// normal heuristic outcomes and stay in [`Partition::log`] only.
+    /// normal heuristic outcomes and stay in the decision log only.
     pub diagnostics: Vec<Diagnostic>,
+    /// The candidate list [`Decision::candidate`] indexes (names for the
+    /// rendered log).
+    candidates: Arc<[Candidate]>,
 }
 
 impl Partition {
+    /// The human-readable decision log, one line per [`Decision`] (e.g.
+    /// `step1: main_loop_3 selected (4998 cycles, 17902 gates)`). Rendered
+    /// on each call; the partitioner itself formats nothing.
+    pub fn log(&self) -> Vec<String> {
+        self.decisions
+            .iter()
+            .map(|d| {
+                let name = self
+                    .candidates
+                    .get(d.candidate)
+                    .map_or("?", |c| c.name.as_str());
+                format!("step{}: {name} {}", d.step, d.outcome)
+            })
+            .collect()
+    }
+
     /// Fraction of software cycles moved to hardware.
     pub fn coverage(&self) -> f64 {
         if self.total_sw_cycles == 0 {
@@ -142,8 +226,11 @@ pub struct Candidate {
 pub struct CandidateSet {
     /// Candidates in discovery order (function order × loop order),
     /// *unfiltered* — [`PartitionOptions::min_share`] is applied at
-    /// selection time so one harvest serves any option set.
-    pub candidates: Vec<Candidate>,
+    /// selection time so one harvest serves any option set. A candidate's
+    /// index here is its dense region id: the synthesis-memo key
+    /// ([`KernelKey::region`]) and [`Decision::candidate`]. Shared, so
+    /// every [`Partition`] can name its candidates without copying them.
+    pub candidates: Arc<[Candidate]>,
     /// Start of the data section (for block-RAM extent computation).
     pub data_base: u32,
     /// End of the data section.
@@ -230,7 +317,7 @@ pub fn harvest_candidates(
         }
     }
     CandidateSet {
-        candidates,
+        candidates: candidates.into(),
         data_base,
         data_end,
     }
@@ -284,9 +371,10 @@ fn measured_back_edges(
 /// `total_sw_cycles` is the whole-program profiled cycle count. Synthesis
 /// is deterministic and the cache key covers every input (see
 /// [`binpart_synth::estimate`]), so the memo never changes a result; the
-/// cache must only be shared across calls passing the same `prog` (the
-/// staged flow guarantees this by owning one cache per estimated-program
-/// artifact).
+/// cache must only be shared across calls passing the same `prog` and
+/// `set` (the staged flow guarantees this by owning one cache per
+/// estimated-program artifact), because it keys a region by its index in
+/// `set`.
 pub fn partition_with_candidates(
     prog: &DecompiledProgram,
     set: &CandidateSet,
@@ -297,19 +385,21 @@ pub fn partition_with_candidates(
     cache: &EstimateCache,
 ) -> Partition {
     let data_end = set.data_end;
-    let mut log = Vec::new();
+    let all = &set.candidates;
+    let config = cache.config(budget, library);
+    let mut decisions: Vec<Decision> = Vec::new();
     // min_share filter (deferred from harvest so the candidate set is
-    // option-independent), then profile ranking.
-    let mut candidates: Vec<&Candidate> = set
-        .candidates
-        .iter()
-        .filter(|c| (c.sw_cycles as f64) >= options.min_share * total_sw_cycles as f64)
+    // option-independent), then profile ranking. Entries are indices into
+    // `all`.
+    let mut candidates: Vec<usize> = (0..all.len())
+        .filter(|&ci| (all[ci].sw_cycles as f64) >= options.min_share * total_sw_cycles as f64)
         .collect();
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.sw_cycles));
+    candidates.sort_by_key(|&ci| std::cmp::Reverse(all[ci].sw_cycles));
 
     let mut kernels: Vec<SelectedKernel> = Vec::new();
     let mut area_used = 0u64;
     let mut covered = 0u64;
+    // Candidate index of each kernel, in `kernels` order.
     let mut taken: Vec<usize> = Vec::new();
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
@@ -323,22 +413,27 @@ pub fn partition_with_candidates(
         Unsuitable,
     }
 
-    let try_select = |c: &Candidate,
+    let try_select = |ci: usize,
                       mem_in_bram: bool,
                       bram_bytes: u64,
                       area_used: u64|
-     -> Result<SynthesisResult, Reject> {
-        let f = &prog.functions[c.func_index];
-        let input = SynthesisInput {
-            function: f,
-            region: c.blocks.clone(),
+     -> Result<Arc<SynthesisResult>, Reject> {
+        let c = &all[ci];
+        let key = KernelKey {
+            region: ci,
+            config,
             mem_in_bram,
             bram_bytes,
-            budget: *budget,
-            library: library.clone(),
         };
         let r = cache
-            .synthesize(c.func_index, &input)
+            .synthesize(key, || SynthesisInput {
+                function: &prog.functions[c.func_index],
+                region: c.blocks.clone(),
+                mem_in_bram,
+                bram_bytes,
+                budget: *budget,
+                library: library.clone(),
+            })
             .map_err(Reject::Synth)?;
         if area_used + r.area.gate_equivalents > options.area_budget_gates {
             return Err(Reject::Area);
@@ -365,42 +460,59 @@ pub fn partition_with_candidates(
             }
         }
     };
-
-    // ---- step 1: most frequent loops to ~coverage ----
-    for (ci, c) in candidates.iter().enumerate() {
-        if kernels.len() >= options.max_kernels {
-            break;
-        }
-        if (covered as f64) >= options.coverage * total_sw_cycles as f64 {
-            break;
-        }
-        let synth = match try_select(c, false, 0, area_used) {
-            Ok(synth) => synth,
-            Err(rej) => {
-                note_synth(&mut diagnostics, &c.name, &rej);
-                log.push(format!("step1: {} skipped (area/synth)", c.name));
-                continue;
-            }
-        };
-        area_used += synth.area.gate_equivalents;
-        covered += c.sw_cycles;
-        log.push(format!(
-            "step1: {} selected ({} cycles, {} gates)",
-            c.name, c.sw_cycles, synth.area.gate_equivalents
-        ));
-        kernels.push(SelectedKernel {
+    let decide = |decisions: &mut Vec<Decision>, step: u8, ci: usize, outcome: Outcome| {
+        decisions.push(Decision {
+            step,
+            candidate: ci,
+            outcome,
+        });
+    };
+    let kernel = |ci: usize, mem_in_bram: bool, synth: Arc<SynthesisResult>, step: u8| {
+        let c = &all[ci];
+        SelectedKernel {
             func_index: c.func_index,
             blocks: c.blocks.clone(),
             header: c.header,
             name: c.name.clone(),
             sw_cycles: c.sw_cycles,
             invocations: c.invocations,
-            mem_in_bram: false,
+            mem_in_bram,
             bram_bytes: 0,
             regions: c.regions.clone(),
             synth,
-            step: 1,
-        });
+            step,
+        }
+    };
+
+    // ---- step 1: most frequent loops to ~coverage ----
+    for &ci in &candidates {
+        if kernels.len() >= options.max_kernels {
+            break;
+        }
+        if (covered as f64) >= options.coverage * total_sw_cycles as f64 {
+            break;
+        }
+        let c = &all[ci];
+        let synth = match try_select(ci, false, 0, area_used) {
+            Ok(synth) => synth,
+            Err(rej) => {
+                note_synth(&mut diagnostics, &c.name, &rej);
+                decide(&mut decisions, 1, ci, Outcome::Skipped);
+                continue;
+            }
+        };
+        area_used += synth.area.gate_equivalents;
+        covered += c.sw_cycles;
+        decide(
+            &mut decisions,
+            1,
+            ci,
+            Outcome::Selected {
+                sw_cycles: c.sw_cycles,
+                gates: synth.area.gate_equivalents,
+            },
+        );
+        kernels.push(kernel(ci, false, synth, 1));
         taken.push(ci);
     }
 
@@ -411,7 +523,7 @@ pub fn partition_with_candidates(
         for k in &kernels {
             shared_bases.extend(k.regions.globals.iter().copied());
         }
-        for k in &mut kernels {
+        for (k, &ci) in kernels.iter_mut().zip(&taken) {
             if !k.regions.fully_resolved() || k.regions.globals.is_empty() {
                 continue;
             }
@@ -421,42 +533,30 @@ pub fn partition_with_candidates(
                 .iter()
                 .map(|&b| alias::extent_of(&shared_bases, b, data_end) as u64)
                 .sum();
-            let c = Candidate {
-                func_index: k.func_index,
-                blocks: k.blocks.clone(),
-                header: k.header,
-                name: k.name.clone(),
-                sw_cycles: k.sw_cycles,
-                invocations: k.invocations,
-                regions: k.regions.clone(),
-                suitability: 1.0,
-            };
             let prev_area = k.synth.area.gate_equivalents;
             // A BRAM re-synthesis failure is not a degradation: the kernel
             // stays in hardware with its step-1 synthesis.
-            if let Ok(synth) = try_select(&c, true, bytes, area_used - prev_area) {
+            if let Ok(synth) = try_select(ci, true, bytes, area_used - prev_area) {
                 area_used = area_used - prev_area + synth.area.gate_equivalents;
-                log.push(format!(
-                    "step2: {} memory ({} bytes) moved to BRAM",
-                    k.name, bytes
-                ));
+                decide(&mut decisions, 2, ci, Outcome::MovedToBram { bytes });
                 k.mem_in_bram = true;
                 k.bram_bytes = bytes;
                 k.synth = synth;
             }
         }
         // Pull in other candidates touching the same arrays.
-        for (ci, c) in candidates.iter().enumerate() {
+        for &ci in &candidates {
             if taken.contains(&ci) || kernels.len() >= options.max_kernels {
                 continue;
             }
+            let c = &all[ci];
             if c.regions.globals.is_empty()
                 || !c.regions.globals.iter().any(|b| shared_bases.contains(b))
             {
                 continue;
             }
             let bram = c.regions.fully_resolved();
-            let synth = match try_select(c, bram, 0, area_used) {
+            let synth = match try_select(ci, bram, 0, area_used) {
                 Ok(synth) => synth,
                 Err(rej) => {
                     note_synth(&mut diagnostics, &c.name, &rej);
@@ -464,69 +564,49 @@ pub fn partition_with_candidates(
                 }
             };
             area_used += synth.area.gate_equivalents;
-            log.push(format!("step2: {} joins (shares arrays)", c.name));
-            kernels.push(SelectedKernel {
-                func_index: c.func_index,
-                blocks: c.blocks.clone(),
-                header: c.header,
-                name: c.name.clone(),
-                sw_cycles: c.sw_cycles,
-                invocations: c.invocations,
-                mem_in_bram: bram,
-                bram_bytes: 0,
-                regions: c.regions.clone(),
-                synth,
-                step: 2,
-            });
+            decide(&mut decisions, 2, ci, Outcome::Joined);
+            kernels.push(kernel(ci, bram, synth, 2));
             taken.push(ci);
         }
     }
 
     // ---- step 3: greedy fill by weight × suitability ----
-    let mut rest: Vec<usize> = (0..candidates.len())
-        .filter(|i| !taken.contains(i))
+    let mut rest: Vec<usize> = candidates
+        .iter()
+        .copied()
+        .filter(|ci| !taken.contains(ci))
         .collect();
+    let weight = |ci: usize| all[ci].sw_cycles as f64 * all[ci].suitability;
     rest.sort_by(|&a, &b| {
-        let sa = candidates[a].sw_cycles as f64 * candidates[a].suitability;
-        let sb = candidates[b].sw_cycles as f64 * candidates[b].suitability;
-        sb.partial_cmp(&sa).unwrap_or(std::cmp::Ordering::Equal)
+        weight(b)
+            .partial_cmp(&weight(a))
+            .unwrap_or(std::cmp::Ordering::Equal)
     });
     for ci in rest {
         if kernels.len() >= options.max_kernels {
             break;
         }
-        let c = &candidates[ci];
+        let c = &all[ci];
         let bram = c.regions.fully_resolved() && options.alias_step;
-        let synth = match try_select(c, bram, 0, area_used) {
+        let synth = match try_select(ci, bram, 0, area_used) {
             Ok(synth) => synth,
             Err(rej) => {
                 note_synth(&mut diagnostics, &c.name, &rej);
-                log.push(format!("step3: {} rejected (area)", c.name));
+                decide(&mut decisions, 3, ci, Outcome::Rejected);
                 continue;
             }
         };
         area_used += synth.area.gate_equivalents;
-        log.push(format!("step3: {} added", c.name));
-        kernels.push(SelectedKernel {
-            func_index: c.func_index,
-            blocks: c.blocks.clone(),
-            header: c.header,
-            name: c.name.clone(),
-            sw_cycles: c.sw_cycles,
-            invocations: c.invocations,
-            mem_in_bram: bram,
-            bram_bytes: 0,
-            regions: c.regions.clone(),
-            synth,
-            step: 3,
-        });
+        decide(&mut decisions, 3, ci, Outcome::Added);
+        kernels.push(kernel(ci, bram, synth, 3));
     }
 
     Partition {
         kernels,
         total_area_gates: area_used,
         total_sw_cycles,
-        log,
+        decisions,
         diagnostics,
+        candidates: Arc::clone(all),
     }
 }

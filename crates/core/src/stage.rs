@@ -587,7 +587,7 @@ mod tests {
             plain.hybrid.app_speedup.to_bits(),
             first.hybrid.app_speedup.to_bits()
         );
-        assert_eq!(plain.partition.log, first.partition.log);
+        assert_eq!(plain.partition.log(), first.partition.log());
     }
 
     #[test]

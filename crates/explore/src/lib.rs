@@ -18,7 +18,15 @@
 //! synthesis per artifact — see `binpart_core::stage` for the exact
 //! invalidation table). A clock × budget sweep therefore simulates,
 //! decompiles, and synthesizes **once** and spends the rest of the grid in
-//! the selection loop. Points are evaluated in parallel with
+//! the selection loop.
+//!
+//! A point then costs only its evaluation. A synthesis-memo hit builds a
+//! `Copy` key (region id, interned budget/library id, block-RAM
+//! placement) and clones an `Arc` of the shared result, so it allocates
+//! nothing; the partitioner records its decisions as compact records and
+//! formats the decision log only when `Partition::log` is called; and the
+//! sweep builds each clock's processor spec once, when the clock axis is
+//! set, so a point formats nothing. Points are evaluated in parallel with
 //! [`binpart_par::par_map`] (`BINPART_THREADS=1` forces sequential), and
 //! results are deterministic and ordered regardless of thread count.
 //!
@@ -90,6 +98,9 @@ impl std::fmt::Debug for Axis {
 pub struct Sweep {
     base: FlowOptions,
     clocks_hz: Vec<f64>,
+    /// The base options at each clock of `clocks_hz` (same order), built
+    /// once when the axis is set so a point formats nothing.
+    clock_bases: Vec<FlowOptions>,
     area_budgets: Vec<u64>,
     opt_levels: Vec<OptLevel>,
     axes: Vec<Axis>,
@@ -111,6 +122,7 @@ impl Sweep {
     pub fn with_base(base: FlowOptions) -> Sweep {
         Sweep {
             clocks_hz: vec![base.platform.cpu.clock_hz],
+            clock_bases: vec![base.clone()],
             area_budgets: vec![base.partition.area_budget_gates],
             opt_levels: vec![OptLevel::O1],
             axes: Vec::new(),
@@ -123,6 +135,11 @@ impl Sweep {
     pub fn clocks(mut self, hz: impl IntoIterator<Item = f64>) -> Sweep {
         self.clocks_hz = hz.into_iter().collect();
         assert!(!self.clocks_hz.is_empty(), "empty clock axis");
+        self.clock_bases = self
+            .clocks_hz
+            .iter()
+            .map(|&clock_hz| self.base_at(clock_hz))
+            .collect();
         self
     }
 
@@ -215,13 +232,27 @@ impl Sweep {
     /// paper's MIPS power model ([`ProcessorSpec::mips`]), which is what
     /// the clock axis sweeps.
     pub fn options_for(&self, config: &PointConfig) -> FlowOptions {
-        let mut options = self.base.clone();
-        if config.clock_hz != self.base.platform.cpu.clock_hz {
-            options.platform.cpu = ProcessorSpec::mips(config.clock_hz);
-        }
+        let on_axis = self
+            .clocks_hz
+            .iter()
+            .position(|c| c.to_bits() == config.clock_hz.to_bits());
+        let mut options = match on_axis {
+            Some(i) => self.clock_bases[i].clone(),
+            None => self.base_at(config.clock_hz),
+        };
         options.partition.area_budget_gates = config.area_budget_gates;
         for (axis, &value) in self.axes.iter().zip(&config.axis_values) {
             (axis.apply)(&mut options, value);
+        }
+        options
+    }
+
+    /// The base options at `clock_hz`, by the clock rule of
+    /// [`Sweep::options_for`].
+    fn base_at(&self, clock_hz: f64) -> FlowOptions {
+        let mut options = self.base.clone();
+        if clock_hz != self.base.platform.cpu.clock_hz {
+            options.platform.cpu = ProcessorSpec::mips(clock_hz);
         }
         options
     }
@@ -280,7 +311,7 @@ impl Sweep {
                 (level, b.as_ref().map(|bin| StagedFlow::with_telemetry(bin, telemetry)))
             })
             .collect();
-        let points = par_map(&configs, |config| {
+        let outcomes = par_map(&configs, |config| {
             let options = self.options_for(config);
             let outcome = match flows.iter().find(|(level, _)| *level == config.level) {
                 None => Err(format!("no binary for level {}", config.level)),
@@ -298,11 +329,13 @@ impl Sweep {
                 if outcome.is_ok() { Counter::SweepPointsOk } else { Counter::SweepPointsFailed },
                 1,
             );
-            SweepPoint {
-                config: config.clone(),
-                outcome,
-            }
+            outcome
         });
+        let points: Vec<SweepPoint> = configs
+            .into_iter()
+            .zip(outcomes)
+            .map(|(config, outcome)| SweepPoint { config, outcome })
+            .collect();
         if T::ENABLED {
             let ok = points.iter().filter(|p| p.outcome.is_ok()).count();
             telemetry.event("sweep_done", &format!("{}/{} points ok", ok, points.len()));

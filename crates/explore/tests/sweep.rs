@@ -163,3 +163,69 @@ fn custom_axis_applies_to_flow_options() {
     assert!(one.kernels <= 1);
     assert!(eight.kernels >= one.kernels);
 }
+
+#[test]
+fn every_point_equals_a_direct_evaluation_of_its_options() {
+    // The base processor carries its own power model, so the base-clock
+    // rule of `options_for` is observable in the energy numbers.
+    let mut base = base_with_recovery();
+    base.platform.cpu.name = "base core".into();
+    base.platform.cpu.active_power_w = 0.9;
+    let base_cpu = base.platform.cpu.clone();
+    let sweep = Sweep::with_base(base)
+        .clocks([40e6, base_cpu.clock_hz, 400e6])
+        .area_budgets([15_000, 250_000])
+        .axis("coverage", [0.6, 0.9], |o, v| o.partition.coverage = v);
+    let mut compile = bench_compile("autcor00");
+    let binary = compile(OptLevel::O1).expect("compiles");
+    let flow = StagedFlow::new(&binary);
+    let result = sweep.run(compile);
+    assert_eq!(result.points.len(), 12);
+    for (p, config) in result.points.iter().zip(sweep.configs()) {
+        assert_eq!(p.config, config);
+        let options = sweep.options_for(&config);
+        if config.clock_hz == base_cpu.clock_hz {
+            assert_eq!(
+                options.platform.cpu, base_cpu,
+                "base clock keeps the base core"
+            );
+        } else {
+            assert_eq!(
+                options.platform.cpu,
+                binpart_platform::ProcessorSpec::mips(config.clock_hz)
+            );
+        }
+        let direct = flow.evaluate(&options).expect("evaluates");
+        let got = p.outcome.as_ref().expect("point evaluates");
+        let at = format!("at {config:?}");
+        assert_eq!(got.sw_cycles, direct.sw_cycles, "{at}");
+        assert_eq!(got.sw_exit_value, direct.sw_exit_value, "{at}");
+        assert_eq!(
+            got.speedup.to_bits(),
+            direct.hybrid.app_speedup.to_bits(),
+            "{at}"
+        );
+        assert_eq!(
+            got.energy_savings.to_bits(),
+            direct.hybrid.energy_savings.to_bits(),
+            "{at}"
+        );
+        assert_eq!(got.area_gates, direct.hybrid.total_area_gates, "{at}");
+        assert_eq!(got.kernels, direct.partition.kernels.len(), "{at}");
+        assert_eq!(
+            got.coverage.to_bits(),
+            direct.partition.coverage().to_bits(),
+            "{at}"
+        );
+        assert_eq!(
+            got.sw_time_s.to_bits(),
+            direct.hybrid.sw_time_s.to_bits(),
+            "{at}"
+        );
+        assert_eq!(
+            got.hybrid_time_s.to_bits(),
+            direct.hybrid.hybrid_time_s.to_bits(),
+            "{at}"
+        );
+    }
+}

@@ -41,6 +41,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod estimate;
 pub mod schedule;
 pub mod tech;

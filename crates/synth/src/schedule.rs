@@ -406,13 +406,6 @@ pub fn estimate_kernel_cycles(
     let mut hot_count = 0u64;
     let mut handled: Vec<BlockId> = Vec::new();
     // Innermost loops fully inside the region.
-    for l in forest.loops() {
-        let innermost = !forest
-            .loops()
-            .iter()
-            .any(|other| other.parent.is_some() && forest.loops()[other.parent.unwrap()].header == l.header);
-        let _ = innermost;
-    }
     for (li, l) in forest.loops().iter().enumerate() {
         let is_innermost = !forest.loops().iter().any(|o| o.parent == Some(li));
         if !is_innermost {

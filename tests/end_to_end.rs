@@ -150,3 +150,31 @@ fn decompiler_statistics_accumulate() {
     assert!(loops >= 16, "loops {loops}");
     assert!(narrowed > 50, "narrowed {narrowed}");
 }
+
+/// The partitioner's decision log, rendered by `Partition::log`, matches
+/// its golden text for two benchmarks at three area budgets (every line
+/// kind of steps 1–3 appears).
+#[test]
+fn partition_decision_log_matches_golden() {
+    let mut text = String::new();
+    for name in ["autcor00", "g3fax"] {
+        let b = suite().into_iter().find(|b| b.name == name).unwrap();
+        let binary = b.compile(OptLevel::O1).unwrap();
+        let flow = StagedFlow::new(&binary);
+        for budget in [150_000u64, 20_000, 5_000] {
+            let mut options = FlowOptions::default();
+            options.partition.area_budget_gates = budget;
+            let report = flow.evaluate(&options).unwrap();
+            text.push_str(&format!("# {name} -O1 area_budget_gates={budget}\n"));
+            for line in report.partition.log() {
+                text.push_str(&line);
+                text.push('\n');
+            }
+        }
+    }
+    let golden = include_str!("golden/partition_log.txt");
+    assert_eq!(
+        text, golden,
+        "decision log drifted from tests/golden/partition_log.txt"
+    );
+}
