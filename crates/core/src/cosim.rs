@@ -5,7 +5,7 @@
 //! stage. It takes the partition the `evaluate` stage selected and runs
 //! the whole program on the hybrid machine
 //! ([`binpart_mips::hybrid::HybridMachine`]): software on the fast
-//! simulator, each kernel region dispatched to its FSMD interpreter
+//! simulator, each kernel region dispatched to its FSMD executor
 //! ([`binpart_hwsim::KernelAccel`]) — the *same* schedules and initiation
 //! intervals the analytic estimate used, executed state by state against a
 //! shared memory model, with the CPU↔FPGA invocation and block-RAM
@@ -183,6 +183,9 @@ struct InstrumentedAccel<'a, 'f, T: Telemetry> {
     recorders: &'a [Option<HwRecorder>],
     names: &'a [String],
     span_budget: Vec<u64>,
+    /// Whether the current invocation opened a `hw_invoke` span: its
+    /// software shadow then gets a `sw_shadow` span beside it.
+    shadow_span: bool,
     tel: &'a T,
 }
 
@@ -192,6 +195,7 @@ impl<T: Telemetry> Accelerator for InstrumentedAccel<'_, '_, T> {
             return AccelOutcome::Declined;
         };
         let budget = &mut self.span_budget[region];
+        self.shadow_span = *budget > 0;
         let span = if *budget > 0 {
             *budget -= 1;
             Some(SpanGuard::enter(self.tel, "hw_invoke", || {
@@ -208,6 +212,19 @@ impl<T: Telemetry> Accelerator for InstrumentedAccel<'_, '_, T> {
         match result {
             Ok(inv) => AccelOutcome::Executed(inv),
             Err(_) => AccelOutcome::Faulted,
+        }
+    }
+
+    fn shadow_begin(&mut self, region: usize) {
+        if self.shadow_span {
+            let name = self.names.get(region).map_or("", String::as_str);
+            self.tel.span_enter("sw_shadow", name);
+        }
+    }
+
+    fn shadow_end(&mut self, _region: usize) {
+        if std::mem::take(&mut self.shadow_span) {
+            self.tel.span_exit("sw_shadow");
         }
     }
 }
@@ -356,6 +373,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                     recorders: &recorders,
                     names: &names,
                     span_budget: vec![HW_SPAN_CAP; set.kernels.len()],
+                    shadow_span: false,
                     tel: self.telemetry(),
                 })
             } else {
@@ -579,8 +597,12 @@ mod tests {
         assert!(json.contains("\"ph\":\"C\""), "counter tracks missing\n{json}");
         assert!(json.contains("estimate_cache_miss"), "{json}");
         assert!(json.contains("hybrid_trap_entries"), "{json}");
-        // Hardware spans share the timeline with the software stages.
-        assert!(json.contains("\"name\":\"hw_invoke\""), "{json}");
+        // Hardware spans share the timeline with the software stages, and
+        // each spanned invocation's software shadow follows it.
+        let hw = json.find("\"name\":\"hw_invoke\"");
+        let sw = json.find("\"name\":\"sw_shadow\"");
+        assert!(hw.is_some() && sw.is_some(), "{json}");
+        assert!(hw < sw, "sw_shadow before hw_invoke\n{json}");
         assert!(json.contains("hw_invocations"), "{json}");
     }
 
@@ -644,6 +666,7 @@ mod tests {
                 recorders: &[],
                 names: &names,
                 span_budget: vec![HW_SPAN_CAP; p.set.kernels.len()],
+                shadow_span: false,
                 tel: staged.telemetry(),
             })
             .unwrap();

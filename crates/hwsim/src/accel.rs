@@ -82,7 +82,6 @@ impl From<FsmdError> for AccelBuildError {
 pub struct KernelAccel<'f> {
     fsmd: Fsmd<'f>,
     plan: Vec<(VReg, LiveInSource)>,
-    vreg_count: usize,
     /// Per-invocation hardware cycle budget (runaway guard).
     pub cycle_limit: u64,
 }
@@ -122,7 +121,6 @@ impl<'f> KernelAccel<'f> {
         Ok(KernelAccel {
             fsmd,
             plan,
-            vreg_count: f.vreg_count() as usize,
             cycle_limit: 1 << 28,
         })
     }
@@ -142,7 +140,7 @@ impl<'f> KernelAccel<'f> {
     ///
     /// # Errors
     ///
-    /// Any [`FsmdError`] from the interpreter.
+    /// Any [`FsmdError`] from the executor.
     pub fn execute(
         &self,
         regs: &[u32; 32],
@@ -159,14 +157,14 @@ impl<'f> KernelAccel<'f> {
     ///
     /// # Errors
     ///
-    /// Any [`FsmdError`] from the interpreter.
+    /// Any [`FsmdError`] from the executor.
     pub fn execute_with<H: HwTelemetry>(
         &self,
         regs: &[u32; 32],
         mem: &Memory,
         tel: &H,
     ) -> Result<HwInvocation, FsmdError> {
-        let mut vals = vec![0u32; self.vreg_count];
+        let mut vals = vec![0u32; self.fsmd.register_count()];
         for &(v, src) in &self.plan {
             vals[v.index()] = match src {
                 LiveInSource::Const(c) => c,

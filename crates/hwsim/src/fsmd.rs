@@ -1,64 +1,42 @@
-//! The FSMD interpreter: executes a scheduled region of a decompiled
-//! function, state by control step, with pipelined-loop cycle accounting.
+//! The FSMD executor: runs a scheduled region of a decompiled function,
+//! state by control step, with pipelined-loop cycle accounting.
+//!
+//! [`Fsmd::compile`] lowers the region once into a dense program, the way
+//! `binpart_mips::sim` pre-decodes machine code: region blocks get local
+//! indices, each block owns a contiguous slice of micro-ops whose operands
+//! are register-file slots (constants live in slots appended after the
+//! function's SSA registers), every block carries its timing, and every
+//! in-region CFG edge carries its phi parallel copies. Executing a step is
+//! then one dispatch on a micro-op — no `Op`/`Operand` matching, no phi
+//! argument search, no region or loop lookups.
 
 use binpart_cdfg::ir::{
     BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, UnOp, VReg,
 };
 use binpart_cdfg::loops::LoopForest;
 use binpart_mips::hybrid::HwStore;
-use binpart_mips::sim::Memory;
+use binpart_mips::sim::{Memory, PAGE_SIZE};
 use crate::hwtel::{HwAttr, HwAttribution, HwTelemetry, NullHwTelemetry};
 use binpart_synth::schedule::{
     loop_iteration_ops, rec_mii, res_mii, res_mii_nonmem, schedule_ops,
 };
 use binpart_synth::{ResourceBudget, TechLibrary};
-use std::collections::HashMap;
 use std::fmt;
 
-/// The hardware's memory port: byte-granular little-endian access. The
-/// interpreter checks natural alignment before calling; implementations
-/// never fail.
-pub trait HwBus {
-    /// Reads one byte.
-    fn read_u8(&mut self, addr: u32) -> u8;
-    /// Writes one byte of a `bytes`-wide store of `value` to `base` (the
-    /// store is also reported once, whole, via [`HwBus::on_store`]).
-    fn write_u8(&mut self, addr: u32, value: u8);
-    /// Reads an aligned little-endian word (defaulted byte-wise;
-    /// implementations override with a single-probe fast path).
-    fn read_u32(&mut self, addr: u32) -> u32 {
-        let mut raw = 0u32;
-        for i in 0..4 {
-            raw |= u32::from(self.read_u8(addr.wrapping_add(i))) << (8 * i);
-        }
-        raw
-    }
-    /// Writes an aligned little-endian word (defaulted byte-wise).
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        for i in 0..4 {
-            self.write_u8(addr.wrapping_add(i), (value >> (8 * i)) as u8);
-        }
-    }
-    /// One architectural store completed (for logging).
-    fn on_store(&mut self, addr: u32, bytes: u8, value: u32) {
-        let _ = (addr, bytes, value);
-    }
-}
-
-/// Copy-on-write view over the CPU's [`Memory`]: reads fall through to the
-/// underlying memory until the hardware overwrites a location; writes stay
-/// in the overlay and are logged in store order. Nothing is ever
-/// committed — the hybrid machine's software oracle remains authoritative.
+/// The hardware's memory port: a copy-on-write view over the CPU's
+/// [`Memory`]. The first store to a page copies that whole page into a
+/// private [`Memory`]; every later access to a copied page is served
+/// there, and every other access reads the CPU's memory. Stores are logged
+/// in execution order. Nothing is ever committed — the hybrid machine's
+/// software oracle remains authoritative.
 ///
-/// The overlay is **word-granular** (keyed by `addr >> 2`): every
-/// naturally aligned access of any width lands inside one aligned word, so
-/// a load/store costs one map probe instead of one per byte — the FSMD's
-/// memory inner loop dominates co-simulation throughput.
+/// Accesses must be naturally aligned (an unaligned one is
+/// [`FsmdError::Unaligned`]), so none straddles two pages.
 #[derive(Debug)]
 pub struct OverlayBus<'m> {
     mem: &'m Memory,
-    /// Copy-on-write words, keyed by word number (`addr >> 2`).
-    overlay: HashMap<u32, u32>,
+    /// The pages the hardware has written.
+    copied: Memory,
     /// Every store performed, in execution order.
     pub stores: Vec<HwStore>,
 }
@@ -68,43 +46,56 @@ impl<'m> OverlayBus<'m> {
     pub fn new(mem: &'m Memory) -> OverlayBus<'m> {
         OverlayBus {
             mem,
-            overlay: HashMap::new(),
+            copied: Memory::new(),
             stores: Vec::new(),
         }
     }
 
-    /// The current word containing `addr` (overlay first, else memory).
-    #[inline]
-    fn word(&self, addr: u32) -> u32 {
-        let wno = addr >> 2;
-        match self.overlay.get(&wno) {
-            Some(&w) => w,
-            None => self.mem.read_u32(wno << 2),
-        }
+    /// Reads a little-endian `width` value at `addr`, zero-extended.
+    ///
+    /// # Errors
+    ///
+    /// [`FsmdError::Unaligned`] if `addr` is not a multiple of `width`.
+    #[inline(always)]
+    pub fn read(&self, addr: u32, width: MemWidth) -> Result<u32, FsmdError> {
+        check_aligned(addr, width)?;
+        let m = if self.copied.has_page(addr) {
+            &self.copied
+        } else {
+            self.mem
+        };
+        Ok(match width {
+            MemWidth::W => m.read_u32(addr),
+            MemWidth::H => u32::from(m.read_u16(addr)),
+            MemWidth::B => u32::from(m.read_u8(addr)),
+        })
     }
-}
 
-impl HwBus for OverlayBus<'_> {
+    /// Writes the low `width` bytes of `value` at `addr`, little-endian,
+    /// into the overlay, and logs the store.
+    ///
+    /// # Errors
+    ///
+    /// [`FsmdError::Unaligned`] if `addr` is not a multiple of `width`.
     #[inline]
-    fn read_u8(&mut self, addr: u32) -> u8 {
-        (self.word(addr) >> (8 * (addr & 3))) as u8
-    }
-    #[inline]
-    fn write_u8(&mut self, addr: u32, value: u8) {
-        let shift = 8 * (addr & 3);
-        let w = (self.word(addr) & !(0xffu32 << shift)) | (u32::from(value) << shift);
-        self.overlay.insert(addr >> 2, w);
-    }
-    #[inline]
-    fn read_u32(&mut self, addr: u32) -> u32 {
-        self.word(addr) // aligned: one probe
-    }
-    #[inline]
-    fn write_u32(&mut self, addr: u32, value: u32) {
-        self.overlay.insert(addr >> 2, value);
-    }
-    fn on_store(&mut self, addr: u32, bytes: u8, value: u32) {
-        self.stores.push(HwStore { addr, bytes, value });
+    pub fn write(&mut self, addr: u32, width: MemWidth, value: u32) -> Result<(), FsmdError> {
+        check_aligned(addr, width)?;
+        if !self.copied.has_page(addr) {
+            let page = addr & !(PAGE_SIZE as u32 - 1);
+            self.copied
+                .write_slice(page, &self.mem.read_vec(page, PAGE_SIZE));
+        }
+        match width {
+            MemWidth::W => self.copied.write_u32(addr, value),
+            MemWidth::H => self.copied.write_u16(addr, value as u16),
+            MemWidth::B => self.copied.write_u8(addr, value as u8),
+        }
+        self.stores.push(HwStore {
+            addr,
+            bytes: width.bytes() as u8,
+            value,
+        });
+        Ok(())
     }
 }
 
@@ -122,8 +113,9 @@ pub enum FsmdError {
         /// The configured limit.
         limit: u64,
     },
-    /// The region contained an op hardware cannot execute (a call), or a
-    /// malformed terminator.
+    /// The region contained an op hardware cannot execute (a call), a
+    /// malformed terminator or a reference outside the function, or the
+    /// register file passed to [`Fsmd::execute`] was too short.
     Unexecutable,
     /// A phi had no argument for the executed predecessor.
     PhiWithoutPred,
@@ -161,17 +153,105 @@ pub struct FsmdRun {
     pub return_value: Option<u32>,
 }
 
-/// One block compiled for execution: its leading phis, its non-phi ops in
-/// (control step, original index) order, and its schedule depth.
+/// One datapath step. Operands and destinations are register-file slots:
+/// slot `i < vreg_count` is `VReg(i)`, later slots hold constants.
+#[derive(Debug, Clone, Copy)]
+enum MicroOp {
+    Copy { d: u32, s: u32 },
+    Add { d: u32, a: u32, b: u32 },
+    Sub { d: u32, a: u32, b: u32 },
+    Mul { d: u32, a: u32, b: u32 },
+    And { d: u32, a: u32, b: u32 },
+    Or { d: u32, a: u32, b: u32 },
+    Xor { d: u32, a: u32, b: u32 },
+    Shl { d: u32, a: u32, b: u32 },
+    ShrL { d: u32, a: u32, b: u32 },
+    ShrA { d: u32, a: u32, b: u32 },
+    Eq { d: u32, a: u32, b: u32 },
+    Ne { d: u32, a: u32, b: u32 },
+    LtS { d: u32, a: u32, b: u32 },
+    LtU { d: u32, a: u32, b: u32 },
+    /// Every other binop, through [`BinOp::fold`].
+    Bin { op: BinOp, d: u32, a: u32, b: u32 },
+    Un { op: UnOp, d: u32, s: u32 },
+    Load { d: u32, addr: u32, width: MemWidth, signed: bool },
+    Store { s: u32, addr: u32, width: MemWidth },
+}
+
+/// Where a control transfer goes.
+#[derive(Debug, Clone, Copy)]
+enum Target {
+    /// A region block (local index) entered over `edge`.
+    Local { block: u32, edge: u32 },
+    /// Out of the region: the execution ends here.
+    Exit(BlockId),
+}
+
+/// A block's terminator with resolved slots and targets.
+#[derive(Debug, Clone, Copy)]
+enum Exit {
+    Jump(Target),
+    Branch {
+        cond: u32,
+        t: Target,
+        f: Target,
+    },
+    /// `table[start..end][index]`, else `default`.
+    Switch {
+        index: u32,
+        start: u32,
+        end: u32,
+        default: Target,
+    },
+    Return(Option<u32>),
+    /// `Terminator::None`: unexecutable when reached.
+    Malformed,
+}
+
+/// The phi parallel copy performed when control crosses one CFG edge:
+/// `copies[start..end]`, `(destination, source)` slot pairs in phi order.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    start: u32,
+    end: u32,
+    kind: EdgeKind,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EdgeKind {
+    /// No destination is another copy's source: copy in order.
+    Direct,
+    /// Some destination feeds another copy: read all sources first.
+    Buffered,
+    /// A phi of the target has no argument for this edge.
+    MissingArg,
+}
+
+/// Edge 0: no phi copies.
+const NO_COPIES: u32 = 0;
+/// A block outside every pipelined loop.
+const NO_LOOP: u32 = u32::MAX;
+
+/// One region block, lowered.
 #[derive(Debug, Clone)]
-struct ExecBlock {
-    /// Indices of `Op::Phi` ops (evaluated in parallel at block entry).
-    phis: Vec<u32>,
-    /// Non-phi op indices sorted by (scheduled step, index) — the state
-    /// sequence of the block's FSM. Dependence-safe: an op's producers
-    /// never sit in a later step, and within a step chained producers
-    /// precede consumers in original order.
-    order: Vec<u32>,
+struct DenseBlock {
+    /// The block in the function (telemetry names states by it).
+    id: BlockId,
+    /// `code[start..end]`: non-phi ops in (control step, original index)
+    /// order — the state sequence of the block's FSM. Dependence-safe: an
+    /// op's producers never sit in a later step, and within a step
+    /// chained producers precede consumers in original order.
+    start: u32,
+    end: u32,
+    exit: Exit,
+    /// Innermost pipelined loop covering the block, or [`NO_LOOP`].
+    pipe: u32,
+    /// Whether the block is its pipelined loop's header.
+    header: bool,
+    /// The loop's pipeline fill (`depth - II`), II and bus-stall share.
+    fill: u32,
+    ii: u32,
+    stall: u32,
     /// Control steps the block occupies (1 for control-only blocks).
     depth: u32,
 }
@@ -193,27 +273,223 @@ struct PipeLoop {
 
 /// A compiled, executable FSMD for one region of a decompiled function —
 /// the same schedules and initiation intervals
-/// [`binpart_synth::synthesize`] estimates from, in executable form.
+/// [`binpart_synth::synthesize`] estimates from, lowered once into a dense
+/// program (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Fsmd<'f> {
     f: &'f Function,
-    entry: BlockId,
-    in_region: Vec<bool>,
-    blocks: Vec<Option<ExecBlock>>,
+    /// Region blocks in ascending [`BlockId`] order.
+    blocks: Vec<DenseBlock>,
+    code: Vec<MicroOp>,
+    /// Switch target tables.
+    table: Vec<Target>,
+    edges: Vec<Edge>,
+    copies: Vec<(u32, u32)>,
+    /// Local index of the entry block, and the edge region entry takes.
+    entry: u32,
+    entry_edge: u32,
     loops: Vec<PipeLoop>,
-    /// Innermost pipelined loop covering each block, if any.
-    loop_of: Vec<Option<usize>>,
+    /// Register-file slots `vreg_count..` hold these constants.
+    consts: Vec<u32>,
+    vreg_count: usize,
+}
+
+/// Builds the dense program's side tables while blocks are lowered.
+struct Lowering<'a> {
+    f: &'a Function,
+    in_region: &'a [bool],
+    local: &'a [u32],
+    vreg_count: usize,
+    consts: Vec<u32>,
+    table: Vec<Target>,
+    edges: Vec<Edge>,
+    copies: Vec<(u32, u32)>,
+}
+
+impl Lowering<'_> {
+    fn reg(&self, r: VReg) -> Result<u32, FsmdError> {
+        if r.index() < self.vreg_count {
+            Ok(r.0)
+        } else {
+            Err(FsmdError::Unexecutable)
+        }
+    }
+
+    fn operand(&mut self, o: Operand) -> Result<u32, FsmdError> {
+        match o {
+            Operand::Reg(r) => self.reg(r),
+            Operand::Const(c) => {
+                let value = c as u32;
+                let k = match self.consts.iter().position(|&v| v == value) {
+                    Some(k) => k,
+                    None => {
+                        self.consts.push(value);
+                        self.consts.len() - 1
+                    }
+                };
+                Ok((self.vreg_count + k) as u32)
+            }
+        }
+    }
+
+    fn op(&mut self, op: &Op) -> Result<MicroOp, FsmdError> {
+        Ok(match *op {
+            Op::Const { dst, value } => MicroOp::Copy {
+                d: self.reg(dst)?,
+                s: self.operand(Operand::Const(value))?,
+            },
+            Op::Copy { dst, src } => MicroOp::Copy {
+                d: self.reg(dst)?,
+                s: self.operand(src)?,
+            },
+            Op::Un { op, dst, src } => MicroOp::Un {
+                op,
+                d: self.reg(dst)?,
+                s: self.operand(src)?,
+            },
+            Op::Bin { op, dst, lhs, rhs } => {
+                let (d, a, b) = (self.reg(dst)?, self.operand(lhs)?, self.operand(rhs)?);
+                match op {
+                    BinOp::Add => MicroOp::Add { d, a, b },
+                    BinOp::Sub => MicroOp::Sub { d, a, b },
+                    BinOp::Mul => MicroOp::Mul { d, a, b },
+                    BinOp::And => MicroOp::And { d, a, b },
+                    BinOp::Or => MicroOp::Or { d, a, b },
+                    BinOp::Xor => MicroOp::Xor { d, a, b },
+                    BinOp::Shl => MicroOp::Shl { d, a, b },
+                    BinOp::ShrL => MicroOp::ShrL { d, a, b },
+                    BinOp::ShrA => MicroOp::ShrA { d, a, b },
+                    BinOp::Eq => MicroOp::Eq { d, a, b },
+                    BinOp::Ne => MicroOp::Ne { d, a, b },
+                    BinOp::LtS => MicroOp::LtS { d, a, b },
+                    BinOp::LtU => MicroOp::LtU { d, a, b },
+                    _ => MicroOp::Bin { op, d, a, b },
+                }
+            }
+            Op::Load {
+                dst,
+                addr,
+                width,
+                signed,
+            } => MicroOp::Load {
+                d: self.reg(dst)?,
+                addr: self.operand(addr)?,
+                width,
+                signed,
+            },
+            Op::Store { src, addr, width } => MicroOp::Store {
+                s: self.operand(src)?,
+                addr: self.operand(addr)?,
+                width,
+            },
+            Op::Phi { .. } | Op::Call { .. } => return Err(FsmdError::Unexecutable),
+        })
+    }
+
+    fn in_region(&self, b: BlockId) -> bool {
+        self.in_region.get(b.index()).copied().unwrap_or(false)
+    }
+
+    /// The phi copies for entering `to` from `from` (`None`: region entry,
+    /// which takes each phi's first argument from outside the region).
+    fn edge(&mut self, from: Option<BlockId>, to: BlockId) -> Result<u32, FsmdError> {
+        let phis = self.f.block(to).ops.iter().filter_map(|i| match &i.op {
+            Op::Phi { dst, args } => Some((*dst, args)),
+            _ => None,
+        });
+        let start = self.copies.len();
+        let mut kind = EdgeKind::Direct;
+        for (dst, args) in phis {
+            let arg = match from {
+                Some(p) => args.iter().find(|(b, _)| *b == p),
+                None => args.iter().find(|(b, _)| !self.in_region(*b)),
+            };
+            let Some(&(_, arg)) = arg else {
+                kind = EdgeKind::MissingArg;
+                self.copies.truncate(start);
+                break;
+            };
+            let pair = (self.reg(dst)?, self.operand(arg)?);
+            self.copies.push(pair);
+        }
+        if self.copies.len() == start && kind == EdgeKind::Direct {
+            return Ok(NO_COPIES);
+        }
+        let list = &self.copies[start..];
+        let hazard = list.iter().enumerate().any(|(i, &(d, _))| {
+            list.iter()
+                .enumerate()
+                .any(|(j, &(dj, sj))| i != j && (sj == d || dj == d))
+        });
+        if hazard {
+            kind = EdgeKind::Buffered;
+        }
+        self.edges.push(Edge {
+            start: start as u32,
+            end: self.copies.len() as u32,
+            kind,
+        });
+        Ok(self.edges.len() as u32 - 1)
+    }
+
+    fn target(&mut self, from: BlockId, to: BlockId) -> Result<Target, FsmdError> {
+        if !self.in_region(to) {
+            return Ok(Target::Exit(to));
+        }
+        Ok(Target::Local {
+            block: self.local[to.index()],
+            edge: self.edge(Some(from), to)?,
+        })
+    }
+
+    fn exit(&mut self, from: BlockId, term: &Terminator) -> Result<Exit, FsmdError> {
+        Ok(match term {
+            Terminator::Jump(t) => Exit::Jump(self.target(from, *t)?),
+            Terminator::Branch { cond, t, f } => Exit::Branch {
+                cond: self.operand(*cond)?,
+                t: self.target(from, *t)?,
+                f: self.target(from, *f)?,
+            },
+            Terminator::Switch {
+                index,
+                targets,
+                default,
+            } => {
+                let index = self.operand(*index)?;
+                let default = self.target(from, *default)?;
+                let mut lowered = Vec::with_capacity(targets.len());
+                for &t in targets {
+                    lowered.push(self.target(from, t)?);
+                }
+                let start = self.table.len() as u32;
+                self.table.extend(lowered);
+                Exit::Switch {
+                    index,
+                    start,
+                    end: self.table.len() as u32,
+                    default,
+                }
+            }
+            Terminator::Return { value } => Exit::Return(match value {
+                Some(v) => Some(self.operand(*v)?),
+                None => None,
+            }),
+            Terminator::None => Exit::Malformed,
+        })
+    }
 }
 
 impl<'f> Fsmd<'f> {
-    /// Compiles the scheduled FSMD for `region` of `f`, entered at `entry`.
+    /// Compiles the scheduled FSMD for `region` of `f`, entered at `entry`,
+    /// and lowers it into the dense program [`Fsmd::execute`] runs.
     ///
     /// Scheduling inputs (budget, library, block-RAM placement) must match
     /// the synthesis call whose estimate the execution is compared against.
     ///
     /// # Errors
     ///
-    /// [`FsmdError::Unexecutable`] if the region contains calls.
+    /// [`FsmdError::Unexecutable`] if the region contains calls, or names a
+    /// block or register outside `f`.
     pub fn compile(
         f: &'f Function,
         region: &[BlockId],
@@ -223,9 +499,19 @@ impl<'f> Fsmd<'f> {
         mem_in_bram: bool,
     ) -> Result<Fsmd<'f>, FsmdError> {
         let nblocks = f.blocks.len();
+        // The loop analysis indexes blocks by every successor.
+        let dangling = f
+            .blocks
+            .iter()
+            .any(|b| b.term.successors().iter().any(|s| s.index() >= nblocks));
+        if dangling {
+            return Err(FsmdError::Unexecutable);
+        }
         let mut in_region = vec![false; nblocks];
         for &b in region {
-            in_region[b.index()] = true;
+            *in_region
+                .get_mut(b.index())
+                .ok_or(FsmdError::Unexecutable)? = true;
         }
         if !in_region.get(entry.index()).copied().unwrap_or(false) {
             return Err(FsmdError::Unexecutable);
@@ -234,7 +520,7 @@ impl<'f> Fsmd<'f> {
         // `estimate_kernel_cycles` software-pipelines.
         let forest = LoopForest::compute(f);
         let mut loops = Vec::new();
-        let mut loop_of: Vec<Option<usize>> = vec![None; nblocks];
+        let mut loop_of: Vec<u32> = vec![NO_LOOP; nblocks];
         for (li, l) in forest.loops().iter().enumerate() {
             let is_innermost = !forest.loops().iter().any(|o| o.parent == Some(li));
             if !is_innermost || !l.blocks.iter().all(|b| in_region[b.index()]) {
@@ -248,7 +534,7 @@ impl<'f> Fsmd<'f> {
             // What the II would be with infinite memory ports; the gap is
             // the bus-contention share of every steady-state iteration.
             let nonmem = rmii.max(res_mii_nonmem(&ops, budget, library, mem_in_bram));
-            let pid = loops.len();
+            let pid = loops.len() as u32;
             loops.push(PipeLoop {
                 header: l.header,
                 ii,
@@ -257,79 +543,133 @@ impl<'f> Fsmd<'f> {
                 trip_count: l.trip_count,
             });
             for &b in &l.blocks {
-                loop_of[b.index()] = Some(pid);
+                loop_of[b.index()] = pid;
             }
         }
-        // Per-block state sequences.
-        let mut blocks: Vec<Option<ExecBlock>> = vec![None; nblocks];
-        for &b in region {
+        let ids: Vec<BlockId> = (0..nblocks as u32)
+            .map(BlockId)
+            .filter(|b| in_region[b.index()])
+            .collect();
+        let mut local = vec![u32::MAX; nblocks];
+        for (i, b) in ids.iter().enumerate() {
+            local[b.index()] = i as u32;
+        }
+        let mut lower = Lowering {
+            f,
+            in_region: &in_region,
+            local: &local,
+            vreg_count: f.vreg_count() as usize,
+            consts: Vec::new(),
+            table: Vec::new(),
+            // Edge 0 is shared by every transfer into a phi-free block.
+            edges: vec![Edge {
+                start: 0,
+                end: 0,
+                kind: EdgeKind::Direct,
+            }],
+            copies: Vec::new(),
+        };
+        let mut code = Vec::new();
+        let mut blocks = Vec::with_capacity(ids.len());
+        for &b in &ids {
             let block = f.block(b);
-            for inst in &block.ops {
-                if matches!(inst.op, Op::Call { .. }) {
-                    return Err(FsmdError::Unexecutable);
-                }
+            if block.ops.iter().any(|i| matches!(i.op, Op::Call { .. })) {
+                return Err(FsmdError::Unexecutable);
             }
+            // The block's states in scheduled order.
             let ops: Vec<&Op> = block.ops.iter().map(|i| &i.op).collect();
             let (order, depth) = if ops.is_empty() {
                 (Vec::new(), 1)
             } else {
                 let sched = schedule_ops(f, &ops, library, budget, mem_in_bram);
-                let mut order: Vec<u32> = (0..ops.len() as u32)
-                    .filter(|&k| !matches!(ops[k as usize], Op::Phi { .. }))
+                let mut order: Vec<usize> = (0..ops.len())
+                    .filter(|&k| !matches!(ops[k], Op::Phi { .. }))
                     .collect();
-                order.sort_by_key(|&k| (sched.steps[k as usize], k));
+                order.sort_by_key(|&k| (sched.steps.get(k).copied(), k));
                 (order, sched.depth)
             };
-            let phis: Vec<u32> = (0..block.ops.len() as u32)
-                .filter(|&k| matches!(block.ops[k as usize].op, Op::Phi { .. }))
-                .collect();
-            blocks[b.index()] = Some(ExecBlock { phis, order, depth });
+            let start = code.len() as u32;
+            for k in order {
+                code.push(lower.op(ops[k])?);
+            }
+            let exit = lower.exit(b, &block.term)?;
+            let pipe = loop_of[b.index()];
+            let pl = loops.get(pipe as usize).copied();
+            blocks.push(DenseBlock {
+                id: b,
+                start,
+                end: code.len() as u32,
+                exit,
+                pipe,
+                header: pl.is_some_and(|pl| pl.header == b),
+                fill: pl.map_or(0, |pl| pl.fill),
+                ii: pl.map_or(0, |pl| pl.ii),
+                stall: pl.map_or(0, |pl| pl.stall),
+                depth,
+            });
         }
+        let entry_edge = lower.edge(None, entry)?;
+        let Lowering {
+            consts,
+            table,
+            edges,
+            copies,
+            vreg_count,
+            ..
+        } = lower;
         Ok(Fsmd {
             f,
-            entry,
-            in_region,
             blocks,
+            code,
+            table,
+            edges,
+            copies,
+            entry: local[entry.index()],
+            entry_edge,
             loops,
-            loop_of,
+            consts,
+            vreg_count,
         })
     }
 
     /// The entry block.
     pub fn entry(&self) -> BlockId {
-        self.entry
+        self.blocks[self.entry as usize].id
+    }
+
+    /// Length of the register file [`Fsmd::execute`] runs on: the
+    /// function's SSA registers (slot [`VReg::index`]) followed by the
+    /// region's constants.
+    pub fn register_count(&self) -> usize {
+        self.vreg_count + self.consts.len()
     }
 
     /// SSA registers read by the region but defined outside it — the values
     /// [`Fsmd::execute`] needs bound. Deterministic order (block × op ×
     /// operand).
     pub fn live_ins(&self) -> Vec<VReg> {
-        let mut defined = vec![false; self.f.vreg_count() as usize];
-        for (bi, eb) in self.blocks.iter().enumerate() {
-            if eb.is_none() {
-                continue;
-            }
-            for inst in &self.f.block(BlockId(bi as u32)).ops {
-                if let Some(d) = inst.op.dst() {
-                    defined[d.index()] = true;
+        let mut defined = vec![false; self.vreg_count];
+        for b in &self.blocks {
+            for inst in &self.f.block(b.id).ops {
+                if let Some(d) = inst.op.dst().and_then(|d| defined.get_mut(d.index())) {
+                    *d = true;
                 }
             }
         }
-        let mut seen = vec![false; self.f.vreg_count() as usize];
+        let mut seen = vec![false; self.vreg_count];
         let mut live = Vec::new();
         let mut note = |o: &Operand| {
+            // A register outside the function (only in phi arguments no
+            // lowered edge reads) is never bound.
             if let Operand::Reg(r) = o {
-                if !defined[r.index()] && !seen[r.index()] {
+                if !defined.get(r.index()).copied().unwrap_or(true) && !seen[r.index()] {
                     seen[r.index()] = true;
                     live.push(*r);
                 }
             }
         };
-        for (bi, eb) in self.blocks.iter().enumerate() {
-            if eb.is_none() {
-                continue;
-            }
-            let block = self.f.block(BlockId(bi as u32));
+        for b in &self.blocks {
+            let block = self.f.block(b.id);
             for inst in &block.ops {
                 inst.op.for_each_use(&mut note);
             }
@@ -345,7 +685,7 @@ impl<'f> Fsmd<'f> {
 
     /// FSM states in the kernel: region blocks the FSMD compiled.
     pub fn region_states(&self) -> usize {
-        self.blocks.iter().filter(|b| b.is_some()).count()
+        self.blocks.len()
     }
 
     /// The analytic per-category cycle attribution: the exact split
@@ -367,33 +707,29 @@ impl<'f> Fsmd<'f> {
             a.bus_stall += iters * u64::from(pl.stall);
             a.fill_drain += entries * u64::from(pl.fill);
         }
-        for (bi, eb) in self.blocks.iter().enumerate() {
-            let Some(eb) = eb else { continue };
-            if self.loop_of[bi].is_some() {
-                continue;
-            }
-            let b = self.f.block(BlockId(bi as u32));
+        for eb in self.blocks.iter().filter(|b| b.pipe == NO_LOOP) {
+            let b = self.f.block(eb.id);
             let count = b.profile_count * u64::from(b.reroll_factor);
             a.block_seq += count * u64::from(eb.depth);
         }
         a
     }
 
-    /// Executes one invocation: live-ins pre-bound in `vals` (indexed by
-    /// [`VReg::index`], sized to the function's register count), memory
-    /// through `bus`. Runs until the region is left or `cycle_limit` is
-    /// exceeded.
+    /// Executes one invocation on the register file `regs` (at least
+    /// [`Fsmd::register_count`] long, live-ins pre-bound at their
+    /// [`VReg::index`]; the constant slots are filled here), memory through
+    /// `bus`. Runs until the region is left or `cycle_limit` is exceeded.
     ///
     /// # Errors
     ///
     /// Any [`FsmdError`]; the bus may have absorbed a partial store log.
     pub fn execute(
         &self,
-        vals: &mut [u32],
-        bus: &mut impl HwBus,
+        regs: &mut [u32],
+        bus: &mut OverlayBus<'_>,
         cycle_limit: u64,
     ) -> Result<FsmdRun, FsmdError> {
-        self.execute_tel(vals, bus, cycle_limit, &NullHwTelemetry)
+        self.execute_tel(regs, bus, cycle_limit, &NullHwTelemetry)
     }
 
     /// [`Fsmd::execute`] with a live [`HwTelemetry`] sink. Monomorphized:
@@ -407,12 +743,15 @@ impl<'f> Fsmd<'f> {
     /// Any [`FsmdError`]; the bus may have absorbed a partial store log.
     pub fn execute_tel<H: HwTelemetry>(
         &self,
-        vals: &mut [u32],
-        bus: &mut impl HwBus,
+        regs: &mut [u32],
+        bus: &mut OverlayBus<'_>,
         cycle_limit: u64,
         tel: &H,
     ) -> Result<FsmdRun, FsmdError> {
-        let f = self.f;
+        let consts = self.vreg_count..self.register_count();
+        regs.get_mut(consts)
+            .ok_or(FsmdError::Unexecutable)?
+            .copy_from_slice(&self.consts);
         let mut run = FsmdRun {
             cycles: 0,
             iterations: 0,
@@ -421,213 +760,195 @@ impl<'f> Fsmd<'f> {
             exit_block: None,
             return_value: None,
         };
-        let mut cur = self.entry;
-        let mut prev: Option<BlockId> = None;
-        let mut cur_loop: Option<usize> = None;
-        let mut phi_new: Vec<(VReg, u32)> = Vec::new();
+        let mut cur = self.entry as usize;
+        let mut edge = self.entry_edge;
+        let mut cur_loop = NO_LOOP;
+        let mut buffer: Vec<u32> = Vec::new();
         loop {
-            let eb = self.blocks[cur.index()]
-                .as_ref()
-                .ok_or(FsmdError::Unexecutable)?;
+            let b = &self.blocks[cur];
             run.blocks_executed += 1;
             if H::ENABLED {
-                tel.state_enter(run.cycles, cur.0);
+                tel.state_enter(run.cycles, b.id.0);
             }
             // ---- timing: pipelined loops at II, other blocks at depth ----
-            match self.loop_of[cur.index()] {
-                Some(li) => {
-                    let pl = self.loops[li];
-                    if cur_loop != Some(li) {
-                        // entering the loop: pay the pipeline fill once
-                        run.cycles += u64::from(pl.fill);
-                        run.entries += 1;
-                        cur_loop = Some(li);
-                        if H::ENABLED {
-                            tel.charge(cur.0, HwAttr::FillDrain, u64::from(pl.fill));
-                        }
-                    }
-                    if cur == pl.header {
-                        run.cycles += u64::from(pl.ii);
-                        run.iterations += 1;
-                        if H::ENABLED {
-                            tel.charge(cur.0, HwAttr::SteadyII, u64::from(pl.ii - pl.stall));
-                            tel.charge(cur.0, HwAttr::BusStall, u64::from(pl.stall));
-                        }
+            if b.pipe == NO_LOOP {
+                cur_loop = NO_LOOP;
+                run.cycles += u64::from(b.depth);
+                if H::ENABLED {
+                    tel.charge(b.id.0, HwAttr::BlockSeq, u64::from(b.depth));
+                }
+            } else {
+                if cur_loop != b.pipe {
+                    // entering the loop: pay the pipeline fill once
+                    run.cycles += u64::from(b.fill);
+                    run.entries += 1;
+                    cur_loop = b.pipe;
+                    if H::ENABLED {
+                        tel.charge(b.id.0, HwAttr::FillDrain, u64::from(b.fill));
                     }
                 }
-                None => {
-                    cur_loop = None;
-                    run.cycles += u64::from(eb.depth);
+                if b.header {
+                    run.cycles += u64::from(b.ii);
+                    run.iterations += 1;
                     if H::ENABLED {
-                        tel.charge(cur.0, HwAttr::BlockSeq, u64::from(eb.depth));
+                        tel.charge(b.id.0, HwAttr::SteadyII, u64::from(b.ii - b.stall));
+                        tel.charge(b.id.0, HwAttr::BusStall, u64::from(b.stall));
                     }
                 }
             }
             if run.cycles > cycle_limit {
                 return Err(FsmdError::CycleLimit { limit: cycle_limit });
             }
-            let block = f.block(cur);
-            // ---- phis: parallel assignment from the executed predecessor ----
-            if !eb.phis.is_empty() {
-                phi_new.clear();
-                for &k in &eb.phis {
-                    // The phi index table is built at compile time; a stale
-                    // entry means the FSMD is malformed, not a panic.
-                    let Some(Op::Phi { dst, args }) =
-                        block.ops.get(k as usize).map(|i| &i.op)
-                    else {
-                        return Err(FsmdError::Unexecutable);
-                    };
-                    let arg = match prev {
-                        Some(p) => args.iter().find(|(b, _)| *b == p).map(|(_, a)| *a),
-                        // Region entry: the unique outside-predecessor arg.
-                        None => args
-                            .iter()
-                            .find(|(b, _)| !self.in_region[b.index()])
-                            .map(|(_, a)| *a),
-                    };
-                    let arg = arg.ok_or(FsmdError::PhiWithoutPred)?;
-                    phi_new.push((*dst, eval(vals, arg)));
-                }
-                for &(d, v) in &phi_new {
-                    vals[d.index()] = v;
-                    if H::ENABLED {
-                        tel.reg_write(run.cycles, d.index() as u32, v);
-                    }
-                }
+            // ---- phis: the entered edge's parallel copy ----
+            if edge != NO_COPIES {
+                self.cross(edge, regs, &mut buffer, tel, run.cycles)?;
             }
             // ---- datapath: the block's states in scheduled order ----
-            for &k in &eb.order {
-                exec_op(f, vals, bus, &block.ops[k as usize].op, tel, run.cycles)?;
+            for op in &self.code[b.start as usize..b.end as usize] {
+                step(op, regs, bus, tel, run.cycles)?;
             }
             // ---- terminator ----
-            let next = match &block.term {
-                Terminator::Jump(t) => *t,
-                Terminator::Branch { cond, t, f: fe } => {
-                    if eval(vals, *cond) != 0 {
-                        *t
+            let next = match b.exit {
+                Exit::Jump(t) => t,
+                Exit::Branch { cond, t, f } => {
+                    if regs[cond as usize] != 0 {
+                        t
                     } else {
-                        *fe
+                        f
                     }
                 }
-                Terminator::Switch {
+                Exit::Switch {
                     index,
-                    targets,
+                    start,
+                    end,
                     default,
                 } => {
-                    let i = eval(vals, *index) as usize;
-                    targets.get(i).copied().unwrap_or(*default)
+                    let i = regs[index as usize] as usize;
+                    self.table[start as usize..end as usize]
+                        .get(i)
+                        .copied()
+                        .unwrap_or(default)
                 }
-                Terminator::Return { value } => {
-                    run.return_value = value.map(|v| eval(vals, v));
+                Exit::Return(value) => {
+                    run.return_value = value.map(|s| regs[s as usize]);
                     return Ok(run);
                 }
-                Terminator::None => return Err(FsmdError::Unexecutable),
+                Exit::Malformed => return Err(FsmdError::Unexecutable),
             };
-            if !self.in_region[next.index()] {
-                run.exit_block = Some(next);
-                return Ok(run);
+            match next {
+                Target::Local { block, edge: e } => {
+                    cur = block as usize;
+                    edge = e;
+                }
+                Target::Exit(id) => {
+                    run.exit_block = Some(id);
+                    return Ok(run);
+                }
             }
-            prev = Some(cur);
-            cur = next;
         }
     }
-}
 
-#[inline]
-fn eval(vals: &[u32], o: Operand) -> u32 {
-    match o {
-        Operand::Reg(r) => vals[r.index()],
-        Operand::Const(c) => c as u32,
+    /// Performs edge `edge`'s phi parallel copy, reporting each phi's write
+    /// in phi order.
+    #[inline(always)]
+    fn cross<H: HwTelemetry>(
+        &self,
+        edge: u32,
+        regs: &mut [u32],
+        buffer: &mut Vec<u32>,
+        tel: &H,
+        cycle: u64,
+    ) -> Result<(), FsmdError> {
+        let e = self.edges[edge as usize];
+        let copies = &self.copies[e.start as usize..e.end as usize];
+        match e.kind {
+            EdgeKind::MissingArg => return Err(FsmdError::PhiWithoutPred),
+            EdgeKind::Direct => {
+                for &(d, s) in copies {
+                    regs[d as usize] = regs[s as usize];
+                }
+                if H::ENABLED {
+                    for &(d, _) in copies {
+                        tel.reg_write(cycle, d, regs[d as usize]);
+                    }
+                }
+            }
+            EdgeKind::Buffered => {
+                buffer.clear();
+                buffer.extend(copies.iter().map(|&(_, s)| regs[s as usize]));
+                for (&(d, _), &v) in copies.iter().zip(buffer.iter()) {
+                    regs[d as usize] = v;
+                    if H::ENABLED {
+                        tel.reg_write(cycle, d, v);
+                    }
+                }
+            }
+        }
+        Ok(())
     }
 }
 
-#[inline]
-fn exec_op<H: HwTelemetry>(
-    f: &Function,
-    vals: &mut [u32],
-    bus: &mut impl HwBus,
-    op: &Op,
+/// Executes one micro-op.
+#[inline(always)]
+fn step<H: HwTelemetry>(
+    op: &MicroOp,
+    r: &mut [u32],
+    bus: &mut OverlayBus<'_>,
     tel: &H,
     cycle: u64,
 ) -> Result<(), FsmdError> {
-    let _ = f;
-    match op {
-        Op::Const { dst, value } => {
-            vals[dst.index()] = *value as u32;
-            if H::ENABLED {
-                tel.reg_write(cycle, dst.index() as u32, vals[dst.index()]);
-            }
-        }
-        Op::Copy { dst, src } => {
-            vals[dst.index()] = eval(vals, *src);
-            if H::ENABLED {
-                tel.reg_write(cycle, dst.index() as u32, vals[dst.index()]);
-            }
-        }
-        Op::Un { op, dst, src } => {
-            let v = eval(vals, *src);
-            vals[dst.index()] = UnOp::fold(*op, v as i64) as u32;
-            if H::ENABLED {
-                tel.reg_write(cycle, dst.index() as u32, vals[dst.index()]);
-            }
-        }
-        Op::Bin { op, dst, lhs, rhs } => {
-            let a = eval(vals, *lhs);
-            let b = eval(vals, *rhs);
-            vals[dst.index()] = BinOp::fold(*op, a as i64, b as i64) as u32;
-            if H::ENABLED {
-                tel.reg_write(cycle, dst.index() as u32, vals[dst.index()]);
-            }
-        }
-        Op::Load {
-            dst,
+    let reg = |s: u32| r[s as usize];
+    let (d, v) = match *op {
+        MicroOp::Copy { d, s } => (d, reg(s)),
+        MicroOp::Add { d, a, b } => (d, reg(a).wrapping_add(reg(b))),
+        MicroOp::Sub { d, a, b } => (d, reg(a).wrapping_sub(reg(b))),
+        MicroOp::Mul { d, a, b } => (d, reg(a).wrapping_mul(reg(b))),
+        MicroOp::And { d, a, b } => (d, reg(a) & reg(b)),
+        MicroOp::Or { d, a, b } => (d, reg(a) | reg(b)),
+        MicroOp::Xor { d, a, b } => (d, reg(a) ^ reg(b)),
+        MicroOp::Shl { d, a, b } => (d, reg(a) << (reg(b) & 31)),
+        MicroOp::ShrL { d, a, b } => (d, reg(a) >> (reg(b) & 31)),
+        MicroOp::ShrA { d, a, b } => (d, ((reg(a) as i32) >> (reg(b) & 31)) as u32),
+        MicroOp::Eq { d, a, b } => (d, u32::from(reg(a) == reg(b))),
+        MicroOp::Ne { d, a, b } => (d, u32::from(reg(a) != reg(b))),
+        MicroOp::LtS { d, a, b } => (d, u32::from((reg(a) as i32) < (reg(b) as i32))),
+        MicroOp::LtU { d, a, b } => (d, u32::from(reg(a) < reg(b))),
+        MicroOp::Bin { op, d, a, b } => (
+            d,
+            BinOp::fold(op, i64::from(reg(a)), i64::from(reg(b))) as u32,
+        ),
+        MicroOp::Un { op, d, s } => (d, UnOp::fold(op, i64::from(reg(s))) as u32),
+        MicroOp::Load {
+            d,
             addr,
             width,
             signed,
         } => {
-            let a = eval(vals, *addr);
-            check_aligned(a, *width)?;
-            let raw = match width {
-                MemWidth::W => bus.read_u32(a),
-                _ => {
-                    let n = width.bytes();
-                    let mut raw: u32 = 0;
-                    for i in 0..n {
-                        raw |= u32::from(bus.read_u8(a.wrapping_add(i))) << (8 * i);
-                    }
-                    raw
-                }
-            };
-            vals[dst.index()] = match (width, signed) {
+            let a = reg(addr);
+            let raw = bus.read(a, width)?;
+            let v = match (width, signed) {
                 (MemWidth::B, true) => raw as u8 as i8 as i32 as u32,
                 (MemWidth::H, true) => raw as u16 as i16 as i32 as u32,
                 _ => raw,
             };
             if H::ENABLED {
                 tel.bus_read(cycle, a, width.bytes() as u8, raw);
-                tel.reg_write(cycle, dst.index() as u32, vals[dst.index()]);
             }
+            (d, v)
         }
-        Op::Store { src, addr, width } => {
-            let a = eval(vals, *addr);
-            check_aligned(a, *width)?;
-            let v = eval(vals, *src);
-            match width {
-                MemWidth::W => bus.write_u32(a, v),
-                _ => {
-                    for i in 0..width.bytes() {
-                        bus.write_u8(a.wrapping_add(i), (v >> (8 * i)) as u8);
-                    }
-                }
-            }
-            bus.on_store(a, width.bytes() as u8, v);
+        MicroOp::Store { s, addr, width } => {
+            let a = reg(addr);
+            let v = reg(s);
+            bus.write(a, width, v)?;
             if H::ENABLED {
                 tel.bus_write(cycle, a, width.bytes() as u8, v);
             }
+            return Ok(());
         }
-        Op::Phi { .. } => {} // handled at block entry
-        Op::Call { .. } => return Err(FsmdError::Unexecutable),
+    };
+    r[d as usize] = v;
+    if H::ENABLED {
+        tel.reg_write(cycle, d, v);
     }
     Ok(())
 }
@@ -761,7 +1082,7 @@ mod tests {
         let mut bus = OverlayBus::new(&mem);
         // Live-ins: the loop phis' init values, defined by the preheader's
         // `Const` ops — bind them from their defs.
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         let run = fsmd.execute(&mut vals, &mut bus, 1 << 24).unwrap();
         let expected: u32 = (0..n as u32).sum();
@@ -785,7 +1106,7 @@ mod tests {
         let fsmd = Fsmd::compile(&f, &region, header, &budget, &library(), true).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         let run = fsmd.execute(&mut vals, &mut bus, 1 << 28).unwrap();
         let mut input = SynthesisInput::new(&f, region);
@@ -811,7 +1132,7 @@ mod tests {
         let fsmd = Fsmd::compile(&f, &region, header, &budget, &library(), true).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
         rec.invocation_begin();
@@ -857,14 +1178,14 @@ mod tests {
         }
         let run2 = || {
             let mut bus = OverlayBus::new(&mem);
-            let mut vals = vec![0u32; f.vreg_count() as usize];
+            let mut vals = vec![0u32; fsmd.register_count()];
             bind_const_live_ins(&f, &fsmd, &mut vals);
             (fsmd.execute(&mut vals, &mut bus, 1 << 24).unwrap(), vals)
         };
         let (plain, plain_vals) = run2();
         let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
         let mut bus = OverlayBus::new(&mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         rec.invocation_begin();
         let instrumented = fsmd.execute_tel(&mut vals, &mut bus, 1 << 24, &rec).unwrap();
@@ -893,7 +1214,7 @@ mod tests {
         )
         .unwrap();
         let mut bus = OverlayBus::new(mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
         rec.invocation_begin();
@@ -997,7 +1318,7 @@ mod tests {
         .unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         let run = fsmd.execute(&mut vals, &mut bus, 1024).unwrap();
         assert_eq!(run.return_value, None);
         assert_eq!(
@@ -1008,8 +1329,8 @@ mod tests {
             ]
         );
         assert_eq!(mem.read_u32(0x100), 0, "overlay never commits");
-        let mut bus2 = OverlayBus::new(&mem);
-        assert_eq!(bus2.read_u8(0x100), 0);
+        let bus2 = OverlayBus::new(&mem);
+        assert_eq!(bus2.read(0x100, MemWidth::B), Ok(0));
     }
 
     #[test]
@@ -1032,7 +1353,7 @@ mod tests {
         .unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         let err = fsmd.execute(&mut vals, &mut bus, 1000).unwrap_err();
         assert!(matches!(err, FsmdError::CycleLimit { .. }));
     }
@@ -1061,10 +1382,285 @@ mod tests {
         .unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
-        let mut vals = vec![0u32; f.vreg_count() as usize];
+        let mut vals = vec![0u32; fsmd.register_count()];
         assert_eq!(
             fsmd.execute(&mut vals, &mut bus, 64).unwrap_err(),
             FsmdError::Unaligned { addr: 0x101 }
+        );
+    }
+
+    /// Compiles the whole of `f`, entered at its entry block.
+    fn compile_whole(f: &Function) -> Fsmd<'_> {
+        let region: Vec<BlockId> = f.block_ids().collect();
+        Fsmd::compile(
+            f,
+            &region,
+            f.entry,
+            &ResourceBudget::default(),
+            &library(),
+            true,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn phi_swap_goes_through_the_parallel_copy_buffer() {
+        // a, b = 1, 2; for (i = 0; i < 3; i++) { a, b = b, a; }
+        let mut f = Function::new("swap");
+        let (pre, header, body, exit) = (f.entry, f.add_block(), f.add_block(), f.add_block());
+        let (a, b, i, i2, c) = (
+            f.new_vreg(),
+            f.new_vreg(),
+            f.new_vreg(),
+            f.new_vreg(),
+            f.new_vreg(),
+        );
+        f.block_mut(pre).term = Terminator::Jump(header);
+        for (dst, init, back) in [
+            (a, 1, Operand::Reg(b)),
+            (b, 2, Operand::Reg(a)),
+            (i, 0, Operand::Reg(i2)),
+        ] {
+            f.block_mut(header).push(Op::Phi {
+                dst,
+                args: vec![(pre, Operand::Const(init)), (body, back)],
+            });
+        }
+        f.block_mut(header).push(Op::Bin {
+            op: BinOp::LtS,
+            dst: c,
+            lhs: Operand::Reg(i),
+            rhs: Operand::Const(3),
+        });
+        f.block_mut(header).term = Terminator::Branch {
+            cond: Operand::Reg(c),
+            t: body,
+            f: exit,
+        };
+        f.block_mut(body).push(Op::Bin {
+            op: BinOp::Add,
+            dst: i2,
+            lhs: Operand::Reg(i),
+            rhs: Operand::Const(1),
+        });
+        f.block_mut(body).term = Terminator::Jump(header);
+        f.block_mut(exit).term = Terminator::Return { value: None };
+        let fsmd = Fsmd::compile(
+            &f,
+            &[header, body],
+            header,
+            &ResourceBudget::default(),
+            &library(),
+            true,
+        )
+        .unwrap();
+        // The back edge's copies read each other's destinations; region
+        // entry's read only constants.
+        let kinds: Vec<EdgeKind> = fsmd.edges.iter().skip(1).map(|e| e.kind).collect();
+        assert!(kinds.contains(&EdgeKind::Buffered), "{kinds:?}");
+        assert!(kinds.contains(&EdgeKind::Direct), "{kinds:?}");
+        let mem = Memory::new();
+        let mut bus = OverlayBus::new(&mem);
+        let mut vals = vec![0u32; fsmd.register_count()];
+        let run = fsmd.execute(&mut vals, &mut bus, 1 << 16).unwrap();
+        assert_eq!(run.exit_block, Some(exit));
+        // Three swaps of (1, 2); a sequential copy would leave (2, 2).
+        assert_eq!(
+            (vals[a.index()], vals[b.index()], vals[i.index()]),
+            (2, 1, 3)
+        );
+    }
+
+    #[test]
+    fn phi_without_pred_is_raised_only_when_the_bad_edge_is_taken() {
+        // if (c) goto p1 else goto p2; both reach x, whose phi only has
+        // an argument for p1.
+        let mut f = Function::new("badphi");
+        let (e, p1, p2, x) = (f.entry, f.add_block(), f.add_block(), f.add_block());
+        let (c, v) = (f.new_vreg(), f.new_vreg());
+        f.block_mut(e).term = Terminator::Branch {
+            cond: Operand::Reg(c),
+            t: p1,
+            f: p2,
+        };
+        f.block_mut(p1).term = Terminator::Jump(x);
+        f.block_mut(p2).term = Terminator::Jump(x);
+        f.block_mut(x).push(Op::Phi {
+            dst: v,
+            args: vec![(p1, Operand::Const(7))],
+        });
+        f.block_mut(x).term = Terminator::Return {
+            value: Some(Operand::Reg(v)),
+        };
+        let fsmd = compile_whole(&f);
+        let mem = Memory::new();
+        let mut vals = vec![0u32; fsmd.register_count()];
+        vals[c.index()] = 1;
+        let run = fsmd
+            .execute(&mut vals, &mut OverlayBus::new(&mem), 1 << 10)
+            .unwrap();
+        assert_eq!(run.return_value, Some(7));
+        vals[c.index()] = 0;
+        assert_eq!(
+            fsmd.execute(&mut vals, &mut OverlayBus::new(&mem), 1 << 10)
+                .unwrap_err(),
+            FsmdError::PhiWithoutPred
+        );
+    }
+
+    #[test]
+    fn switch_index_out_of_range_goes_to_the_default() {
+        let mut f = Function::new("sw");
+        let (e, t0, t1, dflt) = (f.entry, f.add_block(), f.add_block(), f.add_block());
+        let k = f.new_vreg();
+        f.block_mut(e).term = Terminator::Switch {
+            index: Operand::Reg(k),
+            targets: vec![t0, t1],
+            default: dflt,
+        };
+        for (b, value) in [(t0, 10), (t1, 11), (dflt, 99)] {
+            f.block_mut(b).term = Terminator::Return {
+                value: Some(Operand::Const(value)),
+            };
+        }
+        let fsmd = compile_whole(&f);
+        let mem = Memory::new();
+        for (index, expected) in [(0, 10), (1, 11), (2, 99), (u32::MAX, 99)] {
+            let mut vals = vec![0u32; fsmd.register_count()];
+            vals[k.index()] = index;
+            let run = fsmd
+                .execute(&mut vals, &mut OverlayBus::new(&mem), 1 << 10)
+                .unwrap();
+            assert_eq!(run.return_value, Some(expected), "index {index}");
+        }
+    }
+
+    #[test]
+    fn byte_store_then_word_load_sees_the_merged_word() {
+        let mut f = Function::new("merge");
+        let e = f.entry;
+        let d = f.new_vreg();
+        f.block_mut(e).push(Op::Store {
+            src: Operand::Const(0xaa),
+            addr: Operand::Const(0x101),
+            width: MemWidth::B,
+        });
+        f.block_mut(e).push(Op::Load {
+            dst: d,
+            addr: Operand::Const(0x100),
+            width: MemWidth::W,
+            signed: false,
+        });
+        f.block_mut(e).term = Terminator::Return {
+            value: Some(Operand::Reg(d)),
+        };
+        let fsmd = compile_whole(&f);
+        let mut mem = Memory::new();
+        mem.write_u32(0x100, 0x1122_3344);
+        let mut bus = OverlayBus::new(&mem);
+        let mut vals = vec![0u32; fsmd.register_count()];
+        let run = fsmd.execute(&mut vals, &mut bus, 1 << 10).unwrap();
+        assert_eq!(run.return_value, Some(0x1122_aa44));
+        assert_eq!(
+            bus.stores,
+            vec![HwStore {
+                addr: 0x101,
+                bytes: 1,
+                value: 0xaa
+            }]
+        );
+        assert_eq!(mem.read_u32(0x100), 0x1122_3344, "overlay never commits");
+    }
+
+    #[test]
+    fn load_from_an_untouched_page_falls_through_to_memory() {
+        let mut f = Function::new("pages");
+        let e = f.entry;
+        let (x, y, z) = (f.new_vreg(), f.new_vreg(), f.new_vreg());
+        f.block_mut(e).push(Op::Store {
+            src: Operand::Const(5),
+            addr: Operand::Const(0x100),
+            width: MemWidth::W,
+        });
+        f.block_mut(e).push(Op::Load {
+            dst: x,
+            addr: Operand::Const(0x2000),
+            width: MemWidth::W,
+            signed: false,
+        });
+        f.block_mut(e).push(Op::Load {
+            dst: y,
+            addr: Operand::Const(0x100),
+            width: MemWidth::W,
+            signed: false,
+        });
+        f.block_mut(e).push(Op::Bin {
+            op: BinOp::Add,
+            dst: z,
+            lhs: Operand::Reg(x),
+            rhs: Operand::Reg(y),
+        });
+        f.block_mut(e).term = Terminator::Return {
+            value: Some(Operand::Reg(z)),
+        };
+        let fsmd = compile_whole(&f);
+        let mut mem = Memory::new();
+        mem.write_u32(0x104, 0x77);
+        mem.write_u32(0x2000, 0x1000);
+        let mut bus = OverlayBus::new(&mem);
+        let mut vals = vec![0u32; fsmd.register_count()];
+        let run = fsmd.execute(&mut vals, &mut bus, 1 << 10).unwrap();
+        assert_eq!(run.return_value, Some(0x1005));
+        assert!(bus.copied.has_page(0x100), "the stored-to page is copied");
+        assert!(!bus.copied.has_page(0x2000), "a loaded page is not");
+        // The copied page keeps the rest of memory's contents.
+        assert_eq!(bus.read(0x104, MemWidth::W), Ok(0x77));
+    }
+
+    #[test]
+    fn malformed_input_is_unexecutable_not_a_panic() {
+        let mut f = Function::new("bad");
+        let ghost = VReg(1000);
+        let d = f.new_vreg();
+        f.block_mut(f.entry).push(Op::Copy {
+            dst: d,
+            src: Operand::Reg(ghost),
+        });
+        f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let budget = ResourceBudget::default();
+        let compile = |f: &Function, region: &[BlockId]| {
+            Fsmd::compile(f, region, f.entry, &budget, &library(), true).map(|_| ())
+        };
+        // A register outside the function.
+        assert_eq!(compile(&f, &[f.entry]), Err(FsmdError::Unexecutable));
+        // A region block outside the function.
+        f.block_mut(f.entry).ops.clear();
+        assert_eq!(
+            compile(&f, &[f.entry, BlockId(9)]),
+            Err(FsmdError::Unexecutable)
+        );
+        // A jump outside the function.
+        f.block_mut(f.entry).term = Terminator::Jump(BlockId(9));
+        assert_eq!(compile(&f, &[f.entry]), Err(FsmdError::Unexecutable));
+        // An unfinished terminator faults only when reached.
+        f.block_mut(f.entry).term = Terminator::None;
+        let fsmd = compile_whole(&f);
+        let mem = Memory::new();
+        let mut vals = vec![0u32; fsmd.register_count()];
+        assert_eq!(
+            fsmd.execute(&mut vals, &mut OverlayBus::new(&mem), 64)
+                .unwrap_err(),
+            FsmdError::Unexecutable
+        );
+        // A register file shorter than the program's.
+        f.block_mut(f.entry).push(Op::Const { dst: d, value: 3 });
+        f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let fsmd = compile_whole(&f);
+        let mut short = vec![0u32; fsmd.register_count() - 1];
+        assert_eq!(
+            fsmd.execute(&mut short, &mut OverlayBus::new(&mem), 64)
+                .unwrap_err(),
+            FsmdError::Unexecutable
         );
     }
 }

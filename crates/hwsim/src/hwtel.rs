@@ -1,12 +1,12 @@
 //! Hardware-side telemetry: a zero-cost observation layer over the FSMD
-//! interpreter, mirroring `binpart_telemetry`'s monomorphized design.
+//! executor, mirroring `binpart_telemetry`'s monomorphized design.
 //!
 //! # Lifecycle
 //!
 //! [`Fsmd::execute_tel`](crate::Fsmd::execute_tel) is generic over
 //! [`HwTelemetry`]. The default sink, [`NullHwTelemetry`], carries
 //! `ENABLED = false` and `#[inline(always)]` empty hooks — every probe
-//! in the interpreter sits under `if H::ENABLED`, so the uninstrumented
+//! in the executor sits under `if H::ENABLED`, so the uninstrumented
 //! build (the throughput snapshot, the default
 //! `StagedFlow::new` flow) compiles to exactly the pre-telemetry machine
 //! code. The recording sink, [`HwRecorder`], observes one kernel across
@@ -19,7 +19,7 @@
 //! 2. [`state_enter`](HwTelemetry::state_enter) /
 //!    [`charge`](HwTelemetry::charge) — per FSM state: occupancy and the
 //!    attributed cycle categories ([`HwAttr`]). Every `cycles +=` in the
-//!    interpreter has exactly one matching `charge`, so the categories
+//!    executor has exactly one matching `charge`, so the categories
 //!    sum to the measured cycle count *by construction* — the
 //!    attribution-conservation invariant the differential suite asserts.
 //! 3. [`bus_read`](HwTelemetry::bus_read) /
@@ -89,7 +89,7 @@ impl HwAttr {
     }
 }
 
-/// The FSMD interpreter's telemetry sink. Monomorphized: with
+/// The FSMD executor's telemetry sink. Monomorphized: with
 /// [`NullHwTelemetry`] every probe compiles away (`ENABLED` gates each
 /// call site).
 pub trait HwTelemetry {

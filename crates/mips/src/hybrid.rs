@@ -10,7 +10,7 @@
 //!
 //! 1. the registered [`Accelerator`] is invoked against a read-only view of
 //!    the architectural state (registers + memory). A hardware model (the
-//!    FSMD interpreter in `binpart-hwsim`) executes the region's scheduled
+//!    FSMD executor in `binpart-hwsim`) executes the region's scheduled
 //!    datapath against a *copy-on-write overlay* of memory, returning its
 //!    cycle count and the exact sequence of stores it performed;
 //! 2. the software machine then executes the same region natively — the
@@ -96,7 +96,7 @@ pub enum AccelOutcome {
 }
 
 /// A hardware model that can execute partitioned regions. Implemented by
-/// `binpart-hwsim`'s FSMD interpreter; the trait keeps `binpart-mips` free
+/// `binpart-hwsim`'s FSMD executor; the trait keeps `binpart-mips` free
 /// of CDFG/synthesis dependencies.
 pub trait Accelerator {
     /// Executes one invocation of region `region` (index into the
@@ -104,6 +104,18 @@ pub trait Accelerator {
     /// CPU state at region entry. Implementations must not mutate shared
     /// state — stores go into the returned log.
     fn invoke(&mut self, region: usize, regs: &[u32; 32], mem: &Memory) -> AccelOutcome;
+
+    /// The software oracle starts shadowing the invocation of `region` just
+    /// passed to [`Accelerator::invoke`] (a hook for timing the oracle
+    /// beside the hardware; by default nothing).
+    fn shadow_begin(&mut self, region: usize) {
+        let _ = region;
+    }
+
+    /// The oracle's shadow run of `region` ended, successfully or not.
+    fn shadow_end(&mut self, region: usize) {
+        let _ = region;
+    }
 }
 
 /// Software store log: a profiler that records every store's address,
@@ -342,7 +354,10 @@ impl HybridMachine {
             let cycles_before = self.machine.cycles();
             let region = self.regions[ri].clone();
             let mut log = StoreLog::default();
-            let shadow = self.machine.run_until(&mut log, |pc| !region.contains(pc))?;
+            accel.shadow_begin(ri);
+            let shadow = self.machine.run_until(&mut log, |pc| !region.contains(pc));
+            accel.shadow_end(ri);
+            let shadow = shadow?;
             let replaced = self.machine.cycles() - cycles_before;
 
             // 3. Per-invocation differential + accounting.

@@ -144,7 +144,8 @@ use std::collections::HashMap;
 use std::fmt;
 
 pub(crate) const PAGE_BITS: u32 = 12;
-pub(crate) const PAGE_SIZE: usize = 1 << PAGE_BITS;
+/// Bytes in one [`Memory`] page.
+pub const PAGE_SIZE: usize = 1 << PAGE_BITS;
 const PAGE_MASK: usize = PAGE_SIZE - 1;
 /// TLB tag meaning "no page cached" (no 32-bit address maps to this page
 /// number, since page numbers are at most `u32::MAX >> PAGE_BITS`).
@@ -197,6 +198,12 @@ impl Memory {
         let slot = *self.table.get(&pno)?;
         entry.set((pno, slot));
         Some(slot as usize)
+    }
+
+    /// Whether the page holding `addr` has been written.
+    #[inline(always)]
+    pub fn has_page(&self, addr: u32) -> bool {
+        self.slot_of(addr).is_some()
     }
 
     /// Slot of the page holding `addr`, allocating it on first touch.

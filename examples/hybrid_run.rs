@@ -1,6 +1,6 @@
 //! End-to-end hybrid co-simulation of one benchmark: partition it, then
 //! *execute* the partitioned system — software on the fast MIPS simulator,
-//! each selected kernel on the cycle-accurate FSMD interpreter — and print
+//! each selected kernel on the cycle-accurate FSMD executor — and print
 //! measured vs analytically estimated numbers side by side.
 //!
 //! ```text
