@@ -1,28 +1,32 @@
 //! Regenerates every table/figure of the DATE'05 evaluation.
 //!
-//! Usage: `tables [e1|e2|e3|e4|a1|a2|a3|sim|telemetry|hwprof|trend|all]`
+//! Usage: `tables [e1|e2|e3|e4|a1|a2|a3|check|telemetry|hwprof|trend|all]`
 //! (no argument means `all`; anything else prints this usage and exits 2).
 //!
 //! `all` additionally writes `BENCH_sim.json` (simulator instructions/sec
 //! for the fast and seed engines, plus the wall-clock of the whole table
-//! regeneration) so the performance trajectory is tracked across PRs;
-//! `sim` writes it without regenerating the tables. Every snapshot write
-//! also appends one flat line to `BENCH_history.jsonl`, stamped with a
-//! monotonic `run_id`.
+//! regeneration) so the performance trajectory is tracked across PRs, and
+//! appends it as one flat line to `BENCH_history.jsonl`, stamped with a
+//! monotonic `run_id`. It is the only snapshot writer.
+//!
+//! `check` is the CI perf and exactness gate on that snapshot: every column
+//! present and non-null, simulator and co-simulation throughput at least
+//! half the snapshot's, the staged sweep no slower than the naive one, and
+//! the co-simulation matrix exact. It re-measures through the same
+//! functions that write the columns, and exits 1 naming any failure.
 //!
 //! `telemetry` runs one instrumented pass (full cosim matrix + the
 //! standard 100-point sweep on a single recorder), renders the telemetry
 //! summary table, writes + validates the Chrome-trace export
 //! (`BENCH_trace.json`, loadable in `chrome://tracing` / Perfetto) and a
 //! collapsed-stack flamegraph of one benchmark's exact per-instruction
-//! counts (`BENCH_flame.txt`), and asserts the
-//! telemetry columns of `BENCH_sim.json` are present and non-null.
+//! counts (`BENCH_flame.txt`).
 //!
 //! `hwprof` runs the instrumented co-simulation on two benchmarks and
 //! renders the per-kernel FSMD cycle-attribution table (steady-state II /
 //! fill-drain / bus-stall / sequential split, state coverage), asserting
-//! the attribution-conservation invariant and the hardware snapshot
-//! columns along the way — the CI hardware-observability smoke.
+//! the attribution-conservation invariant along the way — the CI
+//! hardware-observability smoke.
 //!
 //! `trend` compares the last two `BENCH_history.jsonl` entries and prints
 //! per-column deltas.
@@ -31,9 +35,10 @@ use binpart_bench::*;
 use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
 use binpart_mips::sim::Machine;
+use binpart_mips::Binary;
 use std::time::Instant;
 
-const USAGE: &str = "usage: tables [e1|e2|e3|e4|a1|a2|a3|sim|telemetry|hwprof|trend|all]";
+const USAGE: &str = "usage: tables [e1|e2|e3|e4|a1|a2|a3|check|telemetry|hwprof|trend|all]";
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -45,10 +50,7 @@ fn main() {
         "a1" => a1(),
         "a2" => a2(),
         "a3" => a3(),
-        "sim" => {
-            let report = sim_report(None);
-            write_bench_json(&report);
-        }
+        "check" => check(),
         "telemetry" => telemetry(),
         "hwprof" => hwprof(),
         "trend" => trend(),
@@ -66,7 +68,7 @@ fn main() {
                 "regenerated all tables in {suite_wall:.3} s ({} (benchmark, level) compiles)",
                 CompiledSuite::entries_built()
             );
-            let report = sim_report(Some(suite_wall));
+            let report = sim_report(suite_wall);
             write_bench_json(&report);
         }
         other => {
@@ -112,32 +114,35 @@ struct SimReport {
     /// telemetry pass (full cosim matrix + 100-point sweep; see
     /// [`binpart_bench::telemetry_pass`]).
     telemetry: TelemetryColumns,
-    suite_wall_s: Option<f64>,
+    suite_wall_s: f64,
 }
 
-/// Measures raw simulator throughput over the full (benchmark, OptLevel)
-/// matrix, unprofiled and profiled, vs the retained seed engine.
-/// Single-threaded on purpose —
-/// the instrs/sec trajectory must be comparable across PRs regardless of
-/// the host's core count.
-fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
+/// Passes per timed simulator and decompiler column: the numbers feed a
+/// tracked JSON snapshot, and the profiler-overhead column is a small
+/// difference of large numbers, so shave scheduler noise hard.
+const SIM_PASSES: usize = 5;
+
+/// Every (benchmark, OptLevel) binary the harness simulates.
+fn matrix_binaries() -> Vec<&'static Binary> {
     let suite = binpart_workloads::suite();
-    let mut bins = Vec::new();
-    for level in OptLevel::ALL {
-        for b in &suite {
-            bins.push(b.compile(level).expect("suite compiles"));
-        }
-    }
-    // Best of five passes per configuration (shared `best_of` primitive —
-    // the same one the CI smoke uses): the numbers feed a tracked JSON
-    // snapshot, and the profiler-overhead column is a small difference of
-    // large numbers, so shave scheduler noise hard.
-    let best = |run: &dyn Fn() -> u64| best_of(5, run);
-    // Unprofiled throughput, plus trace-cache coverage: what fraction of the matrix's dynamic
-    // instructions retired inside an installed trace (fresh machines per
-    // pass, so recording cost counts).
+    OptLevel::ALL
+        .into_iter()
+        .flat_map(|level| {
+            suite
+                .iter()
+                .map(move |b| CompiledSuite::get(b, level).binary)
+        })
+        .collect()
+}
+
+/// Times the fast engine over the matrix: `Machine::run_unprofiled` on
+/// fresh machines (so trace recording counts), single-threaded, best of
+/// [`SIM_PASSES`]. Returns `(seconds, instructions retired, instructions
+/// retired inside installed superblocks)`. The `sim_instrs_per_sec_fast`
+/// column and `check`'s simulator floor both come from here.
+fn fast_engine_pass(bins: &[&Binary]) -> (f64, u64, u64) {
     let sb_instrs = std::cell::Cell::new(0u64);
-    let (fast_s, total) = best(&|| {
+    let (secs, total) = best_of(SIM_PASSES, &|| {
         let mut inside = 0u64;
         let n = bins
             .iter()
@@ -151,6 +156,18 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
         sb_instrs.set(inside);
         n
     });
+    (secs, total, sb_instrs.get())
+}
+
+/// Measures raw simulator throughput over the full (benchmark, OptLevel)
+/// matrix, unprofiled and profiled, vs the retained seed engine.
+/// Single-threaded on purpose —
+/// the instrs/sec trajectory must be comparable across PRs regardless of
+/// the host's core count.
+fn sim_report(suite_wall_s: f64) -> SimReport {
+    let bins = matrix_binaries();
+    let best = |run: &dyn Fn() -> u64| best_of(SIM_PASSES, run);
+    let (fast_s, total, sb_instrs) = fast_engine_pass(&bins);
     let (profiled_s, _) = best(&|| {
         bins.iter()
             .map(|bin| Machine::new(bin).expect("decodes").run().expect("runs").instrs)
@@ -183,20 +200,15 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
     });
     let (sweep_points_per_sec, sweep_speedup_vs_naive) = sweep_report();
     let evaluate_us_per_point = evaluate_report();
-    let cosim = binpart_bench::run_cosim_matrix(3);
-    assert_eq!(
-        cosim.store_mismatches, 0,
-        "hardware store sequences diverged during the snapshot pass"
-    );
-    assert_eq!(
-        cosim.bit_identical_cells, cosim.cells,
-        "hybrid exits diverged during the snapshot pass"
-    );
-    let (_, telemetry) = binpart_bench::telemetry_pass();
+    let cosim = run_cosim_matrix(COSIM_PASSES);
+    if let Err(e) = cosim_exactness(&cosim) {
+        panic!("{e} during the snapshot pass");
+    }
+    let (_, telemetry) = telemetry_pass();
     let ips = |s: f64| total as f64 / s;
     SimReport {
         fast_ips: ips(fast_s),
-        trace_cache_hit_rate: sb_instrs.get() as f64 / total as f64,
+        trace_cache_hit_rate: sb_instrs as f64 / total as f64,
         seed_ips: ips(seed_s),
         edge_overhead_pct: 100.0 * (profiled_s - fast_s) / fast_s,
         total_instrs: total,
@@ -212,13 +224,123 @@ fn sim_report(suite_wall_s: Option<f64>) -> SimReport {
     }
 }
 
+/// Passes of the co-simulation matrix behind `cosim_cycles_per_sec`.
+const COSIM_PASSES: usize = 3;
+
+/// The co-simulation matrix's exactness contract: every cell's hybrid exit
+/// bit-identical to pure software, zero HW/SW store divergences, and real
+/// hardware executed.
+fn cosim_exactness(c: &CosimMatrixSummary) -> Result<(), String> {
+    if c.store_mismatches != 0 {
+        return Err(format!(
+            "{} hardware store sequences diverged",
+            c.store_mismatches
+        ));
+    }
+    if c.bit_identical_cells != c.cells {
+        return Err(format!(
+            "hybrid exits diverged from software on {} of {} cells",
+            c.cells - c.bit_identical_cells,
+            c.cells
+        ));
+    }
+    if c.hw_invocations == 0 {
+        return Err("the co-simulation matrix executed no hardware".into());
+    }
+    Ok(())
+}
+
+/// A throughput floor: `measured` must hold at least half the snapshot's
+/// `column`. The 0.5x margin absorbs shared-host noise but catches a
+/// telemetry probe that escaped its compile-time guard (which costs well
+/// over 2x) outright.
+fn floor(column: &str, measured: f64) -> Result<String, String> {
+    let Some(snapshot) = read_snapshot_value(column) else {
+        return Err(format!("{column}: no value in {SNAPSHOT}"));
+    };
+    let line = format!(
+        "{column}: measured {:.1} M/s vs snapshot {:.1} M/s ({:.2}x, floor 0.50x)",
+        measured / 1e6,
+        snapshot / 1e6,
+        measured / snapshot
+    );
+    gate(measured >= 0.5 * snapshot, line)
+}
+
+/// One gate's outcome: its report line, as `Err` when the gate failed.
+fn gate(pass: bool, line: String) -> Result<String, String> {
+    if pass {
+        Ok(line)
+    } else {
+        Err(line)
+    }
+}
+
+/// The `check` subcommand: the snapshot's columns, then each gate
+/// re-measured by the code that writes its column. Prints one line per gate
+/// and exits 1 if any failed.
+fn check() {
+    match check_snapshot_columns(&COLUMNS) {
+        Ok(true) => println!(
+            "check: {SNAPSHOT} carries all {} columns, none null",
+            COLUMNS.len()
+        ),
+        Ok(false) => {
+            eprintln!(
+                "check: FAIL {SNAPSHOT} not found in the working directory; run `tables all` first"
+            );
+            std::process::exit(1);
+        }
+        Err(e) => {
+            eprintln!("check: FAIL {e}");
+            std::process::exit(1);
+        }
+    }
+    let (fast_s, total, _) = fast_engine_pass(&matrix_binaries());
+    let snapshot_total = read_snapshot_value("matrix_total_instrs");
+    let retired = format!(
+        "matrix_total_instrs: fast engine retired {total} instructions, snapshot {}",
+        snapshot_total.unwrap_or(f64::NAN)
+    );
+    let (_, sweep_speedup) = sweep_report();
+    let sweep = format!(
+        "sweep_speedup_vs_naive: staged sweep {sweep_speedup:.2}x faster than naive (floor 1.00x)"
+    );
+    let cosim = run_cosim_matrix(COSIM_PASSES);
+    let results = [
+        gate(snapshot_total == Some(total as f64), retired),
+        floor("sim_instrs_per_sec_fast", total as f64 / fast_s),
+        gate(sweep_speedup >= 1.0, sweep),
+        cosim_exactness(&cosim).map(|()| {
+            format!(
+                "cosim exactness: {} cells bit-identical, 0 store mismatches, {} hardware invocations",
+                cosim.cells, cosim.hw_invocations
+            )
+        }),
+        floor("cosim_cycles_per_sec", cosim.cosim_cycles_per_sec),
+    ];
+    let mut failed = false;
+    for result in results {
+        match result {
+            Ok(line) => println!("check: ok   {line}"),
+            Err(line) => {
+                failed = true;
+                eprintln!("check: FAIL {line}");
+            }
+        }
+    }
+    if failed {
+        std::process::exit(1);
+    }
+    println!("check: PASS");
+}
+
 /// The `telemetry` subcommand: one instrumented pass, rendered summary,
-/// validated Chrome-trace + flamegraph artifacts, and the snapshot-column
-/// assertion the CI smoke step relies on.
+/// and validated Chrome-trace + flamegraph artifacts.
 fn telemetry() {
     use binpart_telemetry::{collapse_pc_counts, validate_json, FuncExtent};
 
-    let (rec, cols) = binpart_bench::telemetry_pass();
+    let (rec, cols) = telemetry_pass();
     print!("{}", rec.report().render());
 
     let trace = rec.chrome_trace().expect("span stream balances");
@@ -289,15 +411,6 @@ fn telemetry() {
         Err(e) => eprintln!("error: could not write {flame_path}: {e}"),
     }
 
-    assert_snapshot_columns(&[
-        "stage_wall_s_profile",
-        "stage_wall_s_decompile",
-        "stage_wall_s_estimate",
-        "stage_wall_s_evaluate",
-        "stage_wall_s_cosimulate",
-        "estimate_cache_hit_rate",
-        "trace_side_exit_rate",
-    ]);
     println!(
         "telemetry: stages profile {:.4}s decompile {:.4}s estimate {:.4}s evaluate {:.4}s cosim {:.4}s | estimate cache {:.1}% hit | trace side-exit rate {:.3}",
         cols.stage_wall_s_profile,
@@ -312,8 +425,8 @@ fn telemetry() {
 
 /// The `hwprof` subcommand: instrumented co-simulation over two benchmarks
 /// (every OptLevel), per-kernel cycle-attribution table, and the hard
-/// checks CI leans on — exact attribution conservation, structurally valid
-/// first-invocation VCDs, and the hardware snapshot columns non-null.
+/// checks CI leans on — exact attribution conservation and structurally
+/// valid first-invocation VCDs.
 fn hwprof() {
     use binpart_core::stage::StagedFlow;
     use binpart_telemetry::Recorder;
@@ -388,11 +501,6 @@ fn hwprof() {
     }
     assert!(profiled > 0, "hwprof saw no instrumented kernel profiles");
     println!("hwprof: {profiled} kernel profiles, attribution conserved exactly, VCDs well-formed");
-    assert_snapshot_columns(&[
-        "hw_bus_stall_pct",
-        "hw_fill_overhead_pct",
-        "hw_state_coverage",
-    ]);
 }
 
 /// The `trend` subcommand: per-column deltas between the last two
@@ -400,7 +508,7 @@ fn hwprof() {
 fn trend() {
     let path = "BENCH_history.jsonl";
     let Some((prev, cur)) = history_last_two(path) else {
-        println!("trend: {path} holds fewer than two runs; run `tables sim` (or `all`) to append one");
+        println!("trend: {path} holds fewer than two runs; run `tables all` to append one");
         return;
     };
     let id = |cols: &[(String, f64)]| {
@@ -430,11 +538,11 @@ fn trend() {
     }
 }
 
-/// Measures the staged design-space sweep (5 clocks × 5 budgets × 4 opt
-/// levels on autcor00, fresh caches per pass) against the naive sweep — a
-/// fresh `StagedFlow` per point — over the identical grid. Pinned to one
+/// Measures the staged design-space sweep over [`snapshot_sweep`]'s grid
+/// (fresh caches per pass) against the naive sweep — a fresh `StagedFlow`
+/// per point — over the identical grid, best of three each. Pinned to one
 /// thread so the staging win — not the host's core count — is what the
-/// snapshot tracks.
+/// snapshot tracks. Returns `(staged points/s, naive/staged wall ratio)`.
 fn sweep_report() -> (f64, f64) {
     let (sweep, b) = snapshot_sweep();
     let points = sweep.len() as u64;
@@ -442,9 +550,8 @@ fn sweep_report() -> (f64, f64) {
     std::env::set_var("BINPART_THREADS", "1");
     let compile =
         |level: OptLevel| b.compile(level).map_err(|e| e.to_string());
-    let (staged_s, staged_n) = binpart_bench::best_of(3, &|| sweep.run(compile).points.len() as u64);
-    let (naive_s, naive_n) =
-        binpart_bench::best_of(3, &|| sweep.run_naive(compile).points.len() as u64);
+    let (staged_s, staged_n) = best_of(3, &|| sweep.run(compile).points.len() as u64);
+    let (naive_s, naive_n) = best_of(3, &|| sweep.run_naive(compile).points.len() as u64);
     match prev_threads {
         Some(v) => std::env::set_var("BINPART_THREADS", v),
         None => std::env::remove_var("BINPART_THREADS"),
@@ -452,22 +559,6 @@ fn sweep_report() -> (f64, f64) {
     assert_eq!(staged_n, points);
     assert_eq!(naive_n, points);
     (points as f64 / staged_s, naive_s / staged_s)
-}
-
-/// The snapshot's sweep grid: 5 clocks × 5 budgets × 4 opt levels on
-/// autcor00 (100 points), jump-table recovery on.
-fn snapshot_sweep() -> (binpart_explore::Sweep, binpart_workloads::Benchmark) {
-    let b = binpart_workloads::suite()
-        .into_iter()
-        .find(|b| b.name == "autcor00")
-        .expect("suite has autcor00");
-    let mut base = binpart_core::flow::FlowOptions::default();
-    base.decompile.recover_jump_tables = true;
-    let sweep = binpart_explore::Sweep::with_base(base)
-        .clocks([40e6, 100e6, 200e6, 300e6, 400e6])
-        .area_budgets([5_000, 15_000, 40_000, 100_000, 250_000])
-        .opt_levels(OptLevel::ALL);
-    (sweep, b)
 }
 
 /// Warm evaluation cost: one `StagedFlow` per level with its stages built
@@ -518,66 +609,68 @@ fn evaluate_report() -> f64 {
     1e6 * secs[secs.len() / 2] / points.len() as f64
 }
 
+/// The snapshot's columns, in the order [`write_bench_json`] writes them.
+const COLUMNS: [&str; 24] = [
+    "sim_instrs_per_sec_fast",
+    "sim_instrs_per_sec_seed",
+    "sim_speedup",
+    "trace_cache_hit_rate",
+    "edge_profile_overhead_pct",
+    "matrix_total_instrs",
+    "decompile_funcs_per_sec",
+    "sweep_points_per_sec",
+    "evaluate_us_per_point",
+    "sweep_speedup_vs_naive",
+    "cosim_cycles_per_sec",
+    "estimate_error_pct_mean",
+    "estimate_error_pct_max",
+    "stage_wall_s_profile",
+    "stage_wall_s_decompile",
+    "stage_wall_s_estimate",
+    "stage_wall_s_evaluate",
+    "stage_wall_s_cosimulate",
+    "estimate_cache_hit_rate",
+    "trace_side_exit_rate",
+    "hw_bus_stall_pct",
+    "hw_fill_overhead_pct",
+    "hw_state_coverage",
+    "full_suite_wall_clock_s",
+];
+
 fn write_bench_json(r: &SimReport) {
-    let path = "BENCH_sim.json";
-    // `tables sim` skips table regeneration; keep the previous snapshot's
-    // wall clock rather than emitting a hole. An absent snapshot is normal
-    // (fresh checkout); a present-but-unparseable one gets a warning naming
-    // the file and the fix instead of a silent null.
-    let suite_wall = r
-        .suite_wall_s
-        .or_else(|| match std::fs::read_to_string(path) {
-            Ok(old) => {
-                let parsed: Option<f64> = old
-                    .split("\"full_suite_wall_clock_s\":")
-                    .nth(1)
-                    .and_then(|t| t.trim().split([',', '}']).next())
-                    .and_then(|v| v.trim().parse().ok());
-                if parsed.is_none() {
-                    eprintln!(
-                        "warning: {path} exists but its \"full_suite_wall_clock_s\" field is \
-                         missing or unparseable (corrupt or truncated snapshot); emitting null \
-                         — run `tables all` to repopulate it"
-                    );
-                }
-                parsed
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
-            Err(e) => {
-                eprintln!(
-                    "warning: could not read existing {path} ({e}); emitting null wall clock"
-                );
-                None
-            }
-        })
-        .map_or("null".to_string(), |s: f64| format!("{s:.6}"));
-    let json = format!(
-        "{{\n  \"sim_instrs_per_sec_fast\": {:.0},\n  \"sim_instrs_per_sec_seed\": {:.0},\n  \"sim_speedup\": {:.2},\n  \"trace_cache_hit_rate\": {:.3},\n  \"edge_profile_overhead_pct\": {:.1},\n  \"matrix_total_instrs\": {},\n  \"decompile_funcs_per_sec\": {:.0},\n  \"sweep_points_per_sec\": {:.0},\n  \"evaluate_us_per_point\": {:.3},\n  \"sweep_speedup_vs_naive\": {:.2},\n  \"cosim_cycles_per_sec\": {:.0},\n  \"estimate_error_pct_mean\": {:.2},\n  \"estimate_error_pct_max\": {:.2},\n  \"stage_wall_s_profile\": {:.6},\n  \"stage_wall_s_decompile\": {:.6},\n  \"stage_wall_s_estimate\": {:.6},\n  \"stage_wall_s_evaluate\": {:.6},\n  \"stage_wall_s_cosimulate\": {:.6},\n  \"estimate_cache_hit_rate\": {:.4},\n  \"trace_side_exit_rate\": {:.4},\n  \"hw_bus_stall_pct\": {:.2},\n  \"hw_fill_overhead_pct\": {:.2},\n  \"hw_state_coverage\": {:.4},\n  \"full_suite_wall_clock_s\": {}\n}}\n",
-        r.fast_ips,
-        r.seed_ips,
-        r.fast_ips / r.seed_ips,
-        r.trace_cache_hit_rate,
-        r.edge_overhead_pct,
-        r.total_instrs,
-        r.decompile_funcs_per_sec,
-        r.sweep_points_per_sec,
-        r.evaluate_us_per_point,
-        r.sweep_speedup_vs_naive,
-        r.cosim_cycles_per_sec,
-        r.estimate_error_pct_mean,
-        r.estimate_error_pct_max,
-        r.telemetry.stage_wall_s_profile,
-        r.telemetry.stage_wall_s_decompile,
-        r.telemetry.stage_wall_s_estimate,
-        r.telemetry.stage_wall_s_evaluate,
-        r.telemetry.stage_wall_s_cosimulate,
-        r.telemetry.estimate_cache_hit_rate,
-        r.telemetry.trace_side_exit_rate,
-        r.telemetry.hw_bus_stall_pct,
-        r.telemetry.hw_fill_overhead_pct,
-        r.telemetry.hw_state_coverage,
-        suite_wall,
-    );
+    let path = SNAPSHOT;
+    let values: [String; COLUMNS.len()] = [
+        format!("{:.0}", r.fast_ips),
+        format!("{:.0}", r.seed_ips),
+        format!("{:.2}", r.fast_ips / r.seed_ips),
+        format!("{:.3}", r.trace_cache_hit_rate),
+        format!("{:.1}", r.edge_overhead_pct),
+        format!("{}", r.total_instrs),
+        format!("{:.0}", r.decompile_funcs_per_sec),
+        format!("{:.0}", r.sweep_points_per_sec),
+        format!("{:.3}", r.evaluate_us_per_point),
+        format!("{:.2}", r.sweep_speedup_vs_naive),
+        format!("{:.0}", r.cosim_cycles_per_sec),
+        format!("{:.2}", r.estimate_error_pct_mean),
+        format!("{:.2}", r.estimate_error_pct_max),
+        format!("{:.6}", r.telemetry.stage_wall_s_profile),
+        format!("{:.6}", r.telemetry.stage_wall_s_decompile),
+        format!("{:.6}", r.telemetry.stage_wall_s_estimate),
+        format!("{:.6}", r.telemetry.stage_wall_s_evaluate),
+        format!("{:.6}", r.telemetry.stage_wall_s_cosimulate),
+        format!("{:.4}", r.telemetry.estimate_cache_hit_rate),
+        format!("{:.4}", r.telemetry.trace_side_exit_rate),
+        format!("{:.2}", r.telemetry.hw_bus_stall_pct),
+        format!("{:.2}", r.telemetry.hw_fill_overhead_pct),
+        format!("{:.4}", r.telemetry.hw_state_coverage),
+        format!("{:.6}", r.suite_wall_s),
+    ];
+    let body: Vec<String> = COLUMNS
+        .iter()
+        .zip(&values)
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    let json = format!("{{\n{}\n}}\n", body.join(",\n"));
     match std::fs::write(path, &json) {
         Ok(()) => println!(
             "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive), warm evaluate {:.2} us/pt; cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",

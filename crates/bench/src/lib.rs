@@ -1,10 +1,11 @@
 //! Experiment runners that regenerate every table and figure of the DATE'05
 //! evaluation (see DESIGN.md section 4 for the experiment index).
 //!
-//! The same runners back the `tables` binary (human-readable paper-vs-
-//! measured output) and the Criterion benches (wall-clock cost of the flow
-//! itself — relevant because the paper motivates the fast greedy
-//! partitioner with dynamic-synthesis use).
+//! The same runners back the `tables` binary: human-readable paper-vs-
+//! measured output, the `BENCH_sim.json` performance snapshot (wall-clock
+//! cost of the flow itself — relevant because the paper motivates the fast
+//! greedy partitioner with dynamic-synthesis use), and `tables check`, the
+//! CI gates that re-measure the snapshot's columns against it.
 //!
 //! Two throughput layers keep table regeneration fast:
 //!
@@ -90,10 +91,11 @@ impl CompiledSuite {
 }
 
 /// Times `run` (which returns the number of work items it retired) over
-/// `passes` passes and returns `(best_seconds, last_result)` — the shared
-/// measurement primitive behind `tables`' `BENCH_sim.json` snapshot and
-/// the `sim_throughput --smoke` CI check, so the two stay methodologically
-/// comparable. Best-of-N shaves scheduler noise off a shared box.
+/// `passes` passes and returns `(best_seconds, last_result)` — the
+/// measurement primitive behind every timed `BENCH_sim.json` column, so
+/// `tables all` (which writes them) and `tables check` (which gates on
+/// them) time the same way. Best-of-N shaves scheduler noise off a shared
+/// box.
 pub fn best_of(passes: usize, run: &dyn Fn() -> u64) -> (f64, u64) {
     let mut best = f64::INFINITY;
     let mut result = 0;
@@ -120,14 +122,17 @@ pub enum SnapshotError {
     /// The snapshot is readable but a required column is missing — a stale
     /// file from before the column existed, or a truncated write.
     MissingKey { path: String, key: String },
-    /// The column exists but is `null` (a `tables sim` run that skipped the
-    /// full-suite pass, or a corrupt value).
+    /// The column exists but is `null` (a corrupt value).
     NullKey { path: String, key: String },
 }
 
+/// Where `tables` writes the snapshot and reads it back: the working
+/// directory, which is the workspace root in every documented invocation.
+pub const SNAPSHOT: &str = "BENCH_sim.json";
+
 /// The one command that rewrites the snapshot; quoted in every error.
 const REGEN_HINT: &str =
-    "regenerate it from the workspace root with `cargo run --release -p binpart-bench --bin tables sim`";
+    "regenerate it from the workspace root with `cargo run --release -p binpart-bench --bin tables all`";
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -142,7 +147,7 @@ impl std::fmt::Display for SnapshotError {
             ),
             SnapshotError::NullKey { path, key } => write!(
                 f,
-                "snapshot {path} has \"{key}\": null; rerun with `tables all` so the full-suite pass fills it, or {REGEN_HINT}"
+                "snapshot {path} has \"{key}\": null; {REGEN_HINT}"
             ),
         }
     }
@@ -157,41 +162,30 @@ impl std::error::Error for SnapshotError {
     }
 }
 
-/// Checks that `BENCH_sim.json` carries each of `keys` with a non-null
-/// value. Benches run with the package dir as cwd while the snapshot lives
-/// at the workspace root, so both locations are probed. `Ok(false)` means
-/// the snapshot is absent — fresh checkouts skip the check; an unreadable
-/// or corrupt snapshot is an error, never a silent skip.
+/// Checks that the [`SNAPSHOT`] carries each of `keys` with a non-null
+/// value. `Ok(false)` means the snapshot is absent; an unreadable or
+/// corrupt snapshot is an error.
 pub fn check_snapshot_columns(keys: &[&str]) -> Result<bool, SnapshotError> {
-    check_snapshot_at(&["BENCH_sim.json", "../../BENCH_sim.json"], keys)
+    check_snapshot_at(SNAPSHOT, keys)
 }
 
 /// Path-parameterized core of [`check_snapshot_columns`] so tests can point
 /// it at fixture files without faking the working directory.
-pub fn check_snapshot_at(paths: &[&str], keys: &[&str]) -> Result<bool, SnapshotError> {
-    let mut found = None;
-    for path in paths {
-        match std::fs::read_to_string(path) {
-            Ok(json) => {
-                found = Some((path.to_string(), json));
-                break;
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-            Err(source) => {
-                return Err(SnapshotError::Unreadable {
-                    path: path.to_string(),
-                    source,
-                })
-            }
+pub fn check_snapshot_at(path: &str, keys: &[&str]) -> Result<bool, SnapshotError> {
+    let json = match std::fs::read_to_string(path) {
+        Ok(json) => json,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
+        Err(source) => {
+            return Err(SnapshotError::Unreadable {
+                path: path.to_string(),
+                source,
+            })
         }
-    }
-    let Some((path, json)) = found else {
-        return Ok(false);
     };
     for key in keys {
         if !json.contains(&format!("\"{key}\"")) {
             return Err(SnapshotError::MissingKey {
-                path: path.clone(),
+                path: path.to_string(),
                 key: (*key).to_string(),
             });
         }
@@ -203,7 +197,7 @@ pub fn check_snapshot_at(paths: &[&str], keys: &[&str]) -> Result<bool, Snapshot
             .unwrap_or("null");
         if field == "null" {
             return Err(SnapshotError::NullKey {
-                path: path.clone(),
+                path: path.to_string(),
                 key: (*key).to_string(),
             });
         }
@@ -211,21 +205,22 @@ pub fn check_snapshot_at(paths: &[&str], keys: &[&str]) -> Result<bool, Snapshot
     Ok(true)
 }
 
-/// Panicking wrapper around [`check_snapshot_columns`] for the CI `--smoke`
-/// modes: absent snapshot prints a note and returns `false`; any defect
-/// panics with the actionable [`SnapshotError`] message.
-pub fn assert_snapshot_columns(keys: &[&str]) -> bool {
-    match check_snapshot_columns(keys) {
-        Ok(true) => {
-            println!("smoke: BENCH_sim.json columns present and non-null: {keys:?}");
-            true
-        }
-        Ok(false) => {
-            println!("smoke: BENCH_sim.json not present, skipping field check");
-            false
-        }
-        Err(e) => panic!("{e}"),
-    }
+/// The snapshot's design-space grid: 5 processor clocks × 5 FPGA area
+/// budgets × 4 compiler levels on `autcor00` (100 points), jump-table
+/// recovery on. `tables` times it for the sweep columns and
+/// [`telemetry_pass`] records it.
+pub fn snapshot_sweep() -> (binpart_explore::Sweep, Benchmark) {
+    let b = suite()
+        .into_iter()
+        .find(|b| b.name == "autcor00")
+        .expect("suite has autcor00");
+    let mut base = FlowOptions::default();
+    base.decompile.recover_jump_tables = true;
+    let sweep = binpart_explore::Sweep::with_base(base)
+        .clocks([40e6, 100e6, 200e6, 300e6, 400e6])
+        .area_budgets([5_000, 15_000, 40_000, 100_000, 250_000])
+        .opt_levels(OptLevel::ALL);
+    (sweep, b)
 }
 
 /// Evaluates one memoized cell through its flow.
@@ -389,16 +384,7 @@ pub fn telemetry_pass() -> (Recorder, TelemetryColumns) {
             }
         }
     }
-    let b = suite()
-        .into_iter()
-        .find(|b| b.name == "autcor00")
-        .expect("suite has autcor00");
-    let mut base = FlowOptions::default();
-    base.decompile.recover_jump_tables = true;
-    let sweep = binpart_explore::Sweep::with_base(base)
-        .clocks([40e6, 100e6, 200e6, 300e6, 400e6])
-        .area_budgets([5_000, 15_000, 40_000, 100_000, 250_000])
-        .opt_levels(OptLevel::ALL);
+    let (sweep, b) = snapshot_sweep();
     let result =
         sweep.run_with_telemetry(&rec, |level| b.compile(level).map_err(|e| e.to_string()));
     assert_eq!(result.points.len(), 100, "sweep grid is 5 x 5 x 4");
@@ -438,29 +424,21 @@ pub fn telemetry_pass() -> (Recorder, TelemetryColumns) {
     (rec, cols)
 }
 
-/// Reads one numeric column from the tracked `BENCH_sim.json` snapshot,
-/// probing the same locations as [`check_snapshot_columns`]. `None` when
-/// the snapshot, the key, or a parseable value is absent — callers treat
-/// that as "no baseline yet", never an error (fresh checkouts have no
-/// snapshot).
+/// Reads one numeric column from the [`SNAPSHOT`]. `None` when the
+/// snapshot, the key, or a parseable value is absent.
 pub fn read_snapshot_value(key: &str) -> Option<f64> {
-    read_snapshot_value_at(&["BENCH_sim.json", "../../BENCH_sim.json"], key)
+    read_snapshot_value_at(SNAPSHOT, key)
 }
 
 /// Path-parameterized core of [`read_snapshot_value`] so tests can point it
 /// at fixture files without faking the working directory.
-pub fn read_snapshot_value_at(paths: &[&str], key: &str) -> Option<f64> {
-    for path in paths {
-        let Ok(json) = std::fs::read_to_string(path) else {
-            continue;
-        };
-        return json
-            .split(&format!("\"{key}\":"))
-            .nth(1)
-            .and_then(|t| t.trim().split([',', '}']).next())
-            .and_then(|v| v.trim().parse().ok());
-    }
-    None
+pub fn read_snapshot_value_at(path: &str, key: &str) -> Option<f64> {
+    std::fs::read_to_string(path)
+        .ok()?
+        .split(&format!("\"{key}\":"))
+        .nth(1)
+        .and_then(|t| t.trim().split([',', '}']).next())
+        .and_then(|v| v.trim().parse().ok())
 }
 
 /// Extracts every `"key": number` pair from one flat JSON object, in
@@ -913,17 +891,17 @@ mod tests {
         let good = good.to_str().unwrap();
         let nulled = nulled.to_str().unwrap();
 
-        // Absent everywhere: a skip, not an error.
+        // Absent: reported as such, not as an error.
         let absent = dir.join("absent.json");
         let absent = absent.to_str().unwrap();
-        assert!(matches!(check_snapshot_at(&[absent], &["sim_speedup"]), Ok(false)));
+        assert!(matches!(check_snapshot_at(absent, &["sim_speedup"]), Ok(false)));
 
         // Present and populated.
-        assert!(matches!(check_snapshot_at(&[good], &["sim_speedup"]), Ok(true)));
+        assert!(matches!(check_snapshot_at(good, &["sim_speedup"]), Ok(true)));
 
         // Missing column: error names both the file and the key, and tells
         // the reader how to regenerate.
-        let err = check_snapshot_at(&[good], &["cosim_cycles_per_sec"]).unwrap_err();
+        let err = check_snapshot_at(good, &["cosim_cycles_per_sec"]).unwrap_err();
         assert!(matches!(&err, SnapshotError::MissingKey { key, .. } if key == "cosim_cycles_per_sec"));
         let msg = err.to_string();
         assert!(msg.contains("good.json"), "{msg}");
@@ -931,7 +909,7 @@ mod tests {
         assert!(msg.contains("tables"), "{msg}");
 
         // Null column: distinct variant, still actionable.
-        let err = check_snapshot_at(&[nulled], &["sim_speedup"]).unwrap_err();
+        let err = check_snapshot_at(nulled, &["sim_speedup"]).unwrap_err();
         assert!(matches!(&err, SnapshotError::NullKey { key, .. } if key == "sim_speedup"));
         assert!(err.to_string().contains("null"), "{err}");
     }
@@ -947,16 +925,16 @@ mod tests {
         )
         .unwrap();
         let file = file.to_str().unwrap();
-        assert_eq!(read_snapshot_value_at(&[file], "sim_speedup"), Some(12.5));
+        assert_eq!(read_snapshot_value_at(file, "sim_speedup"), Some(12.5));
         assert_eq!(
-            read_snapshot_value_at(&[file], "estimate_cache_hit_rate"),
+            read_snapshot_value_at(file, "estimate_cache_hit_rate"),
             Some(0.9375)
         );
         // Null and missing keys are both "no baseline", not errors.
-        assert_eq!(read_snapshot_value_at(&[file], "full_suite_wall_clock_s"), None);
-        assert_eq!(read_snapshot_value_at(&[file], "no_such_key"), None);
+        assert_eq!(read_snapshot_value_at(file, "full_suite_wall_clock_s"), None);
+        assert_eq!(read_snapshot_value_at(file, "no_such_key"), None);
         let absent = dir.join("absent.json");
-        assert_eq!(read_snapshot_value_at(&[absent.to_str().unwrap()], "sim_speedup"), None);
+        assert_eq!(read_snapshot_value_at(absent.to_str().unwrap(), "sim_speedup"), None);
     }
 
     #[test]
@@ -1061,7 +1039,7 @@ mod tests {
         let dir = std::env::temp_dir().join("binpart_snapshot_dir.json");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.to_str().unwrap();
-        let err = check_snapshot_at(&[path], &["sim_speedup"]).unwrap_err();
+        let err = check_snapshot_at(path, &["sim_speedup"]).unwrap_err();
         assert!(matches!(&err, SnapshotError::Unreadable { .. }), "{err}");
         assert!(err.to_string().contains("cannot be read"), "{err}");
         use std::error::Error;

@@ -487,11 +487,6 @@ impl Op {
     pub fn has_side_effects(&self) -> bool {
         matches!(self, Op::Store { .. } | Op::Call { .. })
     }
-
-    /// Returns `true` for loads and stores.
-    pub fn is_memory(&self) -> bool {
-        matches!(self, Op::Load { .. } | Op::Store { .. })
-    }
 }
 
 impl fmt::Display for Op {

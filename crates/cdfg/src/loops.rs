@@ -213,11 +213,6 @@ impl LoopForest {
         self.block_loop[b.index()].map(|i| &self.loops[i])
     }
 
-    /// Index of the innermost loop containing `b`.
-    pub fn innermost_index(&self, b: BlockId) -> Option<usize> {
-        self.block_loop[b.index()]
-    }
-
     /// Loop nesting depth of `b` (0 = not in a loop).
     pub fn depth_of(&self, b: BlockId) -> u32 {
         self.innermost(b).map_or(0, |l| l.depth)

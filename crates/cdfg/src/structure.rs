@@ -91,14 +91,6 @@ impl StructureStats {
     }
 }
 
-// Field alias kept for readability in reports.
-impl StructureStats {
-    /// Alias for [`StructureStats::loops`].
-    pub fn loops_total(&self) -> usize {
-        self.loops()
-    }
-}
-
 /// The recovered control tree of a function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlTree {

@@ -7,7 +7,7 @@
 use crate::diag::{Diagnostic, FlowStage};
 use crate::lift::{self, DecompileError, DecompileOptions};
 use crate::opts::{self, PassStats};
-use binpart_cdfg::ir::{Function, Op, Operand, VReg};
+use binpart_cdfg::ir::{Function, Op, VReg};
 use binpart_cdfg::structure::{self, StructureStats};
 use binpart_cdfg::{cfg, ssa};
 use binpart_mips::sim::Profile;
@@ -321,20 +321,6 @@ pub fn blocks_contain_call(f: &Function, blocks: &[binpart_cdfg::ir::BlockId]) -
             .iter()
             .any(|i| matches!(i.op, Op::Call { .. }))
     })
-}
-
-/// Convenience: the return value operand of the entry function, if constant.
-pub fn entry_returns_const(prog: &DecompiledProgram) -> Option<i64> {
-    let f = prog.entry_function();
-    for b in f.block_ids() {
-        if let binpart_cdfg::ir::Terminator::Return {
-            value: Some(Operand::Const(c)),
-        } = f.block(b).term
-        {
-            return Some(c);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -189,16 +189,6 @@ pub struct LiftedProgram {
     pub skipped: Vec<SkippedFunction>,
 }
 
-impl LiftedProgram {
-    /// Finds a function by entry address.
-    pub fn by_entry(&self, entry: u32) -> Option<&Function> {
-        self.entries
-            .iter()
-            .position(|&e| e == entry)
-            .map(|i| &self.functions[i])
-    }
-}
-
 struct Lifter<'b> {
     binary: &'b Binary,
     options: DecompileOptions,

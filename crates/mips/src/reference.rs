@@ -159,13 +159,6 @@ impl ReferenceMachine {
         self.regs[reg.number() as usize]
     }
 
-    /// Overwrites a register (for seeding test inputs).
-    pub fn set_reg(&mut self, reg: Reg, value: u32) {
-        if reg != Reg::Zero {
-            self.regs[reg.number() as usize] = value;
-        }
-    }
-
     /// Current program counter.
     pub fn pc(&self) -> u32 {
         self.pc

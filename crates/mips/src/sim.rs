@@ -129,7 +129,8 @@
 //! optimization levels (the matrix the experiment harness simulates), the
 //! engine retires ~7x more instructions per second than the seed engine
 //! (host-dependent) at ~98% trace coverage, with the exact numbers tracked
-//! per PR in `BENCH_sim.json`. See `crates/bench/benches/sim_throughput.rs`.
+//! per PR in `BENCH_sim.json` (written by `tables all`, gated by `tables
+//! check`; see `crates/bench/src/bin/README.md`).
 //!
 //! The differential test suite (`tests/differential.rs` at the workspace
 //! root) asserts that the engine and the retained reference engine produce
@@ -444,18 +445,6 @@ impl Profile {
     /// Taken count of the branch at `pc` (0 if outside text or never taken).
     pub fn taken_at(&self, pc: u32) -> u64 {
         self.index(pc).map_or(0, |i| self.taken[i])
-    }
-
-    /// Dynamic cycles attributed to the half-open pc range `[start, end)`,
-    /// under a flat per-instruction model (used for region weighting).
-    pub fn count_in_range(&self, start: u32, end: u32) -> u64 {
-        let mut total = 0;
-        let mut pc = start;
-        while pc < end {
-            total += self.count_at(pc);
-            pc += 4;
-        }
-        total
     }
 }
 
@@ -2219,13 +2208,6 @@ impl Machine {
     /// Current register value.
     pub fn reg(&self, reg: Reg) -> u32 {
         self.regs[reg.number() as usize]
-    }
-
-    /// Overwrites a register (for seeding test inputs).
-    pub fn set_reg(&mut self, reg: Reg, value: u32) {
-        if reg != Reg::Zero {
-            self.regs[reg.number() as usize] = value;
-        }
     }
 
     /// Current program counter.

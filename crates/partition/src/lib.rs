@@ -9,6 +9,8 @@
 //! implements those baselines over an abstract candidate model so the
 //! bench harness can compare solution quality *and* runtime.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -192,16 +194,15 @@ pub fn simulated_annealing(items: &[Item], area_budget: u64, seed: u64, iters: u
         .collect();
     // drop items if infeasible (greedy repair by worst efficiency)
     let mut sel = evaluate(items, &chosen);
-    while sel.area > area_budget && !sel.chosen.is_empty() {
-        let worst = *sel
+    let efficiency = |i: usize| items[i].gain() as f64 / items[i].area.max(1) as f64;
+    while sel.area > area_budget {
+        let Some(&worst) = sel
             .chosen
             .iter()
-            .min_by(|&&a, &&b| {
-                let ea = items[a].gain() as f64 / items[a].area.max(1) as f64;
-                let eb = items[b].gain() as f64 / items[b].area.max(1) as f64;
-                ea.partial_cmp(&eb).unwrap()
-            })
-            .unwrap();
+            .min_by(|&&a, &&b| efficiency(a).total_cmp(&efficiency(b)))
+        else {
+            break;
+        };
         sel.chosen.retain(|&i| i != worst);
         sel = evaluate(items, &sel.chosen);
     }

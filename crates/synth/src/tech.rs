@@ -107,14 +107,6 @@ impl TechLibrary {
         }
     }
 
-    /// Extra non-LUT gate cost of a unit (hard blocks).
-    pub fn hard_gates(&self, class: FuClass) -> f64 {
-        match class {
-            FuClass::Mult => self.gates_per_mult,
-            _ => 0.0,
-        }
-    }
-
     /// Latency in cycles of a unit (1 = single cycle / chainable).
     pub fn cycles(&self, class: FuClass, mem_in_bram: bool) -> u32 {
         match class {
