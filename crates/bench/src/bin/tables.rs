@@ -267,6 +267,19 @@ fn floor(column: &str, measured: f64) -> Result<String, String> {
     gate(measured >= 0.5 * snapshot, line)
 }
 
+/// A cost ceiling, the mirror of [`floor`]: `measured` (µs per point)
+/// must stay within twice the snapshot's `column`.
+fn ceiling(column: &str, measured: f64) -> Result<String, String> {
+    let Some(snapshot) = read_snapshot_value(column) else {
+        return Err(format!("{column}: no value in {SNAPSHOT}"));
+    };
+    let line = format!(
+        "{column}: measured {measured:.3} us vs snapshot {snapshot:.3} us ({:.2}x, ceiling 2.00x)",
+        measured / snapshot
+    );
+    gate(measured <= 2.0 * snapshot, line)
+}
+
 /// One gate's outcome: its report line, as `Err` when the gate failed.
 fn gate(pass: bool, line: String) -> Result<String, String> {
     if pass {
@@ -311,6 +324,7 @@ fn check() {
         gate(snapshot_total == Some(total as f64), retired),
         floor("sim_instrs_per_sec_fast", total as f64 / fast_s),
         gate(sweep_speedup >= 1.0, sweep),
+        ceiling("evaluate_us_per_point", evaluate_report()),
         cosim_exactness(&cosim).map(|()| {
             format!(
                 "cosim exactness: {} cells bit-identical, 0 store mismatches, {} hardware invocations",

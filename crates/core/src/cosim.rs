@@ -40,6 +40,7 @@ use binpart_mips::sim::{Exit, Memory, SimError};
 use binpart_platform::{HardwareKernel, HybridReport};
 use binpart_telemetry::{Counter, SpanGuard, Telemetry};
 use std::fmt;
+use std::sync::Arc;
 
 /// Co-simulation failure: the hybrid run itself could not complete.
 /// (Per-kernel problems — unmappable accelerators, store divergences — are
@@ -64,8 +65,8 @@ impl std::error::Error for CosimError {}
 /// Per-kernel co-simulation result.
 #[derive(Debug, Clone)]
 pub struct KernelCosim {
-    /// Kernel name.
-    pub name: String,
+    /// Kernel name, shared with the partition's kernel.
+    pub name: Arc<str>,
     /// Could the kernel be packaged as an accelerator? `false` when a
     /// live-in had no recoverable CPU-state source (the kernel ran in
     /// software; nothing was measured).
@@ -294,7 +295,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                 ) => {
                     diagnostics.push(Diagnostic::new(
                         FlowStage::AccelBuild,
-                        &k.name,
+                        &*k.name,
                         e.to_string(),
                     ));
                     None
@@ -302,7 +303,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             };
             p.mapped[ki] = accel.is_some();
             p.specs.push(RegionSpec {
-                name: k.name.clone(),
+                name: k.name.to_string(),
                 lo,
                 hi,
                 entry_pc,
@@ -399,7 +400,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             .iter()
             .enumerate()
             .map(|(ki, k)| KernelCosim {
-                name: k.name.clone(),
+                name: Arc::clone(&k.name),
                 mapped: mapped[ki],
                 invocations: 0,
                 invocations_estimated: k.invocations,
@@ -439,7 +440,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                         stats.store_mismatches
                     ),
                 };
-                diagnostics.push(Diagnostic::new(FlowStage::Cosim, &kc.name, detail));
+                diagnostics.push(Diagnostic::new(FlowStage::Cosim, &*kc.name, detail));
             }
         }
         // Attach hardware profiles (instrumented flow only), charging each
@@ -462,7 +463,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             .zip(&kernels)
             .filter(|(_, kc)| kc.hw_invocations > 0)
             .map(|(k, kc)| HardwareKernel {
-                name: k.name.clone(),
+                name: Arc::clone(&k.name),
                 invocations: kc.hw_invocations,
                 hw_cycles: kc.hw_cycles_measured,
                 clock_hz: k.synth.timing.clock_mhz * 1e6,

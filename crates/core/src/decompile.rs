@@ -2,8 +2,6 @@
 //! constant propagation → strength promotion → loop rerolling → size
 //! reduction → control structure recovery.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::diag::{Diagnostic, FlowStage};
 use crate::lift::{self, DecompileError, DecompileOptions};
 use crate::opts::{self, PassStats};

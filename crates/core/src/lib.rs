@@ -57,6 +57,8 @@
 //! refuses to latch them in its memo caches, so a rerun with a raised
 //! budget recomputes. Deterministic failures stay cached.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod alias;
 pub mod cosim;
 pub mod decompile;

@@ -20,7 +20,6 @@
 //! exactly as the paper reports for two of its EEMBC benchmarks; optional
 //! recovery pattern-matches the bounds-check/table-load idiom and produces a
 //! `Switch` terminator instead.
-#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use binpart_cdfg::ir::{
     BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, VReg,

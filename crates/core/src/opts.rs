@@ -505,8 +505,10 @@ fn propagate_worklist(f: &mut Function, stats: &mut PassStats) -> bool {
     for i in 1..=nv {
         use_count[i] += use_count[i - 1];
     }
+    // CSR offsets: `use_off[r]..use_off[r + 1]` are register `r`'s uses;
+    // the vector holds `nv + 1` entries, so `use_off[nv]` is the total.
     let use_off = use_count;
-    let mut use_flat: Vec<u32> = vec![0; *use_off.last().unwrap() as usize];
+    let mut use_flat: Vec<u32> = vec![0; use_off[nv] as usize];
     let mut cursor: Vec<u32> = use_off[..nv].to_vec();
     for b in f.block_ids() {
         let bi = b.index() as u32;
@@ -616,12 +618,13 @@ fn visit_block(
             }
             continue;
         }
-        let folded: Option<Op> = match &inst.op {
+        // The folded op and the operand its destination now stands for.
+        let folded: Option<(Op, Operand)> = match &inst.op {
             Op::Bin { op, dst, lhs, rhs } => match (lhs, rhs) {
-                (Operand::Const(a), Operand::Const(b)) => Some(Op::Const {
-                    dst: *dst,
-                    value: op.fold(*a, *b),
-                }),
+                (Operand::Const(a), Operand::Const(b)) => {
+                    let value = op.fold(*a, *b);
+                    Some((Op::Const { dst: *dst, value }, Operand::Const(value)))
+                }
                 (x, Operand::Const(0))
                     if matches!(
                         op,
@@ -629,30 +632,25 @@ fn visit_block(
                             | BinOp::ShrL | BinOp::ShrA
                     ) =>
                 {
-                    Some(Op::Copy { dst: *dst, src: *x })
+                    Some((Op::Copy { dst: *dst, src: *x }, *x))
                 }
                 (Operand::Const(0), y) if matches!(op, BinOp::Add | BinOp::Or) => {
-                    Some(Op::Copy { dst: *dst, src: *y })
+                    Some((Op::Copy { dst: *dst, src: *y }, *y))
                 }
                 _ => None,
             },
-            Op::Un { op, dst, src: Operand::Const(c) } => Some(Op::Const {
-                dst: *dst,
-                value: op.fold(*c),
-            }),
+            Op::Un { op, dst, src: Operand::Const(c) } => {
+                let value = op.fold(*c);
+                Some((Op::Const { dst: *dst, value }, Operand::Const(value)))
+            }
             _ => None,
         };
-        if let Some(n) = folded {
+        if let Some((n, v)) = folded {
             if matches!(n, Op::Const { .. }) {
                 stats.consts_folded += 1;
             } else {
                 stats.moves_removed += 1;
             }
-            let v = match &n {
-                Op::Const { value, .. } => Operand::Const(*value),
-                Op::Copy { src, .. } => *src,
-                _ => unreachable!(),
-            };
             if let Some(d) = n.dst() {
                 if value[d.index()] != Some(v) {
                     value[d.index()] = Some(v);
@@ -750,8 +748,9 @@ pub fn dce(f: &mut Function, stats: &mut PassStats) -> bool {
     for i in 1..=nv {
         def_count[i] += def_count[i - 1];
     }
+    // CSR offsets with `nv + 1` entries: `def_off[nv]` is the total.
     let def_off = def_count;
-    let mut def_flat: Vec<(u32, u32)> = vec![(0, 0); *def_off.last().unwrap() as usize];
+    let mut def_flat: Vec<(u32, u32)> = vec![(0, 0); def_off[nv] as usize];
     let mut cursor: Vec<u32> = def_off[..nv].to_vec();
     for b in f.block_ids() {
         for (k, inst) in f.block(b).ops.iter().enumerate() {
@@ -969,8 +968,9 @@ pub fn size_reduction(f: &mut Function, stats: &mut PassStats) {
     for i in 1..=n {
         cons_count[i] += cons_count[i - 1];
     }
+    // CSR offsets with `n + 1` entries: `cons_off[n]` is the total.
     let cons_off = cons_count;
-    let mut cons_flat: Vec<u32> = vec![0; *cons_off.last().unwrap() as usize];
+    let mut cons_flat: Vec<u32> = vec![0; cons_off[n] as usize];
     let mut cursor: Vec<u32> = cons_off[..n].to_vec();
     for (i, &(blk, k, _)) in def_ops.iter().enumerate() {
         f.block(blk).ops[k].op.for_each_use(|o| {

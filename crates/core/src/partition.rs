@@ -9,8 +9,6 @@
 //! 3. Remaining candidates are added greedily by profile weight × hardware
 //!    suitability until the area constraint would be violated.
 
-#![deny(clippy::unwrap_used, clippy::expect_used)]
-
 use crate::alias::{self, RegionSummary};
 use crate::diag::{Diagnostic, FlowStage};
 use crate::decompile::{
@@ -64,13 +62,13 @@ impl Default for PartitionOptions {
 pub struct SelectedKernel {
     /// Index into [`DecompiledProgram::functions`].
     pub func_index: usize,
-    /// Region blocks (a loop nest).
-    pub blocks: Vec<BlockId>,
+    /// Region blocks (a loop nest), shared with its [`Candidate`].
+    pub blocks: Arc<[BlockId]>,
     /// The loop-nest header — the region's single entry block (the
     /// co-simulation trap point).
     pub header: BlockId,
-    /// Kernel display name.
-    pub name: String,
+    /// Kernel display name, shared with its [`Candidate`].
+    pub name: Arc<str>,
     /// Profiled software cycles the kernel replaces.
     pub sw_cycles: u64,
     /// CPU→FPGA invocations (loop entries).
@@ -79,8 +77,8 @@ pub struct SelectedKernel {
     pub mem_in_bram: bool,
     /// Bytes of array data placed in block RAM.
     pub bram_bytes: u64,
-    /// Memory summary from alias analysis.
-    pub regions: RegionSummary,
+    /// Memory summary from alias analysis, shared with its [`Candidate`].
+    pub regions: Arc<RegionSummary>,
     /// Synthesis result (timing, area, VHDL), shared with the synthesis
     /// memo that produced it.
     pub synth: Arc<SynthesisResult>,
@@ -176,10 +174,7 @@ impl Partition {
         self.decisions
             .iter()
             .map(|d| {
-                let name = self
-                    .candidates
-                    .get(d.candidate)
-                    .map_or("?", |c| c.name.as_str());
+                let name = self.candidates.get(d.candidate).map_or("?", |c| &*c.name);
                 format!("step{}: {name} {}", d.step, d.outcome)
             })
             .collect()
@@ -204,17 +199,17 @@ pub struct Candidate {
     /// Index into [`DecompiledProgram::functions`].
     pub func_index: usize,
     /// Region blocks (a loop nest).
-    pub blocks: Vec<BlockId>,
+    pub blocks: Arc<[BlockId]>,
     /// The loop-nest header — the region's single entry block.
     pub header: BlockId,
     /// Kernel display name.
-    pub name: String,
+    pub name: Arc<str>,
     /// Profiled software cycles the region covers.
     pub sw_cycles: u64,
     /// Loop entries (CPU→FPGA invocations if selected).
     pub invocations: u64,
     /// Memory summary from alias analysis.
-    pub regions: RegionSummary,
+    pub regions: Arc<RegionSummary>,
     /// Hardware suitability weight (divisions, unresolved pointers).
     pub suitability: f64,
 }
@@ -222,6 +217,31 @@ pub struct Candidate {
 /// All hardware candidates of one profiled program — the partitioner's
 /// platform-independent input artifact. Harvested once, reused for every
 /// (platform, budget) point of a sweep.
+///
+/// # Rankings
+///
+/// Selection visits candidates in two orders that depend on the
+/// candidates alone, so the harvest fixes both once instead of every
+/// design point sorting again:
+///
+/// * the *profile ranking* — candidate indices by `sw_cycles`,
+///   descending, ties in discovery order (a stable sort); steps 1 and 2
+///   walk it;
+/// * the *fill ranking* — the profile ranking stably re-sorted by the
+///   step-3 weight (`sw_cycles × suitability`, descending); step 3 walks
+///   it.
+///
+/// Both are bit-identical to sorting per point. The `min_share` filter
+/// keeps exactly the candidates whose cycles reach a threshold, so what
+/// it keeps is a prefix of the profile ranking, in the same order the
+/// per-point filter-then-stable-sort produced. Step 3 stably sorted the
+/// kept, untaken candidates (in profile-ranking order) by weight, and a
+/// stable sort of a subsequence is that subsequence of the stable sort:
+/// walking the fill ranking and skipping filtered and taken candidates
+/// visits them in the same order. Weights are compared with
+/// [`f64::total_cmp`], a total order, which is what makes the
+/// subsequence argument hold; weights are never NaN or `-0.0`, so it
+/// orders them exactly as `partial_cmp` would.
 #[derive(Debug, Clone)]
 pub struct CandidateSet {
     /// Candidates in discovery order (function order × loop order),
@@ -235,6 +255,28 @@ pub struct CandidateSet {
     pub data_base: u32,
     /// End of the data section.
     pub data_end: u32,
+    /// The profile ranking (see [Rankings](CandidateSet#rankings)).
+    by_cycles: Vec<usize>,
+    /// The fill ranking (see [Rankings](CandidateSet#rankings)).
+    by_weight: Vec<usize>,
+}
+
+impl CandidateSet {
+    /// Wraps `candidates` with both of its rankings.
+    fn new(candidates: Vec<Candidate>, data_base: u32, data_end: u32) -> CandidateSet {
+        let mut by_cycles: Vec<usize> = (0..candidates.len()).collect();
+        by_cycles.sort_by_key(|&ci| std::cmp::Reverse(candidates[ci].sw_cycles));
+        let weight = |ci: usize| candidates[ci].sw_cycles as f64 * candidates[ci].suitability;
+        let mut by_weight = by_cycles.clone();
+        by_weight.sort_by(|&a, &b| weight(b).total_cmp(&weight(a)));
+        CandidateSet {
+            candidates: candidates.into(),
+            data_base,
+            data_end,
+            by_cycles,
+            by_weight,
+        }
+    }
 }
 
 /// Harvests every outermost call-free loop nest of `prog` as a hardware
@@ -306,21 +348,17 @@ pub fn harvest_candidates(
             }
             candidates.push(Candidate {
                 func_index: fi,
-                blocks: l.blocks.clone(),
+                blocks: l.blocks.as_slice().into(),
                 header: l.header,
-                name: format!("{}_loop_{}", f.name, l.header.index()),
+                name: format!("{}_loop_{}", f.name, l.header.index()).into(),
                 sw_cycles: sw,
                 invocations,
-                regions,
+                regions: Arc::new(regions),
                 suitability,
             });
         }
     }
-    CandidateSet {
-        candidates: candidates.into(),
-        data_base,
-        data_end,
-    }
+    CandidateSet::new(candidates, data_base, data_end)
 }
 
 /// Counts the loop's dynamic back-edge transfers from the branch-bias
@@ -365,7 +403,8 @@ fn measured_back_edges(
 }
 
 /// Runs the three-step partitioner over a pre-harvested candidate set:
-/// applies the `min_share` filter, ranks, and runs steps 1–3, memoizing
+/// applies the `min_share` filter to the set's
+/// [rankings](CandidateSet#rankings) and runs steps 1–3, memoizing
 /// synthesis through `cache`.
 ///
 /// `total_sw_cycles` is the whole-program profiled cycle count. Synthesis
@@ -387,20 +426,22 @@ pub fn partition_with_candidates(
     let data_end = set.data_end;
     let all = &set.candidates;
     let config = cache.config(budget, library);
-    let mut decisions: Vec<Decision> = Vec::new();
     // min_share filter (deferred from harvest so the candidate set is
-    // option-independent), then profile ranking. Entries are indices into
-    // `all`.
-    let mut candidates: Vec<usize> = (0..all.len())
-        .filter(|&ci| (all[ci].sw_cycles as f64) >= options.min_share * total_sw_cycles as f64)
-        .collect();
-    candidates.sort_by_key(|&ci| std::cmp::Reverse(all[ci].sw_cycles));
+    // option-independent): the candidates it keeps are a prefix of the
+    // profile ranking. Entries are indices into `all`.
+    let threshold = options.min_share * total_sw_cycles as f64;
+    let kept = |ci: usize| all[ci].sw_cycles as f64 >= threshold;
+    let candidates = &set.by_cycles[..set.by_cycles.partition_point(|&ci| kept(ci))];
 
-    let mut kernels: Vec<SelectedKernel> = Vec::new();
+    let most_kernels = options.max_kernels.min(candidates.len());
+    let mut kernels: Vec<SelectedKernel> = Vec::with_capacity(most_kernels);
+    // Candidate index of each kernel, in `kernels` order.
+    let mut taken: Vec<usize> = Vec::with_capacity(most_kernels);
+    // A candidate is decided at most once in step 1 and once more in step
+    // 2 (joined) or step 3; step 2 also records one move per kernel.
+    let mut decisions: Vec<Decision> = Vec::with_capacity(2 * candidates.len() + most_kernels);
     let mut area_used = 0u64;
     let mut covered = 0u64;
-    // Candidate index of each kernel, in `kernels` order.
-    let mut taken: Vec<usize> = Vec::new();
     let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
     /// Why a candidate was not selected.
@@ -428,7 +469,7 @@ pub fn partition_with_candidates(
         let r = cache
             .synthesize(key, || SynthesisInput {
                 function: &prog.functions[c.func_index],
-                region: c.blocks.clone(),
+                region: c.blocks.to_vec(),
                 mem_in_bram,
                 bram_bytes,
                 budget: *budget,
@@ -471,21 +512,21 @@ pub fn partition_with_candidates(
         let c = &all[ci];
         SelectedKernel {
             func_index: c.func_index,
-            blocks: c.blocks.clone(),
+            blocks: Arc::clone(&c.blocks),
             header: c.header,
-            name: c.name.clone(),
+            name: Arc::clone(&c.name),
             sw_cycles: c.sw_cycles,
             invocations: c.invocations,
             mem_in_bram,
             bram_bytes: 0,
-            regions: c.regions.clone(),
+            regions: Arc::clone(&c.regions),
             synth,
             step,
         }
     };
 
     // ---- step 1: most frequent loops to ~coverage ----
-    for &ci in &candidates {
+    for &ci in candidates {
         if kernels.len() >= options.max_kernels {
             break;
         }
@@ -545,7 +586,7 @@ pub fn partition_with_candidates(
             }
         }
         // Pull in other candidates touching the same arrays.
-        for &ci in &candidates {
+        for &ci in candidates {
             if taken.contains(&ci) || kernels.len() >= options.max_kernels {
                 continue;
             }
@@ -571,20 +612,12 @@ pub fn partition_with_candidates(
     }
 
     // ---- step 3: greedy fill by weight × suitability ----
-    let mut rest: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|ci| !taken.contains(ci))
-        .collect();
-    let weight = |ci: usize| all[ci].sw_cycles as f64 * all[ci].suitability;
-    rest.sort_by(|&a, &b| {
-        weight(b)
-            .partial_cmp(&weight(a))
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    for ci in rest {
+    for &ci in &set.by_weight {
         if kernels.len() >= options.max_kernels {
             break;
+        }
+        if !kept(ci) || taken.contains(&ci) {
+            continue;
         }
         let c = &all[ci];
         let bram = c.regions.fully_resolved() && options.alias_step;

@@ -80,9 +80,8 @@ use crate::partition::{
 use binpart_mips::sim::{Exit, Machine, SimConfig};
 use binpart_mips::Binary;
 use binpart_platform::{HardwareKernel, HybridReport};
-use binpart_synth::EstimateCache;
+use binpart_synth::{EstimateCache, KeyMap};
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The product of the [`estimate`](StagedFlow::estimate) stage: a profiled
@@ -140,13 +139,13 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, FlowError>>>;
 pub struct StagedFlow<'b, T: Telemetry = NullTelemetry> {
     binary: &'b Binary,
     telemetry: T,
-    profiles: Mutex<HashMap<SimConfig, Slot<Exit>>>,
-    programs: Mutex<HashMap<DecompileOptions, Slot<DecompiledProgram>>>,
-    estimated: Mutex<HashMap<(DecompileOptions, SimConfig), Slot<EstimatedProgram>>>,
+    profiles: Mutex<KeyMap<SimConfig, Slot<Exit>>>,
+    programs: Mutex<KeyMap<DecompileOptions, Slot<DecompiledProgram>>>,
+    estimated: Mutex<KeyMap<(DecompileOptions, SimConfig), Slot<EstimatedProgram>>>,
 }
 
 fn slot<K: std::hash::Hash + Eq + Clone, T>(
-    map: &Mutex<HashMap<K, Slot<T>>>,
+    map: &Mutex<KeyMap<K, Slot<T>>>,
     key: &K,
 ) -> Slot<T> {
     // A panic while holding the lock poisons it; the map itself is always
@@ -167,7 +166,7 @@ fn slot<K: std::hash::Hash + Eq + Clone, T>(
 /// The second element reports whether *this* call ran `init` (a cache
 /// miss) — the hit/miss attribution the telemetry counters record.
 fn get_stage<K: std::hash::Hash + Eq + Clone, T>(
-    map: &Mutex<HashMap<K, Slot<T>>>,
+    map: &Mutex<KeyMap<K, Slot<T>>>,
     key: &K,
     init: impl FnOnce() -> Result<Arc<T>, FlowError>,
 ) -> (Result<Arc<T>, FlowError>, bool) {
@@ -206,9 +205,9 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         StagedFlow {
             binary,
             telemetry,
-            profiles: Mutex::new(HashMap::new()),
-            programs: Mutex::new(HashMap::new()),
-            estimated: Mutex::new(HashMap::new()),
+            profiles: Mutex::default(),
+            programs: Mutex::default(),
+            estimated: Mutex::default(),
         }
     }
 
@@ -381,7 +380,7 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
 
 impl<T: Telemetry> std::fmt::Debug for StagedFlow<'_, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn len<K, T>(m: &Mutex<HashMap<K, Slot<T>>>) -> usize {
+        fn len<K, T>(m: &Mutex<KeyMap<K, Slot<T>>>) -> usize {
             m.lock().unwrap_or_else(|p| p.into_inner()).len()
         }
         f.debug_struct("StagedFlow")
@@ -419,7 +418,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
         .kernels
         .iter()
         .map(|k| HardwareKernel {
-            name: k.name.clone(),
+            name: Arc::clone(&k.name),
             invocations: k.invocations,
             hw_cycles: k.synth.timing.hw_cycles,
             clock_hz: k.synth.timing.clock_mhz * 1e6,

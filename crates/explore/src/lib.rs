@@ -26,7 +26,10 @@
 //! nothing; the partitioner records its decisions as compact records and
 //! formats the decision log only when `Partition::log` is called; and the
 //! sweep builds each clock's processor spec once, when the clock axis is
-//! set, so a point formats nothing. Points are evaluated in parallel with
+//! set, so a point formats nothing. Platform and library names are
+//! `Arc<str>`, so the options a point clones ([`Sweep::options_for`])
+//! allocate nothing, and the selected kernels share their candidates'
+//! names, blocks and alias summaries. Points are evaluated in parallel with
 //! [`binpart_par::par_map`] (`BINPART_THREADS=1` forces sequential), and
 //! results are deterministic and ordered regardless of thread count.
 //!
@@ -230,7 +233,9 @@ impl Sweep {
     /// point whose clock equals the base platform's clock keeps the base
     /// processor spec (power model included). Other clock values use the
     /// paper's MIPS power model ([`ProcessorSpec::mips`]), which is what
-    /// the clock axis sweeps.
+    /// the clock axis sweeps. For a clock on the axis this allocates
+    /// nothing beyond what the custom axes do: it clones that clock's
+    /// prebuilt options, whose names are shared.
     pub fn options_for(&self, config: &PointConfig) -> FlowOptions {
         let on_axis = self
             .clocks_hz

@@ -323,6 +323,8 @@ impl HybridMachine {
             })
             .collect();
         let mut null = NullProfiler;
+        // The oracle's store log, reused (cleared) across invocations.
+        let mut log = StoreLog::default();
         let exit = loop {
             // Software between regions, at full block-dispatch speed.
             let regions = &self.regions;
@@ -352,10 +354,10 @@ impl HybridMachine {
             // 2. Software oracle through the region (authoritative state;
             //    measures the replaced CPU cycles exactly).
             let cycles_before = self.machine.cycles();
-            let region = self.regions[ri].clone();
-            let mut log = StoreLog::default();
+            let (lo, hi) = (self.regions[ri].lo, self.regions[ri].hi);
+            log.stores.clear();
             accel.shadow_begin(ri);
-            let shadow = self.machine.run_until(&mut log, |pc| !region.contains(pc));
+            let shadow = self.machine.run_until(&mut log, |pc| pc < lo || pc > hi);
             accel.shadow_end(ri);
             let shadow = shadow?;
             let replaced = self.machine.cycles() - cycles_before;
@@ -368,27 +370,30 @@ impl HybridMachine {
                     k.hw_cycles += hw.hw_cycles;
                     k.sw_cycles_replaced += replaced;
                     let data = |s: &&HwStore| s.addr < STACK_FLOOR;
-                    let hw_stores: Vec<&HwStore> = hw.stores.iter().filter(data).collect();
-                    let sw_stores: Vec<&HwStore> = log.stores.iter().filter(data).collect();
-                    k.stores_checked += sw_stores.len() as u64;
-                    // First position where the sequences differ (None when
-                    // one is a prefix of the other — then only the lengths
-                    // can disagree).
-                    let first = hw_stores
-                        .iter()
-                        .zip(&sw_stores)
-                        .position(|(h, s)| !same_store(h, s));
-                    if first.is_some() || hw_stores.len() != sw_stores.len() {
+                    k.stores_checked += log.stores.iter().filter(data).count() as u64;
+                    // Walk both data-store sequences in step to the first
+                    // difference: a mismatching pair (which has an index),
+                    // or the store past the common prefix when one sequence
+                    // is a prefix of the other (no index).
+                    let mut hw_data = hw.stores.iter().filter(data);
+                    let mut sw_data = log.stores.iter().filter(data);
+                    let mut at = 0;
+                    let divergence = loop {
+                        match (hw_data.next(), sw_data.next()) {
+                            (None, None) => break None,
+                            (Some(h), Some(s)) if same_store(h, s) => at += 1,
+                            (Some(h), Some(s)) => break Some((Some(at), Some(*h), Some(*s))),
+                            (h, s) => break Some((None, h.copied(), s.copied())),
+                        }
+                    };
+                    if let Some((index, hw, sw)) = divergence {
                         k.store_mismatches += 1;
                         if k.divergences.len() < MAX_DIVERGENCE_RECORDS {
-                            // No pairwise mismatch → point at the extra (or
-                            // missing) store past the common prefix.
-                            let at = first.unwrap_or(hw_stores.len().min(sw_stores.len()));
                             k.divergences.push(StoreDivergence {
                                 invocation: k.invocations,
-                                index: first,
-                                hw: hw_stores.get(at).map(|s| **s),
-                                sw: sw_stores.get(at).map(|s| **s),
+                                index,
+                                hw,
+                                sw,
                             });
                         }
                     }
@@ -545,27 +550,9 @@ mod tests {
     /// name, invocation index, the offending store — never a panic, and
     /// the architectural exit must stay bit-identical (the oracle is
     /// authoritative).
-    #[test]
-    fn injected_store_fault_is_reported_not_fatal() {
-        /// Stores into the data section, then corrupts store `victim`.
-        struct CorruptingAccel {
-            stores: Vec<HwStore>,
-            victim: usize,
-        }
-        impl Accelerator for CorruptingAccel {
-            fn invoke(&mut self, _r: usize, _regs: &[u32; 32], _m: &Memory) -> AccelOutcome {
-                let mut stores = self.stores.clone();
-                if let Some(s) = stores.get_mut(self.victim) {
-                    s.value ^= 0xdead_beef;
-                }
-                AccelOutcome::Executed(HwInvocation {
-                    hw_cycles: 7,
-                    stores,
-                })
-            }
-        }
-
-        // A loop that stores i into a[i] for i in 0..4 (data section).
+    /// A loop that stores i into a[i] for i in 0..4 (data section), its
+    /// one region, and the data stores the software oracle performs.
+    fn store_loop() -> (Binary, Vec<RegionSpec>, Vec<HwStore>) {
         let mut a = Asm::new();
         a.li(Reg::T0, 0); // i
         a.li(Reg::T1, 0x1000_0000u32 as i32); // &a[0] (data base)
@@ -600,7 +587,6 @@ mod tests {
                 }
             }
         }
-        let pure = Machine::new(&binary).unwrap().run_unprofiled().unwrap();
         let oracle_stores: Vec<HwStore> = (0..4)
             .map(|i| HwStore {
                 addr: 0x1000_0000 + 4 * i,
@@ -614,6 +600,83 @@ mod tests {
             hi: end_pc,
             entry_pc: head_pc,
         }];
+        (binary, regions, oracle_stores)
+    }
+
+    /// Returns the same stores on every invocation.
+    struct FixedAccel(Vec<HwStore>);
+
+    impl Accelerator for FixedAccel {
+        fn invoke(&mut self, _r: usize, _regs: &[u32; 32], _m: &Memory) -> AccelOutcome {
+            AccelOutcome::Executed(HwInvocation {
+                hw_cycles: 7,
+                stores: self.0.clone(),
+            })
+        }
+    }
+
+    /// Sequences that agree on a common prefix but differ in length
+    /// diverge with no index, pointing at the store past the prefix;
+    /// stack stores take no part in the comparison.
+    #[test]
+    fn store_sequence_length_mismatch_has_no_index() {
+        let (binary, regions, oracle) = store_loop();
+        let stack = HwStore {
+            addr: STACK_FLOOR + 0x100,
+            bytes: 4,
+            value: 9,
+        };
+        let extra = HwStore {
+            addr: 0x1000_0010,
+            bytes: 4,
+            value: 4,
+        };
+        let short = oracle[..3].to_vec();
+        let long: Vec<HwStore> = oracle.iter().copied().chain([extra]).collect();
+        let with_stack: Vec<HwStore> = [stack].into_iter().chain(oracle.iter().copied()).collect();
+        let cases = [
+            (short, 1, None, Some(oracle[3])),
+            (long, 1, Some(extra), None),
+            (with_stack, 0, None, None),
+        ];
+        for (stores, mismatches, hw, sw) in cases {
+            let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions.clone()).unwrap();
+            let hx = hm.run(&mut FixedAccel(stores)).unwrap();
+            let k = &hx.kernels[0];
+            assert_eq!(k.stores_checked, 4, "the oracle's data stores");
+            assert_eq!(k.store_mismatches, mismatches);
+            match k.divergences.first() {
+                Some(d) => {
+                    assert_eq!((d.index, d.hw, d.sw), (None, hw, sw));
+                    assert!(d.to_string().contains("sequence lengths differ"), "{d}");
+                }
+                None => assert_eq!(mismatches, 0),
+            }
+        }
+    }
+
+    #[test]
+    fn injected_store_fault_is_reported_not_fatal() {
+        /// Stores into the data section, then corrupts store `victim`.
+        struct CorruptingAccel {
+            stores: Vec<HwStore>,
+            victim: usize,
+        }
+        impl Accelerator for CorruptingAccel {
+            fn invoke(&mut self, _r: usize, _regs: &[u32; 32], _m: &Memory) -> AccelOutcome {
+                let mut stores = self.stores.clone();
+                if let Some(s) = stores.get_mut(self.victim) {
+                    s.value ^= 0xdead_beef;
+                }
+                AccelOutcome::Executed(HwInvocation {
+                    hw_cycles: 7,
+                    stores,
+                })
+            }
+        }
+
+        let (binary, regions, oracle_stores) = store_loop();
+        let pure = Machine::new(&binary).unwrap().run_unprofiled().unwrap();
         let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions).unwrap();
         let mut accel = CorruptingAccel {
             stores: oracle_stores,

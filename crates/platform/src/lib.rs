@@ -28,12 +28,13 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Microprocessor model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessorSpec {
-    /// Display name.
-    pub name: String,
+    /// Display name (shared, so cloning a spec allocates nothing).
+    pub name: Arc<str>,
     /// Core clock in Hz.
     pub clock_hz: f64,
     /// Power while executing, in watts.
@@ -50,7 +51,7 @@ impl ProcessorSpec {
     pub fn mips(clock_hz: f64) -> ProcessorSpec {
         let active = 0.15 + 1.75e-9 * clock_hz;
         ProcessorSpec {
-            name: format!("MIPS @ {} MHz", clock_hz / 1e6),
+            name: format!("MIPS @ {} MHz", clock_hz / 1e6).into(),
             clock_hz,
             active_power_w: active,
             idle_power_w: active * 0.65,
@@ -61,8 +62,8 @@ impl ProcessorSpec {
 /// FPGA model (capacity + power coefficients).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FpgaSpec {
-    /// Display name.
-    pub name: String,
+    /// Display name (shared, so cloning a spec allocates nothing).
+    pub name: Arc<str>,
     /// Usable capacity in gate equivalents.
     pub capacity_gates: u64,
     /// On-chip block-RAM capacity in bits.
@@ -158,7 +159,7 @@ impl Platform {
                 self.fpga.dynamic_power_w(k.area_gates, k.clock_hz, 0.25) * t_hw;
             let t_sw_kernel = k.sw_cycles_replaced as f64 / f_cpu;
             kernel_reports.push(KernelReport {
-                name: k.name.clone(),
+                name: Arc::clone(&k.name),
                 kernel_speedup: if t_hw > 0.0 { t_sw_kernel / t_hw } else { 1.0 },
                 hw_time_s: t_hw,
                 sw_time_s: t_sw_kernel,
@@ -202,8 +203,9 @@ impl Platform {
 /// One region implemented in hardware.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardwareKernel {
-    /// Kernel name (diagnostics).
-    pub name: String,
+    /// Kernel name (diagnostics), shared with the partition that selected
+    /// the kernel.
+    pub name: Arc<str>,
     /// Number of CPU→FPGA invocations.
     pub invocations: u64,
     /// Total FPGA cycles across all invocations.
@@ -222,8 +224,8 @@ pub struct HardwareKernel {
 /// Per-kernel slice of a [`HybridReport`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
-    /// Kernel name.
-    pub name: String,
+    /// Kernel name, shared with its [`HardwareKernel`].
+    pub name: Arc<str>,
     /// Software-time / hardware-time for this kernel alone.
     pub kernel_speedup: f64,
     /// Hardware execution time (s).

@@ -30,6 +30,15 @@
 //! The [`SynthesisInput`] is built by a caller-supplied closure that runs
 //! only on a miss; it must describe the same kernel as the key.
 //!
+//! # Lookup cost
+//!
+//! A lookup allocates nothing and hashes without SipHash. The key is
+//! `Copy`, and the map is a [`KeyMap`]: a `HashMap` over [`KeyHasher`], a
+//! multiplicative hasher for keys made of a few integers. Keys here are
+//! dense ids chosen by the program, not by an adversary, so SipHash's
+//! flooding resistance buys nothing; the staged flow's artifact maps use
+//! the same [`KeyMap`] for the same reason.
+//!
 //! Synthesis is deterministic, so a cached result is bit-identical to a
 //! fresh run — sweeps that share a cache produce exactly the numbers of the
 //! uncached flow. Results are shared as `Arc<SynthesisResult>`: a hit
@@ -44,8 +53,58 @@
 
 use crate::{synthesize, ResourceBudget, SynthError, SynthesisInput, SynthesisResult, TechLibrary};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+
+/// A multiplicative hasher for keys made of a few integers (the
+/// FxHash scheme: fold each word in with a rotate, an xor and a multiply
+/// by an odd constant). Much cheaper than SipHash and not
+/// flood-resistant, so only for keys the program chooses; see the module
+/// docs.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, n: u8) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+
+    /// The product's high bits are its best mixed; rotate them down to
+    /// where the table takes its bucket index.
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// A `HashMap` hashed by [`KeyHasher`]; build one with `KeyMap::default()`.
+pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
 /// Exact cache key for one kernel-synthesis call. See the module docs for
 /// the sharing rules.
@@ -90,7 +149,7 @@ fn config_bits<'a>(budget: &ResourceBudget, library: &'a TechLibrary) -> ConfigB
         multipliers,
         mem_ports,
         target_period_ns.to_bits(),
-        name,
+        &**name,
         [
             lut_delay_ns.to_bits(),
             ff_overhead_ns.to_bits(),
@@ -118,7 +177,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// the internal map is already thread-safe.
 #[derive(Debug, Default)]
 pub struct EstimateCache {
-    map: Mutex<HashMap<KernelKey, Entry>>,
+    map: Mutex<KeyMap<KernelKey, Entry>>,
     configs: Mutex<Vec<(ResourceBudget, TechLibrary)>>,
     hits: AtomicU64,
     misses: AtomicU64,

@@ -48,7 +48,7 @@ pub mod schedule;
 pub mod tech;
 pub mod vhdl;
 
-pub use estimate::{EstimateCache, KernelKey};
+pub use estimate::{EstimateCache, KernelKey, KeyMap};
 pub use schedule::{AreaEstimate, BlockSchedule, KernelTiming, ResourceBudget};
 pub use tech::{FuClass, TechLibrary};
 

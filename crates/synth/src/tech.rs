@@ -6,6 +6,7 @@
 //! era-typical numbers (carry-chain adders, MULT18X18 blocks, block RAM).
 
 use binpart_cdfg::ir::{BinOp, Op, UnOp};
+use std::sync::Arc;
 
 /// Functional-unit class an operation binds to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,8 +32,8 @@ pub enum FuClass {
 /// Delay/area library.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TechLibrary {
-    /// Name for reports.
-    pub name: String,
+    /// Name for reports (shared, so cloning a library allocates nothing).
+    pub name: Arc<str>,
     /// Routed LUT delay, ns (logic + local routing).
     pub lut_delay_ns: f64,
     /// Flip-flop setup + clock-to-q, ns.
