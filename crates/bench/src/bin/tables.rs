@@ -98,6 +98,9 @@ struct SimReport {
     /// Warm `StagedFlow::evaluate` cost per point of that grid, in µs
     /// (stages and synthesis memo built first; median of five passes).
     evaluate_us_per_point: f64,
+    /// Cold `evaluate` cost per synthesis-memo miss over the matrix, in µs
+    /// (median of five passes).
+    synth_us_per_miss: f64,
     /// Wall-clock ratio of the naive sweep (a fresh `StagedFlow` per
     /// point) to the staged sweep over the same grid (single-core).
     sweep_speedup_vs_naive: f64,
@@ -200,6 +203,7 @@ fn sim_report(suite_wall_s: f64) -> SimReport {
     });
     let (sweep_points_per_sec, sweep_speedup_vs_naive) = sweep_report();
     let evaluate_us_per_point = evaluate_report();
+    let synth_us_per_miss = synth_report();
     let cosim = run_cosim_matrix(COSIM_PASSES);
     if let Err(e) = cosim_exactness(&cosim) {
         panic!("{e} during the snapshot pass");
@@ -215,6 +219,7 @@ fn sim_report(suite_wall_s: f64) -> SimReport {
         decompile_funcs_per_sec: funcs as f64 / decompile_s,
         sweep_points_per_sec,
         evaluate_us_per_point,
+        synth_us_per_miss,
         sweep_speedup_vs_naive,
         cosim_cycles_per_sec: cosim.cosim_cycles_per_sec,
         estimate_error_pct_mean: cosim.estimate_error_pct_mean,
@@ -267,8 +272,8 @@ fn floor(column: &str, measured: f64) -> Result<String, String> {
     gate(measured >= 0.5 * snapshot, line)
 }
 
-/// A cost ceiling, the mirror of [`floor`]: `measured` (µs per point)
-/// must stay within twice the snapshot's `column`.
+/// A cost ceiling, the mirror of [`floor`]: `measured` (µs per unit of
+/// work) must stay within twice the snapshot's `column`.
 fn ceiling(column: &str, measured: f64) -> Result<String, String> {
     let Some(snapshot) = read_snapshot_value(column) else {
         return Err(format!("{column}: no value in {SNAPSHOT}"));
@@ -325,6 +330,7 @@ fn check() {
         floor("sim_instrs_per_sec_fast", total as f64 / fast_s),
         gate(sweep_speedup >= 1.0, sweep),
         ceiling("evaluate_us_per_point", evaluate_report()),
+        ceiling("synth_us_per_miss", synth_report()),
         cosim_exactness(&cosim).map(|()| {
             format!(
                 "cosim exactness: {} cells bit-identical, 0 store mismatches, {} hardware invocations",
@@ -623,8 +629,40 @@ fn evaluate_report() -> f64 {
     1e6 * secs[secs.len() / 2] / points.len() as f64
 }
 
+/// Cold synthesis cost: over the 80 (benchmark, OptLevel) cells, one
+/// fresh `StagedFlow` per cell with its profile, decompile and estimate
+/// stages built untimed, then the first `evaluate` at default options
+/// timed — the evaluation that fills the synthesis memo. Microseconds per
+/// memo miss (the pass's total evaluate time over its total
+/// `EstimateCache` misses), median of five passes, single-core.
+fn synth_report() -> f64 {
+    use binpart_core::stage::StagedFlow;
+    let suite = binpart_workloads::suite();
+    let mut options = binpart_core::flow::FlowOptions::default();
+    options.decompile.recover_jump_tables = true;
+    let pass = || {
+        let (mut secs, mut misses) = (0.0, 0u64);
+        for b in &suite {
+            for level in OptLevel::ALL {
+                let flow = StagedFlow::new(CompiledSuite::get(b, level).binary);
+                let est = flow
+                    .estimate(options.decompile, options.sim)
+                    .expect("suite stages build");
+                let t0 = Instant::now();
+                std::hint::black_box(flow.evaluate(&options).expect("suite evaluates"));
+                secs += t0.elapsed().as_secs_f64();
+                misses += est.cache.misses();
+            }
+        }
+        1e6 * secs / misses.max(1) as f64
+    };
+    let mut per_miss: Vec<f64> = (0..5).map(|_| pass()).collect();
+    per_miss.sort_by(f64::total_cmp);
+    per_miss[per_miss.len() / 2]
+}
+
 /// The snapshot's columns, in the order [`write_bench_json`] writes them.
-const COLUMNS: [&str; 24] = [
+const COLUMNS: [&str; 25] = [
     "sim_instrs_per_sec_fast",
     "sim_instrs_per_sec_seed",
     "sim_speedup",
@@ -634,6 +672,7 @@ const COLUMNS: [&str; 24] = [
     "decompile_funcs_per_sec",
     "sweep_points_per_sec",
     "evaluate_us_per_point",
+    "synth_us_per_miss",
     "sweep_speedup_vs_naive",
     "cosim_cycles_per_sec",
     "estimate_error_pct_mean",
@@ -663,6 +702,7 @@ fn write_bench_json(r: &SimReport) {
         format!("{:.0}", r.decompile_funcs_per_sec),
         format!("{:.0}", r.sweep_points_per_sec),
         format!("{:.3}", r.evaluate_us_per_point),
+        format!("{:.2}", r.synth_us_per_miss),
         format!("{:.2}", r.sweep_speedup_vs_naive),
         format!("{:.0}", r.cosim_cycles_per_sec),
         format!("{:.2}", r.estimate_error_pct_mean),
@@ -687,7 +727,7 @@ fn write_bench_json(r: &SimReport) {
     let json = format!("{{\n{}\n}}\n", body.join(",\n"));
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive), warm evaluate {:.2} us/pt; cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
+            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive), warm evaluate {:.2} us/pt, cold synthesis {:.1} us/miss; cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
             r.fast_ips / 1e6,
             r.trace_cache_hit_rate * 100.0,
             r.seed_ips / 1e6,
@@ -697,6 +737,7 @@ fn write_bench_json(r: &SimReport) {
             r.sweep_points_per_sec,
             r.sweep_speedup_vs_naive,
             r.evaluate_us_per_point,
+            r.synth_us_per_miss,
             r.cosim_cycles_per_sec / 1e6,
             r.estimate_error_pct_mean,
             r.estimate_error_pct_max,

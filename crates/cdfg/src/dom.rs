@@ -52,17 +52,22 @@ impl Dominators {
         let mut idom: Vec<Option<BlockId>> = vec![None; n];
         idom[f.entry.index()] = Some(f.entry);
 
-        let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-            while a != b {
-                while rpo_index[a.index()] > rpo_index[b.index()] {
-                    a = idom[a.index()].expect("processed");
+        // Both walks stay on processed blocks: they start at predecessors
+        // whose idom is set, every such idom is itself processed, and the
+        // entry (its own idom, RPO index 0) ends both walks. So `None` is
+        // never met; should it be, the walk gives up instead of panicking.
+        let intersect =
+            |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> Option<BlockId> {
+                while a != b {
+                    while rpo_index[a.index()] > rpo_index[b.index()] {
+                        a = idom[a.index()]?;
+                    }
+                    while rpo_index[b.index()] > rpo_index[a.index()] {
+                        b = idom[b.index()]?;
+                    }
                 }
-                while rpo_index[b.index()] > rpo_index[a.index()] {
-                    b = idom[b.index()].expect("processed");
-                }
-            }
-            a
-        };
+                Some(a)
+            };
 
         let mut changed = true;
         while changed {
@@ -76,10 +81,10 @@ impl Dominators {
                     if idom[p.index()].is_none() {
                         continue;
                     }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => intersect(&idom, cur, p),
-                    });
+                    new_idom = match new_idom {
+                        None => Some(p),
+                        Some(cur) => intersect(&idom, cur, p).or(Some(cur)),
+                    };
                 }
                 if let Some(ni) = new_idom {
                     if idom[b.index()] != Some(ni) {

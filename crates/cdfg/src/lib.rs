@@ -48,6 +48,8 @@
 //! assert!(tree.stats().loops() >= 1);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod cfg;
 pub mod dataflow;
 pub mod dom;

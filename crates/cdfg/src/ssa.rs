@@ -86,7 +86,8 @@ pub fn construct(f: &mut Function) -> SsaInfo {
         def_count[i] += def_count[i - 1];
     }
     let def_off = def_count; // prefix sums: defs of var v sit in off[v]..off[v+1]
-    let mut def_flat: Vec<BlockId> = vec![BlockId(0); *def_off.last().unwrap() as usize];
+    // `def_count` has `n0 + 1` entries, so `off[n0]` is the total.
+    let mut def_flat: Vec<BlockId> = vec![BlockId(0); def_off[n0] as usize];
     let mut cursor: Vec<u32> = def_off[..n0].to_vec();
     for b in f.block_ids() {
         for inst in &f.block(b).ops {
@@ -445,10 +446,11 @@ pub fn reference_construct(f: &mut Function) -> SsaInfo {
                 }
             }
             Frame::Exit(pushed) => {
+                // Every `var` here was pushed onto by this block's
+                // `Enter` frame, so its stack exists and holds `n` names.
                 for (var, n) in pushed {
-                    let s = stacks.get_mut(&var).expect("pushed");
-                    for _ in 0..n {
-                        s.pop();
+                    if let Some(s) = stacks.get_mut(&var) {
+                        s.truncate(s.len().saturating_sub(n));
                     }
                 }
             }

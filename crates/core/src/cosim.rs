@@ -6,11 +6,12 @@
 //! the whole program on the hybrid machine
 //! ([`binpart_mips::hybrid::HybridMachine`]): software on the fast
 //! simulator, each kernel region dispatched to its FSMD executor
-//! ([`binpart_hwsim::KernelAccel`]) — the *same* schedules and initiation
-//! intervals the analytic estimate used, executed state by state against a
-//! shared memory model, with the CPU↔FPGA invocation and block-RAM
-//! transfer overheads from `binpart_platform` charged per the measured
-//! invocation counts.
+//! ([`binpart_hwsim::KernelAccel`]) — lowered from the kernel's own
+//! synthesis result (`SelectedKernel::synth`), so it runs the very block
+//! schedules and initiation intervals the analytic estimate priced,
+//! executed state by state against a shared memory model, with the
+//! CPU↔FPGA invocation and block-RAM transfer overheads from
+//! `binpart_platform` charged per the measured invocation counts.
 //!
 //! Two results come out:
 //!
@@ -243,11 +244,11 @@ struct Packaged<'f> {
 
 impl<T: Telemetry> StagedFlow<'_, T> {
     /// Packages each kernel of `partition` as a hybrid-machine region and
-    /// an FSMD accelerator (the `accel_compile` span), recording packaging
-    /// rejections on `diagnostics`.
+    /// an FSMD accelerator lowered from the kernel's kept synthesis
+    /// schedule (the `accel_compile` span), recording packaging rejections
+    /// on `diagnostics`.
     fn package<'e>(
         &self,
-        options: &FlowOptions,
         est: &'e EstimatedProgram,
         partition: &Partition,
         diagnostics: &mut Vec<Diagnostic>,
@@ -280,11 +281,8 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                 .unwrap_or(&[]);
             let accel = match KernelAccel::compile(
                 f,
-                &k.blocks,
+                &k.synth.schedule,
                 k.header,
-                &options.budget,
-                &options.library,
-                k.mem_in_bram,
                 self.binary(),
                 live_ins,
             ) {
@@ -348,7 +346,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             mut set,
             spec_kernel,
             mapped,
-        } = self.package(options, &est, &staged.partition, &mut diagnostics);
+        } = self.package(&est, &staged.partition, &mut diagnostics);
         let names: Vec<String> = specs.iter().map(|s| s.name.clone()).collect();
 
         // Run the hybrid machine.
@@ -658,7 +656,7 @@ mod tests {
         let plain = staged.cosimulate(&options).unwrap();
         let est = staged.estimate(options.decompile, options.sim).unwrap();
         let eval = staged.evaluate(&options).unwrap();
-        let p = staged.package(&options, &est, &eval.partition, &mut Vec::new());
+        let p = staged.package(&est, &eval.partition, &mut Vec::new());
         let names: Vec<String> = p.specs.iter().map(|s| s.name.clone()).collect();
         let mut hm = HybridMachine::new(&binary, options.sim, p.specs).unwrap();
         let hx = hm

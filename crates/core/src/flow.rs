@@ -162,12 +162,14 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Concatenated VHDL of all selected kernels.
+    /// Concatenated VHDL of all selected kernels, each rendered from its
+    /// kept schedule ([`SynthesisResult::vhdl`](binpart_synth::SynthesisResult::vhdl))
+    /// over its function in [`FlowReport::program`].
     pub fn vhdl(&self) -> String {
         self.partition
             .kernels
             .iter()
-            .map(|k| k.synth.vhdl.as_str())
+            .map(|k| k.synth.vhdl(&self.program.functions[k.func_index]))
             .collect::<Vec<_>>()
             .join("\n")
     }

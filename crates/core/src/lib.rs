@@ -13,8 +13,9 @@
 //!    rerolling ([`opts`]),
 //! 3. partitions it with the three-step 90-10 heuristic using profile and
 //!    alias information ([`partition`], [`alias`]),
-//! 4. synthesizes the selected kernels to RTL VHDL with a Virtex-II area
-//!    model (`binpart-synth`), and
+//! 4. synthesizes the selected kernels with a Virtex-II area model
+//!    (`binpart-synth`; RTL VHDL is rendered on demand by
+//!    `FlowReport::vhdl`), and
 //! 5. reports hybrid speedup and energy savings (`binpart-platform`).
 //!
 //! [`stage::StagedFlow`] drives the whole pipeline, with each stage's

@@ -79,8 +79,9 @@ pub struct SelectedKernel {
     pub bram_bytes: u64,
     /// Memory summary from alias analysis, shared with its [`Candidate`].
     pub regions: Arc<RegionSummary>,
-    /// Synthesis result (timing, area, VHDL), shared with the synthesis
-    /// memo that produced it.
+    /// Synthesis result (timing, area, and the schedules the FSMD and the
+    /// RTL are built from), shared with the synthesis memo that produced
+    /// it.
     pub synth: Arc<SynthesisResult>,
     /// Which partitioning step selected it (1, 2, or 3).
     pub step: u8,
@@ -143,9 +144,9 @@ pub struct Decision {
 ///
 /// Built once per evaluated design point, so building it is kept cheap:
 /// each kernel's [`SelectedKernel::synth`] is the synthesis memo's own
-/// shared result (an `Arc`, never a copy of the VHDL), and the decision
-/// log is kept as [`Decision`] records that [`Partition::log`] renders to
-/// text only when asked.
+/// shared result (an `Arc`, never a copy of its schedules), and the
+/// decision log is kept as [`Decision`] records that [`Partition::log`]
+/// renders to text only when asked.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Selected kernels.
@@ -255,6 +256,10 @@ pub struct CandidateSet {
     pub data_base: u32,
     /// End of the data section.
     pub data_end: u32,
+    /// The loop forest of each function, parallel to
+    /// [`DecompiledProgram::functions`]: computed once by the harvest and
+    /// read by every synthesis of a candidate in that function.
+    pub forests: Vec<LoopForest>,
     /// The profile ranking (see [Rankings](CandidateSet#rankings)).
     by_cycles: Vec<usize>,
     /// The fill ranking (see [Rankings](CandidateSet#rankings)).
@@ -263,7 +268,12 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     /// Wraps `candidates` with both of its rankings.
-    fn new(candidates: Vec<Candidate>, data_base: u32, data_end: u32) -> CandidateSet {
+    fn new(
+        candidates: Vec<Candidate>,
+        forests: Vec<LoopForest>,
+        data_base: u32,
+        data_end: u32,
+    ) -> CandidateSet {
         let mut by_cycles: Vec<usize> = (0..candidates.len()).collect();
         by_cycles.sort_by_key(|&ci| std::cmp::Reverse(candidates[ci].sw_cycles));
         let weight = |ci: usize| candidates[ci].sw_cycles as f64 * candidates[ci].suitability;
@@ -273,6 +283,7 @@ impl CandidateSet {
             candidates: candidates.into(),
             data_base,
             data_end,
+            forests,
             by_cycles,
             by_weight,
         }
@@ -295,6 +306,7 @@ pub fn harvest_candidates(
     let data_base = binary.data_base;
     let data_end = binary.data_end();
     let mut candidates: Vec<Candidate> = Vec::new();
+    let mut forests = Vec::with_capacity(prog.functions.len());
     for (fi, f) in prog.functions.iter().enumerate() {
         let forest = LoopForest::compute(f);
         for l in forest.loops() {
@@ -357,8 +369,9 @@ pub fn harvest_candidates(
                 suitability,
             });
         }
+        forests.push(forest);
     }
-    CandidateSet::new(candidates, data_base, data_end)
+    CandidateSet::new(candidates, forests, data_base, data_end)
 }
 
 /// Counts the loop's dynamic back-edge transfers from the branch-bias
@@ -469,7 +482,8 @@ pub fn partition_with_candidates(
         let r = cache
             .synthesize(key, || SynthesisInput {
                 function: &prog.functions[c.func_index],
-                region: c.blocks.to_vec(),
+                forest: &set.forests[c.func_index],
+                region: &c.blocks,
                 mem_in_bram,
                 bram_bytes,
                 budget: *budget,

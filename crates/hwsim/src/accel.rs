@@ -32,7 +32,7 @@ use binpart_cdfg::ir::{BinOp, BlockId, Function, Inst, Op, Operand, UnOp, VReg};
 use binpart_mips::hybrid::{AccelOutcome, Accelerator, HwInvocation};
 use binpart_mips::sim::Memory;
 use binpart_mips::{Binary, Reg};
-use binpart_synth::{ResourceBudget, TechLibrary};
+use binpart_synth::KernelSchedule;
 use std::fmt;
 
 /// Where one live-in value comes from at invocation time.
@@ -87,29 +87,26 @@ pub struct KernelAccel<'f> {
 }
 
 impl<'f> KernelAccel<'f> {
-    /// Compiles the FSMD for `region` of `f` and resolves its live-ins.
+    /// Lowers `schedule` — the region schedule synthesis priced the kernel
+    /// from ([`binpart_synth::SynthesisResult::schedule`]) — into an FSMD
+    /// entered at `entry` ([`Fsmd::compile`]) and resolves its live-ins.
     ///
     /// `function_live_ins` maps original (pre-SSA) machine registers to the
     /// SSA names of their function-entry values — source 3 above; pass an
-    /// empty slice when unavailable. Scheduling inputs must match the
-    /// synthesis estimate the execution is compared against.
+    /// empty slice when unavailable.
     ///
     /// # Errors
     ///
     /// [`AccelBuildError`] when the region cannot execute or a live-in is
     /// unmappable.
-    #[allow(clippy::too_many_arguments)]
     pub fn compile(
         f: &'f Function,
-        region: &[BlockId],
+        schedule: &KernelSchedule,
         entry: BlockId,
-        budget: &ResourceBudget,
-        library: &TechLibrary,
-        mem_in_bram: bool,
         binary: &Binary,
         function_live_ins: &[(VReg, VReg)],
     ) -> Result<KernelAccel<'f>, AccelBuildError> {
-        let fsmd = Fsmd::compile(f, region, entry, budget, library, mem_in_bram)?;
+        let fsmd = Fsmd::compile(f, schedule, entry)?;
         let resolver = Resolver::new(f, binary, function_live_ins);
         let mut plan = Vec::new();
         for v in fsmd.live_ins() {
@@ -337,6 +334,7 @@ impl<'a> Resolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule;
     use binpart_cdfg::ir::Terminator;
     use binpart_cdfg::ssa;
 
@@ -419,16 +417,7 @@ mod tests {
     fn accel_executes_and_logs_increment_stores() {
         let (f, region, header) = mem_kernel();
         let binary = binpart_mips::BinaryBuilder::new().build();
-        let accel = KernelAccel::compile(
-            &f,
-            &region,
-            header,
-            &ResourceBudget::default(),
-            &TechLibrary::virtex2(),
-            true,
-            &binary,
-            &[],
-        )
+        let accel = KernelAccel::compile(&f, &schedule(&f, &region), header, &binary, &[])
         .unwrap();
         let mut mem = Memory::new();
         for k in 0..8u32 {
@@ -464,16 +453,7 @@ mod tests {
         f.block_mut(header).term = Terminator::Jump(exit);
         f.block_mut(exit).term = Terminator::Return { value: None };
         let binary = binpart_mips::BinaryBuilder::new().build();
-        let err = KernelAccel::compile(
-            &f,
-            &[header],
-            header,
-            &ResourceBudget::default(),
-            &TechLibrary::virtex2(),
-            true,
-            &binary,
-            &[],
-        )
+        let err = KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[])
         .unwrap_err();
         assert!(matches!(err, AccelBuildError::UnmappableLiveIn { .. }));
     }
@@ -501,16 +481,7 @@ mod tests {
         f.block_mut(exit).term = Terminator::Return { value: None };
         let binary = binpart_mips::BinaryBuilder::new().build();
         let t0 = VReg(u32::from(Reg::T0.number()));
-        let accel = KernelAccel::compile(
-            &f,
-            &[header],
-            header,
-            &ResourceBudget::default(),
-            &TechLibrary::virtex2(),
-            true,
-            &binary,
-            &[(t0, name)],
-        )
+        let accel = KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[(t0, name)])
         .unwrap();
         assert_eq!(
             accel.plan(),

@@ -13,14 +13,10 @@
 use binpart_cdfg::ir::{
     BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, UnOp, VReg,
 };
-use binpart_cdfg::loops::LoopForest;
 use binpart_mips::hybrid::HwStore;
 use binpart_mips::sim::{Memory, PAGE_SIZE};
 use crate::hwtel::{HwAttr, HwAttribution, HwTelemetry, NullHwTelemetry};
-use binpart_synth::schedule::{
-    loop_iteration_ops, rec_mii, res_mii, res_mii_nonmem, schedule_ops,
-};
-use binpart_synth::{ResourceBudget, TechLibrary};
+use binpart_synth::{KernelSchedule, PipelinedLoop, ScheduledBlock};
 use std::fmt;
 
 /// The hardware's memory port: a copy-on-write view over the CPU's
@@ -256,25 +252,9 @@ struct DenseBlock {
     depth: u32,
 }
 
-/// One pipelined innermost loop.
-#[derive(Debug, Clone, Copy)]
-struct PipeLoop {
-    header: BlockId,
-    ii: u32,
-    /// Pipeline fill cost paid once per entry: `depth - II`.
-    fill: u32,
-    /// The share of the II forced by memory-port contention:
-    /// `II - max(RecMII, ResMII-without-mem)` — attributed to
-    /// [`HwAttr::BusStall`] per iteration.
-    stall: u32,
-    /// The loop's static trip count, when known (analytic attribution).
-    trip_count: Option<u64>,
-}
-
 /// A compiled, executable FSMD for one region of a decompiled function —
-/// the same schedules and initiation intervals
-/// [`binpart_synth::synthesize`] estimates from, lowered once into a dense
-/// program (see the [module docs](self)).
+/// the [`KernelSchedule`] [`binpart_synth::synthesize`] priced the kernel
+/// from, lowered once into a dense program (see the [module docs](self)).
 #[derive(Debug)]
 pub struct Fsmd<'f> {
     f: &'f Function,
@@ -288,7 +268,7 @@ pub struct Fsmd<'f> {
     /// Local index of the entry block, and the edge region entry takes.
     entry: u32,
     entry_edge: u32,
-    loops: Vec<PipeLoop>,
+    loops: Vec<PipelinedLoop>,
     /// Register-file slots `vreg_count..` hold these constants.
     consts: Vec<u32>,
     vreg_count: usize,
@@ -433,6 +413,9 @@ impl Lowering<'_> {
     }
 
     fn target(&mut self, from: BlockId, to: BlockId) -> Result<Target, FsmdError> {
+        if to.index() >= self.in_region.len() {
+            return Err(FsmdError::Unexecutable);
+        }
         if !self.in_region(to) {
             return Ok(Target::Exit(to));
         }
@@ -480,79 +463,41 @@ impl Lowering<'_> {
 }
 
 impl<'f> Fsmd<'f> {
-    /// Compiles the scheduled FSMD for `region` of `f`, entered at `entry`,
-    /// and lowers it into the dense program [`Fsmd::execute`] runs.
-    ///
-    /// Scheduling inputs (budget, library, block-RAM placement) must match
-    /// the synthesis call whose estimate the execution is compared against.
+    /// Lowers `schedule` — the block and loop schedules synthesis priced
+    /// a region of `f` from ([`binpart_synth::SynthesisResult::schedule`])
+    /// — into the dense program [`Fsmd::execute`] runs, entered at
+    /// `entry`. The region is the schedule's blocks, each executed in its
+    /// scheduled state order, and every pipelined loop runs at the II the
+    /// estimate charged.
     ///
     /// # Errors
     ///
-    /// [`FsmdError::Unexecutable`] if the region contains calls, or names a
-    /// block or register outside `f`.
+    /// [`FsmdError::Unexecutable`] if the region contains calls, names a
+    /// block or register outside `f`, does not contain `entry`, or carries
+    /// a schedule that does not fit its block's ops.
     pub fn compile(
         f: &'f Function,
-        region: &[BlockId],
+        schedule: &KernelSchedule,
         entry: BlockId,
-        budget: &ResourceBudget,
-        library: &TechLibrary,
-        mem_in_bram: bool,
     ) -> Result<Fsmd<'f>, FsmdError> {
         let nblocks = f.blocks.len();
-        // The loop analysis indexes blocks by every successor.
-        let dangling = f
-            .blocks
-            .iter()
-            .any(|b| b.term.successors().iter().any(|s| s.index() >= nblocks));
-        if dangling {
-            return Err(FsmdError::Unexecutable);
-        }
         let mut in_region = vec![false; nblocks];
-        for &b in region {
+        for b in &schedule.blocks {
             *in_region
-                .get_mut(b.index())
+                .get_mut(b.id.index())
                 .ok_or(FsmdError::Unexecutable)? = true;
         }
-        if !in_region.get(entry.index()).copied().unwrap_or(false) {
+        let inside = |b: BlockId| in_region.get(b.index()).copied().unwrap_or(false);
+        if !inside(entry) || schedule.loops.iter().any(|l| !inside(l.header)) {
             return Err(FsmdError::Unexecutable);
         }
-        // Pipelined innermost loops fully inside the region — the same set
-        // `estimate_kernel_cycles` software-pipelines.
-        let forest = LoopForest::compute(f);
-        let mut loops = Vec::new();
-        let mut loop_of: Vec<u32> = vec![NO_LOOP; nblocks];
-        for (li, l) in forest.loops().iter().enumerate() {
-            let is_innermost = !forest.loops().iter().any(|o| o.parent == Some(li));
-            if !is_innermost || !l.blocks.iter().all(|b| in_region[b.index()]) {
-                continue;
-            }
-            let ops = loop_iteration_ops(f, &l.blocks);
-            let sched = schedule_ops(f, &ops, library, budget, mem_in_bram);
-            let rmii = rec_mii(f, &l.blocks, l.header, library, budget, mem_in_bram);
-            let smii = res_mii(&ops, budget, library, mem_in_bram);
-            let ii = rmii.max(smii);
-            // What the II would be with infinite memory ports; the gap is
-            // the bus-contention share of every steady-state iteration.
-            let nonmem = rmii.max(res_mii_nonmem(&ops, budget, library, mem_in_bram));
-            let pid = loops.len() as u32;
-            loops.push(PipeLoop {
-                header: l.header,
-                ii,
-                fill: sched.depth.saturating_sub(ii),
-                stall: ii.saturating_sub(nonmem),
-                trip_count: l.trip_count,
-            });
-            for &b in &l.blocks {
-                loop_of[b.index()] = pid;
-            }
-        }
-        let ids: Vec<BlockId> = (0..nblocks as u32)
-            .map(BlockId)
-            .filter(|b| in_region[b.index()])
-            .collect();
+        // Region blocks in ascending id order, one each.
+        let mut region: Vec<&ScheduledBlock> = schedule.blocks.iter().collect();
+        region.sort_by_key(|b| b.id);
+        region.dedup_by_key(|b| b.id);
         let mut local = vec![u32::MAX; nblocks];
-        for (i, b) in ids.iter().enumerate() {
-            local[b.index()] = i as u32;
+        for (i, b) in region.iter().enumerate() {
+            local[b.id.index()] = i as u32;
         }
         let mut lower = Lowering {
             f,
@@ -570,37 +515,38 @@ impl<'f> Fsmd<'f> {
             copies: Vec::new(),
         };
         let mut code = Vec::new();
-        let mut blocks = Vec::with_capacity(ids.len());
-        for &b in &ids {
+        let mut blocks = Vec::with_capacity(region.len());
+        for sb in region {
+            let b = sb.id;
             let block = f.block(b);
-            if block.ops.iter().any(|i| matches!(i.op, Op::Call { .. })) {
-                return Err(FsmdError::Unexecutable);
-            }
             // The block's states in scheduled order.
-            let ops: Vec<&Op> = block.ops.iter().map(|i| &i.op).collect();
-            let (order, depth) = if ops.is_empty() {
-                (Vec::new(), 1)
-            } else {
-                let sched = schedule_ops(f, &ops, library, budget, mem_in_bram);
-                let mut order: Vec<usize> = (0..ops.len())
-                    .filter(|&k| !matches!(ops[k], Op::Phi { .. }))
-                    .collect();
-                order.sort_by_key(|&k| (sched.steps.get(k).copied(), k));
-                (order, sched.depth)
+            let ops = &block.ops;
+            let (order, depth) = match &sb.schedule {
+                None if ops.is_empty() => (Vec::new(), 1),
+                Some(sched) if sched.steps.len() == ops.len() => {
+                    let mut order: Vec<usize> = (0..ops.len())
+                        .filter(|&k| !matches!(ops[k].op, Op::Phi { .. }))
+                        .collect();
+                    order.sort_by_key(|&k| (sched.steps[k], k));
+                    (order, sched.depth)
+                }
+                _ => return Err(FsmdError::Unexecutable),
             };
             let start = code.len() as u32;
             for k in order {
-                code.push(lower.op(ops[k])?);
+                code.push(lower.op(&ops[k].op)?);
             }
             let exit = lower.exit(b, &block.term)?;
-            let pipe = loop_of[b.index()];
-            let pl = loops.get(pipe as usize).copied();
+            let pl = match sb.pipe {
+                Some(p) => Some(*schedule.loops.get(p).ok_or(FsmdError::Unexecutable)?),
+                None => None,
+            };
             blocks.push(DenseBlock {
                 id: b,
                 start,
                 end: code.len() as u32,
                 exit,
-                pipe,
+                pipe: sb.pipe.map_or(NO_LOOP, |p| p as u32),
                 header: pl.is_some_and(|pl| pl.header == b),
                 fill: pl.map_or(0, |pl| pl.fill),
                 ii: pl.map_or(0, |pl| pl.ii),
@@ -626,7 +572,7 @@ impl<'f> Fsmd<'f> {
             copies,
             entry: local[entry.index()],
             entry_edge,
-            loops,
+            loops: schedule.loops.clone(),
             consts,
             vreg_count,
         })
@@ -690,10 +636,11 @@ impl<'f> Fsmd<'f> {
 
     /// The analytic per-category cycle attribution: the exact split
     /// [`binpart_synth::schedule::estimate_kernel_cycles`] predicts from
-    /// the compiled schedule tables and the static profile counts. The
-    /// categories sum to the analytic `hw_cycles` estimate (up to its
-    /// `max(1)` floor); differencing against a measured
-    /// [`HwAttribution`] decomposes the estimate error by feature.
+    /// the schedule tables this FSMD was lowered from and the static
+    /// profile counts. The categories sum to the analytic `hw_cycles`
+    /// estimate (up to its `max(1)` floor); differencing against a
+    /// measured [`HwAttribution`] decomposes the estimate error by
+    /// feature.
     pub fn analytic_attribution(&self) -> HwAttribution {
         let mut a = HwAttribution::default();
         for pl in &self.loops {
@@ -703,7 +650,7 @@ impl<'f> Fsmd<'f> {
                 Some(t) if t > 0 => iters.div_ceil(t),
                 _ => 1,
             };
-            a.steady_ii += iters * u64::from(pl.ii - pl.stall);
+            a.steady_ii += iters * u64::from(pl.ii.saturating_sub(pl.stall));
             a.bus_stall += iters * u64::from(pl.stall);
             a.fill_drain += entries * u64::from(pl.fill);
         }
@@ -791,7 +738,8 @@ impl<'f> Fsmd<'f> {
                     run.cycles += u64::from(b.ii);
                     run.iterations += 1;
                     if H::ENABLED {
-                        tel.charge(b.id.0, HwAttr::SteadyII, u64::from(b.ii - b.stall));
+                        let steady = b.ii.saturating_sub(b.stall);
+                        tel.charge(b.id.0, HwAttr::SteadyII, u64::from(steady));
                         tel.charge(b.id.0, HwAttr::BusStall, u64::from(b.stall));
                     }
                 }
@@ -965,6 +913,8 @@ fn check_aligned(addr: u32, width: MemWidth) -> Result<(), FsmdError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule;
+    use binpart_cdfg::loops::LoopForest;
     use binpart_cdfg::ssa;
     use binpart_synth::{synthesize, SynthesisInput};
 
@@ -1042,8 +992,13 @@ mod tests {
         (f, vec![header, body], header)
     }
 
-    fn library() -> TechLibrary {
-        TechLibrary::virtex2()
+    /// Schedules `region` of `f` and lowers it, entered at `entry`.
+    fn compile<'f>(
+        f: &'f Function,
+        region: &[BlockId],
+        entry: BlockId,
+    ) -> Result<Fsmd<'f>, FsmdError> {
+        Fsmd::compile(f, &schedule(f, region), entry)
     }
 
     /// Binds every live-in whose function-level def is a `Const`.
@@ -1065,14 +1020,7 @@ mod tests {
     fn fsmd_computes_the_architectural_sum() {
         let n = 100u64;
         let (f, region, header) = sum_kernel(n);
-        let fsmd = Fsmd::compile(
-            &f,
-            &region,
-            header,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &region, header)
         .unwrap();
         // Seed memory: a[i] = i at word addresses.
         let mut mem = Memory::new();
@@ -1102,16 +1050,14 @@ mod tests {
     fn measured_cycles_match_analytic_estimate_when_counts_are_exact() {
         let n = 1000u64;
         let (f, region, header) = sum_kernel(n);
-        let budget = ResourceBudget::default();
-        let fsmd = Fsmd::compile(&f, &region, header, &budget, &library(), true).unwrap();
+        let forest = LoopForest::compute(&f);
+        let est = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap();
+        let fsmd = Fsmd::compile(&f, &est.schedule, header).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
         let run = fsmd.execute(&mut vals, &mut bus, 1 << 28).unwrap();
-        let mut input = SynthesisInput::new(&f, region);
-        input.budget = budget;
-        let est = synthesize(&input).unwrap();
         // The profile counts are exact for this kernel, so measured and
         // analytic agree to within the entries-estimation slack.
         let measured = run.cycles as f64;
@@ -1128,8 +1074,9 @@ mod tests {
     fn recorded_attribution_conserves_measured_cycles_exactly() {
         let n = 137u64;
         let (f, region, header) = sum_kernel(n);
-        let budget = ResourceBudget::default();
-        let fsmd = Fsmd::compile(&f, &region, header, &budget, &library(), true).unwrap();
+        let forest = LoopForest::compute(&f);
+        let est = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap();
+        let fsmd = Fsmd::compile(&f, &est.schedule, header).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1148,9 +1095,6 @@ mod tests {
             run.cycles
         );
         // The analytic split sums to the synthesizer's estimate.
-        let mut input = SynthesisInput::new(&f, region);
-        input.budget = budget;
-        let est = synthesize(&input).unwrap();
         assert_eq!(profile.analytic.total().max(1), est.timing.hw_cycles);
         // Every region state ran, and the bus saw one load per iteration.
         assert_eq!(profile.states_executed, profile.states_total);
@@ -1163,14 +1107,7 @@ mod tests {
     #[test]
     fn identical_run_with_and_without_recorder_is_bit_identical() {
         let (f, region, header) = sum_kernel(64);
-        let fsmd = Fsmd::compile(
-            &f,
-            &region,
-            header,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &region, header)
         .unwrap();
         let mut mem = Memory::new();
         for i in 0..64u32 {
@@ -1204,14 +1141,7 @@ mod tests {
         name: &str,
         golden: &str,
     ) -> String {
-        let fsmd = Fsmd::compile(
-            &f,
-            &region,
-            header,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &region, header)
         .unwrap();
         let mut bus = OverlayBus::new(mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1307,14 +1237,7 @@ mod tests {
         f.block_mut(e).term = Terminator::Return { value: None };
         ssa::construct(&mut f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let fsmd = Fsmd::compile(
-            &f,
-            &region,
-            f.entry,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &region, f.entry)
         .unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
@@ -1342,14 +1265,7 @@ mod tests {
         f.block_mut(header).term = Terminator::Jump(header);
         ssa::construct(&mut f);
         let region = vec![header];
-        let fsmd = Fsmd::compile(
-            &f,
-            &region,
-            header,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &region, header)
         .unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
@@ -1371,14 +1287,7 @@ mod tests {
         f.block_mut(f.entry).term = Terminator::Return { value: None };
         ssa::construct(&mut f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let fsmd = Fsmd::compile(
-            &f,
-            &region,
-            f.entry,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &region, f.entry)
         .unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
@@ -1392,15 +1301,7 @@ mod tests {
     /// Compiles the whole of `f`, entered at its entry block.
     fn compile_whole(f: &Function) -> Fsmd<'_> {
         let region: Vec<BlockId> = f.block_ids().collect();
-        Fsmd::compile(
-            f,
-            &region,
-            f.entry,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
-        .unwrap()
+        compile(f, &region, f.entry).unwrap()
     }
 
     #[test]
@@ -1445,14 +1346,7 @@ mod tests {
         });
         f.block_mut(body).term = Terminator::Jump(header);
         f.block_mut(exit).term = Terminator::Return { value: None };
-        let fsmd = Fsmd::compile(
-            &f,
-            &[header, body],
-            header,
-            &ResourceBudget::default(),
-            &library(),
-            true,
-        )
+        let fsmd = compile(&f, &[header, body], header)
         .unwrap();
         // The back edge's copies read each other's destinations; region
         // entry's read only constants.
@@ -1627,21 +1521,46 @@ mod tests {
             src: Operand::Reg(ghost),
         });
         f.block_mut(f.entry).term = Terminator::Return { value: None };
-        let budget = ResourceBudget::default();
-        let compile = |f: &Function, region: &[BlockId]| {
-            Fsmd::compile(f, region, f.entry, &budget, &library(), true).map(|_| ())
+        let lower = |f: &Function, schedule: &KernelSchedule| {
+            Fsmd::compile(f, schedule, f.entry).map(|_| ())
         };
         // A register outside the function.
-        assert_eq!(compile(&f, &[f.entry]), Err(FsmdError::Unexecutable));
-        // A region block outside the function.
+        let good = schedule(&f, &[f.entry]);
+        assert_eq!(lower(&f, &good), Err(FsmdError::Unexecutable));
+        // A schedule that does not fit its block's ops.
         f.block_mut(f.entry).ops.clear();
-        assert_eq!(
-            compile(&f, &[f.entry, BlockId(9)]),
-            Err(FsmdError::Unexecutable)
-        );
+        assert_eq!(lower(&f, &good), Err(FsmdError::Unexecutable));
+        // A region block outside the function.
+        let bare = |id| ScheduledBlock {
+            id,
+            schedule: None,
+            pipe: None,
+        };
+        let mut outside = KernelSchedule {
+            blocks: vec![bare(f.entry), bare(BlockId(9))],
+            loops: Vec::new(),
+        };
+        assert_eq!(lower(&f, &outside), Err(FsmdError::Unexecutable));
+        // A pipelined loop outside the region, or one the schedule lacks.
+        outside.blocks.pop();
+        assert_eq!(lower(&f, &outside), Ok(()));
+        outside.loops.push(PipelinedLoop {
+            header: BlockId(9),
+            ii: 1,
+            fill: 0,
+            stall: 0,
+            trip_count: None,
+            depth: 1,
+            critical_ns: 0.0,
+        });
+        assert_eq!(lower(&f, &outside), Err(FsmdError::Unexecutable));
+        outside.loops.clear();
+        outside.blocks[0].pipe = Some(0);
+        assert_eq!(lower(&f, &outside), Err(FsmdError::Unexecutable));
+        outside.blocks[0].pipe = None;
         // A jump outside the function.
         f.block_mut(f.entry).term = Terminator::Jump(BlockId(9));
-        assert_eq!(compile(&f, &[f.entry]), Err(FsmdError::Unexecutable));
+        assert_eq!(lower(&f, &outside), Err(FsmdError::Unexecutable));
         // An unfinished terminator faults only when reached.
         f.block_mut(f.entry).term = Terminator::None;
         let fsmd = compile_whole(&f);

@@ -13,7 +13,9 @@
 //! [`Fsmd::compile`] lowers each region once into a dense program — block
 //! slices of micro-ops over register-file slots, per-block timing, phi
 //! copies resolved per CFG edge — so execution is one dispatch per step,
-//! the way `binpart_mips::sim` pre-decodes machine code.
+//! the way `binpart_mips::sim` pre-decodes machine code. It lowers from the
+//! [`binpart_synth::KernelSchedule`] synthesis kept: this crate schedules
+//! nothing and analyzes no loops itself.
 //!
 //! [`KernelAccel`] packages an [`Fsmd`] as a
 //! [`binpart_mips::hybrid::Accelerator`]: it binds the region's SSA
@@ -23,12 +25,13 @@
 //! memory ([`OverlayBus`]), and returns the cycle count plus the exact
 //! store log for the hybrid machine's per-invocation HW/SW differential.
 //!
-//! The executor's timing model mirrors
-//! [`binpart_synth::schedule::estimate_kernel_cycles`] *structurally*
-//! (same block schedules, same `II = max(ResMII, RecMII)` pipelining), but
-//! replaces every profile-derived count with the dynamically observed one —
-//! so the difference between measured and analytic cycles isolates exactly
-//! the estimator's count/trip assumptions. `binpart_core`'s
+//! The executor's timing model is
+//! [`binpart_synth::schedule::estimate_kernel_cycles`]'s, read from the same
+//! tables (the same block schedules, the same pipelined loops at the same
+//! `II = max(ResMII, RecMII)`), but it replaces every profile-derived count
+//! with the dynamically observed one — so the difference between measured
+//! and analytic cycles isolates exactly the estimator's count/trip
+//! assumptions. `binpart_core`'s
 //! `StagedFlow::cosimulate` reports that error per kernel.
 //!
 //! The [`hwtel`] module adds the hardware observability layer: a
@@ -52,3 +55,16 @@ pub use hwtel::{
     clear_post_mortem, post_mortem_context, BusTxn, HwAttr, HwAttribution,
     HwProfile, HwRecorder, HwTelemetry, NullHwTelemetry,
 };
+
+/// The schedule synthesis prices `region` of `f` from, at the default
+/// budget and library with arrays in block RAM.
+#[cfg(test)]
+fn schedule(
+    f: &binpart_cdfg::ir::Function,
+    region: &[binpart_cdfg::ir::BlockId],
+) -> binpart_synth::KernelSchedule {
+    use binpart_synth::{ResourceBudget, TechLibrary};
+    let forest = binpart_cdfg::loops::LoopForest::compute(f);
+    let (library, budget) = (TechLibrary::virtex2(), ResourceBudget::default());
+    binpart_synth::schedule::schedule_kernel(f, &forest, region, &library, &budget, true)
+}

@@ -11,6 +11,8 @@
 //! be pinned with the `BINPART_THREADS` environment variable (set
 //! `BINPART_THREADS=1` for strictly sequential runs).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads [`par_map`] will use for `n` items.
@@ -69,10 +71,10 @@ where
             });
         }
     });
-    slots
-        .into_iter()
-        .map(|s| s.expect("worker filled every claimed slot"))
-        .collect()
+    // Every slot is filled: the scope joined every worker (re-raising any
+    // panic), and the cursor handed each index below `items.len()` to
+    // exactly one of them.
+    slots.into_iter().flatten().collect()
 }
 
 struct SendPtr<U>(*mut Option<U>);

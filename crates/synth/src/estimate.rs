@@ -2,7 +2,7 @@
 //!
 //! Behavioral synthesis is the most expensive step of the partitioning
 //! flow's inner loop: every candidate region is scheduled, bound, and
-//! emitted to VHDL each time the partitioner considers it — and a
+//! priced each time the partitioner considers it — and a
 //! design-space sweep considers the *same* regions at every (clock, area
 //! budget) point, because neither affects the synthesis result. This
 //! module memoizes [`synthesize`] per kernel.
@@ -42,7 +42,7 @@
 //! Synthesis is deterministic, so a cached result is bit-identical to a
 //! fresh run — sweeps that share a cache produce exactly the numbers of the
 //! uncached flow. Results are shared as `Arc<SynthesisResult>`: a hit
-//! clones a pointer, never the VHDL text.
+//! clones a pointer, never the kept schedules.
 //!
 //! The map is guarded per entry (a [`OnceLock`] per key), so concurrent
 //! sweep points asking for *different* kernels never serialize on each
@@ -265,6 +265,7 @@ impl EstimateCache {
 mod tests {
     use super::*;
     use binpart_cdfg::ir::{BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator};
+    use binpart_cdfg::loops::LoopForest;
     use binpart_cdfg::ssa;
 
     // `KernelKey` is `Copy`: a lookup never clones anything.
@@ -318,8 +319,9 @@ mod tests {
     #[test]
     fn cached_result_matches_fresh_synthesis() {
         let f = kernel();
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let input = SynthesisInput::new(&f, region);
+        let input = SynthesisInput::new(&f, &forest, &region);
         let fresh = synthesize(&input).unwrap();
         let cache = EstimateCache::new();
         let first = cached(&cache, &input).unwrap();
@@ -332,7 +334,7 @@ mod tests {
             first.timing.clock_mhz.to_bits(),
             fresh.timing.clock_mhz.to_bits()
         );
-        assert_eq!(first.vhdl, fresh.vhdl);
+        assert_eq!(first.vhdl(&f), fresh.vhdl(&f));
         assert!(
             Arc::ptr_eq(&first, &second),
             "a hit shares the cached result"
@@ -353,8 +355,9 @@ mod tests {
     #[test]
     fn different_bram_placement_is_a_different_entry() {
         let f = kernel();
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, region);
+        let mut input = SynthesisInput::new(&f, &forest, &region);
         let cache = EstimateCache::new();
         let bram = cached(&cache, &input).unwrap();
         input.mem_in_bram = false;
@@ -366,8 +369,9 @@ mod tests {
     #[test]
     fn different_library_is_a_different_entry() {
         let f = kernel();
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, region.clone());
+        let mut input = SynthesisInput::new(&f, &forest, &region);
         let cache = EstimateCache::new();
         let _ = cached(&cache, &input).unwrap();
         input.library.gates_per_lut *= 2.0;
@@ -427,8 +431,9 @@ mod tests {
     fn errors_are_cached_too() {
         let mut f = Function::new("e");
         f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let input = SynthesisInput::new(&f, region);
+        let input = SynthesisInput::new(&f, &forest, &region);
         let cache = EstimateCache::new();
         assert_eq!(cached(&cache, &input).unwrap_err(), SynthError::EmptyRegion);
         assert_eq!(cached(&cache, &input).unwrap_err(), SynthError::EmptyRegion);

@@ -1,19 +1,27 @@
 //! Behavioral synthesis for decompiled CDFG regions.
 //!
 //! The input is a loop nest (or whole function) in SSA form with profile
-//! counts and bit-width annotations; the output is a scheduled, bound
-//! datapath with an area estimate in Virtex-II gate equivalents, a clock
-//! estimate, a cycle count, and RTL VHDL text.
+//! counts and bit-width annotations, together with the function's loop
+//! forest, which the caller computes once per function; the output is a
+//! scheduled, bound datapath with an area estimate in Virtex-II gate
+//! equivalents, a clock estimate, a cycle count, and the schedules
+//! themselves ([`KernelSchedule`]). RTL VHDL is rendered from those
+//! schedules on demand ([`SynthesisResult::vhdl`]); synthesis itself
+//! formats no text.
 //!
 //! Pipeline: DFG extraction → chaining-aware list scheduling
-//! ([`schedule::schedule_ops`]) → loop pipelining (`II = max(ResMII,
-//! RecMII)`) → binding and area estimation ([`schedule::estimate_area`]) →
-//! VHDL emission ([`vhdl::emit_kernel`]).
+//! ([`schedule::schedule_ops`]) of each region block and each innermost
+//! loop, once ([`schedule::schedule_kernel`]) → loop pipelining (`II =
+//! max(ResMII, RecMII)`) → cycle estimation
+//! ([`schedule::estimate_kernel_cycles`]) → binding and area estimation
+//! ([`schedule::estimate_area`]). VHDL emission ([`vhdl::emit_kernel`])
+//! runs only when [`SynthesisResult::vhdl`] is called.
 //!
 //! # Example
 //!
 //! ```
 //! use binpart_cdfg::ir::{Function, Op, Operand, Terminator, BinOp};
+//! use binpart_cdfg::loops::LoopForest;
 //! use binpart_synth::{synthesize, SynthesisInput};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,10 +41,12 @@
 //! f.block_mut(entry).term = Terminator::Return { value: None };
 //! f.block_mut(entry).profile_count = 1;
 //! binpart_cdfg::ssa::construct(&mut f);
+//! let forest = LoopForest::compute(&f);
 //! let region: Vec<_> = f.block_ids().collect();
-//! let result = synthesize(&SynthesisInput::new(&f, region))?;
+//! let result = synthesize(&SynthesisInput::new(&f, &forest, &region))?;
 //! assert!(result.area.gate_equivalents > 0);
-//! assert!(result.vhdl.contains("entity"));
+//! // The RTL is rendered from the kept schedule only when asked for.
+//! assert!(result.vhdl(&f).contains("entity"));
 //! # Ok(())
 //! # }
 //! ```
@@ -49,7 +59,10 @@ pub mod tech;
 pub mod vhdl;
 
 pub use estimate::{EstimateCache, KernelKey, KeyMap};
-pub use schedule::{AreaEstimate, BlockSchedule, KernelTiming, ResourceBudget};
+pub use schedule::{
+    AreaEstimate, BlockSchedule, KernelSchedule, KernelTiming, PipelinedLoop, ResourceBudget,
+    ScheduledBlock,
+};
 pub use tech::{FuClass, TechLibrary};
 
 use binpart_cdfg::ir::{BlockId, Function, Op};
@@ -87,8 +100,11 @@ impl std::error::Error for SynthError {}
 pub struct SynthesisInput<'f> {
     /// The decompiled function (SSA, profile counts attached).
     pub function: &'f Function,
+    /// The loop forest of `function`, computed once per function by the
+    /// caller (the partitioner's candidate harvest keeps one per function).
+    pub forest: &'f LoopForest,
     /// Blocks of the region to implement in hardware.
-    pub region: Vec<BlockId>,
+    pub region: &'f [BlockId],
     /// Whether the region's arrays were moved to on-FPGA block RAM
     /// (partitioning step 2). Off means every access pays the external
     /// memory latency.
@@ -103,9 +119,14 @@ pub struct SynthesisInput<'f> {
 
 impl<'f> SynthesisInput<'f> {
     /// Input with default budget/library, block RAM on, no arrays.
-    pub fn new(function: &'f Function, region: Vec<BlockId>) -> SynthesisInput<'f> {
+    pub fn new(
+        function: &'f Function,
+        forest: &'f LoopForest,
+        region: &'f [BlockId],
+    ) -> SynthesisInput<'f> {
         SynthesisInput {
             function,
+            forest,
             region,
             mem_in_bram: true,
             bram_bytes: 0,
@@ -116,6 +137,10 @@ impl<'f> SynthesisInput<'f> {
 }
 
 /// Result of synthesizing one region.
+///
+/// It keeps the [`KernelSchedule`] its timing and area were priced from:
+/// `binpart-hwsim` lowers that same schedule into the FSMD it executes, and
+/// [`SynthesisResult::vhdl`] renders the RTL from it on demand.
 #[derive(Debug, Clone)]
 pub struct SynthesisResult {
     /// Kernel entity name.
@@ -124,13 +149,38 @@ pub struct SynthesisResult {
     pub timing: KernelTiming,
     /// Area estimate.
     pub area: AreaEstimate,
-    /// Emitted RTL.
-    pub vhdl: String,
+    /// The block and loop schedules behind `timing` and `area`.
+    pub schedule: KernelSchedule,
     /// Number of datapath operations synthesized.
     pub op_count: usize,
 }
 
-/// Synthesizes a region of `input.function` into hardware.
+impl SynthesisResult {
+    /// Renders the kernel's RTL: an FSM over the schedule of the region's
+    /// hottest block (the largest profile count; the last such block in
+    /// region order on a tie). `f` must be the function this result was
+    /// synthesized from. Built on each call; an empty string when no
+    /// region block of `f` has ops.
+    pub fn vhdl(&self, f: &Function) -> String {
+        let hot = self
+            .schedule
+            .blocks
+            .iter()
+            .filter_map(|b| Some((f.blocks.get(b.id.index())?, b.schedule.as_ref()?)))
+            .max_by_key(|(block, _)| block.profile_count);
+        match hot {
+            Some((block, sched)) => {
+                let ops: Vec<&Op> = block.ops.iter().map(|i| &i.op).collect();
+                vhdl::emit_kernel(f, &f.name, &ops, sched)
+            }
+            None => String::new(),
+        }
+    }
+}
+
+/// Synthesizes a region of `input.function` into hardware: schedules every
+/// region block and every innermost loop once ([`schedule::schedule_kernel`])
+/// and prices cycles and area from those schedules.
 ///
 /// # Errors
 ///
@@ -139,7 +189,7 @@ pub struct SynthesisResult {
 pub fn synthesize(input: &SynthesisInput<'_>) -> Result<SynthesisResult, SynthError> {
     let f = input.function;
     let mut all_ops: Vec<&Op> = Vec::new();
-    for &b in &input.region {
+    for &b in input.region {
         for inst in &f.block(b).ops {
             if let Op::Call { target, .. } = inst.op {
                 return Err(SynthError::ContainsCall { target });
@@ -150,67 +200,34 @@ pub fn synthesize(input: &SynthesisInput<'_>) -> Result<SynthesisResult, SynthEr
     if all_ops.is_empty() {
         return Err(SynthError::EmptyRegion);
     }
-    let forest = LoopForest::compute(f);
-    let timing = schedule::estimate_kernel_cycles(
+    let schedule = schedule::schedule_kernel(
         f,
-        &input.region,
-        &forest,
+        input.forest,
+        input.region,
         &input.library,
         &input.budget,
         input.mem_in_bram,
     );
-    // Schedule every block for binding + VHDL; the hottest loop iteration
-    // drives the emitted FSM.
-    let mut block_schedules = Vec::new();
-    for &b in &input.region {
-        let ops: Vec<&Op> = f.block(b).ops.iter().map(|i| &i.op).collect();
-        if ops.is_empty() {
-            continue;
-        }
-        block_schedules.push(schedule::schedule_ops(
-            f,
-            &ops,
-            &input.library,
-            &input.budget,
-            input.mem_in_bram,
-        ));
-    }
-    let sched_refs: Vec<&BlockSchedule> = block_schedules.iter().collect();
+    let timing = schedule::estimate_kernel_cycles(f, &schedule, &input.library, &input.budget);
+    let block_schedules: Vec<&BlockSchedule> = schedule
+        .blocks
+        .iter()
+        .filter_map(|b| b.schedule.as_ref())
+        .collect();
     let states: u32 = block_schedules.iter().map(|s| s.depth).sum::<u32>().max(1);
     let area = schedule::estimate_area(
         f,
         &all_ops,
-        &sched_refs,
+        &block_schedules,
         &input.library,
         states,
         input.bram_bytes,
     );
-    // Emit VHDL for the hottest (largest-profile) block's schedule.
-    let hot = input
-        .region
-        .iter()
-        .filter(|&&b| !f.block(b).ops.is_empty())
-        .max_by_key(|&&b| f.block(b).profile_count)
-        .copied();
-    let vhdl = match hot {
-        Some(b) => {
-            let ops: Vec<&Op> = f.block(b).ops.iter().map(|i| &i.op).collect();
-            let sched = schedule::schedule_ops(
-                f,
-                &ops,
-                &input.library,
-                &input.budget,
-                input.mem_in_bram,
-            );
-            vhdl::emit_kernel(f, &f.name, &ops, &sched)
-        }
-        None => String::new(),
-    };
     Ok(SynthesisResult {
         name: f.name.clone(),
         timing,
         area,
-        vhdl,
+        schedule,
         op_count: all_ops.len(),
     })
 }
@@ -294,8 +311,9 @@ mod tests {
     #[test]
     fn synthesizes_sum_kernel_much_faster_than_sw() {
         let f = sum_kernel(1000);
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let r = synthesize(&SynthesisInput::new(&f, region)).unwrap();
+        let r = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap();
         // Software would be ~6 instrs/iteration = ~6000 cycles; pipelined
         // hardware should be near 1000 * II cycles.
         assert!(
@@ -305,14 +323,15 @@ mod tests {
         );
         assert!(r.timing.innermost_ii <= 2);
         assert!(r.area.gate_equivalents > 500);
-        assert!(r.vhdl.contains("entity sum"));
+        assert!(r.vhdl(&f).contains("entity sum"));
     }
 
     #[test]
     fn bram_speeds_up_memory_bound_kernels() {
         let f = sum_kernel(1000);
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, region);
+        let mut input = SynthesisInput::new(&f, &forest, &region);
         let fast = synthesize(&input).unwrap();
         input.mem_in_bram = false;
         let slow = synthesize(&input).unwrap();
@@ -334,8 +353,9 @@ mod tests {
             dst: Some(d),
         });
         f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let err = synthesize(&SynthesisInput::new(&f, region)).unwrap_err();
+        let err = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap_err();
         assert!(matches!(err, SynthError::ContainsCall { .. }));
     }
 
@@ -343,21 +363,23 @@ mod tests {
     fn empty_region_is_rejected() {
         let mut f = Function::new("e");
         f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let err = synthesize(&SynthesisInput::new(&f, region)).unwrap_err();
+        let err = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap_err();
         assert_eq!(err, SynthError::EmptyRegion);
     }
 
     #[test]
     fn narrower_widths_shrink_area() {
         let mut f = sum_kernel(100);
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let wide = synthesize(&SynthesisInput::new(&f, region.clone()))
+        let wide = synthesize(&SynthesisInput::new(&f, &forest, &region))
             .unwrap()
             .area
             .gate_equivalents;
         f.vreg_bits = vec![8; f.vreg_count() as usize];
-        let narrow = synthesize(&SynthesisInput::new(&f, region))
+        let narrow = synthesize(&SynthesisInput::new(&f, &forest, &region))
             .unwrap()
             .area
             .gate_equivalents;
@@ -367,8 +389,9 @@ mod tests {
     #[test]
     fn bram_bytes_add_area() {
         let f = sum_kernel(100);
+        let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, region);
+        let mut input = SynthesisInput::new(&f, &forest, &region);
         let base = synthesize(&input).unwrap().area.gate_equivalents;
         input.bram_bytes = 4096;
         let with = synthesize(&input).unwrap().area.gate_equivalents;

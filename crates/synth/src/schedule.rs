@@ -1,10 +1,10 @@
 //! Chaining-aware list scheduling, loop pipelining (ResMII/RecMII), binding,
 //! and area/clock estimation.
 
+use crate::estimate::KeyMap;
 use crate::tech::{classify, FuClass, TechLibrary};
 use binpart_cdfg::ir::{BlockId, Function, Op, Operand, VReg};
 use binpart_cdfg::loops::LoopForest;
-use std::collections::HashMap;
 
 /// Resource constraints for one kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,8 +36,21 @@ pub struct BlockSchedule {
     pub depth: u32,
     /// Longest combinational chain used, ns.
     pub critical_ns: f64,
-    /// FU usage per (class, step).
-    pub usage: HashMap<(FuClass, u32), u32>,
+    /// FU usage per step and class: `usage[step][class as usize]` units
+    /// busy (steps past the end use none).
+    pub usage: Vec<ClassCounts>,
+}
+
+/// One count per [`FuClass`], indexed by `class as usize`.
+pub type ClassCounts = [u32; FuClass::ALL.len()];
+
+/// Adds one busy unit of `class` at `step`.
+fn occupy(usage: &mut Vec<ClassCounts>, class: FuClass, step: u32) {
+    let row = step as usize;
+    if usage.len() <= row {
+        usage.resize(row + 1, [0; FuClass::ALL.len()]);
+    }
+    usage[row][class as usize] += 1;
 }
 
 /// Schedules the ops of one iteration/block with operator chaining and
@@ -51,57 +64,33 @@ pub fn schedule_ops(
 ) -> BlockSchedule {
     let n = ops.len();
     // def index within this op list
-    let mut def_at: HashMap<VReg, usize> = HashMap::new();
+    let mut def_at: KeyMap<VReg, usize> = KeyMap::with_capacity_and_hasher(n, Default::default());
     for (i, op) in ops.iter().enumerate() {
         if let Some(d) = op.dst() {
             def_at.insert(d, i);
         }
     }
-    // dependence: op i depends on defs of its operands + memory order
-    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-    let mut last_store: Option<usize> = None;
-    for (i, op) in ops.iter().enumerate() {
-        op.for_each_use(|o| {
-            if let Operand::Reg(r) = o {
-                if let Some(&j) = def_at.get(r) {
-                    if j < i {
-                        deps[i].push(j);
-                    }
-                }
-            }
-        });
-        match op {
-            Op::Store { .. } => {
-                if let Some(s) = last_store {
-                    deps[i].push(s);
-                }
-                last_store = Some(i);
-            }
-            Op::Load { .. } => {
-                if let Some(s) = last_store {
-                    deps[i].push(s);
-                }
-            }
-            _ => {}
-        }
-    }
     // List scheduling with chaining.
     let mut step = vec![0u32; n];
     let mut ready_ns = vec![0.0f64; n]; // time within its step when result is ready
-    let mut usage: HashMap<(FuClass, u32), u32> = HashMap::new();
+    let mut latency = vec![0u32; n]; // cycles of each scheduled op
+    let mut usage: Vec<ClassCounts> = Vec::new();
     let mut critical: f64 = 0.0;
     let mut depth: u32 = 1;
+    let mut last_store: Option<usize> = None;
     for i in 0..n {
-        let class = classify(ops[i]);
-        let bits = ops[i].dst().map_or(32, |d| f.bits_of(d));
+        let op = ops[i];
+        let class = classify(op);
+        let bits = op.dst().map_or(32, |d| f.bits_of(d));
         let d_ns = lib.delay_ns(class, bits);
         let cycles = lib.cycles(class, mem_in_bram);
-        // Earliest by data deps (with chaining inside a step).
+        // Earliest by data deps (with chaining inside a step): the producer
+        // of each register operand, then memory order (the last earlier
+        // store, for loads and stores).
         let mut s = 0u32;
         let mut start_ns = 0.0f64;
-        for &j in &deps[i] {
-            let jc = classify(ops[j]);
-            let j_cycles = lib.cycles(jc, mem_in_bram);
+        let mut after = |j: usize| {
+            let j_cycles = latency[j];
             let j_done_step = step[j] + j_cycles - 1;
             if j_cycles > 1 {
                 // multi-cycle producers register their result: consume next step
@@ -119,6 +108,29 @@ pub fn schedule_ops(
                     std::cmp::Ordering::Less => {}
                 }
             }
+        };
+        op.for_each_use(|o| {
+            if let Operand::Reg(r) = o {
+                if let Some(&j) = def_at.get(r) {
+                    if j < i {
+                        after(j);
+                    }
+                }
+            }
+        });
+        match op {
+            Op::Store { .. } => {
+                if let Some(j) = last_store {
+                    after(j);
+                }
+                last_store = Some(i);
+            }
+            Op::Load { .. } => {
+                if let Some(j) = last_store {
+                    after(j);
+                }
+            }
+            _ => {}
         }
         // Chaining budget: spill to the next step when the chain overflows.
         if start_ns + d_ns + lib.ff_overhead_ns > budget.target_period_ns && start_ns > 0.0 {
@@ -134,7 +146,7 @@ pub fn schedule_ops(
         };
         if let Some(max) = limit(class) {
             loop {
-                let used = usage.get(&(class, s)).copied().unwrap_or(0);
+                let used = usage.get(s as usize).map_or(0, |row| row[class as usize]);
                 if used < max {
                     break;
                 }
@@ -143,12 +155,13 @@ pub fn schedule_ops(
             }
             // occupy the unit for its full latency
             for k in 0..cycles {
-                *usage.entry((class, s + k)).or_insert(0) += 1;
+                occupy(&mut usage, class, s + k);
             }
         } else if class != FuClass::Free {
-            *usage.entry((class, s)).or_insert(0) += 1;
+            occupy(&mut usage, class, s);
         }
         step[i] = s;
+        latency[i] = cycles;
         ready_ns[i] = if cycles > 1 { 0.0 } else { start_ns + d_ns };
         critical = critical.max(start_ns + d_ns + lib.ff_overhead_ns);
         depth = depth.max(s + cycles);
@@ -173,7 +186,7 @@ pub fn rec_mii(
 ) -> u32 {
     // Longest path (in cycle units) from each header phi to the register it
     // receives from the latch.
-    let mut def_site: HashMap<VReg, (&Op, BlockId)> = HashMap::new();
+    let mut def_site: KeyMap<VReg, (&Op, BlockId)> = KeyMap::default();
     for &b in loop_blocks {
         for inst in &f.block(b).ops {
             if let Some(d) = inst.op.dst() {
@@ -313,24 +326,27 @@ pub fn estimate_area(
     bram_bytes: u64,
 ) -> AreaEstimate {
     // FUs: maximum concurrent usage of each class at its widest width.
-    let mut width_of_class: HashMap<FuClass, u8> = HashMap::new();
+    let mut width_of_class: [Option<u8>; FuClass::ALL.len()] = [None; FuClass::ALL.len()];
     for op in all_ops {
-        let c = classify(op);
+        let w = &mut width_of_class[classify(op) as usize];
         let bits = op.dst().map_or(32, |d| f.bits_of(d));
-        let w = width_of_class.entry(c).or_insert(0);
-        *w = (*w).max(bits);
+        *w = Some(w.unwrap_or(0).max(bits));
     }
-    let mut max_usage: HashMap<FuClass, u32> = HashMap::new();
-    for sched in schedules {
-        for (&(c, _), &n) in &sched.usage {
-            let e = max_usage.entry(c).or_insert(0);
-            *e = (*e).max(n);
+    let mut max_usage: ClassCounts = [0; FuClass::ALL.len()];
+    for row in schedules.iter().flat_map(|sched| &sched.usage) {
+        for (m, &n) in max_usage.iter_mut().zip(row) {
+            *m = (*m).max(n);
         }
     }
+    // Every LUT count is a multiple of 0.5, so this sum is exact in any
+    // class order.
     let mut luts = 0.0;
     let mut mult_blocks = 0u32;
-    for (&c, &n) in &max_usage {
-        let w = width_of_class.get(&c).copied().unwrap_or(32);
+    for (c, &n) in FuClass::ALL.into_iter().zip(&max_usage) {
+        if n == 0 {
+            continue;
+        }
+        let w = width_of_class[c as usize].unwrap_or(32);
         luts += lib.luts(c, w) * n as f64;
         if c == FuClass::Mult {
             let blocks_per = if w <= 18 { 1 } else { 3 };
@@ -372,6 +388,106 @@ pub fn loop_iteration_ops<'f>(f: &'f Function, blocks: &[BlockId]) -> Vec<&'f Op
     ops
 }
 
+/// One region block with the schedule synthesis gave it.
+#[derive(Debug, Clone)]
+pub struct ScheduledBlock {
+    /// The block.
+    pub id: BlockId,
+    /// Its control-step schedule; `None` for a block without ops, which
+    /// occupies one control step.
+    pub schedule: Option<BlockSchedule>,
+    /// Index into [`KernelSchedule::loops`] of the pipelined loop covering
+    /// the block, if any.
+    pub pipe: Option<usize>,
+}
+
+/// One innermost loop of the region, software-pipelined at its initiation
+/// interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PipelinedLoop {
+    /// The loop header: one header execution is one steady-state
+    /// iteration.
+    pub header: BlockId,
+    /// Initiation interval, `max(ResMII, RecMII)`.
+    pub ii: u32,
+    /// Pipeline fill cost paid once per entry: `depth - II`.
+    pub fill: u32,
+    /// The share of the II forced by memory-port contention:
+    /// `II - max(RecMII, ResMII-without-mem)`.
+    pub stall: u32,
+    /// The loop's static trip count, when known.
+    pub trip_count: Option<u64>,
+    /// Schedule depth of one flattened iteration.
+    pub depth: u32,
+    /// Longest combinational chain of that iteration schedule, ns.
+    pub critical_ns: f64,
+}
+
+/// Every schedule a kernel was priced from, computed once by
+/// [`schedule_kernel`]: the cycle estimate, the area estimate, the RTL and
+/// the executed FSMD (`binpart-hwsim`) all read these tables.
+#[derive(Debug, Clone)]
+pub struct KernelSchedule {
+    /// Every region block, in region order.
+    pub blocks: Vec<ScheduledBlock>,
+    /// The innermost loops fully inside the region, in loop-forest order.
+    pub loops: Vec<PipelinedLoop>,
+}
+
+/// Schedules a region of `f` once: every region block's ops as one block
+/// schedule, and every innermost loop of `forest` (the loop forest of `f`)
+/// that lies fully inside the region as one flattened, pipelined iteration.
+pub fn schedule_kernel(
+    f: &Function,
+    forest: &LoopForest,
+    region: &[BlockId],
+    lib: &TechLibrary,
+    budget: &ResourceBudget,
+    mem_in_bram: bool,
+) -> KernelSchedule {
+    let all = forest.loops();
+    let mut pipelined = Vec::new();
+    let mut loops = Vec::new();
+    for (li, l) in all.iter().enumerate() {
+        let is_innermost = !all.iter().any(|o| o.parent == Some(li));
+        if !is_innermost || !l.blocks.iter().all(|b| region.contains(b)) {
+            continue;
+        }
+        let ops = loop_iteration_ops(f, &l.blocks);
+        let sched = schedule_ops(f, &ops, lib, budget, mem_in_bram);
+        let rmii = rec_mii(f, &l.blocks, l.header, lib, budget, mem_in_bram);
+        let ii = rmii.max(res_mii(&ops, budget, lib, mem_in_bram));
+        // What the II would be with infinite memory ports; the gap is the
+        // bus-contention share of every steady-state iteration.
+        let nonmem = rmii.max(res_mii_nonmem(&ops, budget, lib, mem_in_bram));
+        loops.push(PipelinedLoop {
+            header: l.header,
+            ii,
+            fill: sched.depth.saturating_sub(ii),
+            stall: ii.saturating_sub(nonmem),
+            trip_count: l.trip_count,
+            depth: sched.depth,
+            critical_ns: sched.critical_ns,
+        });
+        pipelined.push(l);
+    }
+    let blocks = region
+        .iter()
+        .map(|&b| {
+            let ops: Vec<&Op> = f.block(b).ops.iter().map(|i| &i.op).collect();
+            ScheduledBlock {
+                id: b,
+                schedule: (!ops.is_empty())
+                    .then(|| schedule_ops(f, &ops, lib, budget, mem_in_bram)),
+                // Innermost loops are disjoint; should two share a block,
+                // the later one covers it.
+                pipe: pipelined.iter().rposition(|l| l.contains(b)),
+            }
+        })
+        .collect();
+    KernelSchedule { blocks, loops }
+}
+
 /// Kernel timing summary derived from schedules + profile counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTiming {
@@ -386,72 +502,53 @@ pub struct KernelTiming {
     pub clock_mhz: f64,
 }
 
-/// Estimates total kernel cycles for a region.
+/// Estimates total kernel cycles from a region's [`KernelSchedule`].
 ///
 /// Innermost loops are software-pipelined at their computed II; all other
 /// blocks execute their block schedule sequentially, weighted by profiled
 /// execution counts.
 pub fn estimate_kernel_cycles(
     f: &Function,
-    region: &[BlockId],
-    forest: &LoopForest,
+    schedule: &KernelSchedule,
     lib: &TechLibrary,
     budget: &ResourceBudget,
-    mem_in_bram: bool,
 ) -> KernelTiming {
     let mut total: u64 = 0;
     let mut critical: f64 = lib.ff_overhead_ns;
     let mut hot_ii = 1u32;
     let mut hot_depth = 1u32;
     let mut hot_count = 0u64;
-    let mut handled: Vec<BlockId> = Vec::new();
-    // Innermost loops fully inside the region.
-    for (li, l) in forest.loops().iter().enumerate() {
-        let is_innermost = !forest.loops().iter().any(|o| o.parent == Some(li));
-        if !is_innermost {
-            continue;
-        }
-        if !l.blocks.iter().all(|b| region.contains(b)) {
-            continue;
-        }
-        let ops = loop_iteration_ops(f, &l.blocks);
-        let sched = schedule_ops(f, &ops, lib, budget, mem_in_bram);
-        let rmii = rec_mii(f, &l.blocks, l.header, lib, budget, mem_in_bram);
-        let smii = res_mii(&ops, budget, lib, mem_in_bram);
-        let ii = rmii.max(smii);
+    for l in &schedule.loops {
         // Rerolled loops: one profiled execution of the original
         // (unrolled) header stands for `reroll_factor` logical iterations
         // of the rerolled body — count the logical ones.
-        let iters =
-            f.block(l.header).profile_count * u64::from(f.block(l.header).reroll_factor);
+        let header = f.block(l.header);
+        let iters = header.profile_count * u64::from(header.reroll_factor);
         // entries ≈ iterations / trip-count (1 when unknown)
         let entries = match l.trip_count {
             Some(t) if t > 0 => iters.div_ceil(t),
             _ => 1,
         };
-        total += iters * ii as u64 + entries * (sched.depth.saturating_sub(ii)) as u64;
-        critical = critical.max(sched.critical_ns);
+        total += iters * l.ii as u64 + entries * l.fill as u64;
+        critical = critical.max(l.critical_ns);
         if iters >= hot_count {
             hot_count = iters;
-            hot_ii = ii;
-            hot_depth = sched.depth;
+            hot_ii = l.ii;
+            hot_depth = l.depth;
         }
-        handled.extend(l.blocks.iter().copied());
     }
     // Remaining region blocks: sequential schedules.
-    for &b in region {
-        if handled.contains(&b) {
-            continue;
+    for b in schedule.blocks.iter().filter(|b| b.pipe.is_none()) {
+        let block = f.block(b.id);
+        let count = block.profile_count * u64::from(block.reroll_factor);
+        match &b.schedule {
+            // control-only block: 1 cycle
+            None => total += count,
+            Some(sched) => {
+                total += count * sched.depth as u64;
+                critical = critical.max(sched.critical_ns);
+            }
         }
-        let ops: Vec<&Op> = f.block(b).ops.iter().map(|i| &i.op).collect();
-        let count = f.block(b).profile_count * u64::from(f.block(b).reroll_factor);
-        if ops.is_empty() {
-            total += count; // control-only block: 1 cycle
-            continue;
-        }
-        let sched = schedule_ops(f, &ops, lib, budget, mem_in_bram);
-        total += count * sched.depth as u64;
-        critical = critical.max(sched.critical_ns);
     }
     let clock_mhz = (1000.0 / critical.max(1.0)).min(1000.0 / budget.target_period_ns * 3.0);
     KernelTiming {
@@ -669,14 +766,9 @@ mod tests {
         f.block_mut(header_id).profile_count = 100;
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let t = estimate_kernel_cycles(
-            &f,
-            &region,
-            &forest,
-            &lib(),
-            &ResourceBudget::default(),
-            true,
-        );
+        let budget = ResourceBudget::default();
+        let schedule = schedule_kernel(&f, &forest, &region, &lib(), &budget, true);
+        let t = estimate_kernel_cycles(&f, &schedule, &lib(), &budget);
         // II=1 loop with 100 iterations: ~100 cycles, far below SW
         assert!(t.hw_cycles >= 100 && t.hw_cycles < 160, "{t:?}");
         assert!(t.clock_mhz > 20.0);
@@ -685,14 +777,7 @@ mod tests {
         // a 4x reroll factor must estimate ~4x the cycles (the profiled
         // count was taken on the unrolled original).
         f.block_mut(header_id).reroll_factor = 4;
-        let t4 = estimate_kernel_cycles(
-            &f,
-            &region,
-            &forest,
-            &lib(),
-            &ResourceBudget::default(),
-            true,
-        );
+        let t4 = estimate_kernel_cycles(&f, &schedule, &lib(), &budget);
         assert!(
             t4.hw_cycles >= 4 * t.hw_cycles - 64 && t4.hw_cycles >= 400,
             "rerolled {t4:?} vs {t:?}"

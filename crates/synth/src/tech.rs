@@ -29,6 +29,21 @@ pub enum FuClass {
     Free,
 }
 
+impl FuClass {
+    /// Every class, in declaration order: `FuClass::ALL[c as usize] == c`,
+    /// so `class as usize` indexes per-class tables.
+    pub const ALL: [FuClass; 8] = [
+        FuClass::AddSub,
+        FuClass::Logic,
+        FuClass::ShiftConst,
+        FuClass::ShiftVar,
+        FuClass::Mult,
+        FuClass::Div,
+        FuClass::Mem,
+        FuClass::Free,
+    ];
+}
+
 /// Delay/area library.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TechLibrary {

@@ -24,6 +24,6 @@ fn main() {
             k.synth.timing.clock_mhz,
             k.synth.area.gate_equivalents
         );
-        println!("{}", k.synth.vhdl);
+        println!("{}", k.synth.vhdl(&report.program.functions[k.func_index]));
     }
 }
