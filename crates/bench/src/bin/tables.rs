@@ -10,9 +10,11 @@
 //! monotonic `run_id`. It is the only snapshot writer.
 //!
 //! `check` is the CI perf and exactness gate on that snapshot: every column
-//! present and non-null, simulator and co-simulation throughput at least
-//! half the snapshot's, the staged sweep no slower than the naive one, and
-//! the co-simulation matrix exact. It re-measures through the same
+//! present and non-null, simulator, decompiler and co-simulation
+//! throughput at least half the snapshot's, warm evaluation, cold
+//! synthesis and cold estimate costs at most twice the snapshot's, the
+//! staged sweep no slower than the naive one, and the co-simulation matrix
+//! exact. It re-measures through the same
 //! functions that write the columns, and exits 1 naming any failure.
 //!
 //! `telemetry` runs one instrumented pass (full cosim matrix + the
@@ -32,6 +34,8 @@
 //! per-column deltas.
 
 use binpart_bench::*;
+use binpart_core::flow::FlowOptions;
+use binpart_core::stage::StagedFlow;
 use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
 use binpart_mips::sim::Machine;
@@ -101,6 +105,9 @@ struct SimReport {
     /// Cold `evaluate` cost per synthesis-memo miss over the matrix, in µs
     /// (median of five passes).
     synth_us_per_miss: f64,
+    /// Cold `estimate` cost per cell over the matrix, in µs (median of five
+    /// passes).
+    estimate_us_per_cell: f64,
     /// Wall-clock ratio of the naive sweep (a fresh `StagedFlow` per
     /// point) to the staged sweep over the same grid (single-core).
     sweep_speedup_vs_naive: f64,
@@ -162,6 +169,25 @@ fn fast_engine_pass(bins: &[&Binary]) -> (f64, u64, u64) {
     (secs, total, sb_instrs.get())
 }
 
+/// Decompile-stage throughput over the matrix, in functions per second:
+/// `decompile` with jump-table recovery on (so the two jump-table
+/// benchmarks complete too), single-threaded, best of [`SIM_PASSES`]. The
+/// `decompile_funcs_per_sec` column and `check`'s decompiler floor both
+/// come from here.
+fn decompile_funcs_per_sec(bins: &[&Binary]) -> f64 {
+    let dopts = binpart_core::DecompileOptions {
+        recover_jump_tables: true,
+        ..Default::default()
+    };
+    let (secs, funcs) = best_of(SIM_PASSES, &|| {
+        bins.iter()
+            .filter_map(|bin| binpart_core::decompile(bin, dopts).ok())
+            .map(|p| p.stats.functions as u64)
+            .sum()
+    });
+    funcs as f64 / secs
+}
+
 /// Measures raw simulator throughput over the full (benchmark, OptLevel)
 /// matrix, unprofiled and profiled, vs the retained seed engine.
 /// Single-threaded on purpose —
@@ -187,23 +213,10 @@ fn sim_report(suite_wall_s: f64) -> SimReport {
             })
             .sum()
     });
-    // Decompile-stage throughput over the same matrix (recovery on, so
-    // the two jump-table benchmarks complete too).
-    let dopts = binpart_core::DecompileOptions {
-        recover_jump_tables: true,
-        ..Default::default()
-    };
-    let (decompile_s, funcs) = best(&|| {
-        bins.iter()
-            .map(|bin| match binpart_core::decompile(bin, dopts) {
-                Ok(p) => p.stats.functions as u64,
-                Err(_) => 0,
-            })
-            .sum()
-    });
     let (sweep_points_per_sec, sweep_speedup_vs_naive) = sweep_report();
     let evaluate_us_per_point = evaluate_report();
     let synth_us_per_miss = synth_report();
+    let estimate_us_per_cell = estimate_report();
     let cosim = run_cosim_matrix(COSIM_PASSES);
     if let Err(e) = cosim_exactness(&cosim) {
         panic!("{e} during the snapshot pass");
@@ -216,10 +229,11 @@ fn sim_report(suite_wall_s: f64) -> SimReport {
         seed_ips: ips(seed_s),
         edge_overhead_pct: 100.0 * (profiled_s - fast_s) / fast_s,
         total_instrs: total,
-        decompile_funcs_per_sec: funcs as f64 / decompile_s,
+        decompile_funcs_per_sec: decompile_funcs_per_sec(&bins),
         sweep_points_per_sec,
         evaluate_us_per_point,
         synth_us_per_miss,
+        estimate_us_per_cell,
         sweep_speedup_vs_naive,
         cosim_cycles_per_sec: cosim.cosim_cycles_per_sec,
         estimate_error_pct_mean: cosim.estimate_error_pct_mean,
@@ -256,17 +270,17 @@ fn cosim_exactness(c: &CosimMatrixSummary) -> Result<(), String> {
 }
 
 /// A throughput floor: `measured` must hold at least half the snapshot's
-/// `column`. The 0.5x margin absorbs shared-host noise but catches a
-/// telemetry probe that escaped its compile-time guard (which costs well
-/// over 2x) outright.
-fn floor(column: &str, measured: f64) -> Result<String, String> {
+/// `column`, both shown divided by `scale` in `unit`. The 0.5x margin
+/// absorbs shared-host noise but catches a telemetry probe that escaped
+/// its compile-time guard (which costs well over 2x) outright.
+fn floor(column: &str, measured: f64, scale: f64, unit: &str) -> Result<String, String> {
     let Some(snapshot) = read_snapshot_value(column) else {
         return Err(format!("{column}: no value in {SNAPSHOT}"));
     };
     let line = format!(
-        "{column}: measured {:.1} M/s vs snapshot {:.1} M/s ({:.2}x, floor 0.50x)",
-        measured / 1e6,
-        snapshot / 1e6,
+        "{column}: measured {:.1} {unit} vs snapshot {:.1} {unit} ({:.2}x, floor 0.50x)",
+        measured / scale,
+        snapshot / scale,
         measured / snapshot
     );
     gate(measured >= 0.5 * snapshot, line)
@@ -314,7 +328,8 @@ fn check() {
             std::process::exit(1);
         }
     }
-    let (fast_s, total, _) = fast_engine_pass(&matrix_binaries());
+    let bins = matrix_binaries();
+    let (fast_s, total, _) = fast_engine_pass(&bins);
     let snapshot_total = read_snapshot_value("matrix_total_instrs");
     let retired = format!(
         "matrix_total_instrs: fast engine retired {total} instructions, snapshot {}",
@@ -327,17 +342,19 @@ fn check() {
     let cosim = run_cosim_matrix(COSIM_PASSES);
     let results = [
         gate(snapshot_total == Some(total as f64), retired),
-        floor("sim_instrs_per_sec_fast", total as f64 / fast_s),
+        floor("sim_instrs_per_sec_fast", total as f64 / fast_s, 1e6, "M/s"),
+        floor("decompile_funcs_per_sec", decompile_funcs_per_sec(&bins), 1.0, "funcs/s"),
         gate(sweep_speedup >= 1.0, sweep),
         ceiling("evaluate_us_per_point", evaluate_report()),
         ceiling("synth_us_per_miss", synth_report()),
+        ceiling("estimate_us_per_cell", estimate_report()),
         cosim_exactness(&cosim).map(|()| {
             format!(
                 "cosim exactness: {} cells bit-identical, 0 store mismatches, {} hardware invocations",
                 cosim.cells, cosim.hw_invocations
             )
         }),
-        floor("cosim_cycles_per_sec", cosim.cosim_cycles_per_sec),
+        floor("cosim_cycles_per_sec", cosim.cosim_cycles_per_sec, 1e6, "M/s"),
     ];
     let mut failed = false;
     for result in results {
@@ -448,9 +465,8 @@ fn telemetry() {
 /// checks CI leans on — exact attribution conservation and structurally
 /// valid first-invocation VCDs.
 fn hwprof() {
-    use binpart_core::stage::StagedFlow;
     use binpart_telemetry::Recorder;
-    let mut options = binpart_core::flow::FlowOptions::default();
+    let mut options = FlowOptions::default();
     options.decompile.recover_jump_tables = true;
     println!("== hwprof: measured FSMD cycle attribution (instrumented co-simulation) ==");
     println!(
@@ -587,7 +603,6 @@ fn sweep_report() -> (f64, f64) {
 /// median pass time per point, in µs — `evaluate` alone, no profile,
 /// decompile, estimate or sweep machinery.
 fn evaluate_report() -> f64 {
-    use binpart_core::stage::StagedFlow;
     let (sweep, b) = snapshot_sweep();
     let binaries: Vec<(OptLevel, binpart_mips::Binary)> = OptLevel::ALL
         .into_iter()
@@ -597,7 +612,7 @@ fn evaluate_report() -> f64 {
         .iter()
         .map(|(level, bin)| (*level, StagedFlow::new(bin)))
         .collect();
-    let points: Vec<(&StagedFlow<'_>, binpart_core::flow::FlowOptions)> = sweep
+    let points: Vec<(&StagedFlow<'_>, FlowOptions)> = sweep
         .configs()
         .iter()
         .map(|c| {
@@ -629,40 +644,63 @@ fn evaluate_report() -> f64 {
     1e6 * secs[secs.len() / 2] / points.len() as f64
 }
 
-/// Cold synthesis cost: over the 80 (benchmark, OptLevel) cells, one
-/// fresh `StagedFlow` per cell with its profile, decompile and estimate
-/// stages built untimed, then the first `evaluate` at default options
-/// timed — the evaluation that fills the synthesis memo. Microseconds per
-/// memo miss (the pass's total evaluate time over its total
-/// `EstimateCache` misses), median of five passes, single-core.
-fn synth_report() -> f64 {
-    use binpart_core::stage::StagedFlow;
+/// One cold stage timed over the 80 (benchmark, OptLevel) cells at
+/// `FlowOptions::default()` with jump-table recovery on: `cell` gets a
+/// fresh `StagedFlow` per cell, builds the stage's inputs untimed, times
+/// the stage, and returns `(seconds, units of work)`. Microseconds per
+/// unit, median of five passes, single-core.
+fn cold_stage_us(cell: impl Fn(&StagedFlow<'_>, &FlowOptions) -> (f64, u64)) -> f64 {
     let suite = binpart_workloads::suite();
-    let mut options = binpart_core::flow::FlowOptions::default();
+    let mut options = FlowOptions::default();
     options.decompile.recover_jump_tables = true;
     let pass = || {
-        let (mut secs, mut misses) = (0.0, 0u64);
+        let (mut secs, mut units) = (0.0, 0u64);
         for b in &suite {
             for level in OptLevel::ALL {
                 let flow = StagedFlow::new(CompiledSuite::get(b, level).binary);
-                let est = flow
-                    .estimate(options.decompile, options.sim)
-                    .expect("suite stages build");
-                let t0 = Instant::now();
-                std::hint::black_box(flow.evaluate(&options).expect("suite evaluates"));
-                secs += t0.elapsed().as_secs_f64();
-                misses += est.cache.misses();
+                let (s, n) = cell(&flow, &options);
+                secs += s;
+                units += n;
             }
         }
-        1e6 * secs / misses.max(1) as f64
+        1e6 * secs / units.max(1) as f64
     };
-    let mut per_miss: Vec<f64> = (0..5).map(|_| pass()).collect();
-    per_miss.sort_by(f64::total_cmp);
-    per_miss[per_miss.len() / 2]
+    let mut per_unit: Vec<f64> = (0..5).map(|_| pass()).collect();
+    per_unit.sort_by(f64::total_cmp);
+    per_unit[per_unit.len() / 2]
+}
+
+/// Cold synthesis cost: the first `evaluate` of each cell, its profile,
+/// decompile and estimate stages built untimed — the evaluation that
+/// fills the synthesis memo. Microseconds per memo miss (the pass's total
+/// evaluate time over its total `EstimateCache` misses).
+fn synth_report() -> f64 {
+    cold_stage_us(|flow, o| {
+        let est = flow
+            .estimate(o.decompile, o.sim)
+            .expect("suite stages build");
+        let t0 = Instant::now();
+        std::hint::black_box(flow.evaluate(o).expect("suite evaluates"));
+        (t0.elapsed().as_secs_f64(), est.cache.misses())
+    })
+}
+
+/// Cold estimate cost: the first `estimate` of each cell, its profile and
+/// decompile stages built untimed — the program copy, profile attachment
+/// and the candidate harvest (loop nests, cycle weights, alias analysis).
+/// Microseconds per cell.
+fn estimate_report() -> f64 {
+    cold_stage_us(|flow, o| {
+        flow.profile(o.sim).expect("suite profiles");
+        flow.decompile(o.decompile).expect("suite decompiles");
+        let t0 = Instant::now();
+        std::hint::black_box(flow.estimate(o.decompile, o.sim).expect("suite estimates"));
+        (t0.elapsed().as_secs_f64(), 1)
+    })
 }
 
 /// The snapshot's columns, in the order [`write_bench_json`] writes them.
-const COLUMNS: [&str; 25] = [
+const COLUMNS: [&str; 26] = [
     "sim_instrs_per_sec_fast",
     "sim_instrs_per_sec_seed",
     "sim_speedup",
@@ -673,6 +711,7 @@ const COLUMNS: [&str; 25] = [
     "sweep_points_per_sec",
     "evaluate_us_per_point",
     "synth_us_per_miss",
+    "estimate_us_per_cell",
     "sweep_speedup_vs_naive",
     "cosim_cycles_per_sec",
     "estimate_error_pct_mean",
@@ -703,6 +742,7 @@ fn write_bench_json(r: &SimReport) {
         format!("{:.0}", r.sweep_points_per_sec),
         format!("{:.3}", r.evaluate_us_per_point),
         format!("{:.2}", r.synth_us_per_miss),
+        format!("{:.2}", r.estimate_us_per_cell),
         format!("{:.2}", r.sweep_speedup_vs_naive),
         format!("{:.0}", r.cosim_cycles_per_sec),
         format!("{:.2}", r.estimate_error_pct_mean),
@@ -727,7 +767,7 @@ fn write_bench_json(r: &SimReport) {
     let json = format!("{{\n{}\n}}\n", body.join(",\n"));
     match std::fs::write(path, &json) {
         Ok(()) => println!(
-            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive), warm evaluate {:.2} us/pt, cold synthesis {:.1} us/miss; cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
+            "wrote {path}: fast {:.0} M instrs/s @ {:.0}% trace coverage, seed {:.0} M instrs/s ({:.1}x); edge profiling {:+.1}%; decompile {:.0} funcs/s; sweep {:.0} pts/s ({:.1}x vs naive), warm evaluate {:.2} us/pt, cold synthesis {:.1} us/miss, cold estimate {:.1} us/cell; cosim {:.1} M cyc/s, estimate error mean {:.1}% max {:.1}%; estimate cache {:.0}% hit, trace side-exit rate {:.3}",
             r.fast_ips / 1e6,
             r.trace_cache_hit_rate * 100.0,
             r.seed_ips / 1e6,
@@ -738,6 +778,7 @@ fn write_bench_json(r: &SimReport) {
             r.sweep_speedup_vs_naive,
             r.evaluate_us_per_point,
             r.synth_us_per_miss,
+            r.estimate_us_per_cell,
             r.cosim_cycles_per_sec / 1e6,
             r.estimate_error_pct_mean,
             r.estimate_error_pct_max,

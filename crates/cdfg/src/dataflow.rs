@@ -1,4 +1,4 @@
-//! Dataflow analyses: liveness and SSA def-use chains.
+//! Dataflow analyses: liveness and SSA definition sites.
 
 use crate::cfg;
 use crate::ir::{BlockId, Function, Op, Operand, VReg};
@@ -178,51 +178,37 @@ impl Liveness {
     }
 }
 
-/// SSA def-use chains.
+/// The definition site of every register: the one table the decompiler's
+/// def-chasing analyses share (alias analysis, strength promotion and
+/// induction recovery each walk definitions, never uses).
+///
+/// Sites are `(block, op index)` pairs, so building the table copies no op.
+/// It is meaningful on SSA functions, where each register has at most one
+/// definition; elsewhere the last definition in block order wins.
 #[derive(Debug, Clone)]
-pub struct DefUse {
-    /// Definition site per register: (block, op index). `None` for live-ins.
-    pub def: Vec<Option<(BlockId, usize)>>,
-    /// Use sites per register: (block, op index); terminator uses are
-    /// recorded with `usize::MAX` as the op index.
-    pub uses: Vec<Vec<(BlockId, usize)>>,
+pub struct DefSites {
+    site: Vec<Option<(BlockId, u32)>>,
 }
 
-impl DefUse {
-    /// Builds chains; meaningful only on SSA-form functions.
-    pub fn compute(f: &Function) -> DefUse {
-        let nv = f.vreg_count() as usize;
-        let mut def = vec![None; nv];
-        let mut uses = vec![Vec::new(); nv];
+impl DefSites {
+    /// Records the defining op of every register of `f`.
+    pub fn compute(f: &Function) -> DefSites {
+        let mut site = vec![None; f.vreg_count() as usize];
         for b in f.block_ids() {
             for (k, inst) in f.block(b).ops.iter().enumerate() {
-                if let Some(d) = inst.op.dst() {
-                    def[d.index()] = Some((b, k));
+                if let Some(slot) = inst.op.dst().and_then(|d| site.get_mut(d.index())) {
+                    *slot = Some((b, k as u32));
                 }
-                inst.op.for_each_use(|o| {
-                    if let Operand::Reg(r) = o {
-                        uses[r.index()].push((b, k));
-                    }
-                });
             }
-            f.block(b).term.for_each_use(|o| {
-                if let Operand::Reg(r) = o {
-                    uses[r.index()].push((b, usize::MAX));
-                }
-            });
         }
-        DefUse { def, uses }
+        DefSites { site }
     }
 
-    /// The op defining `r`, if any.
+    /// The op defining `r` in `f`, the function the table was built from;
+    /// `None` for live-ins and registers the table does not cover.
     pub fn def_of<'f>(&self, f: &'f Function, r: VReg) -> Option<&'f Op> {
-        let (b, k) = self.def[r.index()]?;
-        Some(&f.block(b).ops[k].op)
-    }
-
-    /// Number of uses of `r`.
-    pub fn use_count(&self, r: VReg) -> usize {
-        self.uses[r.index()].len()
+        let (b, k) = self.site.get(r.index()).copied().flatten()?;
+        Some(&f.block(b).ops[k as usize].op)
     }
 }
 
@@ -302,25 +288,32 @@ mod tests {
     }
 
     #[test]
-    fn def_use_counts() {
+    fn def_sites_locate_definitions() {
         let mut f = Function::new("du");
         let a = f.new_vreg();
         let b = f.new_vreg();
+        let p = f.new_vreg(); // never defined: a live-in
         f.block_mut(f.entry).push(Op::Const { dst: a, value: 4 });
         f.block_mut(f.entry).push(Op::Bin {
             op: BinOp::Mul,
             dst: b,
             lhs: Operand::Reg(a),
-            rhs: Operand::Reg(a),
+            rhs: Operand::Reg(p),
         });
         f.block_mut(f.entry).term = Terminator::Return {
             value: Some(Operand::Reg(b)),
         };
         f.is_ssa = true;
-        let du = DefUse::compute(&f);
-        assert_eq!(du.use_count(a), 2);
-        assert_eq!(du.use_count(b), 1);
-        assert!(matches!(du.def_of(&f, b), Some(Op::Bin { .. })));
-        assert_eq!(du.uses[b.index()][0].1, usize::MAX); // terminator use
+        let sites = DefSites::compute(&f);
+        assert!(matches!(
+            sites.def_of(&f, a),
+            Some(Op::Const { value: 4, .. })
+        ));
+        assert!(matches!(
+            sites.def_of(&f, b),
+            Some(Op::Bin { op: BinOp::Mul, .. })
+        ));
+        assert!(sites.def_of(&f, p).is_none());
+        assert!(sites.def_of(&f, VReg(99)).is_none()); // outside the table
     }
 }

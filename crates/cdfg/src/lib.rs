@@ -9,7 +9,7 @@
 //! * dominator trees and dominance frontiers ([`dom`]),
 //! * natural-loop detection and the loop forest ([`loops`]),
 //! * pruned-SSA construction and verification ([`ssa`]),
-//! * liveness and def-use chains ([`dataflow`]),
+//! * liveness and SSA definition sites ([`dataflow`]),
 //! * high-level control-structure recovery ([`structure`]) — the paper's
 //!   "control structure recovery" stage, classifying ifs and loop kinds.
 //!

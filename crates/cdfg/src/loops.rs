@@ -6,11 +6,12 @@
 //! know trip counts. This module recovers all of that from the CFG.
 
 use crate::cfg;
+use crate::dataflow::DefSites;
 use crate::dom::Dominators;
 use crate::ir::{BinOp, BlockId, Function, Op, Operand, Terminator, VReg};
 
 /// A natural loop.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Loop {
     /// Loop header (single entry of the natural loop).
     pub header: BlockId,
@@ -52,7 +53,12 @@ pub struct InductionVar {
 }
 
 /// The loop-nesting forest of a function.
-#[derive(Debug, Clone)]
+///
+/// Its loops, bodies, latches, exits and nesting depend only on the CFG's
+/// edges; each loop's induction variable and trip count also read the ops.
+/// A pass that rewrites values but keeps every edge therefore keeps the
+/// forest valid up to [`LoopForest::refresh_induction`].
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoopForest {
     loops: Vec<Loop>,
     /// Innermost loop index per block (None when not in a loop).
@@ -64,17 +70,12 @@ impl LoopForest {
     ///
     /// Irreducible edges (branches into a loop body that bypass the header)
     /// do not produce loops; the structurer reports them separately.
-    pub fn compute(f: &Function) -> LoopForest {
-        let dom = Dominators::compute(f);
-        Self::compute_with(f, &dom)
-    }
-
-    /// Like [`LoopForest::compute`] with a precomputed dominator tree.
     ///
     /// Loop bodies and exit sets are built over dense bitsets indexed by
     /// block number (the block arena is flat), so membership tests during
     /// the reverse-reachability walk are O(1) instead of list scans.
-    pub fn compute_with(f: &Function, dom: &Dominators) -> LoopForest {
+    pub fn compute(f: &Function) -> LoopForest {
+        let dom = Dominators::compute(f);
         let preds = cfg::predecessors(f);
         let nblocks = f.blocks.len();
         let mut headers: Vec<BlockId> = Vec::new();
@@ -199,7 +200,7 @@ impl LoopForest {
             }
         }
         let mut forest = LoopForest { loops, block_loop };
-        forest.recover_induction(f);
+        forest.refresh_induction(f);
         forest
     }
 
@@ -218,30 +219,26 @@ impl LoopForest {
         self.innermost(b).map_or(0, |l| l.depth)
     }
 
-    /// Recognizes basic induction variables and constant trip counts.
+    /// Re-derives every loop's induction variable and trip count from the
+    /// current ops of `f`, keeping the loop structure. Valid after any pass
+    /// that changed values but no CFG edge (`f` must have the blocks this
+    /// forest was computed on); the result equals a fresh
+    /// [`LoopForest::compute`].
     ///
-    /// Requires SSA form; no-op otherwise. The recognized shape is the one
-    /// compilers emit for counted loops: a header phi `i = phi(init, next)`
-    /// with `next = i + c` inside the loop, and an exit branch comparing
-    /// `i` (or `next`) against a loop-invariant bound.
-    fn recover_induction(&mut self, f: &Function) {
+    /// Requires SSA form; clears both fields otherwise. The recognized
+    /// shape is the one compilers emit for counted loops: a header phi
+    /// `i = phi(init, next)` with `next = i + c` inside the loop, and an
+    /// exit branch comparing `i` (or `next`) against a loop-invariant bound.
+    pub fn refresh_induction(&mut self, f: &Function) {
+        for l in &mut self.loops {
+            l.induction = None;
+            l.trip_count = None;
+        }
         if !f.is_ssa {
             return;
         }
-        // Def sites per vreg as (block, op index) — ops are looked up by
-        // reference instead of cloning every op in the function.
-        let mut def_site: Vec<Option<(BlockId, u32)>> = vec![None; f.vreg_count() as usize];
-        for b in f.block_ids() {
-            for (k, inst) in f.block(b).ops.iter().enumerate() {
-                if let Some(d) = inst.op.dst() {
-                    def_site[d.index()] = Some((b, k as u32));
-                }
-            }
-        }
-        let def_op = |r: VReg| -> Option<&Op> {
-            let (b, k) = def_site.get(r.index()).copied().flatten()?;
-            Some(&f.block(b).ops[k as usize].op)
-        };
+        let sites = DefSites::compute(f);
+        let def_op = |r: VReg| sites.def_of(f, r);
         // Follows Copy/Const chains so "init" and bounds recover literal
         // values even when the lifter materialized them into registers.
         let resolve = |mut o: Operand| -> Operand {
@@ -382,7 +379,6 @@ fn trip_count_from(op: BinOp, cont_on_true: bool, init: i64, step: i64, bound: i
         return Some(1); // do-while executes once; while-loop bodies guarded by preheader check
     }
     // Closed form for monotone conditions; fall back to bounded scan.
-    let mut k: i64 = 0;
     let limit = 1 << 24;
     // exponential + binary search to keep this O(log n)
     let mut hi = 1i64;
@@ -401,8 +397,7 @@ fn trip_count_from(op: BinOp, cont_on_true: bool, init: i64, step: i64, bound: i
             hi = mid;
         }
     }
-    k = k.max(hi);
-    Some(k as u64)
+    Some(hi as u64)
 }
 
 #[cfg(test)]

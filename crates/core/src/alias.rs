@@ -7,7 +7,7 @@
 //! constant propagation has already folded); stack accesses and accesses
 //! through unresolved pointers are classified separately.
 
-use binpart_cdfg::dataflow::DefUse;
+use binpart_cdfg::dataflow::DefSites;
 use binpart_cdfg::ir::{BinOp, BlockId, Function, Op, Operand, VReg};
 use std::collections::BTreeSet;
 
@@ -46,7 +46,7 @@ impl RegionSummary {
 /// Resolves the region of address operand `addr`.
 fn resolve(
     f: &Function,
-    du: &DefUse,
+    sites: &DefSites,
     addr: &Operand,
     data_base: u32,
     data_end: u32,
@@ -64,13 +64,13 @@ fn resolve(
                 MemRegion::Unknown
             }
         }
-        Operand::Reg(r) => resolve_reg(f, du, *r, data_base, data_end, depth),
+        Operand::Reg(r) => resolve_reg(f, sites, *r, data_base, data_end, depth),
     }
 }
 
 fn resolve_reg(
     f: &Function,
-    du: &DefUse,
+    sites: &DefSites,
     r: VReg,
     data_base: u32,
     data_end: u32,
@@ -79,7 +79,7 @@ fn resolve_reg(
     // Stack pointer and derivatives: the lifter mirrors $sp as VReg(29),
     // but after SSA the entry value is a live-in; we detect stack bases via
     // values far above the data section (conventional stack top).
-    let Some(op) = du.def_of(f, r) else {
+    let Some(op) = sites.def_of(f, r) else {
         // live-in: parameter or stack pointer — unknown pointer
         return MemRegion::Unknown;
     };
@@ -94,7 +94,7 @@ fn resolve_reg(
                 MemRegion::Unknown
             }
         }
-        Op::Copy { src, .. } => resolve(f, du, src, data_base, data_end, depth + 1),
+        Op::Copy { src, .. } => resolve(f, sites, src, data_base, data_end, depth + 1),
         Op::Bin {
             op: BinOp::Add | BinOp::Sub | BinOp::Or,
             lhs,
@@ -102,8 +102,8 @@ fn resolve_reg(
             ..
         } => {
             // A pointer plus an index: the constant-side base wins.
-            let a = resolve(f, du, lhs, data_base, data_end, depth + 1);
-            let b = resolve(f, du, rhs, data_base, data_end, depth + 1);
+            let a = resolve(f, sites, lhs, data_base, data_end, depth + 1);
+            let b = resolve(f, sites, rhs, data_base, data_end, depth + 1);
             match (a, b) {
                 (MemRegion::Global(x), _) => MemRegion::Global(x),
                 (_, MemRegion::Global(x)) => MemRegion::Global(x),
@@ -119,7 +119,7 @@ fn resolve_reg(
                 if a.as_reg() == Some(r) {
                     continue;
                 }
-                let m = resolve(f, du, a, data_base, data_end, depth + 1);
+                let m = resolve(f, sites, a, data_base, data_end, depth + 1);
                 match out {
                     None => out = Some(m),
                     Some(prev) if prev == m => {}
@@ -132,14 +132,16 @@ fn resolve_reg(
     }
 }
 
-/// Summarizes the memory behaviour of `blocks` in `f`.
+/// Summarizes the memory behaviour of `blocks` in `f`. `sites` is `f`'s
+/// [`DefSites`] table, built once per function and shared by all its
+/// regions.
 pub fn summarize(
     f: &Function,
+    sites: &DefSites,
     blocks: &[BlockId],
     data_base: u32,
     data_end: u32,
 ) -> RegionSummary {
-    let du = DefUse::compute(f);
     let mut s = RegionSummary::default();
     for &b in blocks {
         for inst in &f.block(b).ops {
@@ -149,7 +151,7 @@ pub fn summarize(
                 _ => continue,
             };
             s.access_count += 1;
-            match resolve(f, &du, addr, data_base, data_end, 0) {
+            match resolve(f, sites, addr, data_base, data_end, 0) {
                 MemRegion::Global(base) => {
                     s.globals.insert(base);
                 }
@@ -185,7 +187,13 @@ mod tests {
         });
         f.block_mut(f.entry).term = Terminator::Return { value: None };
         f.is_ssa = true;
-        let s = summarize(&f, &[f.entry], 0x1001_0000, 0x1002_0000);
+        let s = summarize(
+            &f,
+            &DefSites::compute(&f),
+            &[f.entry],
+            0x1001_0000,
+            0x1002_0000,
+        );
         assert_eq!(s.globals.iter().copied().collect::<Vec<_>>(), vec![0x1001_0040]);
         assert!(s.fully_resolved());
     }
@@ -230,7 +238,7 @@ mod tests {
         });
         f.block_mut(e).term = Terminator::Return { value: None };
         f.is_ssa = true;
-        let s = summarize(&f, &[e], 0x1001_0000, 0x1002_0000);
+        let s = summarize(&f, &DefSites::compute(&f), &[e], 0x1001_0000, 0x1002_0000);
         assert!(s.globals.contains(&0x1001_0100));
         assert_eq!(s.access_count, 2);
     }
@@ -248,7 +256,13 @@ mod tests {
         });
         f.block_mut(f.entry).term = Terminator::Return { value: None };
         f.is_ssa = true;
-        let s = summarize(&f, &[f.entry], 0x1001_0000, 0x1002_0000);
+        let s = summarize(
+            &f,
+            &DefSites::compute(&f),
+            &[f.entry],
+            0x1001_0000,
+            0x1002_0000,
+        );
         assert!(s.has_unknown);
         assert!(!s.fully_resolved());
     }

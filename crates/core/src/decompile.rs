@@ -1,15 +1,37 @@
-//! The full decompilation pipeline: lift → stack-operation removal → SSA →
-//! constant propagation → strength promotion → loop rerolling → size
-//! reduction → control structure recovery.
+//! The full decompilation pipeline. [`decompile`] lifts the binary into
+//! CDFGs, then runs on each function, in order:
+//!
+//! 1. stack-operation removal (pre-SSA);
+//! 2. SSA construction and calling-convention recovery;
+//! 3. constant/copy propagation;
+//! 4. strength promotion, then loop rerolling;
+//! 5. constant/copy propagation again, only when step 4 changed the
+//!    function: step 3 ended at its fixpoint, so otherwise it has no work;
+//! 6. operator size reduction;
+//! 7. unreachable-block removal and control-structure recovery (the
+//!    latter only for [`DecompileStats::structure`]).
+//!
+//! Steps 1 and 3–6 run only with [`DecompileOptions::optimize`].
+//!
+//! `decompile` owns each function's loop forest. It computes the forest
+//! once after step 3 and hands it through steps 4–6: rerolling reads its
+//! loops, size reduction its trip counts. Step 4 changes values but no
+//! edge, so when step 5 keeps every edge too, only the forest's induction
+//! variables and trip counts are refreshed. The forest is recomputed only
+//! when step 5 or 7 changed the CFG (without optimization it is computed
+//! once, after step 7). The final forest is
+//! [`DecompiledProgram::forests`], which the partitioner reads.
 
 use crate::diag::{Diagnostic, FlowStage};
 use crate::lift::{self, DecompileError, DecompileOptions};
 use crate::opts::{self, PassStats};
 use binpart_cdfg::ir::{Function, Op, VReg};
+use binpart_cdfg::loops::LoopForest;
 use binpart_cdfg::structure::{self, StructureStats};
 use binpart_cdfg::{cfg, ssa};
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, Reg};
+use std::sync::Arc;
 
 /// Aggregated decompilation statistics (experiment E4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -29,6 +51,13 @@ pub struct DecompileStats {
 pub struct DecompiledProgram {
     /// Functions; index 0 is the binary entry.
     pub functions: Vec<Function>,
+    /// The loop forest of each function, parallel to `functions`: the one
+    /// the passes kept current while optimizing it, equal to a fresh
+    /// [`LoopForest::compute`] of the final function. The candidate
+    /// harvest and every synthesis of a candidate read it instead of
+    /// recomputing; shared, so the estimate stage's copy of the program
+    /// does not duplicate it.
+    pub forests: Arc<[LoopForest]>,
     /// Entry addresses parallel to `functions`.
     pub entries: Vec<u32>,
     /// Per function, the SSA names of function-entry register values:
@@ -74,6 +103,7 @@ pub fn decompile(
     let mut functions = Vec::new();
     let mut entries = Vec::new();
     let mut live_ins = Vec::new();
+    let mut forests = Vec::new();
     let mut diagnostics: Vec<Diagnostic> = lifted
         .skipped
         .iter()
@@ -105,25 +135,24 @@ pub fn decompile(
             .collect();
         params.sort();
         f.params = params.into_iter().map(|(_, v)| v).collect();
-        if options.optimize {
-            let optimized = opts::const_copy_prop(&mut f, &mut stats.passes)
-                .and_then(|()| {
-                    opts::strength_promotion(&mut f, &mut stats.passes);
-                    opts::loop_reroll(&mut f, &mut stats.passes)
-                })
-                .and_then(|()| opts::const_copy_prop(&mut f, &mut stats.passes));
-            match optimized {
-                Ok(()) => opts::size_reduction(&mut f, &mut stats.passes),
-                // Index 0 is the binary entry: dropping it would leave no
-                // program, so its failure is the program's failure.
-                Err(e) if options.software_fallback && idx != 0 => {
-                    diagnostics.push(Diagnostic::new(FlowStage::Opt, &f.name, e.to_string()));
-                    continue;
-                }
-                Err(e) => return Err(e),
+        let optimized = options
+            .optimize
+            .then(|| optimize(&mut f, &mut stats.passes));
+        let forest = match optimized.transpose() {
+            Ok(forest) => forest,
+            // Index 0 is the binary entry: dropping it would leave no
+            // program, so its failure is the program's failure.
+            Err(e) if options.software_fallback && idx != 0 => {
+                diagnostics.push(Diagnostic::new(FlowStage::Opt, &f.name, e.to_string()));
+                continue;
             }
-        }
-        cfg::remove_unreachable(&mut f);
+            Err(e) => return Err(e),
+        };
+        let removed = cfg::remove_unreachable(&mut f) > 0;
+        let forest = match forest {
+            Some(kept) if !removed => kept,
+            _ => LoopForest::compute(&f),
+        };
         stats.functions += 1;
         stats.blocks += f.blocks.len();
         let st = structure::recover(&f).stats();
@@ -138,6 +167,7 @@ pub fn decompile(
         live_ins.push(info.live_ins);
         entries.push(entry);
         functions.push(f);
+        forests.push(forest);
     }
     // Refine call arities now that parameters are known.
     let arities: Vec<(u32, usize)> = entries
@@ -158,11 +188,32 @@ pub fn decompile(
     }
     Ok(DecompiledProgram {
         functions,
+        forests: forests.into(),
         entries,
         live_ins,
         stats,
         diagnostics,
     })
+}
+
+/// Steps 3–6 of the pass list (see the [module docs](self)) on one SSA
+/// function. Returns its loop forest, current for the optimized function.
+fn optimize(f: &mut Function, stats: &mut PassStats) -> Result<LoopForest, DecompileError> {
+    opts::const_copy_prop(f, stats)?;
+    let mut forest = LoopForest::compute(f);
+    let promoted = opts::strength_promotion(f, stats);
+    let rerolled = opts::loop_reroll(f, &forest, stats)?;
+    // The first propagation reached its fixpoint; only new multiplies or
+    // rerolled bodies give a second one work.
+    if promoted || rerolled {
+        if opts::const_copy_prop(f, stats)? {
+            forest = LoopForest::compute(f);
+        } else {
+            forest.refresh_induction(f);
+        }
+    }
+    opts::size_reduction(f, &forest, stats);
+    Ok(forest)
 }
 
 /// Attaches dynamic execution counts from `profile` onto every block.

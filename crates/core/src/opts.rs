@@ -15,6 +15,7 @@
 
 use crate::lift::DecompileError;
 use binpart_cdfg::cfg;
+use binpart_cdfg::dataflow::DefSites;
 use binpart_cdfg::ir::{BinOp, BlockId, Function, Inst, Op, Operand, Terminator, UnOp, VReg};
 use binpart_cdfg::loops::LoopForest;
 use std::collections::HashMap;
@@ -38,20 +39,6 @@ pub struct PassStats {
     pub muls_promoted: usize,
     /// Loops rerolled.
     pub loops_rerolled: usize,
-}
-
-impl PassStats {
-    /// Accumulates another function's stats.
-    pub fn merge(&mut self, other: &PassStats) {
-        self.moves_removed += other.moves_removed;
-        self.consts_folded += other.consts_folded;
-        self.dead_removed += other.dead_removed;
-        self.stack_slots_promoted += other.stack_slots_promoted;
-        self.stack_ops_removed += other.stack_ops_removed;
-        self.values_narrowed += other.values_narrowed;
-        self.muls_promoted += other.muls_promoted;
-        self.loops_rerolled += other.loops_rerolled;
-    }
 }
 
 // ---------------------------------------------------------------- stack ops
@@ -377,18 +364,24 @@ pub fn stack_op_removal(f: &mut Function, stats: &mut PassStats) {
 /// (which renumbers blocks via unreachable-code removal) runs between
 /// worklist rounds.
 ///
+/// Returns whether the CFG changed (a branch folded or a block removed):
+/// only then does a loop forest computed before the pass need
+/// recomputing; value-only changes need just
+/// [`LoopForest::refresh_induction`].
+///
 /// # Errors
 ///
 /// The outer fixpoint carries a fuel budget (each round must fold a branch
 /// or remove a block, so compiler output converges in far fewer rounds than
 /// the budget); an adversarial CFG that trips it gets
 /// [`DecompileError::Fuel`] instead of an unbounded loop.
-pub fn const_copy_prop(f: &mut Function, stats: &mut PassStats) -> Result<(), DecompileError> {
+pub fn const_copy_prop(f: &mut Function, stats: &mut PassStats) -> Result<bool, DecompileError> {
     // Every productive round folds >=1 branch or removes >=1 block, both
     // finite resources; the +64 covers the final no-change round and small
     // functions.
     let limit = 2 * f.blocks.len() as u64 + 64;
     let mut fuel = limit;
+    let mut cfg_changed = false;
     loop {
         if fuel == 0 {
             return Err(DecompileError::Fuel {
@@ -425,8 +418,9 @@ pub fn const_copy_prop(f: &mut Function, stats: &mut PassStats) -> Result<(), De
         if !folded && !removed {
             break;
         }
+        cfg_changed = true;
     }
-    Ok(())
+    Ok(cfg_changed)
 }
 
 /// Drives constant/copy rewriting and op folding to a fixpoint with a
@@ -837,15 +831,20 @@ pub fn dce(f: &mut Function, stats: &mut PassStats) -> bool {
 /// Operator size reduction: forward bit-width inference (with induction-
 /// variable ranges from the loop forest) written into `f.vreg_bits`.
 ///
+/// `forest` must be current for `f`, induction variables and trip counts
+/// included (a fresh [`LoopForest::compute`], or one kept across
+/// value-only passes and [refreshed](LoopForest::refresh_induction)); the
+/// pass only reads it, and it changes no op or edge, so the forest stays
+/// valid afterwards.
+///
 /// Worklist-driven sparse fixpoint: widths start at the optimistic minimum
 /// and only the ops consuming a register whose width grew are re-evaluated.
 /// Every transfer function is monotone in its operand widths, so the
 /// unique least fixpoint is reached regardless of evaluation order —
 /// identical to the old iterated whole-function sweep.
-pub fn size_reduction(f: &mut Function, stats: &mut PassStats) {
+pub fn size_reduction(f: &mut Function, forest: &LoopForest, stats: &mut PassStats) {
     let n = f.vreg_count() as usize;
     // Seed induction variables from loop trip counts.
-    let forest = LoopForest::compute(f);
     let mut iv_bits: HashMap<VReg, u8> = HashMap::new();
     for l in forest.loops() {
         if let (Some(iv), Some(trip)) = (l.induction, l.trip_count) {
@@ -1032,30 +1031,10 @@ pub fn size_reduction(f: &mut Function, stats: &mut PassStats) {
 
 /// Strength promotion: rewrites shift/add trees computing `k·x` back into a
 /// single multiplication, undoing compiler strength reduction so the
-/// synthesis tool can choose the implementation.
-pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
-    // Flat def-site table (SSA: at most one def per register); the pass
-    // only walks definitions, so the full use-chain side of `DefUse` is
-    // never built.
-    let nv = f.vreg_count() as usize;
-    let mut def_site: Vec<Option<(BlockId, u32)>> = vec![None; nv];
-    for b in f.block_ids() {
-        for (k, inst) in f.block(b).ops.iter().enumerate() {
-            if let Some(d) = inst.op.dst() {
-                if d.index() < nv {
-                    def_site[d.index()] = Some((b, k as u32));
-                }
-            }
-        }
-    }
-    fn def_of<'f>(
-        f: &'f Function,
-        def_site: &[Option<(BlockId, u32)>],
-        v: VReg,
-    ) -> Option<&'f Op> {
-        let (b, k) = def_site.get(v.index()).copied().flatten()?;
-        Some(&f.block(b).ops[k as usize].op)
-    }
+/// synthesis tool can choose the implementation. Returns whether anything
+/// was promoted. Rewrites ops only, never an edge.
+pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) -> bool {
+    let sites = DefSites::compute(f);
     // linear form: value = k * base + c
     #[derive(Clone, Copy)]
     struct Lin {
@@ -1064,12 +1043,7 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
         c: i64,
         ops: u32,
     }
-    fn linear(
-        v: VReg,
-        f: &Function,
-        du: &[Option<(BlockId, u32)>],
-        depth: u32,
-    ) -> Lin {
+    fn linear(v: VReg, f: &Function, sites: &DefSites, depth: u32) -> Lin {
         let leaf = Lin {
             base: Some(v),
             k: 1,
@@ -1079,8 +1053,10 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
         if depth > 8 {
             return leaf;
         }
-        let Some(op) = def_of(f, du, v) else { return leaf };
-        let operand = |o: &Operand, f: &Function, du: &[Option<(BlockId, u32)>]| -> Lin {
+        let Some(op) = sites.def_of(f, v) else {
+            return leaf;
+        };
+        let operand = |o: &Operand, f: &Function, sites: &DefSites| -> Lin {
             match o {
                 Operand::Const(c) => Lin {
                     base: None,
@@ -1088,18 +1064,18 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
                     c: *c,
                     ops: 0,
                 },
-                Operand::Reg(r) => linear(*r, f, du, depth + 1),
+                Operand::Reg(r) => linear(*r, f, sites, depth + 1),
             }
         };
         match op {
             Op::Bin { op: BinOp::Add, lhs, rhs, .. } => {
-                let a = operand(lhs, f, du);
-                let b = operand(rhs, f, du);
+                let a = operand(lhs, f, sites);
+                let b = operand(rhs, f, sites);
                 combine(a, b, 1).unwrap_or(leaf)
             }
             Op::Bin { op: BinOp::Sub, lhs, rhs, .. } => {
-                let a = operand(lhs, f, du);
-                let b = operand(rhs, f, du);
+                let a = operand(lhs, f, sites);
+                let b = operand(rhs, f, sites);
                 combine(a, b, -1).unwrap_or(leaf)
             }
             Op::Bin {
@@ -1108,7 +1084,7 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
                 rhs: Operand::Const(s),
                 ..
             } => {
-                let a = operand(lhs, f, du);
+                let a = operand(lhs, f, sites);
                 let s = *s & 31;
                 Lin {
                     base: a.base,
@@ -1117,7 +1093,7 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
                     ops: a.ops + 1,
                 }
             }
-            Op::Copy { src, .. } => operand(src, f, du),
+            Op::Copy { src, .. } => operand(src, f, sites),
             _ => leaf,
         }
     }
@@ -1146,7 +1122,7 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
             if !matches!(op, BinOp::Add | BinOp::Sub) {
                 continue;
             }
-            let lin = linear(*dst, f, &def_site, 0);
+            let lin = linear(*dst, f, &sites, 0);
             let Some(base) = lin.base else { continue };
             if base == *dst {
                 continue;
@@ -1161,6 +1137,7 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
             promotions.push((b, k, *dst, base, kk));
         }
     }
+    let promoted = !promotions.is_empty();
     for (b, k, dst, base, kk) in promotions {
         f.block_mut(b).ops[k].op = Op::Bin {
             op: BinOp::Mul,
@@ -1170,27 +1147,51 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) {
         };
         stats.muls_promoted += 1;
     }
-    if stats.muls_promoted > 0 {
+    if promoted {
         dce(f, stats);
     }
+    promoted
 }
 
 // ---------------------------------------------------------- loop rerolling
 
 /// Loop rerolling: detects a loop body consisting of `k` isomorphic sections
 /// separated by induction-variable increments (the unrolled form) and rolls
-/// it back to a single section.
+/// it back to a single section. Returns whether any loop was rerolled.
+///
+/// `forest` is `f`'s loop forest; the pass reads only its structure
+/// (headers and bodies). A reroll truncates one block's ops and rewrites
+/// values, but never changes an edge, so the structure stays valid across
+/// every round and afterwards. The rewritten induction chains do leave
+/// each loop's induction variable and trip count stale: a caller that
+/// keeps the forest calls [`LoopForest::refresh_induction`] once the value
+/// passes are done.
 ///
 /// # Errors
 ///
-/// The fixpoint (one reroll per round, forest recomputed) carries a fuel
-/// budget; a CFG that keeps producing reroll opportunities beyond it gets
-/// [`DecompileError::Fuel`] instead of an unbounded loop.
-pub fn loop_reroll(f: &mut Function, stats: &mut PassStats) -> Result<(), DecompileError> {
+/// The fixpoint (one reroll per round, then a rescan from the first loop)
+/// carries a fuel budget; a CFG that keeps producing reroll opportunities
+/// beyond it gets [`DecompileError::Fuel`] instead of an unbounded loop.
+pub fn loop_reroll(
+    f: &mut Function,
+    forest: &LoopForest,
+    stats: &mut PassStats,
+) -> Result<bool, DecompileError> {
     // Each round rerolls at most one loop and strictly shrinks its body;
     // compiler output has far fewer loops than blocks.
     let limit = f.blocks.len() as u64 + 64;
     let mut fuel = limit;
+    let mut any = false;
+    // The invariant `forest` rests on, checked after every reroll in debug
+    // builds.
+    let successors = |f: &Function| -> Vec<Vec<BlockId>> {
+        f.blocks.iter().map(|b| b.term.successors()).collect()
+    };
+    let edges = if cfg!(debug_assertions) {
+        successors(f)
+    } else {
+        Vec::new()
+    };
     loop {
         if fuel == 0 {
             return Err(DecompileError::Fuel {
@@ -1199,7 +1200,6 @@ pub fn loop_reroll(f: &mut Function, stats: &mut PassStats) -> Result<(), Decomp
             });
         }
         fuel -= 1;
-        let forest = LoopForest::compute(f);
         let mut rerolled = false;
         'loops: for l in forest.loops() {
             // Identify the single non-header block holding the body (after
@@ -1245,9 +1245,13 @@ pub fn loop_reroll(f: &mut Function, stats: &mut PassStats) -> Result<(), Decomp
                         continue;
                     };
                     if try_reroll(f, l.header, body, dst, step) {
+                        debug_assert!(
+                            successors(f) == edges,
+                            "a reroll must keep every successor list"
+                        );
                         stats.loops_rerolled += 1;
                         rerolled = true;
-                        break 'loops; // structure changed: recompute forest
+                        break 'loops; // bodies changed: rescan from the first loop
                     }
                 }
             }
@@ -1255,8 +1259,9 @@ pub fn loop_reroll(f: &mut Function, stats: &mut PassStats) -> Result<(), Decomp
         if !rerolled {
             break;
         }
+        any = true;
     }
-    Ok(())
+    Ok(any)
 }
 
 /// If `back` is reached from `phi` through a chain of 2+ `add const`
@@ -1502,7 +1507,10 @@ mod tests {
         };
         ssa::construct(&mut f);
         let mut s = stats();
-        const_copy_prop(&mut f, &mut s).unwrap();
+        assert!(
+            !const_copy_prop(&mut f, &mut s).unwrap(),
+            "no edge to change"
+        );
         // Everything folds to return of constant-ish value with no adds
         let adds = f
             .block_ids()
@@ -1533,7 +1541,7 @@ mod tests {
         f.block_mut(b).term = Terminator::Return { value: None };
         ssa::construct(&mut f);
         let mut s = stats();
-        const_copy_prop(&mut f, &mut s).unwrap();
+        assert!(const_copy_prop(&mut f, &mut s).unwrap(), "a branch folded");
         // the false path is gone
         assert_eq!(f.blocks.len(), 2, "{f}");
     }
@@ -1575,7 +1583,7 @@ mod tests {
         };
         f.is_ssa = true;
         let mut s = stats();
-        strength_promotion(&mut f, &mut s);
+        assert!(strength_promotion(&mut f, &mut s));
         assert_eq!(s.muls_promoted, 1);
         let has_mul = f
             .block(f.entry)
@@ -1615,7 +1623,7 @@ mod tests {
         };
         f.is_ssa = true;
         let mut s = stats();
-        strength_promotion(&mut f, &mut s);
+        assert!(strength_promotion(&mut f, &mut s));
         assert_eq!(s.muls_promoted, 1);
         let has_mul7 = f
             .block(f.entry)
@@ -1647,7 +1655,7 @@ mod tests {
         };
         f.is_ssa = true;
         let mut s = stats();
-        strength_promotion(&mut f, &mut s);
+        assert!(!strength_promotion(&mut f, &mut s));
         assert_eq!(s.muls_promoted, 0);
     }
 
@@ -1673,7 +1681,8 @@ mod tests {
         };
         f.is_ssa = true;
         let mut s = stats();
-        size_reduction(&mut f, &mut s);
+        let forest = LoopForest::compute(&f);
+        size_reduction(&mut f, &forest, &mut s);
         assert_eq!(f.bits_of(m), 8);
         assert!(s.values_narrowed >= 1);
     }
@@ -1712,7 +1721,8 @@ mod tests {
         };
         ssa::construct(&mut f);
         let mut s = stats();
-        size_reduction(&mut f, &mut s);
+        let forest = LoopForest::compute(&f);
+        size_reduction(&mut f, &forest, &mut s);
         // find the phi and check its width
         let phi_bits = f
             .block_ids()
@@ -1808,7 +1818,8 @@ mod tests {
         f.is_ssa = true;
         let before = f.block(body).ops.len();
         let mut s = stats();
-        loop_reroll(&mut f, &mut s).unwrap();
+        let forest = LoopForest::compute(&f);
+        assert!(loop_reroll(&mut f, &forest, &mut s).unwrap());
         assert_eq!(s.loops_rerolled, 1);
         let after = f.block(body).ops.len();
         assert!(after < before, "body {before} -> {after}\n{f}");
@@ -1894,7 +1905,8 @@ mod tests {
         f.block_mut(exit).term = Terminator::Return { value: None };
         f.is_ssa = true;
         let mut s = stats();
-        loop_reroll(&mut f, &mut s).unwrap();
+        let forest = LoopForest::compute(&f);
+        assert!(!loop_reroll(&mut f, &forest, &mut s).unwrap());
         assert_eq!(s.loops_rerolled, 0);
     }
 }

@@ -14,9 +14,9 @@ use crate::diag::{Diagnostic, FlowStage};
 use crate::decompile::{
     blocks_contain_call, region_pc_range, sw_cycles_of_blocks, DecompiledProgram,
 };
+use binpart_cdfg::dataflow::DefSites;
 use binpart_cdfg::ir::BlockId;
 use binpart_cdfg::ir::Function;
-use binpart_cdfg::loops::LoopForest;
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, CycleModel};
 use binpart_synth::{
@@ -256,10 +256,6 @@ pub struct CandidateSet {
     pub data_base: u32,
     /// End of the data section.
     pub data_end: u32,
-    /// The loop forest of each function, parallel to
-    /// [`DecompiledProgram::functions`]: computed once by the harvest and
-    /// read by every synthesis of a candidate in that function.
-    pub forests: Vec<LoopForest>,
     /// The profile ranking (see [Rankings](CandidateSet#rankings)).
     by_cycles: Vec<usize>,
     /// The fill ranking (see [Rankings](CandidateSet#rankings)).
@@ -268,12 +264,7 @@ pub struct CandidateSet {
 
 impl CandidateSet {
     /// Wraps `candidates` with both of its rankings.
-    fn new(
-        candidates: Vec<Candidate>,
-        forests: Vec<LoopForest>,
-        data_base: u32,
-        data_end: u32,
-    ) -> CandidateSet {
+    fn new(candidates: Vec<Candidate>, data_base: u32, data_end: u32) -> CandidateSet {
         let mut by_cycles: Vec<usize> = (0..candidates.len()).collect();
         by_cycles.sort_by_key(|&ci| std::cmp::Reverse(candidates[ci].sw_cycles));
         let weight = |ci: usize| candidates[ci].sw_cycles as f64 * candidates[ci].suitability;
@@ -283,7 +274,6 @@ impl CandidateSet {
             candidates: candidates.into(),
             data_base,
             data_end,
-            forests,
             by_cycles,
             by_weight,
         }
@@ -296,7 +286,9 @@ impl CandidateSet {
 /// This is the profile/alias-analysis half of the partitioner, run once
 /// per program: nothing here depends on the platform clock, the FPGA area
 /// budget, or the partitioner options. [`partition_with_candidates`] is
-/// the selection half.
+/// the selection half. Loop nests come from the forests the decompiler
+/// kept ([`DecompiledProgram::forests`]); alias analysis shares one
+/// [`DefSites`] table per function across its candidates.
 pub fn harvest_candidates(
     prog: &DecompiledProgram,
     binary: &Binary,
@@ -306,9 +298,9 @@ pub fn harvest_candidates(
     let data_base = binary.data_base;
     let data_end = binary.data_end();
     let mut candidates: Vec<Candidate> = Vec::new();
-    let mut forests = Vec::with_capacity(prog.functions.len());
-    for (fi, f) in prog.functions.iter().enumerate() {
-        let forest = LoopForest::compute(f);
+    for (fi, (f, forest)) in prog.functions.iter().zip(prog.forests.iter()).enumerate() {
+        // Built on the function's first candidate and shared by the rest.
+        let mut sites: Option<DefSites> = None;
         for l in forest.loops() {
             if l.parent.is_some() {
                 continue; // only outermost nests; inner loops come along
@@ -334,7 +326,8 @@ pub fn harvest_candidates(
                         l.latches.iter().map(|&b| f.block(b).profile_count).sum()
                     });
             let invocations = header_count.saturating_sub(back_edges).max(1);
-            let regions = alias::summarize(f, &l.blocks, data_base, data_end);
+            let sites = sites.get_or_insert_with(|| DefSites::compute(f));
+            let regions = alias::summarize(f, sites, &l.blocks, data_base, data_end);
             // Hardware suitability: divisions and unresolved pointers make
             // regions less attractive.
             let mut suitability = 1.0;
@@ -369,9 +362,8 @@ pub fn harvest_candidates(
                 suitability,
             });
         }
-        forests.push(forest);
     }
-    CandidateSet::new(candidates, forests, data_base, data_end)
+    CandidateSet::new(candidates, data_base, data_end)
 }
 
 /// Counts the loop's dynamic back-edge transfers from the branch-bias
@@ -482,7 +474,7 @@ pub fn partition_with_candidates(
         let r = cache
             .synthesize(key, || SynthesisInput {
                 function: &prog.functions[c.func_index],
-                forest: &set.forests[c.func_index],
+                forest: &prog.forests[c.func_index],
                 region: &c.blocks,
                 mem_in_bram,
                 bram_bytes,

@@ -27,6 +27,8 @@
 //! assert!(report.energy_savings > 0.0 && report.energy_savings < 1.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::fmt;
 use std::sync::Arc;
 

@@ -8,6 +8,8 @@
 //! which is all the annealing baseline needs (statistical quality is not
 //! load-bearing here).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::ops::Range;
 
 /// Seedable random generators (subset).

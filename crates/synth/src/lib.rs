@@ -101,7 +101,8 @@ pub struct SynthesisInput<'f> {
     /// The decompiled function (SSA, profile counts attached).
     pub function: &'f Function,
     /// The loop forest of `function`, computed once per function by the
-    /// caller (the partitioner's candidate harvest keeps one per function).
+    /// caller (the partitioner reads the one the decompiler kept,
+    /// `binpart_core::DecompiledProgram::forests`).
     pub forest: &'f LoopForest,
     /// Blocks of the region to implement in hardware.
     pub region: &'f [BlockId],

@@ -84,6 +84,8 @@
 //!   per-pc execution-count histogram (e.g. the exact counts of a
 //!   `binpart_mips::sim::Profile`) keyed by recovered function extents.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Mutex;

@@ -12,6 +12,8 @@
 //! Every program is deterministic and self-checking: `main` returns a
 //! checksum, identical at every optimization level.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 use binpart_minicc::{compile, CompileError, OptLevel};
 use binpart_mips::Binary;
 
