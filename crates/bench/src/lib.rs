@@ -433,12 +433,9 @@ pub fn read_snapshot_value(key: &str) -> Option<f64> {
 /// Path-parameterized core of [`read_snapshot_value`] so tests can point it
 /// at fixture files without faking the working directory.
 pub fn read_snapshot_value_at(path: &str, key: &str) -> Option<f64> {
-    std::fs::read_to_string(path)
-        .ok()?
-        .split(&format!("\"{key}\":"))
-        .nth(1)
-        .and_then(|t| t.trim().split([',', '}']).next())
-        .and_then(|v| v.trim().parse().ok())
+    parse_json_numbers(&std::fs::read_to_string(path).ok()?)
+        .into_iter()
+        .find_map(|(k, v)| (k == key).then_some(v))
 }
 
 /// Extracts every `"key": number` pair from one flat JSON object, in

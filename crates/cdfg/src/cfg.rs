@@ -1,6 +1,6 @@
 //! CFG utilities: predecessors, orderings, reachability, and cleanup.
 
-use crate::ir::{BlockId, Function, Op, Terminator};
+use crate::ir::{BlockId, Function, Op};
 
 /// Predecessor lists for every block.
 ///
@@ -106,98 +106,10 @@ pub fn remove_unreachable(f: &mut Function) -> usize {
     removed
 }
 
-/// Merges straight-line chains: a block whose single successor has a single
-/// predecessor absorbs it. Also forwards jumps through empty blocks.
-/// Returns `true` if anything changed.
-pub fn simplify(f: &mut Function) -> bool {
-    let mut changed = false;
-    // Forward jumps through empty blocks (no ops, unconditional jump, and no
-    // phis in the target that depend on the edge's identity).
-    loop {
-        let preds = predecessors(f);
-        let mut forwarded = false;
-        for id in f.block_ids().collect::<Vec<_>>() {
-            let target = match f.block(id).term {
-                Terminator::Jump(t) if t != id && f.block(id).ops.is_empty() => t,
-                _ => continue,
-            };
-            if id == f.entry {
-                continue;
-            }
-            let target_has_phi = f
-                .block(target)
-                .ops
-                .iter()
-                .any(|i| matches!(i.op, Op::Phi { .. }));
-            if target_has_phi {
-                continue;
-            }
-            // Redirect all predecessors of `id` to `target`.
-            for p in &preds[id.index()] {
-                f.block_mut(*p).term.map_successors(|s| if s == id { target } else { s });
-            }
-            forwarded = true;
-        }
-        if forwarded {
-            changed |= remove_unreachable(f) > 0 || forwarded;
-        } else {
-            break;
-        }
-    }
-    // Merge single-pred/single-succ chains.
-    loop {
-        let preds = predecessors(f);
-        let mut merged = false;
-        for id in f.block_ids().collect::<Vec<_>>() {
-            let succ = match f.block(id).term {
-                Terminator::Jump(s) if s != id => s,
-                _ => continue,
-            };
-            if succ == f.entry || preds[succ.index()].len() != 1 {
-                continue;
-            }
-            let has_phi = f
-                .block(succ)
-                .ops
-                .iter()
-                .any(|i| matches!(i.op, Op::Phi { .. }));
-            if has_phi {
-                continue;
-            }
-            let mut moved = std::mem::take(&mut f.block_mut(succ).ops);
-            let term = std::mem::replace(&mut f.block_mut(succ).term, Terminator::None);
-            let b = f.block_mut(id);
-            b.ops.append(&mut moved);
-            b.term = term;
-            // Phis in the new successors must re-point their incoming edge.
-            for s in f.block(id).term.successors() {
-                let block = f.block_mut(s);
-                for inst in &mut block.ops {
-                    if let Op::Phi { args, .. } = &mut inst.op {
-                        for (p, _) in args.iter_mut() {
-                            if *p == succ {
-                                *p = id;
-                            }
-                        }
-                    }
-                }
-            }
-            merged = true;
-            changed = true;
-            break;
-        }
-        if !merged {
-            break;
-        }
-        remove_unreachable(f);
-    }
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{Op, Operand, VReg};
+    use crate::ir::{Operand, Terminator};
 
     fn diamond() -> Function {
         // entry -> a, b ; a -> join ; b -> join ; join -> ret
@@ -247,73 +159,5 @@ mod tests {
         // graph still intact
         let preds = predecessors(&f);
         assert_eq!(preds[3].len(), 2);
-    }
-
-    #[test]
-    fn simplify_merges_chains() {
-        let mut f = Function::new("chain");
-        let b1 = f.add_block();
-        let b2 = f.add_block();
-        let r = f.new_vreg();
-        f.block_mut(f.entry).push(Op::Const { dst: r, value: 1 });
-        f.block_mut(f.entry).term = Terminator::Jump(b1);
-        f.block_mut(b1).push(Op::Const { dst: r, value: 2 });
-        f.block_mut(b1).term = Terminator::Jump(b2);
-        f.block_mut(b2).term = Terminator::Return {
-            value: Some(Operand::Reg(r)),
-        };
-        assert!(simplify(&mut f));
-        assert_eq!(f.blocks.len(), 1);
-        assert_eq!(f.block(f.entry).ops.len(), 2);
-        assert!(matches!(
-            f.block(f.entry).term,
-            Terminator::Return { .. }
-        ));
-    }
-
-    #[test]
-    fn simplify_preserves_phi_edges() {
-        // entry branches to a/b; both jump to join with a phi; merging must
-        // keep the phi's incoming blocks consistent.
-        let mut f = diamond();
-        let x = f.new_vreg();
-        let va = f.new_vreg();
-        let vb = f.new_vreg();
-        f.block_mut(BlockId(1)).push(Op::Const { dst: va, value: 1 });
-        f.block_mut(BlockId(2)).push(Op::Const { dst: vb, value: 2 });
-        f.block_mut(BlockId(3)).ops.insert(
-            0,
-            crate::ir::Inst::new(Op::Phi {
-                dst: x,
-                args: vec![
-                    (BlockId(1), Operand::Reg(va)),
-                    (BlockId(2), Operand::Reg(vb)),
-                ],
-            }),
-        );
-        simplify(&mut f);
-        // The phi block must still have two distinct incoming edges.
-        let phi_args: Vec<_> = f
-            .blocks
-            .iter()
-            .flat_map(|b| &b.ops)
-            .filter_map(|i| match &i.op {
-                Op::Phi { args, .. } => Some(args.len()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(phi_args, vec![2]);
-        let preds = predecessors(&f);
-        let phi_block = f
-            .block_ids()
-            .find(|&b| {
-                f.block(b)
-                    .ops
-                    .iter()
-                    .any(|i| matches!(i.op, Op::Phi { .. }))
-            })
-            .unwrap();
-        assert_eq!(preds[phi_block.index()].len(), 2);
-        let _ = VReg(0);
     }
 }

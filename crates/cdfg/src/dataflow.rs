@@ -1,10 +1,10 @@
-//! Dataflow analyses: liveness and SSA definition sites.
+//! Per-register tables over a function: a register bitset, per-register
+//! lists in compressed-sparse-row form, and SSA definition sites.
 
-use crate::cfg;
-use crate::ir::{BlockId, Function, Op, Operand, VReg};
+use crate::ir::{BlockId, Function, Op, VReg};
 
 /// A dense bitset over virtual registers.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct RegSet {
     words: Vec<u64>,
 }
@@ -27,154 +27,80 @@ impl RegSet {
         self.words[w] |= 1 << b;
         !had
     }
+}
 
-    /// Removes `r`.
-    pub fn remove(&mut self, r: VReg) {
-        if let Some(w) = self.words.get_mut(r.index() / 64) {
-            *w &= !(1 << (r.index() % 64));
+/// One list of items per register, in compressed-sparse-row form: every
+/// list lives in one flat array, and register `r`'s list is the slice
+/// between two offsets. Building it costs two allocations however many
+/// registers there are, where a `Vec` per register costs one each.
+#[derive(Debug)]
+pub struct RegLists<T> {
+    /// `off[r]..off[r + 1]` is register `r`'s slice of `flat`.
+    off: Vec<u32>,
+    flat: Vec<T>,
+}
+
+/// What [`RegLists::build`]'s enumeration pushes `(register, item)` pairs
+/// into.
+pub struct RegListsSink<'a, T> {
+    off: &'a mut [u32],
+    /// `None` while counting, the flat array while filling.
+    flat: Option<&'a mut [T]>,
+}
+
+impl<T> RegListsSink<'_, T> {
+    /// Appends `item` to the list of `r`; registers outside the table are
+    /// ignored.
+    #[inline]
+    pub fn push(&mut self, r: VReg, item: T) {
+        let i = r.index();
+        if i + 1 >= self.off.len() {
+            return;
         }
-    }
-
-    /// Membership test.
-    pub fn contains(&self, r: VReg) -> bool {
-        self.words
-            .get(r.index() / 64)
-            .is_some_and(|w| w & (1 << (r.index() % 64)) != 0)
-    }
-
-    /// Unions `other` into `self`; returns `true` if anything changed.
-    pub fn union_with(&mut self, other: &RegSet) -> bool {
-        if other.words.len() > self.words.len() {
-            self.words.resize(other.words.len(), 0);
+        match &mut self.flat {
+            None => self.off[i + 1] += 1,
+            Some(flat) => {
+                if let Some(slot) = flat.get_mut(self.off[i] as usize) {
+                    *slot = item;
+                }
+                self.off[i] += 1;
+            }
         }
-        let mut changed = false;
-        for (a, &b) in self.words.iter_mut().zip(&other.words) {
-            let nw = *a | b;
-            changed |= nw != *a;
-            *a = nw;
-        }
-        changed
-    }
-
-    /// Number of members.
-    pub fn len(&self) -> usize {
-        self.words.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Returns `true` when empty.
-    pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Iterates members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = VReg> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            (0..64)
-                .filter(move |b| w & (1u64 << b) != 0)
-                .map(move |b| VReg((wi * 64 + b) as u32))
-        })
     }
 }
 
-/// Per-block live-in/live-out sets.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Live registers at block entry.
-    pub live_in: Vec<RegSet>,
-    /// Live registers at block exit.
-    pub live_out: Vec<RegSet>,
-}
+impl<T: Copy + Default> RegLists<T> {
+    /// The lists of registers `0..n`. `each` enumerates the `(register,
+    /// item)` pairs into its sink; it runs twice, once to count and once to
+    /// fill, and must push the same pairs both times. Each list keeps the
+    /// order its items were pushed in.
+    pub fn build(n: usize, mut each: impl FnMut(&mut RegListsSink<'_, T>)) -> RegLists<T> {
+        let mut off = vec![0u32; n + 1];
+        each(&mut RegListsSink {
+            off: &mut off,
+            flat: None,
+        });
+        for i in 1..=n {
+            off[i] += off[i - 1];
+        }
+        let mut flat = vec![T::default(); off[n] as usize];
+        // Filling advances each `off[r]` from its list's start to its end,
+        // which is the next list's start: shift the offsets back by one.
+        each(&mut RegListsSink {
+            off: &mut off,
+            flat: Some(&mut flat),
+        });
+        off.rotate_right(1);
+        off[0] = 0;
+        RegLists { off, flat }
+    }
 
-impl Liveness {
-    /// Computes backward liveness. Phi uses are attributed to the
-    /// corresponding predecessor edge (standard SSA liveness).
-    pub fn compute(f: &Function) -> Liveness {
-        let n = f.blocks.len();
-        let nv = f.vreg_count() as usize;
-        let mut use_sets = vec![RegSet::new(nv); n];
-        let mut def_sets = vec![RegSet::new(nv); n];
-        // Per-edge phi uses: (pred, reg)
-        let mut phi_uses: Vec<Vec<(BlockId, VReg)>> = vec![Vec::new(); n];
-        for b in f.block_ids() {
-            let bi = b.index();
-            for inst in &f.block(b).ops {
-                match &inst.op {
-                    Op::Phi { dst, args } => {
-                        for (p, a) in args {
-                            if let Operand::Reg(r) = a {
-                                phi_uses[bi].push((*p, *r));
-                            }
-                        }
-                        def_sets[bi].insert(*dst);
-                    }
-                    op => {
-                        op.for_each_use(|o| {
-                            if let Operand::Reg(r) = o {
-                                if !def_sets[bi].contains(*r) {
-                                    use_sets[bi].insert(*r);
-                                }
-                            }
-                        });
-                        if let Some(d) = op.dst() {
-                            def_sets[bi].insert(d);
-                        }
-                    }
-                }
-            }
-            f.block(b).term.for_each_use(|o| {
-                if let Operand::Reg(r) = o {
-                    if !def_sets[bi].contains(*r) {
-                        use_sets[bi].insert(*r);
-                    }
-                }
-            });
+    /// The list of `r`; empty for registers outside the table.
+    pub fn of(&self, r: VReg) -> &[T] {
+        match (self.off.get(r.index()), self.off.get(r.index() + 1)) {
+            (Some(&lo), Some(&hi)) => self.flat.get(lo as usize..hi as usize).unwrap_or(&[]),
+            _ => &[],
         }
-        let mut live_in = vec![RegSet::new(nv); n];
-        let mut live_out = vec![RegSet::new(nv); n];
-        let po = cfg::postorder(f);
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &po {
-                let bi = b.index();
-                // out[b] = union over succ s of (in[s] minus s's phi defs,
-                // plus phi args flowing along edge b->s)
-                let mut out = RegSet::new(nv);
-                for s in f.block(b).term.successors() {
-                    let si = s.index();
-                    out.union_with(&live_in[si]);
-                    // phi destinations are not live on the edge; their args are
-                    for inst in &f.block(s).ops {
-                        if let Op::Phi { dst, .. } = &inst.op {
-                            out.remove(*dst);
-                        } else {
-                            break;
-                        }
-                    }
-                    for (p, r) in &phi_uses[si] {
-                        if *p == b {
-                            out.insert(*r);
-                        }
-                    }
-                }
-                // in[b] = use[b] | (out[b] - def[b])
-                let mut inp = use_sets[bi].clone();
-                for r in out.iter() {
-                    if !def_sets[bi].contains(r) {
-                        inp.insert(r);
-                    }
-                }
-                if out != live_out[bi] {
-                    live_out[bi] = out;
-                    changed = true;
-                }
-                if inp != live_in[bi] {
-                    live_in[bi] = inp;
-                    changed = true;
-                }
-            }
-        }
-        Liveness { live_in, live_out }
     }
 }
 
@@ -215,76 +141,33 @@ impl DefSites {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BinOp, Terminator};
-    use crate::ssa;
+    use crate::ir::{BinOp, Operand, Terminator};
 
     #[test]
     fn regset_basics() {
         let mut s = RegSet::new(4);
-        assert!(s.is_empty());
         assert!(s.insert(VReg(3)));
         assert!(!s.insert(VReg(3)));
         assert!(s.insert(VReg(100))); // grows
-        assert!(s.contains(VReg(3)));
-        assert!(s.contains(VReg(100)));
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![VReg(3), VReg(100)]);
-        s.remove(VReg(3));
-        assert!(!s.contains(VReg(3)));
-        let mut t = RegSet::new(0);
-        assert!(t.union_with(&s));
-        assert!(!t.union_with(&s));
-        assert!(t.contains(VReg(100)));
+        assert!(!s.insert(VReg(100)));
+        assert!(s.insert(VReg(64)));
     }
 
     #[test]
-    fn liveness_through_loop() {
-        // i=0; while (i<10) i++; return i
-        let mut f = Function::new("l");
-        let header = f.add_block();
-        let body = f.add_block();
-        let exit = f.add_block();
-        let i = f.new_vreg();
-        let c = f.new_vreg();
-        f.block_mut(f.entry).push(Op::Const { dst: i, value: 0 });
-        f.block_mut(f.entry).term = Terminator::Jump(header);
-        f.block_mut(header).push(Op::Bin {
-            op: BinOp::LtS,
-            dst: c,
-            lhs: Operand::Reg(i),
-            rhs: Operand::Const(10),
+    fn reg_lists_keep_push_order_per_register() {
+        let pairs = [(2, 'a'), (0, 'b'), (2, 'c'), (9, 'x'), (3, 'd'), (0, 'e')];
+        let lists = RegLists::build(4, |sink| {
+            for &(r, c) in &pairs {
+                sink.push(VReg(r), c);
+            }
         });
-        f.block_mut(header).term = Terminator::Branch {
-            cond: Operand::Reg(c),
-            t: body,
-            f: exit,
-        };
-        f.block_mut(body).push(Op::Bin {
-            op: BinOp::Add,
-            dst: i,
-            lhs: Operand::Reg(i),
-            rhs: Operand::Const(1),
-        });
-        f.block_mut(body).term = Terminator::Jump(header);
-        f.block_mut(exit).term = Terminator::Return {
-            value: Some(Operand::Reg(i)),
-        };
-        ssa::construct(&mut f);
-        let live = Liveness::compute(&f);
-        // The phi result is live into the body and the exit.
-        let phi_dst = f
-            .block(header)
-            .ops
-            .iter()
-            .find_map(|x| match &x.op {
-                Op::Phi { dst, .. } => Some(*dst),
-                _ => None,
-            })
-            .unwrap();
-        assert!(live.live_in[body.index()].contains(phi_dst));
-        assert!(live.live_in[exit.index()].contains(phi_dst));
-        // Nothing is live into the entry.
-        assert!(live.live_in[f.entry.index()].is_empty());
+        assert_eq!(lists.of(VReg(0)), ['b', 'e']);
+        assert_eq!(lists.of(VReg(1)), [] as [char; 0]);
+        assert_eq!(lists.of(VReg(2)), ['a', 'c']);
+        assert_eq!(lists.of(VReg(3)), ['d']);
+        // Register 9 is outside the table: dropped, and reads as empty.
+        assert!(lists.of(VReg(9)).is_empty());
+        assert!(RegLists::<u32>::build(0, |_| {}).of(VReg(0)).is_empty());
     }
 
     #[test]

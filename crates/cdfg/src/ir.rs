@@ -30,7 +30,7 @@ impl fmt::Display for VReg {
 }
 
 /// A basic-block identifier (index into [`Function::blocks`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 impl BlockId {

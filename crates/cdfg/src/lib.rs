@@ -1,17 +1,18 @@
 //! Control/data-flow-graph substrate for the decompilation-based
 //! partitioning flow.
 //!
-//! The crate defines an instruction-set-independent micro-IR ([`ir::Op`]),
-//! functions of basic blocks ([`ir::Function`]), and the analyses the
-//! decompiler and behavioral synthesizer need:
+//! The crate defines an instruction-set-independent micro-IR and the
+//! analyses the decompiler and behavioral synthesizer need:
 //!
-//! * predecessor/successor and ordering utilities ([`cfg`](mod@cfg)),
-//! * dominator trees and dominance frontiers ([`dom`]),
-//! * natural-loop detection and the loop forest ([`loops`]),
-//! * pruned-SSA construction and verification ([`ssa`]),
-//! * liveness and SSA definition sites ([`dataflow`]),
-//! * high-level control-structure recovery ([`structure`]) — the paper's
-//!   "control structure recovery" stage, classifying ifs and loop kinds.
+//! | file | role | entry point |
+//! |---|---|---|
+//! | `ir.rs` | the micro-IR: operations, basic blocks, functions | [`ir::Function`], [`ir::Op`] |
+//! | `cfg.rs` | predecessors, orderings, unreachable-block removal | [`cfg::predecessors`], [`cfg::remove_unreachable`] |
+//! | `dom.rs` | dominator trees and dominance frontiers | [`dom::Dominators`] |
+//! | `loops.rs` | natural loops, the loop forest, induction variables and trip counts | [`loops::LoopForest`] |
+//! | `ssa.rs` | pruned-SSA construction and verification, and its map-based oracle | [`ssa::construct`], [`ssa::verify`] |
+//! | `dataflow.rs` | per-register tables: a bitset, per-register lists, definition sites | [`dataflow::RegLists`], [`dataflow::DefSites`] |
+//! | `structure.rs` | the paper's control structure recovery: ifs, loop kinds, switches | [`structure::recover`] |
 //!
 //! # Example
 //!

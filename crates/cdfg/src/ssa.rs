@@ -7,6 +7,7 @@
 //! become simple def-use rewrites.
 
 use crate::cfg;
+use crate::dataflow::{RegLists, RegSet};
 use crate::dom::Dominators;
 use crate::ir::{BlockId, Function, Inst, Op, Operand, Terminator, VReg};
 use std::collections::HashMap;
@@ -50,15 +51,12 @@ pub fn construct(f: &mut Function) -> SsaInfo {
     // renaming is below this bound.
     let n0 = f.vreg_count() as usize;
 
-    // Collect definition sites per original variable, and the "globals"
-    // (names that are upward-exposed in some block => live across an edge).
+    // Collect the "globals" (names that are upward-exposed in some block =>
+    // live across an edge) and the definition blocks per original variable.
     // `globals` keeps first-appearance order (it determines phi insertion
     // order); membership tests use bitsets.
-    // CSR layout for definition sites: one flat array plus per-variable
-    // offsets, instead of a heap-allocated list per variable.
-    let mut def_count: Vec<u32> = vec![0; n0 + 1];
     let mut globals: Vec<VReg> = Vec::new();
-    let mut is_global = crate::dataflow::RegSet::new(n0);
+    let mut is_global = RegSet::new(n0);
     // Epoch-stamped "defined in current block" marker: avoids clearing a
     // bitset per block.
     let mut defined_epoch: Vec<u32> = vec![0; n0];
@@ -75,36 +73,28 @@ pub fn construct(f: &mut Function) -> SsaInfo {
             inst.op.for_each_use(|o| note_use(o, &defined_epoch));
             if let Some(d) = inst.op.dst() {
                 defined_epoch[d.index()] = epoch;
-                def_count[d.index() + 1] += 1;
             }
         }
         f.block(b)
             .term
             .for_each_use(|o| note_use(o, &defined_epoch));
     }
-    for i in 1..=n0 {
-        def_count[i] += def_count[i - 1];
-    }
-    let def_off = def_count; // prefix sums: defs of var v sit in off[v]..off[v+1]
-    // `def_count` has `n0 + 1` entries, so `off[n0]` is the total.
-    let mut def_flat: Vec<BlockId> = vec![BlockId(0); def_off[n0] as usize];
-    let mut cursor: Vec<u32> = def_off[..n0].to_vec();
-    for b in f.block_ids() {
-        for inst in &f.block(b).ops {
-            if let Some(d) = inst.op.dst() {
-                def_flat[cursor[d.index()] as usize] = b;
-                cursor[d.index()] += 1;
+    let def_blocks = RegLists::build(n0, |sink| {
+        for b in f.block_ids() {
+            for inst in &f.block(b).ops {
+                if let Some(d) = inst.op.dst() {
+                    sink.push(d, b);
+                }
             }
         }
-    }
+    });
 
     // Phi insertion at iterated dominance frontiers (only for globals).
     let mut placed = vec![0u32; nblocks];
     let mut ever_on_work = vec![0u32; nblocks];
     let mut work: Vec<BlockId> = Vec::new();
     for (vi, &var) in globals.iter().enumerate() {
-        let defs =
-            &def_flat[def_off[var.index()] as usize..def_off[var.index() + 1] as usize];
+        let defs = def_blocks.of(var);
         if defs.is_empty() {
             continue;
         }

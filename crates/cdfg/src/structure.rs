@@ -84,11 +84,6 @@ impl StructureStats {
     pub fn loops(&self) -> usize {
         self.whiles + self.do_whiles + self.self_loops
     }
-
-    /// `loops()` plus conditional constructs — "high-level constructs".
-    pub fn constructs(&self) -> usize {
-        self.loops() + self.ifs + self.if_elses + self.switches
-    }
 }
 
 /// The recovered control tree of a function.

@@ -75,13 +75,6 @@ pub struct DecompiledProgram {
     pub diagnostics: Vec<Diagnostic>,
 }
 
-impl DecompiledProgram {
-    /// The entry function.
-    pub fn entry_function(&self) -> &Function {
-        &self.functions[0]
-    }
-}
-
 /// Decompiles `binary` into optimized SSA CDFGs.
 ///
 /// # Errors
@@ -250,23 +243,9 @@ pub fn sw_cycles_of_blocks(
     // Decompiler passes delete ops (stack loads, moves) whose machine
     // instructions still cost software cycles, so account by pc *range*:
     // the code generator lays a loop nest out contiguously.
-    let mut min_pc = u32::MAX;
-    let mut max_pc = 0u32;
-    for &b in blocks {
-        if let Some(pc) = f.block(b).start_pc {
-            min_pc = min_pc.min(pc);
-            max_pc = max_pc.max(pc);
-        }
-        for inst in &f.block(b).ops {
-            if let Some(pc) = inst.pc {
-                min_pc = min_pc.min(pc);
-                max_pc = max_pc.max(pc);
-            }
-        }
-    }
-    if min_pc > max_pc {
+    let Some((min_pc, max_pc)) = region_pc_range(f, blocks) else {
         return 0;
-    }
+    };
     let mut total = 0u64;
     let mut pc = min_pc;
     while pc <= max_pc {

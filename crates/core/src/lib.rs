@@ -6,11 +6,13 @@
 //! compiler, the flow:
 //!
 //! 1. profiles it on the instruction-set simulator,
-//! 2. **decompiles** it — binary parsing, CDFG creation, control structure
-//!    recovery ([`lift`]), then the decompiler optimizations: constant
-//!    propagation (register-move overhead removal), stack operation
-//!    removal, operator size reduction, strength promotion, and loop
-//!    rerolling ([`opts`]),
+//! 2. **decompiles** it — binary parsing and CDFG creation ([`lift`]),
+//!    then the decompiler optimizations: constant propagation
+//!    (register-move overhead removal), stack operation removal, operator
+//!    size reduction, strength promotion, and loop rerolling ([`opts`]),
+//!    then control structure recovery
+//!    ([`binpart_cdfg::structure`]) — all driven by
+//!    [`decompile()`](decompile::decompile),
 //! 3. partitions it with the three-step 90-10 heuristic using profile and
 //!    alias information ([`partition`], [`alias`]),
 //! 4. synthesizes the selected kernels with a Virtex-II area model
@@ -21,6 +23,25 @@
 //! [`stage::StagedFlow`] drives the whole pipeline, with each stage's
 //! artifact cached; a one-shot run is
 //! `StagedFlow::new(&binary).run(&options)`.
+//!
+//! # Module map
+//!
+//! | file | role | entry point |
+//! |---|---|---|
+//! | `lift.rs` | binary parsing and CDFG creation | [`lift::lift_program`] |
+//! | `decompile.rs` | the decompiler: lift, SSA, the passes in order, structure statistics | [`decompile::decompile`] |
+//! | `opts/mod.rs` | the decompiler optimizations' counters and entry points | [`PassStats`] |
+//! | `opts/const_prop.rs` | constant propagation, with dead-code elimination | [`opts::const_copy_prop`], [`opts::dce`] |
+//! | `opts/stack_ops.rs` | stack operation removal | [`opts::stack_op_removal`] |
+//! | `opts/size_reduction.rs` | operator size reduction | [`opts::size_reduction`] |
+//! | `opts/strength_promotion.rs` | strength promotion | [`opts::strength_promotion`] |
+//! | `opts/reroll.rs` | loop rerolling | [`opts::loop_reroll`] |
+//! | `alias.rs` | the memory regions a loop touches (partitioning step 2) | [`alias::summarize`] |
+//! | `partition.rs` | the three-step 90-10 partitioning heuristic | [`harvest_candidates`], [`partition_with_candidates`] |
+//! | `stage.rs` | the staged, memoized pipeline that runs the whole flow | [`StagedFlow`] |
+//! | `cosim.rs` | cycle-accurate co-simulation of the partitioned program | [`StagedFlow::cosimulate`] |
+//! | `flow.rs` | the flow's options, report and error rollup | [`FlowOptions`], [`FlowReport`], [`FlowError`] |
+//! | `diag.rs` | per-region degradation records | [`Diagnostic`] |
 //!
 //! # Failure policy
 //!

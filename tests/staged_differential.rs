@@ -10,10 +10,9 @@
 //!   one — bit-identical profiles and evaluations;
 //! * the dense (index/bitset-based) SSA construction vs the retained
 //!   map-based oracle (`ssa::reference_construct`) — identical functions
-//!   (same phi placement, same SSA names), identical live-ins, identical
-//!   live-in/live-out sets from the bitset liveness.
+//!   (same phi placement, same SSA names), identical live-ins and the
+//!   same number of registers.
 
-use binpart::cdfg::dataflow::Liveness;
 use binpart::cdfg::ssa;
 use binpart::core::flow::FlowOptions;
 use binpart::core::lift;
@@ -130,20 +129,14 @@ fn dense_ssa_matches_reference_oracle_on_suite() {
                     format!("{reference}"),
                     "{tag}: SSA functions differ"
                 );
+                // Same fresh-name count: the printed functions could agree
+                // while one construction minted names it never used.
+                assert_eq!(
+                    dense.vreg_count(),
+                    reference.vreg_count(),
+                    "{tag}: register counts differ"
+                );
                 ssa::verify(&dense).unwrap_or_else(|e| panic!("{tag}: {e}"));
-                // Liveness over both must agree set-for-set.
-                let ld = Liveness::compute(&dense);
-                let lr = Liveness::compute(&reference);
-                for bi in dense.block_ids() {
-                    assert_eq!(
-                        ld.live_in[bi.index()], lr.live_in[bi.index()],
-                        "{tag}: live-in at {bi:?}"
-                    );
-                    assert_eq!(
-                        ld.live_out[bi.index()], lr.live_out[bi.index()],
-                        "{tag}: live-out at {bi:?}"
-                    );
-                }
                 functions_checked += 1;
             }
         }
