@@ -33,7 +33,10 @@ impl fmt::Display for AsmError {
         match self {
             AsmError::UnboundLabel(l) => write!(f, "label L{} was never bound", l.0),
             AsmError::BranchOutOfRange { at, distance } => {
-                write!(f, "branch at instruction {at} out of range ({distance} words)")
+                write!(
+                    f,
+                    "branch at instruction {at} out of range ({distance} words)"
+                )
             }
             AsmError::RedefinedLabel(l) => write!(f, "label L{} bound twice", l.0),
         }
@@ -175,11 +178,10 @@ impl Asm {
         let mut filled = 0;
         let mut i = 1;
         while i + 1 < self.items.len() {
-            let is_leader =
-                |labels: &Vec<Option<usize>>, idx: usize| labels.contains(&Some(idx));
+            let is_leader = |labels: &Vec<Option<usize>>, idx: usize| labels.contains(&Some(idx));
             let (b, _) = self.items[i];
-            let slot_is_nop = self.items[i + 1].0.is_nop()
-                && matches!(self.items[i + 1].1, Pending::None);
+            let slot_is_nop =
+                self.items[i + 1].0.is_nop() && matches!(self.items[i + 1].1, Pending::None);
             if !b.is_control() || !slot_is_nop || is_leader(&self.labels, i) {
                 i += 1;
                 continue;
@@ -190,9 +192,8 @@ impl Asm {
                 && !is_leader(&self.labels, i - 1)
                 && (i < 2 || !self.items[i - 2].0.is_control())
                 && cand.def().is_none_or(|d| !b.uses().contains(&d))
-                && b.def().is_none_or(|d| {
-                    !cand.uses().contains(&d) && cand.def() != Some(d)
-                });
+                && b.def()
+                    .is_none_or(|d| !cand.uses().contains(&d) && cand.def() != Some(d));
             if movable {
                 // I B nop  =>  B I   (I lands in the delay slot)
                 self.items[i + 1] = self.items[i - 1];
@@ -411,7 +412,8 @@ impl Asm {
 
     /// `j label`
     pub fn j(&mut self, label: Label) {
-        self.items.push((Instr::J { target: 0 }, Pending::Jump(label)));
+        self.items
+            .push((Instr::J { target: 0 }, Pending::Jump(label)));
     }
 
     /// `jal label`

@@ -176,41 +176,13 @@ pub fn decode(word: u32) -> Result<Instr, DecodeError> {
         },
         0x06 if rt == Reg::Zero => Blez { rs, offset: imm_i },
         0x07 if rt == Reg::Zero => Bgtz { rs, offset: imm_i },
-        0x08 => Addi {
-            rt,
-            rs,
-            imm: imm_i,
-        },
-        0x09 => Addiu {
-            rt,
-            rs,
-            imm: imm_i,
-        },
-        0x0a => Slti {
-            rt,
-            rs,
-            imm: imm_i,
-        },
-        0x0b => Sltiu {
-            rt,
-            rs,
-            imm: imm_i,
-        },
-        0x0c => Andi {
-            rt,
-            rs,
-            imm: imm_u,
-        },
-        0x0d => Ori {
-            rt,
-            rs,
-            imm: imm_u,
-        },
-        0x0e => Xori {
-            rt,
-            rs,
-            imm: imm_u,
-        },
+        0x08 => Addi { rt, rs, imm: imm_i },
+        0x09 => Addiu { rt, rs, imm: imm_i },
+        0x0a => Slti { rt, rs, imm: imm_i },
+        0x0b => Sltiu { rt, rs, imm: imm_i },
+        0x0c => Andi { rt, rs, imm: imm_u },
+        0x0d => Ori { rt, rs, imm: imm_u },
+        0x0e => Xori { rt, rs, imm: imm_u },
         0x0f => Lui { rt, imm: imm_u },
         0x20 => Lb {
             rt,

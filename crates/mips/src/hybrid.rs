@@ -640,7 +640,8 @@ mod tests {
             (with_stack, 0, None, None),
         ];
         for (stores, mismatches, hw, sw) in cases {
-            let mut hm = HybridMachine::new(&binary, SimConfig::default(), regions.clone()).unwrap();
+            let mut hm =
+                HybridMachine::new(&binary, SimConfig::default(), regions.clone()).unwrap();
             let hx = hm.run(&mut FixedAccel(stores)).unwrap();
             let k = &hx.kernels[0];
             assert_eq!(k.stores_checked, 4, "the oracle's data stores");

@@ -211,14 +211,37 @@ impl Instr {
     pub fn def(self) -> Option<Reg> {
         use Instr::*;
         let r = match self {
-            Add { rd, .. } | Addu { rd, .. } | Sub { rd, .. } | Subu { rd, .. }
-            | And { rd, .. } | Or { rd, .. } | Xor { rd, .. } | Nor { rd, .. }
-            | Slt { rd, .. } | Sltu { rd, .. } | Sll { rd, .. } | Srl { rd, .. }
-            | Sra { rd, .. } | Sllv { rd, .. } | Srlv { rd, .. } | Srav { rd, .. }
-            | Mfhi { rd } | Mflo { rd } | Jalr { rd, .. } => rd,
-            Addi { rt, .. } | Addiu { rt, .. } | Slti { rt, .. } | Sltiu { rt, .. }
-            | Andi { rt, .. } | Ori { rt, .. } | Xori { rt, .. } | Lui { rt, .. }
-            | Lb { rt, .. } | Lbu { rt, .. } | Lh { rt, .. } | Lhu { rt, .. }
+            Add { rd, .. }
+            | Addu { rd, .. }
+            | Sub { rd, .. }
+            | Subu { rd, .. }
+            | And { rd, .. }
+            | Or { rd, .. }
+            | Xor { rd, .. }
+            | Nor { rd, .. }
+            | Slt { rd, .. }
+            | Sltu { rd, .. }
+            | Sll { rd, .. }
+            | Srl { rd, .. }
+            | Sra { rd, .. }
+            | Sllv { rd, .. }
+            | Srlv { rd, .. }
+            | Srav { rd, .. }
+            | Mfhi { rd }
+            | Mflo { rd }
+            | Jalr { rd, .. } => rd,
+            Addi { rt, .. }
+            | Addiu { rt, .. }
+            | Slti { rt, .. }
+            | Sltiu { rt, .. }
+            | Andi { rt, .. }
+            | Ori { rt, .. }
+            | Xori { rt, .. }
+            | Lui { rt, .. }
+            | Lb { rt, .. }
+            | Lbu { rt, .. }
+            | Lh { rt, .. }
+            | Lhu { rt, .. }
             | Lw { rt, .. } => rt,
             Jal { .. } => Reg::Ra,
             _ => return None,
@@ -234,18 +257,43 @@ impl Instr {
     pub fn uses(self) -> Vec<Reg> {
         use Instr::*;
         let v: Vec<Reg> = match self {
-            Add { rs, rt, .. } | Addu { rs, rt, .. } | Sub { rs, rt, .. }
-            | Subu { rs, rt, .. } | And { rs, rt, .. } | Or { rs, rt, .. }
-            | Xor { rs, rt, .. } | Nor { rs, rt, .. } | Slt { rs, rt, .. }
-            | Sltu { rs, rt, .. } | Mult { rs, rt } | Multu { rs, rt } | Div { rs, rt }
-            | Divu { rs, rt } | Beq { rs, rt, .. } | Bne { rs, rt, .. } => vec![rs, rt],
+            Add { rs, rt, .. }
+            | Addu { rs, rt, .. }
+            | Sub { rs, rt, .. }
+            | Subu { rs, rt, .. }
+            | And { rs, rt, .. }
+            | Or { rs, rt, .. }
+            | Xor { rs, rt, .. }
+            | Nor { rs, rt, .. }
+            | Slt { rs, rt, .. }
+            | Sltu { rs, rt, .. }
+            | Mult { rs, rt }
+            | Multu { rs, rt }
+            | Div { rs, rt }
+            | Divu { rs, rt }
+            | Beq { rs, rt, .. }
+            | Bne { rs, rt, .. } => vec![rs, rt],
             Sllv { rt, rs, .. } | Srlv { rt, rs, .. } | Srav { rt, rs, .. } => vec![rt, rs],
             Sll { rt, .. } | Srl { rt, .. } | Sra { rt, .. } => vec![rt],
-            Addi { rs, .. } | Addiu { rs, .. } | Slti { rs, .. } | Sltiu { rs, .. }
-            | Andi { rs, .. } | Ori { rs, .. } | Xori { rs, .. } | Blez { rs, .. }
-            | Bgtz { rs, .. } | Bltz { rs, .. } | Bgez { rs, .. } | Jr { rs }
-            | Jalr { rs, .. } | Mthi { rs } | Mtlo { rs } => vec![rs],
-            Lb { base, .. } | Lbu { base, .. } | Lh { base, .. } | Lhu { base, .. }
+            Addi { rs, .. }
+            | Addiu { rs, .. }
+            | Slti { rs, .. }
+            | Sltiu { rs, .. }
+            | Andi { rs, .. }
+            | Ori { rs, .. }
+            | Xori { rs, .. }
+            | Blez { rs, .. }
+            | Bgtz { rs, .. }
+            | Bltz { rs, .. }
+            | Bgez { rs, .. }
+            | Jr { rs }
+            | Jalr { rs, .. }
+            | Mthi { rs }
+            | Mtlo { rs } => vec![rs],
+            Lb { base, .. }
+            | Lbu { base, .. }
+            | Lh { base, .. }
+            | Lhu { base, .. }
             | Lw { base, .. } => vec![base],
             Sb { rt, base, .. } | Sh { rt, base, .. } | Sw { rt, base, .. } => vec![rt, base],
             Lui { .. } | J { .. } | Jal { .. } | Mfhi { .. } | Mflo { .. } | Break { .. } => {

@@ -7,6 +7,19 @@
 //! correct branch delay slots) collecting a [`sim::Profile`], and the
 //! decompiler in `binpart-core` re-parses the same words back into a CDFG.
 //!
+//! | file | role | entry point |
+//! |---|---|---|
+//! | `instr.rs` | the MIPS-I subset instruction enum and its text form | [`Instr`] |
+//! | `reg.rs` | general-purpose register names | [`Reg`] |
+//! | `encode.rs` | 32-bit word encoding and decoding | [`encode::encode`], [`encode::decode`] |
+//! | `asm.rs` | label-based assembler with pseudo-instructions | [`Asm`] |
+//! | `binary.rs` | the binary image: text, data, entry, optional symbols | [`Binary`], [`BinaryBuilder`] |
+//! | `cycles.rs` | per-instruction cycle costs | [`CycleModel`] |
+//! | `sim.rs` | the simulator: paged memory, pre-decode, block dispatch, superinstruction fusion, profile | [`sim::Machine`], [`sim::Profile`] |
+//! | `superblock.rs` | the trace cache: record hot dispatch rounds, fuse them, replay them | [`sim::Machine::trace_cache_stats`] |
+//! | `reference.rs` | the seed simulator, kept as the differential oracle | [`reference::ReferenceMachine`] |
+//! | `hybrid.rs` | the CPU/FPGA machine: trap at partitioned regions, run an accelerator, diff its stores | [`hybrid::HybridMachine`] |
+//!
 //! # Example
 //!
 //! Assemble a tiny program that sums 10..=1 into `$v0`, run it, and inspect
@@ -41,9 +54,9 @@
 
 pub mod asm;
 pub mod binary;
-pub mod hybrid;
 pub mod cycles;
 pub mod encode;
+pub mod hybrid;
 pub mod instr;
 pub mod reference;
 pub mod reg;

@@ -40,32 +40,30 @@
 //!   costs one trip around the outer loop instead of three. All hot state
 //!   (registers, pc chain, counters) lives in locals for the duration of
 //!   [`Machine::run`].
-//! * **Superinstruction fusion.** A peephole pass ([`fuse`]) over the
-//!   pre-decoded stream rewrites hot adjacent pairs/triples into single
-//!   fused micro-ops, attacking the dominant remaining cost on
-//!   register-resident code: dispatch itself (one indirect branch per
-//!   op). Each fused arm is straight-line code executing its
-//!   constituents' semantics in original order against the real register
-//!   file, so chained, aliased, and `$zero`-destination forms — and
-//!   therefore architectural state, cycle totals, and [`Profile`]
-//!   counts — are bit-identical to per-op execution. The pattern table,
-//!   selected from the suite's measured dynamic-pair histogram (see
-//!   `examples/fusion_histogram.rs`):
+//! * **Superinstruction fusion inside superblocks.** A peephole pass
+//!   ([`fuse`]) rewrites hot adjacent pairs/triples into single fused
+//!   micro-ops, attacking the dominant remaining cost on register-resident
+//!   code: dispatch itself (one indirect branch per op). It runs only when
+//!   a superblock is installed, over the text slots of each recorded
+//!   round (see below): control enters a round only at its first slot, so
+//!   no pattern can be entered part-way, and the dispatcher itself always
+//!   executes the plain pre-decoded ops. Each fused arm is straight-line
+//!   code executing its constituents' semantics in original order against
+//!   the real register file, so chained, aliased, and `$zero`-destination
+//!   forms — and therefore architectural state, cycle totals, and
+//!   [`Profile`] counts — are bit-identical to per-op execution. The
+//!   pattern table, selected from the suite's measured dynamic-pair
+//!   histogram (see `examples/fusion_histogram.rs`):
 //!
 //!   | patterns | guards |
 //!   |---|---|
 //!   | `addiu+addiu` (chained/independent), `mult/multu+mflo`, `lui+ori` / `lui+addiu` (`li` idioms), `slt/sltu/slti/sltiu+beq/bne` vs `$zero` (fused control op) | compare dest non-zero, one branch operand `$zero` |
 //!   | `addiu+slt/sltu+beq/bne` loop back edge (width-3 control), `mult+mflo+addu` MAC, `sll+addu+lw/sw` array indexing, `addu+lw/lbu/sw`, `addiu+lw/sw`, `sw+lw` / `lw+sw` / `lw+lw` spill pairs, `lw+addiu/addu`, and the generic ALU pairs `addu+addiu`, `sll+addiu`, `addiu+srl`, `srl+addiu`, `ori+addiu` | memory base chained to the address producer where the encoding needs it |
 //!
-//!   Fusion never starts at a control op (except the fused
-//!   compare-and-branch forms, which dispatch through the control
-//!   epilogue), never consumes a statically known entry point (branch/
-//!   jump targets, call returns, the binary entry), and keeps the unfused
-//!   op in every consumed slot — direct control-flow entry mid-pattern,
-//!   delay-slot execution, and step-budget boundaries all fall back to
-//!   per-op dispatch with exact accounting. A fused memory op that faults
-//!   reports the faulting *constituent's* pc and skips the rest, so
-//!   partial profiles match the reference bit-for-bit.
+//!   Fusion never starts at a control op; the fused compare-and-branch
+//!   forms end a round and run as its control epilogue. A fused memory op
+//!   that faults reports the faulting *constituent's* pc and skips the
+//!   rest, so partial profiles match the reference bit-for-bit.
 //! * **Superblock trace cache with threaded-code translation.** On top of
 //!   block dispatch, the engine records hot paths *across* taken branches
 //!   and replays them as straight-line threaded code
@@ -80,9 +78,8 @@
 //!      re-enters another trace head, or hits a segment/length cap.
 //!   2. **Specialize.** The recorded rounds are frozen into segments with
 //!      everything the dispatcher would recompute pre-resolved: dense
-//!      body micro-ops re-fused across the trace's own internal
-//!      boundaries (entry marks inside the trace no longer constrain
-//!      fusion), per-segment instruction/cycle charges as constants,
+//!      body micro-ops fused ([`fuse`]) over each round's slots,
+//!      per-segment instruction/cycle charges as constants,
 //!      canonical-`nop` delay slots marked for skipping, and
 //!      unconditional direct transfers marked to bypass control
 //!      resolution entirely. The dominant shapes (1- and 2-segment loop
@@ -121,9 +118,9 @@
 //!   compiles every hook out. Total cycles/instructions are architectural
 //!   and always kept.
 //!
-//! [`Machine::new`] always builds the fused stream and the trace cache:
-//! there is one engine. Cold code dispatches over the fused stream; hot
-//! paths replay as superblocks.
+//! [`Machine::new`] pre-decodes the text and builds the trace cache: there
+//! is one engine. Cold code dispatches the plain pre-decoded ops; hot paths
+//! replay as fused superblocks.
 //!
 //! Measured on the 20-benchmark workload suite across all four compiler
 //! optimization levels (the matrix the experiment harness simulates), the
@@ -960,81 +957,36 @@ pub(crate) fn is_control(code: OpCode) -> bool {
     )
 }
 
-/// Marks every text index that may be entered by a control transfer: static
-/// branch/jump targets, call return points (`jal`/`jalr` + 8), and the
-/// binary entry. Fusion refuses to *consume* a marked index as a non-first
-/// constituent so a superinstruction never spans a (statically known) block
-/// boundary; direct entry at a consumed index falls back to the unfused
-/// stream regardless, so this is about keeping fusion aligned with basic
-/// blocks, not correctness.
-fn entry_points(ops: &[Op], text_base: u32, entry: u32) -> Vec<bool> {
-    let mut marks = vec![false; ops.len()];
-    fn mark(marks: &mut [bool], text_base: u32, addr: u32) {
-        let off = addr.wrapping_sub(text_base);
-        if off.is_multiple_of(4) && ((off / 4) as usize) < marks.len() {
-            marks[(off / 4) as usize] = true;
-        }
-    }
-    mark(&mut marks, text_base, entry);
-    for i in 0..ops.len() {
-        match ops[i].code {
-            OpCode::Beq
-            | OpCode::Bne
-            | OpCode::Blez
-            | OpCode::Bgtz
-            | OpCode::Bltz
-            | OpCode::Bgez
-            | OpCode::J
-            | OpCode::Jal => mark(&mut marks, text_base, ops[i].imm),
-            _ => {}
-        }
-        // Call return points: a `jr $ra` can land on pc + 8 of any call.
-        if matches!(ops[i].code, OpCode::Jal | OpCode::Jalr) && i + 2 < ops.len() {
-            marks[i + 2] = true;
-        }
-    }
-    marks
-}
-
-/// Builds the fused dispatch stream: a copy of `ops` where the first slot
-/// of each matched pattern is replaced by its superinstruction. Consumed
-/// slots keep their original (unfused) op so direct control-flow entry at
-/// any address still dispatches exactly one architectural instruction.
+/// Fuses the ops of one recorded round into the dense sequence a
+/// superblock segment dispatches: each matched pattern becomes one
+/// superinstruction covering `width` slots; every other op is kept as is.
 ///
-/// Matching is greedy left-to-right (longest pattern first), never starts
-/// at a control op, and never consumes a statically known entry point.
-pub(crate) fn fuse(ops: &[Op], entries: &[bool]) -> Vec<Op> {
-    let mut fops = ops.to_vec();
+/// Matching is greedy left-to-right (longest pattern first) and never
+/// starts at a control op. Control enters a round only at its first slot,
+/// so no pattern can be entered part-way.
+pub(crate) fn fuse(ops: &[Op]) -> Vec<Op> {
+    let mut dense = Vec::with_capacity(ops.len());
     let mut i = 0;
-    while i + 1 < ops.len() {
-        if is_control(ops[i].code) {
-            i += 1;
-            continue;
-        }
-        match fuse_at(ops, entries, i) {
-            Some(f) => {
-                let w = f.width as usize;
-                fops[i] = f;
-                i += w;
-            }
-            None => i += 1,
-        }
+    while i < ops.len() {
+        let op = if is_control(ops[i].code) {
+            ops[i]
+        } else {
+            fuse_at(ops, i).unwrap_or(ops[i])
+        };
+        dense.push(op);
+        i += op.width as usize;
     }
-    fops
+    dense
 }
 
 /// Attempts to fuse the pattern starting at `i`. Fused ops re-read the
 /// register file between constituent writes, so chained, independent, and
 /// `$zero`-destination forms are all handled by one generic encoding.
-fn fuse_at(ops: &[Op], entries: &[bool], i: usize) -> Option<Op> {
+fn fuse_at(ops: &[Op], i: usize) -> Option<Op> {
     let a = ops[i];
-    let b = ops[i + 1];
-    if entries[i + 1] {
-        return None;
-    }
+    let b = *ops.get(i + 1)?;
     // Triples first (longest match wins).
-    if i + 2 < ops.len() && !entries[i + 2] {
-        let c = ops[i + 2];
+    if let Some(&c) = ops.get(i + 2) {
         // addiu; slt/sltu; beq/bne rd, $zero — the counted-loop back edge
         // as one fused *control* op (executes in the dispatch epilogue).
         // The addiu source rides in `e` next to the compare sub-kind.
@@ -1173,10 +1125,9 @@ fn fuse_at(ops: &[Op], entries: &[bool], i: usize) -> Option<Op> {
         // slt-class compare feeding beq/bne against $zero: a fused control
         // op (executes in the dispatch epilogue). The compare destination
         // must be a real register and one branch operand must be $zero.
-        (
-            OpCode::Slt | OpCode::Sltu | OpCode::Slti | OpCode::Sltiu,
-            OpCode::Beq | OpCode::Bne,
-        ) if a.a != 0 && ((b.b == a.a && b.c == 0) || (b.b == 0 && b.c == a.a)) => {
+        (OpCode::Slt | OpCode::Sltu | OpCode::Slti | OpCode::Sltiu, OpCode::Beq | OpCode::Bne)
+            if a.a != 0 && ((b.b == a.a && b.c == 0) || (b.b == 0 && b.c == a.a)) =>
+        {
             let kind = match a.code {
                 OpCode::Slt => 0,
                 OpCode::Sltu => 1,
@@ -1365,33 +1316,24 @@ fn pair2(code: OpCode, a: Op, b: Op) -> Op {
 const PLAN_FUSED: u32 = 1 << 31;
 const PLAN_LEN: u32 = (1 << 24) - 1;
 
-/// Builds the dispatch plan over the *fused* stream `fops`. Run lengths are
-/// in text slots (fused ops advance by their width at run time); the
-/// epilogue flag requires the delay slot — the slot after the control op's
-/// full width — to be a plain op in the *unfused* stream `ops`, because the
-/// delay slot always executes exactly one architectural instruction.
-fn build_plans(fops: &[Op], ops: &[Op]) -> Vec<u32> {
-    build_plans_bounded(fops, ops, &[])
-}
-
-/// [`build_plans`] with *dispatch boundaries*: at every index marked in
-/// `boundary`, a dispatch round must begin (so the outer loop's pc checks —
-/// halt, watch, budget — observe that address). Straight-line runs are
-/// truncated to end just before a boundary, and a control epilogue whose
-/// constituents or delay slot would cross one loses its fused flag.
-/// An empty `boundary` reproduces [`build_plans`] exactly.
-fn build_plans_bounded(fops: &[Op], ops: &[Op], boundary: &[bool]) -> Vec<u32> {
+/// Builds the dispatch plan over `ops`, with *dispatch boundaries*: at
+/// every index marked in `boundary`, a dispatch round must begin (so the
+/// outer loop's pc checks — halt, watch, budget — observe that address).
+/// Straight-line runs are truncated to end just before a boundary, and a
+/// control op loses its epilogue flag when its delay slot is a boundary or
+/// not a plain op. An empty `boundary` marks nothing.
+fn build_plans(ops: &[Op], boundary: &[bool]) -> Vec<u32> {
     let bounded = |k: usize| boundary.get(k).copied().unwrap_or(false);
-    let mut v = vec![0u32; fops.len()];
-    for i in (0..fops.len()).rev() {
-        if !is_control(fops[i].code) {
+    let mut v = vec![0u32; ops.len()];
+    for i in (0..ops.len()).rev() {
+        if !is_control(ops[i].code) {
             if bounded(i + 1) {
                 // The run must stop at the boundary: just this op, and the
                 // run's end is not the fusable control op.
                 v[i] = 1;
                 continue;
             }
-            let next = if i + 1 < fops.len() { v[i + 1] } else { 0 };
+            let next = v.get(i + 1).copied().unwrap_or(0);
             let len = (next & PLAN_LEN) + 1;
             if len >= PLAN_LEN {
                 // Saturated: the run is truncated, so its end is not the
@@ -1400,11 +1342,9 @@ fn build_plans_bounded(fops: &[Op], ops: &[Op], boundary: &[bool]) -> Vec<u32> {
             } else {
                 v[i] = len | (next & PLAN_FUSED);
             }
-        } else if fops[i].code != OpCode::Break {
-            let w = fops[i].width as usize;
-            let slot = i + w;
-            let crosses = (i + 1..=slot).any(bounded);
-            if slot < ops.len() && !is_control(ops[slot].code) && !crosses {
+        } else if ops[i].code != OpCode::Break {
+            let slot = i + 1;
+            if slot < ops.len() && !is_control(ops[slot].code) && !bounded(slot) {
                 v[i] = PLAN_FUSED;
             }
         }
@@ -1521,7 +1461,20 @@ pub(crate) fn resolve_control(cop: Op, ctl_pc: u32, regs: &mut [u32; 32]) -> Opt
             reg_write(regs, cop.a, ctl_pc.wrapping_add(8));
             Some(t)
         }
+        // `build_plans` flags only non-`break` control ops, and every
+        // segment's control op is such a flagged round's, maybe fused.
         _ => unreachable!("fusable excludes non-control and break"),
+    }
+}
+
+/// `addr` if it is a multiple of `align` (2 or 4); otherwise the
+/// unaligned-access fault of the instruction at `pc`.
+#[inline(always)]
+fn aligned(addr: u32, align: u32, pc: u32) -> Result<u32, SimError> {
+    if addr & (align - 1) == 0 {
+        Ok(addr)
+    } else {
+        Err(SimError::Unaligned { addr, pc })
     }
 }
 
@@ -1549,11 +1502,19 @@ pub(crate) fn exec_op<P: Profiler>(
 ) -> Result<Outcome, SimError> {
     let taken = match op.code {
         OpCode::Addu => {
-            reg_write(regs, op.a, reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)));
+            reg_write(
+                regs,
+                op.a,
+                reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)),
+            );
             false
         }
         OpCode::Subu => {
-            reg_write(regs, op.a, reg_read(regs, op.b).wrapping_sub(reg_read(regs, op.c)));
+            reg_write(
+                regs,
+                op.a,
+                reg_read(regs, op.b).wrapping_sub(reg_read(regs, op.c)),
+            );
             false
         }
         OpCode::And => {
@@ -1581,7 +1542,11 @@ pub(crate) fn exec_op<P: Profiler>(
             false
         }
         OpCode::Sltu => {
-            reg_write(regs, op.a, (reg_read(regs, op.b) < reg_read(regs, op.c)) as u32);
+            reg_write(
+                regs,
+                op.a,
+                (reg_read(regs, op.b) < reg_read(regs, op.c)) as u32,
+            );
             false
         }
         OpCode::Sll => {
@@ -1593,15 +1558,27 @@ pub(crate) fn exec_op<P: Profiler>(
             false
         }
         OpCode::Sra => {
-            reg_write(regs, op.a, ((reg_read(regs, op.b) as i32) >> (op.imm & 31)) as u32);
+            reg_write(
+                regs,
+                op.a,
+                ((reg_read(regs, op.b) as i32) >> (op.imm & 31)) as u32,
+            );
             false
         }
         OpCode::Sllv => {
-            reg_write(regs, op.a, reg_read(regs, op.b) << (reg_read(regs, op.c) & 0x1f));
+            reg_write(
+                regs,
+                op.a,
+                reg_read(regs, op.b) << (reg_read(regs, op.c) & 0x1f),
+            );
             false
         }
         OpCode::Srlv => {
-            reg_write(regs, op.a, reg_read(regs, op.b) >> (reg_read(regs, op.c) & 0x1f));
+            reg_write(
+                regs,
+                op.a,
+                reg_read(regs, op.b) >> (reg_read(regs, op.c) & 0x1f),
+            );
             false
         }
         OpCode::Srav => {
@@ -1668,7 +1645,11 @@ pub(crate) fn exec_op<P: Profiler>(
             false
         }
         OpCode::Slti => {
-            reg_write(regs, op.a, ((reg_read(regs, op.b) as i32) < op.imm as i32) as u32);
+            reg_write(
+                regs,
+                op.a,
+                ((reg_read(regs, op.b) as i32) < op.imm as i32) as u32,
+            );
             false
         }
         OpCode::Sltiu => {
@@ -1704,28 +1685,19 @@ pub(crate) fn exec_op<P: Profiler>(
             false
         }
         OpCode::Lh => {
-            let a = reg_read(regs, op.b).wrapping_add(op.imm);
-            if a & 1 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc });
-            }
+            let a = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 2, pc)?;
             let v = mem.read_u16(a) as i16 as i32 as u32;
             reg_write(regs, op.a, v);
             false
         }
         OpCode::Lhu => {
-            let a = reg_read(regs, op.b).wrapping_add(op.imm);
-            if a & 1 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc });
-            }
+            let a = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 2, pc)?;
             let v = mem.read_u16(a) as u32;
             reg_write(regs, op.a, v);
             false
         }
         OpCode::Lw => {
-            let a = reg_read(regs, op.b).wrapping_add(op.imm);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc });
-            }
+            let a = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let v = mem.read_u32(a);
             reg_write(regs, op.a, v);
             false
@@ -1738,20 +1710,14 @@ pub(crate) fn exec_op<P: Profiler>(
             false
         }
         OpCode::Sh => {
-            let a = reg_read(regs, op.b).wrapping_add(op.imm);
-            if a & 1 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc });
-            }
+            let a = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 2, pc)?;
             let v = reg_read(regs, op.c);
             prof.on_store_at(a, 2, v);
             mem.write_u16(a, v as u16);
             false
         }
         OpCode::Sw => {
-            let a = reg_read(regs, op.b).wrapping_add(op.imm);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc });
-            }
+            let a = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let v = reg_read(regs, op.c);
             prof.on_store_at(a, 4, v);
             mem.write_u32(a, v);
@@ -1788,20 +1754,22 @@ pub(crate) fn exec_op<P: Profiler>(
         }
         OpCode::FAddiuLw => {
             reg_write(regs, op.d, reg_read(regs, op.b).wrapping_add(op.imm));
-            let a = reg_read(regs, op.c).wrapping_add(op.imm2);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(4) });
-            }
+            let a = aligned(
+                reg_read(regs, op.c).wrapping_add(op.imm2),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let v = mem.read_u32(a);
             reg_write(regs, op.a, v);
             false
         }
         OpCode::FAddiuSw => {
             reg_write(regs, op.d, reg_read(regs, op.b).wrapping_add(op.imm));
-            let a = reg_read(regs, op.c).wrapping_add(op.imm2);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(4) });
-            }
+            let a = aligned(
+                reg_read(regs, op.c).wrapping_add(op.imm2),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let v = reg_read(regs, op.e);
             prof.on_store_at(a, 4, v);
             mem.write_u32(a, v);
@@ -1809,22 +1777,32 @@ pub(crate) fn exec_op<P: Profiler>(
         }
         OpCode::FSllAdduLw => {
             reg_write(regs, op.d, reg_read(regs, op.b) << (op.imm2 & 31));
-            reg_write(regs, op.e, reg_read(regs, op.d).wrapping_add(reg_read(regs, op.c)));
-            let a = reg_read(regs, op.e).wrapping_add(op.imm);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(8) });
-            }
+            reg_write(
+                regs,
+                op.e,
+                reg_read(regs, op.d).wrapping_add(reg_read(regs, op.c)),
+            );
+            let a = aligned(
+                reg_read(regs, op.e).wrapping_add(op.imm),
+                4,
+                pc.wrapping_add(8),
+            )?;
             let v = mem.read_u32(a);
             reg_write(regs, op.a, v);
             false
         }
         OpCode::FSllAdduSw => {
             reg_write(regs, op.d, reg_read(regs, op.b) << (op.imm2 & 31));
-            reg_write(regs, op.e, reg_read(regs, op.d).wrapping_add(reg_read(regs, op.c)));
-            let a = reg_read(regs, op.e).wrapping_add(op.imm);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(8) });
-            }
+            reg_write(
+                regs,
+                op.e,
+                reg_read(regs, op.d).wrapping_add(reg_read(regs, op.c)),
+            );
+            let a = aligned(
+                reg_read(regs, op.e).wrapping_add(op.imm),
+                4,
+                pc.wrapping_add(8),
+            )?;
             let v = reg_read(regs, op.a);
             prof.on_store_at(a, 4, v);
             mem.write_u32(a, v);
@@ -1843,102 +1821,112 @@ pub(crate) fn exec_op<P: Profiler>(
             false
         }
         OpCode::FAdduLw => {
-            reg_write(regs, op.d, reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)));
-            let a = reg_read(regs, op.d).wrapping_add(op.imm);
-            if a & 3 != 0 {
-                return Err(SimError::Unaligned { addr: a, pc: pc.wrapping_add(4) });
-            }
+            reg_write(
+                regs,
+                op.d,
+                reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)),
+            );
+            let a = aligned(
+                reg_read(regs, op.d).wrapping_add(op.imm),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let v = mem.read_u32(a);
             reg_write(regs, op.a, v);
             false
         }
         OpCode::FAdduLbu => {
-            reg_write(regs, op.d, reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)));
+            reg_write(
+                regs,
+                op.d,
+                reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)),
+            );
             let a = reg_read(regs, op.d).wrapping_add(op.imm);
             let v = mem.read_u8(a) as u32;
             reg_write(regs, op.a, v);
             false
         }
         OpCode::FSwLw => {
-            let s = reg_read(regs, op.b).wrapping_add(op.imm);
-            if s & 3 != 0 {
-                return Err(SimError::Unaligned { addr: s, pc });
-            }
+            let s = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let sv = reg_read(regs, op.c);
             prof.on_store_at(s, 4, sv);
             mem.write_u32(s, sv);
-            let l = reg_read(regs, op.d).wrapping_add(op.imm2);
-            if l & 3 != 0 {
-                return Err(SimError::Unaligned { addr: l, pc: pc.wrapping_add(4) });
-            }
+            let l = aligned(
+                reg_read(regs, op.d).wrapping_add(op.imm2),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let v = mem.read_u32(l);
             reg_write(regs, op.a, v);
             false
         }
         OpCode::FLwSw => {
-            let l = reg_read(regs, op.b).wrapping_add(op.imm);
-            if l & 3 != 0 {
-                return Err(SimError::Unaligned { addr: l, pc });
-            }
+            let l = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let v = mem.read_u32(l);
             reg_write(regs, op.a, v);
-            let s = reg_read(regs, op.c).wrapping_add(op.imm2);
-            if s & 3 != 0 {
-                return Err(SimError::Unaligned { addr: s, pc: pc.wrapping_add(4) });
-            }
+            let s = aligned(
+                reg_read(regs, op.c).wrapping_add(op.imm2),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let sv = reg_read(regs, op.e);
             prof.on_store_at(s, 4, sv);
             mem.write_u32(s, sv);
             false
         }
         OpCode::FLwLw => {
-            let l1 = reg_read(regs, op.b).wrapping_add(op.imm);
-            if l1 & 3 != 0 {
-                return Err(SimError::Unaligned { addr: l1, pc });
-            }
+            let l1 = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let v1 = mem.read_u32(l1);
             reg_write(regs, op.a, v1);
-            let l2 = reg_read(regs, op.c).wrapping_add(op.imm2);
-            if l2 & 3 != 0 {
-                return Err(SimError::Unaligned { addr: l2, pc: pc.wrapping_add(4) });
-            }
+            let l2 = aligned(
+                reg_read(regs, op.c).wrapping_add(op.imm2),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let v2 = mem.read_u32(l2);
             reg_write(regs, op.d, v2);
             false
         }
         OpCode::FLwAddiu => {
-            let l = reg_read(regs, op.b).wrapping_add(op.imm);
-            if l & 3 != 0 {
-                return Err(SimError::Unaligned { addr: l, pc });
-            }
+            let l = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let v = mem.read_u32(l);
             reg_write(regs, op.a, v);
             reg_write(regs, op.d, reg_read(regs, op.e).wrapping_add(op.imm2));
             false
         }
         OpCode::FLwAddu => {
-            let l = reg_read(regs, op.b).wrapping_add(op.imm);
-            if l & 3 != 0 {
-                return Err(SimError::Unaligned { addr: l, pc });
-            }
+            let l = aligned(reg_read(regs, op.b).wrapping_add(op.imm), 4, pc)?;
             let v = mem.read_u32(l);
             reg_write(regs, op.a, v);
-            reg_write(regs, op.d, reg_read(regs, op.e).wrapping_add(reg_read(regs, op.c)));
+            reg_write(
+                regs,
+                op.d,
+                reg_read(regs, op.e).wrapping_add(reg_read(regs, op.c)),
+            );
             false
         }
         OpCode::FAdduSw => {
-            reg_write(regs, op.d, reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)));
-            let s = reg_read(regs, op.a).wrapping_add(op.imm);
-            if s & 3 != 0 {
-                return Err(SimError::Unaligned { addr: s, pc: pc.wrapping_add(4) });
-            }
+            reg_write(
+                regs,
+                op.d,
+                reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)),
+            );
+            let s = aligned(
+                reg_read(regs, op.a).wrapping_add(op.imm),
+                4,
+                pc.wrapping_add(4),
+            )?;
             let v = reg_read(regs, op.e);
             prof.on_store_at(s, 4, v);
             mem.write_u32(s, v);
             false
         }
         OpCode::FAdduAddiu => {
-            reg_write(regs, op.a, reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)));
+            reg_write(
+                regs,
+                op.a,
+                reg_read(regs, op.b).wrapping_add(reg_read(regs, op.c)),
+            );
             reg_write(regs, op.d, reg_read(regs, op.e).wrapping_add(op.imm2));
             false
         }
@@ -1962,12 +1950,9 @@ pub(crate) fn exec_op<P: Profiler>(
             reg_write(regs, op.d, reg_read(regs, op.e).wrapping_add(op.imm2));
             false
         }
-        OpCode::FCmpBeqz
-        | OpCode::FCmpBnez
-        | OpCode::FAddiuCmpBeqz
-        | OpCode::FAddiuCmpBnez => {
-            // Fused compare-and-branch is a control op: it is dispatched
-            // only through the control epilogue, never through exec_op.
+        OpCode::FCmpBeqz | OpCode::FCmpBnez | OpCode::FAddiuCmpBeqz | OpCode::FAddiuCmpBnez => {
+            // `fuse` emits these only as a round's last op, which
+            // `superblock::build_seg` takes as the segment's control op.
             unreachable!("fused compare-and-branch outside the control epilogue")
         }
         OpCode::Beq => reg_read(regs, op.b) == reg_read(regs, op.c),
@@ -1997,12 +1982,8 @@ pub(crate) fn exec_op<P: Profiler>(
     }
 }
 
-/// Executes a run of `take` text slots (all sequential, none
-/// control-transferring) starting at `base_pc` / text index `start_idx`,
-/// dispatching from the fused stream `fops` (falling back to the unfused
-/// `ops` when a fused op would overrun the step budget — `take` can only
-/// split a superinstruction at a budget boundary, never at the run end,
-/// because fusion consumes plain ops only).
+/// Executes a run of plain ops (all sequential, none control-transferring)
+/// starting at `base_pc` / text index `start_idx`.
 ///
 /// On success returns the cycle sum of the whole run; on a fault at
 /// relative slot `k` returns `(k, cycles-including-faulting-op, error)` so
@@ -2012,7 +1993,6 @@ pub(crate) fn exec_op<P: Profiler>(
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn run_block<P: Profiler>(
-    fops: &[Op],
     ops: &[Op],
     base_pc: u32,
     start_idx: usize,
@@ -2022,48 +2002,21 @@ fn run_block<P: Profiler>(
     mem: &mut Memory,
     prof: &mut P,
 ) -> Result<u64, (usize, u64, SimError)> {
-    let take = fops.len();
     let mut cyc_sum = 0u64;
-    let mut k = 0usize;
-    while k < take {
-        let mut op = fops[k];
-        let mut w = op.width as usize;
-        if w > 1 && k + w > take {
-            // Budget boundary mid-superinstruction: retire the original
-            // ops one at a time so MaxSteps fires at the exact slot.
-            op = ops[k];
-            w = 1;
-        }
+    for (k, &op) in ops.iter().enumerate() {
         cyc_sum += u64::from(op.cyc);
         let pc = base_pc.wrapping_add((k as u32) * 4);
         match exec_op::<P>(op, pc, start_idx + k, regs, hi, lo, mem, prof) {
             Ok(Outcome::Next) => {}
-            // Sequential runs contain no control ops by construction.
+            // `build_plans` counts only non-control ops into a run.
             Ok(_) => unreachable!("control op inside sequential run"),
             Err(e) => {
-                // A fused op reports the faulting constituent through the
-                // error's pc; constituents after it never executed, so
-                // their cycles come back off the sum (their costs live in
-                // the unfused stream).
-                let mut fk = k + w - 1;
-                if w > 1 {
-                    if let SimError::Unaligned { pc: epc, .. } = e {
-                        let rel = (epc.wrapping_sub(base_pc) / 4) as usize;
-                        if rel >= k && rel < k + w {
-                            for later in &ops[rel + 1..k + w] {
-                                cyc_sum -= u64::from(later.cyc);
-                            }
-                            fk = rel;
-                        }
-                    }
-                }
-                prof.on_block(start_idx, fk + 1, cyc_sum);
-                return Err((fk, cyc_sum, e));
+                prof.on_block(start_idx, k + 1, cyc_sum);
+                return Err((k, cyc_sum, e));
             }
         }
-        k += w;
     }
-    prof.on_block(start_idx, take, cyc_sum);
+    prof.on_block(start_idx, ops.len(), cyc_sum);
     Ok(cyc_sum)
 }
 
@@ -2078,21 +2031,12 @@ pub struct Machine {
     lo: u32,
     pc: u32,
     next_pc: u32,
-    /// Pre-decoded micro-ops, parallel to the text section (always
-    /// unfused: delay slots and budget boundaries dispatch from here).
+    /// Pre-decoded micro-ops, parallel to the text section: what the
+    /// dispatcher executes, and what superblock segments fuse ([`fuse`]).
     ops: Vec<Op>,
-    /// Fused dispatch stream, parallel to the text section: slot `i` holds
-    /// the superinstruction starting at `i` (consumed slots keep their
-    /// unfused op for direct control-flow entry). See [`fuse`].
-    fops: Vec<Op>,
     /// Per-index dispatch plan (run length + fusable-epilogue flag); see
     /// [`build_plans`].
     plans: Vec<u32>,
-    /// Statically known control-flow entry points (branch/jump targets,
-    /// call returns, the binary entry) — kept so
-    /// [`Machine::set_dispatch_boundaries`] can re-run fusion with extra
-    /// boundaries folded in.
-    entries: Vec<bool>,
     text_base: u32,
     /// Data/stack memory (text is pre-decoded, not stored here).
     pub mem: Memory,
@@ -2135,9 +2079,7 @@ impl Machine {
                 lower(instr, pc, config.cycles.cycles_for(instr))
             })
             .collect();
-        let entries = entry_points(&ops, binary.text_base, binary.entry);
-        let fops = fuse(&ops, &entries);
-        let plans = build_plans(&fops, &ops);
+        let plans = build_plans(&ops, &[]);
         let mut mem = Memory::new();
         mem.write_slice(binary.data_base, &binary.data);
         let mut regs = [0u32; 32];
@@ -2152,9 +2094,7 @@ impl Machine {
             pc: binary.entry,
             next_pc: binary.entry.wrapping_add(4),
             ops,
-            fops,
             plans,
-            entries,
             text_base: binary.text_base,
             mem,
             config,
@@ -2167,11 +2107,10 @@ impl Machine {
 
     /// Forces a dispatch round to begin at each of the given pcs (in
     /// addition to every natural run start), so a bounded run's watch
-    /// reliably observes them: superinstruction fusion is redone
-    /// refusing to consume the marked indices, and straight-line runs are
-    /// truncated there ([`build_plans_bounded`]). Out-of-text or unaligned
-    /// pcs are ignored. Architectural behaviour is unchanged — only the
-    /// dispatch grouping (and thus watch granularity) differs.
+    /// reliably observes them: straight-line runs are truncated there
+    /// ([`build_plans`]). Out-of-text or unaligned pcs are ignored.
+    /// Architectural behaviour is unchanged — only the dispatch grouping
+    /// (and thus watch granularity) differs.
     pub fn set_dispatch_boundaries(&mut self, pcs: &[u32]) {
         let mut boundary = vec![false; self.ops.len()];
         for &pc in pcs {
@@ -2180,12 +2119,7 @@ impl Machine {
                 boundary[(off / 4) as usize] = true;
             }
         }
-        let mut entries = self.entries.clone();
-        for (e, &b) in entries.iter_mut().zip(&boundary) {
-            *e |= b;
-        }
-        self.fops = fuse(&self.ops, &entries);
-        self.plans = build_plans_bounded(&self.fops, &self.ops, &boundary);
+        self.plans = build_plans(&self.ops, &boundary);
         // Superblock traces are chains of dispatch rounds, so they bake in
         // the old round shapes: drop them all. Re-recorded traces are built
         // from the new bounded plans, which makes every boundary (e.g. a
@@ -2287,6 +2221,7 @@ impl Machine {
                 self.profile = Profile::new(self.text_base, 0);
                 Ok(self.exit_with(reason, profile))
             }
+            // `NoWatch::hit` is constant false.
             Ok(RunControl::Watched(_)) => unreachable!("NoWatch never hits"),
             Err(e) => {
                 self.profile = profile;
@@ -2356,7 +2291,6 @@ impl Machine {
         let mut instrs = self.instrs;
         let stop = {
             let ops = &self.ops[..];
-            let fops = &self.fops[..];
             let plans = &self.plans[..];
             let mem = &mut self.mem;
             let sb = &mut *self.sb;
@@ -2428,7 +2362,6 @@ impl Machine {
                     let take = len.min(budget) as usize;
                     if take > 0 {
                         match run_block::<P>(
-                            &fops[idx..idx + take],
                             &ops[idx..idx + take],
                             pc,
                             idx,
@@ -2454,57 +2387,41 @@ impl Machine {
                         }
                     }
                     // Fused control + delay slot epilogue (precomputed
-                    // flag; only the budget needs re-checking at run time).
-                    // The control op comes from the fused stream, so it may
-                    // be a compare-and-branch superinstruction covering
-                    // `width` text slots; the delay slot always dispatches
-                    // one unfused op.
-                    let cidx = idx + take;
-                    // (budget >= len + width + 1 implies the whole run was
-                    // taken; the flag guarantees cidx and the slot are in
-                    // bounds.)
-                    let fusable = plan & PLAN_FUSED != 0 && {
-                        let cw = u64::from(fops[cidx].width);
-                        budget >= len + 1 + cw
-                    };
-                    if fusable {
-                        let cop = fops[cidx];
-                        let cw = cop.width as usize;
+                    // flag; only the budget needs re-checking at run time:
+                    // budget >= len + 2 implies the whole run was taken,
+                    // and the flag guarantees cidx and the slot are in
+                    // bounds).
+                    if plan & PLAN_FUSED != 0 && budget >= len + 2 {
+                        let cidx = idx + take;
+                        let cop = ops[cidx];
                         let ctl_pc = pc;
                         // Resolve the transfer before the slot runs (the
                         // slot must see link writes, and the target must
                         // use pre-slot register values) — seed order.
                         let target = resolve_control(cop, ctl_pc, &mut regs);
-                        let slot_idx = cidx + cw;
+                        let slot_idx = cidx + 1;
                         let sop = ops[slot_idx];
-                        instrs += cw as u64 + 1;
-                        cycles += u64::from(cop.cyc) + u64::from(sop.cyc);
-                        // One contiguous retired range: control
-                        // constituents + delay slot (the slot is counted
-                        // even when it faults, matching the reference).
-                        prof.on_block(cidx, cw + 1, u64::from(cop.cyc) + u64::from(sop.cyc));
-                        if target.is_some()
-                            && !matches!(
-                                cop.code,
-                                OpCode::J | OpCode::Jal | OpCode::Jr | OpCode::Jalr
-                            )
-                        {
-                            // The branch is the control op's last slot.
-                            prof.on_taken(cidx + cw - 1);
+                        let ctl_cyc = u64::from(cop.cyc) + u64::from(sop.cyc);
+                        instrs += 2;
+                        cycles += ctl_cyc;
+                        // One contiguous retired range: control op + delay
+                        // slot (the slot is counted even when it faults,
+                        // matching the reference).
+                        prof.on_block(cidx, 2, ctl_cyc);
+                        let cond = !matches!(
+                            cop.code,
+                            OpCode::J | OpCode::Jal | OpCode::Jr | OpCode::Jalr
+                        );
+                        if cond && target.is_some() {
+                            prof.on_taken(cidx);
                         }
-                        let slot_pc = ctl_pc.wrapping_add(4 * cw as u32);
+                        let slot_pc = ctl_pc.wrapping_add(4);
                         let after_slot = target.unwrap_or_else(|| slot_pc.wrapping_add(4));
                         match exec_op::<P>(
-                            sop,
-                            slot_pc,
-                            slot_idx,
-                            &mut regs,
-                            &mut hi,
-                            &mut lo,
-                            mem,
-                            prof,
+                            sop, slot_pc, slot_idx, &mut regs, &mut hi, &mut lo, mem, prof,
                         ) {
                             Ok(Outcome::Next) => {}
+                            // `build_plans` flags only plain delay slots.
                             Ok(_) => unreachable!("control op in fused delay slot"),
                             Err(e) => {
                                 pc = slot_pc;
@@ -2519,14 +2436,9 @@ impl Machine {
                         // only recording site: partial rounds and
                         // slow-path ops end any active recording at the
                         // next round_start's continuity check.)
-                        let cond = !matches!(
-                            cop.code,
-                            OpCode::J | OpCode::Jal | OpCode::Jr | OpCode::Jalr
-                        );
                         sb.record_round(
                             idx,
                             len as u32,
-                            cw as u32,
                             cond,
                             target.is_some(),
                             after_slot,
@@ -2594,18 +2506,32 @@ mod tests {
     type Stopped = (u32, [u32; 32], u64, u64, Profile);
 
     fn stopped(m: &Machine) -> Stopped {
-        (m.pc(), *m.regs(), m.cycles(), m.instrs(), m.profile().clone())
+        (
+            m.pc(),
+            *m.regs(),
+            m.cycles(),
+            m.instrs(),
+            m.profile().clone(),
+        )
     }
 
     fn reference_stopped(m: &ReferenceMachine) -> Stopped {
         let p = m.profile();
-        (m.pc(), Reg::ALL.map(|r| m.reg(r)), p.total_cycles, p.total_instrs, p.clone())
+        (
+            m.pc(),
+            Reg::ALL.map(|r| m.reg(r)),
+            p.total_cycles,
+            p.total_instrs,
+            p.clone(),
+        )
     }
 
     fn assemble(build: impl FnOnce(&mut Asm)) -> Binary {
         let mut a = Asm::new();
         build(&mut a);
-        BinaryBuilder::new().text(a.finish().expect("assembles")).build()
+        BinaryBuilder::new()
+            .text(a.finish().expect("assembles"))
+            .build()
     }
 
     /// Runs `binary` under `config` on [`Machine`] and on the reference
@@ -2877,41 +2803,77 @@ mod tests {
 
     // ----------------------- Fusion unit tests ---------------------------
 
-    /// Runs `build` and asserts bit-identical `Exit` state and `Profile`
-    /// against the reference engine; returns the exit for further
-    /// assertions.
-    fn assert_fusion_exact(build: impl Fn(&mut Asm)) -> Exit {
-        let binary = assemble(build);
-        let fast = Machine::new(&binary).expect("loads").run().expect("runs");
-        let reference = ReferenceMachine::new(&binary).expect("loads").run().expect("runs");
+    /// Runs `binary` on [`Machine`] and on the reference engine and asserts
+    /// bit-identical `Exit` state and `Profile`; returns the exit and the
+    /// machine's trace-cache stats for further assertions.
+    fn assert_exact(binary: &Binary) -> (Exit, superblock::TraceCacheStats) {
+        let mut m = Machine::new(binary).expect("loads");
+        let fast = m.run().expect("runs");
+        let reference = ReferenceMachine::new(binary)
+            .expect("loads")
+            .run()
+            .expect("runs");
         assert_eq!(fast.reason, reference.reason, "exit reason");
         assert_eq!(fast.regs, reference.regs, "registers");
         assert_eq!(fast.cycles, reference.cycles, "cycles");
         assert_eq!(fast.instrs, reference.instrs, "instrs");
         assert_eq!(fast.profile, reference.profile, "profile");
-        fast
+        (fast, m.trace_cache_stats())
+    }
+
+    /// Trips of [`hot_loop`]: well past the recorder's heat threshold.
+    const HOT_TRIPS: i32 = 40;
+
+    /// Text index of the first `body` op in [`hot_loop`] (after the one-op
+    /// counter setup).
+    const BODY: usize = 1;
+
+    /// Wraps `body` in a loop of [`HOT_TRIPS`] trips counted down in `$s7`,
+    /// then returns. Bodies only read `$s7`: feeding it into a pattern makes
+    /// its values change per trip, so a constituent that read a stale
+    /// register would show.
+    fn hot_loop(a: &mut Asm, body: impl Fn(&mut Asm)) {
+        let top = a.new_label();
+        a.li(Reg::S7, HOT_TRIPS);
+        a.bind(top);
+        body(a);
+        a.addiu(Reg::S7, Reg::S7, -1);
+        a.bgtz(Reg::S7, top);
+        a.nop();
+        a.jr(Reg::Ra);
+        a.nop();
+    }
+
+    /// Runs `body` inside a loop hot enough to install a superblock — the
+    /// only place superinstructions are fused — and asserts bit-identical
+    /// `Exit` state and `Profile` against the reference engine; returns the
+    /// exit for further assertions.
+    fn assert_fusion_exact(body: impl Fn(&mut Asm)) -> Exit {
+        let (exit, stats) = assert_exact(&assemble(|a| hot_loop(a, &body)));
+        assert!(stats.traces >= 1, "the hot loop should install a trace");
+        assert!(stats.superblock_instrs > 0, "the body should replay fused");
+        exit
     }
 
     #[test]
     fn fusion_addiu_addiu_chained_and_independent() {
         let exit = assert_fusion_exact(|a| {
-            a.addiu(Reg::T0, Reg::Zero, 5);
+            a.addiu(Reg::T0, Reg::S7, 5);
             a.addiu(Reg::T1, Reg::T0, 3); // chained: reads T0 just written
             a.addiu(Reg::T2, Reg::A0, 7); // independent
             a.addiu(Reg::T3, Reg::T3, 1); // self-chained
             a.addu(Reg::V0, Reg::T1, Reg::T2);
-            a.jr(Reg::Ra);
-            a.nop();
         });
-        assert_eq!(exit.reg(Reg::V0), 8 + 7);
-        assert_eq!(exit.reg(Reg::T3), 1);
+        // The last trip runs with $s7 = 1.
+        assert_eq!(exit.reg(Reg::V0), 9 + 7);
+        assert_eq!(exit.reg(Reg::T3), HOT_TRIPS as u32);
     }
 
     #[test]
     fn fusion_mult_mflo_and_mac_chain() {
         let exit = assert_fusion_exact(|a| {
             a.li(Reg::T0, -6);
-            a.li(Reg::T1, 7);
+            a.addiu(Reg::T1, Reg::S7, 6);
             a.li(Reg::S0, 100);
             a.mult(Reg::T0, Reg::T1);
             a.mflo(Reg::T2);
@@ -2919,11 +2881,9 @@ mod tests {
             a.multu(Reg::T1, Reg::T1);
             a.mflo(Reg::V1); // multu+mflo pair
             a.mfhi(Reg::A1); // hi must still be architecturally written
-            a.jr(Reg::Ra);
-            a.nop();
         });
         assert_eq!(exit.reg(Reg::V0) as i32, 58);
-        assert_eq!(exit.reg(Reg::V1), 49);
+        assert_eq!(exit.reg(Reg::V1), 49); // the last trip: $t1 = 7
         assert_eq!(exit.reg(Reg::A1), 0);
     }
 
@@ -2936,8 +2896,6 @@ mod tests {
             a.addiu(Reg::T1, Reg::T1, -4); // li via lui+addiu
             a.addu(Reg::V0, Reg::T0, Reg::Zero);
             a.addu(Reg::V1, Reg::T1, Reg::Zero);
-            a.jr(Reg::Ra);
-            a.nop();
         });
         assert_eq!(exit.reg(Reg::V0), 0x1234_5678);
         assert_eq!(exit.reg(Reg::V1), 0x1fff_fffc);
@@ -2959,8 +2917,6 @@ mod tests {
             a.slt(Reg::T1, Reg::T0, Reg::T2);
             a.bne(Reg::T1, Reg::Zero, top);
             a.nop();
-            a.jr(Reg::Ra);
-            a.nop();
         });
         assert_eq!(exit.reg(Reg::V0), 45);
         assert_eq!(exit.reg(Reg::T1), 0); // compare result still written
@@ -2971,19 +2927,17 @@ mod tests {
         let exit = assert_fusion_exact(|a| {
             let skip = a.new_label();
             let end = a.new_label();
-            a.li(Reg::T0, 3);
+            a.addiu(Reg::T0, Reg::S7, -30); // 10 down to -29
             a.sltiu(Reg::T1, Reg::T0, 10);
-            a.beq(Reg::T1, Reg::Zero, skip); // not taken (3 < 10)
+            a.beq(Reg::T1, Reg::Zero, skip); // taken unless 0 <= $t0 < 10
             a.nop();
             a.li(Reg::V0, 77);
             a.bind(skip);
-            a.sltu(Reg::T2, Reg::T0, Reg::Zero); // 3 < 0 unsigned: 0
-            a.bne(Reg::T2, Reg::Zero, end); // not taken
+            a.sltu(Reg::T2, Reg::Zero, Reg::T0); // $t0 != 0
+            a.bne(Reg::T2, Reg::Zero, end); // taken unless $t0 = 0
             a.nop();
             a.li(Reg::V1, 55);
             a.bind(end);
-            a.jr(Reg::Ra);
-            a.nop();
         });
         assert_eq!(exit.reg(Reg::V0), 77);
         assert_eq!(exit.reg(Reg::V1), 55);
@@ -2995,20 +2949,18 @@ mod tests {
             // a[i] load/store via sll+addu+lw / sll+addu+sw, plus the
             // addiu+lw pointer-bump and the -O0 spill pairs.
             a.li(Reg::S0, 0x2000); // base
-            a.li(Reg::T0, 3); // index
-            a.li(Reg::T1, 42);
+            a.andi(Reg::T0, Reg::S7, 3); // index
+            a.addiu(Reg::T1, Reg::S7, 41);
             a.sll(Reg::T2, Reg::T0, 2);
             a.addu(Reg::T2, Reg::S0, Reg::T2);
-            a.sw(Reg::T1, 0, Reg::T2); // a[3] = 42 (sll+addu+sw)
+            a.sw(Reg::T1, 0, Reg::T2); // a[i] = s7 + 41 (sll+addu+sw)
             a.sll(Reg::T3, Reg::T0, 2);
             a.addu(Reg::T3, Reg::S0, Reg::T3);
-            a.lw(Reg::V0, 0, Reg::T3); // v0 = a[3] (sll+addu+lw)
-            a.addiu(Reg::T4, Reg::S0, 12);
-            a.lw(Reg::V1, 0, Reg::T4); // addiu+lw
+            a.lw(Reg::V0, 0, Reg::T3); // v0 = a[i] (sll+addu+lw)
+            a.addiu(Reg::T4, Reg::S0, 4);
+            a.lw(Reg::V1, 0, Reg::T4); // v1 = a[1] (addiu+lw)
             a.sw(Reg::V1, 4, Reg::Sp); // lw;sw then sw;lw pairs
             a.lw(Reg::A0, 4, Reg::Sp);
-            a.jr(Reg::Ra);
-            a.nop();
         });
         assert_eq!(exit.reg(Reg::V0), 42);
         assert_eq!(exit.reg(Reg::V1), 42);
@@ -3017,8 +2969,9 @@ mod tests {
 
     #[test]
     fn fusion_disabled_across_branch_targets() {
-        // The second addiu is a branch target: the pair must not fuse, and
-        // entering at it must retire exactly one op with correct counts.
+        // The second addiu is a branch target: the trace's round starts
+        // there, so the pair is never fused, and entering at it must retire
+        // exactly one op with correct counts.
         let exit = assert_fusion_exact(|a| {
             let mid = a.new_label();
             let done = a.new_label();
@@ -3031,13 +2984,11 @@ mod tests {
             a.beq(Reg::Zero, Reg::Zero, done);
             a.nop();
             a.bind(done);
-            a.jr(Reg::Ra);
-            a.nop();
         });
         // The first addiu never ran; only the target one did.
-        assert_eq!(exit.reg(Reg::V0), 5);
-        assert_eq!(exit.profile.counts[3], 0);
-        assert_eq!(exit.profile.counts[4], 1);
+        assert_eq!(exit.reg(Reg::V0), 5 * HOT_TRIPS as u32);
+        assert_eq!(exit.profile.counts[BODY + 3], 0);
+        assert_eq!(exit.profile.counts[BODY + 4], HOT_TRIPS as u64);
     }
 
     #[test]
@@ -3053,56 +3004,79 @@ mod tests {
             a.addiu(Reg::V0, Reg::V0, 100); // skipped (taken branch)
             a.bind(target);
             a.addiu(Reg::V1, Reg::V0, 1);
-            a.jr(Reg::Ra);
-            a.nop();
         });
         assert_eq!(exit.reg(Reg::V0), 7);
         assert_eq!(exit.reg(Reg::V1), 8);
-        assert_eq!(exit.profile.counts[2], 1); // slot ran once
-        assert_eq!(exit.profile.counts[3], 0); // successor skipped
+        // The slot ran once per trip; its successor never.
+        assert_eq!(exit.profile.counts[BODY + 2], HOT_TRIPS as u64);
+        assert_eq!(exit.profile.counts[BODY + 3], 0);
     }
 
     #[test]
     fn fusion_step_budget_splits_superinstruction() {
-        // A budget that expires between two constituents must retire only
-        // the first one, exactly like the reference engine.
+        // A budget that expires between two constituents of a fused pair
+        // must retire only the first one, exactly like the reference engine
+        // — before the trace exists and long after it is installed. Each
+        // trip retires 5 ops (the pair, then the loop tail); trip `k`'s
+        // pair sits at steps `BODY + 5k` and `BODY + 5k + 1`.
         let binary = assemble(|a| {
-            a.addiu(Reg::T0, Reg::Zero, 1);
-            a.addiu(Reg::T1, Reg::Zero, 2); // fused pair with the first
-            a.jr(Reg::Ra);
-            a.nop();
+            hot_loop(a, |a| {
+                a.addiu(Reg::T0, Reg::T0, 1);
+                a.addiu(Reg::T1, Reg::T1, 2); // fused pair with the first
+            })
         });
-        let config = SimConfig {
-            max_steps: 1,
-            ..SimConfig::default()
-        };
-        let (err, m) = assert_fault_exact(&binary, config);
-        assert!(matches!(err, SimError::MaxStepsExceeded { limit: 1 }));
-        assert_eq!(m.reg(Reg::T0), 1, "first constituent retired");
-        assert_eq!(m.reg(Reg::T1), 0, "second must not run");
+        let trips = [0u64, 1, 2, 12, 20, 39];
+        for k in trips {
+            for max_steps in (BODY as u64 + 5 * k)..=(BODY as u64 + 5 * k + 5) {
+                let config = SimConfig {
+                    max_steps,
+                    ..SimConfig::default()
+                };
+                let (err, m) = assert_fault_exact(&binary, config);
+                assert!(matches!(err, SimError::MaxStepsExceeded { .. }), "{err:?}");
+                if max_steps == BODY as u64 + 5 * k + 1 {
+                    assert_eq!(m.reg(Reg::T0), k as u32 + 1, "first constituent retired");
+                    assert_eq!(m.reg(Reg::T1), 2 * k as u32, "second must not run");
+                }
+                if k >= 20 {
+                    let stats = m.trace_cache_stats();
+                    assert!(stats.traces >= 1, "trace installed before step {max_steps}");
+                    assert!(stats.superblock_instrs > 0);
+                }
+            }
+        }
     }
 
     #[test]
     fn fusion_partial_fault_inside_pair_counts_exactly() {
-        // sw;lw pair where the *store* (first constituent) faults: the
-        // load must not execute and the partial profile must match the
-        // reference engine (fault pc at the sw).
+        // A fused sw;lw pair whose *store* (first constituent) turns
+        // unaligned once the loop's trace is installed: the load must not
+        // execute and the partial profile must match the reference engine
+        // (fault pc at the sw).
         let binary = assemble(|a| {
-            a.li(Reg::T0, 2); // unaligned word address
-            a.li(Reg::T1, 9);
-            a.sw(Reg::T1, 0, Reg::T0); // faults
-            a.lw(Reg::V0, 0, Reg::Sp); // must not run
-            a.jr(Reg::Ra);
-            a.nop();
+            hot_loop(a, |a| {
+                a.slti(Reg::T2, Reg::S7, 3);
+                a.sll(Reg::T2, Reg::T2, 1); // 2 once $s7 < 3: unaligned
+                a.addu(Reg::T0, Reg::Sp, Reg::T2);
+                a.xor(Reg::T3, Reg::T3, Reg::T3); // keeps the addu unpaired
+                a.sw(Reg::T1, 0, Reg::T0); // faults
+                a.lw(Reg::V0, 0, Reg::Sp); // must not run
+            })
         });
-        let (err, _) = assert_fault_exact(&binary, SimConfig::default());
-        assert!(matches!(err, SimError::Unaligned { addr: 2, .. }));
+        let (err, m) = assert_fault_exact(&binary, SimConfig::default());
+        assert!(
+            matches!(err, SimError::Unaligned { addr, .. } if addr & 3 == 2),
+            "{err:?}"
+        );
+        let stats = m.trace_cache_stats();
+        assert!(stats.traces >= 1, "loop should be installed pre-fault");
+        assert!(stats.superblock_instrs > 0);
     }
 
     #[test]
     fn fusion_generic_alu_pairs() {
         let exit = assert_fusion_exact(|a| {
-            a.li(Reg::T0, 0x00f0);
+            a.addiu(Reg::T0, Reg::S7, 0x00ef);
             a.addu(Reg::T1, Reg::T0, Reg::T0);
             a.addiu(Reg::T1, Reg::T1, 1); // addu+addiu
             a.sll(Reg::T2, Reg::T1, 4);
@@ -3113,8 +3087,6 @@ mod tests {
             a.addiu(Reg::T7, Reg::T6, 5); // srl+addiu
             a.ori(Reg::S0, Reg::T7, 0x3);
             a.addiu(Reg::V0, Reg::S0, 1); // ori+addiu
-            a.jr(Reg::Ra);
-            a.nop();
         });
         let t1 = 0x00f0u32 * 2 + 1;
         let t3 = (t1 << 4).wrapping_sub(3);
@@ -3139,8 +3111,8 @@ mod tests {
     #[test]
     fn memory_unaligned_word_across_page_boundary() {
         let mut m = Memory::new();
-        let boundary = 0x0002_3000u32; // start of a page
-        // Word written 2 bytes before the boundary straddles two pages.
+        // A page start; a word written 2 bytes before it straddles two pages.
+        let boundary = 0x0002_3000u32;
         m.write_u32(boundary - 2, 0x1122_3344);
         assert_eq!(m.read_u8(boundary - 2), 0x44);
         assert_eq!(m.read_u8(boundary - 1), 0x33);
@@ -3196,16 +3168,6 @@ mod tests {
 
     // --------------------- Superblock engine tests ------------------------
 
-    /// Runs `build` through [`assert_fusion_exact`]; returns the exit and
-    /// the trace stats for further assertions.
-    fn assert_superblock_exact(build: impl Fn(&mut Asm)) -> (Exit, superblock::TraceCacheStats) {
-        let binary = assemble(&build);
-        let exit = assert_fusion_exact(build);
-        let mut m = Machine::new(&binary).expect("loads");
-        m.run().expect("runs");
-        (exit, m.trace_cache_stats())
-    }
-
     /// A loop long enough to cross the recorder's heat threshold.
     fn hot_sum_loop(a: &mut Asm, n: i32) {
         let top = a.new_label();
@@ -3222,7 +3184,7 @@ mod tests {
 
     #[test]
     fn superblock_hot_loop_exact_and_trace_installed() {
-        let (exit, stats) = assert_superblock_exact(|a| hot_sum_loop(a, 500));
+        let (exit, stats) = assert_exact(&assemble(|a| hot_sum_loop(a, 500)));
         assert_eq!(exit.reg(Reg::V0), 500 * 501 / 2);
         assert_eq!(exit.profile.counts[2], 500);
         assert_eq!(exit.profile.taken[4], 499);
@@ -3240,7 +3202,7 @@ mod tests {
         // Inner counted loop inside an outer loop, plus a call each outer
         // iteration: exercises loop traces, linear traces, side exits at
         // the inner-loop exit, and jal/jr links inside rounds.
-        let (exit, stats) = assert_superblock_exact(|a| {
+        let (exit, stats) = assert_exact(&assemble(|a| {
             let outer = a.new_label();
             let inner = a.new_label();
             let f = a.new_label();
@@ -3268,7 +3230,7 @@ mod tests {
             a.bind(done);
             a.jr(Reg::S2);
             a.nop();
-        });
+        }));
         assert_eq!(exit.reg(Reg::V0), 60 * (45 + 1));
         assert!(stats.traces >= 1);
     }
@@ -3328,10 +3290,14 @@ mod tests {
         // trapping run ends exactly where the reference engine does.
         let binary = assemble(|a| hot_sum_loop(a, 300));
         let watched = crate::DEFAULT_TEXT_BASE + 3 * 4; // the addiu
+
         // Heat the loop first so a trace spanning the pc is installed…
         let mut m = Machine::new(&binary).expect("loads");
         m.run().expect("first run");
-        assert!(m.trace_cache_stats().traces >= 1, "unwatched run should install a trace");
+        assert!(
+            m.trace_cache_stats().traces >= 1,
+            "unwatched run should install a trace"
+        );
         // …then carve a boundary at the watched pc and re-run.
         let mut m2 = Machine::new(&binary).expect("loads");
         m2.set_dispatch_boundaries(&[watched]);
@@ -3350,7 +3316,10 @@ mod tests {
             }
         };
         assert_eq!(traps, 10);
-        let reference = ReferenceMachine::new(&binary).expect("loads").run().expect("runs");
+        let reference = ReferenceMachine::new(&binary)
+            .expect("loads")
+            .run()
+            .expect("runs");
         assert_eq!(exit.regs, reference.regs);
         assert_eq!(exit.cycles, reference.cycles);
         assert_eq!(exit.instrs, reference.instrs);

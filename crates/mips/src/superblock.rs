@@ -17,12 +17,12 @@
 //!    empirical branch bias (the same signal the taken counts of
 //!    [`crate::sim::Profile`] measure) rather than a static guess.
 //! 2. **Specialize.** At install time each recorded round becomes a
-//!    [`Seg`]: its text slots are re-fused *ignoring entry-point
-//!    marks* (sound inside a superblock — control only ever
-//!    enters at the head segment; every other entry to those addresses
-//!    dispatches through the interpreter's own streams), the fused ops are
-//!    copied into one dense code buffer, and cycle charges / retired-slot
-//!    counts / the predicted continuation are precomputed per segment.
+//!    [`Seg`]: its text slots are fused into superinstructions
+//!    ([`fuse`] — the only place fusion happens; sound because control
+//!    enters a round only at its first slot, while the dispatcher runs the
+//!    plain ops), the fused ops are copied into one dense code buffer, and
+//!    cycle charges / retired-slot counts / the predicted continuation are
+//!    precomputed per segment.
 //! 3. **Install.** The finished trace is keyed by its entry index in a
 //!    dense map the dispatcher probes on every sequential round.
 //! 4. **Invalidate.** [`crate::sim::Machine::set_dispatch_boundaries`]
@@ -74,7 +74,7 @@ struct Seg {
     /// Dense body ops: `code[body_off..body_off + body_n]`.
     body_off: u32,
     body_n: u32,
-    /// Body slots (this trace's partition — local re-fusion may move the
+    /// Body slots (this trace's partition — fusion may move the
     /// body/control split without changing the covered range).
     len: u32,
     /// Control-op slot (`idx + len`).
@@ -113,7 +113,7 @@ struct Seg {
 #[derive(Debug)]
 struct Trace {
     segs: Vec<Seg>,
-    /// Dense re-fused body ops of every segment, back to back.
+    /// Dense fused body ops of every segment, back to back.
     code: Vec<Op>,
     /// Whether the last segment loops back to the head.
     looped: bool,
@@ -130,10 +130,8 @@ struct Trace {
 #[derive(Debug, Clone, Copy)]
 struct RoundRec {
     idx: u32,
-    /// Global plan run length (body slots under the interpreter's fusion).
+    /// Body slots before the round's control op (its plan run length).
     len: u32,
-    /// Global control-op width.
-    cw: u32,
     cond: bool,
     taken: bool,
     /// Observed continuation pc.
@@ -198,7 +196,7 @@ pub struct SegSummary {
     pub pc: u32,
     /// Text slots the round covers (body + control + delay slot).
     pub slots: u32,
-    /// Dense body ops after trace-local re-fusion (dispatches per pass).
+    /// Dense body ops after fusion (dispatches per pass).
     pub dense: u32,
     /// Conditional branch?
     pub cond: bool,
@@ -312,7 +310,11 @@ impl TraceCache {
             installs: self.installs,
             passes: self.retired_passes + self.traces.iter().map(|t| t.passes).sum::<u64>(),
             side_exits: self.retired_side_exits
-                + self.traces.iter().map(|t| t.exits.iter().sum::<u64>()).sum::<u64>(),
+                + self
+                    .traces
+                    .iter()
+                    .map(|t| t.exits.iter().sum::<u64>())
+                    .sum::<u64>(),
             chain_transfers: self.chain_transfers,
         }
     }
@@ -380,7 +382,6 @@ impl TraceCache {
         &mut self,
         idx: usize,
         len: u32,
-        cw: u32,
         cond: bool,
         taken: bool,
         pred: u32,
@@ -394,7 +395,6 @@ impl TraceCache {
         rec.rounds.push(RoundRec {
             idx: idx as u32,
             len,
-            cw,
             cond,
             taken,
             pred,
@@ -512,7 +512,10 @@ impl TraceCache {
                 TraceExit::Seq => {
                     let off = pc.wrapping_sub(text_base);
                     let next = if off & 3 == 0 {
-                        self.map.get((off >> 2) as usize).copied().unwrap_or(NO_TRACE)
+                        self.map
+                            .get((off >> 2) as usize)
+                            .copied()
+                            .unwrap_or(NO_TRACE)
                     } else {
                         NO_TRACE
                     };
@@ -536,39 +539,28 @@ impl TraceCache {
     }
 }
 
-/// Specializes one recorded round into a segment, appending its re-fused
+/// Specializes one recorded round into a segment, appending its fused
 /// dense body to `code`.
 fn build_seg(r: &RoundRec, ops: &[Op], text_base: u32, code: &mut Vec<Op>) -> Option<Seg> {
     let start = r.idx as usize;
-    let slots = (r.len + r.cw) as usize;
+    let slots = r.len as usize + 1;
     let slot_idx = start + slots;
     let extent = ops.get(start..start + slots)?;
     let sop = *ops.get(slot_idx)?;
-    // Re-fuse the whole round (body + control constituents) with no
-    // entry-point marks: inside a superblock, control only
-    // enters at the segment start, so pairs the global stream had to
-    // refuse are fair game here. The split between body and control may
-    // move (e.g. a `slt` absorbed into a fused compare-and-branch), but
-    // the covered slots — and therefore every profiler range and cycle
-    // charge — are identical.
-    let none = vec![false; extent.len()];
-    let fused = fuse(extent, &none);
-    let mut dense: Vec<Op> = Vec::with_capacity(extent.len());
-    let mut k = 0usize;
-    while k < extent.len() {
-        let op = fused[k];
-        dense.push(op);
-        k += op.width as usize;
-    }
-    let cop = *dense.last()?;
-    if !is_control(cop.code) || dense[..dense.len() - 1].iter().any(|o| is_control(o.code)) {
+    // Fuse the whole round (body + control op). The split between body and
+    // control may move (e.g. a `slt` absorbed into a fused
+    // compare-and-branch), but the covered slots — and therefore every
+    // profiler range and cycle charge — are the recorded round's.
+    let dense = fuse(extent);
+    let (&cop, body) = dense.split_last()?;
+    if !is_control(cop.code) || body.iter().any(|o| is_control(o.code)) {
         return None;
     }
     let cw = cop.width as usize;
     let len = slots - cw;
     let body_off = code.len() as u32;
-    let body_n = (dense.len() - 1) as u32;
-    code.extend_from_slice(&dense[..dense.len() - 1]);
+    let body_n = body.len() as u32;
+    code.extend_from_slice(body);
     let body_cyc: u64 = extent[..len].iter().map(|o| u64::from(o.cyc)).sum();
     Some(Seg {
         pc: text_base.wrapping_add(r.idx * 4),
@@ -582,7 +574,7 @@ fn build_seg(r: &RoundRec, ops: &[Op], text_base: u32, code: &mut Vec<Op>) -> Op
         slot_idx: slot_idx as u32,
         cond: r.cond,
         taken: r.taken,
-        slot_nop: sop.code == OpCode::Sll && sop.a == 0 && sop.width == 1,
+        slot_nop: sop.code == OpCode::Sll && sop.a == 0,
         // Fused control kinds are excluded: they carry register-writing
         // constituents, so they must go through `resolve_control`.
         uncond: cop.code == OpCode::J
@@ -624,6 +616,7 @@ fn run_trace_body<P: Profiler>(
         let pc = base_pc.wrapping_add(4 * k as u32);
         match exec_op::<P>(op, pc, start_idx + k, regs, hi, lo, mem, prof) {
             Ok(Outcome::Next) => {}
+            // `build_seg` rejects a round with a control op before its last.
             Ok(_) => unreachable!("control op inside superblock body"),
             Err(e) => {
                 let w = op.width as usize;
@@ -638,8 +631,7 @@ fn run_trace_body<P: Profiler>(
                 }
                 // Fused cycle charges are constituent sums, so the exact
                 // partial charge is the unfused cost of every retired
-                // slot — the same number `run_block` arrives at by
-                // subtraction.
+                // slot — the same number `run_block` sums op by op.
                 let cyc: u64 = uops[..=fk].iter().map(|o| u64::from(o.cyc)).sum();
                 prof.on_block(start_idx, fk + 1, cyc);
                 return Err((fk, cyc, e));
@@ -697,7 +689,11 @@ fn exec_spec_trace<P: Profiler, W: PcWatch, const N: usize, const LOOPED: bool>(
             if *instrs + s.instrs > max_steps {
                 *pc = s.pc;
                 *next_pc = s.pc.wrapping_add(4);
-                break 'trace if first { TraceExit::Interp } else { TraceExit::Seq };
+                break 'trace if first {
+                    TraceExit::Interp
+                } else {
+                    TraceExit::Seq
+                };
             }
             first = false;
             passes += u64::from(si == 0);
@@ -741,7 +737,10 @@ fn exec_spec_trace<P: Profiler, W: PcWatch, const N: usize, const LOOPED: bool>(
                 (s.pred, true)
             } else {
                 let target = resolve_control(s.cop, ctl_pc, regs);
-                (target.unwrap_or_else(|| slot_pc.wrapping_add(4)), target.is_some())
+                (
+                    target.unwrap_or_else(|| slot_pc.wrapping_add(4)),
+                    target.is_some(),
+                )
             };
             *instrs += cw as u64 + 1;
             *cycles += s.ctl_cyc;
@@ -752,6 +751,7 @@ fn exec_spec_trace<P: Profiler, W: PcWatch, const N: usize, const LOOPED: bool>(
             if !s.slot_nop {
                 match exec_op::<P>(s.sop, slot_pc, s.slot_idx as usize, regs, hi, lo, mem, prof) {
                     Ok(Outcome::Next) => {}
+                    // Segments come from flagged rounds: plain delay slots.
                     Ok(_) => unreachable!("control op in superblock delay slot"),
                     Err(e) => {
                         *pc = slot_pc;
@@ -838,28 +838,33 @@ fn exec_trace<P: Profiler, W: PcWatch>(
             // not re-enter the trace (the pc has not moved).
             *pc = s.pc;
             *next_pc = s.pc.wrapping_add(4);
-            break if first { TraceExit::Interp } else { TraceExit::Seq };
+            break if first {
+                TraceExit::Interp
+            } else {
+                TraceExit::Seq
+            };
         }
         first = false;
         passes += u64::from(si == 0);
+        let idx = s.idx as usize;
         if s.body_n > 0 {
             let body = &t.code[s.body_off as usize..(s.body_off + s.body_n) as usize];
-            let ub = &uops[s.idx as usize..s.cidx as usize];
+            let ub = &uops[idx..s.cidx as usize];
             // Constant-length prefixes unroll fully (run_trace_body is
             // inline(always)), giving each short-body position its own
             // monomorphic dispatch site.
             let r = match body.len() {
-                1 => run_trace_body(&body[..1], ub, s.pc, s.idx as usize, regs, hi, lo, mem, prof),
-                2 => run_trace_body(&body[..2], ub, s.pc, s.idx as usize, regs, hi, lo, mem, prof),
-                3 => run_trace_body(&body[..3], ub, s.pc, s.idx as usize, regs, hi, lo, mem, prof),
-                4 => run_trace_body(&body[..4], ub, s.pc, s.idx as usize, regs, hi, lo, mem, prof),
-                _ => run_trace_body(body, ub, s.pc, s.idx as usize, regs, hi, lo, mem, prof),
+                1 => run_trace_body(&body[..1], ub, s.pc, idx, regs, hi, lo, mem, prof),
+                2 => run_trace_body(&body[..2], ub, s.pc, idx, regs, hi, lo, mem, prof),
+                3 => run_trace_body(&body[..3], ub, s.pc, idx, regs, hi, lo, mem, prof),
+                4 => run_trace_body(&body[..4], ub, s.pc, idx, regs, hi, lo, mem, prof),
+                _ => run_trace_body(body, ub, s.pc, idx, regs, hi, lo, mem, prof),
             };
             match r {
                 Ok(()) => {
                     *instrs += u64::from(s.len);
                     *cycles += s.body_cyc;
-                    prof.on_block(s.idx as usize, s.len as usize, s.body_cyc);
+                    prof.on_block(idx, s.len as usize, s.body_cyc);
                 }
                 Err((fk, cyc, e)) => {
                     *instrs += fk as u64 + 1;
@@ -881,7 +886,10 @@ fn exec_trace<P: Profiler, W: PcWatch>(
             (s.pred, true)
         } else {
             let target = resolve_control(s.cop, ctl_pc, regs);
-            (target.unwrap_or_else(|| slot_pc.wrapping_add(4)), target.is_some())
+            (
+                target.unwrap_or_else(|| slot_pc.wrapping_add(4)),
+                target.is_some(),
+            )
         };
         *instrs += cw as u64 + 1;
         *cycles += s.ctl_cyc;
@@ -890,17 +898,9 @@ fn exec_trace<P: Profiler, W: PcWatch>(
             prof.on_taken(s.cidx as usize + cw - 1);
         }
         if !s.slot_nop {
-            match exec_op::<P>(
-                s.sop,
-                slot_pc,
-                s.slot_idx as usize,
-                regs,
-                hi,
-                lo,
-                mem,
-                prof,
-            ) {
+            match exec_op::<P>(s.sop, slot_pc, s.slot_idx as usize, regs, hi, lo, mem, prof) {
                 Ok(Outcome::Next) => {}
+                // Segments come from flagged rounds: plain delay slots.
                 Ok(_) => unreachable!("control op in superblock delay slot"),
                 Err(e) => {
                     *pc = slot_pc;

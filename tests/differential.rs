@@ -50,9 +50,10 @@ fn superblock_engine_matches_reference_on_whole_suite() {
 }
 
 /// Dispatch boundaries forced at every `stride`-th text slot (none for
-/// `stride == 0`). Fusion refuses to consume a boundary slot, so this
-/// dials superinstruction fusion from full (no extra boundaries) down to
-/// none (a boundary at every slot, one op per dispatch round).
+/// `stride == 0`). A round never spans a boundary, so this dials the
+/// rounds superblocks record and fuse from the natural ones (no extra
+/// boundaries) down to none (a boundary at every slot, one op per dispatch
+/// round).
 fn boundary_pcs(binary: &binpart::mips::Binary, stride: usize) -> Vec<u32> {
     if stride == 0 {
         return Vec::new();
@@ -65,9 +66,11 @@ fn boundary_pcs(binary: &binpart::mips::Binary, stride: usize) -> Vec<u32> {
 
 #[test]
 fn fast_engine_matches_reference_on_whole_suite_at_every_fusion_level() {
-    // Full fusion, fusion broken at every other slot, and no fusion at
-    // all: the fused stream and its unfused fallbacks must agree with the
-    // reference bit-for-bit (Exit and Profile) whatever the fusion level.
+    // No extra boundaries, a boundary at every other slot, and one at
+    // every slot: boundaries cut dispatch rounds, and with them the rounds
+    // a superblock records and fuses (a boundary at every slot leaves no
+    // round to record). Exit and Profile must agree with the reference
+    // bit-for-bit however the rounds and traces are cut.
     const LEVELS: [(&str, usize); 3] = [("full", 0), ("partial", 2), ("none", 1)];
     for b in suite() {
         for level in OptLevel::ALL {

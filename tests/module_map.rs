@@ -1,13 +1,14 @@
-//! The decompiler crates, `binpart-cdfg` and `binpart-core`, each carry a
-//! module table in the `//!` docs of their `src/lib.rs`: one row per module
-//! file, naming its role and public entry point. These tests fail when a
+//! The decompiler crates, `binpart-cdfg` and `binpart-core`, and the
+//! processor crate `binpart-mips` each carry a module table in the `//!`
+//! docs of their `src/lib.rs`: one row per module file, naming its role and
+//! public entry point. These tests fail when a
 //! module file has no row, or a row names a file that is gone, so the map
 //! cannot fall behind a split or a new module. (A renamed entry point
 //! breaks the row's intra-doc link, which the `cargo doc` CI step denies.)
 
 use std::path::Path;
 
-const CRATES: [&str; 2] = ["crates/cdfg/src", "crates/core/src"];
+const CRATES: [&str; 3] = ["crates/cdfg/src", "crates/core/src", "crates/mips/src"];
 
 /// Every `.rs` file under `dir`, as a path relative to `base` with `/`
 /// separators.
