@@ -182,7 +182,7 @@ const HW_SPAN_CAP: u64 = 8;
 struct InstrumentedAccel<'a, 'f, T: Telemetry> {
     set: &'a KernelSet<'f>,
     /// Per region; a kernel without a recorder runs uninstrumented.
-    recorders: &'a [Option<HwRecorder>],
+    recorders: &'a mut [Option<HwRecorder>],
     names: &'a [String],
     span_budget: Vec<u64>,
     /// Whether the current invocation opened a `hw_invoke` span: its
@@ -206,7 +206,7 @@ impl<T: Telemetry> Accelerator for InstrumentedAccel<'_, '_, T> {
         } else {
             None
         };
-        let result = match self.recorders.get(region).and_then(Option::as_ref) {
+        let result = match self.recorders.get_mut(region).and_then(Option::as_mut) {
             Some(rec) => accel.execute_with(regs, mem, rec),
             None => accel.execute(regs, mem),
         };
@@ -356,10 +356,10 @@ impl<T: Telemetry> StagedFlow<'_, T> {
         // exact uninstrumented path (the throughput snapshot measures it);
         // an instrumented flow swaps in the recording accelerator, whose
         // execution semantics are identical.
-        let recorders: Vec<Option<HwRecorder>> = if T::ENABLED {
+        let mut recorders: Vec<Option<HwRecorder>> = if T::ENABLED {
             set.kernels
                 .iter()
-                .map(|k| k.as_ref().map(|a| HwRecorder::new(a.fsmd().block_count())))
+                .map(|k| k.as_ref().map(|_| HwRecorder::default()))
                 .collect()
         } else {
             Vec::new()
@@ -369,7 +369,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             if T::ENABLED {
                 hm.run(&mut InstrumentedAccel {
                     set: &set,
-                    recorders: &recorders,
+                    recorders: &mut recorders,
                     names: &names,
                     span_budget: vec![HW_SPAN_CAP; set.kernels.len()],
                     shadow_span: false,
@@ -662,7 +662,7 @@ mod tests {
         let hx = hm
             .run(&mut InstrumentedAccel {
                 set: &p.set,
-                recorders: &[],
+                recorders: &mut [],
                 names: &names,
                 span_budget: vec![HW_SPAN_CAP; p.set.kernels.len()],
                 shadow_span: false,

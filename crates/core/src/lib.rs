@@ -91,7 +91,7 @@ pub mod opts;
 pub mod partition;
 pub mod stage;
 
-pub use binpart_hwsim::{BusTxn, HwAttr, HwAttribution, HwProfile};
+pub use binpart_hwsim::{BusTxn, HwAttribution, HwProfile};
 pub use cosim::{CosimError, CosimReport, KernelCosim};
 pub use decompile::{attach_profile, decompile, DecompileStats, DecompiledProgram};
 pub use diag::{Diagnostic, FlowStage};

@@ -138,19 +138,15 @@ impl<'f> KernelAccel<'f> {
     /// # Errors
     ///
     /// Any [`FsmdError`] from the executor.
-    pub fn execute(
-        &self,
-        regs: &[u32; 32],
-        mem: &Memory,
-    ) -> Result<HwInvocation, FsmdError> {
-        self.execute_with(regs, mem, &NullHwTelemetry)
+    pub fn execute(&self, regs: &[u32; 32], mem: &Memory) -> Result<HwInvocation, FsmdError> {
+        self.execute_with(regs, mem, &mut NullHwTelemetry)
     }
 
-    /// [`KernelAccel::execute`] with a live [`HwTelemetry`] sink. Drives
-    /// the sink's invocation lifecycle: `invocation_begin` before the
-    /// FSMD runs, then `invocation_commit` on success or
-    /// `invocation_abort` on a fault — so a recording sink's totals cover
-    /// exactly the invocations whose cycles the hybrid machine charged.
+    /// [`KernelAccel::execute`] with a live [`HwTelemetry`] sink, which
+    /// gets the invocation's counts when it ends ([`Fsmd::execute_tel`]):
+    /// committed on success, aborted on a fault — so a recording sink's
+    /// totals cover exactly the invocations whose cycles the hybrid
+    /// machine charged.
     ///
     /// # Errors
     ///
@@ -159,7 +155,7 @@ impl<'f> KernelAccel<'f> {
         &self,
         regs: &[u32; 32],
         mem: &Memory,
-        tel: &H,
+        tel: &mut H,
     ) -> Result<HwInvocation, FsmdError> {
         let mut vals = vec![0u32; self.fsmd.register_count()];
         for &(v, src) in &self.plan {
@@ -169,26 +165,13 @@ impl<'f> KernelAccel<'f> {
             };
         }
         let mut bus = OverlayBus::new(mem);
-        if H::ENABLED {
-            tel.invocation_begin();
-        }
-        match self.fsmd.execute_tel(&mut vals, &mut bus, self.cycle_limit, tel) {
-            Ok(run) => {
-                if H::ENABLED {
-                    tel.invocation_commit();
-                }
-                Ok(HwInvocation {
-                    hw_cycles: run.cycles,
-                    stores: bus.stores,
-                })
-            }
-            Err(e) => {
-                if H::ENABLED {
-                    tel.invocation_abort();
-                }
-                Err(e)
-            }
-        }
+        let run = self
+            .fsmd
+            .execute_tel(&mut vals, &mut bus, self.cycle_limit, tel)?;
+        Ok(HwInvocation {
+            hw_cycles: run.cycles,
+            stores: bus.stores,
+        })
     }
 }
 
@@ -317,10 +300,7 @@ impl<'a> Resolver<'a> {
                     }
                     return None;
                 }
-                let (orig, _) = self
-                    .function_live_ins
-                    .iter()
-                    .find(|(_, name)| *name == v)?;
+                let (orig, _) = self.function_live_ins.iter().find(|(_, name)| *name == v)?;
                 if orig.index() < 32 {
                     Some(LiveInSource::MachineReg(orig.0 as u8))
                 } else {
@@ -417,8 +397,7 @@ mod tests {
     fn accel_executes_and_logs_increment_stores() {
         let (f, region, header) = mem_kernel();
         let binary = binpart_mips::BinaryBuilder::new().build();
-        let accel = KernelAccel::compile(&f, &schedule(&f, &region), header, &binary, &[])
-        .unwrap();
+        let accel = KernelAccel::compile(&f, &schedule(&f, &region), header, &binary, &[]).unwrap();
         let mut mem = Memory::new();
         for k in 0..8u32 {
             mem.write_u32(0x1000 + 4 * k, 10 * k);
@@ -453,8 +432,8 @@ mod tests {
         f.block_mut(header).term = Terminator::Jump(exit);
         f.block_mut(exit).term = Terminator::Return { value: None };
         let binary = binpart_mips::BinaryBuilder::new().build();
-        let err = KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[])
-        .unwrap_err();
+        let err =
+            KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[]).unwrap_err();
         assert!(matches!(err, AccelBuildError::UnmappableLiveIn { .. }));
     }
 
@@ -481,8 +460,9 @@ mod tests {
         f.block_mut(exit).term = Terminator::Return { value: None };
         let binary = binpart_mips::BinaryBuilder::new().build();
         let t0 = VReg(u32::from(Reg::T0.number()));
-        let accel = KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[(t0, name)])
-        .unwrap();
+        let accel =
+            KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[(t0, name)])
+                .unwrap();
         assert_eq!(
             accel.plan(),
             &[(name, LiveInSource::MachineReg(Reg::T0.number()))]

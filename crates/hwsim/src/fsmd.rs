@@ -10,12 +10,10 @@
 //! then one dispatch on a micro-op — no `Op`/`Operand` matching, no phi
 //! argument search, no region or loop lookups.
 
-use binpart_cdfg::ir::{
-    BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, UnOp, VReg,
-};
+use crate::hwtel::{HwAttribution, HwCounts, HwTelemetry, NullHwTelemetry};
+use binpart_cdfg::ir::{BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, UnOp, VReg};
 use binpart_mips::hybrid::HwStore;
 use binpart_mips::sim::{Memory, PAGE_SIZE};
-use crate::hwtel::{HwAttr, HwAttribution, HwTelemetry, NullHwTelemetry};
 use binpart_synth::{KernelSchedule, PipelinedLoop, ScheduledBlock};
 use std::fmt;
 
@@ -153,25 +151,98 @@ pub struct FsmdRun {
 /// slot `i < vreg_count` is `VReg(i)`, later slots hold constants.
 #[derive(Debug, Clone, Copy)]
 enum MicroOp {
-    Copy { d: u32, s: u32 },
-    Add { d: u32, a: u32, b: u32 },
-    Sub { d: u32, a: u32, b: u32 },
-    Mul { d: u32, a: u32, b: u32 },
-    And { d: u32, a: u32, b: u32 },
-    Or { d: u32, a: u32, b: u32 },
-    Xor { d: u32, a: u32, b: u32 },
-    Shl { d: u32, a: u32, b: u32 },
-    ShrL { d: u32, a: u32, b: u32 },
-    ShrA { d: u32, a: u32, b: u32 },
-    Eq { d: u32, a: u32, b: u32 },
-    Ne { d: u32, a: u32, b: u32 },
-    LtS { d: u32, a: u32, b: u32 },
-    LtU { d: u32, a: u32, b: u32 },
+    Copy {
+        d: u32,
+        s: u32,
+    },
+    Add {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Sub {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Mul {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    And {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Or {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Xor {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Shl {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    ShrL {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    ShrA {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Eq {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Ne {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    LtS {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    LtU {
+        d: u32,
+        a: u32,
+        b: u32,
+    },
     /// Every other binop, through [`BinOp::fold`].
-    Bin { op: BinOp, d: u32, a: u32, b: u32 },
-    Un { op: UnOp, d: u32, s: u32 },
-    Load { d: u32, addr: u32, width: MemWidth, signed: bool },
-    Store { s: u32, addr: u32, width: MemWidth },
+    Bin {
+        op: BinOp,
+        d: u32,
+        a: u32,
+        b: u32,
+    },
+    Un {
+        op: UnOp,
+        d: u32,
+        s: u32,
+    },
+    Load {
+        d: u32,
+        addr: u32,
+        width: MemWidth,
+        signed: bool,
+    },
+    Store {
+        s: u32,
+        addr: u32,
+        width: MemWidth,
+    },
 }
 
 /// Where a control transfer goes.
@@ -250,6 +321,24 @@ struct DenseBlock {
     stall: u32,
     /// Control steps the block occupies (1 for control-only blocks).
     depth: u32,
+}
+
+/// What one entry into a region state costs ([`Fsmd::state_costs`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StateCost {
+    /// The state's block id.
+    pub(crate) block: u32,
+    /// Cycles charged per entry, by [`HwAttribution`] category.
+    pub(crate) block_seq: u64,
+    pub(crate) steady_ii: u64,
+    pub(crate) bus_stall: u64,
+    /// Cycles charged per pipelined-loop entry taken at the state.
+    pub(crate) fill: u64,
+    /// Loads and stores per entry, and the words they move.
+    pub(crate) loads: u64,
+    pub(crate) load_words: u64,
+    pub(crate) stores: u64,
+    pub(crate) store_words: u64,
 }
 
 /// A compiled, executable FSMD for one region of a decompiled function —
@@ -624,11 +713,6 @@ impl<'f> Fsmd<'f> {
         live
     }
 
-    /// Blocks in the function (sizing for telemetry recorders).
-    pub fn block_count(&self) -> usize {
-        self.f.blocks.len()
-    }
-
     /// FSM states in the kernel: region blocks the FSMD compiled.
     pub fn region_states(&self) -> usize {
         self.blocks.len()
@@ -662,6 +746,42 @@ impl<'f> Fsmd<'f> {
         a
     }
 
+    /// What entering each region state costs, in block order: the cycles
+    /// [`Fsmd::execute_tel`] adds to [`FsmdRun::cycles`] there and the
+    /// bus transactions the state's ops perform. Counts × costs give a
+    /// recorder's profile.
+    pub(crate) fn state_costs(&self) -> impl Iterator<Item = StateCost> + '_ {
+        self.blocks.iter().map(|b| {
+            let only = |yes: bool, cycles: u32| if yes { u64::from(cycles) } else { 0 };
+            let mut cost = StateCost {
+                block: b.id.0,
+                block_seq: only(b.pipe == NO_LOOP, b.depth),
+                steady_ii: only(b.header, b.ii.saturating_sub(b.stall)),
+                bus_stall: only(b.header, b.stall),
+                fill: u64::from(b.fill),
+                loads: 0,
+                load_words: 0,
+                stores: 0,
+                store_words: 0,
+            };
+            let words = |w: MemWidth| u64::from(w.bytes().div_ceil(4).max(1));
+            for op in &self.code[b.start as usize..b.end as usize] {
+                match *op {
+                    MicroOp::Load { width, .. } => {
+                        cost.loads += 1;
+                        cost.load_words += words(width);
+                    }
+                    MicroOp::Store { width, .. } => {
+                        cost.stores += 1;
+                        cost.store_words += words(width);
+                    }
+                    _ => {}
+                }
+            }
+            cost
+        })
+    }
+
     /// Executes one invocation on the register file `regs` (at least
     /// [`Fsmd::register_count`] long, live-ins pre-bound at their
     /// [`VReg::index`]; the constant slots are filled here), memory through
@@ -676,14 +796,17 @@ impl<'f> Fsmd<'f> {
         bus: &mut OverlayBus<'_>,
         cycle_limit: u64,
     ) -> Result<FsmdRun, FsmdError> {
-        self.execute_tel(regs, bus, cycle_limit, &NullHwTelemetry)
+        self.execute_tel(regs, bus, cycle_limit, &mut NullHwTelemetry)
     }
 
     /// [`Fsmd::execute`] with a live [`HwTelemetry`] sink. Monomorphized:
-    /// with [`NullHwTelemetry`] every probe compiles away and this *is*
-    /// `execute`. Every `cycles +=` below has exactly one matching
-    /// [`HwTelemetry::charge`], so a recording sink's per-state and
-    /// per-category totals both sum to [`FsmdRun::cycles`] exactly.
+    /// with [`NullHwTelemetry`] nothing is counted and this *is*
+    /// `execute`. Otherwise the invocation counts into an [`HwCounts`]
+    /// while it runs — per state, entries and pipelined-loop entries; the
+    /// last bus transactions; the last state; the wave when
+    /// [`HwTelemetry::capture_wave`] asks — and hands it to the sink's
+    /// [`HwTelemetry::invocation_commit`], or to
+    /// [`HwTelemetry::invocation_abort`] on a fault.
     ///
     /// # Errors
     ///
@@ -693,7 +816,31 @@ impl<'f> Fsmd<'f> {
         regs: &mut [u32],
         bus: &mut OverlayBus<'_>,
         cycle_limit: u64,
-        tel: &H,
+        tel: &mut H,
+    ) -> Result<FsmdRun, FsmdError> {
+        if !H::ENABLED {
+            return self.run::<false>(regs, bus, cycle_limit, &mut HwCounts::new(0, false));
+        }
+        let mut counts = HwCounts::new(self.blocks.len(), tel.capture_wave());
+        let result = self.run::<true>(regs, bus, cycle_limit, &mut counts);
+        if result.is_ok() {
+            tel.invocation_commit(counts);
+        } else {
+            tel.invocation_abort(counts);
+        }
+        result
+    }
+
+    /// The executor. With `REC` it counts into `counts`: every `cycles +=`
+    /// below is one of the costs [`Fsmd::state_costs`] reports, charged
+    /// per state entry or per loop entry, so counts × costs sum to
+    /// [`FsmdRun::cycles`] exactly.
+    fn run<const REC: bool>(
+        &self,
+        regs: &mut [u32],
+        bus: &mut OverlayBus<'_>,
+        cycle_limit: u64,
+        counts: &mut HwCounts,
     ) -> Result<FsmdRun, FsmdError> {
         let consts = self.vreg_count..self.register_count();
         regs.get_mut(consts)
@@ -714,34 +861,26 @@ impl<'f> Fsmd<'f> {
         loop {
             let b = &self.blocks[cur];
             run.blocks_executed += 1;
-            if H::ENABLED {
-                tel.state_enter(run.cycles, b.id.0);
+            if REC {
+                counts.state_enter(cur, b.id.0, run.cycles);
             }
             // ---- timing: pipelined loops at II, other blocks at depth ----
             if b.pipe == NO_LOOP {
                 cur_loop = NO_LOOP;
                 run.cycles += u64::from(b.depth);
-                if H::ENABLED {
-                    tel.charge(b.id.0, HwAttr::BlockSeq, u64::from(b.depth));
-                }
             } else {
                 if cur_loop != b.pipe {
                     // entering the loop: pay the pipeline fill once
                     run.cycles += u64::from(b.fill);
                     run.entries += 1;
                     cur_loop = b.pipe;
-                    if H::ENABLED {
-                        tel.charge(b.id.0, HwAttr::FillDrain, u64::from(b.fill));
+                    if REC {
+                        counts.loop_enter(cur);
                     }
                 }
                 if b.header {
                     run.cycles += u64::from(b.ii);
                     run.iterations += 1;
-                    if H::ENABLED {
-                        let steady = b.ii.saturating_sub(b.stall);
-                        tel.charge(b.id.0, HwAttr::SteadyII, u64::from(steady));
-                        tel.charge(b.id.0, HwAttr::BusStall, u64::from(b.stall));
-                    }
                 }
             }
             if run.cycles > cycle_limit {
@@ -749,11 +888,19 @@ impl<'f> Fsmd<'f> {
             }
             // ---- phis: the entered edge's parallel copy ----
             if edge != NO_COPIES {
-                self.cross(edge, regs, &mut buffer, tel, run.cycles)?;
+                self.cross::<REC>(edge, regs, &mut buffer, counts, run.cycles)?;
             }
             // ---- datapath: the block's states in scheduled order ----
-            for op in &self.code[b.start as usize..b.end as usize] {
-                step(op, regs, bus, tel, run.cycles)?;
+            // (the per-op wave probes run only while the wave captures)
+            let ops = &self.code[b.start as usize..b.end as usize];
+            if REC && counts.capturing() {
+                for op in ops {
+                    step::<true, true>(op, regs, bus, counts, run.cycles)?;
+                }
+            } else {
+                for op in ops {
+                    step::<REC, false>(op, regs, bus, counts, run.cycles)?;
+                }
             }
             // ---- terminator ----
             let next = match b.exit {
@@ -796,15 +943,15 @@ impl<'f> Fsmd<'f> {
         }
     }
 
-    /// Performs edge `edge`'s phi parallel copy, reporting each phi's write
+    /// Performs edge `edge`'s phi parallel copy, counting each phi's write
     /// in phi order.
     #[inline(always)]
-    fn cross<H: HwTelemetry>(
+    fn cross<const REC: bool>(
         &self,
         edge: u32,
         regs: &mut [u32],
         buffer: &mut Vec<u32>,
-        tel: &H,
+        counts: &mut HwCounts,
         cycle: u64,
     ) -> Result<(), FsmdError> {
         let e = self.edges[edge as usize];
@@ -815,9 +962,9 @@ impl<'f> Fsmd<'f> {
                 for &(d, s) in copies {
                     regs[d as usize] = regs[s as usize];
                 }
-                if H::ENABLED {
+                if REC && counts.capturing() {
                     for &(d, _) in copies {
-                        tel.reg_write(cycle, d, regs[d as usize]);
+                        counts.reg_write(cycle, d, regs[d as usize]);
                     }
                 }
             }
@@ -826,8 +973,8 @@ impl<'f> Fsmd<'f> {
                 buffer.extend(copies.iter().map(|&(_, s)| regs[s as usize]));
                 for (&(d, _), &v) in copies.iter().zip(buffer.iter()) {
                     regs[d as usize] = v;
-                    if H::ENABLED {
-                        tel.reg_write(cycle, d, v);
+                    if REC && counts.capturing() {
+                        counts.reg_write(cycle, d, v);
                     }
                 }
             }
@@ -836,13 +983,14 @@ impl<'f> Fsmd<'f> {
     }
 }
 
-/// Executes one micro-op.
+/// Executes one micro-op, counting its bus transaction with `REC` and its
+/// wave events with `WAVE`.
 #[inline(always)]
-fn step<H: HwTelemetry>(
+fn step<const REC: bool, const WAVE: bool>(
     op: &MicroOp,
     r: &mut [u32],
     bus: &mut OverlayBus<'_>,
-    tel: &H,
+    counts: &mut HwCounts,
     cycle: u64,
 ) -> Result<(), FsmdError> {
     let reg = |s: u32| r[s as usize];
@@ -879,8 +1027,11 @@ fn step<H: HwTelemetry>(
                 (MemWidth::H, true) => raw as u16 as i16 as i32 as u32,
                 _ => raw,
             };
-            if H::ENABLED {
-                tel.bus_read(cycle, a, width.bytes() as u8, raw);
+            if REC {
+                counts.bus(false, a, width, raw, cycle);
+            }
+            if WAVE {
+                counts.wave_bus(false, a, raw, cycle);
             }
             (d, v)
         }
@@ -888,15 +1039,18 @@ fn step<H: HwTelemetry>(
             let a = reg(addr);
             let v = reg(s);
             bus.write(a, width, v)?;
-            if H::ENABLED {
-                tel.bus_write(cycle, a, width.bytes() as u8, v);
+            if REC {
+                counts.bus(true, a, width, v, cycle);
+            }
+            if WAVE {
+                counts.wave_bus(true, a, v, cycle);
             }
             return Ok(());
         }
     };
     r[d as usize] = v;
-    if H::ENABLED {
-        tel.reg_write(cycle, d, v);
+    if WAVE {
+        counts.reg_write(cycle, d, v);
     }
     Ok(())
 }
@@ -913,6 +1067,7 @@ fn check_aligned(addr: u32, width: MemWidth) -> Result<(), FsmdError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hwtel::{clear_post_mortem, post_mortem_context, HwRecorder};
     use crate::schedule;
     use binpart_cdfg::loops::LoopForest;
     use binpart_cdfg::ssa;
@@ -1020,8 +1175,7 @@ mod tests {
     fn fsmd_computes_the_architectural_sum() {
         let n = 100u64;
         let (f, region, header) = sum_kernel(n);
-        let fsmd = compile(&f, &region, header)
-        .unwrap();
+        let fsmd = compile(&f, &region, header).unwrap();
         // Seed memory: a[i] = i at word addresses.
         let mut mem = Memory::new();
         for i in 0..n {
@@ -1081,10 +1235,10 @@ mod tests {
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
-        let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
-        rec.invocation_begin();
-        let run = fsmd.execute_tel(&mut vals, &mut bus, 1 << 28, &rec).unwrap();
-        rec.invocation_commit();
+        let mut rec = HwRecorder::default();
+        let run = fsmd
+            .execute_tel(&mut vals, &mut bus, 1 << 28, &mut rec)
+            .unwrap();
         let profile = rec.into_profile(&fsmd);
         // Conservation by construction: per-category and per-state sums
         // both equal the measured cycle count, exactly.
@@ -1107,8 +1261,7 @@ mod tests {
     #[test]
     fn identical_run_with_and_without_recorder_is_bit_identical() {
         let (f, region, header) = sum_kernel(64);
-        let fsmd = compile(&f, &region, header)
-        .unwrap();
+        let fsmd = compile(&f, &region, header).unwrap();
         let mut mem = Memory::new();
         for i in 0..64u32 {
             mem.write_u32(i * 4, i * 3);
@@ -1120,15 +1273,92 @@ mod tests {
             (fsmd.execute(&mut vals, &mut bus, 1 << 24).unwrap(), vals)
         };
         let (plain, plain_vals) = run2();
-        let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
+        let mut rec = HwRecorder::default();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
-        rec.invocation_begin();
-        let instrumented = fsmd.execute_tel(&mut vals, &mut bus, 1 << 24, &rec).unwrap();
-        rec.invocation_commit();
+        let instrumented = fsmd
+            .execute_tel(&mut vals, &mut bus, 1 << 24, &mut rec)
+            .unwrap();
         assert_eq!(plain, instrumented);
         assert_eq!(plain_vals, vals);
+    }
+
+    /// A faulting invocation between two committed ones leaves the totals
+    /// of the committed ones alone; the post-mortem payload (final state,
+    /// last bus transactions, this thread's post-mortem) is its own.
+    #[test]
+    fn a_faulting_invocation_counts_only_toward_the_post_mortem() {
+        let (f, region, header) = sum_kernel(40);
+        let fsmd = compile(&f, &region, header).unwrap();
+        let mut mem = Memory::new();
+        for i in 0..40u32 {
+            mem.write_u32(i * 4, 3 * i + 1);
+        }
+        let invoke = |rec: &mut HwRecorder, limit: u64| {
+            let mut vals = vec![0u32; fsmd.register_count()];
+            bind_const_live_ins(&f, &fsmd, &mut vals);
+            fsmd.execute_tel(&mut vals, &mut OverlayBus::new(&mem), limit, rec)
+        };
+        let full = u64::MAX;
+        let cycles = invoke(&mut HwRecorder::default(), full).unwrap().cycles;
+        // Halfway through the loop, after more loads than the bus ring holds.
+        let limit = cycles / 2;
+        let fault = |rec: &mut HwRecorder| {
+            let err = invoke(rec, limit).unwrap_err();
+            assert_eq!(err, FsmdError::CycleLimit { limit });
+        };
+
+        clear_post_mortem();
+        let mut alone = HwRecorder::default();
+        fault(&mut alone);
+        let pm_alone = post_mortem_context().unwrap();
+        let alone = alone.into_profile(&fsmd);
+        assert_eq!(alone.last_bus.len(), 16, "{:?}", alone.last_bus);
+
+        // Committed, then faulting: the payload is the fault's.
+        clear_post_mortem();
+        let mut rec = HwRecorder::default();
+        invoke(&mut rec, full).unwrap();
+        fault(&mut rec);
+        assert_eq!(post_mortem_context().unwrap(), pm_alone);
+        let after_fault = rec.into_profile(&fsmd);
+        assert_eq!(after_fault.final_state, alone.final_state);
+        assert_eq!(after_fault.last_bus, alone.last_bus);
+
+        // Committed, faulting, committed vs the two committed ones alone.
+        let mut rec = HwRecorder::default();
+        invoke(&mut rec, full).unwrap();
+        fault(&mut rec);
+        invoke(&mut rec, full).unwrap();
+        let mut committed = HwRecorder::default();
+        invoke(&mut committed, full).unwrap();
+        invoke(&mut committed, full).unwrap();
+        let (a, b) = (rec.into_profile(&fsmd), committed.into_profile(&fsmd));
+        assert_eq!((a.invocations, a.committed, a.aborted), (3, 2, 1));
+        assert_eq!((b.invocations, b.committed, b.aborted), (2, 2, 0));
+        assert_eq!(a.measured_cycles, b.measured_cycles);
+        assert_eq!(a.state_cycles, b.state_cycles);
+        assert_eq!(a.block_execs, b.block_execs);
+        assert_eq!(a.attributed, b.attributed);
+        assert_eq!(
+            (
+                a.bus_reads,
+                a.bus_read_words,
+                a.bus_writes,
+                a.bus_write_words
+            ),
+            (
+                b.bus_reads,
+                b.bus_read_words,
+                b.bus_writes,
+                b.bus_write_words
+            )
+        );
+        assert_eq!(a.bus_reads, 80);
+        assert_eq!(a.measured_cycles, 2 * cycles);
+        assert_eq!(a.last_bus, b.last_bus, "the last invocation committed");
+        clear_post_mortem();
     }
 
     /// Runs one recorded invocation of `(f, region, header)` against `mem`
@@ -1141,15 +1371,13 @@ mod tests {
         name: &str,
         golden: &str,
     ) -> String {
-        let fsmd = compile(&f, &region, header)
-        .unwrap();
+        let fsmd = compile(&f, &region, header).unwrap();
         let mut bus = OverlayBus::new(mem);
         let mut vals = vec![0u32; fsmd.register_count()];
         bind_const_live_ins(&f, &fsmd, &mut vals);
-        let rec = crate::hwtel::HwRecorder::new(fsmd.block_count());
-        rec.invocation_begin();
-        fsmd.execute_tel(&mut vals, &mut bus, 1 << 20, &rec).unwrap();
-        rec.invocation_commit();
+        let mut rec = HwRecorder::default();
+        fsmd.execute_tel(&mut vals, &mut bus, 1 << 20, &mut rec)
+            .unwrap();
         let profile = rec.into_profile(&fsmd);
         let vcd = profile.vcd().expect("wave captured");
         // Rendered on demand: every call, and every clone, gives the same
@@ -1193,12 +1421,39 @@ mod tests {
         let y = f.new_vreg();
         let z = f.new_vreg();
         for op in [
-            Op::Load { dst: x, addr: Operand::Const(0x200), width: MemWidth::W, signed: false },
-            Op::Store { src: Operand::Reg(x), addr: Operand::Const(0x100), width: MemWidth::B },
-            Op::Bin { op: BinOp::Add, dst: y, lhs: Operand::Reg(x), rhs: Operand::Const(1) },
-            Op::Store { src: Operand::Reg(y), addr: Operand::Const(0x102), width: MemWidth::H },
-            Op::Load { dst: z, addr: Operand::Const(0x203), width: MemWidth::B, signed: true },
-            Op::Store { src: Operand::Reg(z), addr: Operand::Const(0x105), width: MemWidth::B },
+            Op::Load {
+                dst: x,
+                addr: Operand::Const(0x200),
+                width: MemWidth::W,
+                signed: false,
+            },
+            Op::Store {
+                src: Operand::Reg(x),
+                addr: Operand::Const(0x100),
+                width: MemWidth::B,
+            },
+            Op::Bin {
+                op: BinOp::Add,
+                dst: y,
+                lhs: Operand::Reg(x),
+                rhs: Operand::Const(1),
+            },
+            Op::Store {
+                src: Operand::Reg(y),
+                addr: Operand::Const(0x102),
+                width: MemWidth::H,
+            },
+            Op::Load {
+                dst: z,
+                addr: Operand::Const(0x203),
+                width: MemWidth::B,
+                signed: true,
+            },
+            Op::Store {
+                src: Operand::Reg(z),
+                addr: Operand::Const(0x105),
+                width: MemWidth::B,
+            },
         ] {
             f.block_mut(e).push(op);
         }
@@ -1237,8 +1492,7 @@ mod tests {
         f.block_mut(e).term = Terminator::Return { value: None };
         ssa::construct(&mut f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let fsmd = compile(&f, &region, f.entry)
-        .unwrap();
+        let fsmd = compile(&f, &region, f.entry).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1247,8 +1501,16 @@ mod tests {
         assert_eq!(
             bus.stores,
             vec![
-                HwStore { addr: 0x100, bytes: 4, value: 7 },
-                HwStore { addr: 0x104, bytes: 4, value: 9 },
+                HwStore {
+                    addr: 0x100,
+                    bytes: 4,
+                    value: 7
+                },
+                HwStore {
+                    addr: 0x104,
+                    bytes: 4,
+                    value: 9
+                },
             ]
         );
         assert_eq!(mem.read_u32(0x100), 0, "overlay never commits");
@@ -1265,8 +1527,7 @@ mod tests {
         f.block_mut(header).term = Terminator::Jump(header);
         ssa::construct(&mut f);
         let region = vec![header];
-        let fsmd = compile(&f, &region, header)
-        .unwrap();
+        let fsmd = compile(&f, &region, header).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1287,8 +1548,7 @@ mod tests {
         f.block_mut(f.entry).term = Terminator::Return { value: None };
         ssa::construct(&mut f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let fsmd = compile(&f, &region, f.entry)
-        .unwrap();
+        let fsmd = compile(&f, &region, f.entry).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1346,8 +1606,7 @@ mod tests {
         });
         f.block_mut(body).term = Terminator::Jump(header);
         f.block_mut(exit).term = Terminator::Return { value: None };
-        let fsmd = compile(&f, &[header, body], header)
-        .unwrap();
+        let fsmd = compile(&f, &[header, body], header).unwrap();
         // The back edge's copies read each other's destinations; region
         // entry's read only constants.
         let kinds: Vec<EdgeKind> = fsmd.edges.iter().skip(1).map(|e| e.kind).collect();

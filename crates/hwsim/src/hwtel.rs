@@ -5,39 +5,37 @@
 //!
 //! [`Fsmd::execute_tel`](crate::Fsmd::execute_tel) is generic over
 //! [`HwTelemetry`]. The default sink, [`NullHwTelemetry`], carries
-//! `ENABLED = false` and `#[inline(always)]` empty hooks — every probe
-//! in the executor sits under `if H::ENABLED`, so the uninstrumented
-//! build (the throughput snapshot, the default
-//! `StagedFlow::new` flow) compiles to exactly the pre-telemetry machine
-//! code. The recording sink, [`HwRecorder`], observes one kernel across
-//! its whole co-simulation:
+//! `ENABLED = false`: the executor then keeps no counts and calls no hook,
+//! so the uninstrumented build (the throughput snapshot, the default
+//! `StagedFlow::new` flow) runs the plain machine. The recording sink,
+//! [`HwRecorder`], observes one kernel across its whole co-simulation.
+//! The recorder counts; it does not log events. Each invocation goes:
 //!
-//! 1. [`invocation_begin`](HwTelemetry::invocation_begin) — the
-//!    accelerator snapshots the counters so a faulting invocation can be
-//!    rolled back (hardware totals must match only *committed* work, the
-//!    invocations whose cycles the hybrid machine actually charged).
-//! 2. [`state_enter`](HwTelemetry::state_enter) /
-//!    [`charge`](HwTelemetry::charge) — per FSM state: occupancy and the
-//!    attributed cycle categories ([`HwAttr`]). Every `cycles +=` in the
-//!    executor has exactly one matching `charge`, so the categories
-//!    sum to the measured cycle count *by construction* — the
-//!    attribution-conservation invariant the differential suite asserts.
-//! 3. [`bus_read`](HwTelemetry::bus_read) /
-//!    [`bus_write`](HwTelemetry::bus_write) /
-//!    [`reg_write`](HwTelemetry::reg_write) — the transaction log, the
-//!    post-mortem ring, and (first invocation only) the raw wave capture.
-//!    Once the capture has closed, `reg_write` returns without touching
-//!    the recording.
-//! 4. [`invocation_commit`](HwTelemetry::invocation_commit) or
-//!    [`invocation_abort`](HwTelemetry::invocation_abort) — keep or roll
-//!    back the counters. The last-bus ring and final FSM state
-//!    deliberately survive an abort: they are the post-mortem payload.
+//! 1. [`capture_wave`](HwTelemetry::capture_wave) — whether this
+//!    invocation keeps its raw wave (the recorder keeps only the first).
+//! 2. The executor counts into an [`HwCounts`] of its own while it runs:
+//!    per FSM state, times entered and pipelined-loop entries taken there;
+//!    the last 16 bus transactions in a fixed ring; the last state
+//!    entered; and, when asked, the wave (at most 4096 events).
+//! 3. [`invocation_commit`](HwTelemetry::invocation_commit) or
+//!    [`invocation_abort`](HwTelemetry::invocation_abort) — the sink gets
+//!    the counts and adds them to its totals, or discards them after a
+//!    fault (hardware totals must match only *committed* work, the
+//!    invocations whose cycles the hybrid machine actually charged). The
+//!    last-bus ring, the final FSM state and this thread's post-mortem take
+//!    the invocation either way: they are the post-mortem payload.
 //!
-//! [`HwRecorder::into_profile`] folds the recording into a [`HwProfile`] —
-//! the per-kernel report `StagedFlow::cosimulate` attaches to its
-//! `CosimReport`, including the analytic attribution
-//! ([`crate::Fsmd::analytic_attribution`]) that decomposes
-//! measured-vs-estimate error by feature.
+//! [`HwRecorder::into_profile`] derives a [`HwProfile`] from the totals
+//! and the compiled FSMD — the per-kernel report
+//! `StagedFlow::cosimulate` attaches to its `CosimReport`. Per-state
+//! occupancy and the attributed cycle categories ([`HwAttribution`]) are
+//! counts × each state's depth, fill, II and bus-stall share, the very
+//! numbers the executor adds to its cycle count, so the categories sum to
+//! the measured cycles *by construction* — the attribution-conservation
+//! invariant the differential suite asserts. Bus transactions and words
+//! are counts × each state's loads and stores. The profile also carries
+//! the analytic attribution ([`crate::Fsmd::analytic_attribution`]) that
+//! decomposes measured-vs-estimate error by feature.
 //!
 //! # VCD export
 //!
@@ -55,63 +53,25 @@
 //! increase for strobes to be visible).
 
 use crate::fsmd::Fsmd;
-use std::cell::{Cell, RefCell};
+use binpart_cdfg::ir::MemWidth;
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
-/// Where one attributed hardware cycle went.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HwAttr {
-    /// Steady-state initiation-interval charge of a pipelined loop,
-    /// excluding the bus-contention share.
-    SteadyII = 0,
-    /// Pipeline fill/drain paid once per loop entry.
-    FillDrain = 1,
-    /// The share of the II forced by memory-port contention:
-    /// `II - max(RecMII, ResMII-without-mem)` per iteration.
-    BusStall = 2,
-    /// Sequential (non-pipelined) block schedules.
-    BlockSeq = 3,
-}
-
-impl HwAttr {
-    /// Number of categories.
-    pub const COUNT: usize = 4;
-
-    /// Stable lowercase name.
-    pub fn name(self) -> &'static str {
-        match self {
-            HwAttr::SteadyII => "steady_ii",
-            HwAttr::FillDrain => "fill_drain",
-            HwAttr::BusStall => "bus_stall",
-            HwAttr::BlockSeq => "block_seq",
-        }
-    }
-}
-
 /// The FSMD executor's telemetry sink. Monomorphized: with
-/// [`NullHwTelemetry`] every probe compiles away (`ENABLED` gates each
-/// call site).
+/// [`NullHwTelemetry`] the executor keeps no counts (`ENABLED` gates each
+/// probe) and never calls a hook.
 pub trait HwTelemetry {
-    /// Whether probes are live; `false` removes them at compile time.
+    /// Whether the executor records; `false` removes recording at compile
+    /// time.
     const ENABLED: bool;
-    /// One accelerator invocation is starting.
-    fn invocation_begin(&self);
-    /// The FSM entered `block` at `cycle` (measured cycles so far).
-    fn state_enter(&self, cycle: u64, block: u32);
-    /// `cycles` measured cycles were charged to `block` under `attr`.
-    fn charge(&self, block: u32, attr: HwAttr, cycles: u64);
-    /// A datapath op wrote `value` into SSA register `vreg`.
-    fn reg_write(&self, cycle: u64, vreg: u32, value: u32);
-    /// A load of `bytes` bytes at `addr` returned `value`.
-    fn bus_read(&self, cycle: u64, addr: u32, bytes: u8, value: u32);
-    /// A store of `bytes` bytes of `value` at `addr` completed.
-    fn bus_write(&self, cycle: u64, addr: u32, bytes: u8, value: u32);
-    /// The invocation completed; keep its counters.
-    fn invocation_commit(&self);
-    /// The invocation faulted; roll its counters back (the post-mortem
-    /// ring and final state survive).
-    fn invocation_abort(&self);
+    /// Whether the invocation about to start should capture its raw wave.
+    fn capture_wave(&self) -> bool;
+    /// The invocation completed; keep its counts.
+    fn invocation_commit(&mut self, counts: HwCounts);
+    /// The invocation faulted; discard its counts (its last bus
+    /// transactions and final state still reach the post-mortem).
+    fn invocation_abort(&mut self, counts: HwCounts);
 }
 
 /// The disabled sink: no state, no code. This is the default everywhere —
@@ -123,61 +83,17 @@ pub struct NullHwTelemetry;
 impl HwTelemetry for NullHwTelemetry {
     const ENABLED: bool = false;
     #[inline(always)]
-    fn invocation_begin(&self) {}
-    #[inline(always)]
-    fn state_enter(&self, _cycle: u64, _block: u32) {}
-    #[inline(always)]
-    fn charge(&self, _block: u32, _attr: HwAttr, _cycles: u64) {}
-    #[inline(always)]
-    fn reg_write(&self, _cycle: u64, _vreg: u32, _value: u32) {}
-    #[inline(always)]
-    fn bus_read(&self, _cycle: u64, _addr: u32, _bytes: u8, _value: u32) {}
-    #[inline(always)]
-    fn bus_write(&self, _cycle: u64, _addr: u32, _bytes: u8, _value: u32) {}
-    #[inline(always)]
-    fn invocation_commit(&self) {}
-    #[inline(always)]
-    fn invocation_abort(&self) {}
-}
-
-impl<H: HwTelemetry> HwTelemetry for &H {
-    const ENABLED: bool = H::ENABLED;
-    #[inline(always)]
-    fn invocation_begin(&self) {
-        (**self).invocation_begin();
+    fn capture_wave(&self) -> bool {
+        false
     }
     #[inline(always)]
-    fn state_enter(&self, cycle: u64, block: u32) {
-        (**self).state_enter(cycle, block);
-    }
+    fn invocation_commit(&mut self, _counts: HwCounts) {}
     #[inline(always)]
-    fn charge(&self, block: u32, attr: HwAttr, cycles: u64) {
-        (**self).charge(block, attr, cycles);
-    }
-    #[inline(always)]
-    fn reg_write(&self, cycle: u64, vreg: u32, value: u32) {
-        (**self).reg_write(cycle, vreg, value);
-    }
-    #[inline(always)]
-    fn bus_read(&self, cycle: u64, addr: u32, bytes: u8, value: u32) {
-        (**self).bus_read(cycle, addr, bytes, value);
-    }
-    #[inline(always)]
-    fn bus_write(&self, cycle: u64, addr: u32, bytes: u8, value: u32) {
-        (**self).bus_write(cycle, addr, bytes, value);
-    }
-    #[inline(always)]
-    fn invocation_commit(&self) {
-        (**self).invocation_commit();
-    }
-    #[inline(always)]
-    fn invocation_abort(&self) {
-        (**self).invocation_abort();
-    }
+    fn invocation_abort(&mut self, _counts: HwCounts) {}
 }
 
 /// One logged bus transaction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BusTxn {
     /// `true` for a store, `false` for a load.
     pub write: bool,
@@ -205,16 +121,18 @@ impl std::fmt::Display for BusTxn {
     }
 }
 
-/// Per-category attributed cycles.
+/// Hardware cycles split by where they went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HwAttribution {
-    /// Steady-state II charges (bus share excluded).
+    /// Steady-state initiation-interval charges of pipelined loops,
+    /// excluding the bus-contention share.
     pub steady_ii: u64,
-    /// Pipeline fill/drain.
+    /// Pipeline fill/drain, paid once per loop entry.
     pub fill_drain: u64,
-    /// Memory-bus contention share of pipelined iterations.
+    /// The share of the II forced by memory-port contention:
+    /// `II - max(RecMII, ResMII-without-mem)` per iteration.
     pub bus_stall: u64,
-    /// Sequential block schedules.
+    /// Sequential (non-pipelined) block schedules.
     pub block_seq: u64,
 }
 
@@ -226,9 +144,8 @@ impl HwAttribution {
         self.steady_ii + self.fill_drain + self.bus_stall + self.block_seq
     }
 }
-
 /// The per-kernel hardware profile `StagedFlow::cosimulate` reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct HwProfile {
     /// Invocations started.
     pub invocations: u64,
@@ -244,7 +161,7 @@ pub struct HwProfile {
     pub state_cycles: Vec<(u32, u64)>,
     /// Executions per block (block id, count), nonzero entries only.
     pub block_execs: Vec<(u32, u64)>,
-    /// Measured cycles split by [`HwAttr`] category.
+    /// Measured cycles split by category.
     pub attributed: HwAttribution,
     /// The same split predicted analytically from schedule tables and
     /// profile counts — the calibration reference. Per-feature differences
@@ -339,215 +256,229 @@ struct Wave {
     truncated: bool,
 }
 
-#[derive(Debug, Default)]
-struct Snapshot {
-    state_cycles: Vec<u64>,
-    block_execs: Vec<u64>,
-    attr: [u64; HwAttr::COUNT],
-    bus_reads: u64,
-    bus_writes: u64,
-    bus_read_words: u64,
-    bus_write_words: u64,
-}
-
+/// What one FSMD invocation observed: counted by the executor while it
+/// runs, handed to the sink when it ends (see the [module docs](self)).
 #[derive(Debug)]
-struct RecInner {
-    state_cycles: Vec<u64>,
-    block_execs: Vec<u64>,
-    attr: [u64; HwAttr::COUNT],
-    bus_reads: u64,
-    bus_writes: u64,
-    bus_read_words: u64,
-    bus_write_words: u64,
-    invocations: u64,
-    committed: u64,
-    aborted: u64,
-    snap: Snapshot,
-    last_bus: VecDeque<BusTxn>,
+pub struct HwCounts {
+    /// Per region state, in block order: times entered.
+    enters: Vec<u64>,
+    /// Per region state: pipelined-loop entries taken there.
+    loop_entries: Vec<u64>,
+    /// The most recent bus transactions: transaction `i` sits at
+    /// `i % LAST_BUS_CAP`.
+    bus: [BusTxn; LAST_BUS_CAP],
+    /// Bus transactions performed.
+    bus_count: usize,
+    /// Block id of the last state entered.
     final_state: Option<u32>,
+    /// Whether `wave` is still capturing.
+    capturing: bool,
     wave: Wave,
 }
 
-/// The recording [`HwTelemetry`] sink: one per kernel, single-threaded
-/// (interior mutability via `RefCell` — the hybrid machine invokes
-/// accelerators from one thread).
-#[derive(Debug)]
+impl HwCounts {
+    /// Zeroed counts for `states` region states, capturing the wave when
+    /// `wave` is set.
+    pub(crate) fn new(states: usize, wave: bool) -> HwCounts {
+        HwCounts {
+            enters: vec![0; states],
+            loop_entries: vec![0; states],
+            bus: [BusTxn::default(); LAST_BUS_CAP],
+            bus_count: 0,
+            final_state: None,
+            capturing: wave,
+            wave: Wave::default(),
+        }
+    }
+
+    /// The FSM entered region state `state`, block `block`, at `cycle`.
+    #[inline(always)]
+    pub(crate) fn state_enter(&mut self, state: usize, block: u32, cycle: u64) {
+        self.enters[state] += 1;
+        self.final_state = Some(block);
+        self.wave(WaveEvent::State { cycle, block });
+    }
+
+    /// A pipelined loop was entered at region state `state`.
+    #[inline(always)]
+    pub(crate) fn loop_enter(&mut self, state: usize) {
+        self.loop_entries[state] += 1;
+    }
+
+    /// A load or store completed.
+    #[inline(always)]
+    pub(crate) fn bus(&mut self, write: bool, addr: u32, width: MemWidth, value: u32, cycle: u64) {
+        let bytes = width.bytes() as u8;
+        let txn = BusTxn {
+            write,
+            addr,
+            bytes,
+            value,
+            cycle,
+        };
+        self.bus[self.bus_count % LAST_BUS_CAP] = txn;
+        self.bus_count += 1;
+    }
+
+    /// Whether the wave is capturing: the executor runs its per-op wave
+    /// probes ([`HwCounts::wave_bus`], [`HwCounts::reg_write`]) only then.
+    #[inline(always)]
+    pub(crate) fn capturing(&self) -> bool {
+        self.capturing
+    }
+
+    /// The wave event of a load or store.
+    #[inline(always)]
+    pub(crate) fn wave_bus(&mut self, write: bool, addr: u32, value: u32, cycle: u64) {
+        self.wave(if write {
+            WaveEvent::Write { cycle, addr, value }
+        } else {
+            WaveEvent::Read { cycle, addr, value }
+        });
+    }
+
+    /// A datapath op or phi copy wrote `value` into SSA register `vreg`.
+    #[inline(always)]
+    pub(crate) fn reg_write(&mut self, cycle: u64, vreg: u32, value: u32) {
+        self.wave(WaveEvent::Reg { cycle, vreg, value });
+    }
+
+    #[inline(always)]
+    fn wave(&mut self, ev: WaveEvent) {
+        if self.capturing {
+            self.push_wave(ev);
+        }
+    }
+
+    #[inline(always)]
+    fn push_wave(&mut self, ev: WaveEvent) {
+        if self.wave.events.len() < WAVE_EVENT_CAP {
+            self.wave.events.push(ev);
+        } else {
+            self.wave.truncated = true;
+            self.capturing = false;
+        }
+    }
+
+    /// The kept bus transactions, oldest first.
+    fn last_bus(&self) -> impl Iterator<Item = BusTxn> + '_ {
+        let kept = self.bus_count.min(LAST_BUS_CAP);
+        (self.bus_count - kept..self.bus_count).map(|i| self.bus[i % LAST_BUS_CAP])
+    }
+}
+
+/// Appends `txns` to `ring`, dropping the oldest beyond `cap`.
+fn push_capped(ring: &mut VecDeque<BusTxn>, cap: usize, txns: impl Iterator<Item = BusTxn>) {
+    for txn in txns {
+        if ring.len() == cap {
+            ring.pop_front();
+        }
+        ring.push_back(txn);
+    }
+}
+
+/// Adds `counts` into `totals` element-wise, growing `totals` to fit.
+fn add_counts(totals: &mut Vec<u64>, counts: &[u64]) {
+    if totals.len() < counts.len() {
+        totals.resize(counts.len(), 0);
+    }
+    for (t, c) in totals.iter_mut().zip(counts) {
+        *t += c;
+    }
+}
+
+/// The recording [`HwTelemetry`] sink: one per kernel, totalling the
+/// counts of its committed invocations.
+#[derive(Debug, Default)]
 pub struct HwRecorder {
-    inner: RefCell<RecInner>,
-    /// Whether the wave capture is open. Kept outside the `RefCell` so the
-    /// per-op [`HwTelemetry::reg_write`] hook can return without borrowing.
-    wave_live: Cell<bool>,
+    /// Per region state: committed entries, and pipelined-loop entries.
+    enters: Vec<u64>,
+    loop_entries: Vec<u64>,
+    committed: u64,
+    aborted: u64,
+    last_bus: VecDeque<BusTxn>,
+    final_state: Option<u32>,
+    /// The first invocation's wave.
+    wave: Wave,
 }
 
 impl HwRecorder {
-    /// A recorder for a kernel whose function has `nblocks` blocks.
-    pub fn new(nblocks: usize) -> HwRecorder {
-        HwRecorder {
-            inner: RefCell::new(RecInner {
-                state_cycles: vec![0; nblocks],
-                block_execs: vec![0; nblocks],
-                attr: [0; HwAttr::COUNT],
-                bus_reads: 0,
-                bus_writes: 0,
-                bus_read_words: 0,
-                bus_write_words: 0,
-                invocations: 0,
-                committed: 0,
-                aborted: 0,
-                snap: Snapshot::default(),
-                last_bus: VecDeque::with_capacity(LAST_BUS_CAP),
-                final_state: None,
-                wave: Wave::default(),
-            }),
-            wave_live: Cell::new(false),
+    /// Takes what an invocation leaves behind whether or not it committed:
+    /// the first invocation's wave, the final state, the last bus
+    /// transactions, and this thread's post-mortem.
+    fn keep(&mut self, counts: HwCounts) {
+        push_capped(&mut self.last_bus, LAST_BUS_CAP, counts.last_bus());
+        post_mortem_publish(counts.final_state, counts.last_bus());
+        self.final_state = counts.final_state.or(self.final_state);
+        if self.committed + self.aborted == 0 {
+            self.wave = counts.wave;
         }
     }
 
-    fn push_bus(inner: &mut RecInner, txn: BusTxn) {
-        if inner.last_bus.len() == LAST_BUS_CAP {
-            inner.last_bus.pop_front();
-        }
-        inner.last_bus.push_back(txn);
-        post_mortem_push(txn);
-    }
-
-    fn push_wave(&self, inner: &mut RecInner, ev: WaveEvent) {
-        if !self.wave_live.get() {
-            return;
-        }
-        if inner.wave.events.len() >= WAVE_EVENT_CAP {
-            inner.wave.truncated = true;
-            self.wave_live.set(false);
-            return;
-        }
-        inner.wave.events.push(ev);
-    }
-
-    /// Folds the recording into a [`HwProfile`], taking the analytic
-    /// attribution and state count from the kernel's compiled FSMD. The
-    /// captured wave moves into the profile unrendered.
+    /// Derives a [`HwProfile`] from the committed counts and the kernel's
+    /// compiled FSMD (which must be the one the counts came from), with
+    /// the analytic attribution and state count. The captured wave moves
+    /// into the profile unrendered.
     pub fn into_profile(self, fsmd: &Fsmd<'_>) -> HwProfile {
-        let inner = self.inner.into_inner();
-        let nonzero = |counts: &[u64]| -> Vec<(u32, u64)> {
-            counts
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c > 0)
-                .map(|(b, &c)| (b as u32, c))
-                .collect()
-        };
-        let state_cycles = nonzero(&inner.state_cycles);
-        let block_execs = nonzero(&inner.block_execs);
-        HwProfile {
-            invocations: inner.invocations,
-            committed: inner.committed,
-            aborted: inner.aborted,
-            measured_cycles: inner.state_cycles.iter().sum(),
-            states_executed: block_execs.len(),
-            states_total: fsmd.region_states(),
-            state_cycles,
-            block_execs,
-            attributed: HwAttribution {
-                steady_ii: inner.attr[HwAttr::SteadyII as usize],
-                fill_drain: inner.attr[HwAttr::FillDrain as usize],
-                bus_stall: inner.attr[HwAttr::BusStall as usize],
-                block_seq: inner.attr[HwAttr::BlockSeq as usize],
-            },
+        let mut p = HwProfile {
+            invocations: self.committed + self.aborted,
+            committed: self.committed,
+            aborted: self.aborted,
             analytic: fsmd.analytic_attribution(),
-            bus_reads: inner.bus_reads,
-            bus_writes: inner.bus_writes,
-            bus_read_words: inner.bus_read_words,
-            bus_write_words: inner.bus_write_words,
-            bram_transfer_words: 0,
-            last_bus: inner.last_bus.into(),
-            final_state: inner.final_state,
-            wave: inner.wave,
+            states_total: fsmd.region_states(),
+            last_bus: self.last_bus.into(),
+            final_state: self.final_state,
+            wave: self.wave,
+            ..HwProfile::default()
+        };
+        for (i, c) in fsmd.state_costs().enumerate() {
+            let n = self.enters.get(i).copied().unwrap_or(0);
+            if n == 0 {
+                continue;
+            }
+            let fills = self.loop_entries.get(i).copied().unwrap_or(0);
+            let a = HwAttribution {
+                steady_ii: n * c.steady_ii,
+                fill_drain: fills * c.fill,
+                bus_stall: n * c.bus_stall,
+                block_seq: n * c.block_seq,
+            };
+            p.attributed.steady_ii += a.steady_ii;
+            p.attributed.fill_drain += a.fill_drain;
+            p.attributed.bus_stall += a.bus_stall;
+            p.attributed.block_seq += a.block_seq;
+            if a.total() > 0 {
+                p.state_cycles.push((c.block, a.total()));
+            }
+            p.block_execs.push((c.block, n));
+            p.bus_reads += n * c.loads;
+            p.bus_read_words += n * c.load_words;
+            p.bus_writes += n * c.stores;
+            p.bus_write_words += n * c.store_words;
         }
+        p.measured_cycles = p.attributed.total();
+        p.states_executed = p.block_execs.len();
+        p
     }
 }
 
 impl HwTelemetry for HwRecorder {
     const ENABLED: bool = true;
 
-    fn invocation_begin(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        inner.snap.state_cycles.clear();
-        inner.snap.state_cycles.extend_from_slice(&inner.state_cycles);
-        inner.snap.block_execs.clear();
-        inner.snap.block_execs.extend_from_slice(&inner.block_execs);
-        inner.snap.attr = inner.attr;
-        inner.snap.bus_reads = inner.bus_reads;
-        inner.snap.bus_writes = inner.bus_writes;
-        inner.snap.bus_read_words = inner.bus_read_words;
-        inner.snap.bus_write_words = inner.bus_write_words;
-        self.wave_live.set(inner.invocations == 0);
-        inner.invocations += 1;
+    fn capture_wave(&self) -> bool {
+        self.committed + self.aborted == 0
     }
 
-    fn state_enter(&self, cycle: u64, block: u32) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(e) = inner.block_execs.get_mut(block as usize) {
-            *e += 1;
-        }
-        inner.final_state = Some(block);
-        self.push_wave(&mut inner, WaveEvent::State { cycle, block });
-        post_mortem_state(block);
+    fn invocation_commit(&mut self, counts: HwCounts) {
+        add_counts(&mut self.enters, &counts.enters);
+        add_counts(&mut self.loop_entries, &counts.loop_entries);
+        self.keep(counts);
+        self.committed += 1;
     }
 
-    fn charge(&self, block: u32, attr: HwAttr, cycles: u64) {
-        let mut inner = self.inner.borrow_mut();
-        if let Some(c) = inner.state_cycles.get_mut(block as usize) {
-            *c += cycles;
-        }
-        inner.attr[attr as usize] += cycles;
-    }
-
-    fn reg_write(&self, cycle: u64, vreg: u32, value: u32) {
-        if self.wave_live.get() {
-            self.push_wave(&mut self.inner.borrow_mut(), WaveEvent::Reg { cycle, vreg, value });
-        }
-    }
-
-    fn bus_read(&self, cycle: u64, addr: u32, bytes: u8, value: u32) {
-        let mut inner = self.inner.borrow_mut();
-        inner.bus_reads += 1;
-        inner.bus_read_words += u64::from(bytes.div_ceil(4).max(1));
-        Self::push_bus(
-            &mut inner,
-            BusTxn { write: false, addr, bytes, value, cycle },
-        );
-        self.push_wave(&mut inner, WaveEvent::Read { cycle, addr, value });
-    }
-
-    fn bus_write(&self, cycle: u64, addr: u32, bytes: u8, value: u32) {
-        let mut inner = self.inner.borrow_mut();
-        inner.bus_writes += 1;
-        inner.bus_write_words += u64::from(bytes.div_ceil(4).max(1));
-        Self::push_bus(
-            &mut inner,
-            BusTxn { write: true, addr, bytes, value, cycle },
-        );
-        self.push_wave(&mut inner, WaveEvent::Write { cycle, addr, value });
-    }
-
-    fn invocation_commit(&self) {
-        self.inner.borrow_mut().committed += 1;
-        self.wave_live.set(false);
-    }
-
-    fn invocation_abort(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        inner.state_cycles.copy_from_slice(&inner.snap.state_cycles);
-        inner.block_execs.copy_from_slice(&inner.snap.block_execs);
-        inner.attr = inner.snap.attr;
-        inner.bus_reads = inner.snap.bus_reads;
-        inner.bus_writes = inner.snap.bus_writes;
-        inner.bus_read_words = inner.snap.bus_read_words;
-        inner.bus_write_words = inner.snap.bus_write_words;
-        inner.aborted += 1;
-        self.wave_live.set(false);
+    fn invocation_abort(&mut self, counts: HwCounts) {
+        self.keep(counts);
+        self.aborted += 1;
     }
 }
 
@@ -638,7 +569,10 @@ fn render_vcd(events: &[WaveEvent], truncated: bool) -> String {
     let mut out = String::with_capacity(48 * ids.len() + 24 * events.len());
     out.push_str("$comment binpart-hwsim FSMD first-invocation waveform $end\n");
     if truncated {
-        let _ = writeln!(out, "$comment wave truncated at {WAVE_EVENT_CAP} events $end");
+        let _ = writeln!(
+            out,
+            "$comment wave truncated at {WAVE_EVENT_CAP} events $end"
+        );
     }
     out.push_str("$timescale 1ns $end\n$scope module fsmd $end\n");
     let fixed = [
@@ -668,11 +602,20 @@ fn render_vcd(events: &[WaveEvent], truncated: bool) -> String {
     // event gets a strictly later tick than the previous one (several
     // datapath events share a control step; strobes need distinct ticks).
     let last = vec![None; ids.len()];
-    let mut w = VcdWriter { out, ids, last, open_ts: None };
+    let mut w = VcdWriter {
+        out,
+        ids,
+        last,
+        open_ts: None,
+    };
     let mut t: u64 = 0;
     let mut pending_clear: Option<u64> = None;
     for (i, ev) in events.iter().enumerate() {
-        t = if i == 0 { ev.cycle() } else { ev.cycle().max(t + 1) };
+        t = if i == 0 {
+            ev.cycle()
+        } else {
+            ev.cycle().max(t + 1)
+        };
         if let Some(ct) = pending_clear.take() {
             w.clear_strobes(ct.min(t)); // never in the future of the current tick
         }
@@ -714,17 +657,14 @@ thread_local! {
     };
 }
 
-fn post_mortem_state(block: u32) {
-    HW_PM.with(|pm| pm.borrow_mut().state = Some(block));
-}
-
-fn post_mortem_push(txn: BusTxn) {
+/// Publishes one ended invocation to this thread's post-mortem: its last
+/// state entered (if it entered one) and its bus transactions, oldest
+/// first.
+fn post_mortem_publish(state: Option<u32>, txns: impl Iterator<Item = BusTxn>) {
     HW_PM.with(|pm| {
         let mut pm = pm.borrow_mut();
-        if pm.ring.len() == PM_RING_CAP {
-            pm.ring.pop_front();
-        }
-        pm.ring.push_back(txn);
+        pm.state = state.or(pm.state);
+        push_capped(&mut pm.ring, PM_RING_CAP, txns);
     });
 }
 
@@ -739,10 +679,10 @@ pub fn clear_post_mortem() {
 }
 
 /// The hardware post-mortem for this thread, if any instrumented FSMD
-/// execution has happened since the last [`clear_post_mortem`]: the
-/// current (last-entered) FSM state and the most recent bus transactions,
-/// oldest first. Written only by [`HwRecorder`] — the uninstrumented path
-/// never touches it.
+/// invocation has ended since the last [`clear_post_mortem`]: the last FSM
+/// state entered and the most recent bus transactions, oldest first.
+/// Published by [`HwRecorder`] once per invocation — the uninstrumented
+/// path never touches it.
 pub fn post_mortem_context() -> Option<String> {
     HW_PM.with(|pm| {
         let pm = pm.borrow();
@@ -765,51 +705,98 @@ pub fn post_mortem_context() -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use binpart_cdfg::ir::{Function, MemWidth, Op, Operand, Terminator};
 
     #[test]
     fn null_telemetry_is_disabled_and_stateless() {
         const { assert!(!NullHwTelemetry::ENABLED) };
-        const { assert!(!<&NullHwTelemetry as HwTelemetry>::ENABLED) };
+        assert!(!NullHwTelemetry.capture_wave());
         assert_eq!(std::mem::size_of::<NullHwTelemetry>(), 0);
+    }
+
+    /// Two states: block 0 loads and jumps to block 1, which stores and
+    /// returns.
+    fn load_then_store() -> Function {
+        let mut f = Function::new("ls");
+        let (e, b1) = (f.entry, f.add_block());
+        let x = f.new_vreg();
+        f.block_mut(e).push(Op::Load {
+            dst: x,
+            addr: Operand::Const(0x100),
+            width: MemWidth::W,
+            signed: false,
+        });
+        f.block_mut(e).term = Terminator::Jump(b1);
+        f.block_mut(b1).push(Op::Store {
+            src: Operand::Reg(x),
+            addr: Operand::Const(0x104),
+            width: MemWidth::W,
+        });
+        f.block_mut(b1).term = Terminator::Return { value: None };
+        f
+    }
+
+    /// Counts of one invocation over `states` states that entered
+    /// `(state, block)` at cycle 0, in order, then performed `txns`.
+    fn counts(states: usize, entered: &[(usize, u32)], txns: &[BusTxn]) -> HwCounts {
+        let mut c = HwCounts::new(states, false);
+        for &(state, block) in entered {
+            c.state_enter(state, block, 0);
+        }
+        for t in txns {
+            c.bus(t.write, t.addr, MemWidth::W, t.value, t.cycle);
+        }
+        c
+    }
+
+    fn txn(write: bool, addr: u32, value: u32) -> BusTxn {
+        BusTxn {
+            write,
+            addr,
+            bytes: 4,
+            value,
+            cycle: u64::from(value),
+        }
     }
 
     #[test]
     fn recorder_commit_keeps_and_abort_rolls_back() {
-        let rec = HwRecorder::new(4);
-        rec.invocation_begin();
-        rec.state_enter(0, 1);
-        rec.charge(1, HwAttr::BlockSeq, 3);
-        rec.bus_read(3, 0x100, 4, 7);
-        rec.invocation_commit();
-        rec.invocation_begin();
-        rec.state_enter(3, 2);
-        rec.charge(2, HwAttr::SteadyII, 100);
-        rec.bus_write(5, 0x200, 4, 9);
-        rec.invocation_abort();
-        let inner = rec.inner.borrow();
-        assert_eq!(inner.attr[HwAttr::BlockSeq as usize], 3);
-        assert_eq!(inner.attr[HwAttr::SteadyII as usize], 0, "aborted work rolled back");
-        assert_eq!(inner.bus_reads, 1);
-        assert_eq!(inner.bus_writes, 0, "aborted store rolled back");
-        assert_eq!(inner.state_cycles[1], 3);
-        assert_eq!(inner.state_cycles[2], 0);
+        let f = load_then_store();
+        let region: Vec<_> = f.block_ids().collect();
+        let fsmd = Fsmd::compile(&f, &crate::schedule(&f, &region), f.entry).unwrap();
+        let mut rec = HwRecorder::default();
+        rec.invocation_commit(counts(2, &[(0, 0)], &[txn(false, 0x100, 7)]));
+        rec.invocation_abort(counts(2, &[(1, 1)], &[txn(true, 0x104, 9)]));
+        assert_eq!(rec.enters, [1, 0], "aborted entries rolled back");
+        let p = rec.into_profile(&fsmd);
+        assert_eq!((p.invocations, p.committed, p.aborted), (2, 1, 1));
+        assert_eq!(p.block_execs, [(0, 1)]);
+        assert_eq!(p.bus_reads, 1);
+        assert_eq!(p.bus_writes, 0, "aborted store rolled back");
+        assert_eq!(p.state_cycles.len(), 1, "{:?}", p.state_cycles);
+        assert_eq!(p.state_cycles[0].0, 0);
+        assert_eq!(p.attributed.total(), p.state_cycles[0].1);
+        assert_eq!(
+            p.attributed.block_seq, p.measured_cycles,
+            "no pipelined loop"
+        );
         // The post-mortem payload survives the abort.
-        assert_eq!(inner.final_state, Some(2));
-        assert_eq!(inner.last_bus.len(), 2);
-        assert!(inner.last_bus[1].write);
+        assert_eq!(p.final_state, Some(1));
+        assert_eq!(p.last_bus.len(), 2);
+        assert!(p.last_bus[1].write);
     }
 
     #[test]
     fn post_mortem_survives_and_clears() {
         clear_post_mortem();
         assert!(post_mortem_context().is_none());
-        let rec = HwRecorder::new(2);
-        rec.invocation_begin();
-        rec.state_enter(0, 1);
-        rec.bus_write(2, 0x44, 4, 5);
-        rec.invocation_abort();
+        let mut rec = HwRecorder::default();
+        rec.invocation_commit(counts(2, &[(0, 0)], &[txn(false, 0x40, 4)]));
+        rec.invocation_abort(counts(2, &[(1, 1)], &[txn(true, 0x44, 5)]));
+        // The latest invocation's state, even though it aborted.
         let pm = post_mortem_context().unwrap();
         assert!(pm.contains("fsm state B1"), "{pm}");
+        assert!(pm.contains("bus [R@0x00000040"), "{pm}");
         assert!(pm.contains("W@0x00000044"), "{pm}");
         clear_post_mortem();
         assert!(post_mortem_context().is_none());
@@ -818,14 +805,14 @@ mod tests {
     #[test]
     fn bus_rings_keep_the_most_recent_transactions_oldest_first() {
         clear_post_mortem();
-        let rec = HwRecorder::new(1);
-        rec.invocation_begin();
-        rec.state_enter(0, 0);
-        for i in 0..40u32 {
-            rec.bus_read(u64::from(i), 4 * i, 4, i);
-        }
-        rec.invocation_commit();
-        let kept: Vec<u32> = rec.inner.borrow().last_bus.iter().map(|t| t.value).collect();
+        let mut rec = HwRecorder::default();
+        let txns: Vec<BusTxn> = (0..40u32).map(|i| txn(false, 4 * i, i)).collect();
+        // One invocation overflows both rings; a second one shifts them.
+        rec.invocation_commit(counts(1, &[(0, 0)], &txns[..36]));
+        let kept: Vec<u32> = rec.last_bus.iter().map(|t| t.value).collect();
+        assert_eq!(kept, (36 - LAST_BUS_CAP as u32..36).collect::<Vec<_>>());
+        rec.invocation_commit(counts(1, &[(0, 0)], &txns[36..]));
+        let kept: Vec<u32> = rec.last_bus.iter().map(|t| t.value).collect();
         assert_eq!(kept, (40 - LAST_BUS_CAP as u32..40).collect::<Vec<_>>());
         let pm = post_mortem_context().unwrap();
         assert!(pm.starts_with("fsm state B0 | bus [R@0x00000080"), "{pm}");
@@ -863,10 +850,22 @@ mod tests {
     fn vcd_timeline_is_strictly_increasing_with_strobe_clears() {
         let events = vec![
             WaveEvent::State { cycle: 0, block: 1 },
-            WaveEvent::Read { cycle: 0, addr: 0x10, value: 3 },
-            WaveEvent::Read { cycle: 0, addr: 0x14, value: 4 },
+            WaveEvent::Read {
+                cycle: 0,
+                addr: 0x10,
+                value: 3,
+            },
+            WaveEvent::Read {
+                cycle: 0,
+                addr: 0x14,
+                value: 4,
+            },
             WaveEvent::State { cycle: 5, block: 2 },
-            WaveEvent::Write { cycle: 5, addr: 0x18, value: 9 },
+            WaveEvent::Write {
+                cycle: 5,
+                addr: 0x18,
+                value: 9,
+            },
         ];
         let vcd = render_vcd(&events, false);
         assert_timestamps_increase(&vcd);
@@ -880,18 +879,23 @@ mod tests {
 
     #[test]
     fn wave_capture_truncates_at_the_event_cap() {
-        let rec = HwRecorder::new(2);
-        rec.invocation_begin();
+        let mut rec = HwRecorder::default();
+        assert!(rec.capture_wave());
+        let mut c = HwCounts::new(2, rec.capture_wave());
         for i in 0..3000u64 {
-            rec.state_enter(2 * i, (i % 2) as u32);
-            rec.reg_write(2 * i, 7, i as u32);
+            c.state_enter((i % 2) as usize, (i % 2) as u32, 2 * i);
+            c.reg_write(2 * i, 7, i as u32);
         }
-        rec.invocation_commit();
-        let inner = rec.inner.into_inner();
-        assert_eq!(inner.block_execs.iter().sum::<u64>(), 3000, "counters see every event");
-        assert!(inner.wave.truncated);
-        assert_eq!(inner.wave.events.len(), WAVE_EVENT_CAP);
-        let vcd = render_vcd(&inner.wave.events, inner.wave.truncated);
+        rec.invocation_commit(c);
+        assert!(!rec.capture_wave(), "only the first invocation is captured");
+        assert_eq!(
+            rec.enters.iter().sum::<u64>(),
+            3000,
+            "counters see every event"
+        );
+        assert!(rec.wave.truncated);
+        assert_eq!(rec.wave.events.len(), WAVE_EVENT_CAP);
+        let vcd = render_vcd(&rec.wave.events, rec.wave.truncated);
         assert!(vcd.contains("$comment wave truncated at 4096 events $end"));
         assert_timestamps_increase(&vcd);
     }

@@ -36,12 +36,19 @@
 //!
 //! The [`hwtel`] module adds the hardware observability layer: a
 //! monomorphized [`HwTelemetry`] trait (the [`NullHwTelemetry`] default
-//! compiles every probe away; [`HwRecorder`] records per-state occupancy,
-//! per-category cycle attribution, a bus transaction log, and the raw wave
-//! of the first invocation) surfaced per kernel as [`HwProfile`], which
-//! renders that wave as VCD on demand. See the
-//! module docs for the begin → state/charge/bus → commit-or-abort
+//! compiles every probe away; under [`HwRecorder`] the executor counts
+//! state entries, pipelined-loop entries and the last bus transactions,
+//! and keeps the raw wave of the first invocation) surfaced per kernel as
+//! [`HwProfile`], whose occupancy, cycle attribution and bus totals are
+//! derived from those counts and which renders the wave as VCD on demand.
+//! See the module docs for the count → commit-or-abort → derive
 //! lifecycle.
+//!
+//! | file | role | entry point |
+//! |---|---|---|
+//! | `fsmd.rs` | the FSMD executor: lower a scheduled region once, run it step by step on a copy-on-write bus | [`Fsmd::compile`], [`Fsmd::execute`], [`OverlayBus`] |
+//! | `accel.rs` | bind an FSMD's live-ins to CPU state and serve it to the hybrid machine | [`KernelAccel::compile`], [`KernelSet`] |
+//! | `hwtel.rs` | hardware telemetry: the sink trait, the counting recorder, the profile, VCD, post-mortem | [`HwTelemetry`], [`HwRecorder::into_profile`], [`HwProfile::vcd`] |
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -52,8 +59,8 @@ pub mod hwtel;
 pub use accel::{AccelBuildError, KernelAccel, KernelSet, LiveInSource};
 pub use fsmd::{Fsmd, FsmdError, FsmdRun, OverlayBus};
 pub use hwtel::{
-    clear_post_mortem, post_mortem_context, BusTxn, HwAttr, HwAttribution,
-    HwProfile, HwRecorder, HwTelemetry, NullHwTelemetry,
+    clear_post_mortem, post_mortem_context, BusTxn, HwAttribution, HwCounts, HwProfile, HwRecorder,
+    HwTelemetry, NullHwTelemetry,
 };
 
 /// The schedule synthesis prices `region` of `f` from, at the default

@@ -14,7 +14,7 @@
 //!
 //! * **Word-oriented paged memory with a software TLB.** [`Memory`] keeps
 //!   4 KiB pages in a slot vector indexed through a page table, fronted by
-//!   a direct-mapped [`TLB_ENTRIES`]-entry translation cache. A naturally
+//!   a direct-mapped `TLB_ENTRIES`-entry translation cache. A naturally
 //!   aligned word access never crosses a page, so the aligned fast path is
 //!   one TLB tag compare plus a 4-byte slice read — versus four separate
 //!   `HashMap` lookups per `read_u32` in the reference engine. The TLB
@@ -25,23 +25,23 @@
 //!   [`Memory::read_vec`] copy page-sized chunks with `copy_from_slice`,
 //!   making binary loading O(pages) instead of O(bytes) hash lookups.
 //! * **Micro-op pre-decoding.** At load, every text word is lowered
-//!   ([`lower`]) into a packed `Op`: operand registers unpacked,
+//!   (`lower`) into a packed `Op`: operand registers unpacked,
 //!   immediates pre-extended (`lui` pre-shifted), branch/jump targets
 //!   resolved to absolute addresses, and the [`CycleModel`] cost
 //!   precomputed — the dispatch loop never re-decodes or re-matches the
 //!   cycle table.
-//! * **Block dispatch with fused control epilogues.** [`build_plans`]
+//! * **Block dispatch with fused control epilogues.** `build_plans`
 //!   precomputes, per op, the length of the straight-line (non-control)
 //!   run starting there and whether that run ends in a control op whose
 //!   delay slot is plain. In the sequential state the run loop executes
 //!   the whole run with no per-op fetch checks or pc bookkeeping
-//!   ([`run_block`]), then folds the terminating branch/jump *and its
+//!   (`run_block`), then folds the terminating branch/jump *and its
 //!   delay slot* into the same dispatch round — a tight loop iteration
 //!   costs one trip around the outer loop instead of three. All hot state
 //!   (registers, pc chain, counters) lives in locals for the duration of
 //!   [`Machine::run`].
 //! * **Superinstruction fusion inside superblocks.** A peephole pass
-//!   ([`fuse`]) rewrites hot adjacent pairs/triples into single fused
+//!   (`fuse`) rewrites hot adjacent pairs/triples into single fused
 //!   micro-ops, attacking the dominant remaining cost on register-resident
 //!   code: dispatch itself (one indirect branch per op). It runs only when
 //!   a superblock is installed, over the text slots of each recorded
@@ -78,7 +78,7 @@
 //!      re-enters another trace head, or hits a segment/length cap.
 //!   2. **Specialize.** The recorded rounds are frozen into segments with
 //!      everything the dispatcher would recompute pre-resolved: dense
-//!      body micro-ops fused ([`fuse`]) over each round's slots,
+//!      body micro-ops fused (`fuse`) over each round's slots,
 //!      per-segment instruction/cycle charges as constants,
 //!      canonical-`nop` delay slots marked for skipping, and
 //!      unconditional direct transfers marked to bypass control
@@ -2108,7 +2108,7 @@ impl Machine {
     /// Forces a dispatch round to begin at each of the given pcs (in
     /// addition to every natural run start), so a bounded run's watch
     /// reliably observes them: straight-line runs are truncated there
-    /// ([`build_plans`]). Out-of-text or unaligned pcs are ignored.
+    /// (`build_plans`). Out-of-text or unaligned pcs are ignored.
     /// Architectural behaviour is unchanged — only the dispatch grouping
     /// (and thus watch granularity) differs.
     pub fn set_dispatch_boundaries(&mut self, pcs: &[u32]) {

@@ -10,15 +10,15 @@
 //! how it plugs into the engine):
 //!
 //! 1. **Record.** Every sequential dispatch round bumps a per-pc heat
-//!    counter ([`HEAT_THRESHOLD`]); crossing the threshold arms a
+//!    counter (`HEAT_THRESHOLD`); crossing the threshold arms a
 //!    [NET]-style recorder that captures the *actually executed* rounds —
 //!    start index, run length, control op, observed branch direction, and
 //!    observed continuation — so trace selection follows the program's
 //!    empirical branch bias (the same signal the taken counts of
 //!    [`crate::sim::Profile`] measure) rather than a static guess.
 //! 2. **Specialize.** At install time each recorded round becomes a
-//!    [`Seg`]: its text slots are fused into superinstructions
-//!    ([`fuse`] — the only place fusion happens; sound because control
+//!    `Seg`: its text slots are fused into superinstructions
+//!    (`fuse` — the only place fusion happens; sound because control
 //!    enters a round only at its first slot, while the dispatcher runs the
 //!    plain ops), the fused ops are copied into one dense code buffer, and
 //!    cycle charges / retired-slot counts / the predicted continuation are
@@ -173,7 +173,7 @@ pub struct TraceCacheStats {
     pub superblock_instrs: u64,
     /// Times the cache was cleared by a dispatch-boundary change.
     pub invalidations: u64,
-    /// Heat counters that crossed [`HEAT_THRESHOLD`] and armed a
+    /// Heat counters that crossed `HEAT_THRESHOLD` and armed a
     /// recording (cumulative, survives invalidation).
     pub heat_promotions: u64,
     /// Traces specialized and installed (cumulative).
