@@ -32,6 +32,10 @@
 //!
 //! `trend` compares the last two `BENCH_history.jsonl` entries and prints
 //! per-column deltas.
+//!
+//! `ab --pairs N --base '<cmd>' --change '<cmd>'` runs two shell commands
+//! in N alternating pairs and judges every metric of their result lines
+//! by the claim rule ([`binpart_bench::ab`]).
 
 use binpart_bench::*;
 use binpart_core::flow::FlowOptions;
@@ -42,7 +46,7 @@ use binpart_mips::sim::Machine;
 use binpart_mips::Binary;
 use std::time::Instant;
 
-const USAGE: &str = "usage: tables [e1|e2|e3|e4|a1|a2|a3|check|telemetry|hwprof|trend|all]";
+const USAGE: &str = "usage: tables [e1|e2|e3|e4|a1|a2|a3|check|telemetry|hwprof|trend|all]\n       tables ab --pairs N --base '<cmd>' --change '<cmd>'";
 
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".into());
@@ -58,6 +62,7 @@ fn main() {
         "telemetry" => telemetry(),
         "hwprof" => hwprof(),
         "trend" => trend(),
+        "ab" => ab(std::env::args().skip(2)),
         "all" => {
             let t0 = Instant::now();
             e1();
@@ -920,4 +925,85 @@ fn a3() {
         println!("{name:<12} {on:>10.2} {off:>10.2}");
     }
     println!();
+}
+
+/// `tables ab`: the paired-run comparator ([`binpart_bench::ab`]). Exits 2
+/// on bad arguments and 1 when a run fails or prints no result line.
+fn ab(mut args: impl Iterator<Item = String>) {
+    use binpart_bench::ab::{compare, higher_is_better, result_metrics, run_pairs, samples, Side};
+    let usage = |why: &str| -> ! {
+        eprintln!("tables ab: {why}\n{USAGE}");
+        std::process::exit(2);
+    };
+    let (mut pairs, mut base, mut change) = (None, None, None);
+    while let Some(flag) = args.next() {
+        let value = args.next().unwrap_or_else(|| usage(&format!("{flag} needs a value")));
+        match flag.as_str() {
+            "--pairs" => pairs = value.parse::<usize>().ok().filter(|&n| n > 0),
+            "--base" => base = Some(value),
+            "--change" => change = Some(value),
+            _ => usage(&format!("unknown flag `{flag}`")),
+        }
+    }
+    let (Some(pairs), Some(base), Some(change)) = (pairs, base, change) else {
+        usage("needs --pairs (at least 1), --base and --change")
+    };
+    let run = |i: usize, side: Side| -> Result<Vec<binpart_bench::ab::Metric>, String> {
+        let (what, cmd) = match side {
+            Side::Base => ("base", &base),
+            Side::Change => ("change", &change),
+        };
+        let out = std::process::Command::new("sh")
+            .args(["-c", cmd])
+            .stderr(std::process::Stdio::inherit())
+            .output()
+            .map_err(|e| format!("pair {i} {what}: cannot run `{cmd}`: {e}"))?;
+        if !out.status.success() {
+            return Err(format!("pair {i} {what}: `{cmd}` exited with {}", out.status));
+        }
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let last = stdout.lines().rev().find(|l| !l.trim().is_empty()).unwrap_or("");
+        let metrics = result_metrics(last)
+            .ok_or_else(|| format!("pair {i} {what}: last line has no `metrics`: {last}"))?;
+        println!("pair {i} {what}: {} metrics", metrics.len());
+        Ok(metrics)
+    };
+    let (base_runs, change_runs) = run_pairs(pairs, run).unwrap_or_else(|e| {
+        eprintln!("tables ab: {e}");
+        std::process::exit(1);
+    });
+    println!(
+        "\n{pairs} pairs, base first in the even ones; better = 9/10 wins and median gain > base IQR"
+    );
+    println!(
+        "{:<36} {:>6} {:>14} {:>12} {:>14} {:>9} {:>6} {:>6}  verdict",
+        "metric", "better", "base median", "base IQR", "change median", "gain", "wins", "losses"
+    );
+    let mut detail = Vec::new();
+    for m in base_runs.first().into_iter().flatten() {
+        let (Some(b), Some(c)) = (samples(&base_runs, &m.name), samples(&change_runs, &m.name))
+        else {
+            continue;
+        };
+        let higher = higher_is_better(&m.unit);
+        let cmp = compare(&b, &c, higher);
+        println!(
+            "{:<36} {:>6} {:>14.6} {:>12.6} {:>14.6} {:>8.2}% {:>3}/{pairs} {:>3}/{pairs}  {:?}",
+            m.name,
+            if higher { "higher" } else { "lower" },
+            cmp.base_median,
+            cmp.base_iqr,
+            cmp.change_median,
+            100.0 * cmp.gain / cmp.base_median.abs(),
+            cmp.wins,
+            cmp.losses,
+            cmp.verdict,
+        );
+        let list = |xs: &[f64]| xs.iter().map(|x| format!("{x:.6}")).collect::<Vec<_>>().join(" ");
+        detail.push(format!("{} ({}): base {} | change {}", m.name, m.unit, list(&b), list(&c)));
+    }
+    println!("\nsamples by pair:");
+    for line in detail {
+        println!("  {line}");
+    }
 }

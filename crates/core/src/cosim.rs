@@ -260,14 +260,14 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             spec_kernel: Vec::new(),
             mapped: vec![false; partition.kernels.len()],
         };
-        for (ki, k) in partition.kernels.iter().enumerate() {
-            let f = &est.program.functions[k.func_index];
-            let Some((lo, hi)) = region_pc_range(f, &k.blocks) else {
+        for (ki, (k, c)) in partition.selected().enumerate() {
+            let f = &est.program.functions[c.func_index];
+            let Some((lo, hi)) = region_pc_range(f, &c.blocks) else {
                 continue;
             };
             let fn_end = function_end_after(self.binary(), &est.program.entries, lo);
             let hi = region_machine_extent(self.binary(), lo, hi, fn_end);
-            let Some(entry_pc) = f.block(k.header).start_pc else {
+            let Some(entry_pc) = f.block(c.header).start_pc else {
                 continue;
             };
             if entry_pc < lo || entry_pc > hi {
@@ -276,13 +276,13 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             let live_ins = est
                 .program
                 .live_ins
-                .get(k.func_index)
+                .get(c.func_index)
                 .map(|v| v.as_slice())
                 .unwrap_or(&[]);
             let accel = match KernelAccel::compile(
                 f,
                 &k.synth.schedule,
-                k.header,
+                c.header,
                 self.binary(),
                 live_ins,
             ) {
@@ -293,7 +293,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                 ) => {
                     diagnostics.push(Diagnostic::new(
                         FlowStage::AccelBuild,
-                        &*k.name,
+                        &*c.name,
                         e.to_string(),
                     ));
                     None
@@ -301,7 +301,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             };
             p.mapped[ki] = accel.is_some();
             p.specs.push(RegionSpec {
-                name: k.name.to_string(),
+                name: c.name.to_string(),
                 lo,
                 hi,
                 entry_pc,
@@ -394,20 +394,19 @@ impl<T: Telemetry> StagedFlow<'_, T> {
         // unmapped with zero traps).
         let mut kernels: Vec<KernelCosim> = staged
             .partition
-            .kernels
-            .iter()
+            .selected()
             .enumerate()
-            .map(|(ki, k)| KernelCosim {
-                name: Arc::clone(&k.name),
+            .map(|(ki, (k, c))| KernelCosim {
+                name: Arc::clone(&c.name),
                 mapped: mapped[ki],
                 invocations: 0,
-                invocations_estimated: k.invocations,
+                invocations_estimated: c.invocations,
                 hw_invocations: 0,
                 not_executed: 0,
                 hw_cycles_measured: 0,
                 hw_cycles_estimated: k.synth.timing.hw_cycles,
                 sw_cycles_replaced: 0,
-                sw_cycles_estimated: k.sw_cycles,
+                sw_cycles_estimated: c.sw_cycles,
                 store_mismatches: 0,
                 error_pct: None,
                 hw_profile: None,
@@ -454,23 +453,21 @@ impl<T: Telemetry> StagedFlow<'_, T> {
         // Measured hybrid evaluation: the kernels that actually executed,
         // with measured cycles/invocations and the block-RAM transfer
         // charge.
-        let measured_kernels: Vec<HardwareKernel> = staged
+        let measured_kernels = staged
             .partition
             .kernels
             .iter()
             .zip(&kernels)
             .filter(|(_, kc)| kc.hw_invocations > 0)
             .map(|(k, kc)| HardwareKernel {
-                name: Arc::clone(&k.name),
                 invocations: kc.hw_invocations,
                 hw_cycles: kc.hw_cycles_measured,
                 clock_hz: k.synth.timing.clock_mhz * 1e6,
                 sw_cycles_replaced: kc.sw_cycles_replaced,
                 area_gates: k.synth.area.gate_equivalents,
                 bram_transfer_words: if k.mem_in_bram { k.bram_bytes / 4 } else { 0 },
-            })
-            .collect();
-        let measured = options.platform.hybrid(reference.cycles, &measured_kernels);
+            });
+        let measured = options.platform.hybrid(reference.cycles, measured_kernels);
 
         if T::ENABLED {
             let traps: u64 = hx.kernels.iter().map(|s| s.invocations).sum();

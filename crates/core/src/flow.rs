@@ -167,9 +167,8 @@ impl FlowReport {
     /// over its function in [`FlowReport::program`].
     pub fn vhdl(&self) -> String {
         self.partition
-            .kernels
-            .iter()
-            .map(|k| k.synth.vhdl(&self.program.functions[k.func_index]))
+            .selected()
+            .map(|(k, c)| k.synth.vhdl(&self.program.functions[c.func_index]))
             .collect::<Vec<_>>()
             .join("\n")
     }

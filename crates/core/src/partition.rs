@@ -57,28 +57,19 @@ impl Default for PartitionOptions {
     }
 }
 
-/// One region selected for hardware.
+/// One region selected for hardware: a candidate, named by its index,
+/// and what selection decided for it. The candidate itself (function,
+/// blocks, header, name, profile weight, alias summary) is read through
+/// [`Partition::selected`].
 #[derive(Debug, Clone)]
 pub struct SelectedKernel {
-    /// Index into [`DecompiledProgram::functions`].
-    pub func_index: usize,
-    /// Region blocks (a loop nest), shared with its [`Candidate`].
-    pub blocks: Arc<[BlockId]>,
-    /// The loop-nest header — the region's single entry block (the
-    /// co-simulation trap point).
-    pub header: BlockId,
-    /// Kernel display name, shared with its [`Candidate`].
-    pub name: Arc<str>,
-    /// Profiled software cycles the kernel replaces.
-    pub sw_cycles: u64,
-    /// CPU→FPGA invocations (loop entries).
-    pub invocations: u64,
+    /// Index into the candidate list the partition was selected from
+    /// ([`CandidateSet::candidates`]): the kernel's dense region id.
+    pub candidate: usize,
     /// Whether the kernel's arrays moved to block RAM (step 2).
     pub mem_in_bram: bool,
     /// Bytes of array data placed in block RAM.
     pub bram_bytes: u64,
-    /// Memory summary from alias analysis, shared with its [`Candidate`].
-    pub regions: Arc<RegionSummary>,
     /// Synthesis result (timing, area, and the schedules the FSMD and the
     /// RTL are built from), shared with the synthesis memo that produced
     /// it.
@@ -143,10 +134,11 @@ pub struct Decision {
 /// The partitioning result.
 ///
 /// Built once per evaluated design point, so building it is kept cheap:
-/// each kernel's [`SelectedKernel::synth`] is the synthesis memo's own
-/// shared result (an `Arc`, never a copy of its schedules), and the
-/// decision log is kept as [`Decision`] records that [`Partition::log`]
-/// renders to text only when asked.
+/// a kernel names its candidate by index instead of copying it, each
+/// kernel's [`SelectedKernel::synth`] is the synthesis memo's own shared
+/// result (an `Arc`, never a copy of its schedules), and the decision log
+/// is kept as [`Decision`] records that [`Partition::log`] renders to
+/// text only when asked.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// Selected kernels.
@@ -162,12 +154,20 @@ pub struct Partition {
     /// (stage [`FlowStage::Synth`]). Area and suitability rejections are
     /// normal heuristic outcomes and stay in the decision log only.
     pub diagnostics: Vec<Diagnostic>,
-    /// The candidate list [`Decision::candidate`] indexes (names for the
-    /// rendered log).
+    /// The candidate list [`SelectedKernel::candidate`] and
+    /// [`Decision::candidate`] index.
     candidates: Arc<[Candidate]>,
 }
 
 impl Partition {
+    /// Each kernel with the candidate it was selected from, in kernel
+    /// order.
+    pub fn selected(&self) -> impl Iterator<Item = (&SelectedKernel, &Candidate)> {
+        self.kernels
+            .iter()
+            .map(|k| (k, &self.candidates[k.candidate]))
+    }
+
     /// The human-readable decision log, one line per [`Decision`] (e.g.
     /// `step1: main_loop_3 selected (4998 cycles, 17902 gates)`). Rendered
     /// on each call; the partitioner itself formats nothing.
@@ -186,7 +186,7 @@ impl Partition {
         if self.total_sw_cycles == 0 {
             return 0.0;
         }
-        self.kernels.iter().map(|k| k.sw_cycles).sum::<u64>() as f64
+        self.selected().map(|(_, c)| c.sw_cycles).sum::<u64>() as f64
             / self.total_sw_cycles as f64
     }
 }
@@ -418,7 +418,9 @@ fn measured_back_edges(
 /// cache must only be shared across calls passing the same `prog` and
 /// `set` (the staged flow guarantees this by owning one cache per
 /// estimated-program artifact), because it keys a region by its index in
-/// `set`.
+/// `set`. The call reads the memo through one
+/// [`MemoView`](binpart_synth::MemoView), taken at the start and dropped
+/// at the end.
 pub fn partition_with_candidates(
     prog: &DecompiledProgram,
     set: &CandidateSet,
@@ -430,7 +432,7 @@ pub fn partition_with_candidates(
 ) -> Partition {
     let data_end = set.data_end;
     let all = &set.candidates;
-    let config = cache.config(budget, library);
+    let mut memo = cache.view(budget, library);
     // min_share filter (deferred from harvest so the candidate set is
     // option-independent): the candidates it keeps are a prefix of the
     // profile ranking. Entries are indices into `all`.
@@ -440,8 +442,7 @@ pub fn partition_with_candidates(
 
     let most_kernels = options.max_kernels.min(candidates.len());
     let mut kernels: Vec<SelectedKernel> = Vec::with_capacity(most_kernels);
-    // Candidate index of each kernel, in `kernels` order.
-    let mut taken: Vec<usize> = Vec::with_capacity(most_kernels);
+    let taken = |kernels: &[SelectedKernel], ci| kernels.iter().any(|k| k.candidate == ci);
     // A candidate is decided at most once in step 1 and once more in step
     // 2 (joined) or step 3; step 2 also records one move per kernel.
     let mut decisions: Vec<Decision> = Vec::with_capacity(2 * candidates.len() + most_kernels);
@@ -459,19 +460,19 @@ pub fn partition_with_candidates(
         Unsuitable,
     }
 
-    let try_select = |ci: usize,
-                      mem_in_bram: bool,
-                      bram_bytes: u64,
-                      area_used: u64|
+    // Clones the memo's result only for a candidate it selects.
+    let mut try_select = |ci: usize,
+                          mem_in_bram: bool,
+                          bram_bytes: u64,
+                          area_used: u64|
      -> Result<Arc<SynthesisResult>, Reject> {
         let c = &all[ci];
         let key = KernelKey {
             region: ci,
-            config,
             mem_in_bram,
             bram_bytes,
         };
-        let r = cache
+        let r = memo
             .synthesize(key, || SynthesisInput {
                 function: &prog.functions[c.func_index],
                 forest: &prog.forests[c.func_index],
@@ -492,7 +493,7 @@ pub fn partition_with_candidates(
         if hw_time >= sw_time * 0.7 {
             return Err(Reject::Unsuitable);
         }
-        Ok(r)
+        Ok(Arc::clone(r))
     };
 
     // A candidate can be retried across steps; diagnose each synth
@@ -515,17 +516,10 @@ pub fn partition_with_candidates(
         });
     };
     let kernel = |ci: usize, mem_in_bram: bool, synth: Arc<SynthesisResult>, step: u8| {
-        let c = &all[ci];
         SelectedKernel {
-            func_index: c.func_index,
-            blocks: Arc::clone(&c.blocks),
-            header: c.header,
-            name: Arc::clone(&c.name),
-            sw_cycles: c.sw_cycles,
-            invocations: c.invocations,
+            candidate: ci,
             mem_in_bram,
             bram_bytes: 0,
-            regions: Arc::clone(&c.regions),
             synth,
             step,
         }
@@ -560,7 +554,6 @@ pub fn partition_with_candidates(
             },
         );
         kernels.push(kernel(ci, false, synth, 1));
-        taken.push(ci);
     }
 
     // ---- step 2: migrate memory to block RAM, pull in aliasing regions ----
@@ -568,14 +561,14 @@ pub fn partition_with_candidates(
         let mut shared_bases: std::collections::BTreeSet<u32> =
             std::collections::BTreeSet::new();
         for k in &kernels {
-            shared_bases.extend(k.regions.globals.iter().copied());
+            shared_bases.extend(all[k.candidate].regions.globals.iter().copied());
         }
-        for (k, &ci) in kernels.iter_mut().zip(&taken) {
-            if !k.regions.fully_resolved() || k.regions.globals.is_empty() {
+        for k in &mut kernels {
+            let regions = &all[k.candidate].regions;
+            if !regions.fully_resolved() || regions.globals.is_empty() {
                 continue;
             }
-            let bytes: u64 = k
-                .regions
+            let bytes: u64 = regions
                 .globals
                 .iter()
                 .map(|&b| alias::extent_of(&shared_bases, b, data_end) as u64)
@@ -583,9 +576,9 @@ pub fn partition_with_candidates(
             let prev_area = k.synth.area.gate_equivalents;
             // A BRAM re-synthesis failure is not a degradation: the kernel
             // stays in hardware with its step-1 synthesis.
-            if let Ok(synth) = try_select(ci, true, bytes, area_used - prev_area) {
+            if let Ok(synth) = try_select(k.candidate, true, bytes, area_used - prev_area) {
                 area_used = area_used - prev_area + synth.area.gate_equivalents;
-                decide(&mut decisions, 2, ci, Outcome::MovedToBram { bytes });
+                decide(&mut decisions, 2, k.candidate, Outcome::MovedToBram { bytes });
                 k.mem_in_bram = true;
                 k.bram_bytes = bytes;
                 k.synth = synth;
@@ -593,7 +586,7 @@ pub fn partition_with_candidates(
         }
         // Pull in other candidates touching the same arrays.
         for &ci in candidates {
-            if taken.contains(&ci) || kernels.len() >= options.max_kernels {
+            if taken(&kernels, ci) || kernels.len() >= options.max_kernels {
                 continue;
             }
             let c = &all[ci];
@@ -613,7 +606,6 @@ pub fn partition_with_candidates(
             area_used += synth.area.gate_equivalents;
             decide(&mut decisions, 2, ci, Outcome::Joined);
             kernels.push(kernel(ci, bram, synth, 2));
-            taken.push(ci);
         }
     }
 
@@ -622,7 +614,7 @@ pub fn partition_with_candidates(
         if kernels.len() >= options.max_kernels {
             break;
         }
-        if !kept(ci) || taken.contains(&ci) {
+        if !kept(ci) || taken(&kernels, ci) {
             continue;
         }
         let c = &all[ci];

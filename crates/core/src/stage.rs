@@ -144,19 +144,6 @@ pub struct StagedFlow<'b, T: Telemetry = NullTelemetry> {
     estimated: Mutex<KeyMap<(DecompileOptions, SimConfig), Slot<EstimatedProgram>>>,
 }
 
-fn slot<K: std::hash::Hash + Eq + Clone, T>(
-    map: &Mutex<KeyMap<K, Slot<T>>>,
-    key: &K,
-) -> Slot<T> {
-    // A panic while holding the lock poisons it; the map itself is always
-    // in a consistent state (single-statement updates), so recover rather
-    // than propagate the panic into every later stage call.
-    let mut map = map.lock().unwrap_or_else(|p| p.into_inner());
-    map.entry(key.clone())
-        .or_insert_with(|| Arc::new(OnceLock::new()))
-        .clone()
-}
-
 /// Cached stage access with the transient-error rule: the slot's
 /// `get_or_init` runs `init` at most once per slot, but a **transient**
 /// failure ([`FlowError::is_transient`] — fuel/step-budget trips) is
@@ -170,7 +157,21 @@ fn get_stage<K: std::hash::Hash + Eq + Clone, T>(
     key: &K,
     init: impl FnOnce() -> Result<Arc<T>, FlowError>,
 ) -> (Result<Arc<T>, FlowError>, bool) {
-    let s = slot(map, key);
+    let s = {
+        // A panic while holding the lock poisons it; the map itself is
+        // always in a consistent state (single-statement updates), so
+        // recover rather than propagate the panic into every later stage
+        // call.
+        let mut map = map.lock().unwrap_or_else(|p| p.into_inner());
+        // A built artifact is served under the lock: a warm stage call
+        // clones only the artifact's `Arc`, not its slot's.
+        if let Some(Some(Ok(built))) = map.get(key).map(|s| s.get()) {
+            return (Ok(Arc::clone(built)), false);
+        }
+        map.entry(key.clone())
+            .or_insert_with(|| Arc::new(OnceLock::new()))
+            .clone()
+    };
     let mut ran = false;
     let result = s
         .get_or_init(|| {
@@ -414,20 +415,15 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
         &options.library,
         &est.cache,
     );
-    let kernels: Vec<HardwareKernel> = partition
-        .kernels
-        .iter()
-        .map(|k| HardwareKernel {
-            name: Arc::clone(&k.name),
-            invocations: k.invocations,
-            hw_cycles: k.synth.timing.hw_cycles,
-            clock_hz: k.synth.timing.clock_mhz * 1e6,
-            sw_cycles_replaced: k.sw_cycles,
-            area_gates: k.synth.area.gate_equivalents,
-            bram_transfer_words: if k.mem_in_bram { k.bram_bytes / 4 } else { 0 },
-        })
-        .collect();
-    let hybrid = options.platform.hybrid(est.sw_cycles, &kernels);
+    let kernels = partition.selected().map(|(k, c)| HardwareKernel {
+        invocations: c.invocations,
+        hw_cycles: k.synth.timing.hw_cycles,
+        clock_hz: k.synth.timing.clock_mhz * 1e6,
+        sw_cycles_replaced: c.sw_cycles,
+        area_gates: k.synth.area.gate_equivalents,
+        bram_transfer_words: if k.mem_in_bram { k.bram_bytes / 4 } else { 0 },
+    });
+    let hybrid = options.platform.hybrid(est.sw_cycles, kernels);
     let mut diagnostics = est.program.diagnostics.clone();
     diagnostics.extend(partition.diagnostics.iter().cloned());
     StagedReport {

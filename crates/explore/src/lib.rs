@@ -20,18 +20,25 @@
 //! decompiles, and synthesizes **once** and spends the rest of the grid in
 //! the selection loop.
 //!
-//! A point then costs only its evaluation. A synthesis-memo hit builds a
-//! `Copy` key (region id, interned budget/library id, block-RAM
-//! placement) and clones an `Arc` of the shared result, so it allocates
-//! nothing; the partitioner records its decisions as compact records and
+//! A point then costs only its evaluation, and a warm point touches
+//! memory other threads write a constant number of times. The partitioner
+//! reads the synthesis memo through one read view per evaluation: a hit
+//! builds a `Copy` key (region id, block-RAM placement; the view carries
+//! the interned budget/library id) and borrows the shared result, hits
+//! are counted locally and added once, and only a kernel that is
+//! selected clones the result's `Arc`. A selected kernel names its
+//! candidate by index instead of sharing its name, blocks and alias
+//! summary; the partitioner records its decisions as compact records and
 //! formats the decision log only when `Partition::log` is called; and the
 //! sweep builds each clock's processor spec once, when the clock axis is
-//! set, so a point formats nothing. Platform and library names are
-//! `Arc<str>`, so the options a point clones ([`Sweep::options_for`])
-//! allocate nothing, and the selected kernels share their candidates'
-//! names, blocks and alias summaries. Points are evaluated in parallel with
-//! [`binpart_par::par_map`] (`BINPART_THREADS=1` forces sequential), and
-//! results are deterministic and ordered regardless of thread count.
+//! set, so a point formats nothing. The grid itself holds no per-point
+//! heap: a [`PointConfig`] is `Copy` and names its custom-axis values by
+//! a row of their cross product, [`Sweep::len`] multiplies the axis
+//! lengths, and platform and library names are `Arc<str>`, so the options
+//! a point clones ([`Sweep::options_for`]) allocate nothing. Points are
+//! evaluated in parallel with [`binpart_par::par_map`]
+//! (`BINPART_THREADS=1` forces sequential), and results are deterministic
+//! and ordered regardless of thread count.
 //!
 //! [`Sweep::run_naive`] evaluates the same grid on a fresh [`StagedFlow`]
 //! per point, so nothing is shared — the baseline the staged engine is
@@ -66,8 +73,8 @@
 
 use binpart_core::flow::FlowOptions;
 use binpart_core::stage::{StagedFlow, StagedReport};
-use binpart_mips::Binary;
 use binpart_minicc::OptLevel;
+use binpart_mips::Binary;
 use binpart_par::par_map;
 use binpart_platform::ProcessorSpec;
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
@@ -183,9 +190,14 @@ impl Sweep {
         self
     }
 
-    /// Number of grid points.
+    /// Number of grid points: the product of the axis lengths.
     pub fn len(&self) -> usize {
-        self.configs().len()
+        self.opt_levels.len() * self.clocks_hz.len() * self.area_budgets.len() * self.axis_rows()
+    }
+
+    /// Number of rows of the custom axes' cross product (1 with none).
+    fn axis_rows(&self) -> usize {
+        self.axes.iter().map(|axis| axis.values.len()).product()
     }
 
     /// Returns `true` for a degenerate empty grid (never constructible via
@@ -197,30 +209,17 @@ impl Sweep {
     /// The full cross product of the axes, in deterministic row-major
     /// order: level (slowest) × clock × budget × custom axes.
     pub fn configs(&self) -> Vec<PointConfig> {
-        let mut custom: Vec<Vec<f64>> = vec![Vec::new()];
-        for axis in &self.axes {
-            let mut next = Vec::with_capacity(custom.len() * axis.values.len());
-            for prefix in &custom {
-                for &v in &axis.values {
-                    let mut row = prefix.clone();
-                    row.push(v);
-                    next.push(row);
-                }
-            }
-            custom = next;
-        }
-        let mut configs = Vec::new();
+        let rows = self.axis_rows();
+        let mut configs = Vec::with_capacity(self.len());
         for &level in &self.opt_levels {
             for &clock_hz in &self.clocks_hz {
                 for &area_budget_gates in &self.area_budgets {
-                    for axis_values in &custom {
-                        configs.push(PointConfig {
-                            level,
-                            clock_hz,
-                            area_budget_gates,
-                            axis_values: axis_values.clone(),
-                        });
-                    }
+                    configs.extend((0..rows).map(|axis_row| PointConfig {
+                        level,
+                        clock_hz,
+                        area_budget_gates,
+                        axis_row,
+                    }));
                 }
             }
         }
@@ -234,8 +233,9 @@ impl Sweep {
     /// processor spec (power model included). Other clock values use the
     /// paper's MIPS power model ([`ProcessorSpec::mips`]), which is what
     /// the clock axis sweeps. For a clock on the axis this allocates
-    /// nothing beyond what the custom axes do: it clones that clock's
-    /// prebuilt options, whose names are shared.
+    /// nothing beyond what the custom axes' closures do: it clones that
+    /// clock's prebuilt options, whose names are shared, and decodes the
+    /// custom-axis values from the point's row.
     pub fn options_for(&self, config: &PointConfig) -> FlowOptions {
         let on_axis = self
             .clocks_hz
@@ -246,8 +246,15 @@ impl Sweep {
             None => self.base_at(config.clock_hz),
         };
         options.partition.area_budget_gates = config.area_budget_gates;
-        for (axis, &value) in self.axes.iter().zip(&config.axis_values) {
-            (axis.apply)(&mut options, value);
+        // The custom axes' row, decoded row-major: the last axis varies
+        // fastest.
+        let mut stride = self.axis_rows();
+        for axis in &self.axes {
+            stride /= axis.values.len();
+            (axis.apply)(
+                &mut options,
+                axis.values[config.axis_row / stride % axis.values.len()],
+            );
         }
         options
     }
@@ -302,18 +309,30 @@ impl Sweep {
     ) -> SweepResult {
         let configs = self.configs();
         let _span = SpanGuard::enter(telemetry, "sweep", || {
-            format!("{} points, {} levels{}", configs.len(), self.opt_levels.len(), if naive { ", naive" } else { "" })
+            format!(
+                "{} points, {} levels{}",
+                configs.len(),
+                self.opt_levels.len(),
+                if naive { ", naive" } else { "" }
+            )
         });
         // One binary per level (compiled once, up front), each with the
         // flow its points share.
-        let binaries: Vec<Result<Binary, String>> =
-            self.opt_levels.iter().map(|&level| compile(level)).collect();
+        let binaries: Vec<Result<Binary, String>> = self
+            .opt_levels
+            .iter()
+            .map(|&level| compile(level))
+            .collect();
         let flows: Vec<(OptLevel, Result<StagedFlow<'_, &T>, &String>)> = self
             .opt_levels
             .iter()
             .zip(&binaries)
             .map(|(&level, b)| {
-                (level, b.as_ref().map(|bin| StagedFlow::with_telemetry(bin, telemetry)))
+                (
+                    level,
+                    b.as_ref()
+                        .map(|bin| StagedFlow::with_telemetry(bin, telemetry)),
+                )
             })
             .collect();
         let outcomes = par_map(&configs, |config| {
@@ -327,11 +346,17 @@ impl Sweep {
                     } else {
                         flow.evaluate(&options)
                     };
-                    evaluated.map(|r| point_report(&r)).map_err(|e| e.to_string())
+                    evaluated
+                        .map(|r| point_report(&r))
+                        .map_err(|e| e.to_string())
                 }
             };
             telemetry.counter_add(
-                if outcome.is_ok() { Counter::SweepPointsOk } else { Counter::SweepPointsFailed },
+                if outcome.is_ok() {
+                    Counter::SweepPointsOk
+                } else {
+                    Counter::SweepPointsFailed
+                },
                 1,
             );
             outcome
@@ -365,7 +390,7 @@ fn point_report(r: &StagedReport) -> PointReport {
 }
 
 /// Coordinates of one grid point.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PointConfig {
     /// Compiler optimization level.
     pub level: OptLevel,
@@ -373,8 +398,10 @@ pub struct PointConfig {
     pub clock_hz: f64,
     /// FPGA area budget (gate equivalents).
     pub area_budget_gates: u64,
-    /// Values of the user-defined axes, in axis order.
-    pub axis_values: Vec<f64>,
+    /// Row of the user-defined axes' cross product, in row-major order
+    /// (the last axis varies fastest); [`Sweep::options_for`] applies its
+    /// values.
+    pub axis_row: usize,
 }
 
 /// The flow's numbers at one point.

@@ -334,11 +334,9 @@ pub(crate) struct StateCost {
     pub(crate) bus_stall: u64,
     /// Cycles charged per pipelined-loop entry taken at the state.
     pub(crate) fill: u64,
-    /// Loads and stores per entry, and the words they move.
+    /// Loads and stores per entry.
     pub(crate) loads: u64,
-    pub(crate) load_words: u64,
     pub(crate) stores: u64,
-    pub(crate) store_words: u64,
 }
 
 /// A compiled, executable FSMD for one region of a decompiled function —
@@ -760,21 +758,12 @@ impl<'f> Fsmd<'f> {
                 bus_stall: only(b.header, b.stall),
                 fill: u64::from(b.fill),
                 loads: 0,
-                load_words: 0,
                 stores: 0,
-                store_words: 0,
             };
-            let words = |w: MemWidth| u64::from(w.bytes().div_ceil(4).max(1));
             for op in &self.code[b.start as usize..b.end as usize] {
-                match *op {
-                    MicroOp::Load { width, .. } => {
-                        cost.loads += 1;
-                        cost.load_words += words(width);
-                    }
-                    MicroOp::Store { width, .. } => {
-                        cost.stores += 1;
-                        cost.store_words += words(width);
-                    }
+                match op {
+                    MicroOp::Load { .. } => cost.loads += 1,
+                    MicroOp::Store { .. } => cost.stores += 1,
                     _ => {}
                 }
             }
@@ -1341,20 +1330,7 @@ mod tests {
         assert_eq!(a.state_cycles, b.state_cycles);
         assert_eq!(a.block_execs, b.block_execs);
         assert_eq!(a.attributed, b.attributed);
-        assert_eq!(
-            (
-                a.bus_reads,
-                a.bus_read_words,
-                a.bus_writes,
-                a.bus_write_words
-            ),
-            (
-                b.bus_reads,
-                b.bus_read_words,
-                b.bus_writes,
-                b.bus_write_words
-            )
-        );
+        assert_eq!((a.bus_reads, a.bus_writes), (b.bus_reads, b.bus_writes));
         assert_eq!(a.bus_reads, 80);
         assert_eq!(a.measured_cycles, 2 * cycles);
         assert_eq!(a.last_bus, b.last_bus, "the last invocation committed");

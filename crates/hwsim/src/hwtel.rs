@@ -167,14 +167,11 @@ pub struct HwProfile {
     /// profile counts — the calibration reference. Per-feature differences
     /// against `attributed` decompose the estimate error.
     pub analytic: HwAttribution,
-    /// Committed load transactions.
+    /// Committed load transactions. Every FSMD access moves 1, 2 or 4
+    /// bytes, so a transaction is also one bus word.
     pub bus_reads: u64,
-    /// Committed store transactions.
+    /// Committed store transactions (one word each, likewise).
     pub bus_writes: u64,
-    /// Words touched by committed loads.
-    pub bus_read_words: u64,
-    /// Words touched by committed stores.
-    pub bus_write_words: u64,
     /// One-time BRAM migration transfer, words (0 when the kernel's data
     /// stays on the shared bus); filled in by the co-simulation driver.
     pub bram_transfer_words: u64,
@@ -452,9 +449,7 @@ impl HwRecorder {
             }
             p.block_execs.push((c.block, n));
             p.bus_reads += n * c.loads;
-            p.bus_read_words += n * c.load_words;
             p.bus_writes += n * c.stores;
-            p.bus_write_words += n * c.store_words;
         }
         p.measured_cycles = p.attributed.total();
         p.states_executed = p.block_execs.len();

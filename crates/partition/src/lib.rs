@@ -1,6 +1,6 @@
 //! Baseline hardware/software partitioning algorithms, used as comparison
 //! points and ablations for the paper's fast 90-10 greedy heuristic
-//! (ablation A1 in DESIGN.md).
+//! (ablation A1: `binpart_bench::run_a1`, printed by `tables a1`).
 //!
 //! The paper argues its simple profile-driven greedy is preferable to
 //! "standard hardware/software partitioning approaches" (Henkel's

@@ -14,7 +14,6 @@
 //!
 //! let platform = Platform::mips_virtex2(200_000_000.0);
 //! let kernel = HardwareKernel {
-//!     name: "fir".into(),
 //!     invocations: 1_000,
 //!     hw_cycles: 60_000,
 //!     clock_hz: 60_000_000.0,
@@ -22,7 +21,7 @@
 //!     area_gates: 20_000,
 //!     bram_transfer_words: 0,
 //! };
-//! let report = platform.hybrid(10_000_000, &[kernel]);
+//! let report = platform.hybrid(10_000_000, [kernel]);
 //! assert!(report.app_speedup > 1.0);
 //! assert!(report.energy_savings > 0.0 && report.energy_savings < 1.0);
 //! ```
@@ -140,15 +139,22 @@ impl Platform {
     /// Computes the hybrid execution-time/energy report.
     ///
     /// `sw_total_cycles` is the profiled all-software cycle count; each
-    /// [`HardwareKernel`] describes one region moved to the FPGA.
-    pub fn hybrid(&self, sw_total_cycles: u64, kernels: &[HardwareKernel]) -> HybridReport {
+    /// [`HardwareKernel`] describes one region moved to the FPGA. Kernels
+    /// are taken by value from any iterator, so a caller deriving them
+    /// from its own records need not collect them first.
+    pub fn hybrid(
+        &self,
+        sw_total_cycles: u64,
+        kernels: impl IntoIterator<Item = HardwareKernel>,
+    ) -> HybridReport {
+        let kernels = kernels.into_iter();
         let f_cpu = self.cpu.clock_hz;
         let sw_time = sw_total_cycles as f64 / f_cpu;
         let mut replaced: u64 = 0;
         let mut hw_time = 0.0f64;
         let mut comm_cycles: u64 = 0;
         let mut area: u64 = 0;
-        let mut kernel_reports = Vec::new();
+        let mut kernel_reports = Vec::with_capacity(kernels.size_hint().0);
         let mut fpga_dyn_energy = 0.0;
         for k in kernels {
             replaced += k.sw_cycles_replaced;
@@ -157,11 +163,9 @@ impl Platform {
             comm_cycles += k.invocations * self.comm.invocation_overhead_cycles
                 + k.bram_transfer_words * self.comm.transfer_cycles_per_word;
             area += k.area_gates;
-            fpga_dyn_energy +=
-                self.fpga.dynamic_power_w(k.area_gates, k.clock_hz, 0.25) * t_hw;
+            fpga_dyn_energy += self.fpga.dynamic_power_w(k.area_gates, k.clock_hz, 0.25) * t_hw;
             let t_sw_kernel = k.sw_cycles_replaced as f64 / f_cpu;
             kernel_reports.push(KernelReport {
-                name: Arc::clone(&k.name),
                 kernel_speedup: if t_hw > 0.0 { t_sw_kernel / t_hw } else { 1.0 },
                 hw_time_s: t_hw,
                 sw_time_s: t_sw_kernel,
@@ -202,12 +206,11 @@ impl Platform {
     }
 }
 
-/// One region implemented in hardware.
+/// One region implemented in hardware. Unnamed: the caller knows which
+/// region each one is (a partition lists its kernels in the order it
+/// passes them).
 #[derive(Debug, Clone, PartialEq)]
 pub struct HardwareKernel {
-    /// Kernel name (diagnostics), shared with the partition that selected
-    /// the kernel.
-    pub name: Arc<str>,
     /// Number of CPU→FPGA invocations.
     pub invocations: u64,
     /// Total FPGA cycles across all invocations.
@@ -223,11 +226,10 @@ pub struct HardwareKernel {
     pub bram_transfer_words: u64,
 }
 
-/// Per-kernel slice of a [`HybridReport`].
+/// Per-kernel slice of a [`HybridReport`], for the [`HardwareKernel`] at
+/// the same position among those passed to [`Platform::hybrid`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelReport {
-    /// Kernel name, shared with its [`HardwareKernel`].
-    pub name: Arc<str>,
     /// Software-time / hardware-time for this kernel alone.
     pub kernel_speedup: f64,
     /// Hardware execution time (s).
@@ -257,7 +259,8 @@ pub struct HybridReport {
     pub energy_savings: f64,
     /// Sum of kernel areas (gate equivalents).
     pub total_area_gates: u64,
-    /// Per-kernel details.
+    /// Per-kernel details, in the order of the kernels passed to
+    /// [`Platform::hybrid`].
     pub kernels: Vec<KernelReport>,
 }
 
@@ -305,7 +308,6 @@ mod tests {
 
     fn kernel(replaced: u64, hw_cycles: u64) -> HardwareKernel {
         HardwareKernel {
-            name: "k".into(),
             invocations: 100,
             hw_cycles,
             clock_hz: 50e6,
@@ -318,17 +320,17 @@ mod tests {
     #[test]
     fn bram_transfer_words_cost_cpu_cycles() {
         let p = Platform::mips_virtex2(200e6);
-        let base = p.hybrid(1_000_000, &[kernel(900_000, 10_000)]);
+        let base = p.hybrid(1_000_000, [kernel(900_000, 10_000)]);
         let mut with_transfer = kernel(900_000, 10_000);
         with_transfer.bram_transfer_words = 100_000;
-        let heavy = p.hybrid(1_000_000, &[with_transfer]);
+        let heavy = p.hybrid(1_000_000, [with_transfer]);
         assert!(heavy.app_speedup < base.app_speedup);
     }
 
     #[test]
     fn no_kernels_means_no_speedup() {
         let p = Platform::mips_virtex2(200e6);
-        let r = p.hybrid(1_000_000, &[]);
+        let r = p.hybrid(1_000_000, []);
         assert!((r.app_speedup - 1.0).abs() < 1e-9);
         assert!(r.energy_savings <= 0.0 + 1e-9);
     }
@@ -337,7 +339,7 @@ mod tests {
     fn amdahl_limits_app_speedup() {
         let p = Platform::mips_virtex2(200e6);
         // 90% of time in the kernel, hardware "free":
-        let r = p.hybrid(1_000_000, &[kernel(900_000, 1)]);
+        let r = p.hybrid(1_000_000, [kernel(900_000, 1)]);
         assert!(r.app_speedup < 10.0 + 1e-6, "bounded by Amdahl");
         assert!(r.app_speedup > 5.0, "but substantial: {}", r.app_speedup);
     }
@@ -345,7 +347,7 @@ mod tests {
     #[test]
     fn kernel_speedup_exceeds_app_speedup() {
         let p = Platform::mips_virtex2(200e6);
-        let r = p.hybrid(1_000_000, &[kernel(900_000, 2_000)]);
+        let r = p.hybrid(1_000_000, [kernel(900_000, 2_000)]);
         assert!(r.mean_kernel_speedup() > r.app_speedup);
     }
 
@@ -355,7 +357,7 @@ mod tests {
         let mk = |hz: f64| {
             let p = Platform::mips_virtex2(hz);
             // same program: cycle counts identical across clocks
-            p.hybrid(10_000_000, &[kernel(9_000_000, 150_000)])
+            p.hybrid(10_000_000, [kernel(9_000_000, 150_000)])
         };
         let r40 = mk(40e6);
         let r200 = mk(200e6);
@@ -363,8 +365,7 @@ mod tests {
         assert!(r40.app_speedup > r200.app_speedup);
         assert!(r200.app_speedup > r400.app_speedup);
         assert!(
-            r40.energy_savings > r200.energy_savings
-                && r200.energy_savings > r400.energy_savings,
+            r40.energy_savings > r200.energy_savings && r200.energy_savings > r400.energy_savings,
             "{} {} {}",
             r40.energy_savings,
             r200.energy_savings,
@@ -375,7 +376,7 @@ mod tests {
     #[test]
     fn energy_model_is_consistent() {
         let p = Platform::mips_virtex2(200e6);
-        let r = p.hybrid(10_000_000, &[kernel(9_000_000, 150_000)]);
+        let r = p.hybrid(10_000_000, [kernel(9_000_000, 150_000)]);
         assert!(r.hybrid_energy_j > 0.0);
         assert!(r.sw_energy_j > r.hybrid_energy_j);
         assert!(r.energy_savings > 0.3 && r.energy_savings < 0.95);
@@ -384,9 +385,9 @@ mod tests {
     #[test]
     fn comm_overhead_reduces_speedup() {
         let mut p = Platform::mips_virtex2(200e6);
-        let base = p.hybrid(1_000_000, &[kernel(900_000, 10_000)]);
+        let base = p.hybrid(1_000_000, [kernel(900_000, 10_000)]);
         p.comm.invocation_overhead_cycles = 5_000;
-        let heavy = p.hybrid(1_000_000, &[kernel(900_000, 10_000)]);
+        let heavy = p.hybrid(1_000_000, [kernel(900_000, 10_000)]);
         assert!(heavy.app_speedup < base.app_speedup);
     }
 

@@ -9,8 +9,10 @@
 //!
 //! # Keying and sharing rules
 //!
-//! A cache entry is keyed by a [`KernelKey`], which names everything
-//! [`synthesize`] reads and is `Copy`, so a lookup allocates nothing:
+//! Lookups go through a [`MemoView`], which fixes one configuration; a
+//! cache entry is keyed by that configuration and a [`KernelKey`].
+//! Together they name everything [`synthesize`] reads, and both are
+//! `Copy`, so a lookup allocates nothing:
 //!
 //! * `region` — the kernel's dense **region id**: its index in the
 //!   candidate list of the program the cache belongs to. The cache does not
@@ -20,11 +22,11 @@
 //!   flow owns one cache per `EstimatedProgram` artifact, next to that
 //!   artifact's `CandidateSet`, which guarantees this by construction: an
 //!   id cannot alias a different region.
-//! * `config` — an **interned** (resource budget, technology library)
-//!   pair, from [`EstimateCache::config`]. Each distinct pair is stored
-//!   once and compared exactly (float fields by bit pattern, the library
-//!   name included), so two different configurations never share an id
-//!   and no hash fingerprint stands in for equality.
+//! * the view's configuration — an **interned** (resource budget,
+//!   technology library) pair, from [`EstimateCache::view`]. Each distinct
+//!   pair is stored once and compared exactly (float fields by bit
+//!   pattern, the library name included), so two different configurations
+//!   never share an id and no hash fingerprint stands in for equality.
 //! * the block-RAM placement (`mem_in_bram`, `bram_bytes`).
 //!
 //! The [`SynthesisInput`] is built by a caller-supplied closure that runs
@@ -32,30 +34,43 @@
 //!
 //! # Lookup cost
 //!
-//! A lookup allocates nothing and hashes without SipHash. The key is
-//! `Copy`, and the map is a [`KeyMap`]: a `HashMap` over [`KeyHasher`], a
-//! multiplicative hasher for keys made of a few integers. Keys here are
-//! dense ids chosen by the program, not by an adversary, so SipHash's
-//! flooding resistance buys nothing; the staged flow's artifact maps use
-//! the same [`KeyMap`] for the same reason.
+//! A caller takes one view per batch of lookups — the partitioner takes
+//! one per evaluated design point — so a batch touches memory other
+//! threads write a constant number of times, however many kernels it
+//! looks up: the view takes the memo's read lock and interns its
+//! configuration under it, counts its hits locally and adds them to
+//! [`EstimateCache::hits`] once, when it is dropped. A hit then costs a
+//! hash probe and an index: it borrows the shared result, and the caller
+//! clones the `Arc` only for a kernel it keeps. The map is a [`KeyMap`]:
+//! a `HashMap` over [`KeyHasher`], a multiplicative hasher for keys made
+//! of a few integers. Keys here are dense ids chosen by the program, not
+//! by an adversary, so SipHash's flooding resistance buys nothing; the
+//! staged flow's artifact maps use the same [`KeyMap`] for the same
+//! reason.
 //!
 //! Synthesis is deterministic, so a cached result is bit-identical to a
 //! fresh run — sweeps that share a cache produce exactly the numbers of the
-//! uncached flow. Results are shared as `Arc<SynthesisResult>`: a hit
-//! clones a pointer, never the kept schedules.
+//! uncached flow. Results are shared as `Arc<SynthesisResult>`, never as
+//! copies of the kept schedules.
 //!
-//! The map is guarded per entry (a [`OnceLock`] per key), so concurrent
-//! sweep points asking for *different* kernels never serialize on each
-//! other's synthesis, and points asking for the *same* kernel run it once.
-//! A panic while a lock is held cannot leave the map half-updated (every
-//! update is one statement), so a poisoned lock is recovered, not
-//! propagated.
+//! # Sharing across threads
+//!
+//! Views on any number of threads hold the read lock together, so
+//! concurrent sweep points never serialize on hits. A miss releases its
+//! view's lock, takes the write lock only to add the key's entry (a
+//! [`OnceLock`]), synthesizes through that entry with no lock held, and
+//! re-takes the read lock: points asking for *different* kernels never
+//! wait on each other's synthesis, and points asking for the *same* kernel
+//! run it once (the one that runs it counts a miss, the others a hit, so
+//! `hits() + misses()` is exactly the number of lookups). A panic while a
+//! lock is held cannot leave the memo half-updated (every update is one
+//! statement), so a poisoned lock is recovered, not propagated.
 
 use crate::{synthesize, ResourceBudget, SynthError, SynthesisInput, SynthesisResult, TechLibrary};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 
 /// A multiplicative hasher for keys made of a few integers (the
 /// FxHash scheme: fold each word in with a rotate, an xor and a multiply
@@ -106,15 +121,14 @@ impl Hasher for KeyHasher {
 /// A `HashMap` hashed by [`KeyHasher`]; build one with `KeyMap::default()`.
 pub type KeyMap<K, V> = HashMap<K, V, BuildHasherDefault<KeyHasher>>;
 
-/// Exact cache key for one kernel-synthesis call. See the module docs for
-/// the sharing rules.
+/// Cache key for one kernel-synthesis call under a [`MemoView`]'s
+/// configuration, which completes it. See the module docs for the sharing
+/// rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct KernelKey {
     /// Dense region id: the kernel's index in the owning program's
     /// candidate list.
     pub region: usize,
-    /// Interned (budget, library) id from [`EstimateCache::config`].
-    pub config: usize,
     /// Whether arrays live in block RAM.
     pub mem_in_bram: bool,
     /// Bytes of array data in block RAM.
@@ -167,18 +181,30 @@ fn config_bits<'a>(budget: &ResourceBudget, library: &'a TechLibrary) -> ConfigB
 type Outcome = Result<Arc<SynthesisResult>, SynthError>;
 type Entry = Arc<OnceLock<Outcome>>;
 
-/// Locks `m`, recovering the guard if a panicking holder poisoned it.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+/// The memo proper, guarded as one by the cache's lock: the interned
+/// configurations and one entry per (configuration id, kernel key).
+#[derive(Debug, Default)]
+struct Memo {
+    configs: Vec<(ResourceBudget, TechLibrary)>,
+    /// Index into `entries` of each key.
+    slots: KeyMap<(usize, KernelKey), usize>,
+    /// Append-only, so an index stays valid while the lock is released.
+    entries: Vec<Entry>,
 }
 
-/// A shareable memo of [`synthesize`] results. Cloneable `Arc`-style
-/// sharing is left to the caller (wrap in `Arc` to share across threads);
-/// the internal map is already thread-safe.
+/// Locks `m` for reading, recovering the guard if a panicking holder
+/// poisoned it (writers recover theirs the same way).
+fn read<T>(m: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    m.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A shareable memo of [`synthesize`] results, read through a
+/// [`MemoView`]. Cloneable `Arc`-style sharing is left to the caller
+/// (wrap in `Arc` to share across threads); the memo is already
+/// thread-safe.
 #[derive(Debug, Default)]
 pub struct EstimateCache {
-    map: Mutex<KeyMap<KernelKey, Entry>>,
-    configs: Mutex<Vec<(ResourceBudget, TechLibrary)>>,
+    memo: RwLock<Memo>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -189,58 +215,43 @@ impl EstimateCache {
         EstimateCache::default()
     }
 
-    /// The interned id of the (`budget`, `library`) configuration, for
-    /// [`KernelKey::config`]. Equal configurations (exactly; see the
-    /// module docs) get the same id; the first call with a new one stores
-    /// a copy. Ids are only meaningful for this cache.
-    pub fn config(&self, budget: &ResourceBudget, library: &TechLibrary) -> usize {
+    /// A read view of the memo for lookups under the (`budget`,
+    /// `library`) configuration, interned on the way in: equal
+    /// configurations (exactly; see the module docs) share an id, and the
+    /// first view of a new one stores a copy. Hold one view per batch of
+    /// lookups (the partitioner holds one per evaluation) and drop it
+    /// before taking another on the same thread.
+    pub fn view(&self, budget: &ResourceBudget, library: &TechLibrary) -> MemoView<'_> {
         let wanted = config_bits(budget, library);
-        let mut configs = lock(&self.configs);
-        let known = configs
-            .iter()
-            .position(|(b, l)| config_bits(b, l) == wanted);
-        known.unwrap_or_else(|| {
-            configs.push((*budget, library.clone()));
-            configs.len() - 1
-        })
-    }
-
-    /// Memoized [`synthesize`]: returns the cached result for `key`, or
-    /// synthesizes `input()` (exactly once per key, even under
-    /// concurrency) and caches it. `input` runs only on a miss and must
-    /// describe the kernel `key` names.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and caches) [`SynthError`] like the uncached call.
-    pub fn synthesize<'f>(
-        &self,
-        key: KernelKey,
-        input: impl FnOnce() -> SynthesisInput<'f>,
-    ) -> Outcome {
-        let cell = {
-            let mut map = lock(&self.map);
-            let cell = map.entry(key).or_default();
-            if let Some(done) = cell.get() {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return done.clone();
-            }
-            Arc::clone(cell)
+        let find = |memo: &Memo| {
+            let mut configs = memo.configs.iter();
+            configs.position(|(b, l)| config_bits(b, l) == wanted)
         };
-        let mut built = false;
-        let result = cell.get_or_init(|| {
-            built = true;
-            synthesize(&input()).map(Arc::new)
-        });
-        if built {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        let mut memo = read(&self.memo);
+        let config = match find(&memo) {
+            Some(id) => id,
+            None => {
+                drop(memo);
+                let mut w = self.memo.write().unwrap_or_else(PoisonError::into_inner);
+                let id = find(&w).unwrap_or(w.configs.len());
+                if id == w.configs.len() {
+                    w.configs.push((*budget, library.clone()));
+                }
+                drop(w);
+                memo = read(&self.memo);
+                id
+            }
+        };
+        MemoView {
+            cache: self,
+            memo: Some(memo),
+            config,
+            hits: 0,
         }
-        result.clone()
     }
 
     /// Number of cache hits so far (observability for benches and tests).
+    /// A view adds its hits when it is dropped.
     pub fn hits(&self) -> u64 {
         self.hits.load(Ordering::Relaxed)
     }
@@ -252,12 +263,102 @@ impl EstimateCache {
 
     /// Number of distinct kernels cached.
     pub fn len(&self) -> usize {
-        lock(&self.map).len()
+        read(&self.memo).entries.len()
     }
 
     /// Returns `true` when nothing has been cached yet.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// One batch of lookups in an [`EstimateCache`] under one configuration,
+/// from [`EstimateCache::view`]. It holds the memo's read lock, so hits
+/// on any number of threads share it without serializing; it counts its
+/// hits locally and adds them to the cache once, when dropped.
+#[derive(Debug)]
+pub struct MemoView<'c> {
+    cache: &'c EstimateCache,
+    /// The read guard; released only while a miss synthesizes.
+    memo: Option<RwLockReadGuard<'c, Memo>>,
+    config: usize,
+    hits: u64,
+}
+
+impl MemoView<'_> {
+    fn memo(&self) -> &Memo {
+        match &self.memo {
+            Some(memo) => memo,
+            None => unreachable!("a view holds its guard between lookups"),
+        }
+    }
+
+    /// Memoized [`synthesize`]: the cached result for `key` under this
+    /// view's configuration, or `input()` synthesized (exactly once per
+    /// key, even under concurrency) and cached. `input` runs only on a
+    /// miss and must describe the kernel `key` names. A hit borrows the
+    /// shared result; clone the `Arc` only to keep it.
+    ///
+    /// A miss releases the view's lock, adds the key's entry under the
+    /// write lock, synthesizes through the entry's [`OnceLock`] with no
+    /// lock held, so other threads' lookups and misses proceed, and
+    /// re-takes the read lock.
+    ///
+    /// # Errors
+    ///
+    /// Propagates (and caches) [`SynthError`] like the uncached call.
+    pub fn synthesize<'f>(
+        &mut self,
+        key: KernelKey,
+        input: impl FnOnce() -> SynthesisInput<'f>,
+    ) -> Result<&Arc<SynthesisResult>, SynthError> {
+        let key = (self.config, key);
+        let memo = self.memo();
+        let done = memo.slots.get(&key).copied();
+        let slot = match done.filter(|&slot| memo.entries[slot].get().is_some()) {
+            Some(slot) => {
+                self.hits += 1;
+                slot
+            }
+            None => {
+                self.memo = None;
+                let (slot, entry) = {
+                    let mut guard = self
+                        .cache
+                        .memo
+                        .write()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    let memo = &mut *guard;
+                    let slot = *memo.slots.entry(key).or_insert_with(|| {
+                        memo.entries.push(Entry::default());
+                        memo.entries.len() - 1
+                    });
+                    (slot, Arc::clone(&memo.entries[slot]))
+                };
+                let mut built = false;
+                entry.get_or_init(|| {
+                    built = true;
+                    synthesize(&input()).map(Arc::new)
+                });
+                if built {
+                    self.cache.misses.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    self.hits += 1;
+                }
+                self.memo = Some(read(&self.cache.memo));
+                slot
+            }
+        };
+        match self.memo().entries[slot].get() {
+            Some(outcome) => outcome.as_ref().map_err(Clone::clone),
+            None => unreachable!("a filled entry is set"),
+        }
+    }
+}
+
+impl Drop for MemoView<'_> {
+    fn drop(&mut self) {
+        self.cache.hits.fetch_add(self.hits, Ordering::Relaxed);
     }
 }
 
@@ -302,18 +403,26 @@ mod tests {
         f
     }
 
-    /// The key of region 0 under `input`'s configuration and placement.
-    fn key_of(cache: &EstimateCache, input: &SynthesisInput<'_>) -> KernelKey {
+    /// The key of region 0 under `input`'s placement.
+    fn key_of(input: &SynthesisInput<'_>) -> KernelKey {
         KernelKey {
             region: 0,
-            config: cache.config(&input.budget, &input.library),
             mem_in_bram: input.mem_in_bram,
             bram_bytes: input.bram_bytes,
         }
     }
 
+    /// One lookup of `input` through a view of its own configuration.
     fn cached(cache: &EstimateCache, input: &SynthesisInput<'_>) -> Outcome {
-        cache.synthesize(key_of(cache, input), || input.clone())
+        cache
+            .view(&input.budget, &input.library)
+            .synthesize(key_of(input), || input.clone())
+            .cloned()
+    }
+
+    /// The interned configuration id of (`budget`, `library`).
+    fn config(cache: &EstimateCache, budget: &ResourceBudget, library: &TechLibrary) -> usize {
+        cache.view(budget, library).config
     }
 
     #[test]
@@ -344,11 +453,13 @@ mod tests {
             Arc::ptr_eq(&second, &third),
             "every hit shares the cached result"
         );
-        let key = key_of(&cache, &input);
-        let fourth = cache
-            .synthesize(key, || panic!("a hit must not build its input"))
+        let mut view = cache.view(&input.budget, &input.library);
+        let fourth = view
+            .synthesize(key_of(&input), || panic!("a hit must not build its input"))
             .unwrap();
-        assert!(Arc::ptr_eq(&third, &fourth));
+        assert!(Arc::ptr_eq(&third, fourth));
+        assert_eq!(cache.hits(), 2, "a view adds its hits when dropped");
+        drop(view);
         assert_eq!(cache.hits(), 3);
     }
 
@@ -384,9 +495,9 @@ mod tests {
         let cache = EstimateCache::new();
         let budget = ResourceBudget::default();
         let lib = TechLibrary::virtex2();
-        let base = cache.config(&budget, &lib);
+        let base = config(&cache, &budget, &lib);
         assert_eq!(
-            cache.config(&budget, &lib.clone()),
+            config(&cache, &budget, &lib.clone()),
             base,
             "equal configs share an id"
         );
@@ -395,7 +506,7 @@ mod tests {
             name: "virtex2-copy".into(),
             ..lib.clone()
         };
-        let by_name = cache.config(&budget, &renamed);
+        let by_name = config(&cache, &budget, &renamed);
         assert_ne!(by_name, base);
         // One float differing only in its bit pattern: 0.0 == -0.0, but the
         // ids must differ.
@@ -407,7 +518,7 @@ mod tests {
             ff_overhead_ns: -0.0,
             ..lib.clone()
         };
-        let (p, n) = (cache.config(&budget, &pos), cache.config(&budget, &neg));
+        let (p, n) = (config(&cache, &budget, &pos), config(&cache, &budget, &neg));
         assert_ne!(p, n);
         let neg_budget = ResourceBudget {
             target_period_ns: -0.0,
@@ -418,8 +529,8 @@ mod tests {
             ..budget
         };
         assert_ne!(
-            cache.config(&pos_budget, &lib),
-            cache.config(&neg_budget, &lib)
+            config(&cache, &pos_budget, &lib),
+            config(&cache, &neg_budget, &lib)
         );
         let ids = [base, by_name, p, n];
         for (i, a) in ids.iter().enumerate() {

@@ -58,7 +58,7 @@ pub mod schedule;
 pub mod tech;
 pub mod vhdl;
 
-pub use estimate::{EstimateCache, KernelKey, KeyMap};
+pub use estimate::{EstimateCache, KernelKey, KeyMap, MemoView};
 pub use schedule::{
     AreaEstimate, BlockSchedule, KernelSchedule, KernelTiming, PipelinedLoop, ResourceBudget,
     ScheduledBlock,

@@ -241,8 +241,7 @@ pub fn rec_mii(
                     None => break,
                 }
             }
-            let chain_cycles =
-                cycles + (delay_ns / budget.target_period_ns).ceil().max(1.0) as u32;
+            let chain_cycles = cycles + (delay_ns / budget.target_period_ns).ceil().max(1.0) as u32;
             best = best.max(chain_cycles);
         }
     }
@@ -250,12 +249,7 @@ pub fn rec_mii(
 }
 
 /// Resource-constrained minimum initiation interval.
-pub fn res_mii(
-    ops: &[&Op],
-    budget: &ResourceBudget,
-    lib: &TechLibrary,
-    mem_in_bram: bool,
-) -> u32 {
+pub fn res_mii(ops: &[&Op], budget: &ResourceBudget, lib: &TechLibrary, mem_in_bram: bool) -> u32 {
     let mut mem = 0u32;
     let mut mul = 0u32;
     let mut div = 0u32;
@@ -759,10 +753,7 @@ mod tests {
         f.block_mut(exit).term = Terminator::Return { value: None };
         binpart_cdfg::ssa::construct(&mut f);
         // attach profile: header ran 100 times
-        let header_id = f
-            .block_ids()
-            .find(|&b| !f.block(b).ops.is_empty())
-            .unwrap();
+        let header_id = f.block_ids().find(|&b| !f.block(b).ops.is_empty()).unwrap();
         f.block_mut(header_id).profile_count = 100;
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();

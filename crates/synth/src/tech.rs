@@ -142,8 +142,15 @@ impl TechLibrary {
 pub fn classify(op: &Op) -> FuClass {
     match op {
         Op::Bin { op, rhs, .. } => match op {
-            BinOp::Add | BinOp::Sub | BinOp::Eq | BinOp::Ne | BinOp::LtS | BinOp::LtU
-            | BinOp::LeS | BinOp::GtS | BinOp::GeS => FuClass::AddSub,
+            BinOp::Add
+            | BinOp::Sub
+            | BinOp::Eq
+            | BinOp::Ne
+            | BinOp::LtS
+            | BinOp::LtU
+            | BinOp::LeS
+            | BinOp::GtS
+            | BinOp::GeS => FuClass::AddSub,
             BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Nor => FuClass::Logic,
             BinOp::Shl | BinOp::ShrL | BinOp::ShrA => {
                 if rhs.as_const().is_some() {

@@ -2,8 +2,10 @@
 //!
 //! The original flow handed RTL VHDL to Xilinx ISE; we emit equivalent
 //! FSM-plus-datapath VHDL text (entity, state machine, per-step datapath
-//! transfers). The area/clock numbers come from this crate's technology
-//! model instead of ISE — see DESIGN.md for the substitution note.
+//! transfers). Nothing here is synthesized further: the area and clock
+//! numbers ISE reported come instead from this crate's Virtex-II–class
+//! technology model ([`crate::tech`], [`crate::TechLibrary::virtex2`]),
+//! applied to the same schedule this text is rendered from.
 
 use crate::schedule::BlockSchedule;
 use binpart_cdfg::ir::{BinOp, Function, Op, Operand, UnOp};
@@ -13,12 +15,7 @@ use std::fmt::Write;
 ///
 /// `name` becomes the entity name; `ops`/`schedule` describe one scheduled
 /// region (typically the hottest loop body).
-pub fn emit_kernel(
-    f: &Function,
-    name: &str,
-    ops: &[&Op],
-    schedule: &BlockSchedule,
-) -> String {
+pub fn emit_kernel(f: &Function, name: &str, ops: &[&Op], schedule: &BlockSchedule) -> String {
     let mut v = String::new();
     let entity = sanitize(name);
     let _ = writeln!(v, "library ieee;");
@@ -144,9 +141,7 @@ fn op_to_vhdl(f: &Function, op: &Op) -> Vec<String> {
             let expr = match op {
                 BinOp::Add => format!("std_logic_vector(signed({a}) + signed({b}))"),
                 BinOp::Sub => format!("std_logic_vector(signed({a}) - signed({b}))"),
-                BinOp::Mul => format!(
-                    "std_logic_vector(resize(signed({a}) * signed({b}), 32))"
-                ),
+                BinOp::Mul => format!("std_logic_vector(resize(signed({a}) * signed({b}), 32))"),
                 BinOp::MulHiS | BinOp::MulHiU => {
                     format!("mulhi({a}, {b})")
                 }
@@ -194,10 +189,7 @@ fn op_dst(n: u32) -> u32 {
 
 fn shift(f: &str, a: &str, rhs: &Operand) -> String {
     match rhs {
-        Operand::Const(c) => format!(
-            "std_logic_vector({f}(unsigned({a}), {}))",
-            *c & 31
-        ),
+        Operand::Const(c) => format!("std_logic_vector({f}(unsigned({a}), {}))", *c & 31),
         Operand::Reg(r) => format!(
             "std_logic_vector({f}(unsigned({a}), to_integer(unsigned(r{}(4 downto 0)))))",
             r.0
@@ -207,10 +199,7 @@ fn shift(f: &str, a: &str, rhs: &Operand) -> String {
 
 fn shift_arith(a: &str, rhs: &Operand) -> String {
     match rhs {
-        Operand::Const(c) => format!(
-            "std_logic_vector(shift_right(signed({a}), {}))",
-            *c & 31
-        ),
+        Operand::Const(c) => format!("std_logic_vector(shift_right(signed({a}), {}))", *c & 31),
         Operand::Reg(r) => format!(
             "std_logic_vector(shift_right(signed({a}), to_integer(unsigned(r{}(4 downto 0)))))",
             r.0
@@ -244,7 +233,8 @@ mod tests {
         let b = f.new_vreg();
         let d = f.new_vreg();
         let e = f.new_vreg();
-        let ops = [Op::Bin {
+        let ops = [
+            Op::Bin {
                 op: BinOp::Mul,
                 dst: d,
                 lhs: Operand::Reg(a),
@@ -255,7 +245,8 @@ mod tests {
                 dst: e,
                 lhs: Operand::Reg(d),
                 rhs: Operand::Const(1),
-            }];
+            },
+        ];
         let refs: Vec<&Op> = ops.iter().collect();
         let s = schedule_ops(
             &f,

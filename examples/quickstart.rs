@@ -43,12 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("area:              {} gate equivalents", report.hybrid.total_area_gates);
     println!("kernels selected:  {}", report.partition.kernels.len());
-    for k in &report.partition.kernels {
+    for (k, c) in report.partition.selected() {
         println!(
             "  {} (step {}): {} sw cycles -> {} hw cycles @ {:.0} MHz, {} gates, BRAM={}",
-            k.name,
+            c.name,
             k.step,
-            k.sw_cycles,
+            c.sw_cycles,
             k.synth.timing.hw_cycles,
             k.synth.timing.clock_mhz,
             k.synth.area.gate_equivalents,

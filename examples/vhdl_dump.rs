@@ -15,15 +15,15 @@ fn main() {
     let report = StagedFlow::new(&binary)
         .run(&FlowOptions::default())
         .expect("flow");
-    for k in &report.partition.kernels {
+    for (k, c) in report.partition.selected() {
         println!(
             "-- kernel {} : II={}, depth={}, clock {:.0} MHz, {} gates",
-            k.name,
+            c.name,
             k.synth.timing.innermost_ii,
             k.synth.timing.innermost_depth,
             k.synth.timing.clock_mhz,
             k.synth.area.gate_equivalents
         );
-        println!("{}", k.synth.vhdl(&report.program.functions[k.func_index]));
+        println!("{}", k.synth.vhdl(&report.program.functions[c.func_index]));
     }
 }

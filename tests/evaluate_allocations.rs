@@ -2,16 +2,17 @@
 //!
 //! Once a [`StagedFlow`]'s stages are built and its synthesis memo holds
 //! every kernel a grid needs, evaluating a point should allocate little
-//! beyond the report it returns: candidate names, blocks and alias
-//! summaries are shared by `Arc`, the rankings are fixed at harvest, and
-//! the per-point options clone only `Arc`s. This binary holds one test and
-//! counts allocations with its own global allocator, per thread, so the
-//! harness's threads never add to the count.
+//! beyond the report it returns: a selected kernel names its candidate by
+//! index, the rankings are fixed at harvest, and the per-point options
+//! clone only `Arc`s. Nor should the grid itself allocate per point. This
+//! binary counts allocations with its own global allocator, per thread, so
+//! the harness's other threads never add to a test's count.
 
 mod common;
 
 use binpart::core::flow::FlowOptions;
 use binpart::core::stage::StagedFlow;
+use binpart::explore::Sweep;
 use binpart::minicc::OptLevel;
 use binpart::mips::Binary;
 use common::design_grid;
@@ -103,7 +104,28 @@ fn warm_design_points_allocate_little() {
     let per_point = total as f64 / evaluations as f64;
     println!("warm evaluate: {per_point:.2} allocations per point over {evaluations} points");
     assert!(
-        per_point <= 6.0,
-        "a warm evaluate made {per_point:.2} allocations per point (budget 6)"
+        per_point <= 5.0,
+        "a warm evaluate made {per_point:.2} allocations per point (budget 5)"
     );
+}
+
+#[test]
+fn grid_size_is_the_axis_product_and_allocates_nothing() {
+    let with_coverage = design_grid();
+    let grids = [
+        ("no custom axis", Sweep::new().clocks([100e6, 200e6, 400e6]).area_budgets([10_000, 90_000])),
+        ("one custom axis", with_coverage.clone()),
+        (
+            "two custom axes",
+            with_coverage.axis("max_kernels", [1.0, 4.0, 8.0], |o, v| {
+                o.partition.max_kernels = v as usize;
+            }),
+        ),
+    ];
+    for (what, grid) in &grids {
+        let (len, allocs) = allocations(|| grid.len());
+        assert_eq!(allocs, 0, "{what}: len() allocated");
+        assert_eq!(len, grid.configs().len(), "{what}");
+    }
+    assert_eq!(grids.map(|(_, g)| g.len()), [6, 2000, 6000]);
 }

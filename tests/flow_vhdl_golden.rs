@@ -31,7 +31,7 @@ fn vhdl_lines() -> String {
             let report = StagedFlow::new(&binary)
                 .run(&options)
                 .unwrap_or_else(|e| panic!("{} {level}: flow failed: {e}", b.name));
-            let names: Vec<&str> = report.partition.kernels.iter().map(|k| &*k.name).collect();
+            let names: Vec<&str> = report.partition.selected().map(|(_, c)| &*c.name).collect();
             let vhdl = report.vhdl();
             text.push_str(&format!(
                 "{} {level} kernels={} bytes={} fnv1a={:016x}\n",

@@ -44,7 +44,7 @@ fn profile_lines() -> String {
             for k in &report.kernels {
                 let Some(p) = &k.hw_profile else { continue };
                 text.push_str(&format!("kernel {}\n", k.name));
-                let fields: [(&str, String); 18] = [
+                let fields: [(&str, String); 16] = [
                     ("invocations", format!("{:?}", p.invocations)),
                     ("committed", format!("{:?}", p.committed)),
                     ("aborted", format!("{:?}", p.aborted)),
@@ -55,8 +55,6 @@ fn profile_lines() -> String {
                     ("analytic", format!("{:?}", p.analytic)),
                     ("bus_reads", format!("{:?}", p.bus_reads)),
                     ("bus_writes", format!("{:?}", p.bus_writes)),
-                    ("bus_read_words", format!("{:?}", p.bus_read_words)),
-                    ("bus_write_words", format!("{:?}", p.bus_write_words)),
                     ("bram_transfer_words", format!("{:?}", p.bram_transfer_words)),
                     ("states_executed", format!("{:?}", p.states_executed)),
                     ("states_total", format!("{:?}", p.states_total)),
