@@ -166,7 +166,11 @@ pub fn summarize(
 /// Estimates the byte extent of each accessed global by the gap to the next
 /// accessed base (or to the end of the data section).
 pub fn extent_of(bases: &BTreeSet<u32>, base: u32, data_end: u32) -> u32 {
-    let next = bases.range((base + 1)..).next().copied().unwrap_or(data_end);
+    let next = bases
+        .range((base + 1)..)
+        .next()
+        .copied()
+        .unwrap_or(data_end);
     next.saturating_sub(base).min(64 * 1024)
 }
 
@@ -194,7 +198,10 @@ mod tests {
             0x1001_0000,
             0x1002_0000,
         );
-        assert_eq!(s.globals.iter().copied().collect::<Vec<_>>(), vec![0x1001_0040]);
+        assert_eq!(
+            s.globals.iter().copied().collect::<Vec<_>>(),
+            vec![0x1001_0040]
+        );
         assert!(s.fully_resolved());
     }
 

@@ -279,26 +279,22 @@ impl<T: Telemetry> StagedFlow<'_, T> {
                 .get(c.func_index)
                 .map(|v| v.as_slice())
                 .unwrap_or(&[]);
-            let accel = match KernelAccel::compile(
-                f,
-                &k.synth.schedule,
-                c.header,
-                self.binary(),
-                live_ins,
-            ) {
-                Ok(a) => Some(a),
-                Err(
-                    e @ (AccelBuildError::UnmappableLiveIn { .. }
-                    | AccelBuildError::Unexecutable),
-                ) => {
-                    diagnostics.push(Diagnostic::new(
-                        FlowStage::AccelBuild,
-                        &*c.name,
-                        e.to_string(),
-                    ));
-                    None
-                }
-            };
+            let accel =
+                match KernelAccel::compile(f, &k.synth.schedule, c.header, self.binary(), live_ins)
+                {
+                    Ok(a) => Some(a),
+                    Err(
+                        e @ (AccelBuildError::UnmappableLiveIn { .. }
+                        | AccelBuildError::Unexecutable),
+                    ) => {
+                        diagnostics.push(Diagnostic::new(
+                            FlowStage::AccelBuild,
+                            &*c.name,
+                            e.to_string(),
+                        ));
+                        None
+                    }
+                };
             p.mapped[ki] = accel.is_some();
             p.specs.push(RegionSpec {
                 name: c.name.to_string(),
@@ -472,8 +468,10 @@ impl<T: Telemetry> StagedFlow<'_, T> {
         if T::ENABLED {
             let traps: u64 = hx.kernels.iter().map(|s| s.invocations).sum();
             let mismatches: u64 = hx.kernels.iter().map(|s| s.store_mismatches).sum();
-            self.telemetry().counter_add(Counter::HybridTrapEntries, traps);
-            self.telemetry().counter_add(Counter::HybridStoreMismatches, mismatches);
+            self.telemetry()
+                .counter_add(Counter::HybridTrapEntries, traps);
+            self.telemetry()
+                .counter_add(Counter::HybridStoreMismatches, mismatches);
             let mut hw = (0u64, 0u64, 0u64, 0u64, 0u64);
             for p in kernels.iter().filter_map(|k| k.hw_profile.as_ref()) {
                 hw.0 += p.invocations;
@@ -487,10 +485,7 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             self.telemetry().counter_add(Counter::HwBusWrites, hw.2);
             self.telemetry().counter_add(Counter::HwStallCycles, hw.3);
             self.telemetry().counter_add(Counter::HwFillCycles, hw.4);
-            crate::stage::emit_diagnostics(
-                self.telemetry(),
-                &diagnostics[upstream_diagnostics..],
-            );
+            crate::stage::emit_diagnostics(self.telemetry(), &diagnostics[upstream_diagnostics..]);
         }
 
         let exit_bit_identical = hx.exit.regs == reference.regs
@@ -566,7 +561,9 @@ mod tests {
         let staged = StagedFlow::with_telemetry(&binary, &rec);
         let report = staged.cosimulate(&FlowOptions::default()).unwrap();
         assert!(report.exit_bit_identical);
-        let json = rec.chrome_trace().expect("balanced spans after a clean run");
+        let json = rec
+            .chrome_trace()
+            .expect("balanced spans after a clean run");
         binpart_telemetry::validate_json(&json).unwrap_or_else(|e| panic!("{e}"));
         // Span "X" events are emitted in enter order; a single-threaded
         // cosimulate enters cosimulate → profile → decompile → estimate
@@ -583,14 +580,20 @@ mod tests {
             "hwprofile_build",
         ]
         .iter()
-            .map(|n| {
-                json.find(&format!("\"name\":\"{n}\""))
-                    .unwrap_or_else(|| panic!("span {n} missing from trace\n{json}"))
-            })
-            .collect();
-        assert!(order.windows(2).all(|w| w[0] < w[1]), "span order {order:?}\n{json}");
+        .map(|n| {
+            json.find(&format!("\"name\":\"{n}\""))
+                .unwrap_or_else(|| panic!("span {n} missing from trace\n{json}"))
+        })
+        .collect();
+        assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "span order {order:?}\n{json}"
+        );
         assert!(json.contains("\"ph\":\"X\""), "{json}");
-        assert!(json.contains("\"ph\":\"C\""), "counter tracks missing\n{json}");
+        assert!(
+            json.contains("\"ph\":\"C\""),
+            "counter tracks missing\n{json}"
+        );
         assert!(json.contains("estimate_cache_miss"), "{json}");
         assert!(json.contains("hybrid_trap_entries"), "{json}");
         // Hardware spans share the timeline with the software stages, and
@@ -608,13 +611,19 @@ mod tests {
         let rec = binpart_telemetry::Recorder::new();
         let staged = StagedFlow::with_telemetry(&binary, &rec);
         let report = staged.cosimulate(&FlowOptions::default()).unwrap();
-        assert!(report.exit_bit_identical, "instrumentation must not perturb");
+        assert!(
+            report.exit_bit_identical,
+            "instrumentation must not perturb"
+        );
         let mut executed = 0;
         for k in &report.kernels {
             if k.hw_invocations == 0 {
                 continue;
             }
-            let p = k.hw_profile.as_ref().expect("executed kernel has a profile");
+            let p = k
+                .hw_profile
+                .as_ref()
+                .expect("executed kernel has a profile");
             executed += 1;
             // Attribution conservation: per-category and per-state sums
             // both equal the measured hardware cycles, exactly.
@@ -626,7 +635,12 @@ mod tests {
             );
             assert_eq!(p.committed, k.hw_invocations);
             assert!(p.states_executed > 0 && p.states_executed <= p.states_total);
-            assert_eq!(p.analytic.total().max(1), k.hw_cycles_estimated, "{}", k.name);
+            assert_eq!(
+                p.analytic.total().max(1),
+                k.hw_cycles_estimated,
+                "{}",
+                k.name
+            );
             assert!(p.vcd().is_some(), "first invocation captures a wave");
         }
         assert!(executed > 0, "no kernel executed");
@@ -668,7 +682,10 @@ mod tests {
             .unwrap();
         assert_eq!(hx.exit.regs, plain.hybrid_exit.regs);
         assert_eq!(hx.exit.cycles, plain.hybrid_exit.cycles);
-        assert!(hx.kernels.iter().any(|s| s.hw_invocations > 0), "no kernel executed");
+        assert!(
+            hx.kernels.iter().any(|s| s.hw_invocations > 0),
+            "no kernel executed"
+        );
         for (ri, s) in hx.kernels.iter().enumerate() {
             let k = &plain.kernels[p.spec_kernel[ri]];
             assert_eq!(s.hw_invocations, k.hw_invocations, "{}", k.name);

@@ -102,12 +102,7 @@ pub fn decompile(
         .iter()
         .map(|s| Diagnostic::new(FlowStage::Lift, &s.name, s.error.to_string()))
         .collect();
-    for (idx, (mut f, entry)) in lifted
-        .functions
-        .into_iter()
-        .zip(lifted.entries)
-        .enumerate()
-    {
+    for (idx, (mut f, entry)) in lifted.functions.into_iter().zip(lifted.entries).enumerate() {
         if options.optimize {
             opts::stack_op_removal(&mut f, &mut stats.passes);
         }
@@ -263,10 +258,7 @@ pub fn sw_cycles_of_blocks(
 /// The contiguous machine pc range `[lo, hi]` covered by a set of blocks
 /// (the code generator lays loop nests out contiguously), or `None` when
 /// no block carries provenance.
-pub fn region_pc_range(
-    f: &Function,
-    blocks: &[binpart_cdfg::ir::BlockId],
-) -> Option<(u32, u32)> {
+pub fn region_pc_range(f: &Function, blocks: &[binpart_cdfg::ir::BlockId]) -> Option<(u32, u32)> {
     let mut min_pc = u32::MAX;
     let mut max_pc = 0u32;
     for &b in blocks {
@@ -463,7 +455,8 @@ mod tests {
 
     #[test]
     fn profile_attaches_to_hot_blocks() {
-        let src = "int main(void) { int i; int s = 0; for (i = 0; i < 500; i++) s += i; return s; }";
+        let src =
+            "int main(void) { int i; int s = 0; for (i = 0; i < 500; i++) s += i; return s; }";
         let binary = compile(src, OptLevel::O1).unwrap();
         let mut m = binpart_mips::sim::Machine::new(&binary).unwrap();
         let exit = m.run().unwrap();
@@ -480,7 +473,8 @@ mod tests {
 
     #[test]
     fn size_reduction_narrows_loop_counters() {
-        let src = "int main(void) { int i; int s = 0; for (i = 0; i < 100; i++) s += 3; return s; }";
+        let src =
+            "int main(void) { int i; int s = 0; for (i = 0; i < 100; i++) s += 3; return s; }";
         let prog = decompile_src(src, OptLevel::O1);
         assert!(prog.stats.passes.values_narrowed > 0);
     }

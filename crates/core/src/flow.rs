@@ -198,7 +198,9 @@ mod tests {
     #[test]
     fn flow_accelerates_fir_like_kernel() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let report = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
+        let report = StagedFlow::new(&binary)
+            .run(&FlowOptions::default())
+            .unwrap();
         assert!(
             report.hybrid.app_speedup > 1.5,
             "speedup {} (partition: {:?})",
@@ -214,7 +216,9 @@ mod tests {
     #[test]
     fn best_kernel_speedup_bounds_app_speedup() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let report = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
+        let report = StagedFlow::new(&binary)
+            .run(&FlowOptions::default())
+            .unwrap();
         let best = report
             .hybrid
             .kernels
@@ -231,7 +235,9 @@ mod tests {
     #[test]
     fn energy_savings_positive_for_hot_kernels() {
         let binary = compile(kernel_program(), OptLevel::O1).unwrap();
-        let report = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap();
+        let report = StagedFlow::new(&binary)
+            .run(&FlowOptions::default())
+            .unwrap();
         assert!(
             report.hybrid.energy_savings > 0.2,
             "savings {}",
@@ -264,7 +270,9 @@ mod tests {
             }
             return acc; }";
         let binary = compile(src, OptLevel::O2).unwrap();
-        let err = StagedFlow::new(&binary).run(&FlowOptions::default()).unwrap_err();
+        let err = StagedFlow::new(&binary)
+            .run(&FlowOptions::default())
+            .unwrap_err();
         assert!(matches!(
             err,
             FlowError::Decompile(DecompileError::Lift(

@@ -21,9 +21,7 @@
 //! recovery pattern-matches the bounds-check/table-load idiom and produces a
 //! `Switch` terminator instead.
 
-use binpart_cdfg::ir::{
-    BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, VReg,
-};
+use binpart_cdfg::ir::{BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, VReg};
 use binpart_mips::{Binary, Instr, Reg};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -150,7 +148,10 @@ impl fmt::Display for DecompileError {
         match self {
             DecompileError::Lift(e) => e.fmt(f),
             DecompileError::Fuel { pass, limit } => {
-                write!(f, "optimizer fuel exhausted: {pass} exceeded {limit} rounds")
+                write!(
+                    f,
+                    "optimizer fuel exhausted: {pass} exceeded {limit} rounds"
+                )
             }
         }
     }
@@ -303,8 +304,7 @@ fn lift_function(lifter: &Lifter<'_>, entry: u32) -> Result<Function, LiftError>
         loop {
             let instr = lifter.instr_at(pc)?;
             if instr.is_control() {
-                let term_targets =
-                    lift_control(lifter, &mut f, bb, pc, instr, &mut block_of)?;
+                let term_targets = lift_control(lifter, &mut f, bb, pc, instr, &mut block_of)?;
                 for t in term_targets {
                     if !visited.contains(&t) {
                         work.push(t);
@@ -916,10 +916,7 @@ mod tests {
             DecompileOptions::default(),
         );
         assert_eq!(f.blocks.len(), 1);
-        assert!(matches!(
-            f.block(f.entry).term,
-            Terminator::Return { .. }
-        ));
+        assert!(matches!(f.block(f.entry).term, Terminator::Return { .. }));
     }
 
     #[test]
@@ -940,14 +937,8 @@ mod tests {
         );
         let ops = &f.block(f.entry).ops;
         // first lifted op is the condition compare, then the add
-        assert!(
-            matches!(ops[0].op, Op::Bin { op: BinOp::Ne, .. }),
-            "{f}"
-        );
-        assert!(
-            matches!(ops[1].op, Op::Bin { op: BinOp::Add, .. }),
-            "{f}"
-        );
+        assert!(matches!(ops[0].op, Op::Bin { op: BinOp::Ne, .. }), "{f}");
+        assert!(matches!(ops[1].op, Op::Bin { op: BinOp::Add, .. }), "{f}");
     }
 
     #[test]

@@ -123,7 +123,15 @@ fn propagate_worklist(f: &mut Function, stats: &mut PassStats) -> bool {
     let mut newly: Vec<VReg> = Vec::new();
     for bi in 0..nb as u32 {
         newly.clear();
-        visit_block(f, bi, &mut value, &mut newly, &mut use_extra, stats, &mut changed);
+        visit_block(
+            f,
+            bi,
+            &mut value,
+            &mut newly,
+            &mut use_extra,
+            stats,
+            &mut changed,
+        );
         for &d in &newly {
             if !pending_set[d.index()] {
                 pending_set[d.index()] = true;
@@ -158,23 +166,21 @@ fn propagate_worklist(f: &mut Function, stats: &mut PassStats) -> bool {
 
     let mut in_work = vec![false; nb];
     let mut work: Vec<u32> = Vec::new();
-    let enqueue_users = |d: VReg,
-                             use_extra: &[(u32, u32)],
-                             in_work: &mut [bool],
-                             work: &mut Vec<u32>| {
-        for &ub in use_blocks.of(d) {
-            if !in_work[ub as usize] {
-                in_work[ub as usize] = true;
-                work.push(ub);
+    let enqueue_users =
+        |d: VReg, use_extra: &[(u32, u32)], in_work: &mut [bool], work: &mut Vec<u32>| {
+            for &ub in use_blocks.of(d) {
+                if !in_work[ub as usize] {
+                    in_work[ub as usize] = true;
+                    work.push(ub);
+                }
             }
-        }
-        for &(r, ub) in use_extra {
-            if r == d.0 && !in_work[ub as usize] {
-                in_work[ub as usize] = true;
-                work.push(ub);
+            for &(r, ub) in use_extra {
+                if r == d.0 && !in_work[ub as usize] {
+                    in_work[ub as usize] = true;
+                    work.push(ub);
+                }
             }
-        }
-    };
+        };
     for &d in &pending {
         enqueue_users(d, &use_extra, &mut in_work, &mut work);
     }
@@ -190,7 +196,15 @@ fn propagate_worklist(f: &mut Function, stats: &mut PassStats) -> bool {
         fuel -= 1;
         in_work[bi as usize] = false;
         newly.clear();
-        visit_block(f, bi, &mut value, &mut newly, &mut use_extra, stats, &mut changed);
+        visit_block(
+            f,
+            bi,
+            &mut value,
+            &mut newly,
+            &mut use_extra,
+            stats,
+            &mut changed,
+        );
         for &d in &newly {
             enqueue_users(d, &use_extra, &mut in_work, &mut work);
         }
@@ -257,8 +271,13 @@ fn visit_block(
                 (x, Operand::Const(0))
                     if matches!(
                         op,
-                        BinOp::Add | BinOp::Sub | BinOp::Or | BinOp::Xor | BinOp::Shl
-                            | BinOp::ShrL | BinOp::ShrA
+                        BinOp::Add
+                            | BinOp::Sub
+                            | BinOp::Or
+                            | BinOp::Xor
+                            | BinOp::Shl
+                            | BinOp::ShrL
+                            | BinOp::ShrA
                     ) =>
                 {
                     Some((Op::Copy { dst: *dst, src: *x }, *x))
@@ -268,7 +287,11 @@ fn visit_block(
                 }
                 _ => None,
             },
-            Op::Un { op, dst, src: Operand::Const(c) } => {
+            Op::Un {
+                op,
+                dst,
+                src: Operand::Const(c),
+            } => {
                 let value = op.fold(*c);
                 Some((Op::Const { dst: *dst, value }, Operand::Const(value)))
             }

@@ -156,11 +156,16 @@ mod tests {
         let mut s = stats();
         assert!(strength_promotion(&mut f, &mut s));
         assert_eq!(s.muls_promoted, 1);
-        let has_mul = f
-            .block(f.entry)
-            .ops
-            .iter()
-            .any(|i| matches!(i.op, Op::Bin { op: BinOp::Mul, rhs: Operand::Const(10), .. }));
+        let has_mul = f.block(f.entry).ops.iter().any(|i| {
+            matches!(
+                i.op,
+                Op::Bin {
+                    op: BinOp::Mul,
+                    rhs: Operand::Const(10),
+                    ..
+                }
+            )
+        });
         assert!(has_mul, "{f}");
     }
 
@@ -196,11 +201,16 @@ mod tests {
         let mut s = stats();
         assert!(strength_promotion(&mut f, &mut s));
         assert_eq!(s.muls_promoted, 1);
-        let has_mul7 = f
-            .block(f.entry)
-            .ops
-            .iter()
-            .any(|i| matches!(i.op, Op::Bin { op: BinOp::Mul, rhs: Operand::Const(7), .. }));
+        let has_mul7 = f.block(f.entry).ops.iter().any(|i| {
+            matches!(
+                i.op,
+                Op::Bin {
+                    op: BinOp::Mul,
+                    rhs: Operand::Const(7),
+                    ..
+                }
+            )
+        });
         assert!(has_mul7, "{f}");
     }
 
@@ -356,20 +366,14 @@ mod tests {
             0,
             Inst::new(Op::Phi {
                 dst: iphi,
-                args: vec![
-                    (entry, Operand::Const(0)),
-                    (body, Operand::Reg(ivs[3].1)),
-                ],
+                args: vec![(entry, Operand::Const(0)), (body, Operand::Reg(ivs[3].1))],
             }),
         );
         f.block_mut(header).ops.insert(
             1,
             Inst::new(Op::Phi {
                 dst: aphi,
-                args: vec![
-                    (entry, Operand::Const(0)),
-                    (body, Operand::Reg(avs[3].1)),
-                ],
+                args: vec![(entry, Operand::Const(0)), (body, Operand::Reg(avs[3].1))],
             }),
         );
         f.block_mut(header).push(Op::Bin {
@@ -395,7 +399,7 @@ mod tests {
         let after = f.block(body).ops.len();
         assert!(after < before, "body {before} -> {after}\n{f}");
         assert_eq!(after, 2); // one acc add + one IV add
-        // phis now take the section-1 values
+                              // phis now take the section-1 values
         for inst in &f.block(header).ops {
             if let Op::Phi { args, .. } = &inst.op {
                 for (p, a) in args {

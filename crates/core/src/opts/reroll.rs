@@ -121,10 +121,13 @@ pub fn loop_reroll(
 /// operations with a uniform step inside `body`, returns the step.
 fn chain_step(f: &Function, body: BlockId, phi: VReg, back: VReg) -> Option<i64> {
     let def_of = |v: VReg| -> Option<(VReg, i64)> {
-        f.block(body).ops.iter().find_map(|inst| match add_const(&inst.op) {
-            Some((dst, r, c)) if dst == v => Some((r, c)),
-            _ => None,
-        })
+        f.block(body)
+            .ops
+            .iter()
+            .find_map(|inst| match add_const(&inst.op) {
+                Some((dst, r, c)) if dst == v => Some((r, c)),
+                _ => None,
+            })
     };
     let mut cur = back;
     let mut step: Option<i64> = None;
@@ -227,13 +230,25 @@ fn try_reroll(f: &mut Function, header: BlockId, body: BlockId, iv_phi: VReg, st
         fn shape_eq(a: &Inst, b: &Inst) -> bool {
             match (&a.op, &b.op) {
                 (
-                    Op::Bin { op: oa, rhs: ra, .. },
-                    Op::Bin { op: ob, rhs: rb, .. },
+                    Op::Bin {
+                        op: oa, rhs: ra, ..
+                    },
+                    Op::Bin {
+                        op: ob, rhs: rb, ..
+                    },
                 ) => oa == ob && ra.as_const() == rb.as_const(),
                 (Op::Un { op: oa, .. }, Op::Un { op: ob, .. }) => oa == ob,
                 (
-                    Op::Load { width: wa, signed: sa, .. },
-                    Op::Load { width: wb, signed: sb, .. },
+                    Op::Load {
+                        width: wa,
+                        signed: sa,
+                        ..
+                    },
+                    Op::Load {
+                        width: wb,
+                        signed: sb,
+                        ..
+                    },
                 ) => wa == wb && sa == sb,
                 (Op::Store { width: wa, .. }, Op::Store { width: wb, .. }) => wa == wb,
                 (Op::Const { value: va, .. }, Op::Const { value: vb, .. }) => va == vb,
@@ -245,9 +260,7 @@ fn try_reroll(f: &mut Function, header: BlockId, body: BlockId, iv_phi: VReg, st
         }
         let first = sections[0];
         for s in &sections[1..] {
-            if s.len() != first.len()
-                || !s.iter().zip(first.iter()).all(|(x, y)| shape_eq(x, y))
-            {
+            if s.len() != first.len() || !s.iter().zip(first.iter()).all(|(x, y)| shape_eq(x, y)) {
                 return false;
             }
         }

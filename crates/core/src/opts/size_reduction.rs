@@ -60,7 +60,10 @@ pub fn size_reduction(f: &mut Function, forest: &LoopForest, stats: &mut PassSta
                 if let Some(&ivw) = iv_bits.get(&d) {
                     ivw
                 } else {
-                    args.iter().map(|(_, a)| width_of(a, bits)).max().unwrap_or(32)
+                    args.iter()
+                        .map(|(_, a)| width_of(a, bits))
+                        .max()
+                        .unwrap_or(32)
                 }
             }
             Op::Un { op, src, .. } => match op {

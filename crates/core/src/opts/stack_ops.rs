@@ -98,7 +98,11 @@ pub fn stack_op_removal(f: &mut Function, stats: &mut PassStats) {
     let mut slot_access: HashMap<i64, Acc> = HashMap::new();
     // A slot accessed both as a word and narrower counts as narrow.
     let mut record = |off: i64, width: MemWidth| {
-        let acc = if width.bytes() == 4 { Acc::Word } else { Acc::Narrow };
+        let acc = if width.bytes() == 4 {
+            Acc::Word
+        } else {
+            Acc::Narrow
+        };
         let seen = slot_access.entry(off).or_insert(acc);
         if *seen != acc {
             *seen = Acc::Narrow;
@@ -144,7 +148,9 @@ pub fn stack_op_removal(f: &mut Function, stats: &mut PassStats) {
                     }
                     derived.remove(dst);
                 }
-                Op::Load { dst, addr, width, .. } => {
+                Op::Load {
+                    dst, addr, width, ..
+                } => {
                     if let Some(off) = derived.slot_of(addr) {
                         record(off, *width);
                     }

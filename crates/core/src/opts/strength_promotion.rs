@@ -46,12 +46,22 @@ pub fn strength_promotion(f: &mut Function, stats: &mut PassStats) -> bool {
             }
         };
         match op {
-            Op::Bin { op: BinOp::Add, lhs, rhs, .. } => {
+            Op::Bin {
+                op: BinOp::Add,
+                lhs,
+                rhs,
+                ..
+            } => {
                 let a = operand(lhs, f, sites);
                 let b = operand(rhs, f, sites);
                 combine(a, b, 1).unwrap_or(leaf)
             }
-            Op::Bin { op: BinOp::Sub, lhs, rhs, .. } => {
+            Op::Bin {
+                op: BinOp::Sub,
+                lhs,
+                rhs,
+                ..
+            } => {
                 let a = operand(lhs, f, sites);
                 let b = operand(rhs, f, sites);
                 combine(a, b, -1).unwrap_or(leaf)

@@ -10,10 +10,10 @@
 //!    suitability until the area constraint would be violated.
 
 use crate::alias::{self, RegionSummary};
-use crate::diag::{Diagnostic, FlowStage};
 use crate::decompile::{
     blocks_contain_call, region_pc_range, sw_cycles_of_blocks, DecompiledProgram,
 };
+use crate::diag::{Diagnostic, FlowStage};
 use binpart_cdfg::dataflow::DefSites;
 use binpart_cdfg::ir::BlockId;
 use binpart_cdfg::ir::Function;
@@ -186,8 +186,7 @@ impl Partition {
         if self.total_sw_cycles == 0 {
             return 0.0;
         }
-        self.selected().map(|(_, c)| c.sw_cycles).sum::<u64>() as f64
-            / self.total_sw_cycles as f64
+        self.selected().map(|(_, c)| c.sw_cycles).sum::<u64>() as f64 / self.total_sw_cycles as f64
     }
 }
 
@@ -320,11 +319,8 @@ pub fn harvest_candidates(
                 &prog.entries,
                 f.block(l.header).start_pc.unwrap_or(binary.text_base),
             );
-            let back_edges =
-                measured_back_edges(f, &l.blocks, l.header, binary, profile, fn_end)
-                    .unwrap_or_else(|| {
-                        l.latches.iter().map(|&b| f.block(b).profile_count).sum()
-                    });
+            let back_edges = measured_back_edges(f, &l.blocks, l.header, binary, profile, fn_end)
+                .unwrap_or_else(|| l.latches.iter().map(|&b| f.block(b).profile_count).sum());
             let invocations = header_count.saturating_sub(back_edges).max(1);
             let sites = sites.get_or_insert_with(|| DefSites::compute(f));
             let regions = alias::summarize(f, sites, &l.blocks, data_base, data_end);
@@ -515,15 +511,14 @@ pub fn partition_with_candidates(
             outcome,
         });
     };
-    let kernel = |ci: usize, mem_in_bram: bool, synth: Arc<SynthesisResult>, step: u8| {
-        SelectedKernel {
+    let kernel =
+        |ci: usize, mem_in_bram: bool, synth: Arc<SynthesisResult>, step: u8| SelectedKernel {
             candidate: ci,
             mem_in_bram,
             bram_bytes: 0,
             synth,
             step,
-        }
-    };
+        };
 
     // ---- step 1: most frequent loops to ~coverage ----
     for &ci in candidates {
@@ -558,8 +553,7 @@ pub fn partition_with_candidates(
 
     // ---- step 2: migrate memory to block RAM, pull in aliasing regions ----
     if options.alias_step {
-        let mut shared_bases: std::collections::BTreeSet<u32> =
-            std::collections::BTreeSet::new();
+        let mut shared_bases: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
         for k in &kernels {
             shared_bases.extend(all[k.candidate].regions.globals.iter().copied());
         }
@@ -578,7 +572,12 @@ pub fn partition_with_candidates(
             // stays in hardware with its step-1 synthesis.
             if let Ok(synth) = try_select(k.candidate, true, bytes, area_used - prev_area) {
                 area_used = area_used - prev_area + synth.area.gate_equivalents;
-                decide(&mut decisions, 2, k.candidate, Outcome::MovedToBram { bytes });
+                decide(
+                    &mut decisions,
+                    2,
+                    k.candidate,
+                    Outcome::MovedToBram { bytes },
+                );
                 k.mem_in_bram = true;
                 k.bram_bytes = bytes;
                 k.synth = synth;

@@ -241,17 +241,26 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             let exit = machine.run()?;
             if T::ENABLED {
                 let st = machine.trace_cache_stats();
-                self.telemetry.counter_add(Counter::TraceHeatPromotions, st.heat_promotions);
-                self.telemetry.counter_add(Counter::TraceInstalls, st.installs);
+                self.telemetry
+                    .counter_add(Counter::TraceHeatPromotions, st.heat_promotions);
+                self.telemetry
+                    .counter_add(Counter::TraceInstalls, st.installs);
                 self.telemetry.counter_add(Counter::TracePasses, st.passes);
-                self.telemetry.counter_add(Counter::TraceSideExits, st.side_exits);
-                self.telemetry.counter_add(Counter::TraceChainTransfers, st.chain_transfers);
-                self.telemetry.counter_add(Counter::TraceInvalidations, st.invalidations);
+                self.telemetry
+                    .counter_add(Counter::TraceSideExits, st.side_exits);
+                self.telemetry
+                    .counter_add(Counter::TraceChainTransfers, st.chain_transfers);
+                self.telemetry
+                    .counter_add(Counter::TraceInvalidations, st.invalidations);
             }
             Ok(Arc::new(exit))
         });
         self.telemetry.counter_add(
-            if ran { Counter::ProfileStageMiss } else { Counter::ProfileStageHit },
+            if ran {
+                Counter::ProfileStageMiss
+            } else {
+                Counter::ProfileStageHit
+            },
             1,
         );
         result
@@ -275,7 +284,11 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             Ok(Arc::new(decompile::decompile(self.binary, options)?))
         });
         self.telemetry.counter_add(
-            if ran { Counter::DecompileStageMiss } else { Counter::DecompileStageHit },
+            if ran {
+                Counter::DecompileStageMiss
+            } else {
+                Counter::DecompileStageHit
+            },
             1,
         );
         result
@@ -299,8 +312,7 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             let _span = SpanGuard::enter(&self.telemetry, "estimate", String::new);
             let mut program = (*base).clone();
             decompile::attach_profile(&mut program, &exit.profile);
-            let candidates =
-                harvest_candidates(&program, self.binary, &exit.profile, &sim.cycles);
+            let candidates = harvest_candidates(&program, self.binary, &exit.profile, &sim.cycles);
             let stats = program.stats;
             Ok(Arc::new(EstimatedProgram {
                 program,
@@ -312,7 +324,11 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             }))
         });
         self.telemetry.counter_add(
-            if ran { Counter::EstimateStageMiss } else { Counter::EstimateStageHit },
+            if ran {
+                Counter::EstimateStageMiss
+            } else {
+                Counter::EstimateStageHit
+            },
             1,
         );
         result
@@ -344,13 +360,21 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
                 options.partition.area_budget_gates
             )
         });
-        let (h0, m0) = if T::ENABLED { (est.cache.hits(), est.cache.misses()) } else { (0, 0) };
+        let (h0, m0) = if T::ENABLED {
+            (est.cache.hits(), est.cache.misses())
+        } else {
+            (0, 0)
+        };
         let report = evaluate_artifact(est, options);
         if T::ENABLED {
-            self.telemetry
-                .counter_add(Counter::EstimateCacheHit, est.cache.hits().saturating_sub(h0));
-            self.telemetry
-                .counter_add(Counter::EstimateCacheMiss, est.cache.misses().saturating_sub(m0));
+            self.telemetry.counter_add(
+                Counter::EstimateCacheHit,
+                est.cache.hits().saturating_sub(h0),
+            );
+            self.telemetry.counter_add(
+                Counter::EstimateCacheMiss,
+                est.cache.misses().saturating_sub(m0),
+            );
             emit_diagnostics(&self.telemetry, &report.diagnostics);
         }
         report
@@ -591,9 +615,7 @@ mod tests {
         let staged = StagedFlow::new(&binary);
         let mut options = FlowOptions::default();
         options.sim.max_steps = 50;
-        let err = staged
-            .estimate(options.decompile, options.sim)
-            .unwrap_err();
+        let err = staged.estimate(options.decompile, options.sim).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert!(staged.estimated.lock().unwrap().is_empty());
         // Rerun with a workable budget: recomputes and succeeds.
