@@ -10,7 +10,10 @@
 //!
 //! For each metric the comparison reports both medians, the base runs'
 //! interquartile range, and in how many pairs the change was strictly
-//! better or strictly worse. The claim rule: a change is *better* on a
+//! better or strictly worse. Which direction is better is what the
+//! repository's `BENCHMARK.json` declares for the metric (its `better`
+//! field), compiled in; only a metric it does not declare falls back to
+//! a rule on the unit. The claim rule: a change is *better* on a
 //! metric when it wins at least 9 pairs in 10 and its median gain exceeds
 //! the base IQR; *worse* by the mirror rule; otherwise the difference is
 //! inside noise.
@@ -69,11 +72,38 @@ pub fn result_metrics(line: &str) -> Option<Vec<Metric>> {
     Some(out)
 }
 
-/// Whether a larger value of a metric in `unit` is better: rates (a unit
-/// ending in `/s`) and ratios (`x`) are; times, sizes, counts and
-/// percentages are not.
-pub fn higher_is_better(unit: &str) -> bool {
-    unit.ends_with("/s") || unit == "x"
+/// The repository benchmark's declaration, whose metrics carry their
+/// better direction.
+const BENCHMARK: &str = include_str!("../../../BENCHMARK.json");
+
+/// Whether a larger value of metric `name`, printed in `unit`, is better.
+/// A metric `BENCHMARK.json` declares takes its `better` field
+/// (`"higher"` or `"lower"`): counts such as `decompile.functions` are
+/// better higher even though most counts are not. Any other metric
+/// follows its unit: rates (a unit ending in `/s`) and ratios (`x`) are
+/// better higher; times, sizes, counts and percentages lower.
+pub fn higher_is_better(name: &str, unit: &str) -> bool {
+    declared_higher(BENCHMARK, name).unwrap_or(unit.ends_with("/s") || unit == "x")
+}
+
+/// The `better` direction `json` declares for metric `name`: `Some(true)`
+/// for `"higher"`, `Some(false)` for `"lower"`, `None` when no flat
+/// object of `json` has both that `name` and a `better` field.
+fn declared_higher(json: &str, name: &str) -> Option<bool> {
+    // The text after `"key":` up to its closing quote, in one flat object.
+    let field = |object: &str, key: &str| -> Option<String> {
+        let (_, rest) = object.split_once(&format!("\"{key}\""))?;
+        let rest = rest.trim_start().strip_prefix(':')?.trim_start();
+        Some(rest.strip_prefix('"')?.split('"').next()?.to_string())
+    };
+    json.split('{')
+        .filter_map(|chunk| chunk.split('}').next())
+        .filter(|object| field(object, "name").as_deref() == Some(name))
+        .find_map(|object| match field(object, "better")?.as_str() {
+            "higher" => Some(true),
+            "lower" => Some(false),
+            _ => None,
+        })
 }
 
 /// The `p`-quantile of `xs` by linear interpolation between closest
@@ -235,12 +265,32 @@ mod tests {
 
     #[test]
     fn direction_follows_the_unit() {
-        assert!(higher_is_better("1/s"));
-        assert!(higher_is_better("Minstr/s"));
-        assert!(higher_is_better("x"));
+        // Metrics the benchmark does not declare.
+        assert!(higher_is_better("undeclared", "1/s"));
+        assert!(higher_is_better("undeclared", "Minstr/s"));
+        assert!(higher_is_better("undeclared", "x"));
         for unit in ["ms", "s", "MiB", "count", "%", ""] {
-            assert!(!higher_is_better(unit), "{unit}");
+            assert!(!higher_is_better("undeclared", unit), "{unit}");
         }
+    }
+
+    #[test]
+    fn direction_is_what_the_benchmark_declares() {
+        // Counts the unit rule would call lower-is-better.
+        assert!(higher_is_better("decompile.functions", "count"));
+        assert!(higher_is_better("evaluate.kernels", "count"));
+        assert!(higher_is_better("evaluate.synth_hit_rate", "frac"));
+        assert!(!higher_is_better("evaluate.synth_attempts", "count"));
+        // The declaration wins over the unit either way.
+        assert!(higher_is_better("ops_per_s", "ms"));
+        assert!(!higher_is_better("op_ms_p50", "1/s"));
+        // Every end-to-end and per-layer metric declares a direction, and
+        // a workload (a name without `better`) is not a metric.
+        assert!(BENCHMARK.matches("\"better\"").count() > 40);
+        assert_eq!(declared_higher(BENCHMARK, "design_sweep"), None);
+        let json = r#"{"a": [{"name": "m", "why": "x"}, {"name": "m", "better": "higher"}]}"#;
+        assert_eq!(declared_higher(json, "m"), Some(true));
+        assert_eq!(declared_higher(json, "n"), None);
     }
 
     #[test]

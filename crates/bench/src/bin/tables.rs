@@ -985,7 +985,7 @@ fn ab(mut args: impl Iterator<Item = String>) {
         else {
             continue;
         };
-        let higher = higher_is_better(&m.unit);
+        let higher = higher_is_better(&m.name, &m.unit);
         let cmp = compare(&b, &c, higher);
         println!(
             "{:<36} {:>6} {:>14.6} {:>12.6} {:>14.6} {:>8.2}% {:>3}/{pairs} {:>3}/{pairs}  {:?}",

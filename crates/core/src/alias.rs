@@ -164,13 +164,11 @@ pub fn summarize(
 }
 
 /// Estimates the byte extent of each accessed global by the gap to the next
-/// accessed base (or to the end of the data section).
-pub fn extent_of(bases: &BTreeSet<u32>, base: u32, data_end: u32) -> u32 {
-    let next = bases
-        .range((base + 1)..)
-        .next()
-        .copied()
-        .unwrap_or(data_end);
+/// accessed base (or to the end of the data section). `bases` is sorted
+/// ascending.
+pub fn extent_of(bases: &[u32], base: u32, data_end: u32) -> u32 {
+    let above = bases.partition_point(|&b| b <= base);
+    let next = bases.get(above).copied().unwrap_or(data_end);
     next.saturating_sub(base).min(64 * 1024)
 }
 
@@ -276,10 +274,11 @@ mod tests {
 
     #[test]
     fn extent_uses_gap_to_next_base() {
-        let mut bases = BTreeSet::new();
-        bases.insert(0x1000);
-        bases.insert(0x1040);
+        let bases = [0x1000, 0x1040];
         assert_eq!(extent_of(&bases, 0x1000, 0x2000), 0x40);
         assert_eq!(extent_of(&bases, 0x1040, 0x2000), 0x2000 - 0x1040);
+        // A base between two others extends to the next one above it.
+        assert_eq!(extent_of(&bases, 0x1020, 0x2000), 0x20);
+        assert_eq!(extent_of(&[], 0x1f00, 0x2000), 0x100);
     }
 }

@@ -46,7 +46,7 @@ impl fmt::Display for FlowStage {
 
 /// One recorded per-region degradation: which region fell back to
 /// software-only, at which stage, and why.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Diagnostic {
     /// The stage that rejected the region.
     pub stage: FlowStage,
@@ -54,6 +54,29 @@ pub struct Diagnostic {
     pub region: String,
     /// Human-readable cause (the underlying error's message).
     pub detail: String,
+}
+
+impl Clone for Diagnostic {
+    fn clone(&self) -> Self {
+        Diagnostic {
+            stage: self.stage,
+            region: self.region.clone(),
+            detail: self.detail.clone(),
+        }
+    }
+
+    /// Field by field, so the strings keep their buffers: rewriting a
+    /// record with one no longer than it held allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        let Diagnostic {
+            stage,
+            region,
+            detail,
+        } = source;
+        self.stage = *stage;
+        self.region.clone_from(region);
+        self.detail.clone_from(detail);
+    }
 }
 
 impl Diagnostic {

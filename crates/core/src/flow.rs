@@ -40,7 +40,7 @@ use binpart_synth::{ResourceBudget, SynthError, TechLibrary};
 use std::fmt;
 
 /// Everything the flow needs to run.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct FlowOptions {
     /// Target platform (CPU clock, FPGA, power).
     pub platform: Platform,
@@ -56,6 +56,38 @@ pub struct FlowOptions {
     /// profile always runs on the default superblock engine, which is
     /// exact, so no engine choice appears here.
     pub sim: SimConfig,
+}
+
+impl Clone for FlowOptions {
+    fn clone(&self) -> Self {
+        FlowOptions {
+            platform: self.platform.clone(),
+            partition: self.partition.clone(),
+            library: self.library.clone(),
+            ..*self
+        }
+    }
+
+    /// Field by field: the platform and library keep every name `Arc`
+    /// that already points at `source`'s, so options rewritten from the
+    /// same source (a sweep worker's per-point options) touch no
+    /// reference count.
+    fn clone_from(&mut self, source: &Self) {
+        let FlowOptions {
+            platform,
+            decompile,
+            partition,
+            budget,
+            library,
+            sim,
+        } = source;
+        self.platform.clone_from(platform);
+        self.decompile = *decompile;
+        self.partition.clone_from(partition);
+        self.budget = *budget;
+        self.library.clone_from(library);
+        self.sim = *sim;
+    }
 }
 
 impl Default for FlowOptions {

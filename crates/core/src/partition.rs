@@ -138,8 +138,10 @@ pub struct Decision {
 /// kernel's [`SelectedKernel::synth`] is the synthesis memo's own shared
 /// result (an `Arc`, never a copy of its schedules), and the decision log
 /// is kept as [`Decision`] records that [`Partition::log`] renders to
-/// text only when asked.
-#[derive(Debug, Clone)]
+/// text only when asked. A caller evaluating many points keeps one
+/// `Partition` and has [`partition_with_candidates`] rewrite it; the
+/// default is the empty partition it starts from.
+#[derive(Debug, Clone, Default)]
 pub struct Partition {
     /// Selected kernels.
     pub kernels: Vec<SelectedKernel>,
@@ -155,17 +157,26 @@ pub struct Partition {
     /// normal heuristic outcomes and stay in the decision log only.
     pub diagnostics: Vec<Diagnostic>,
     /// The candidate list [`SelectedKernel::candidate`] and
-    /// [`Decision::candidate`] index.
-    candidates: Arc<[Candidate]>,
+    /// [`Decision::candidate`] index; `None` only in the default (empty)
+    /// partition, so building one touches no shared reference count.
+    candidates: Option<Arc<[Candidate]>>,
+    /// Step 2's global bases touched by step 1's kernels, sorted and
+    /// distinct; kept so a rewritten partition sorts them in place.
+    shared_bases: Vec<u32>,
 }
 
 impl Partition {
     /// Each kernel with the candidate it was selected from, in kernel
     /// order.
     pub fn selected(&self) -> impl Iterator<Item = (&SelectedKernel, &Candidate)> {
-        self.kernels
-            .iter()
-            .map(|k| (k, &self.candidates[k.candidate]))
+        let all = self.candidates();
+        self.kernels.iter().map(|k| (k, &all[k.candidate]))
+    }
+
+    /// The candidate list the kernels and decisions index (empty in the
+    /// default partition, which has neither).
+    fn candidates(&self) -> &[Candidate] {
+        self.candidates.as_deref().unwrap_or_default()
     }
 
     /// The human-readable decision log, one line per [`Decision`] (e.g.
@@ -175,7 +186,7 @@ impl Partition {
         self.decisions
             .iter()
             .map(|d| {
-                let name = self.candidates.get(d.candidate).map_or("?", |c| &*c.name);
+                let name = self.candidates().get(d.candidate).map_or("?", |c| &*c.name);
                 format!("step{}: {name} {}", d.step, d.outcome)
             })
             .collect()
@@ -417,6 +428,16 @@ fn measured_back_edges(
 /// `set`. The call reads the memo through one
 /// [`MemoView`](binpart_synth::MemoView), taken at the start and dropped
 /// at the end.
+///
+/// The result is written into `out`, which a caller evaluating many
+/// points reuses: its kernel, decision and diagnostic lists are cleared
+/// and refilled in place, step 2's shared array bases are sorted in a
+/// buffer it keeps, and its candidate list is re-shared only when `set`
+/// is not the one it already shares. A warm point written into a used
+/// `out` therefore allocates nothing, unless it diagnoses a synthesis
+/// failure. Every field is overwritten, so the result does not depend on
+/// what `out` held.
+#[allow(clippy::too_many_arguments)]
 pub fn partition_with_candidates(
     prog: &DecompiledProgram,
     set: &CandidateSet,
@@ -425,7 +446,17 @@ pub fn partition_with_candidates(
     budget: &ResourceBudget,
     library: &TechLibrary,
     cache: &EstimateCache,
-) -> Partition {
+    out: &mut Partition,
+) {
+    let Partition {
+        kernels,
+        total_area_gates,
+        total_sw_cycles: out_sw_cycles,
+        decisions,
+        diagnostics,
+        shared_bases,
+        candidates: shared,
+    } = out;
     let data_end = set.data_end;
     let all = &set.candidates;
     let mut memo = cache.view(budget, library);
@@ -437,14 +468,17 @@ pub fn partition_with_candidates(
     let candidates = &set.by_cycles[..set.by_cycles.partition_point(|&ci| kept(ci))];
 
     let most_kernels = options.max_kernels.min(candidates.len());
-    let mut kernels: Vec<SelectedKernel> = Vec::with_capacity(most_kernels);
+    kernels.clear();
+    kernels.reserve(most_kernels);
     let taken = |kernels: &[SelectedKernel], ci| kernels.iter().any(|k| k.candidate == ci);
     // A candidate is decided at most once in step 1 and once more in step
     // 2 (joined) or step 3; step 2 also records one move per kernel.
-    let mut decisions: Vec<Decision> = Vec::with_capacity(2 * candidates.len() + most_kernels);
+    decisions.clear();
+    decisions.reserve(2 * candidates.len() + most_kernels);
+    diagnostics.clear();
+    shared_bases.clear();
     let mut area_used = 0u64;
     let mut covered = 0u64;
-    let mut diagnostics: Vec<Diagnostic> = Vec::new();
 
     /// Why a candidate was not selected.
     enum Reject {
@@ -532,15 +566,15 @@ pub fn partition_with_candidates(
         let synth = match try_select(ci, false, 0, area_used) {
             Ok(synth) => synth,
             Err(rej) => {
-                note_synth(&mut diagnostics, &c.name, &rej);
-                decide(&mut decisions, 1, ci, Outcome::Skipped);
+                note_synth(diagnostics, &c.name, &rej);
+                decide(decisions, 1, ci, Outcome::Skipped);
                 continue;
             }
         };
         area_used += synth.area.gate_equivalents;
         covered += c.sw_cycles;
         decide(
-            &mut decisions,
+            decisions,
             1,
             ci,
             Outcome::Selected {
@@ -553,11 +587,13 @@ pub fn partition_with_candidates(
 
     // ---- step 2: migrate memory to block RAM, pull in aliasing regions ----
     if options.alias_step {
-        let mut shared_bases: std::collections::BTreeSet<u32> = std::collections::BTreeSet::new();
-        for k in &kernels {
+        // The global bases step 1's kernels touch, sorted and distinct.
+        for k in kernels.iter() {
             shared_bases.extend(all[k.candidate].regions.globals.iter().copied());
         }
-        for k in &mut kernels {
+        shared_bases.sort_unstable();
+        shared_bases.dedup();
+        for k in kernels.iter_mut() {
             let regions = &all[k.candidate].regions;
             if !regions.fully_resolved() || regions.globals.is_empty() {
                 continue;
@@ -565,19 +601,14 @@ pub fn partition_with_candidates(
             let bytes: u64 = regions
                 .globals
                 .iter()
-                .map(|&b| alias::extent_of(&shared_bases, b, data_end) as u64)
+                .map(|&b| alias::extent_of(shared_bases, b, data_end) as u64)
                 .sum();
             let prev_area = k.synth.area.gate_equivalents;
             // A BRAM re-synthesis failure is not a degradation: the kernel
             // stays in hardware with its step-1 synthesis.
             if let Ok(synth) = try_select(k.candidate, true, bytes, area_used - prev_area) {
                 area_used = area_used - prev_area + synth.area.gate_equivalents;
-                decide(
-                    &mut decisions,
-                    2,
-                    k.candidate,
-                    Outcome::MovedToBram { bytes },
-                );
+                decide(decisions, 2, k.candidate, Outcome::MovedToBram { bytes });
                 k.mem_in_bram = true;
                 k.bram_bytes = bytes;
                 k.synth = synth;
@@ -585,7 +616,7 @@ pub fn partition_with_candidates(
         }
         // Pull in other candidates touching the same arrays.
         for &ci in candidates {
-            if taken(&kernels, ci) || kernels.len() >= options.max_kernels {
+            if taken(kernels, ci) || kernels.len() >= options.max_kernels {
                 continue;
             }
             let c = &all[ci];
@@ -598,12 +629,12 @@ pub fn partition_with_candidates(
             let synth = match try_select(ci, bram, 0, area_used) {
                 Ok(synth) => synth,
                 Err(rej) => {
-                    note_synth(&mut diagnostics, &c.name, &rej);
+                    note_synth(diagnostics, &c.name, &rej);
                     continue;
                 }
             };
             area_used += synth.area.gate_equivalents;
-            decide(&mut decisions, 2, ci, Outcome::Joined);
+            decide(decisions, 2, ci, Outcome::Joined);
             kernels.push(kernel(ci, bram, synth, 2));
         }
     }
@@ -613,7 +644,7 @@ pub fn partition_with_candidates(
         if kernels.len() >= options.max_kernels {
             break;
         }
-        if !kept(ci) || taken(&kernels, ci) {
+        if !kept(ci) || taken(kernels, ci) {
             continue;
         }
         let c = &all[ci];
@@ -621,22 +652,19 @@ pub fn partition_with_candidates(
         let synth = match try_select(ci, bram, 0, area_used) {
             Ok(synth) => synth,
             Err(rej) => {
-                note_synth(&mut diagnostics, &c.name, &rej);
-                decide(&mut decisions, 3, ci, Outcome::Rejected);
+                note_synth(diagnostics, &c.name, &rej);
+                decide(decisions, 3, ci, Outcome::Rejected);
                 continue;
             }
         };
         area_used += synth.area.gate_equivalents;
-        decide(&mut decisions, 3, ci, Outcome::Added);
+        decide(decisions, 3, ci, Outcome::Added);
         kernels.push(kernel(ci, bram, synth, 3));
     }
 
-    Partition {
-        kernels,
-        total_area_gates: area_used,
-        total_sw_cycles,
-        decisions,
-        diagnostics,
-        candidates: Arc::clone(all),
+    *total_area_gates = area_used;
+    *out_sw_cycles = total_sw_cycles;
+    if !shared.as_ref().is_some_and(|s| Arc::ptr_eq(s, all)) {
+        *shared = Some(Arc::clone(all));
     }
 }

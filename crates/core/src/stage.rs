@@ -72,6 +72,7 @@
 //! ```
 
 use crate::decompile::{self, DecompileStats, DecompiledProgram};
+use crate::diag::Diagnostic;
 use crate::flow::{FlowError, FlowOptions, FlowReport};
 use crate::lift::DecompileOptions;
 use crate::partition::{
@@ -105,8 +106,9 @@ pub struct EstimatedProgram {
 }
 
 /// A [`FlowReport`] without the owned program copy — what a sweep point
-/// needs. Identical numbers to [`StagedFlow::run`].
-#[derive(Debug, Clone)]
+/// needs. Identical numbers to [`StagedFlow::run`]. The default is the
+/// empty report [`StagedFlow::evaluate_into`] starts from.
+#[derive(Debug, Clone, Default)]
 pub struct StagedReport {
     /// Profiled all-software cycles.
     pub sw_cycles: u64,
@@ -120,7 +122,7 @@ pub struct StagedReport {
     pub partition: Partition,
     /// Per-region degradation records (decompiler fallbacks + partitioner
     /// synth rejections). See the [crate docs](crate) failure policy.
-    pub diagnostics: Vec<crate::diag::Diagnostic>,
+    pub diagnostics: Vec<Diagnostic>,
 }
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, FlowError>>>;
@@ -135,7 +137,7 @@ type Slot<T> = Arc<OnceLock<Result<Arc<T>, FlowError>>>;
 /// per stage execution, `OnceLock`-slot hit/miss counters per stage
 /// call, [`EstimateCache`] memo deltas per evaluation, superblock
 /// engine counters from the profile run, and every
-/// [`Diagnostic`](crate::diag::Diagnostic) as a structured event.
+/// [`Diagnostic`] as a structured event.
 pub struct StagedFlow<'b, T: Telemetry = NullTelemetry> {
     binary: &'b Binary,
     telemetry: T,
@@ -337,22 +339,57 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     /// Stage 4 — partition selection + platform evaluation for one option
     /// set. Uncached (it is selection-loop cheap); every expensive input
     /// comes from the stage-3 artifact, including memoized per-kernel
-    /// synthesis.
+    /// synthesis. A fresh report filled by
+    /// [`evaluate_into`](StagedFlow::evaluate_into).
     ///
     /// # Errors
     ///
     /// Propagates stage-1/-2 failures.
     pub fn evaluate(&self, options: &FlowOptions) -> Result<StagedReport, FlowError> {
-        let est = self.estimate(options.decompile, options.sim)?;
-        Ok(self.evaluate_est(&est, options))
+        let mut report = StagedReport::default();
+        self.evaluate_into(options, &mut report)?;
+        Ok(report)
     }
 
-    /// Evaluate one option point against an already-built artifact, with
-    /// span/counter attribution: an `evaluate` span, the artifact's
-    /// [`EstimateCache`] hit/miss delta (approximate under concurrent
-    /// evaluations of the same artifact), and a `diagnostic` event per
-    /// degradation record.
-    fn evaluate_est(&self, est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
+    /// [`evaluate`](StagedFlow::evaluate) written into a caller-owned
+    /// report: the stage-3 artifact is looked up, then
+    /// [`evaluate_artifact_into`](StagedFlow::evaluate_artifact_into)
+    /// rewrites every field of `report`. A caller evaluating many points
+    /// keeps one report, so its lists keep their buffers.
+    ///
+    /// # Errors
+    ///
+    /// Propagates stage-1/-2 failures; `report` is then left as it was.
+    pub fn evaluate_into(
+        &self,
+        options: &FlowOptions,
+        report: &mut StagedReport,
+    ) -> Result<(), FlowError> {
+        let est = self.estimate(options.decompile, options.sim)?;
+        self.evaluate_artifact_into(&est, options, report);
+        Ok(())
+    }
+
+    /// Stage 4 against an artifact already in hand: `est` must be this
+    /// flow's [`estimate`](StagedFlow::estimate) for `options.decompile`
+    /// and `options.sim`, which a caller evaluating many points with the
+    /// same two keeps instead of looking it up per point. Every field of
+    /// `report` is rewritten: the partition's and the hybrid report's
+    /// lists are cleared and refilled in place and the diagnostics reuse
+    /// their strings, so a warm point written into a used report
+    /// allocates nothing (unless the partitioner diagnoses a synthesis
+    /// failure), and the result does not depend on what `report` held.
+    ///
+    /// Attribution under an instrumented flow: an `evaluate` span, the
+    /// artifact's [`EstimateCache`] hit/miss delta (approximate under
+    /// concurrent evaluations of the same artifact), and a `diagnostic`
+    /// event per degradation record.
+    pub fn evaluate_artifact_into(
+        &self,
+        est: &EstimatedProgram,
+        options: &FlowOptions,
+        report: &mut StagedReport,
+    ) {
         let _span = SpanGuard::enter(&self.telemetry, "evaluate", || {
             format!(
                 "clock={:.0}MHz budget={}",
@@ -365,7 +402,7 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         } else {
             (0, 0)
         };
-        let report = evaluate_artifact(est, options);
+        evaluate_artifact(est, options, report);
         if T::ENABLED {
             self.telemetry.counter_add(
                 Counter::EstimateCacheHit,
@@ -377,7 +414,6 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             );
             emit_diagnostics(&self.telemetry, &report.diagnostics);
         }
-        report
     }
 
     /// The whole flow for one option set: [`evaluate`](StagedFlow::evaluate)
@@ -390,7 +426,8 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     /// Propagates stage-1/-2 failures.
     pub fn run(&self, options: &FlowOptions) -> Result<FlowReport, FlowError> {
         let est = self.estimate(options.decompile, options.sim)?;
-        let report = self.evaluate_est(&est, options);
+        let mut report = StagedReport::default();
+        self.evaluate_artifact_into(&est, options, &mut report);
         Ok(FlowReport {
             sw_cycles: report.sw_cycles,
             sw_exit_value: report.sw_exit_value,
@@ -418,19 +455,20 @@ impl<T: Telemetry> std::fmt::Debug for StagedFlow<'_, T> {
 
 /// Emit every degradation record as a structured telemetry event (plus
 /// the `diagnostics` counter). Callers gate on `T::ENABLED`.
-pub(crate) fn emit_diagnostics<T: Telemetry>(tel: &T, diagnostics: &[crate::diag::Diagnostic]) {
+pub(crate) fn emit_diagnostics<T: Telemetry>(tel: &T, diagnostics: &[Diagnostic]) {
     tel.counter_add(Counter::Diagnostics, diagnostics.len() as u64);
     for d in diagnostics {
         tel.event("diagnostic", &d.to_string());
     }
 }
 
-/// Partition + evaluate one option point against a stage-3 artifact, with
-/// synthesis served from the artifact's memo.
-fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedReport {
+/// Partition + evaluate one option point against a stage-3 artifact into
+/// `report`, with synthesis served from the artifact's memo.
+fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions, report: &mut StagedReport) {
     let mut popts: PartitionOptions = options.partition.clone();
     popts.cpu_clock_hz = options.platform.cpu.clock_hz;
-    let partition = partition_with_candidates(
+    let partition = &mut report.partition;
+    partition_with_candidates(
         &est.program,
         &est.candidates,
         est.sw_cycles,
@@ -438,6 +476,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
         &options.budget,
         &options.library,
         &est.cache,
+        partition,
     );
     let kernels = partition.selected().map(|(k, c)| HardwareKernel {
         invocations: c.invocations,
@@ -447,17 +486,32 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions) -> StagedRep
         area_gates: k.synth.area.gate_equivalents,
         bram_transfer_words: if k.mem_in_bram { k.bram_bytes / 4 } else { 0 },
     });
-    let hybrid = options.platform.hybrid(est.sw_cycles, kernels);
-    let mut diagnostics = est.program.diagnostics.clone();
-    diagnostics.extend(partition.diagnostics.iter().cloned());
-    StagedReport {
-        sw_cycles: est.sw_cycles,
-        sw_exit_value: est.sw_exit_value,
-        hybrid,
-        stats: est.stats,
-        partition,
-        diagnostics,
+    options
+        .platform
+        .hybrid_into(est.sw_cycles, kernels, &mut report.hybrid);
+    let program = est.program.diagnostics.iter();
+    refill(
+        &mut report.diagnostics,
+        program.chain(&report.partition.diagnostics),
+    );
+    report.sw_cycles = est.sw_cycles;
+    report.sw_exit_value = est.sw_exit_value;
+    report.stats = est.stats;
+}
+
+/// Rewrites `dst` as clones of `src`'s records, cloning each into a
+/// record `dst` already holds ([`Clone::clone_from`], which keeps the
+/// strings' buffers) before pushing new ones.
+fn refill<'a>(dst: &mut Vec<Diagnostic>, src: impl Iterator<Item = &'a Diagnostic>) {
+    let mut len = 0;
+    for d in src {
+        match dst.get_mut(len) {
+            Some(slot) => slot.clone_from(d),
+            None => dst.push(d.clone()),
+        }
+        len += 1;
     }
+    dst.truncate(len);
 }
 
 #[cfg(test)]

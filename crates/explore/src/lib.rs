@@ -12,7 +12,7 @@
 //!
 //! Each compiled binary gets one [`StagedFlow`], so all points of the grid
 //! share the staged artifacts (software profile per
-//! [`SimConfig`](binpart_mips::sim::SimConfig), profiled once on the
+//! [`SimConfig`], profiled once on the
 //! simulator's superblock engine; CDFG
 //! per decompile option set, candidate loops + memoized per-kernel
 //! synthesis per artifact — see `binpart_core::stage` for the exact
@@ -20,25 +20,41 @@
 //! decompiles, and synthesizes **once** and spends the rest of the grid in
 //! the selection loop.
 //!
-//! A point then costs only its evaluation, and a warm point touches
-//! memory other threads write a constant number of times. The partitioner
-//! reads the synthesis memo through one read view per evaluation: a hit
-//! builds a `Copy` key (region id, block-RAM placement; the view carries
-//! the interned budget/library id) and borrows the shared result, hits
-//! are counted locally and added once, and only a kernel that is
-//! selected clones the result's `Arc`. A selected kernel names its
-//! candidate by index instead of sharing its name, blocks and alias
-//! summary; the partitioner records its decisions as compact records and
-//! formats the decision log only when `Partition::log` is called; and the
-//! sweep builds each clock's processor spec once, when the clock axis is
-//! set, so a point formats nothing. The grid itself holds no per-point
-//! heap: a [`PointConfig`] is `Copy` and names its custom-axis values by
-//! a row of their cross product, [`Sweep::len`] multiplies the axis
-//! lengths, and platform and library names are `Arc<str>`, so the options
-//! a point clones ([`Sweep::options_for`]) allocate nothing. Points are
-//! evaluated in parallel with [`binpart_par::par_map`]
-//! (`BINPART_THREADS=1` forces sequential), and results are deterministic
-//! and ordered regardless of thread count.
+//! A point then costs only its evaluation. Points are evaluated with
+//! [`binpart_par::par_map_with`] (`BINPART_THREADS=1` forces sequential),
+//! and each worker keeps its buffers across the points it evaluates, so a
+//! warm point only selects kernels and does the platform math, allocating
+//! nothing:
+//!
+//! * its options are rewritten in place from the point's clock base
+//!   ([`Sweep::options_into`]); the sweep builds each clock's processor
+//!   spec once, when the clock axis is set, and the rewrite
+//!   ([`Clone::clone_from`]) keeps every platform and library name `Arc`
+//!   that already points at the base's, so a point formats nothing and
+//!   touches no reference count;
+//! * it is evaluated into the worker's own report
+//!   ([`StagedFlow::evaluate_artifact_into`]), whose kernel, decision,
+//!   diagnostic and per-kernel platform lists are cleared and refilled in
+//!   place, and whose candidate list is re-shared only when it changes;
+//! * the worker looks its stage-3 artifact up once per level and
+//!   (decompile, simulator) key, not once per point;
+//! * the partitioner reads the synthesis memo through one read view per
+//!   evaluation: a hit builds a `Copy` key (region id, block-RAM
+//!   placement; the view carries the interned budget/library id) and
+//!   borrows the shared result, hits are counted locally and added once,
+//!   and only a kernel that is selected clones the result's `Arc`. A
+//!   selected kernel names its candidate by index, and decisions are
+//!   compact records formatted only when `Partition::log` is called.
+//!
+//! A warm point therefore touches memory other threads write about six
+//! times: the memo's read lock taken and released, its hit count added,
+//! and each selected kernel's result `Arc` released from the last point
+//! and cloned for this one. The grid itself holds no per-point heap: a
+//! [`PointConfig`] is `Copy` and names its custom-axis values by a row of
+//! their cross product, [`Sweep::len`] multiplies the axis lengths, and
+//! a run holds two grid-sized vectors, the configurations and the points,
+//! which the workers build directly. Results are deterministic and
+//! ordered regardless of thread count.
 //!
 //! [`Sweep::run_naive`] evaluates the same grid on a fresh [`StagedFlow`]
 //! per point, so nothing is shared — the baseline the staged engine is
@@ -71,11 +87,13 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use binpart_core::flow::FlowOptions;
-use binpart_core::stage::{StagedFlow, StagedReport};
+use binpart_core::flow::{FlowError, FlowOptions};
+use binpart_core::lift::DecompileOptions;
+use binpart_core::stage::{EstimatedProgram, StagedFlow, StagedReport};
 use binpart_minicc::OptLevel;
+use binpart_mips::sim::SimConfig;
 use binpart_mips::Binary;
-use binpart_par::par_map;
+use binpart_par::par_map_with;
 use binpart_platform::ProcessorSpec;
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::sync::Arc;
@@ -140,11 +158,10 @@ impl Sweep {
         }
     }
 
-    /// Processor clock axis (Hz).
+    /// Processor clock axis (Hz). With no values the grid is empty.
     #[must_use]
     pub fn clocks(mut self, hz: impl IntoIterator<Item = f64>) -> Sweep {
         self.clocks_hz = hz.into_iter().collect();
-        assert!(!self.clocks_hz.is_empty(), "empty clock axis");
         self.clock_bases = self
             .clocks_hz
             .iter()
@@ -153,25 +170,25 @@ impl Sweep {
         self
     }
 
-    /// FPGA area budget axis (gate equivalents).
+    /// FPGA area budget axis (gate equivalents). With no values the grid
+    /// is empty.
     #[must_use]
     pub fn area_budgets(mut self, gates: impl IntoIterator<Item = u64>) -> Sweep {
         self.area_budgets = gates.into_iter().collect();
-        assert!(!self.area_budgets.is_empty(), "empty budget axis");
         self
     }
 
-    /// Compiler optimization level axis.
+    /// Compiler optimization level axis. With no values the grid is empty.
     #[must_use]
     pub fn opt_levels(mut self, levels: impl IntoIterator<Item = OptLevel>) -> Sweep {
         self.opt_levels = levels.into_iter().collect();
-        assert!(!self.opt_levels.is_empty(), "empty level axis");
         self
     }
 
     /// Adds a user-defined axis: `apply` writes each value into the
     /// [`FlowOptions`] of the points along it (e.g. coverage target,
-    /// kernel cap, communication overhead).
+    /// kernel cap, communication overhead). With no values the grid is
+    /// empty.
     #[must_use]
     pub fn axis(
         mut self,
@@ -179,12 +196,9 @@ impl Sweep {
         values: impl IntoIterator<Item = f64>,
         apply: impl Fn(&mut FlowOptions, f64) + Send + Sync + 'static,
     ) -> Sweep {
-        let name = name.into();
-        let values: Vec<f64> = values.into_iter().collect();
-        assert!(!values.is_empty(), "empty axis {name}");
         self.axes.push(Axis {
-            name,
-            values,
+            name: name.into(),
+            values: values.into_iter().collect(),
             apply: Arc::new(apply),
         });
         self
@@ -200,8 +214,8 @@ impl Sweep {
         self.axes.iter().map(|axis| axis.values.len()).product()
     }
 
-    /// Returns `true` for a degenerate empty grid (never constructible via
-    /// the setters).
+    /// Returns `true` when some axis has no values: the grid has no
+    /// points, and [`Sweep::run`] returns none.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -226,41 +240,54 @@ impl Sweep {
         configs
     }
 
-    /// The [`FlowOptions`] of one grid point.
+    /// The [`FlowOptions`] of one grid point: a copy of the base options
+    /// rewritten by [`Sweep::options_into`].
+    pub fn options_for(&self, config: &PointConfig) -> FlowOptions {
+        let mut options = self.base.clone();
+        self.options_into(config, &mut options);
+        options
+    }
+
+    /// Rewrites `options` as the [`FlowOptions`] of one grid point,
+    /// whatever it held before: the point's clock base, then its area
+    /// budget, then its custom-axis values.
     ///
     /// Non-swept options come from the base verbatim; in particular, a
     /// point whose clock equals the base platform's clock keeps the base
     /// processor spec (power model included). Other clock values use the
     /// paper's MIPS power model ([`ProcessorSpec::mips`]), which is what
     /// the clock axis sweeps. For a clock on the axis this allocates
-    /// nothing beyond what the custom axes' closures do: it clones that
-    /// clock's prebuilt options, whose names are shared, and decodes the
-    /// custom-axis values from the point's row.
-    pub fn options_for(&self, config: &PointConfig) -> FlowOptions {
+    /// nothing beyond what the custom axes' closures do: `options` is
+    /// rewritten from that clock's prebuilt options with
+    /// [`Clone::clone_from`], which keeps every name `Arc` that already
+    /// points at theirs, and the custom-axis values are decoded from the
+    /// point's row. A sweep worker keeps one `FlowOptions` and rewrites it
+    /// per point.
+    pub fn options_into(&self, config: &PointConfig, options: &mut FlowOptions) {
         let on_axis = self
             .clocks_hz
             .iter()
             .position(|c| c.to_bits() == config.clock_hz.to_bits());
-        let mut options = match on_axis {
-            Some(i) => self.clock_bases[i].clone(),
-            None => self.base_at(config.clock_hz),
-        };
+        match on_axis {
+            Some(i) => options.clone_from(&self.clock_bases[i]),
+            None => *options = self.base_at(config.clock_hz),
+        }
         options.partition.area_budget_gates = config.area_budget_gates;
         // The custom axes' row, decoded row-major: the last axis varies
-        // fastest.
-        let mut stride = self.axis_rows();
+        // fastest. An empty axis (whose grid has no points) writes
+        // nothing.
+        let len = |axis: &Axis| axis.values.len().max(1);
+        let mut stride: usize = self.axes.iter().map(len).product();
         for axis in &self.axes {
-            stride /= axis.values.len();
-            (axis.apply)(
-                &mut options,
-                axis.values[config.axis_row / stride % axis.values.len()],
-            );
+            stride /= len(axis);
+            if let Some(&value) = axis.values.get(config.axis_row / stride % len(axis)) {
+                (axis.apply)(options, value);
+            }
         }
-        options
     }
 
     /// The base options at `clock_hz`, by the clock rule of
-    /// [`Sweep::options_for`].
+    /// [`Sweep::options_into`].
     fn base_at(&self, clock_hz: f64) -> FlowOptions {
         let mut options = self.base.clone();
         if clock_hz != self.base.platform.cpu.clock_hz {
@@ -308,6 +335,9 @@ impl Sweep {
         naive: bool,
     ) -> SweepResult {
         let configs = self.configs();
+        if configs.is_empty() {
+            return SweepResult { points: Vec::new() };
+        }
         let _span = SpanGuard::enter(telemetry, "sweep", || {
             format!(
                 "{} points, {} levels{}",
@@ -335,42 +365,91 @@ impl Sweep {
                 )
             })
             .collect();
-        let outcomes = par_map(&configs, |config| {
-            let options = self.options_for(config);
-            let outcome = match flows.iter().find(|(level, _)| *level == config.level) {
-                None => Err(format!("no binary for level {}", config.level)),
-                Some((_, Err(e))) => Err(format!("compile failed: {e}")),
-                Some((_, Ok(flow))) => {
-                    let evaluated = if naive {
-                        StagedFlow::new(flow.binary()).evaluate(&options)
+        let points = par_map_with(
+            &configs,
+            || Worker::new(&self.base),
+            |worker, config| {
+                self.options_into(config, &mut worker.options);
+                let flow = flows
+                    .iter()
+                    .enumerate()
+                    .find(|(_, (level, _))| *level == config.level);
+                let outcome = match flow {
+                    None => Err(format!("no binary for level {}", config.level)),
+                    Some((_, (_, Err(e)))) => Err(format!("compile failed: {e}")),
+                    Some((i, (_, Ok(flow)))) => {
+                        let evaluated = if naive {
+                            StagedFlow::new(flow.binary())
+                                .evaluate_into(&worker.options, &mut worker.report)
+                        } else {
+                            worker.evaluate(i, flow)
+                        };
+                        evaluated
+                            .map(|()| point_report(&worker.report))
+                            .map_err(|e| e.to_string())
+                    }
+                };
+                telemetry.counter_add(
+                    if outcome.is_ok() {
+                        Counter::SweepPointsOk
                     } else {
-                        flow.evaluate(&options)
-                    };
-                    evaluated
-                        .map(|r| point_report(&r))
-                        .map_err(|e| e.to_string())
+                        Counter::SweepPointsFailed
+                    },
+                    1,
+                );
+                SweepPoint {
+                    config: *config,
+                    outcome,
                 }
-            };
-            telemetry.counter_add(
-                if outcome.is_ok() {
-                    Counter::SweepPointsOk
-                } else {
-                    Counter::SweepPointsFailed
-                },
-                1,
-            );
-            outcome
-        });
-        let points: Vec<SweepPoint> = configs
-            .into_iter()
-            .zip(outcomes)
-            .map(|(config, outcome)| SweepPoint { config, outcome })
-            .collect();
+            },
+        );
         if T::ENABLED {
             let ok = points.iter().filter(|p| p.outcome.is_ok()).count();
             telemetry.event("sweep_done", &format!("{}/{} points ok", ok, points.len()));
         }
         SweepResult { points }
+    }
+}
+
+/// What one sweep worker keeps across the points it evaluates, so that a
+/// warm point allocates nothing: its options, rewritten per point; the
+/// report each point is evaluated into; and the stage-3 artifact of its
+/// last point, looked up again only when a point's level or its
+/// (decompile, simulator) key differs.
+struct Worker {
+    options: FlowOptions,
+    report: StagedReport,
+    /// The artifact with its level's index into the sweep's flows and the
+    /// key it was built for.
+    artifact: Option<(usize, DecompileOptions, SimConfig, Arc<EstimatedProgram>)>,
+}
+
+impl Worker {
+    fn new(base: &FlowOptions) -> Worker {
+        Worker {
+            options: base.clone(),
+            report: StagedReport::default(),
+            artifact: None,
+        }
+    }
+
+    /// Evaluates the worker's options on `flow` (the flow of level
+    /// `level`) into its report.
+    fn evaluate<T: Telemetry>(
+        &mut self,
+        level: usize,
+        flow: &StagedFlow<'_, T>,
+    ) -> Result<(), FlowError> {
+        let (decompile, sim) = (self.options.decompile, self.options.sim);
+        let est = match &self.artifact {
+            Some((l, d, s, est)) if *l == level && *d == decompile && *s == sim => est,
+            _ => {
+                let est = flow.estimate(decompile, sim)?;
+                &self.artifact.insert((level, decompile, sim, est)).3
+            }
+        };
+        flow.evaluate_artifact_into(est, &self.options, &mut self.report);
+        Ok(())
     }
 }
 

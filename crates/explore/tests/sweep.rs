@@ -3,7 +3,7 @@
 //! invariants, custom axes.
 
 use binpart_core::stage::StagedFlow;
-use binpart_explore::{Sweep, SweepResult};
+use binpart_explore::{PointConfig, Sweep, SweepResult};
 use binpart_minicc::OptLevel;
 use binpart_mips::reference::ReferenceMachine;
 use binpart_mips::sim::SimConfig;
@@ -73,6 +73,39 @@ fn grid_is_the_full_cross_product_in_order() {
     assert_eq!(configs[1].area_budget_gates, 2_000);
     assert_eq!(configs[3].clock_hz, 200e6);
     assert_eq!(configs[6].level, OptLevel::O1);
+}
+
+#[test]
+fn an_empty_axis_gives_an_empty_grid() {
+    let grids = [
+        ("clocks", Sweep::new().clocks([])),
+        ("area_budgets", Sweep::new().area_budgets([])),
+        ("opt_levels", Sweep::new().opt_levels([])),
+        (
+            "axis",
+            Sweep::new().axis("coverage", [], |o, v| o.partition.coverage = v),
+        ),
+    ];
+    for (what, grid) in grids {
+        assert!(grid.is_empty(), "{what}");
+        assert_eq!(grid.len(), 0, "{what}");
+        assert!(grid.configs().is_empty(), "{what}");
+        // A point off the empty grid still has options.
+        let off_grid = PointConfig {
+            level: OptLevel::O1,
+            clock_hz: 100e6,
+            area_budget_gates: 9_000,
+            axis_row: 0,
+        };
+        let options = grid.options_for(&off_grid);
+        assert_eq!(options.partition.area_budget_gates, 9_000, "{what}");
+        let run = grid.run(|_| panic!("{what}: an empty grid compiled a binary"));
+        assert!(run.points.is_empty(), "{what}");
+        assert!(
+            grid.run_naive(bench_compile("crc")).points.is_empty(),
+            "{what}"
+        );
+    }
 }
 
 #[test]

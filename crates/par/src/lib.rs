@@ -5,7 +5,9 @@
 //! one primitive the harness needs: an order-preserving [`par_map`] built on
 //! [`std::thread::scope`] with an atomic work-stealing cursor. Workers pull
 //! the next unclaimed index, so uneven item costs (e.g. `-O3` binaries that
-//! simulate longer) balance automatically.
+//! simulate longer) balance automatically. [`par_map_with`] is the same
+//! scheduler with a state per worker, for callers that reuse buffers
+//! across the items one worker evaluates; `par_map` is its stateless case.
 //!
 //! Thread count defaults to [`std::thread::available_parallelism`] and can
 //! be pinned with the `BINPART_THREADS` environment variable (set
@@ -15,7 +17,8 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Number of worker threads [`par_map`] will use for `n` items.
+/// Number of worker threads [`par_map`] and [`par_map_with`] use for `n`
+/// items.
 pub fn thread_count(n: usize) -> usize {
     let hw = std::env::var("BINPART_THREADS")
         .ok()
@@ -46,9 +49,45 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
+    par_map_with(items, || (), |(), item| f(item))
+}
+
+/// [`par_map`] with per-worker state: each worker calls `init` once, before
+/// its first item, and then `f(&mut state, item)` for every item it
+/// claims, so buffers a worker keeps in `state` are reused across its
+/// items instead of rebuilt per item. Results are in item order whatever
+/// the thread count; which worker (and so which state) sees an item is
+/// not, so `f`'s result must not depend on what earlier items left in the
+/// state. With no items, `init` is not called.
+///
+/// Panics in `init` or `f` are propagated to the caller.
+///
+/// # Example
+///
+/// ```
+/// // Each worker formats into one buffer it keeps.
+/// let lens = binpart_par::par_map_with(&[5u32, 42, 100], String::new, |buf, &x| {
+///     use std::fmt::Write;
+///     buf.clear();
+///     write!(buf, "{x}").unwrap();
+///     buf.len()
+/// });
+/// assert_eq!(lens, vec![1, 2, 3]);
+/// ```
+pub fn par_map_with<T, U, S, I, F>(items: &[T], init: I, f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    I: Fn() -> S + Sync,
+    F: Fn(&mut S, &T) -> U + Sync,
+{
+    if items.is_empty() {
+        return Vec::new();
+    }
     let threads = thread_count(items.len());
     if threads <= 1 {
-        return items.iter().map(f).collect();
+        let mut state = init();
+        return items.iter().map(|item| f(&mut state, item)).collect();
     }
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = (0..items.len()).map(|_| None).collect();
@@ -56,18 +95,22 @@ where
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let cursor = &cursor;
-            let f = &f;
+            let (init, f) = (&init, &f);
             let slot_ptr = &slot_ptr;
-            scope.spawn(move || loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= items.len() {
-                    break;
+            scope.spawn(move || {
+                let mut state = init();
+                loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= items.len() {
+                        break;
+                    }
+                    let value = f(&mut state, &items[i]);
+                    // SAFETY: each index is claimed by exactly one worker
+                    // (the atomic fetch_add hands out distinct indices), so
+                    // no two threads write the same slot, and the Vec
+                    // outlives the scope.
+                    unsafe { *slot_ptr.0.add(i) = Some(value) };
                 }
-                let value = f(&items[i]);
-                // SAFETY: each index is claimed by exactly one worker (the
-                // atomic fetch_add hands out distinct indices), so no two
-                // threads write the same slot, and the Vec outlives the scope.
-                unsafe { *slot_ptr.0.add(i) = Some(value) };
             });
         }
     });
@@ -91,6 +134,34 @@ mod tests {
         let input: Vec<u32> = (0..257).collect();
         let out = par_map(&input, |&x| x + 1);
         assert_eq!(out, (1..258).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn workers_keep_their_state_across_items() {
+        let input: Vec<u32> = (0..100).collect();
+        for threads in ["1", "3"] {
+            std::env::set_var("BINPART_THREADS", threads);
+            let inits = AtomicUsize::new(0);
+            let out = par_map_with(
+                &input,
+                || {
+                    inits.fetch_add(1, Ordering::Relaxed);
+                    Vec::new()
+                },
+                |seen: &mut Vec<u32>, &x| {
+                    seen.push(x);
+                    // Items a worker claims arrive in increasing order.
+                    assert!(seen.windows(2).all(|w| w[0] < w[1]));
+                    x * 2
+                },
+            );
+            assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<u32>>());
+            let inits = inits.into_inner();
+            assert!((1..=3).contains(&inits), "{threads} threads: {inits} inits");
+        }
+        std::env::remove_var("BINPART_THREADS");
+        let none = par_map_with(&[] as &[u32], || -> u32 { panic!("init ran") }, |_, &x| x);
+        assert!(none.is_empty());
     }
 
     #[test]

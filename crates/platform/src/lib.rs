@@ -32,7 +32,7 @@ use std::fmt;
 use std::sync::Arc;
 
 /// Microprocessor model.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct ProcessorSpec {
     /// Display name (shared, so cloning a spec allocates nothing).
     pub name: Arc<str>,
@@ -42,6 +42,39 @@ pub struct ProcessorSpec {
     pub active_power_w: f64,
     /// Power while idling (waiting on the FPGA), in watts.
     pub idle_power_w: f64,
+}
+
+impl Clone for ProcessorSpec {
+    fn clone(&self) -> Self {
+        ProcessorSpec {
+            name: Arc::clone(&self.name),
+            ..*self
+        }
+    }
+
+    /// Rewrites `self` as a copy of `source`, keeping its name's `Arc`
+    /// when it already points at `source`'s: a spec rewritten from the
+    /// same source touches no reference count.
+    fn clone_from(&mut self, source: &Self) {
+        let ProcessorSpec {
+            name,
+            clock_hz,
+            active_power_w,
+            idle_power_w,
+        } = source;
+        share_from(&mut self.name, name);
+        self.clock_hz = *clock_hz;
+        self.active_power_w = *active_power_w;
+        self.idle_power_w = *idle_power_w;
+    }
+}
+
+/// `*dst = Arc::clone(src)`, skipped when `dst` already points at `src`'s
+/// value (no reference-count traffic).
+fn share_from(dst: &mut Arc<str>, src: &Arc<str>) {
+    if !Arc::ptr_eq(dst, src) {
+        *dst = Arc::clone(src);
+    }
 }
 
 impl ProcessorSpec {
@@ -61,7 +94,7 @@ impl ProcessorSpec {
 }
 
 /// FPGA model (capacity + power coefficients).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct FpgaSpec {
     /// Display name (shared, so cloning a spec allocates nothing).
     pub name: Arc<str>,
@@ -73,6 +106,32 @@ pub struct FpgaSpec {
     pub static_power_w: f64,
     /// Dynamic power coefficient: watts per (gate × MHz).
     pub dynamic_w_per_gate_mhz: f64,
+}
+
+impl Clone for FpgaSpec {
+    fn clone(&self) -> Self {
+        FpgaSpec {
+            name: Arc::clone(&self.name),
+            ..*self
+        }
+    }
+
+    /// Like [`ProcessorSpec`]'s: the name's `Arc` is kept when it already
+    /// points at `source`'s.
+    fn clone_from(&mut self, source: &Self) {
+        let FpgaSpec {
+            name,
+            capacity_gates,
+            bram_bits,
+            static_power_w,
+            dynamic_w_per_gate_mhz,
+        } = source;
+        share_from(&mut self.name, name);
+        self.capacity_gates = *capacity_gates;
+        self.bram_bits = *bram_bits;
+        self.static_power_w = *static_power_w;
+        self.dynamic_w_per_gate_mhz = *dynamic_w_per_gate_mhz;
+    }
 }
 
 impl FpgaSpec {
@@ -116,7 +175,7 @@ impl Default for CommModel {
 }
 
 /// A complete platform.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct Platform {
     /// The processor.
     pub cpu: ProcessorSpec,
@@ -124,6 +183,24 @@ pub struct Platform {
     pub fpga: FpgaSpec,
     /// Communication costs.
     pub comm: CommModel,
+}
+
+impl Clone for Platform {
+    fn clone(&self) -> Self {
+        Platform {
+            cpu: self.cpu.clone(),
+            fpga: self.fpga.clone(),
+            comm: self.comm,
+        }
+    }
+
+    /// Field by field, so the specs keep names that already match.
+    fn clone_from(&mut self, source: &Self) {
+        let Platform { cpu, fpga, comm } = source;
+        self.cpu.clone_from(cpu);
+        self.fpga.clone_from(fpga);
+        self.comm = *comm;
+    }
 }
 
 impl Platform {
@@ -147,6 +224,21 @@ impl Platform {
         sw_total_cycles: u64,
         kernels: impl IntoIterator<Item = HardwareKernel>,
     ) -> HybridReport {
+        let mut report = HybridReport::default();
+        self.hybrid_into(sw_total_cycles, kernels, &mut report);
+        report
+    }
+
+    /// [`Platform::hybrid`] written into `report`: every field is
+    /// overwritten and the per-kernel list is cleared and refilled in
+    /// place, so a report reused across evaluations keeps its buffer and
+    /// allocates only when a point has more kernels than any before it.
+    pub fn hybrid_into(
+        &self,
+        sw_total_cycles: u64,
+        kernels: impl IntoIterator<Item = HardwareKernel>,
+        report: &mut HybridReport,
+    ) {
         let kernels = kernels.into_iter();
         let f_cpu = self.cpu.clock_hz;
         let sw_time = sw_total_cycles as f64 / f_cpu;
@@ -154,7 +246,9 @@ impl Platform {
         let mut hw_time = 0.0f64;
         let mut comm_cycles: u64 = 0;
         let mut area: u64 = 0;
-        let mut kernel_reports = Vec::with_capacity(kernels.size_hint().0);
+        let kernel_reports = &mut report.kernels;
+        kernel_reports.clear();
+        kernel_reports.reserve(kernels.size_hint().0);
         let mut fpga_dyn_energy = 0.0;
         for k in kernels {
             replaced += k.sw_cycles_replaced;
@@ -193,16 +287,13 @@ impl Platform {
         } else {
             0.0
         };
-        HybridReport {
-            sw_time_s: sw_time,
-            hybrid_time_s: hybrid_time,
-            app_speedup,
-            sw_energy_j: sw_energy,
-            hybrid_energy_j: hybrid_energy,
-            energy_savings,
-            total_area_gates: area,
-            kernels: kernel_reports,
-        }
+        report.sw_time_s = sw_time;
+        report.hybrid_time_s = hybrid_time;
+        report.app_speedup = app_speedup;
+        report.sw_energy_j = sw_energy;
+        report.hybrid_energy_j = hybrid_energy;
+        report.energy_savings = energy_savings;
+        report.total_area_gates = area;
     }
 }
 
@@ -242,8 +333,9 @@ pub struct KernelReport {
     pub clock_mhz: f64,
 }
 
-/// Hybrid execution-time and energy result.
-#[derive(Debug, Clone, PartialEq)]
+/// Hybrid execution-time and energy result. The default is the empty
+/// report [`Platform::hybrid_into`] fills.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct HybridReport {
     /// All-software execution time (s).
     pub sw_time_s: f64,
@@ -389,6 +481,34 @@ mod tests {
         p.comm.invocation_overhead_cycles = 5_000;
         let heavy = p.hybrid(1_000_000, [kernel(900_000, 10_000)]);
         assert!(heavy.app_speedup < base.app_speedup);
+    }
+
+    #[test]
+    fn hybrid_into_a_used_report_equals_a_fresh_one() {
+        let p = Platform::mips_virtex2(200e6);
+        let mut report = p.hybrid(1_000_000, [kernel(300_000, 900), kernel(500_000, 1_000)]);
+        for kernels in [vec![kernel(900_000, 10_000)], vec![], vec![kernel(1, 1); 3]] {
+            p.hybrid_into(1_000_000, kernels.clone(), &mut report);
+            assert_eq!(report, p.hybrid(1_000_000, kernels));
+        }
+    }
+
+    #[test]
+    fn clone_from_shares_matching_names_and_copies_the_rest() {
+        let base = Platform::mips_virtex2(200e6);
+        let mut p = base.clone();
+        assert!(Arc::ptr_eq(&p.cpu.name, &base.cpu.name));
+        let other = Platform::mips_virtex2(40e6);
+        p.clone_from(&other);
+        assert_eq!(p, other);
+        assert!(Arc::ptr_eq(&p.cpu.name, &other.cpu.name));
+        assert!(Arc::ptr_eq(&p.fpga.name, &other.fpga.name));
+        // A name the source shares is left as it is: no new reference.
+        let before = Arc::strong_count(&other.cpu.name);
+        p.clone_from(&other);
+        assert_eq!(Arc::strong_count(&other.cpu.name), before);
+        p.clone_from(&base);
+        assert_eq!(p, base);
     }
 
     #[test]

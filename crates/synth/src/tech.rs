@@ -45,7 +45,7 @@ impl FuClass {
 }
 
 /// Delay/area library.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct TechLibrary {
     /// Name for reports (shared, so cloning a library allocates nothing).
     pub name: Arc<str>,
@@ -67,6 +67,45 @@ pub struct TechLibrary {
     pub div_cycles: u32,
     /// Latency (cycles) of an external (non-BRAM) memory access.
     pub ext_mem_cycles: u32,
+}
+
+impl Clone for TechLibrary {
+    fn clone(&self) -> Self {
+        TechLibrary {
+            name: Arc::clone(&self.name),
+            ..*self
+        }
+    }
+
+    /// Rewrites `self` as a copy of `source`, keeping its name's `Arc`
+    /// when it already points at `source`'s: a library rewritten from the
+    /// same source touches no reference count.
+    fn clone_from(&mut self, source: &Self) {
+        let TechLibrary {
+            name,
+            lut_delay_ns,
+            ff_overhead_ns,
+            gates_per_lut,
+            gates_per_ff,
+            gates_per_mult,
+            gates_per_bram,
+            bram_block_bits,
+            div_cycles,
+            ext_mem_cycles,
+        } = source;
+        if !Arc::ptr_eq(&self.name, name) {
+            self.name = Arc::clone(name);
+        }
+        self.lut_delay_ns = *lut_delay_ns;
+        self.ff_overhead_ns = *ff_overhead_ns;
+        self.gates_per_lut = *gates_per_lut;
+        self.gates_per_ff = *gates_per_ff;
+        self.gates_per_mult = *gates_per_mult;
+        self.gates_per_bram = *gates_per_bram;
+        self.bram_block_bits = *bram_block_bits;
+        self.div_cycles = *div_cycles;
+        self.ext_mem_cycles = *ext_mem_cycles;
+    }
 }
 
 impl TechLibrary {
@@ -178,6 +217,26 @@ pub fn classify(op: &Op) -> FuClass {
 mod tests {
     use super::*;
     use binpart_cdfg::ir::{Operand, VReg};
+
+    #[test]
+    fn clone_from_keeps_a_matching_name_and_copies_every_field() {
+        let base = TechLibrary::virtex2();
+        let mut other = TechLibrary {
+            name: "slow".into(),
+            lut_delay_ns: 2.0,
+            div_cycles: 30,
+            ..base.clone()
+        };
+        let mut lib = base.clone();
+        lib.clone_from(&other);
+        assert_eq!(lib, other);
+        assert!(Arc::ptr_eq(&lib.name, &other.name));
+        other.ext_mem_cycles = 9;
+        let before = Arc::strong_count(&other.name);
+        lib.clone_from(&other);
+        assert_eq!(lib, other);
+        assert_eq!(Arc::strong_count(&other.name), before);
+    }
 
     #[test]
     fn classification() {

@@ -4,9 +4,11 @@
 //! every kernel a grid needs, evaluating a point should allocate little
 //! beyond the report it returns: a selected kernel names its candidate by
 //! index, the rankings are fixed at harvest, and the per-point options
-//! clone only `Arc`s. Nor should the grid itself allocate per point. This
-//! binary counts allocations with its own global allocator, per thread, so
-//! the harness's other threads never add to a test's count.
+//! clone only `Arc`s. Nor should the grid itself allocate per point, and
+//! a sweep, whose workers rewrite their options and refill their reports
+//! in place, should allocate nothing at all per warm point. This binary
+//! counts allocations with its own global allocator, per thread, so the
+//! harness's other threads never add to a test's count.
 
 mod common;
 
@@ -15,7 +17,7 @@ use binpart::core::stage::StagedFlow;
 use binpart::explore::Sweep;
 use binpart::minicc::OptLevel;
 use binpart::mips::Binary;
-use common::design_grid;
+use common::{design_clocks, design_grid};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -107,6 +109,45 @@ fn warm_design_points_allocate_little() {
         per_point <= 5.0,
         "a warm evaluate made {per_point:.2} allocations per point (budget 5)"
     );
+}
+
+/// Allocations `grid`'s run over `binary` makes on the calling thread.
+fn run_allocations(grid: &Sweep, binary: &Binary) -> u64 {
+    let (result, n) = allocations(|| grid.run(|_| Ok(binary.clone())));
+    assert_eq!(result.points.len(), grid.len());
+    assert!(result.points.iter().all(|p| p.outcome.is_ok()));
+    n
+}
+
+#[test]
+fn a_sweep_allocates_nothing_per_warm_point() {
+    // One worker, the calling thread, so its counter sees every point.
+    std::env::set_var("BINPART_THREADS", "1");
+    let grid = design_grid();
+    // Every clock twice: twice the points, but the same kernels tried at
+    // the same (budget, library) configurations, so the same synthesis
+    // misses and the same cold stages. What the extra points add is what
+    // a warm point costs.
+    let doubled = design_grid().clocks(design_clocks().flat_map(|c| [c, c]));
+    assert_eq!(doubled.len(), 2 * grid.len());
+    let extra = (doubled.len() - grid.len()) as f64;
+    let mut worst = 0.0f64;
+    for b in binpart::workloads::suite() {
+        for level in OptLevel::ALL {
+            let binary = b.compile(level).expect("benchmark compiles");
+            let single = run_allocations(&grid, &binary);
+            let twice = run_allocations(&doubled, &binary);
+            let per_point = (twice as f64 - single as f64) / extra;
+            println!("{}{level:?}: {single} then {twice} allocations", b.name);
+            worst = worst.max(per_point);
+        }
+    }
+    println!("sweep: at most {worst:.4} allocations per extra warm point");
+    assert!(
+        worst <= 0.01,
+        "a warm sweep point made {worst:.4} allocations (budget 0.01)"
+    );
+    std::env::remove_var("BINPART_THREADS");
 }
 
 #[test]
