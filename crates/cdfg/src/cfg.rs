@@ -143,8 +143,7 @@ mod tests {
         assert_eq!(rpo[0], f.entry);
         assert_eq!(rpo.len(), 4);
         // join must come after both a and b
-        let pos =
-            |id: BlockId| rpo.iter().position(|&b| b == id).unwrap();
+        let pos = |id: BlockId| rpo.iter().position(|&b| b == id).unwrap();
         assert!(pos(BlockId(3)) > pos(BlockId(1)));
         assert!(pos(BlockId(3)) > pos(BlockId(2)));
     }

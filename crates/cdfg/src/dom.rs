@@ -175,8 +175,7 @@ impl Dominators {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        self.tin[a.index()] <= self.tin[b.index()]
-            && self.tin[b.index()] < self.tout[a.index()]
+        self.tin[a.index()] <= self.tin[b.index()] && self.tin[b.index()] < self.tout[a.index()]
     }
 
     /// Dominance frontier of `b`.

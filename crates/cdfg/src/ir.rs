@@ -161,13 +161,7 @@ impl BinOp {
     pub fn is_compare(self) -> bool {
         matches!(
             self,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::LtS
-                | BinOp::LtU
-                | BinOp::LeS
-                | BinOp::GtS
-                | BinOp::GeS
+            BinOp::Eq | BinOp::Ne | BinOp::LtS | BinOp::LtU | BinOp::LeS | BinOp::GtS | BinOp::GeS
         )
     }
 
@@ -804,9 +798,7 @@ impl fmt::Display for Function {
             }
             match &b.term {
                 Terminator::Jump(t) => writeln!(f, "    jump {t}")?,
-                Terminator::Branch { cond, t, f: fl } => {
-                    writeln!(f, "    br {cond} ? {t} : {fl}")?
-                }
+                Terminator::Branch { cond, t, f: fl } => writeln!(f, "    br {cond} ? {t} : {fl}")?,
                 Terminator::Return { value: Some(v) } => writeln!(f, "    ret {v}")?,
                 Terminator::Return { value: None } => writeln!(f, "    ret")?,
                 Terminator::Switch {

@@ -59,4 +59,6 @@ pub mod loops;
 pub mod ssa;
 pub mod structure;
 
-pub use ir::{BinOp, Block, BlockId, Function, Inst, MemWidth, Op, Operand, Terminator, UnOp, VReg};
+pub use ir::{
+    BinOp, Block, BlockId, Function, Inst, MemWidth, Op, Operand, Terminator, UnOp, VReg,
+};

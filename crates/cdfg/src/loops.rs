@@ -275,7 +275,12 @@ impl LoopForest {
                 let (Some(init), Some(next_reg)) = (init, next) else {
                     continue;
                 };
-                let Some(&Op::Bin { op: BinOp::Add, lhs, rhs, .. }) = def_op(next_reg)
+                let Some(&Op::Bin {
+                    op: BinOp::Add,
+                    lhs,
+                    rhs,
+                    ..
+                }) = def_op(next_reg)
                 else {
                     continue;
                 };

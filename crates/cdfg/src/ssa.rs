@@ -135,20 +135,18 @@ pub fn construct(f: &mut Function) -> SsaInfo {
     let mut current: Vec<VReg> = vec![NO_NAME; n0];
     let mut live_in_names: Vec<Option<VReg>> = vec![None; n0];
     let mut info = SsaInfo::default();
-    let mut current_name = |r: VReg,
-                            current: &[VReg],
-                            live_in_names: &mut [Option<VReg>]|
-     -> VReg {
-        let cur = current[r.index()];
-        if cur != NO_NAME {
-            return cur;
-        }
-        *live_in_names[r.index()].get_or_insert_with(|| {
-            let name = VReg(LIVE_IN_BASE + info.live_ins.len() as u32);
-            info.live_ins.push((r, name));
-            name
-        })
-    };
+    let mut current_name =
+        |r: VReg, current: &[VReg], live_in_names: &mut [Option<VReg>]| -> VReg {
+            let cur = current[r.index()];
+            if cur != NO_NAME {
+                return cur;
+            }
+            *live_in_names[r.index()].get_or_insert_with(|| {
+                let name = VReg(LIVE_IN_BASE + info.live_ins.len() as u32);
+                info.live_ins.push((r, name));
+                name
+            })
+        };
 
     // Iterative dom-tree walk to avoid recursion depth limits.
     enum Frame {
@@ -547,7 +545,10 @@ pub fn verify(f: &Function) -> Result<(), SsaViolation> {
             if let Op::Phi { dst, args } = &inst.op {
                 let ps = &preds[b.index()];
                 if args.len() != ps.len() || args.iter().any(|(p, _)| !ps.contains(p)) {
-                    return Err(SsaViolation::PhiArity { block: b, phi: *dst });
+                    return Err(SsaViolation::PhiArity {
+                        block: b,
+                        phi: *dst,
+                    });
                 }
             }
         }
@@ -573,7 +574,11 @@ pub fn verify(f: &Function) -> Result<(), SsaViolation> {
                 inst.op.for_each_use(|o| {
                     if let Operand::Reg(r) = o {
                         if let Some((db, dk)) = def_site.get(r.index()).copied().flatten() {
-                            let ok = if db == b { dk < k } else { dom.dominates(db, b) };
+                            let ok = if db == b {
+                                dk < k
+                            } else {
+                                dom.dominates(db, b)
+                            };
                             if !ok && bad.is_none() {
                                 bad = Some(*r);
                             }
@@ -652,7 +657,9 @@ mod tests {
             panic!("phi first");
         };
         match &f.block(join).term {
-            Terminator::Return { value: Some(Operand::Reg(r)) } => assert_eq!(r, dst),
+            Terminator::Return {
+                value: Some(Operand::Reg(r)),
+            } => assert_eq!(r, dst),
             other => panic!("unexpected terminator {other:?}"),
         }
     }
@@ -761,9 +768,6 @@ mod tests {
             args: vec![(e, Operand::Const(1)), (BlockId(1), Operand::Const(2))],
         });
         f.block_mut(b).term = Terminator::Return { value: None };
-        assert!(matches!(
-            verify(&f),
-            Err(SsaViolation::PhiArity { .. })
-        ));
+        assert!(matches!(verify(&f), Err(SsaViolation::PhiArity { .. })));
     }
 }

@@ -374,7 +374,9 @@ fn reduce_once(nodes: &mut [ANode], preds: &[Vec<usize>], entry: usize) -> bool 
         if arms.iter().any(|&x| !nodes[x].alive || x == i) {
             continue;
         }
-        let all_single = arms.iter().all(|&x| preds[x].len() == 1 && preds[x][0] == i);
+        let all_single = arms
+            .iter()
+            .all(|&x| preds[x].len() == 1 && preds[x][0] == i);
         if !all_single {
             continue;
         }
