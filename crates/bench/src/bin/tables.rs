@@ -691,8 +691,8 @@ fn synth_report() -> f64 {
 }
 
 /// Cold estimate cost: the first `estimate` of each cell, its profile and
-/// decompile stages built untimed — the program copy, profile attachment
-/// and the candidate harvest (loop nests, cycle weights, alias analysis).
+/// decompile stages built untimed — the block counts and the candidate
+/// harvest (loop nests, cycle weights, alias analysis).
 /// Microseconds per cell.
 fn estimate_report() -> f64 {
     cold_stage_us(|flow, o| {

@@ -140,23 +140,6 @@ pub enum BinOp {
 }
 
 impl BinOp {
-    /// Returns `true` for commutative operations.
-    pub fn is_commutative(self) -> bool {
-        matches!(
-            self,
-            BinOp::Add
-                | BinOp::Mul
-                | BinOp::MulHiS
-                | BinOp::MulHiU
-                | BinOp::And
-                | BinOp::Or
-                | BinOp::Xor
-                | BinOp::Nor
-                | BinOp::Eq
-                | BinOp::Ne
-        )
-    }
-
     /// Returns `true` for comparison operators (result is 0/1).
     pub fn is_compare(self) -> bool {
         matches!(
@@ -653,13 +636,12 @@ pub struct Block {
     pub term: Terminator,
     /// Address of the first originating machine instruction, when lifted.
     pub start_pc: Option<u32>,
-    /// Dynamic execution count attached from a profile (0 = unprofiled).
-    pub profile_count: u64,
     /// Logical iterations each recorded execution of this block stands
     /// for (1 = untransformed). Loop rerolling folds a `k`-way unrolled
     /// body into one section, so one profiled execution of the original
     /// block corresponds to `k` executions of the rerolled block; cycle
-    /// estimators must scale `profile_count` by this factor.
+    /// estimators must scale the block's [`BlockCounts`] entry by this
+    /// factor.
     pub reroll_factor: u32,
 }
 
@@ -670,7 +652,6 @@ impl Block {
             ops: Vec::new(),
             term: Terminator::None,
             start_pc: None,
-            profile_count: 0,
             reroll_factor: 1,
         }
     }
@@ -689,6 +670,26 @@ impl Block {
 impl Default for Block {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Dynamic execution counts of one function's blocks, indexed by
+/// [`BlockId`]: a table kept beside the program, so one function can be
+/// weighed under several profiles. A block past the table's end counts 0.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BlockCounts(Vec<u64>);
+
+impl BlockCounts {
+    /// The count of block `b` (0 when `b` is past the table's end).
+    pub fn get(&self, b: BlockId) -> u64 {
+        self.0.get(b.index()).copied().unwrap_or(0)
+    }
+}
+
+impl FromIterator<u64> for BlockCounts {
+    /// The counts of blocks `0, 1, ...` in iteration order.
+    fn from_iter<I: IntoIterator<Item = u64>>(iter: I) -> BlockCounts {
+        BlockCounts(iter.into_iter().collect())
     }
 }
 
@@ -788,9 +789,6 @@ impl fmt::Display for Function {
             write!(f, "{id}")?;
             if let Some(pc) = b.start_pc {
                 write!(f, " @ {pc:#x}")?;
-            }
-            if b.profile_count > 0 {
-                write!(f, " ; count={}", b.profile_count)?;
             }
             writeln!(f, ":")?;
             for inst in &b.ops {

@@ -6,7 +6,7 @@
 //!
 //! | file | role | entry point |
 //! |---|---|---|
-//! | `ir.rs` | the micro-IR: operations, basic blocks, functions | [`ir::Function`], [`ir::Op`] |
+//! | `ir.rs` | the micro-IR: operations, basic blocks, functions; block counts kept beside them | [`ir::Function`], [`ir::Op`], [`ir::BlockCounts`] |
 //! | `cfg.rs` | predecessors, orderings, unreachable-block removal | [`cfg::predecessors`], [`cfg::remove_unreachable`] |
 //! | `dom.rs` | dominator trees and dominance frontiers | [`dom::Dominators`] |
 //! | `loops.rs` | natural loops, the loop forest, induction variables and trip counts | [`loops::LoopForest`] |

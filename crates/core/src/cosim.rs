@@ -273,28 +273,26 @@ impl<T: Telemetry> StagedFlow<'_, T> {
             if entry_pc < lo || entry_pc > hi {
                 continue;
             }
-            let live_ins = est
-                .program
-                .live_ins
-                .get(c.func_index)
-                .map(|v| v.as_slice())
-                .unwrap_or(&[]);
-            let accel =
-                match KernelAccel::compile(f, &k.synth.schedule, c.header, self.binary(), live_ins)
-                {
-                    Ok(a) => Some(a),
-                    Err(
-                        e @ (AccelBuildError::UnmappableLiveIn { .. }
-                        | AccelBuildError::Unexecutable),
-                    ) => {
-                        diagnostics.push(Diagnostic::new(
-                            FlowStage::AccelBuild,
-                            &*c.name,
-                            e.to_string(),
-                        ));
-                        None
-                    }
-                };
+            let accel = match KernelAccel::compile(
+                f,
+                &est.counts[c.func_index],
+                &k.synth.schedule,
+                c.header,
+                self.binary(),
+                &est.program.live_ins[c.func_index],
+            ) {
+                Ok(a) => Some(a),
+                Err(
+                    e @ (AccelBuildError::UnmappableLiveIn { .. } | AccelBuildError::Unexecutable),
+                ) => {
+                    diagnostics.push(Diagnostic::new(
+                        FlowStage::AccelBuild,
+                        &*c.name,
+                        e.to_string(),
+                    ));
+                    None
+                }
+            };
             p.mapped[ki] = accel.is_some();
             p.specs.push(RegionSpec {
                 name: c.name.to_string(),

@@ -25,13 +25,12 @@
 use crate::diag::{Diagnostic, FlowStage};
 use crate::lift::{self, DecompileError, DecompileOptions};
 use crate::opts::{self, PassStats};
-use binpart_cdfg::ir::{Function, Op, VReg};
+use binpart_cdfg::ir::{Block, BlockCounts, Function, Op, VReg};
 use binpart_cdfg::loops::LoopForest;
 use binpart_cdfg::structure::{self, StructureStats};
 use binpart_cdfg::{cfg, ssa};
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, Reg};
-use std::sync::Arc;
 
 /// Aggregated decompilation statistics (experiment E4).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,7 +46,10 @@ pub struct DecompileStats {
 }
 
 /// A fully decompiled program: optimized SSA CDFGs plus statistics.
-#[derive(Debug, Clone)]
+///
+/// Not `Clone`: the staged flow builds it once and every later stage
+/// shares it through an `Arc`, with profile counts kept beside it.
+#[derive(Debug)]
 pub struct DecompiledProgram {
     /// Functions; index 0 is the binary entry.
     pub functions: Vec<Function>,
@@ -55,9 +57,8 @@ pub struct DecompiledProgram {
     /// the passes kept current while optimizing it, equal to a fresh
     /// [`LoopForest::compute`] of the final function. The candidate
     /// harvest and every synthesis of a candidate read it instead of
-    /// recomputing; shared, so the estimate stage's copy of the program
-    /// does not duplicate it.
-    pub forests: Arc<[LoopForest]>,
+    /// recomputing.
+    pub forests: Vec<LoopForest>,
     /// Entry addresses parallel to `functions`.
     pub entries: Vec<u32>,
     /// Per function, the SSA names of function-entry register values:
@@ -176,7 +177,7 @@ pub fn decompile(
     }
     Ok(DecompiledProgram {
         functions,
-        forests: forests.into(),
+        forests,
         entries,
         live_ins,
         stats,
@@ -204,26 +205,19 @@ fn optimize(f: &mut Function, stats: &mut PassStats) -> Result<LoopForest, Decom
     Ok(forest)
 }
 
-/// Attaches dynamic execution counts from `profile` onto every block.
+/// The dynamic execution count of every block under `profile`: one table
+/// per function of `prog`, in order.
 ///
-/// A block's count is the maximum count over the addresses of its lifted
-/// operations (robust against blocks merged or split by optimization).
-pub fn attach_profile(prog: &mut DecompiledProgram, profile: &Profile) {
-    for f in &mut prog.functions {
-        for b in f.block_ids().collect::<Vec<_>>() {
-            let mut count = f
-                .block(b)
-                .start_pc
-                .map(|pc| profile.count_at(pc))
-                .unwrap_or(0);
-            for inst in &f.block(b).ops {
-                if let Some(pc) = inst.pc {
-                    count = count.max(profile.count_at(pc));
-                }
-            }
-            f.block_mut(b).profile_count = count;
-        }
-    }
+/// A block's count is the maximum count over its start address and the
+/// addresses of its lifted operations (robust against blocks merged or
+/// split by optimization).
+pub fn block_counts(prog: &DecompiledProgram, profile: &Profile) -> Vec<BlockCounts> {
+    let count = |b: &Block| {
+        let pcs = b.ops.iter().filter_map(|i| i.pc).chain(b.start_pc);
+        pcs.map(|pc| profile.count_at(pc)).max().unwrap_or(0)
+    };
+    let table = |f: &Function| f.blocks.iter().map(count).collect();
+    prog.functions.iter().map(table).collect()
 }
 
 /// Profiled software cycles attributed to a set of blocks (by decoding the
@@ -460,12 +454,11 @@ mod tests {
         let binary = compile(src, OptLevel::O1).unwrap();
         let mut m = binpart_mips::sim::Machine::new(&binary).unwrap();
         let exit = m.run().unwrap();
-        let mut prog = decompile(&binary, DecompileOptions::default()).unwrap();
-        attach_profile(&mut prog, &exit.profile);
+        let prog = decompile(&binary, DecompileOptions::default()).unwrap();
+        let counts = &block_counts(&prog, &exit.profile)[0];
         let max = prog.functions[0]
-            .blocks
-            .iter()
-            .map(|b| b.profile_count)
+            .block_ids()
+            .map(|b| counts.get(b))
             .max()
             .unwrap();
         assert!(max >= 500, "hottest block count {max}");

@@ -34,10 +34,12 @@ use crate::decompile::DecompiledProgram;
 use crate::diag::Diagnostic;
 use crate::lift::{DecompileError, DecompileOptions};
 use crate::partition::{Partition, PartitionOptions};
+use binpart_cdfg::ir::BlockCounts;
 use binpart_mips::sim::{SimConfig, SimError};
 use binpart_platform::{HybridReport, Platform};
 use binpart_synth::{ResourceBudget, SynthError, TechLibrary};
 use std::fmt;
+use std::sync::Arc;
 
 /// Everything the flow needs to run.
 #[derive(Debug)]
@@ -181,12 +183,13 @@ pub struct FlowReport {
     pub sw_exit_value: u32,
     /// Hybrid execution-time/energy evaluation.
     pub hybrid: HybridReport,
-    /// Decompilation statistics (E4).
-    pub stats: crate::decompile::DecompileStats,
     /// The partition (kernels, areas, decision log).
     pub partition: Partition,
-    /// The decompiled program (CDFGs with profile attached).
-    pub program: DecompiledProgram,
+    /// The decompiled program: the decompile stage's artifact, shared.
+    pub program: Arc<DecompiledProgram>,
+    /// Profiled block execution counts, one table per entry of
+    /// `program.functions`.
+    pub counts: Vec<BlockCounts>,
     /// Per-region degradation records from every stage (lift/opt fallbacks
     /// from the decompiler, synth rejections from the partitioner). Empty
     /// on a fully clean run.
@@ -196,11 +199,15 @@ pub struct FlowReport {
 impl FlowReport {
     /// Concatenated VHDL of all selected kernels, each rendered from its
     /// kept schedule ([`SynthesisResult::vhdl`](binpart_synth::SynthesisResult::vhdl))
-    /// over its function in [`FlowReport::program`].
+    /// over its function in [`FlowReport::program`] and that function's
+    /// [`FlowReport::counts`].
     pub fn vhdl(&self) -> String {
         self.partition
             .selected()
-            .map(|(k, c)| k.synth.vhdl(&self.program.functions[c.func_index]))
+            .map(|(k, c)| {
+                let fi = c.func_index;
+                k.synth.vhdl(&self.program.functions[fi], &self.counts[fi])
+            })
             .collect::<Vec<_>>()
             .join("\n")
     }

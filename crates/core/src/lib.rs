@@ -93,7 +93,7 @@ pub mod stage;
 
 pub use binpart_hwsim::{BusTxn, HwAttribution, HwProfile};
 pub use cosim::{CosimError, CosimReport, KernelCosim};
-pub use decompile::{attach_profile, decompile, DecompileStats, DecompiledProgram};
+pub use decompile::{decompile, DecompileStats, DecompiledProgram};
 pub use diag::{Diagnostic, FlowStage};
 pub use flow::{FlowError, FlowOptions, FlowReport};
 pub use lift::{DecompileError, DecompileOptions, LiftError, SkippedFunction};

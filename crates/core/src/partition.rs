@@ -15,8 +15,7 @@ use crate::decompile::{
 };
 use crate::diag::{Diagnostic, FlowStage};
 use binpart_cdfg::dataflow::DefSites;
-use binpart_cdfg::ir::BlockId;
-use binpart_cdfg::ir::Function;
+use binpart_cdfg::ir::{BlockCounts, BlockId, Function};
 use binpart_mips::sim::Profile;
 use binpart_mips::{Binary, CycleModel};
 use binpart_synth::{
@@ -291,7 +290,8 @@ impl CandidateSet {
 }
 
 /// Harvests every outermost call-free loop nest of `prog` as a hardware
-/// candidate, with profile weights from `profile` and `cycles`.
+/// candidate, with profile weights from `profile` and `cycles` and loop
+/// entries from `counts` (one table per entry of `prog.functions`).
 ///
 /// This is the profile/alias-analysis half of the partitioner, run once
 /// per program: nothing here depends on the platform clock, the FPGA area
@@ -301,6 +301,7 @@ impl CandidateSet {
 /// [`DefSites`] table per function across its candidates.
 pub fn harvest_candidates(
     prog: &DecompiledProgram,
+    counts: &[BlockCounts],
     binary: &Binary,
     profile: &Profile,
     cycles: &CycleModel,
@@ -308,7 +309,8 @@ pub fn harvest_candidates(
     let data_base = binary.data_base;
     let data_end = binary.data_end();
     let mut candidates: Vec<Candidate> = Vec::new();
-    for (fi, (f, forest)) in prog.functions.iter().zip(prog.forests.iter()).enumerate() {
+    for (fi, (f, forest)) in prog.functions.iter().zip(&prog.forests).enumerate() {
+        let counts = &counts[fi];
         // Built on the function's first candidate and shared by the rest.
         let mut sites: Option<DefSites> = None;
         for l in forest.loops() {
@@ -324,14 +326,14 @@ pub fn harvest_candidates(
             // transfers from the branch-bias (edge) profile; fallback when
             // the profile carries no taken data: latch block counts (which
             // overcount back edges of fall-out latches by one per entry).
-            let header_count = f.block(l.header).profile_count;
+            let header_count = counts.get(l.header);
             let fn_end = crate::decompile::function_end_after(
                 binary,
                 &prog.entries,
                 f.block(l.header).start_pc.unwrap_or(binary.text_base),
             );
             let back_edges = measured_back_edges(f, &l.blocks, l.header, binary, profile, fn_end)
-                .unwrap_or_else(|| l.latches.iter().map(|&b| f.block(b).profile_count).sum());
+                .unwrap_or_else(|| l.latches.iter().map(|&b| counts.get(b)).sum());
             let invocations = header_count.saturating_sub(back_edges).max(1);
             let sites = sites.get_or_insert_with(|| DefSites::compute(f));
             let regions = alias::summarize(f, sites, &l.blocks, data_base, data_end);
@@ -422,10 +424,11 @@ fn measured_back_edges(
 /// `total_sw_cycles` is the whole-program profiled cycle count. Synthesis
 /// is deterministic and the cache key covers every input (see
 /// [`binpart_synth::estimate`]), so the memo never changes a result; the
-/// cache must only be shared across calls passing the same `prog` and
-/// `set` (the staged flow guarantees this by owning one cache per
-/// estimated-program artifact), because it keys a region by its index in
-/// `set`. The call reads the memo through one
+/// cache must only be shared across calls passing the same `prog`,
+/// `counts` and `set` (the staged flow guarantees this by owning one
+/// cache per estimated-program artifact), because it keys a region by its
+/// index in `set`. `counts` holds one table per entry of
+/// `prog.functions`. The call reads the memo through one
 /// [`MemoView`](binpart_synth::MemoView), taken at the start and dropped
 /// at the end.
 ///
@@ -440,6 +443,7 @@ fn measured_back_edges(
 #[allow(clippy::too_many_arguments)]
 pub fn partition_with_candidates(
     prog: &DecompiledProgram,
+    counts: &[BlockCounts],
     set: &CandidateSet,
     total_sw_cycles: u64,
     options: &PartitionOptions,
@@ -505,6 +509,7 @@ pub fn partition_with_candidates(
         let r = memo
             .synthesize(key, || SynthesisInput {
                 function: &prog.functions[c.func_index],
+                counts: &counts[c.func_index],
                 forest: &prog.forests[c.func_index],
                 region: &c.blocks,
                 mem_in_bram,

@@ -15,8 +15,8 @@
 //! | stage | input → output | invalidated by |
 //! |---|---|---|
 //! | [`profile`](StagedFlow::profile) | binary → [`Exit`] (cycles + block counts + branch bias) | [`SimConfig`] (cycle model, step budget, stack) |
-//! | [`decompile`](StagedFlow::decompile) | binary → [`DecompiledProgram`] (pre-profile CDFG) | [`DecompileOptions`] |
-//! | [`estimate`](StagedFlow::estimate) | profile + CDFG → [`EstimatedProgram`] (profiled CDFG + candidate loops + synthesis memo) | `DecompileOptions` or `SimConfig` |
+//! | [`decompile`](StagedFlow::decompile) | binary → [`DecompiledProgram`] (CDFG, never changed after this stage) | [`DecompileOptions`] |
+//! | [`estimate`](StagedFlow::estimate) | profile + CDFG → [`EstimatedProgram`] (the stage-2 CDFG shared, block counts beside it, candidate loops, synthesis memo) | `DecompileOptions` or `SimConfig` |
 //! | [`evaluate`](StagedFlow::evaluate) | artifact + platform/budget/options → [`StagedReport`] | nothing cached — cheap selection + arithmetic |
 //! | [`cosimulate`](StagedFlow::cosimulate) | partition → [`crate::cosim::CosimReport`] (executed-hardware verification + measured-vs-analytic cycles) | nothing cached — each call runs the hybrid machine |
 //!
@@ -78,6 +78,7 @@ use crate::lift::DecompileOptions;
 use crate::partition::{
     harvest_candidates, partition_with_candidates, CandidateSet, Partition, PartitionOptions,
 };
+use binpart_cdfg::ir::BlockCounts;
 use binpart_mips::sim::{Exit, Machine, SimConfig};
 use binpart_mips::Binary;
 use binpart_platform::{HardwareKernel, HybridReport};
@@ -85,13 +86,18 @@ use binpart_synth::{EstimateCache, KeyMap};
 use binpart_telemetry::{Counter, NullTelemetry, SpanGuard, Telemetry};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// The product of the [`estimate`](StagedFlow::estimate) stage: a profiled
-/// CDFG, its harvested hardware candidates, and a shared per-kernel
-/// synthesis memo. Everything the `evaluate` stage reads.
+/// The product of the [`estimate`](StagedFlow::estimate) stage: the
+/// decompile stage's CDFG, the profile's block counts beside it, its
+/// harvested hardware candidates, and a shared per-kernel synthesis memo.
+/// Everything the `evaluate` stage reads.
 #[derive(Debug)]
 pub struct EstimatedProgram {
-    /// Decompiled program with profile counts attached.
-    pub program: DecompiledProgram,
+    /// The decompiled program: the [`decompile`](StagedFlow::decompile)
+    /// stage's own artifact, shared, not copied.
+    pub program: Arc<DecompiledProgram>,
+    /// Profiled block execution counts, one table per entry of
+    /// `program.functions`.
+    pub counts: Vec<BlockCounts>,
     /// Hardware candidates (outermost call-free loop nests).
     pub candidates: CandidateSet,
     /// Memoized per-kernel synthesis results, shared by every evaluation
@@ -101,13 +107,11 @@ pub struct EstimatedProgram {
     pub sw_cycles: u64,
     /// `$v0` at software exit.
     pub sw_exit_value: u32,
-    /// Decompilation statistics.
-    pub stats: DecompileStats,
 }
 
-/// A [`FlowReport`] without the owned program copy — what a sweep point
-/// needs. Identical numbers to [`StagedFlow::run`]. The default is the
-/// empty report [`StagedFlow::evaluate_into`] starts from.
+/// A [`FlowReport`] without the program and its block counts — what a
+/// sweep point needs. Identical numbers to [`StagedFlow::run`]. The
+/// default is the empty report [`StagedFlow::evaluate_into`] starts from.
 #[derive(Debug, Clone, Default)]
 pub struct StagedReport {
     /// Profiled all-software cycles.
@@ -268,7 +272,8 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         result
     }
 
-    /// Stage 2 — CDFG recovery (pre-profile). Decompiled once per distinct
+    /// Stage 2 — CDFG recovery, profile-free: later stages share the
+    /// artifact and never change it. Decompiled once per distinct
     /// [`DecompileOptions`]; failures (the paper's jump-table cases) are
     /// cached as errors.
     ///
@@ -296,7 +301,7 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
         result
     }
 
-    /// Stage 3 — profile attachment, candidate harvesting, and the shared
+    /// Stage 3 — block counts, candidate harvesting, and the shared
     /// synthesis memo. Built once per (decompile options, sim config) pair
     /// from the stage-1/-2 artifacts.
     ///
@@ -310,19 +315,18 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     ) -> Result<Arc<EstimatedProgram>, FlowError> {
         let (result, ran) = get_stage(&self.estimated, &(decompile_options, sim), || {
             let exit = self.profile(sim)?;
-            let base = self.decompile(decompile_options)?;
+            let program = self.decompile(decompile_options)?;
             let _span = SpanGuard::enter(&self.telemetry, "estimate", String::new);
-            let mut program = (*base).clone();
-            decompile::attach_profile(&mut program, &exit.profile);
-            let candidates = harvest_candidates(&program, self.binary, &exit.profile, &sim.cycles);
-            let stats = program.stats;
+            let counts = decompile::block_counts(&program, &exit.profile);
+            let candidates =
+                harvest_candidates(&program, &counts, self.binary, &exit.profile, &sim.cycles);
             Ok(Arc::new(EstimatedProgram {
                 program,
+                counts,
                 candidates,
                 cache: EstimateCache::new(),
                 sw_cycles: exit.cycles,
                 sw_exit_value: exit.reg(binpart_mips::Reg::V0),
-                stats,
             }))
         });
         self.telemetry.counter_add(
@@ -417,9 +421,9 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
     }
 
     /// The whole flow for one option set: [`evaluate`](StagedFlow::evaluate)
-    /// plus a clone of the profiled program, returned as a [`FlowReport`].
-    /// The entry point for one-shot callers; sweeps should prefer
-    /// `evaluate`, which skips the program copy.
+    /// plus the decompiled program (the stage artifact's `Arc`) and its
+    /// block counts, returned as a [`FlowReport`]. The entry point for
+    /// one-shot callers; sweeps should prefer `evaluate`.
     ///
     /// # Errors
     ///
@@ -432,9 +436,9 @@ impl<'b, T: Telemetry> StagedFlow<'b, T> {
             sw_cycles: report.sw_cycles,
             sw_exit_value: report.sw_exit_value,
             hybrid: report.hybrid,
-            stats: report.stats,
             partition: report.partition,
-            program: est.program.clone(),
+            program: Arc::clone(&est.program),
+            counts: est.counts.clone(),
             diagnostics: report.diagnostics,
         })
     }
@@ -470,6 +474,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions, report: &mut
     let partition = &mut report.partition;
     partition_with_candidates(
         &est.program,
+        &est.counts,
         &est.candidates,
         est.sw_cycles,
         &popts,
@@ -496,7 +501,7 @@ fn evaluate_artifact(est: &EstimatedProgram, options: &FlowOptions, report: &mut
     );
     report.sw_cycles = est.sw_cycles;
     report.sw_exit_value = est.sw_exit_value;
-    report.stats = est.stats;
+    report.stats = est.program.stats;
 }
 
 /// Rewrites `dst` as clones of `src`'s records, cloning each into a

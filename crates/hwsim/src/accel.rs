@@ -28,7 +28,7 @@
 
 use crate::fsmd::{Fsmd, FsmdError, OverlayBus};
 use crate::hwtel::{HwTelemetry, NullHwTelemetry};
-use binpart_cdfg::ir::{BinOp, BlockId, Function, Inst, Op, Operand, UnOp, VReg};
+use binpart_cdfg::ir::{BinOp, BlockCounts, BlockId, Function, Inst, Op, Operand, UnOp, VReg};
 use binpart_mips::hybrid::{AccelOutcome, Accelerator, HwInvocation};
 use binpart_mips::sim::Memory;
 use binpart_mips::{Binary, Reg};
@@ -89,7 +89,8 @@ pub struct KernelAccel<'f> {
 impl<'f> KernelAccel<'f> {
     /// Lowers `schedule` — the region schedule synthesis priced the kernel
     /// from ([`binpart_synth::SynthesisResult::schedule`]) — into an FSMD
-    /// entered at `entry` ([`Fsmd::compile`]) and resolves its live-ins.
+    /// entered at `entry` ([`Fsmd::compile`], which keeps `counts`, the
+    /// block counts the kernel was priced with) and resolves its live-ins.
     ///
     /// `function_live_ins` maps original (pre-SSA) machine registers to the
     /// SSA names of their function-entry values — source 3 above; pass an
@@ -101,12 +102,13 @@ impl<'f> KernelAccel<'f> {
     /// unmappable.
     pub fn compile(
         f: &'f Function,
+        counts: &'f BlockCounts,
         schedule: &KernelSchedule,
         entry: BlockId,
         binary: &Binary,
         function_live_ins: &[(VReg, VReg)],
     ) -> Result<KernelAccel<'f>, AccelBuildError> {
-        let fsmd = Fsmd::compile(f, schedule, entry)?;
+        let fsmd = Fsmd::compile(f, counts, schedule, entry)?;
         let resolver = Resolver::new(f, binary, function_live_ins);
         let mut plan = Vec::new();
         for v in fsmd.live_ins() {
@@ -314,7 +316,7 @@ impl<'a> Resolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule;
+    use crate::{schedule, NO_COUNTS};
     use binpart_cdfg::ir::Terminator;
     use binpart_cdfg::ssa;
 
@@ -397,7 +399,9 @@ mod tests {
     fn accel_executes_and_logs_increment_stores() {
         let (f, region, header) = mem_kernel();
         let binary = binpart_mips::BinaryBuilder::new().build();
-        let accel = KernelAccel::compile(&f, &schedule(&f, &region), header, &binary, &[]).unwrap();
+        let accel =
+            KernelAccel::compile(&f, &NO_COUNTS, &schedule(&f, &region), header, &binary, &[])
+                .unwrap();
         let mut mem = Memory::new();
         for k in 0..8u32 {
             mem.write_u32(0x1000 + 4 * k, 10 * k);
@@ -432,8 +436,15 @@ mod tests {
         f.block_mut(header).term = Terminator::Jump(exit);
         f.block_mut(exit).term = Terminator::Return { value: None };
         let binary = binpart_mips::BinaryBuilder::new().build();
-        let err =
-            KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[]).unwrap_err();
+        let err = KernelAccel::compile(
+            &f,
+            &NO_COUNTS,
+            &schedule(&f, &[header]),
+            header,
+            &binary,
+            &[],
+        )
+        .unwrap_err();
         assert!(matches!(err, AccelBuildError::UnmappableLiveIn { .. }));
     }
 
@@ -460,9 +471,15 @@ mod tests {
         f.block_mut(exit).term = Terminator::Return { value: None };
         let binary = binpart_mips::BinaryBuilder::new().build();
         let t0 = VReg(u32::from(Reg::T0.number()));
-        let accel =
-            KernelAccel::compile(&f, &schedule(&f, &[header]), header, &binary, &[(t0, name)])
-                .unwrap();
+        let accel = KernelAccel::compile(
+            &f,
+            &NO_COUNTS,
+            &schedule(&f, &[header]),
+            header,
+            &binary,
+            &[(t0, name)],
+        )
+        .unwrap();
         assert_eq!(
             accel.plan(),
             &[(name, LiveInSource::MachineReg(Reg::T0.number()))]

@@ -11,7 +11,9 @@
 //! argument search, no region or loop lookups.
 
 use crate::hwtel::{HwAttribution, HwCounts, HwTelemetry, NullHwTelemetry};
-use binpart_cdfg::ir::{BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator, UnOp, VReg};
+use binpart_cdfg::ir::{
+    BinOp, BlockCounts, BlockId, Function, MemWidth, Op, Operand, Terminator, UnOp, VReg,
+};
 use binpart_mips::hybrid::HwStore;
 use binpart_mips::sim::{Memory, PAGE_SIZE};
 use binpart_synth::{KernelSchedule, PipelinedLoop, ScheduledBlock};
@@ -345,6 +347,9 @@ pub(crate) struct StateCost {
 #[derive(Debug)]
 pub struct Fsmd<'f> {
     f: &'f Function,
+    /// Profiled execution counts of `f`'s blocks (the analytic
+    /// attribution's weights).
+    counts: &'f BlockCounts,
     /// Region blocks in ascending [`BlockId`] order.
     blocks: Vec<DenseBlock>,
     code: Vec<MicroOp>,
@@ -555,7 +560,8 @@ impl<'f> Fsmd<'f> {
     /// — into the dense program [`Fsmd::execute`] runs, entered at
     /// `entry`. The region is the schedule's blocks, each executed in its
     /// scheduled state order, and every pipelined loop runs at the II the
-    /// estimate charged.
+    /// estimate charged. `counts` are `f`'s block counts the estimate was
+    /// priced with; only [`Fsmd::analytic_attribution`] reads them.
     ///
     /// # Errors
     ///
@@ -564,6 +570,7 @@ impl<'f> Fsmd<'f> {
     /// a schedule that does not fit its block's ops.
     pub fn compile(
         f: &'f Function,
+        counts: &'f BlockCounts,
         schedule: &KernelSchedule,
         entry: BlockId,
     ) -> Result<Fsmd<'f>, FsmdError> {
@@ -652,6 +659,7 @@ impl<'f> Fsmd<'f> {
         } = lower;
         Ok(Fsmd {
             f,
+            counts,
             blocks,
             code,
             table,
@@ -718,16 +726,16 @@ impl<'f> Fsmd<'f> {
 
     /// The analytic per-category cycle attribution: the exact split
     /// [`binpart_synth::schedule::estimate_kernel_cycles`] predicts from
-    /// the schedule tables this FSMD was lowered from and the static
-    /// profile counts. The categories sum to the analytic `hw_cycles`
+    /// the schedule tables this FSMD was lowered from and the block counts
+    /// it was compiled with. The categories sum to the analytic `hw_cycles`
     /// estimate (up to its `max(1)` floor); differencing against a
     /// measured [`HwAttribution`] decomposes the estimate error by
     /// feature.
     pub fn analytic_attribution(&self) -> HwAttribution {
         let mut a = HwAttribution::default();
         for pl in &self.loops {
-            let hb = self.f.block(pl.header);
-            let iters = hb.profile_count * u64::from(hb.reroll_factor);
+            let reroll = self.f.block(pl.header).reroll_factor;
+            let iters = self.counts.get(pl.header) * u64::from(reroll);
             let entries = match pl.trip_count {
                 Some(t) if t > 0 => iters.div_ceil(t),
                 _ => 1,
@@ -737,8 +745,8 @@ impl<'f> Fsmd<'f> {
             a.fill_drain += entries * u64::from(pl.fill);
         }
         for eb in self.blocks.iter().filter(|b| b.pipe == NO_LOOP) {
-            let b = self.f.block(eb.id);
-            let count = b.profile_count * u64::from(b.reroll_factor);
+            let reroll = self.f.block(eb.id).reroll_factor;
+            let count = self.counts.get(eb.id) * u64::from(reroll);
             a.block_seq += count * u64::from(eb.depth);
         }
         a
@@ -1057,12 +1065,13 @@ fn check_aligned(addr: u32, width: MemWidth) -> Result<(), FsmdError> {
 mod tests {
     use super::*;
     use crate::hwtel::{clear_post_mortem, post_mortem_context, HwRecorder};
-    use crate::schedule;
+    use crate::{schedule, NO_COUNTS};
     use binpart_cdfg::loops::LoopForest;
     use binpart_cdfg::ssa;
     use binpart_synth::{synthesize, SynthesisInput};
 
     /// The canonical sum kernel: `for (i = 0; i < n; i++) acc += a[i<<2]`.
+    /// [`sum_counts`] gives its exact profile counts.
     fn sum_kernel(iters: u64) -> (Function, Vec<BlockId>, BlockId) {
         let mut f = Function::new("sum");
         let header = f.add_block();
@@ -1116,17 +1125,10 @@ mod tests {
             value: Some(Operand::Reg(acc)),
         };
         ssa::construct(&mut f);
-        for b in f.block_ids().collect::<Vec<_>>() {
-            f.block_mut(b).profile_count = 1;
-        }
         let header = f
             .block_ids()
             .find(|&b| matches!(f.block(b).term, Terminator::Branch { .. }))
             .unwrap();
-        f.block_mut(header).profile_count = iters + 1;
-        if let Terminator::Branch { t, .. } = f.block(header).term {
-            f.block_mut(t).profile_count = iters;
-        }
         // The hardware region is the loop itself (header + body); the
         // entry block (the preheader) stays in software.
         let body = match f.block(header).term {
@@ -1136,13 +1138,26 @@ mod tests {
         (f, vec![header, body], header)
     }
 
+    /// The exact profile of [`sum_kernel`]`(iters)`, given its region
+    /// `[header, body]`: the header runs `iters + 1` times, the body
+    /// `iters` times and every other block once.
+    fn sum_counts(f: &Function, region: &[BlockId], iters: u64) -> BlockCounts {
+        f.block_ids()
+            .map(|b| match region.iter().position(|&r| r == b) {
+                Some(0) => iters + 1,
+                Some(_) => iters,
+                None => 1,
+            })
+            .collect()
+    }
+
     /// Schedules `region` of `f` and lowers it, entered at `entry`.
     fn compile<'f>(
         f: &'f Function,
         region: &[BlockId],
         entry: BlockId,
     ) -> Result<Fsmd<'f>, FsmdError> {
-        Fsmd::compile(f, &schedule(f, region), entry)
+        Fsmd::compile(f, &NO_COUNTS, &schedule(f, region), entry)
     }
 
     /// Binds every live-in whose function-level def is a `Const`.
@@ -1193,9 +1208,10 @@ mod tests {
     fn measured_cycles_match_analytic_estimate_when_counts_are_exact() {
         let n = 1000u64;
         let (f, region, header) = sum_kernel(n);
+        let counts = sum_counts(&f, &region, n);
         let forest = LoopForest::compute(&f);
-        let est = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap();
-        let fsmd = Fsmd::compile(&f, &est.schedule, header).unwrap();
+        let est = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region)).unwrap();
+        let fsmd = Fsmd::compile(&f, &counts, &est.schedule, header).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1217,9 +1233,10 @@ mod tests {
     fn recorded_attribution_conserves_measured_cycles_exactly() {
         let n = 137u64;
         let (f, region, header) = sum_kernel(n);
+        let counts = sum_counts(&f, &region, n);
         let forest = LoopForest::compute(&f);
-        let est = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap();
-        let fsmd = Fsmd::compile(&f, &est.schedule, header).unwrap();
+        let est = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region)).unwrap();
+        let fsmd = Fsmd::compile(&f, &counts, &est.schedule, header).unwrap();
         let mem = Memory::new();
         let mut bus = OverlayBus::new(&mem);
         let mut vals = vec![0u32; fsmd.register_count()];
@@ -1757,7 +1774,7 @@ mod tests {
         });
         f.block_mut(f.entry).term = Terminator::Return { value: None };
         let lower = |f: &Function, schedule: &KernelSchedule| {
-            Fsmd::compile(f, schedule, f.entry).map(|_| ())
+            Fsmd::compile(f, &NO_COUNTS, schedule, f.entry).map(|_| ())
         };
         // A register outside the function.
         let good = schedule(&f, &[f.entry]);

@@ -164,7 +164,7 @@ pub struct HwProfile {
     /// Measured cycles split by category.
     pub attributed: HwAttribution,
     /// The same split predicted analytically from schedule tables and
-    /// profile counts — the calibration reference. Per-feature differences
+    /// block counts — the calibration reference. Per-feature differences
     /// against `attributed` decompose the estimate error.
     pub analytic: HwAttribution,
     /// Committed load transactions. Every FSMD access moves 1, 2 or 4
@@ -758,7 +758,13 @@ mod tests {
     fn recorder_commit_keeps_and_abort_rolls_back() {
         let f = load_then_store();
         let region: Vec<_> = f.block_ids().collect();
-        let fsmd = Fsmd::compile(&f, &crate::schedule(&f, &region), f.entry).unwrap();
+        let fsmd = Fsmd::compile(
+            &f,
+            &crate::NO_COUNTS,
+            &crate::schedule(&f, &region),
+            f.entry,
+        )
+        .unwrap();
         let mut rec = HwRecorder::default();
         rec.invocation_commit(counts(2, &[(0, 0)], &[txn(false, 0x100, 7)]));
         rec.invocation_abort(counts(2, &[(1, 1)], &[txn(true, 0x104, 9)]));

@@ -1,7 +1,7 @@
 //! Cycle-accurate FSMD co-simulation of synthesized kernels.
 //!
 //! `binpart-synth` *estimates* a kernel's hardware cycles analytically from
-//! its schedule and profile counts. This crate **executes** the same
+//! its schedule and block counts. This crate **executes** the same
 //! scheduled, bound datapath: a finite-state-machine-with-datapath
 //! executor ([`Fsmd`]) steps through the kernel's control steps
 //! (state-per-step, chained ops sharing a step, multi-cycle units
@@ -62,6 +62,12 @@ pub use hwtel::{
     clear_post_mortem, post_mortem_context, BusTxn, HwAttribution, HwCounts, HwProfile, HwRecorder,
     HwTelemetry, NullHwTelemetry,
 };
+
+/// An empty block-count table, for tests that read no analytic
+/// attribution.
+#[cfg(test)]
+static NO_COUNTS: std::sync::LazyLock<binpart_cdfg::ir::BlockCounts> =
+    std::sync::LazyLock::new(Default::default);
 
 /// The schedule synthesis prices `region` of `f` from, at the default
 /// budget and library with arrays in block RAM.

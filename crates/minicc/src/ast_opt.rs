@@ -255,8 +255,8 @@ fn unroll_stmt(s: &mut Stmt, stats: &mut AstOptStats) {
             body,
         } => {
             unroll_stmt(body, stats);
-            if let Some(factor) = unrollable(init.as_deref(), cond.as_ref(), step.as_ref(), body) {
-                let step_expr = step.clone().expect("checked");
+            let factor = unrollable(init.as_deref(), cond.as_ref(), step.as_ref(), body);
+            if let (Some(factor), Some(step_expr)) = (factor, step.as_ref()) {
                 let mut replicas: Vec<Stmt> = Vec::new();
                 for k in 0..factor {
                     replicas.push((**body).clone());

@@ -139,13 +139,12 @@ pub fn generate(prog: &TProgram, level: OptLevel) -> Result<Binary, CodegenError
             kind: SymbolKind::Func,
         });
     }
-    let entry = asm
-        .label_addr(func_labels["main"])
-        .expect("main label bound");
+    let main = func_labels["main"];
+    let entry = asm.label_addr(main).ok_or(AsmError::UnboundLabel(main))?;
     // Patch jump tables now that labels are resolved.
     for (offset, labels) in &pending_tables {
         for (k, l) in labels.iter().enumerate() {
-            let addr = asm.label_addr(*l).expect("case label bound");
+            let addr = asm.label_addr(*l).ok_or(AsmError::UnboundLabel(*l))?;
             data[offset + 4 * k..offset + 4 * k + 4].copy_from_slice(&addr.to_le_bytes());
         }
     }
@@ -899,15 +898,13 @@ impl<'a> FuncGen<'a> {
                 self.epilogue(asm, v);
             }
             TTerm::Switch { val, cases, default } => {
-                let dense = {
-                    if cases.len() >= 4 && self.level >= OptLevel::O1 {
-                        let min = cases.iter().map(|(l, _)| *l).min().unwrap();
-                        let max = cases.iter().map(|(l, _)| *l).max().unwrap();
+                let labels = cases.iter().map(|(l, _)| *l);
+                let dense = match (labels.clone().min(), labels.max()) {
+                    (Some(min), Some(max)) if cases.len() >= 4 && self.level >= OptLevel::O1 => {
                         let span = (max - min + 1) as usize;
                         (span <= cases.len() * 2).then_some((min, span))
-                    } else {
-                        None
                     }
+                    _ => None,
                 };
                 match dense {
                     Some((min, span)) => {
@@ -1050,6 +1047,7 @@ impl<'a> FuncGen<'a> {
                 asm.beq(SCRATCH_A, Reg::Zero, target);
                 asm.nop();
             }
+            // `emit_block_body` fuses only ops `compare_fusable` accepts.
             _ => unreachable!("non-comparison op fused"),
         }
     }

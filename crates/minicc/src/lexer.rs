@@ -148,8 +148,8 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
             if c == '0' && i + 1 < n && (b[i + 1] == 'x' || b[i + 1] == 'X') {
                 i += 2;
                 value = 0;
-                while i < n && b[i].is_ascii_hexdigit() {
-                    value = value.wrapping_mul(16) + b[i].to_digit(16).unwrap() as i64;
+                while let Some(d) = b.get(i).and_then(|c| c.to_digit(16)) {
+                    value = value.wrapping_mul(16) + d as i64;
                     i += 1;
                 }
             } else {

@@ -27,6 +27,8 @@
 //! # }
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ast;
 pub mod ast_opt;
 pub mod codegen;

@@ -223,7 +223,7 @@ fn lower_func(cx: &ProgCx<'_>, decl: &FuncDecl) -> Result<TFunc, LowerError> {
             kind: VarKind::Scalar,
         });
         fcx.f.params.push(id);
-        fcx.scopes.last_mut().unwrap().insert(name.clone(), id);
+        fcx.bind(name, id);
         // Address-taken parameters get a frame home seeded from the register.
         if fcx.addr_taken.contains(name) {
             let home = fcx.declare_frame(&format!("{name}$home"), ty.clone(), ty.size() as u32)?;
@@ -244,7 +244,7 @@ fn lower_func(cx: &ProgCx<'_>, decl: &FuncDecl) -> Result<TFunc, LowerError> {
                     width: MemW::for_ty(&ty),
                 },
             );
-            fcx.scopes.last_mut().unwrap().insert(name.clone(), home);
+            fcx.bind(name, home);
         }
     }
     for s in &decl.body {
@@ -268,10 +268,7 @@ impl<'p, 'c> FnCx<'p, 'c> {
             ty,
             kind: VarKind::Scalar,
         });
-        self.scopes
-            .last_mut()
-            .unwrap()
-            .insert(name.to_string(), id);
+        self.bind(name, id);
         id
     }
 
@@ -283,11 +280,16 @@ impl<'p, 'c> FnCx<'p, 'c> {
             ty,
             kind: VarKind::Frame { size, align },
         });
-        self.scopes
-            .last_mut()
-            .unwrap()
-            .insert(name.to_string(), id);
+        self.bind(name, id);
         Ok(id)
+    }
+
+    /// Binds `name` to `id` in the innermost scope. The function's own
+    /// scope is pushed first and never popped, so there always is one.
+    fn bind(&mut self, name: &str, id: VarId) {
+        if let Some(scope) = self.scopes.last_mut() {
+            scope.insert(name.to_string(), id);
+        }
     }
 
     fn lookup(&self, name: &str) -> Option<VarId> {
@@ -685,8 +687,6 @@ impl<'p, 'c> FnCx<'p, 'c> {
                             (addr, Ty::Ptr(Box::new(info.ty)))
                         }
                         VarKind::Scalar => (Opnd::Var(id), info.ty), // pointer variable
-                        #[allow(unreachable_patterns)]
-                        _ => unreachable!(),
                     });
                 }
                 if let Some(&gi) = self.cx.globals_index.get(name) {
@@ -1110,7 +1110,11 @@ impl<'p, 'c> FnCx<'p, 'c> {
                     TBinOp::GeS
                 }
             }
-            BinOp::LAnd | BinOp::LOr => unreachable!("handled by binary()"),
+            BinOp::LAnd | BinOp::LOr => {
+                return Err(LowerError::new(
+                    "logical operator reached arithmetic lowering",
+                ))
+            }
         };
         if let (Opnd::Const(x), Opnd::Const(y)) = (a, b) {
             if let Some(v) = top.fold(x, y) {

@@ -18,7 +18,7 @@
 //!   candidate list of the program the cache belongs to. The cache does not
 //!   fingerprint function bodies or block lists, so a cache must only be
 //!   shared across calls that pass the *same* program (same CDFG, same
-//!   profile counts, same inferred widths, same candidate list). The staged
+//!   block counts, same inferred widths, same candidate list). The staged
 //!   flow owns one cache per `EstimatedProgram` artifact, next to that
 //!   artifact's `CandidateSet`, which guarantees this by construction: an
 //!   id cannot alias a different region.
@@ -365,7 +365,9 @@ impl Drop for MemoView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use binpart_cdfg::ir::{BinOp, BlockId, Function, MemWidth, Op, Operand, Terminator};
+    use binpart_cdfg::ir::{
+        BinOp, BlockCounts, BlockId, Function, MemWidth, Op, Operand, Terminator,
+    };
     use binpart_cdfg::loops::LoopForest;
     use binpart_cdfg::ssa;
 
@@ -375,7 +377,7 @@ mod tests {
         assert_copy::<KernelKey>();
     };
 
-    fn kernel() -> Function {
+    fn kernel() -> (Function, BlockCounts) {
         let mut f = Function::new("k");
         let x = f.new_vreg();
         let y = f.new_vreg();
@@ -398,9 +400,10 @@ mod tests {
             width: MemWidth::W,
         });
         f.block_mut(e).term = Terminator::Return { value: None };
-        f.block_mut(e).profile_count = 10;
         ssa::construct(&mut f);
-        f
+        // The one block ran 10 times.
+        let counts = f.block_ids().map(|_| 10).collect();
+        (f, counts)
     }
 
     /// The key of region 0 under `input`'s placement.
@@ -427,10 +430,10 @@ mod tests {
 
     #[test]
     fn cached_result_matches_fresh_synthesis() {
-        let f = kernel();
+        let (f, counts) = kernel();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let input = SynthesisInput::new(&f, &forest, &region);
+        let input = SynthesisInput::new(&f, &counts, &forest, &region);
         let fresh = synthesize(&input).unwrap();
         let cache = EstimateCache::new();
         let first = cached(&cache, &input).unwrap();
@@ -443,7 +446,7 @@ mod tests {
             first.timing.clock_mhz.to_bits(),
             fresh.timing.clock_mhz.to_bits()
         );
-        assert_eq!(first.vhdl(&f), fresh.vhdl(&f));
+        assert_eq!(first.vhdl(&f, &counts), fresh.vhdl(&f, &counts));
         assert!(
             Arc::ptr_eq(&first, &second),
             "a hit shares the cached result"
@@ -465,10 +468,10 @@ mod tests {
 
     #[test]
     fn different_bram_placement_is_a_different_entry() {
-        let f = kernel();
+        let (f, counts) = kernel();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, &forest, &region);
+        let mut input = SynthesisInput::new(&f, &counts, &forest, &region);
         let cache = EstimateCache::new();
         let bram = cached(&cache, &input).unwrap();
         input.mem_in_bram = false;
@@ -479,10 +482,10 @@ mod tests {
 
     #[test]
     fn different_library_is_a_different_entry() {
-        let f = kernel();
+        let (f, counts) = kernel();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, &forest, &region);
+        let mut input = SynthesisInput::new(&f, &counts, &forest, &region);
         let cache = EstimateCache::new();
         let _ = cached(&cache, &input).unwrap();
         input.library.gates_per_lut *= 2.0;
@@ -542,9 +545,10 @@ mod tests {
     fn errors_are_cached_too() {
         let mut f = Function::new("e");
         f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let counts = BlockCounts::default();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let input = SynthesisInput::new(&f, &forest, &region);
+        let input = SynthesisInput::new(&f, &counts, &forest, &region);
         let cache = EstimateCache::new();
         assert_eq!(cached(&cache, &input).unwrap_err(), SynthError::EmptyRegion);
         assert_eq!(cached(&cache, &input).unwrap_err(), SynthError::EmptyRegion);

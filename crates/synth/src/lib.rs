@@ -1,8 +1,9 @@
 //! Behavioral synthesis for decompiled CDFG regions.
 //!
-//! The input is a loop nest (or whole function) in SSA form with profile
-//! counts and bit-width annotations, together with the function's loop
-//! forest, which the caller computes once per function; the output is a
+//! The input is a loop nest (or whole function) in SSA form with bit-width
+//! annotations, together with the function's block execution counts (a
+//! [`BlockCounts`] table kept beside the program) and its loop forest,
+//! both of which the caller computes once per function; the output is a
 //! scheduled, bound datapath with an area estimate in Virtex-II gate
 //! equivalents, a clock estimate, a cycle count, and the schedules
 //! themselves ([`KernelSchedule`]). RTL VHDL is rendered from those
@@ -17,10 +18,19 @@
 //! ([`schedule::estimate_area`]). VHDL emission ([`vhdl::emit_kernel`])
 //! runs only when [`SynthesisResult::vhdl`] is called.
 //!
+//! # Module map
+//!
+//! | file | role | entry point |
+//! |---|---|---|
+//! | `schedule.rs` | list scheduling, loop pipelining, cycle and area estimates | [`schedule::schedule_kernel`], [`schedule::estimate_kernel_cycles`], [`schedule::estimate_area`] |
+//! | `tech.rs` | the Virtex-II–class technology library: operator delays, costs, gate equivalents | [`TechLibrary::virtex2`], [`tech::classify`] |
+//! | `vhdl.rs` | RTL VHDL text rendered from one block schedule | [`vhdl::emit_kernel`] |
+//! | `estimate.rs` | the per-kernel synthesis memo shared by a program's evaluations | [`EstimateCache`], [`MemoView`] |
+//!
 //! # Example
 //!
 //! ```
-//! use binpart_cdfg::ir::{Function, Op, Operand, Terminator, BinOp};
+//! use binpart_cdfg::ir::{BinOp, BlockCounts, Function, Op, Operand, Terminator};
 //! use binpart_cdfg::loops::LoopForest;
 //! use binpart_synth::{synthesize, SynthesisInput};
 //!
@@ -39,14 +49,14 @@
 //!     src: Operand::Reg(y), addr: Operand::Const(0x1000), width: binpart_cdfg::ir::MemWidth::W,
 //! });
 //! f.block_mut(entry).term = Terminator::Return { value: None };
-//! f.block_mut(entry).profile_count = 1;
 //! binpart_cdfg::ssa::construct(&mut f);
+//! let counts: BlockCounts = f.block_ids().map(|_| 1).collect();
 //! let forest = LoopForest::compute(&f);
 //! let region: Vec<_> = f.block_ids().collect();
-//! let result = synthesize(&SynthesisInput::new(&f, &forest, &region))?;
+//! let result = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region))?;
 //! assert!(result.area.gate_equivalents > 0);
 //! // The RTL is rendered from the kept schedule only when asked for.
-//! assert!(result.vhdl(&f).contains("entity"));
+//! assert!(result.vhdl(&f, &counts).contains("entity"));
 //! # Ok(())
 //! # }
 //! ```
@@ -65,7 +75,7 @@ pub use schedule::{
 };
 pub use tech::{FuClass, TechLibrary};
 
-use binpart_cdfg::ir::{BlockId, Function, Op};
+use binpart_cdfg::ir::{BlockCounts, BlockId, Function, Op};
 use binpart_cdfg::loops::LoopForest;
 use std::fmt;
 
@@ -98,8 +108,10 @@ impl std::error::Error for SynthError {}
 /// Input to [`synthesize`].
 #[derive(Debug, Clone)]
 pub struct SynthesisInput<'f> {
-    /// The decompiled function (SSA, profile counts attached).
+    /// The decompiled function (SSA).
     pub function: &'f Function,
+    /// Profiled execution counts of `function`'s blocks.
+    pub counts: &'f BlockCounts,
     /// The loop forest of `function`, computed once per function by the
     /// caller (the partitioner reads the one the decompiler kept,
     /// `binpart_core::DecompiledProgram::forests`).
@@ -122,11 +134,13 @@ impl<'f> SynthesisInput<'f> {
     /// Input with default budget/library, block RAM on, no arrays.
     pub fn new(
         function: &'f Function,
+        counts: &'f BlockCounts,
         forest: &'f LoopForest,
         region: &'f [BlockId],
     ) -> SynthesisInput<'f> {
         SynthesisInput {
             function,
+            counts,
             forest,
             region,
             mem_in_bram: true,
@@ -158,19 +172,19 @@ pub struct SynthesisResult {
 
 impl SynthesisResult {
     /// Renders the kernel's RTL: an FSM over the schedule of the region's
-    /// hottest block (the largest profile count; the last such block in
-    /// region order on a tie). `f` must be the function this result was
-    /// synthesized from. Built on each call; an empty string when no
-    /// region block of `f` has ops.
-    pub fn vhdl(&self, f: &Function) -> String {
+    /// hottest block (the largest count in `counts`; the last such block
+    /// in region order on a tie). `f` and `counts` must be the function
+    /// and counts this result was synthesized from. Built on each call; an
+    /// empty string when no region block of `f` has ops.
+    pub fn vhdl(&self, f: &Function, counts: &BlockCounts) -> String {
         let hot = self
             .schedule
             .blocks
             .iter()
-            .filter_map(|b| Some((f.blocks.get(b.id.index())?, b.schedule.as_ref()?)))
-            .max_by_key(|(block, _)| block.profile_count);
+            .filter_map(|b| Some((b.id, f.blocks.get(b.id.index())?, b.schedule.as_ref()?)))
+            .max_by_key(|&(id, _, _)| counts.get(id));
         match hot {
-            Some((block, sched)) => {
+            Some((_, block, sched)) => {
                 let ops: Vec<&Op> = block.ops.iter().map(|i| &i.op).collect();
                 vhdl::emit_kernel(f, &f.name, &ops, sched)
             }
@@ -209,7 +223,8 @@ pub fn synthesize(input: &SynthesisInput<'_>) -> Result<SynthesisResult, SynthEr
         &input.budget,
         input.mem_in_bram,
     );
-    let timing = schedule::estimate_kernel_cycles(f, &schedule, &input.library, &input.budget);
+    let timing =
+        schedule::estimate_kernel_cycles(f, input.counts, &schedule, &input.library, &input.budget);
     let block_schedules: Vec<&BlockSchedule> = schedule
         .blocks
         .iter()
@@ -240,7 +255,7 @@ mod tests {
     use binpart_cdfg::ssa;
 
     /// A counted loop summing an array: the canonical kernel.
-    fn sum_kernel(iters: u64) -> Function {
+    fn sum_kernel(iters: u64) -> (Function, BlockCounts) {
         let mut f = Function::new("sum");
         let header = f.add_block();
         let body = f.add_block();
@@ -293,28 +308,36 @@ mod tests {
             value: Some(Operand::Reg(acc)),
         };
         ssa::construct(&mut f);
-        // attach a profile
-        for b in f.block_ids().collect::<Vec<_>>() {
-            f.block_mut(b).profile_count = 1;
-        }
+        // profile counts: the header ran iters + 1 times, the body (its
+        // branch target inside the loop) iters times, the rest once
         let hdr = f
             .block_ids()
             .find(|&b| matches!(f.block(b).term, Terminator::Branch { .. }))
             .unwrap();
-        f.block_mut(hdr).profile_count = iters + 1;
-        // body is the branch target inside the loop
-        if let Terminator::Branch { t, .. } = f.block(hdr).term {
-            f.block_mut(t).profile_count = iters;
-        }
-        f
+        let Terminator::Branch { t: body, .. } = f.block(hdr).term else {
+            unreachable!("hdr ends in a branch")
+        };
+        let counts = f
+            .block_ids()
+            .map(|b| {
+                if b == hdr {
+                    iters + 1
+                } else if b == body {
+                    iters
+                } else {
+                    1
+                }
+            })
+            .collect();
+        (f, counts)
     }
 
     #[test]
     fn synthesizes_sum_kernel_much_faster_than_sw() {
-        let f = sum_kernel(1000);
+        let (f, counts) = sum_kernel(1000);
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let r = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap();
+        let r = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region)).unwrap();
         // Software would be ~6 instrs/iteration = ~6000 cycles; pipelined
         // hardware should be near 1000 * II cycles.
         assert!(
@@ -324,15 +347,15 @@ mod tests {
         );
         assert!(r.timing.innermost_ii <= 2);
         assert!(r.area.gate_equivalents > 500);
-        assert!(r.vhdl(&f).contains("entity sum"));
+        assert!(r.vhdl(&f, &counts).contains("entity sum"));
     }
 
     #[test]
     fn bram_speeds_up_memory_bound_kernels() {
-        let f = sum_kernel(1000);
+        let (f, counts) = sum_kernel(1000);
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, &forest, &region);
+        let mut input = SynthesisInput::new(&f, &counts, &forest, &region);
         let fast = synthesize(&input).unwrap();
         input.mem_in_bram = false;
         let slow = synthesize(&input).unwrap();
@@ -354,9 +377,10 @@ mod tests {
             dst: Some(d),
         });
         f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let counts = BlockCounts::default();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let err = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap_err();
+        let err = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region)).unwrap_err();
         assert!(matches!(err, SynthError::ContainsCall { .. }));
     }
 
@@ -364,23 +388,24 @@ mod tests {
     fn empty_region_is_rejected() {
         let mut f = Function::new("e");
         f.block_mut(f.entry).term = Terminator::Return { value: None };
+        let counts = BlockCounts::default();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let err = synthesize(&SynthesisInput::new(&f, &forest, &region)).unwrap_err();
+        let err = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region)).unwrap_err();
         assert_eq!(err, SynthError::EmptyRegion);
     }
 
     #[test]
     fn narrower_widths_shrink_area() {
-        let mut f = sum_kernel(100);
+        let (mut f, counts) = sum_kernel(100);
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let wide = synthesize(&SynthesisInput::new(&f, &forest, &region))
+        let wide = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region))
             .unwrap()
             .area
             .gate_equivalents;
         f.vreg_bits = vec![8; f.vreg_count() as usize];
-        let narrow = synthesize(&SynthesisInput::new(&f, &forest, &region))
+        let narrow = synthesize(&SynthesisInput::new(&f, &counts, &forest, &region))
             .unwrap()
             .area
             .gate_equivalents;
@@ -389,10 +414,10 @@ mod tests {
 
     #[test]
     fn bram_bytes_add_area() {
-        let f = sum_kernel(100);
+        let (f, counts) = sum_kernel(100);
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
-        let mut input = SynthesisInput::new(&f, &forest, &region);
+        let mut input = SynthesisInput::new(&f, &counts, &forest, &region);
         let base = synthesize(&input).unwrap().area.gate_equivalents;
         input.bram_bytes = 4096;
         let with = synthesize(&input).unwrap().area.gate_equivalents;

@@ -3,7 +3,7 @@
 
 use crate::estimate::KeyMap;
 use crate::tech::{classify, FuClass, TechLibrary};
-use binpart_cdfg::ir::{BlockId, Function, Op, Operand, VReg};
+use binpart_cdfg::ir::{BlockCounts, BlockId, Function, Op, Operand, VReg};
 use binpart_cdfg::loops::LoopForest;
 
 /// Resource constraints for one kernel.
@@ -499,10 +499,11 @@ pub struct KernelTiming {
 /// Estimates total kernel cycles from a region's [`KernelSchedule`].
 ///
 /// Innermost loops are software-pipelined at their computed II; all other
-/// blocks execute their block schedule sequentially, weighted by profiled
-/// execution counts.
+/// blocks execute their block schedule sequentially, weighted by the
+/// profiled execution counts of `f`'s blocks in `counts`.
 pub fn estimate_kernel_cycles(
     f: &Function,
+    counts: &BlockCounts,
     schedule: &KernelSchedule,
     lib: &TechLibrary,
     budget: &ResourceBudget,
@@ -516,8 +517,7 @@ pub fn estimate_kernel_cycles(
         // Rerolled loops: one profiled execution of the original
         // (unrolled) header stands for `reroll_factor` logical iterations
         // of the rerolled body — count the logical ones.
-        let header = f.block(l.header);
-        let iters = header.profile_count * u64::from(header.reroll_factor);
+        let iters = counts.get(l.header) * u64::from(f.block(l.header).reroll_factor);
         // entries ≈ iterations / trip-count (1 when unknown)
         let entries = match l.trip_count {
             Some(t) if t > 0 => iters.div_ceil(t),
@@ -533,8 +533,7 @@ pub fn estimate_kernel_cycles(
     }
     // Remaining region blocks: sequential schedules.
     for b in schedule.blocks.iter().filter(|b| b.pipe.is_none()) {
-        let block = f.block(b.id);
-        let count = block.profile_count * u64::from(block.reroll_factor);
+        let count = counts.get(b.id) * u64::from(f.block(b.id).reroll_factor);
         match &b.schedule {
             // control-only block: 1 cycle
             None => total += count,
@@ -752,14 +751,17 @@ mod tests {
         };
         f.block_mut(exit).term = Terminator::Return { value: None };
         binpart_cdfg::ssa::construct(&mut f);
-        // attach profile: header ran 100 times
+        // profile counts: header ran 100 times
         let header_id = f.block_ids().find(|&b| !f.block(b).ops.is_empty()).unwrap();
-        f.block_mut(header_id).profile_count = 100;
+        let counts: BlockCounts = f
+            .block_ids()
+            .map(|b| if b == header_id { 100 } else { 0 })
+            .collect();
         let forest = LoopForest::compute(&f);
         let region: Vec<BlockId> = f.block_ids().collect();
         let budget = ResourceBudget::default();
         let schedule = schedule_kernel(&f, &forest, &region, &lib(), &budget, true);
-        let t = estimate_kernel_cycles(&f, &schedule, &lib(), &budget);
+        let t = estimate_kernel_cycles(&f, &counts, &schedule, &lib(), &budget);
         // II=1 loop with 100 iterations: ~100 cycles, far below SW
         assert!(t.hw_cycles >= 100 && t.hw_cycles < 160, "{t:?}");
         assert!(t.clock_mhz > 20.0);
@@ -768,7 +770,7 @@ mod tests {
         // a 4x reroll factor must estimate ~4x the cycles (the profiled
         // count was taken on the unrolled original).
         f.block_mut(header_id).reroll_factor = 4;
-        let t4 = estimate_kernel_cycles(&f, &schedule, &lib(), &budget);
+        let t4 = estimate_kernel_cycles(&f, &counts, &schedule, &lib(), &budget);
         assert!(
             t4.hw_cycles >= 4 * t.hw_cycles - 64 && t4.hw_cycles >= 400,
             "rerolled {t4:?} vs {t:?}"

@@ -24,6 +24,7 @@ fn main() {
             k.synth.timing.clock_mhz,
             k.synth.area.gate_equivalents
         );
-        println!("{}", k.synth.vhdl(&report.program.functions[c.func_index]));
+        let (f, counts) = (&report.program.functions[c.func_index], &report.counts[c.func_index]);
+        println!("{}", k.synth.vhdl(f, counts));
     }
 }

@@ -1,20 +1,21 @@
 //! The decompiler crates, `binpart-cdfg` and `binpart-core`, the
-//! processor crate `binpart-mips` and the hardware co-simulator
-//! `binpart-hwsim` each carry a module table in the `//!` docs of their
-//! `src/lib.rs`: one row per module file, naming its role and public entry
-//! point. These tests fail when a module file has no row, a row names a
-//! file that is gone, or the table has more rows than the crate has
-//! modules, so the map cannot fall behind a split or a new module. (A
-//! renamed entry point breaks the row's intra-doc link, which the
-//! `cargo doc` CI step denies.)
+//! processor crate `binpart-mips`, the hardware co-simulator
+//! `binpart-hwsim` and the synthesizer `binpart-synth` each carry a module
+//! table in the `//!` docs of their `src/lib.rs`: one row per module file,
+//! naming its role and public entry point. These tests fail when a module
+//! file has no row, a row names a file that is gone, or the table has more
+//! rows than the crate has modules, so the map cannot fall behind a split
+//! or a new module. (A renamed entry point breaks the row's intra-doc
+//! link, which the `cargo doc` CI step denies.)
 
 use std::path::Path;
 
-const CRATES: [&str; 4] = [
+const CRATES: [&str; 5] = [
     "crates/cdfg/src",
     "crates/core/src",
     "crates/mips/src",
     "crates/hwsim/src",
+    "crates/synth/src",
 ];
 
 /// Every `.rs` file under `dir`, as a path relative to `base` with `/`

@@ -5,7 +5,9 @@
 //! locally and names each selected kernel's candidate by index. These
 //! tests check both from outside: reports kept alive hold no reference to
 //! a candidate's name, blocks or alias summary, and the memo's hit and
-//! miss counters stay exact when points share it across threads.
+//! miss counters stay exact when points share it across threads. The
+//! decompiled program itself is built once and shared by every later
+//! stage, never copied.
 
 mod common;
 
@@ -74,6 +76,30 @@ fn held_warm_reports_share_nothing_with_the_candidates() {
             before, after,
             "{name}{level:?}: {kernels} held kernels hold candidate data"
         );
+    }
+}
+
+#[test]
+fn later_stages_share_the_decompiled_program() {
+    let options = FlowOptions::default();
+    for (name, level) in CELLS {
+        let binary = compile(name, level);
+        let flow = StagedFlow::new(&binary);
+        let program = flow.decompile(options.decompile).expect("decompiles");
+        let est = flow
+            .estimate(options.decompile, options.sim)
+            .expect("stages are built");
+        assert!(
+            Arc::ptr_eq(&program, &est.program),
+            "{name}{level:?}: the estimate stage holds a copy of the program"
+        );
+        assert_eq!(est.counts.len(), program.functions.len());
+        let report = flow.run(&options).expect("flow runs");
+        assert!(
+            Arc::ptr_eq(&program, &report.program),
+            "{name}{level:?}: the flow report holds a copy of the program"
+        );
+        assert_eq!(report.counts, est.counts);
     }
 }
 
